@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import PolynomialField, ScalarField
-from .group import Point, frame, p_matrix
+from .group import Point, frame, frame_batch, p_matrix
 from .symmetric import Sym2, Sym3
 
 HorizontalGradient = np.ndarray
@@ -78,15 +78,9 @@ def lift(a: Sym3, p: Point) -> Sym2:
 
 
 def lift_batch(mats: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Batched lift; mats is (n, 3, 3), xy the horizontal parts (n, 2)."""
-    n = mats.shape[0]
-    xv = np.zeros((n, 3))
-    yv = np.zeros((n, 3))
-    xv[:, 0] = 1.0
-    xv[:, 2] = 2.0 * xy[:, 1]
-    yv[:, 1] = 1.0
-    yv[:, 2] = -2.0 * xy[:, 0]
-    out = np.empty((n, 2, 2))
+    """Batched lift; mats is (n, 3, 3), xy the points (n, 2) or (n, 3)."""
+    xv, yv = frame_batch(xy)
+    out = np.empty((mats.shape[0], 2, 2))
     ax = np.einsum("nij,nj->ni", mats, xv)
     ay = np.einsum("nij,nj->ni", mats, yv)
     out[:, 0, 0] = np.einsum("ni,ni->n", xv, ax)

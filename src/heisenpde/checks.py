@@ -12,18 +12,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import full_hessian, h_hessian, lift_batch
+from .calculus import full_hessian, h_hessian
 from .doubling import (
-    PenaltyParams,
+    block_gap_matrix,
     block_matrix,
+    lifted_penalty_bound_batch,
+    lifted_trace_gap_batch,
     make_admissible_batch,
-    n_norm_bound,
-    penalty_hessian,
-    penalty_hessian_sq,
+    n_matrix_batch,
+    n_norm_bound_batch,
+    penalty_hessian_batch,
+    penalty_hessian_sq_batch,
+    sqrtp_ratio_batch,
+    trace_gap_batch,
     vertical_obstruction_check,
 )
 from .fields import PolynomialField
-from .group import Point, p_matrix_batch, sqrt_p_batch
+from .group import (
+    Point,
+    dilate_batch,
+    frame_batch,
+    group_inv_batch,
+    group_mul_batch,
+    null_direction_batch,
+    p_matrix_batch,
+    sqrt_p_batch,
+)
 from .operators import EllipticityBracket, OperatorSpec, pucci_minus, pucci_plus, validate_operator
 from .rng import SplitMix64
 from .symmetric import Sym2
@@ -54,25 +68,16 @@ def check_group_algebra(seed: int = 0, trials: int = 2000) -> dict:
     g = SplitMix64(seed, "group-algebra")
     pts = g.uniform(9 * trials, -100.0, 100.0).reshape(trials, 3, 3)
     lams = g.uniform(2 * trials, 0.1, 10.0).reshape(trials, 2)
-    worst = 0.0
-    for k in range(trials):
-        a, b, c = pts[k]
-        ab = np.array([a[0] + b[0], a[1] + b[1], a[2] + b[2] + 2 * (b[0] * a[1] - b[1] * a[0])])
-        bc = np.array([b[0] + c[0], b[1] + c[1], b[2] + c[2] + 2 * (c[0] * b[1] - c[1] * b[0])])
-        lhs = np.array(
-            [ab[0] + c[0], ab[1] + c[1], ab[2] + c[2] + 2 * (c[0] * ab[1] - c[1] * ab[0])]
-        )
-        rhs = np.array(
-            [a[0] + bc[0], a[1] + bc[1], a[2] + bc[2] + 2 * (bc[0] * a[1] - bc[1] * a[0])]
-        )
-        scale = max(1.0, np.abs(pts[k]).max() ** 2)
-        worst = max(worst, np.abs(lhs - rhs).max() / scale)
-        inv = np.array([a[0] - a[0], a[1] - a[1], a[2] - a[2] + 2 * (-a[0] * a[1] + a[1] * a[0])])
-        worst = max(worst, np.abs(inv).max() / scale)
-        l1, l2 = lams[k]
-        d1 = np.array([l1 * l2 * a[0], l1 * l2 * a[1], (l1 * l2) ** 2 * a[2]])
-        d2 = np.array([l1 * (l2 * a[0]), l1 * (l2 * a[1]), l1 * l1 * (l2 * l2 * a[2])])
-        worst = max(worst, np.abs(d1 - d2).max() / scale)
+    a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
+    l1, l2 = lams[:, 0], lams[:, 1]
+    gaps = [
+        group_mul_batch(group_mul_batch(a, b), c) - group_mul_batch(a, group_mul_batch(b, c)),
+        group_mul_batch(a, group_inv_batch(a)),
+        group_mul_batch(group_inv_batch(a), a),
+        dilate_batch(l1 * l2, a) - dilate_batch(l1, dilate_batch(l2, a)),
+    ]
+    scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)) ** 2)
+    worst = float(max((np.abs(g).max(axis=1) / scale).max() for g in gaps))
     return _report("group.algebra", trials, worst, worst <= 1e-12)
 
 
@@ -97,7 +102,7 @@ def check_p_kernel(seed: int = 0, trials: int = 10_000) -> dict:
     g = SplitMix64(seed, "p-kernel")
     xy = g.uniform(2 * trials, -1000.0, 1000.0).reshape(trials, 2)
     p = p_matrix_batch(xy)
-    v = np.stack([-2.0 * xy[:, 1], 2.0 * xy[:, 0], np.ones(trials)], axis=1)
+    v = null_direction_batch(xy)
     rows = [
         (p[:, i, 0] * v[:, 0] + p[:, i, 1] * v[:, 1]) + p[:, i, 2] * v[:, 2] for i in range(3)
     ]
@@ -110,15 +115,11 @@ def check_sigma_factorization(seed: int = 0, trials: int = 5000) -> dict:
     g = SplitMix64(seed, "sigma-fact")
     xy = g.uniform(2 * trials, -100.0, 100.0).reshape(trials, 2)
     p = p_matrix_batch(xy)
-    s = np.zeros((trials, 2, 3))
-    s[:, 0, 0] = 1.0
-    s[:, 0, 2] = 2.0 * xy[:, 1]
-    s[:, 1, 1] = 1.0
-    s[:, 1, 2] = -2.0 * xy[:, 0]
+    x, y = frame_batch(xy)
     worst = 0.0
     for i in range(3):
         for j in range(3):
-            sts = s[:, 0, i] * s[:, 0, j] + s[:, 1, i] * s[:, 1, j]
+            sts = x[:, i] * x[:, j] + y[:, i] * y[:, j]
             worst = max(worst, float(np.abs(p[:, i, j] - sts).max()))
     return _report("group.sigma_factorization", trials, worst, worst == 0.0)
 
@@ -143,8 +144,7 @@ def check_quadratic_form(seed: int = 0, trials: int = 1000) -> dict:
         u = _random_polynomial(g, degree=6)
         p = Point(*g.uniform(3, -2.0, 2.0))
         a, b = g.uniform(2, -2.0, 2.0)
-        x = np.array([1.0, 0.0, 2.0 * p.x2])
-        y = np.array([0.0, 1.0, -2.0 * p.x1])
+        (x,), (y,) = frame_batch(p.as_array()[None])
         v = a * x + b * y
         d2 = full_hessian(u, p).mat
         lhs = float(v @ d2 @ v)
@@ -164,10 +164,9 @@ def check_trace_identity(seed: int = 0, trials: int = 200) -> dict:
         p = Point(*g.uniform(3, -2.0, 2.0))
         s1 = h_hessian(u, p).trace()
         d2 = full_hessian(u, p).mat
-        x = np.array([1.0, 0.0, 2.0 * p.x2])
-        y = np.array([0.0, 1.0, -2.0 * p.x1])
+        (x,), (y,) = frame_batch(p.as_array()[None])
         s2 = float(x @ d2 @ x + y @ d2 @ y)
-        pm = p_matrix_batch(np.array([[p.x1, p.x2]]))[0]
+        pm = p_matrix_batch(p.as_array()[None])[0]
         s3 = float(np.trace(pm @ d2))
         scale = max(1.0, abs(s1))
         worst = max(worst, abs(s1 - s2) / scale, abs(s1 - s3) / scale)
@@ -266,29 +265,11 @@ def _random_penalty(g: SplitMix64, n: int):
     return alphas, ls, mus, x, y
 
 
-def _penalty_m_batch(x, y, ls, alphas) -> np.ndarray:
-    d = x - y
-    dist = np.linalg.norm(d, axis=1)
-    e = d / dist[:, None]
-    scale = ls * alphas * dist ** (alphas - 2.0)
-    ee = np.einsum("ni,nj->nij", e, e)
-    return scale[:, None, None] * ((alphas - 2.0)[:, None, None] * ee + np.eye(3))
-
-
-def _penalty_msq_batch(x, y, ls, alphas) -> np.ndarray:
-    d = x - y
-    dist = np.linalg.norm(d, axis=1)
-    e = d / dist[:, None]
-    scale = (ls * alphas) ** 2 * dist ** (2.0 * (alphas - 2.0))
-    ee = np.einsum("ni,nj->nij", e, e)
-    return scale[:, None, None] * ((alphas * (alphas - 2.0))[:, None, None] * ee + np.eye(3))
-
-
 def check_penalty_fd(seed: int = 0, trials: int = 10_000) -> dict:
     """Closed-form M vs an extended-precision centered-difference Hessian."""
     g = SplitMix64(seed, "penalty-fd")
     alphas, ls, mus, x, y = _random_penalty(g, trials)
-    m = _penalty_m_batch(x, y, ls, alphas)
+    m = penalty_hessian_batch(x, y, ls, alphas)
     xl = x.astype(np.longdouble)
     yl = y.astype(np.longdouble)
     al = alphas.astype(np.longdouble)
@@ -319,8 +300,8 @@ def check_penalty_square(seed: int = 0, trials: int = 10_000) -> dict:
     g = SplitMix64(seed, "penalty-square")
     alphas, ls, mus, x, y = _random_penalty(g, trials)
     alphas = np.concatenate([alphas[: trials // 2], g.uniform(trials - trials // 2, 0.2, 2.0)])
-    m = _penalty_m_batch(x, y, ls, alphas)
-    msq = _penalty_msq_batch(x, y, ls, alphas)
+    m = penalty_hessian_batch(x, y, ls, alphas)
+    msq = penalty_hessian_sq_batch(x, y, ls, alphas)
     prod = np.einsum("nij,njk->nik", m, m)
     scale = np.maximum(1.0, np.abs(msq).max(axis=(1, 2)))
     worst = float((np.abs(msq - prod).max(axis=(1, 2)) / scale).max())
@@ -331,14 +312,8 @@ def check_block_square_factor(seed: int = 0, trials: int = 10_000) -> dict:
     """[[M,-M],[-M,M]]^2 = 2 [[M^2,-M^2],[-M^2,M^2]] entrywise to 1e-10."""
     g = SplitMix64(seed, "block-square")
     alphas, ls, mus, x, y = _random_penalty(g, trials)
-    m = _penalty_m_batch(x, y, ls, alphas)
-    msq = _penalty_msq_batch(x, y, ls, alphas)
-    big = np.empty((trials, 6, 6))
-    big[:, :3, :3] = big[:, 3:, 3:] = m
-    big[:, :3, 3:] = big[:, 3:, :3] = -m
-    bigsq = np.empty((trials, 6, 6))
-    bigsq[:, :3, :3] = bigsq[:, 3:, 3:] = msq
-    bigsq[:, :3, 3:] = bigsq[:, 3:, :3] = -msq
+    big = block_matrix(penalty_hessian_batch(x, y, ls, alphas))
+    bigsq = block_matrix(penalty_hessian_sq_batch(x, y, ls, alphas))
     prod = np.einsum("nij,njk->nik", big, big)
     scale = np.maximum(1.0, np.abs(bigsq).max(axis=(1, 2)))
     worst = float((np.abs(prod - 2.0 * bigsq).max(axis=(1, 2)) / scale).max())
@@ -349,15 +324,9 @@ def check_n_bound(seed: int = 0, trials: int = 10_000) -> dict:
     """|N| <= L a d^(a-2) + (2/mu) L^2 a^2 d^(2(a-2)), equality or better."""
     g = SplitMix64(seed, "n-bound")
     alphas, ls, mus, x, y = _random_penalty(g, trials)
-    m = _penalty_m_batch(x, y, ls, alphas)
-    msq = _penalty_msq_batch(x, y, ls, alphas)
-    n = m + (2.0 / mus)[:, None, None] * msq
-    evs = np.linalg.eigvalsh(n)
+    evs = np.linalg.eigvalsh(n_matrix_batch(x, y, ls, alphas, mus))
     norms = np.maximum(np.abs(evs[:, 0]), np.abs(evs[:, -1]))
-    dist = np.linalg.norm(x - y, axis=1)
-    bound = ls * alphas * dist ** (alphas - 2.0) + (2.0 / mus) * (ls * alphas) ** 2 * dist ** (
-        2.0 * (alphas - 2.0)
-    )
+    bound = n_norm_bound_batch(x, y, ls, alphas, mus)
     rel = (norms - bound) / np.maximum(1.0, bound)
     worst = float(rel.max())
     return _report("sums.n_bound", trials, worst, worst <= 1e-12)
@@ -365,9 +334,7 @@ def check_n_bound(seed: int = 0, trials: int = 10_000) -> dict:
 
 def _admissible_suite(g: SplitMix64, trials: int):
     alphas, ls, mus, x, y = _random_penalty(g, trials)
-    m = _penalty_m_batch(x, y, ls, alphas)
-    msq = _penalty_msq_batch(x, y, ls, alphas)
-    ns = m + (2.0 / mus)[:, None, None] * msq
+    ns = n_matrix_batch(x, y, ls, alphas, mus)
     a, b = make_admissible_batch(ns, seed=int(g.seed) & 0x7FFFFFFF)
     return alphas, ls, mus, x, y, ns, a, b
 
@@ -376,10 +343,7 @@ def check_admissible_block(seed: int = 0, trials: int = 10_000) -> dict:
     """Generated pairs satisfy the 6x6 block inequality (min eig >= -1e-10)."""
     g = SplitMix64(seed, "admissible-block")
     _, _, _, _, _, ns, a, b = _admissible_suite(g, trials)
-    w = np.empty((trials, 6, 6))
-    w[:, :3, :3] = ns - a
-    w[:, :3, 3:] = w[:, 3:, :3] = -ns
-    w[:, 3:, 3:] = ns + b
+    w = block_gap_matrix(a, b, ns)
     evs = np.linalg.eigvalsh(w)
     scale = np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
     worst = float(-(evs[:, 0] / scale).min())
@@ -406,11 +370,7 @@ def check_trace_gap(seed: int = 0, trials: int = 10_000) -> dict:
     """tr(lift(A,x)) - tr(lift(B,y)) <= 4 ((x2-y2)^2 + (x1-y1)^2) n33."""
     g = SplitMix64(seed, "trace-gap")
     _, _, _, x, y, ns, a, b = _admissible_suite(g, trials)
-    la = lift_batch(a, x[:, :2])
-    lb = lift_batch(b, y[:, :2])
-    lhs = la[:, 0, 0] + la[:, 1, 1] - lb[:, 0, 0] - lb[:, 1, 1]
-    s = (x[:, 1] - y[:, 1]) ** 2 + (x[:, 0] - y[:, 0]) ** 2
-    rhs = 4.0 * s * ns[:, 2, 2]
+    lhs, rhs = trace_gap_batch(a, b, ns, x, y)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     worst = float(((lhs - rhs) / scale).max())
     return _report("sums.trace_gap", trials, worst, worst <= 1e-9)
@@ -421,25 +381,13 @@ def check_lifted_trace_gap(seed: int = 0, trials: int = 10_000) -> dict:
     form with the empirical C2 measured on the suite's own samples."""
     g = SplitMix64(seed, "lifted-trace-gap")
     alphas, ls, mus, x, y, ns, a, b = _admissible_suite(g, trials)
-    px = p_matrix_batch(x[:, :2])
-    py = p_matrix_batch(y[:, :2])
-    lhs = np.einsum("nij,nji->n", px, a) - np.einsum("nij,nji->n", py, b)
-    diff = sqrt_p_batch(x[:, :2]) - sqrt_p_batch(y[:, :2])
-    fro2 = np.einsum("nij,nij->n", diff, diff)
-    evs = np.linalg.eigvalsh(ns)
-    nnorm = np.maximum(np.abs(evs[:, 0]), np.abs(evs[:, -1]))
-    rhs = 3.0 * nnorm * fro2
+    lhs, rhs = lifted_trace_gap_batch(a, b, ns, x, y)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     worst = float(((lhs - rhs) / scale).max())
 
-    dxy = np.hypot(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1])
-    ok = dxy > 1e-9
-    c2 = float((np.sqrt(fro2[ok]) / dxy[ok]).max())
-    dist = np.linalg.norm(x - y, axis=1)
-    rhs_pen = 3.0 * c2**2 * (
-        ls * alphas * dist**alphas
-        + (2.0 / mus) * (ls * alphas) ** 2 * dist ** (2.0 * alphas - 2.0)
-    )
+    ok = np.hypot(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1]) > 1e-9
+    c2 = float(sqrtp_ratio_batch(x, y)[ok].max())
+    rhs_pen = lifted_penalty_bound_batch(x, y, ls, alphas, mus, c2)
     scale_pen = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs_pen)))
     worst_pen = float(((lhs - rhs_pen) / scale_pen).max())
     passed = worst <= 1e-9 and worst_pen <= 1e-9
@@ -468,12 +416,7 @@ def check_sqrtp_lipschitz(seed: int = 0, trials: int = 100_000) -> dict:
     xy = g.uniform(2 * trials, -1000.0, 1000.0).reshape(trials, 2)
     d = g.unit_vectors(trials, 2)
     dist = g.uniform(trials, 0.1, 10.0)
-    xy2 = xy + dist[:, None] * d
-    diff = sqrt_p_batch(xy) - sqrt_p_batch(xy2)
-    ratio = np.sqrt(np.einsum("nij,nij->n", diff, diff)) / np.hypot(
-        xy[:, 0] - xy2[:, 0], xy[:, 1] - xy2[:, 1]
-    )
-    c2 = float(ratio.max())
+    c2 = float(sqrtp_ratio_batch(xy, xy + dist[:, None] * d).max())
     return _report("sums.sqrtp_lipschitz", trials, c2, np.isfinite(c2) and c2 <= 8.0, c2=c2)
 
 

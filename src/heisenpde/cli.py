@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_checks
+from .config import config_section
 from .doubling import PenaltyParams, doubling_certificate
 from .grid import GridFunction
 from .operators import EllipticityBracket, HolderData
@@ -39,13 +40,7 @@ def _load_json(path) -> dict:
 
 
 def _holder_from_config(cfg: dict) -> HolderData:
-    allowed = {"c0", "beta", "beta_prime", "L_c", "L_f"}
-    extra = set(cfg) - allowed
-    if extra:
-        raise ValueError(f"unknown holder config keys: {sorted(extra)}")
-    for key in allowed:
-        if key not in cfg:
-            raise ValueError(f"holder config is missing {key!r}")
+    config_section(cfg, "holder", ("c0", "beta", "beta_prime", "L_c", "L_f"))
     return HolderData(
         c0=float(cfg["c0"]),
         beta=float(cfg["beta"]),
@@ -56,12 +51,7 @@ def _holder_from_config(cfg: dict) -> HolderData:
 
 
 def _bracket_from_config(cfg: dict) -> EllipticityBracket:
-    allowed = {"lambda", "Lambda"}
-    extra = set(cfg) - allowed
-    if extra:
-        raise ValueError(f"unknown bracket config keys: {sorted(extra)}")
-    if "lambda" not in cfg or "Lambda" not in cfg:
-        raise ValueError("bracket config needs 'lambda' and 'Lambda'")
+    config_section(cfg, "bracket", ("lambda", "Lambda"))
     return EllipticityBracket(float(cfg["lambda"]), float(cfg["Lambda"]))
 
 
@@ -110,13 +100,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_holder(args) -> int:
-    cfg = _load_json(args.config)
-    allowed = {"holder", "bracket", "seed", "pairs", "margin", "refined_grid"}
-    extra = set(cfg) - allowed
-    if extra:
-        raise ValueError(f"unknown holder config keys: {sorted(extra)}")
-    if "holder" not in cfg or "bracket" not in cfg:
-        raise ValueError("holder config needs 'holder' and 'bracket' sections")
+    cfg = config_section(
+        _load_json(args.config),
+        "holder",
+        ("holder", "bracket"),
+        ("seed", "pairs", "margin", "refined_grid"),
+    )
     hd = _holder_from_config(cfg["holder"])
     bracket = _bracket_from_config(cfg["bracket"])
     u = GridFunction.from_csv(args.grid)
@@ -140,21 +129,17 @@ def cmd_holder(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _load_json(args.config)
-    allowed = {"problem", "holder", "bracket", "seed", "pairs", "margin", "penalty"}
-    extra = set(cfg) - allowed
-    if extra:
-        raise ValueError(f"unknown pipeline config keys: {sorted(extra)}")
-    for key in ("problem", "holder", "bracket"):
-        if key not in cfg:
-            raise ValueError(f"pipeline config is missing {key!r}")
+    cfg = config_section(
+        _load_json(args.config),
+        "pipeline",
+        ("problem", "holder", "bracket"),
+        ("seed", "pairs", "margin", "penalty"),
+    )
     hd = _holder_from_config(cfg["holder"])
     bracket = _bracket_from_config(cfg["bracket"])
-    pen_cfg = cfg.get("penalty", {})
-    pen_allowed = {"delta", "eps", "L_factor", "per_axis", "mu"}
-    pen_extra = set(pen_cfg) - pen_allowed
-    if pen_extra:
-        raise ValueError(f"unknown penalty config keys: {sorted(pen_extra)}")
+    pen_cfg = config_section(
+        cfg.get("penalty", {}), "penalty", optional=("delta", "eps", "L_factor", "per_axis", "mu")
+    )
     seed = int(cfg.get("seed", 0))
     margin = float(cfg.get("margin", 0.1))
     n_pairs = int(cfg.get("pairs", 200_000))

@@ -1,5 +1,8 @@
 """Doubling-of-variables laboratory: penalty Hessians, block inequalities,
 trace-gap bounds, the sqrt(P) Lipschitz ratio, and the Holder certificate.
+Each formula is implemented once over stacks of pairs (the *_batch
+functions, which `heisenpde verify` checks); the Point/Sym3 functions wrap
+them for a single pair.
 
 The penalty is always Euclidean: phi(x, y) = L|x-y|^alpha, whose Hessian in x
 is M = L*alpha*|x-y|^(alpha-2)*((alpha-2) e (x) e + I) along the unit
@@ -19,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import lift
-from .group import Point, sqrt_p
+from .calculus import lift_batch
+from .group import Point, p_matrix_batch, sqrt_p, sqrt_p_batch
 from .rng import SplitMix64
-from .symmetric import Sym3, min_eigenvalue, operator_norm
+from .symmetric import Sym3, min_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -81,59 +84,98 @@ class MaxReport:
     pairs_evaluated: int
 
 
-def _difference(x: Point, y: Point) -> tuple[np.ndarray, float]:
-    d = x.as_array() - y.as_array()
-    return d, float(np.linalg.norm(d))
+def _col(v) -> np.ndarray:
+    """A scalar or (n,) array as a (1, 1) or (n, 1, 1) multiplier of (n, 3, 3) stacks."""
+    return np.asarray(v)[..., None, None]
+
+
+def _distances(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    d = x - y
+    dist = np.linalg.norm(d, axis=1)
+    if np.any(dist == 0.0):
+        raise ValueError("the penalty derivatives are undefined at x == y")
+    return d, dist
+
+
+def _directions(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|x-y| and e (x) e for the unit differences e = (x-y)/|x-y|."""
+    d, dist = _distances(x, y)
+    e = d / dist[:, None]
+    return dist, np.einsum("ni,nj->nij", e, e)
+
+
+def _pair(x: Point, y: Point) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([x.as_array()], dtype=float), np.array([y.as_array()], dtype=float)
+
+
+def _single(batch_fn, a: Sym3, b: Sym3, n: Sym3, x: Point, y: Point) -> tuple[float, float]:
+    """A batch trace-gap function's (lhs, rhs) for one instance."""
+    lhs, rhs = batch_fn(a.mat[None], b.mat[None], n.mat[None], *_pair(x, y))
+    return float(lhs[0]), float(rhs[0])
 
 
 def penalty_value(x: Point, y: Point, pp: PenaltyParams) -> float:
     """L |x-y|^alpha (Euclidean; the psi assembly adds the delta/eps terms)."""
-    _, dist = _difference(x, y)
+    dist = float(np.linalg.norm(x.as_array() - y.as_array()))
     return pp.L * dist**pp.alpha
 
 
+def penalty_hessian_batch(x: np.ndarray, y: np.ndarray, L, alpha) -> np.ndarray:
+    """M = L*alpha*|x-y|^(alpha-2) * ((alpha-2) e(x)e + I) for (n, 3) point
+    arrays x != y; L and alpha are scalars or (n,) arrays.  Result (n, 3, 3)."""
+    dist, ee = _directions(x, y)
+    scale = L * alpha * dist ** (alpha - 2.0)
+    return _col(scale) * (_col(alpha - 2.0) * ee + np.eye(3))
+
+
 def penalty_hessian(x: Point, y: Point, pp: PenaltyParams) -> Sym3:
-    """M = L*alpha*|x-y|^(alpha-2) * ((alpha-2) e(x)e + I); requires x != y."""
-    d, dist = _difference(x, y)
-    if dist == 0.0:
-        raise ValueError("penalty Hessian is undefined at x == y")
-    e = d / dist
-    scale = pp.L * pp.alpha * dist ** (pp.alpha - 2.0)
-    m = scale * ((pp.alpha - 2.0) * np.outer(e, e) + np.eye(3))
-    return Sym3.from_matrix(m)
+    return Sym3.from_matrix(penalty_hessian_batch(*_pair(x, y), pp.L, pp.alpha)[0])
+
+
+def penalty_hessian_sq_batch(x: np.ndarray, y: np.ndarray, L, alpha) -> np.ndarray:
+    """M^2 in closed form: L^2 a^2 |x-y|^(2(a-2)) * (a(a-2) e(x)e + I)."""
+    dist, ee = _directions(x, y)
+    scale = (L * alpha) ** 2 * dist ** (2.0 * (alpha - 2.0))
+    return _col(scale) * (_col(alpha * (alpha - 2.0)) * ee + np.eye(3))
 
 
 def penalty_hessian_sq(x: Point, y: Point, pp: PenaltyParams) -> Sym3:
-    """M^2 in closed form: L^2 a^2 |x-y|^(2(a-2)) * (a(a-2) e(x)e + I)."""
-    d, dist = _difference(x, y)
-    if dist == 0.0:
-        raise ValueError("penalty Hessian is undefined at x == y")
-    e = d / dist
-    a = pp.alpha
-    scale = (pp.L * a) ** 2 * dist ** (2.0 * (a - 2.0))
-    m = scale * (a * (a - 2.0) * np.outer(e, e) + np.eye(3))
-    return Sym3.from_matrix(m)
+    return Sym3.from_matrix(penalty_hessian_sq_batch(*_pair(x, y), pp.L, pp.alpha)[0])
+
+
+def n_matrix_batch(x: np.ndarray, y: np.ndarray, L, alpha, mu) -> np.ndarray:
+    """N = M + (2/mu) M^2."""
+    m = penalty_hessian_batch(x, y, L, alpha)
+    return m + _col(2.0 / mu) * penalty_hessian_sq_batch(x, y, L, alpha)
 
 
 def n_matrix(x: Point, y: Point, pp: PenaltyParams) -> Sym3:
-    """N = M + (2/mu) M^2."""
-    return penalty_hessian(x, y, pp) + (2.0 / pp.mu) * penalty_hessian_sq(x, y, pp)
+    return Sym3.from_matrix(n_matrix_batch(*_pair(x, y), pp.L, pp.alpha, pp.mu)[0])
 
 
-def n_norm_bound(x: Point, y: Point, pp: PenaltyParams) -> float:
+def n_norm_bound_batch(x: np.ndarray, y: np.ndarray, L, alpha, mu) -> np.ndarray:
     """The operator-norm bound L a d^(a-2) + (2/mu) L^2 a^2 d^(2(a-2))."""
-    _, dist = _difference(x, y)
-    if dist == 0.0:
-        raise ValueError("bound is undefined at x == y")
-    a = pp.alpha
-    return pp.L * a * dist ** (a - 2.0) + (2.0 / pp.mu) * (pp.L * a) ** 2 * dist ** (
-        2.0 * (a - 2.0)
+    _, dist = _distances(x, y)
+    return L * alpha * dist ** (alpha - 2.0) + (2.0 / mu) * (L * alpha) ** 2 * dist ** (
+        2.0 * (alpha - 2.0)
     )
 
 
+def n_norm_bound(x: Point, y: Point, pp: PenaltyParams) -> float:
+    return float(n_norm_bound_batch(*_pair(x, y), pp.L, pp.alpha, pp.mu)[0])
+
+
 def block_matrix(n: np.ndarray) -> np.ndarray:
-    """[[N, -N], [-N, N]] as a 6x6 array."""
+    """[[N, -N], [-N, N]] as a 6x6 array, or an (k, 6, 6) stack for (k, 3, 3)."""
     return np.block([[n, -n], [-n, n]])
+
+
+def block_gap_matrix(a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """[[N,-N],[-N,N]] - [[A,0],[0,-B]] for 3x3 arrays or (k, 3, 3) stacks."""
+    gap = block_matrix(n)
+    gap[..., :3, :3] -= a
+    gap[..., 3:, 3:] += b
+    return gap
 
 
 def block_gap(a: Sym3, b: Sym3, n: Sym3) -> float:
@@ -142,16 +184,11 @@ def block_gap(a: Sym3, b: Sym3, n: Sym3) -> float:
     Nonnegative (up to 1e-9 times the largest entry) iff the block inequality
     [[A,0],[0,-B]] <= [[N,-N],[-N,N]] holds.
     """
-    gap = block_matrix(n.mat)
-    gap[:3, :3] -= a.mat
-    gap[3:, 3:] += b.mat
-    return min_eigenvalue(gap)
+    return min_eigenvalue(block_gap_matrix(a.mat, b.mat, n.mat))
 
 
 def block_gap_holds(a: Sym3, b: Sym3, n: Sym3, tol: float = 1e-9) -> bool:
-    gap = block_matrix(n.mat)
-    gap[:3, :3] -= a.mat
-    gap[3:, 3:] += b.mat
+    gap = block_gap_matrix(a.mat, b.mat, n.mat)
     scale = max(1.0, np.abs(gap).max())
     return min_eigenvalue(gap) >= -tol * scale
 
@@ -191,6 +228,19 @@ def _admissible_batch(ns: np.ndarray, g: SplitMix64) -> tuple[np.ndarray, np.nda
     return a, b
 
 
+def trace_gap_batch(
+    a: np.ndarray, b: np.ndarray, n: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of the intrinsic trace-gap bound for (k, 3, 3) stacks A, B,
+    N and (k, 3) points x, y: lhs = tr(lift(A,x)) - tr(lift(B,y)) and
+    rhs = 4*((x2-y2)^2 + (x1-y1)^2) * n33."""
+    la = lift_batch(a, x)
+    lb = lift_batch(b, y)
+    lhs = la[:, 0, 0] + la[:, 1, 1] - lb[:, 0, 0] - lb[:, 1, 1]
+    s = (x[:, 1] - y[:, 1]) ** 2 + (x[:, 0] - y[:, 0]) ** 2
+    return lhs, 4.0 * s * n[:, 2, 2]
+
+
 def trace_gap(a: Sym3, b: Sym3, n: Sym3, x: Point, y: Point) -> TraceGapReport:
     """Intrinsic trace-gap bound tr(lift(A,x)) - tr(lift(B,y)) <= rhs.
 
@@ -201,31 +251,59 @@ def trace_gap(a: Sym3, b: Sym3, n: Sym3, x: Point, y: Point) -> TraceGapReport:
     """
     if not block_gap_holds(a, b, n):
         raise ValueError("block inequality precondition fails")
-    lhs = lift(a, x).trace() - lift(b, y).trace()
-    n33 = n.a33
-    s = (x.x2 - y.x2) ** 2 + (x.x1 - y.x1) ** 2
-    rhs = 4.0 * s * n33
+    lhs, rhs = _single(trace_gap_batch, a, b, n, x, y)
     scale = max(1.0, abs(lhs), abs(rhs))
     return TraceGapReport(
         lhs=lhs,
         rhs=rhs,
-        n33=n33,
+        n33=n.a33,
         holds=lhs <= rhs + 1e-9 * scale,
-        rhs_stated=s * n33,
+        rhs_stated=rhs / 4.0,  # exact: 4 is a power of two
     )
 
 
-def sqrtp_ratio(x: Point, y: Point) -> float:
-    """Frobenius ratio |sqrt(P)(x) - sqrt(P)(y)| / |x'-y'|; needs x' != y'.
+def sqrtp_ratio_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Frobenius ratios |sqrt(P)(x) - sqrt(P)(y)| / |x'-y'| for (n, 2) or
+    (n, 3) arrays; nan where x' == y', since sqrt(P) depends only on the
+    horizontal part and the difference vanishes identically there."""
+    diff = sqrt_p_batch(x) - sqrt_p_batch(y)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.sqrt(np.einsum("nij,nij->n", diff, diff)) / np.hypot(
+            x[:, 0] - y[:, 0], x[:, 1] - y[:, 1]
+        )
 
-    sqrt(P) depends only on the horizontal part, so the difference vanishes
-    identically when x' = y' and the ratio is undefined there.
-    """
-    dxy = np.hypot(x.x1 - y.x1, x.x2 - y.x2)
-    if dxy == 0.0:
+
+def sqrtp_ratio(x: Point, y: Point) -> float:
+    """Frobenius ratio |sqrt(P)(x) - sqrt(P)(y)| / |x'-y'|; needs x' != y'."""
+    ratio = float(sqrtp_ratio_batch(*_pair(x, y))[0])
+    if np.isnan(ratio):
         raise ValueError("ratio undefined for x' == y' (the difference is exactly 0)")
-    diff = sqrt_p(x).mat - sqrt_p(y).mat
-    return float(np.linalg.norm(diff) / dxy)
+    return ratio
+
+
+def lifted_trace_gap_batch(
+    a: np.ndarray, b: np.ndarray, n: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of the lifted trace-gap bound for (k, 3, 3) stacks A, B, N
+    and (k, 3) points: lhs = tr(P(x)A - P(y)B), rhs = 3 |N| |sqrt(P)x -
+    sqrt(P)y|_F^2 with |N| the operator norm."""
+    lhs = np.einsum("nij,nji->n", p_matrix_batch(x), a) - np.einsum(
+        "nij,nji->n", p_matrix_batch(y), b
+    )
+    diff = sqrt_p_batch(x) - sqrt_p_batch(y)
+    evs = np.linalg.eigvalsh(n)
+    n_norm = np.maximum(np.abs(evs[:, 0]), np.abs(evs[:, -1]))
+    return lhs, 3.0 * n_norm * np.einsum("nij,nij->n", diff, diff)
+
+
+def lifted_penalty_bound_batch(x: np.ndarray, y: np.ndarray, L, alpha, mu, c2) -> np.ndarray:
+    """Penalty form 3 c2^2 (L a d^a + (2/mu) L^2 a^2 d^(2a-2)) of the lifted
+    bound, which bounds its lhs whenever N = N(x, y) and c2 bounds the
+    sqrt(P) Lipschitz ratio."""
+    _, dist = _distances(x, y)
+    return 3.0 * c2**2 * (
+        L * alpha * dist**alpha + (2.0 / mu) * (L * alpha) ** 2 * dist ** (2.0 * alpha - 2.0)
+    )
 
 
 def lifted_trace_gap(
@@ -246,28 +324,12 @@ def lifted_trace_gap(
     """
     if not block_gap_holds(a, b, n):
         raise ValueError("block inequality precondition fails")
-    from .group import p_matrix  # local import keeps module deps one-way
-
-    lhs = float(np.trace(p_matrix(x).mat @ a.mat) - np.trace(p_matrix(y).mat @ b.mat))
-    diff = sqrt_p(x).mat - sqrt_p(y).mat
-    n_norm = operator_norm(n.mat)
-    rhs = 3.0 * n_norm * float(np.sum(diff * diff))
+    lhs, rhs = _single(lifted_trace_gap_batch, a, b, n, x, y)
     scale = max(1.0, abs(lhs), abs(rhs))
     rhs_penalty = None
     holds_penalty = None
     if pp is not None and c2 is not None:
-        _, dist = _difference(x, y)
-        if dist == 0.0:
-            raise ValueError("penalty form undefined at x == y")
-        aexp = pp.alpha
-        rhs_penalty = (
-            3.0
-            * c2**2
-            * (
-                pp.L * aexp * dist**aexp
-                + (2.0 / pp.mu) * (pp.L * aexp) ** 2 * dist ** (2.0 * aexp - 2.0)
-            )
-        )
+        rhs_penalty = float(lifted_penalty_bound_batch(*_pair(x, y), pp.L, pp.alpha, pp.mu, c2)[0])
         holds_penalty = lhs <= rhs_penalty + 1e-9 * max(1.0, abs(lhs), abs(rhs_penalty))
     return TraceGapReport(
         lhs=lhs,

@@ -10,12 +10,14 @@ can therefore cross-check the exact route against the finite-difference one.
 
 from __future__ import annotations
 
+import inspect
 import math
 import re
 from fractions import Fraction
 
 import numpy as np
 
+from .config import config_section
 from .group import Point
 
 
@@ -267,19 +269,17 @@ def smooth_abs_field(eps: float = 0.1, scale: float = 1.0, offset: float = 0.0) 
 BUILTIN_FIELDS = {"smooth_abs": smooth_abs_field}
 
 
-def field_from_config(cfg: dict) -> ScalarField:
-    """Build a field from a CLI config entry: {"poly": ...} or {"builtin": ...}."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"field config must be an object, got {cfg!r}")
-    if "poly" in cfg:
-        extra = set(cfg) - {"poly"}
-        if extra:
-            raise ValueError(f"unknown field config keys: {sorted(extra)}")
-        return parse_polynomial(cfg["poly"])
-    if "builtin" in cfg:
-        name = cfg["builtin"]
-        if name not in BUILTIN_FIELDS:
-            raise ValueError(f"unknown builtin field {name!r}")
-        kwargs = {k: v for k, v in cfg.items() if k != "builtin"}
-        return BUILTIN_FIELDS[name](**kwargs)
-    raise ValueError("field config needs a 'poly' or 'builtin' key")
+def field_from_config(cfg: dict, name: str = "field") -> ScalarField:
+    """Build a field from the config section `name`: {"poly": ...} or
+    {"builtin": ..., <keyword arguments of the builtin>}."""
+    if isinstance(cfg, dict) and "builtin" in cfg:
+        builtin = cfg["builtin"]
+        fn = BUILTIN_FIELDS.get(builtin) if isinstance(builtin, str) else None
+        if fn is None:
+            raise ValueError(f"unknown builtin field {builtin!r} in {name} config")
+        config_section(cfg, name, ("builtin",), tuple(inspect.signature(fn).parameters))
+        return fn(**{k: v for k, v in cfg.items() if k != "builtin"})
+    config_section(cfg, name, ("poly",))
+    if not isinstance(cfg["poly"], str):
+        raise ValueError(f"{name} config 'poly' must be a string, got {cfg['poly']!r}")
+    return parse_polynomial(cfg["poly"])

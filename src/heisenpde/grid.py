@@ -35,6 +35,10 @@ class Grid3:
     @staticmethod
     def box(lower, upper, counts) -> "Grid3":
         """Grid spanning [lower, upper] with the given node counts."""
+        if any(np.ndim(v) != 1 or len(v) != 3 for v in (lower, upper, counts)):
+            raise ValueError("a grid box needs 3 lower coords, 3 upper coords and 3 counts")
+        if any(int(n) < 3 for n in counts):
+            raise ValueError(f"counts must be integers >= 3, got {tuple(counts)}")
         lower = tuple(float(v) for v in lower)
         upper = tuple(float(v) for v in upper)
         counts = tuple(int(n) for n in counts)
@@ -110,6 +114,32 @@ class Grid3:
         return lo + pad, hi - pad
 
 
+def locate(grid: Grid3, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of (n, 3) points, clamped to the box: the flat index of each
+    cell's lower corner and the (n, 3) fractional offsets inside it."""
+    n1, n2, n3 = grid.counts
+    t = (np.asarray(pts, dtype=float) - grid.lower) / grid.spacings
+    np.clip(t, 0.0, np.array(grid.counts, dtype=float) - 1.0, out=t)
+    cell = np.minimum(t.astype(np.int64), np.array([n1 - 2, n2 - 2, n3 - 2]))
+    return (cell[:, 0] * n2 + cell[:, 1]) * n3 + cell[:, 2], t - cell
+
+
+def trilinear(flat: np.ndarray, counts, base: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Trilinear gather from C-ordered node values `flat` of a grid with the
+    given counts, at cells located by `locate`."""
+    _, n2, n3 = counts
+    s1 = n2 * n3
+    fz = frac[:, 2]
+    g00 = flat[base] * (1 - fz) + flat[base + 1] * fz
+    g01 = flat[base + n3] * (1 - fz) + flat[base + n3 + 1] * fz
+    g10 = flat[base + s1] * (1 - fz) + flat[base + s1 + 1] * fz
+    g11 = flat[base + s1 + n3] * (1 - fz) + flat[base + s1 + n3 + 1] * fz
+    fy = frac[:, 1]
+    h0 = g00 * (1 - fy) + g01 * fy
+    h1 = g10 * (1 - fy) + g11 * fy
+    return h0 * (1 - frac[:, 0]) + h1 * frac[:, 0]
+
+
 class GridFunction:
     """Values of u on a Grid3 with trilinear off-node evaluation."""
 
@@ -136,26 +166,8 @@ class GridFunction:
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         """Trilinear interpolation at arbitrary points, clamped to the box."""
-        pts = np.asarray(pts, dtype=float)
-        n1, n2, n3 = self.grid.counts
-        flat = self.values.ravel()
-        t = np.empty_like(pts)
-        for ax in range(3):
-            t[:, ax] = (pts[:, ax] - self.grid.lower[ax]) / self.grid.spacings[ax]
-            np.clip(t[:, ax], 0.0, self.grid.counts[ax] - 1, out=t[:, ax])
-        i = np.minimum(t.astype(np.int64), np.array([n1 - 2, n2 - 2, n3 - 2]))
-        f = t - i
-        base = (i[:, 0] * n2 + i[:, 1]) * n3 + i[:, 2]
-        s1 = n2 * n3
-        fz = f[:, 2]
-        g00 = flat[base] * (1 - fz) + flat[base + 1] * fz
-        g01 = flat[base + n3] * (1 - fz) + flat[base + n3 + 1] * fz
-        g10 = flat[base + s1] * (1 - fz) + flat[base + s1 + 1] * fz
-        g11 = flat[base + s1 + n3] * (1 - fz) + flat[base + s1 + n3 + 1] * fz
-        fy = f[:, 1]
-        h0 = g00 * (1 - fy) + g01 * fy
-        h1 = g10 * (1 - fy) + g11 * fy
-        return h0 * (1 - f[:, 0]) + h1 * f[:, 0]
+        base, frac = locate(self.grid, pts)
+        return trilinear(self.values.ravel(), self.grid.counts, base, frac)
 
     def value(self, p) -> float:
         arr = p.as_array() if hasattr(p, "as_array") else np.asarray(p, dtype=float)

@@ -6,6 +6,9 @@ X = (1, 0, 2*x2), Y = (0, 1, -2*x1), T = (0, 0, 1), with [X, Y] = -4T.  The
 coefficient matrix sigma has rows X, Y; P = sigma^T sigma is positive
 semidefinite with a structurally zero eigenvalue, and sqrt_p is its matrix
 square root in a closed form that is regular at x' = 0.
+
+Each formula is implemented once, over (n, 3) arrays of points (the *_batch
+functions); the Point/Sym3 functions wrap them for a single point.
 """
 
 from __future__ import annotations
@@ -48,84 +51,74 @@ class Point:
 ORIGIN = Point(0.0, 0.0, 0.0)
 
 
+def _row(p: Point) -> np.ndarray:
+    return np.array([[p.x1, p.x2, p.x3]], dtype=float)
+
+
+def group_mul_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise products p . q of two (n, 3) arrays of points."""
+    out = p + q
+    out[:, 2] += 2.0 * (q[:, 0] * p[:, 1] - q[:, 1] * p[:, 0])
+    return out
+
+
 def group_mul(p: Point, q: Point) -> Point:
-    return Point(
-        p.x1 + q.x1,
-        p.x2 + q.x2,
-        p.x3 + q.x3 + 2.0 * (q.x1 * p.x2 - q.x2 * p.x1),
-    )
+    return Point.of(*group_mul_batch(_row(p), _row(q))[0])
+
+
+def group_inv_batch(p: np.ndarray) -> np.ndarray:
+    """Row-wise inverses of an (n, 3) array of points."""
+    return -p
 
 
 def group_inv(p: Point) -> Point:
-    return Point(-p.x1, -p.x2, -p.x3)
+    return Point.of(*group_inv_batch(_row(p))[0])
+
+
+def dilate_batch(lam, p: np.ndarray) -> np.ndarray:
+    """Homogeneous dilations (lam*x1, lam*x2, lam^2*x3) of an (n, 3) array;
+    lam is a positive scalar or an (n,) array of positive factors."""
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam > 0.0):
+        raise ValueError(f"dilation factor must be positive, got {lam}")
+    return np.stack([lam * p[:, 0], lam * p[:, 1], lam * lam * p[:, 2]], axis=1)
 
 
 def dilate(lam: float, p: Point) -> Point:
-    """Homogeneous dilation (lam*x1, lam*x2, lam^2*x3); lam must be positive."""
-    if not lam > 0.0:
-        raise ValueError(f"dilation factor must be positive, got {lam}")
-    return Point(lam * p.x1, lam * p.x2, lam * lam * p.x3)
+    return Point.of(*dilate_batch(lam, _row(p))[0])
+
+
+def frame_batch(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The frame fields X = (1, 0, 2*x2) and Y = (0, 1, -2*x1), i.e. the rows
+    of sigma, at a batch of points; xy is (n, 2) or (n, 3) (only x1, x2 are
+    read) and X, Y are (n, 3)."""
+    n = xy.shape[0]
+    x = np.zeros((n, 3))
+    y = np.zeros((n, 3))
+    x[:, 0] = 1.0
+    x[:, 2] = 2.0 * xy[:, 1]
+    y[:, 1] = 1.0
+    y[:, 2] = -2.0 * xy[:, 0]
+    return x, y
 
 
 def frame(p: Point) -> tuple[Vec3, Vec3, Vec3]:
     """Horizontal frame (X, Y) and the vertical direction T at p."""
-    x = np.array([1.0, 0.0, 2.0 * p.x2])
-    y = np.array([0.0, 1.0, -2.0 * p.x1])
-    t = np.array([0.0, 0.0, 1.0])
-    return x, y, t
+    x, y = frame_batch(_row(p))
+    return x[0], y[0], np.array([0.0, 0.0, 1.0])
 
 
 def sigma(p: Point) -> Mat2x3:
     """Coefficient matrix with rows X(p), Y(p)."""
-    return Mat2x3(((1.0, 0.0, 2.0 * p.x2), (0.0, 1.0, -2.0 * p.x1)))
-
-
-def p_matrix(p: Point) -> Sym3:
-    """P(p) = sigma(p)^T sigma(p); annihilates (-2*x2, 2*x1, 1) exactly."""
-    x1, x2 = p.x1, p.x2
-    # a33 written as 4*(x1*x1 + x2*x2) so the null-vector product cancels
-    # exactly in IEEE arithmetic (powers of two commute with rounding).
-    return Sym3(
-        1.0,
-        0.0,
-        2.0 * x2,
-        1.0,
-        -2.0 * x1,
-        4.0 * (x1 * x1 + x2 * x2),
-    )
-
-
-def null_direction(p: Point) -> Vec3:
-    """The exact kernel vector (-2*x2, 2*x1, 1) of P(p)."""
-    return np.array([-2.0 * p.x2, 2.0 * p.x1, 1.0])
-
-
-def sqrt_p(p: Point) -> Sym3:
-    """Closed-form square root of P(p), regular at x' = 0.
-
-    Writing w = (2*x2, -2*x1) (so P = [[I, w], [w^T, |w|^2]]), the PSD root is
-    sigma^T (sigma sigma^T)^{-1/2} sigma = [[I - (1-1/s) ww^T/|w|^2, w/s],
-    [w^T/s, |w|^2/s]] with s = sqrt(1 + |w|^2).  In regularized entries, with
-    D = (1+s)*s: diagonal 1 - 4*x2^2/D, 1 - 4*x1^2/D, 4*(x1^2+x2^2)/s and
-    off-diagonal 4*x1*x2/D, 2*x2/s, -2*x1/s.  (The x2^2/x1^2 placement on the
-    diagonal is forced by sqrt_p(p)^2 = p_matrix(p).)
-    """
-    x1, x2 = p.x1, p.x2
-    rho2 = x1 * x1 + x2 * x2
-    s = math.sqrt(1.0 + 4.0 * rho2)
-    d = (1.0 + s) * s
-    return Sym3(
-        1.0 - 4.0 * x2 * x2 / d,
-        4.0 * x1 * x2 / d,
-        2.0 * x2 / s,
-        1.0 - 4.0 * x1 * x1 / d,
-        -2.0 * x1 / s,
-        4.0 * rho2 / s,
-    )
+    x, y = frame_batch(_row(p))
+    return Mat2x3((tuple(x[0]), tuple(y[0])))
 
 
 def p_matrix_batch(xy: np.ndarray) -> np.ndarray:
-    """P at a batch of horizontal parts; xy has shape (n, 2), result (n, 3, 3)."""
+    """P = sigma^T sigma at a batch of points; xy is (n, 2) or (n, 3), result
+    (n, 3, 3).  P annihilates (-2*x2, 2*x1, 1) exactly: a33 is written as
+    4*(x1*x1 + x2*x2) so the null-vector product cancels in IEEE arithmetic
+    (powers of two commute with rounding)."""
     x1, x2 = xy[:, 0], xy[:, 1]
     n = xy.shape[0]
     out = np.zeros((n, 3, 3))
@@ -137,8 +130,30 @@ def p_matrix_batch(xy: np.ndarray) -> np.ndarray:
     return out
 
 
+def p_matrix(p: Point) -> Sym3:
+    return Sym3.from_matrix(p_matrix_batch(_row(p))[0])
+
+
+def null_direction_batch(xy: np.ndarray) -> np.ndarray:
+    """The exact kernel vectors (-2*x2, 2*x1, 1) of P; result (n, 3)."""
+    return np.stack([-2.0 * xy[:, 1], 2.0 * xy[:, 0], np.ones(xy.shape[0])], axis=1)
+
+
+def null_direction(p: Point) -> Vec3:
+    return null_direction_batch(_row(p))[0]
+
+
 def sqrt_p_batch(xy: np.ndarray) -> np.ndarray:
-    """sqrt(P) at a batch of horizontal parts; xy is (n, 2), result (n, 3, 3)."""
+    """Closed-form square root of P, regular at x' = 0; xy is (n, 2) or
+    (n, 3), result (n, 3, 3).
+
+    Writing w = (2*x2, -2*x1) (so P = [[I, w], [w^T, |w|^2]]), the PSD root is
+    sigma^T (sigma sigma^T)^{-1/2} sigma = [[I - (1-1/s) ww^T/|w|^2, w/s],
+    [w^T/s, |w|^2/s]] with s = sqrt(1 + |w|^2).  In regularized entries, with
+    D = (1+s)*s: diagonal 1 - 4*x2^2/D, 1 - 4*x1^2/D, 4*(x1^2+x2^2)/s and
+    off-diagonal 4*x1*x2/D, 2*x2/s, -2*x1/s.  (The x2^2/x1^2 placement on the
+    diagonal is forced by sqrt_p(p)^2 = p_matrix(p).)
+    """
     x1, x2 = xy[:, 0], xy[:, 1]
     rho2 = x1 * x1 + x2 * x2
     s = np.sqrt(1.0 + 4.0 * rho2)
@@ -152,3 +167,7 @@ def sqrt_p_batch(xy: np.ndarray) -> np.ndarray:
     out[:, 0, 2] = out[:, 2, 0] = 2.0 * x2 / s
     out[:, 1, 2] = out[:, 2, 1] = -2.0 * x1 / s
     return out
+
+
+def sqrt_p(p: Point) -> Sym3:
+    return Sym3.from_matrix(sqrt_p_batch(_row(p))[0])

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import full_hessian, h_hessian
+from .config import config_section
 from .fields import ScalarField
 from .group import Point, sqrt_p
 from .rng import SplitMix64
@@ -180,13 +181,7 @@ class OperatorSpec:
 
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":
-        allowed = {"kind", "lambda", "Lambda", "form", "a"}
-        extra = set(cfg) - allowed
-        if extra:
-            raise ValueError(f"unknown operator config keys: {sorted(extra)}")
-        for key in ("kind", "lambda", "Lambda"):
-            if key not in cfg:
-                raise ValueError(f"operator config is missing {key!r}")
+        config_section(cfg, "operator", ("kind", "lambda", "Lambda"), ("form", "a"))
         bracket = EllipticityBracket(float(cfg["lambda"]), float(cfg["Lambda"]))
         form = cfg.get("form", INTRINSIC)
         coeff = None

@@ -32,8 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import config_section
 from .fields import NumericField, PolynomialField, ScalarField, field_from_config
-from .grid import Grid3, GridFunction
+from .grid import Grid3, GridFunction, locate, trilinear
+from .group import frame_batch
 from .operators import INTRINSIC, OperatorSpec
 from .symmetric import Sym2
 
@@ -73,21 +75,17 @@ class ProblemSpec:
 
     @staticmethod
     def from_config(cfg: dict) -> "ProblemSpec":
-        allowed = {
-            "operator", "c", "f", "boundary", "grid", "tol", "max_iters",
-            "multilevel", "stencil_scale", "sample_width",
-        }
-        extra = set(cfg) - allowed
-        if extra:
-            raise ValueError(f"unknown problem config keys: {sorted(extra)}")
-        for key in ("operator", "c", "f", "boundary", "grid"):
-            if key not in cfg:
-                raise ValueError(f"problem config is missing {key!r}")
+        config_section(
+            cfg,
+            "problem",
+            ("operator", "c", "f", "boundary", "grid"),
+            ("tol", "max_iters", "multilevel", "stencil_scale", "sample_width"),
+        )
         return ProblemSpec(
             op=OperatorSpec.from_config(cfg["operator"]),
-            c=field_from_config(cfg["c"]),
-            f=field_from_config(cfg["f"]),
-            boundary=field_from_config(cfg["boundary"]),
+            c=field_from_config(cfg["c"], "c"),
+            f=field_from_config(cfg["f"], "f"),
+            boundary=field_from_config(cfg["boundary"], "boundary"),
             grid=_grid_from_config(cfg["grid"]),
             tol=float(cfg.get("tol", 1e-6)),
             max_iters=int(cfg.get("max_iters", 200_000)),
@@ -100,12 +98,7 @@ class ProblemSpec:
 
 
 def _grid_from_config(cfg: dict) -> Grid3:
-    allowed = {"lower", "upper", "counts", "spacings"}
-    extra = set(cfg) - allowed
-    if extra:
-        raise ValueError(f"unknown grid config keys: {sorted(extra)}")
-    if "lower" not in cfg or "counts" not in cfg:
-        raise ValueError("grid config needs 'lower' and 'counts'")
+    config_section(cfg, "grid", ("lower", "counts"), ("upper", "spacings"))
     if ("upper" in cfg) == ("spacings" in cfg):
         raise ValueError("grid config needs exactly one of 'upper' or 'spacings'")
     if "upper" in cfg:
@@ -152,20 +145,26 @@ def cfl_tau(rho: float, Lam: float, c_max: float) -> float:
 class _Stencil:
     """Precomputed frame-aligned sampling for one grid.
 
-    For each of the 8 sample directions we store, per interior node, either
-    the trilinear corner index/fractions (sample inside the box) or the
-    frozen exterior value of the boundary field.  With boundary=None the
-    sample coordinates are clamped onto the box instead.
+    For each of the 8 sample directions we store, per node (every interior
+    node unless `nodes` lists an (k, 3) index subset), either the trilinear
+    cell located by grid.locate (sample inside the box) or the frozen
+    exterior value of the boundary field.  With boundary=None the sample
+    coordinates are clamped onto the box instead.
     """
 
-    def __init__(self, grid: Grid3, boundary: ScalarField | None, step: float | None = None):
-        n1, n2, n3 = grid.counts
+    def __init__(
+        self,
+        grid: Grid3,
+        boundary: ScalarField | None,
+        step: float | None = None,
+        nodes: np.ndarray | None = None,
+    ):
+        _, n2, n3 = grid.counts
         self.grid = grid
         self.h = step if step is not None else sample_step(grid)
-        i1, i2, i3 = np.meshgrid(
-            np.arange(1, n1 - 1), np.arange(1, n2 - 1), np.arange(1, n3 - 1), indexing="ij"
-        )
-        i1, i2, i3 = i1.ravel(), i2.ravel(), i3.ravel()
+        if nodes is None:
+            nodes = np.argwhere(grid.interior_mask())
+        i1, i2, i3 = nodes.T
         self.center_flat = (i1 * n2 + i2) * n3 + i3
         lower = np.asarray(grid.lower)
         upper = np.asarray(grid.upper)
@@ -174,12 +173,7 @@ class _Stencil:
             [lower[0] + spac[0] * i1, lower[1] + spac[1] * i2, lower[2] + spac[2] * i3], axis=1
         )
         self.points = pts
-        x_dir = np.zeros_like(pts)
-        x_dir[:, 0] = 1.0
-        x_dir[:, 2] = 2.0 * pts[:, 1]
-        y_dir = np.zeros_like(pts)
-        y_dir[:, 1] = 1.0
-        y_dir[:, 2] = -2.0 * pts[:, 0]
+        x_dir, y_dir = frame_batch(pts)
 
         self.families = []
         eps = 1e-12 * max(upper - lower)
@@ -190,51 +184,25 @@ class _Stencil:
                 sample = np.clip(sample, lower, upper)
             else:
                 inside = np.all((sample >= lower - eps) & (sample <= upper + eps), axis=1)
-            t = (sample[inside] - lower) / spac
-            np.clip(t, 0.0, np.array(grid.counts, dtype=float) - 1.0, out=t)
-            cell = np.minimum(t.astype(np.int64), np.array([n1 - 2, n2 - 2, n3 - 2]))
-            frac = t - cell
-            base = (cell[:, 0] * n2 + cell[:, 1]) * n3 + cell[:, 2]
+            base, frac = locate(grid, sample[inside])
             out_rows = np.nonzero(~inside)[0]
             out_vals = (
                 boundary.value_batch(sample[~inside])
                 if boundary is not None and out_rows.size
                 else np.zeros(0)
             )
-            self.families.append(
-                {
-                    "in_rows": np.nonzero(inside)[0],
-                    "base": base,
-                    "fx": frac[:, 0],
-                    "fy": frac[:, 1],
-                    "fz": frac[:, 2],
-                    "out_rows": out_rows,
-                    "out_vals": out_vals,
-                }
-            )
-        self._s1 = n2 * n3
-        self._n3 = n3
-
-    def _sample(self, flat: np.ndarray, fam: dict) -> np.ndarray:
-        # non-finite inputs propagate and are reported by the caller's check
-        base, fx, fy, fz = fam["base"], fam["fx"], fam["fy"], fam["fz"]
-        n3, s1 = self._n3, self._s1
-        g00 = flat[base] * (1 - fz) + flat[base + 1] * fz
-        g01 = flat[base + n3] * (1 - fz) + flat[base + n3 + 1] * fz
-        g10 = flat[base + s1] * (1 - fz) + flat[base + s1 + 1] * fz
-        g11 = flat[base + s1 + n3] * (1 - fz) + flat[base + s1 + n3 + 1] * fz
-        h0 = g00 * (1 - fy) + g01 * fy
-        h1 = g10 * (1 - fy) + g11 * fy
-        out = np.empty(self.center_flat.shape[0])
-        out[fam["in_rows"]] = h0 * (1 - fx) + h1 * fx
-        if fam["out_rows"].size:
-            out[fam["out_rows"]] = fam["out_vals"]
-        return out
+            self.families.append((np.nonzero(inside)[0], base, frac, out_rows, out_vals))
 
     def hessian_components(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X^2u, (XY+YX)u/2, Y^2u) at all interior nodes."""
+        """(X^2u, (XY+YX)u/2, Y^2u) at the stencil's nodes."""
+        s = []
+        # non-finite inputs propagate and are reported by the caller's check
         with np.errstate(invalid="ignore"):
-            s = [self._sample(flat, fam) for fam in self.families]
+            for in_rows, base, frac, out_rows, out_vals in self.families:
+                out = np.empty(self.center_flat.shape[0])
+                out[in_rows] = trilinear(flat, self.grid.counts, base, frac)
+                out[out_rows] = out_vals
+                s.append(out)
         uc = flat[self.center_flat]
         h2 = self.h * self.h
         hxx = (s[0] + s[1] - 2.0 * uc) / h2
@@ -300,19 +268,9 @@ def stencil_hessian(
     function (off-box samples clamped); boundary indices are rejected."""
     if not u.grid.is_interior(idx):
         raise ValueError(f"index {idx} is not interior")
-    grid = u.grid
-    h = step if step is not None else sample_step(grid)
-    p = grid.coordinate(idx)
-    x_dir = np.array([1.0, 0.0, 2.0 * p[1]])
-    y_dir = np.array([0.0, 1.0, -2.0 * p[0]])
-    samples = np.array([p + h * (cx * x_dir + cy * y_dir) for cx, cy in _COMBOS])
-    vals = u.value_batch(samples)
-    uc = float(u.values[idx])
-    h2 = h * h
-    hxx = (vals[0] + vals[1] - 2 * uc) / h2
-    hyy = (vals[2] + vals[3] - 2 * uc) / h2
-    hxy = (vals[4] + vals[5] - vals[6] - vals[7]) / (4 * h2)
-    return Sym2(hxx, hxy, hyy)
+    stencil = _Stencil(u.grid, None, step, nodes=np.array([idx]))
+    hxx, hxy, hyy = stencil.hessian_components(u.values.ravel())
+    return Sym2(float(hxx[0]), float(hxy[0]), float(hyy[0]))
 
 
 _DISC_CACHE: dict[int, Discretization] = {}

@@ -69,6 +69,34 @@ def test_flipped_pucci_is_detected(monkeypatch):
     assert not report["pass"]
 
 
+@pytest.mark.parametrize(
+    "name,corrupt,check",
+    [
+        # an inverse that keeps x3
+        ("group_inv_batch", lambda inv: lambda p: inv(p) * [1, 1, -1], "check_group_algebra"),
+        # a product that drops the first factor's x3
+        ("group_mul_batch", lambda mul: lambda p, q: mul(p * [1, 1, 0], q), "check_group_algebra"),
+        # a dilation by lam + 1, which is not a one-parameter group
+        ("dilate_batch", lambda dil: lambda lam, p: dil(lam + 1.0, p), "check_group_algebra"),
+        # X with the wrong sign in its vertical component
+        (
+            "frame_batch",
+            lambda fr: lambda xy: (fr(xy)[0] * [1, 1, -1], fr(xy)[1]),
+            "check_sigma_factorization",
+        ),
+        ("penalty_hessian_batch", lambda m: lambda *a: m(*a) * 1.0001, "check_penalty_fd"),
+        ("penalty_hessian_sq_batch", lambda m: lambda *a: m(*a) * 1.000001, "check_penalty_square"),
+        # a norm bound without its (2/mu) M^2 part
+        ("n_norm_bound_batch", lambda b: lambda *a: b(*a[:4], np.inf), "check_n_bound"),
+    ],
+    ids=["group_inv", "group_mul", "dilate", "frame", "M", "M2", "n_norm_bound"],
+)
+def test_corrupted_shipped_formula_is_detected(monkeypatch, name, corrupt, check):
+    monkeypatch.setattr(checks, name, corrupt(getattr(checks, name)))
+    report = getattr(checks, check)(seed=0, trials=200)
+    assert not report["pass"], report
+
+
 def test_bruteforce_oracle_close_on_known_case():
     h = np.array([[2.0, 0.0], [0.0, -3.0]])
     val = checks.pucci_bruteforce(h, 1.0, 2.0, 100_000, seed=0, plus=True)

@@ -92,6 +92,23 @@ def test_solve_unknown_key_exit_1(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "override,words",
+    [
+        ({"grid": 5}, ("grid config", "object")),
+        ({"operator": "sublaplacian"}, ("operator config", "object")),
+        ({"f": {"poly": 5}}, ("f config", "string")),
+        ({"f": {"builtin": "smooth_abs", "bogus": 1}}, ("f config", "bogus")),
+    ],
+    ids=["grid-not-object", "operator-not-object", "poly-not-string", "builtin-unknown-key"],
+)
+def test_solve_malformed_section_exit_1(tmp_path, capsys, override, words):
+    cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, **override))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+
+
 def test_holder_command(tmp_path):
     cfg = write_json(tmp_path / "prob.json", SOLVE_CONFIG)
     grid_csv = tmp_path / "u.csv"

@@ -20,6 +20,15 @@ def test_grid_box_and_upper():
     assert g.n_nodes == 17**3
 
 
+def test_grid_box_rejects_bad_lengths_and_counts():
+    with pytest.raises(ValueError, match="3 lower coords"):
+        Grid3.box((0, 0), (1, 1, 1), (5, 5, 5))
+    with pytest.raises(ValueError, match="3 lower coords"):
+        Grid3.box((0, 0, 0), (1, 1, 1), 5)
+    with pytest.raises(ValueError, match="counts must be integers >= 3"):
+        Grid3.box((0, 0, 0), (1, 1, 1), (5, 1, 5))
+
+
 def test_index_coordinate_roundtrip():
     g = Grid3.box((-1.0, 0.5, -2.0), (1.0, 2.5, 0.0), (9, 11, 5))
     for idx in [(0, 0, 0), (8, 10, 4), (3, 7, 2)]:
