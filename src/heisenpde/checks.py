@@ -64,17 +64,28 @@ def _random_polynomial(g: SplitMix64, degree: int = 6, n_terms: int = 8) -> Poly
 
 
 def check_group_algebra(seed: int = 0, trials: int = 2000) -> dict:
-    """Associativity, inverses, and the dilation semigroup law."""
+    """Associativity, inverses, the dilation semigroup law, dilations as
+    automorphisms, and the frame as the right-translation derivative
+    p . e_i - p (exact, since the product is affine in its second factor)."""
     g = SplitMix64(seed, "group-algebra")
     pts = g.uniform(9 * trials, -100.0, 100.0).reshape(trials, 3, 3)
     lams = g.uniform(2 * trials, 0.1, 10.0).reshape(trials, 2)
     a, b, c = pts[:, 0], pts[:, 1], pts[:, 2]
     l1, l2 = lams[:, 0], lams[:, 1]
+    x_dir, y_dir = frame_batch(a)
+    e1 = np.tile([1.0, 0.0, 0.0], (trials, 1))
+    e2 = np.tile([0.0, 1.0, 0.0], (trials, 1))
     gaps = [
         group_mul_batch(group_mul_batch(a, b), c) - group_mul_batch(a, group_mul_batch(b, c)),
         group_mul_batch(a, group_inv_batch(a)),
         group_mul_batch(group_inv_batch(a), a),
         dilate_batch(l1 * l2, a) - dilate_batch(l1, dilate_batch(l2, a)),
+        # a dilation of the wrong degree is no automorphism
+        dilate_batch(l1, group_mul_batch(a, b))
+        - group_mul_batch(dilate_batch(l1, a), dilate_batch(l1, b)),
+        # an abelian or wrongly signed product moves p . e_i off p + X_i(p)
+        group_mul_batch(a, e1) - a - x_dir,
+        group_mul_batch(a, e2) - a - y_dir,
     ]
     scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)) ** 2)
     worst = float(max((np.abs(g).max(axis=1) / scale).max() for g in gaps))

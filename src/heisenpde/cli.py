@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_checks
-from .config import config_section
+from .config import config_number, config_section
 from .doubling import PenaltyParams, doubling_certificate
 from .grid import GridFunction
 from .operators import EllipticityBracket, HolderData
@@ -41,18 +41,14 @@ def _load_json(path) -> dict:
 
 def _holder_from_config(cfg: dict) -> HolderData:
     config_section(cfg, "holder", ("c0", "beta", "beta_prime", "L_c", "L_f"))
-    return HolderData(
-        c0=float(cfg["c0"]),
-        beta=float(cfg["beta"]),
-        beta_prime=float(cfg["beta_prime"]),
-        L_c=float(cfg["L_c"]),
-        L_f=float(cfg["L_f"]),
-    )
+    return HolderData(**{k: config_number(cfg, "holder", k) for k in cfg})
 
 
 def _bracket_from_config(cfg: dict) -> EllipticityBracket:
     config_section(cfg, "bracket", ("lambda", "Lambda"))
-    return EllipticityBracket(float(cfg["lambda"]), float(cfg["Lambda"]))
+    return EllipticityBracket(
+        config_number(cfg, "bracket", "lambda"), config_number(cfg, "bracket", "Lambda")
+    )
 
 
 def _diagnostics(result: SolveResult) -> dict:
@@ -62,6 +58,11 @@ def _diagnostics(result: SolveResult) -> dict:
         "tau": result.tau,
         "converged": result.converged,
         "cycles": result.cycles,
+        "rho": result.rho,
+        "rho_over_h": result.rho / result.u.grid.horizontal_spacing,
+        "levels": [list(counts) for counts in result.levels],
+        "outside_fraction": result.outside_fraction,
+        "cycle_residuals": result.cycle_residuals,
     }
 
 
@@ -115,9 +116,9 @@ def cmd_holder(args) -> int:
         refined,
         hd,
         bracket,
-        margin=float(cfg.get("margin", 0.1)),
-        n_pairs=int(cfg.get("pairs", 200_000)),
-        seed=int(cfg.get("seed", 0)),
+        margin=config_number(cfg, "holder", "margin", default=0.1),
+        n_pairs=config_number(cfg, "holder", "pairs", int, default=200_000),
+        seed=config_number(cfg, "holder", "seed", int, default=0),
     )
     _dump_json(report.to_dict(), args.out)
     print(
@@ -140,9 +141,9 @@ def cmd_pipeline(args) -> int:
     pen_cfg = config_section(
         cfg.get("penalty", {}), "penalty", optional=("delta", "eps", "L_factor", "per_axis", "mu")
     )
-    seed = int(cfg.get("seed", 0))
-    margin = float(cfg.get("margin", 0.1))
-    n_pairs = int(cfg.get("pairs", 200_000))
+    seed = config_number(cfg, "pipeline", "seed", int, default=0)
+    margin = config_number(cfg, "pipeline", "margin", default=0.1)
+    n_pairs = config_number(cfg, "pipeline", "pairs", int, default=200_000)
 
     prob = ProblemSpec.from_config(cfg["problem"])
     out_dir = Path(args.out)
@@ -168,14 +169,16 @@ def cmd_pipeline(args) -> int:
     _dump_json(report.to_dict(), out_dir / "holder_report.json")
 
     pp = PenaltyParams(
-        L=float(pen_cfg.get("L_factor", 1.1)) * max(report.seminorm_refined, 1e-12),
+        L=config_number(pen_cfg, "penalty", "L_factor", default=1.1)
+        * max(report.seminorm_refined, 1e-12),
         alpha=report.alpha_target,
-        delta=float(pen_cfg.get("delta", 1e-6)),
-        eps=float(pen_cfg.get("eps", 1e-6)),
-        mu=float(pen_cfg.get("mu", 1.0)),
+        delta=config_number(pen_cfg, "penalty", "delta", default=1e-6),
+        eps=config_number(pen_cfg, "penalty", "eps", default=1e-6),
+        mu=config_number(pen_cfg, "penalty", "mu", default=1.0),
     )
     box = fine.u.grid.margin_box(margin)
-    cert = doubling_certificate(fine.u, pp, box, per_axis=int(pen_cfg.get("per_axis", 17)))
+    per_axis = config_number(pen_cfg, "penalty", "per_axis", int, default=17)
+    cert = doubling_certificate(fine.u, pp, box, per_axis=per_axis)
     cert_dict = {
         "theta": cert.theta,
         "certified": cert.certified,

@@ -15,3 +15,31 @@ def config_section(cfg, name: str, required=(), optional=()) -> dict:
         if key not in cfg:
             raise ValueError(f"{name} config is missing {key!r}")
     return cfg
+
+
+def config_number(cfg: dict, name: str, key: str, kind=float, default=None, length=None):
+    """cfg[key] of section `name` as a `kind` (float, int or bool), or
+    `default` when the key is absent; with `length`, a list of that many such
+    values, returned as a tuple.  A value of another JSON type, or a
+    non-integral int, raises ValueError naming the section and the key."""
+    if key not in cfg and default is not None:
+        return default
+    where = f"{name} config {key!r}"
+    value = cfg.get(key)
+    if length is None:
+        return _convert(value, kind, where)
+    if not isinstance(value, list) or len(value) != length:
+        raise ValueError(f"{where} must be a list of {length} numbers, got {value!r}")
+    return tuple(_convert(v, kind, where) for v in value)
+
+
+def _convert(value, kind, where: str):
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValueError(f"{where} must be true or false, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where} must be a number, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return kind(value)

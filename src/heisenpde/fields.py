@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import config_section
+from .config import config_number, config_section
 from .group import Point
 
 
@@ -278,7 +278,7 @@ def field_from_config(cfg: dict, name: str = "field") -> ScalarField:
         if fn is None:
             raise ValueError(f"unknown builtin field {builtin!r} in {name} config")
         config_section(cfg, name, ("builtin",), tuple(inspect.signature(fn).parameters))
-        return fn(**{k: v for k, v in cfg.items() if k != "builtin"})
+        return fn(**{k: config_number(cfg, name, k) for k in cfg if k != "builtin"})
     config_section(cfg, name, ("poly",))
     if not isinstance(cfg["poly"], str):
         raise ValueError(f"{name} config 'poly' must be a string, got {cfg['poly']!r}")

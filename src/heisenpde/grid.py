@@ -52,6 +52,11 @@ class Grid3:
         )
 
     @property
+    def horizontal_spacing(self) -> float:
+        """min(h1, h2), the spacing in which frame-sample steps are measured."""
+        return min(self.spacings[0], self.spacings[1])
+
+    @property
     def shape(self) -> tuple[int, int, int]:
         return self.counts
 
@@ -114,14 +119,27 @@ class Grid3:
         return lo + pad, hi - pad
 
 
+def cells(grid: Grid3, pts, clamp: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Integer cells (n, 3) of (n, 3) points and the fractional offsets
+    inside them.  Clamped, points outside the box are moved onto it and
+    every cell is a cell of the grid; unclamped, the cells continue the
+    lattice beyond the box and the fractions lie in [0, 1)."""
+    t = (np.asarray(pts, dtype=float) - grid.lower) / grid.spacings
+    if clamp:
+        top = np.array(grid.counts) - 2
+        np.clip(t, 0.0, top + 1.0, out=t)
+        cell = np.minimum(t.astype(np.int64), top)
+    else:
+        cell = np.floor(t).astype(np.int64)
+    return cell, t - cell
+
+
 def locate(grid: Grid3, pts) -> tuple[np.ndarray, np.ndarray]:
     """Cells of (n, 3) points, clamped to the box: the flat index of each
     cell's lower corner and the (n, 3) fractional offsets inside it."""
-    n1, n2, n3 = grid.counts
-    t = (np.asarray(pts, dtype=float) - grid.lower) / grid.spacings
-    np.clip(t, 0.0, np.array(grid.counts, dtype=float) - 1.0, out=t)
-    cell = np.minimum(t.astype(np.int64), np.array([n1 - 2, n2 - 2, n3 - 2]))
-    return (cell[:, 0] * n2 + cell[:, 1]) * n3 + cell[:, 2], t - cell
+    _, n2, n3 = grid.counts
+    cell, frac = cells(grid, pts)
+    return (cell[:, 0] * n2 + cell[:, 1]) * n3 + cell[:, 2], frac
 
 
 def trilinear(flat: np.ndarray, counts, base: np.ndarray, frac: np.ndarray) -> np.ndarray:

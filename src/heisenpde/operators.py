@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .calculus import full_hessian, h_hessian
-from .config import config_section
+from .config import config_number, config_section
 from .fields import ScalarField
 from .group import Point, sqrt_p
 from .rng import SplitMix64
@@ -182,7 +182,9 @@ class OperatorSpec:
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":
         config_section(cfg, "operator", ("kind", "lambda", "Lambda"), ("form", "a"))
-        bracket = EllipticityBracket(float(cfg["lambda"]), float(cfg["Lambda"]))
+        bracket = EllipticityBracket(
+            config_number(cfg, "operator", "lambda"), config_number(cfg, "operator", "Lambda")
+        )
         form = cfg.get("form", INTRINSIC)
         coeff = None
         if cfg["kind"] == "trace_linear":

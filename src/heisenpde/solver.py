@@ -5,7 +5,12 @@ along straight lines p +- h X(p), p +- h Y(p) and the four diagonal
 combinations, with off-node values obtained by trilinear interpolation, which
 preserves degenerate ellipticity.  Samples that leave the box are evaluated
 with the Dirichlet data (the boundary field extends u); a bare grid function
-without boundary data falls back to clamping onto the box.
+without boundary data falls back to clamping onto the box.  Because the
+frame's horizontal step is the same at every node and its vertical step
+depends only on the node's column, the operator is evaluated from shifted
+x3 rows of u per column (see _Stencil).  A problem's finest discretization
+is built once and kept by the ProblemSpec itself; no module-level cache
+holds one.
 
 Accuracy forces the sample step rho away from the grid spacing h: linear
 interpolation carries an O((h/rho)^2) bias into the second differences (pure
@@ -28,13 +33,16 @@ multilevel=False for the plain single-level iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import config_section
+from .config import config_number, config_section
 from .fields import NumericField, PolynomialField, ScalarField, field_from_config
-from .grid import Grid3, GridFunction, locate, trilinear
+from .grid import Grid3, GridFunction, cells
 from .group import frame_batch
 from .operators import INTRINSIC, OperatorSpec
 from .symmetric import Sym2
@@ -73,6 +81,12 @@ class ProblemSpec:
         if cvals.min() < 0:
             raise ValueError(f"c must be nonnegative on the grid (min {cvals.min()})")
 
+    @cached_property
+    def discretization(self) -> "Discretization":
+        """The finest level of this problem, built on first use and freed
+        with the problem."""
+        return Discretization(self)
+
     @staticmethod
     def from_config(cfg: dict) -> "ProblemSpec":
         config_section(
@@ -87,12 +101,14 @@ class ProblemSpec:
             f=field_from_config(cfg["f"], "f"),
             boundary=field_from_config(cfg["boundary"], "boundary"),
             grid=_grid_from_config(cfg["grid"]),
-            tol=float(cfg.get("tol", 1e-6)),
-            max_iters=int(cfg.get("max_iters", 200_000)),
-            multilevel=bool(cfg.get("multilevel", True)),
-            stencil_scale=float(cfg.get("stencil_scale", 0.5)),
+            tol=config_number(cfg, "problem", "tol", default=1e-6),
+            max_iters=config_number(cfg, "problem", "max_iters", int, default=200_000),
+            multilevel=config_number(cfg, "problem", "multilevel", bool, default=True),
+            stencil_scale=config_number(cfg, "problem", "stencil_scale", default=0.5),
             sample_width=(
-                float(cfg["sample_width"]) if cfg.get("sample_width") is not None else None
+                config_number(cfg, "problem", "sample_width")
+                if cfg.get("sample_width") is not None
+                else None
             ),
         )
 
@@ -101,13 +117,11 @@ def _grid_from_config(cfg: dict) -> Grid3:
     config_section(cfg, "grid", ("lower", "counts"), ("upper", "spacings"))
     if ("upper" in cfg) == ("spacings" in cfg):
         raise ValueError("grid config needs exactly one of 'upper' or 'spacings'")
+    lower = config_number(cfg, "grid", "lower", length=3)
+    counts = config_number(cfg, "grid", "counts", int, length=3)
     if "upper" in cfg:
-        return Grid3.box(cfg["lower"], cfg["upper"], cfg["counts"])
-    return Grid3(
-        tuple(float(v) for v in cfg["lower"]),
-        tuple(int(n) for n in cfg["counts"]),
-        tuple(float(h) for h in cfg["spacings"]),
-    )
+        return Grid3.box(lower, config_number(cfg, "grid", "upper", length=3), counts)
+    return Grid3(lower, counts, config_number(cfg, "grid", "spacings", length=3))
 
 
 @dataclass
@@ -118,6 +132,10 @@ class SolveResult:
     converged: bool
     tau: float
     cycles: int = 0
+    rho: float = 0.0  # the sample step on the finest grid
+    levels: list = field(default_factory=list)  # grid counts, finest first
+    outside_fraction: float = 0.0  # share of finest-grid samples off the box
+    cycle_residuals: list = field(default_factory=list)  # fine residual after each V-cycle
 
 
 def sample_step(grid: Grid3, scale: float = 0.5) -> float:
@@ -130,7 +148,7 @@ def sample_step(grid: Grid3, scale: float = 0.5) -> float:
     number of cells apart see identical values), which stalls the iteration;
     at half-integer ratios the interpolation damps them instead.
     """
-    h = min(grid.spacings[0], grid.spacings[1])
+    h = grid.horizontal_spacing
     ratio = scale * np.sqrt(h) / h
     if ratio < 1.25:
         return h
@@ -142,119 +160,188 @@ def cfl_tau(rho: float, Lam: float, c_max: float) -> float:
     return 0.4 * rho * rho / (Lam * (4.0 + c_max * rho * rho))
 
 
-class _Stencil:
-    """Precomputed frame-aligned sampling for one grid.
+def _second_differences(rho: float) -> np.ndarray:
+    """The (3, 9) map from the 8 samples along _COMBOS and the centre value
+    to (X^2u, (XY+YX)u/2, Y^2u)."""
+    return np.array(
+        [
+            [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0],
+            [0.0, 0.0, 0.0, 0.0, 0.25, 0.25, -0.25, -0.25, 0.0],
+            [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -2.0],
+        ]
+    ) / (rho * rho)
 
-    For each of the 8 sample directions we store, per node (every interior
-    node unless `nodes` lists an (k, 3) index subset), either the trilinear
-    cell located by grid.locate (sample inside the box) or the frozen
-    exterior value of the boundary field.  With boundary=None the sample
-    coordinates are clamped onto the box instead.
+
+def _interior(values: np.ndarray, counts) -> np.ndarray:
+    """The interior-node view of node values, flat or shaped like the grid."""
+    return values.reshape(counts)[1:-1, 1:-1, 1:-1]
+
+
+def _embed(values: np.ndarray, counts) -> np.ndarray:
+    """Node values equal to `values` (one per interior node) inside and 0 on
+    the boundary."""
+    full = np.zeros(counts)
+    inner = _interior(full, counts)
+    inner[...] = values.reshape(inner.shape)
+    return full
+
+
+class _Direction(NamedTuple):
+    """The samples of one direction cx X + cy Y at every interior node."""
+
+    rows1: np.ndarray  # (A, 1, n1-2, 1) x1 index of each corner with nonzero weight
+    rows2: np.ndarray  # (1, B, 1, n2-2) x2 index of each corner with nonzero weight
+    weights: np.ndarray  # (A, B) horizontal corner weights, the same in every column
+    start: np.ndarray  # (n1-2, n2-2) first padded x3 index of each column's window
+    fz: np.ndarray  # (n1-2, n2-2, 1) x3 fraction of each column
+    out_rows: np.ndarray  # interior-node indices of the samples off the box
+    out_vals: np.ndarray  # their frozen Dirichlet values
+
+
+class _Stencil:
+    """Frame-aligned sampling of one grid, stored per interior column.
+
+    The direction cx X + cy Y moves a node by the horizontal step
+    rho (cx, cy), the same for every node, and by the vertical step
+    2 rho (cx x2 - cy x1), which depends only on the node's column (i1, i2).
+    So per direction the horizontal corners and their weights are
+    constants, and each column keeps one x3 cell shift and one x3 fraction,
+    taken with grid.cells from the sample of the column's bottom node.  A
+    column of samples is then a blend of at most four x3 rows of u, shifted
+    alike.  Samples that leave the box keep the frozen values of the
+    boundary field.  Storage is O(n1 n2 + off-box samples).
     """
 
-    def __init__(
-        self,
-        grid: Grid3,
-        boundary: ScalarField | None,
-        step: float | None = None,
-        nodes: np.ndarray | None = None,
-    ):
-        _, n2, n3 = grid.counts
+    def __init__(self, grid: Grid3, boundary: ScalarField, step: float):
+        n1, n2, n3 = grid.counts
         self.grid = grid
-        self.h = step if step is not None else sample_step(grid)
-        if nodes is None:
-            nodes = np.argwhere(grid.interior_mask())
-        i1, i2, i3 = nodes.T
-        self.center_flat = (i1 * n2 + i2) * n3 + i3
+        self.shape = (n1 - 2, n2 - 2, n3 - 2)
         lower = np.asarray(grid.lower)
         upper = np.asarray(grid.upper)
-        spac = np.asarray(grid.spacings)
-        pts = np.stack(
-            [lower[0] + spac[0] * i1, lower[1] + spac[1] * i2, lower[2] + spac[2] * i3], axis=1
-        )
-        self.points = pts
-        x_dir, y_dir = frame_batch(pts)
-
-        self.families = []
         eps = 1e-12 * max(upper - lower)
-        for cx, cy in _COMBOS:
-            sample = pts + self.h * (cx * x_dir + cy * y_dir)
-            if boundary is None:
-                inside = np.ones(sample.shape[0], dtype=bool)
-                sample = np.clip(sample, lower, upper)
-            else:
-                inside = np.all((sample >= lower - eps) & (sample <= upper + eps), axis=1)
-            base, frac = locate(grid, sample[inside])
-            out_rows = np.nonzero(~inside)[0]
-            out_vals = (
-                boundary.value_batch(sample[~inside])
-                if boundary is not None and out_rows.size
-                else np.zeros(0)
-            )
-            self.families.append((np.nonzero(inside)[0], base, frac, out_rows, out_vals))
+        x1, x2, x3 = (grid.axis_coordinates(axis)[1:-1] for axis in range(3))
+        cols = np.stack(np.broadcast_arrays(x1[:, None], x2[None, :], lower[2]), axis=-1)
+        cols = cols.reshape(-1, 3)
+        x_dir, y_dir = frame_batch(cols)
 
-    def hessian_components(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(X^2u, (XY+YX)u/2, Y^2u) at the stencil's nodes."""
-        s = []
+        found = []
+        for cx, cy in _COMBOS:
+            offset = step * (cx * x_dir + cy * y_dir)
+            sample = cols + offset
+            cell, frac = cells(grid, sample, clamp=False)
+            s3 = x3 + offset[:, 2:]  # (columns, n3 - 2) sample heights
+            xy = sample[:, :2]
+            column_in = np.all((xy >= lower[:2] - eps) & (xy <= upper[:2] + eps), axis=1)
+            inside = column_in[:, None] & (s3 >= lower[2] - eps) & (s3 <= upper[2] + eps)
+            out_rows = np.flatnonzero(~inside)
+            col = out_rows // (n3 - 2)
+            off_box = np.column_stack((sample[col, 0], sample[col, 1], s3.ravel()[out_rows]))
+            out_vals = boundary.value_batch(off_box) if out_rows.size else np.zeros(0)
+            found.append((cell, frac, out_rows, out_vals))
+
+        # zero x3 padding wide enough for every column with a sample in the box
+        shifts = np.concatenate([cell[:, 2] for cell, _, _, _ in found])
+        self.pad = min(int(np.abs(shifts).max()), n3 - 2) + 1
+        self.directions = []
+        for cell, frac, out_rows, out_vals in found:
+            corner = cell[0, :2] - 1
+            fx, fy = frac[0, :2]
+            wx = [1 - fx, fx] if fx else [1.0]
+            wy = [1 - fy, fy] if fy else [1.0]
+            rows1 = np.arange(1, n1 - 1) + corner[0] + np.arange(len(wx))[:, None]
+            rows2 = np.arange(1, n2 - 1) + corner[1] + np.arange(len(wy))[:, None]
+            start = np.clip(1 + cell[:, 2] + self.pad, 0, 2 * self.pad + 1)
+            self.directions.append(
+                _Direction(
+                    np.clip(rows1, 0, n1 - 1)[:, None, :, None],
+                    np.clip(rows2, 0, n2 - 1)[None, :, None, :],
+                    np.outer(wx, wy),
+                    start.reshape(n1 - 2, n2 - 2),
+                    frac[:, 2].reshape(n1 - 2, n2 - 2, 1),
+                    out_rows,
+                    out_vals,
+                )
+            )
+        self.combine = _second_differences(step)
+        n_samples = len(_COMBOS) * (n1 - 2) * (n2 - 2) * (n3 - 2)
+        self.outside_fraction = sum(d.out_rows.size for d in self.directions) / n_samples
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the stored arrays."""
+        return self.combine.nbytes + sum(a.nbytes for d in self.directions for a in d)
+
+    def hessian_components(self, flat: np.ndarray) -> np.ndarray:
+        """(X^2u, (XY+YX)u/2, Y^2u) at the interior nodes, as a (3, n) array."""
+        u = flat.reshape(self.grid.counts)
+        n3 = u.shape[2]
+        padded = np.zeros(u.shape[:2] + (n3 + 2 * self.pad,))
+        padded[:, :, self.pad : self.pad + n3] = u
+        # rows[i1, i2, j]: the n3 - 1 values of column (i1, i2) from padded x3 index j
+        rows = sliding_window_view(padded, n3 - 1, axis=2)
+        samples = np.empty((len(_COMBOS) + 1, int(np.prod(self.shape))))
         # non-finite inputs propagate and are reported by the caller's check
         with np.errstate(invalid="ignore"):
-            for in_rows, base, frac, out_rows, out_vals in self.families:
-                out = np.empty(self.center_flat.shape[0])
-                out[in_rows] = trilinear(flat, self.grid.counts, base, frac)
-                out[out_rows] = out_vals
-                s.append(out)
-        uc = flat[self.center_flat]
-        h2 = self.h * self.h
-        hxx = (s[0] + s[1] - 2.0 * uc) / h2
-        hyy = (s[2] + s[3] - 2.0 * uc) / h2
-        hxy = (s[4] + s[5] - s[6] - s[7]) / (4.0 * h2)
-        return hxx, hxy, hyy
+            for d, out in zip(self.directions, samples):
+                windows = np.tensordot(d.weights, rows[d.rows1, d.rows2, d.start], 2)
+                s = out.reshape(self.shape)
+                np.multiply(windows[..., :-1], 1 - d.fz, out=s)
+                s += windows[..., 1:] * d.fz
+                out[d.out_rows] = d.out_vals
+            samples[-1] = _interior(u, self.grid.counts).ravel()
+            return self.combine @ samples
 
 
 class Discretization:
     """A ProblemSpec bound to its grid arrays: one level of the solver."""
 
     def __init__(self, prob: ProblemSpec, grid: Grid3 | None = None):
-        self.prob = prob
+        self.op = prob.op
+        self.boundary = prob.boundary
         self.grid = grid or prob.grid
         if prob.sample_width is not None:
-            h = min(self.grid.spacings[0], self.grid.spacings[1])
-            self.rho = max(h, prob.sample_width)
+            self.rho = max(self.grid.horizontal_spacing, prob.sample_width)
         else:
             self.rho = sample_step(self.grid, prob.stencil_scale)
         self.stencil = _Stencil(self.grid, prob.boundary, self.rho)
-        pts = self.stencil.points
-        self.c_int = prob.c.value_batch(pts)
-        self.f_int = prob.f.value_batch(pts)
-        all_c = prob.c.value_batch(self.grid.points())
-        self.tau = cfl_tau(self.rho, prob.op.bracket.Lam, float(all_c.max()))
+        pts = self.grid.points()
+        inner = _interior(pts, self.grid.counts + (3,)).reshape(-1, 3)
+        self.c_int = prob.c.value_batch(inner)
+        self.f_int = prob.f.value_batch(inner)
+        self.tau = cfl_tau(self.rho, prob.op.bracket.Lam, float(prob.c.value_batch(pts).max()))
         mask = self.grid.interior_mask().ravel()
-        self.boundary_flat = np.nonzero(~mask)[0]
-        self.boundary_vals = prob.boundary.value_batch(self.grid.points()[~mask])
+        self.boundary_flat = np.flatnonzero(~mask)
+        self.boundary_vals = prob.boundary.value_batch(pts[~mask])
 
     def initial_values(self) -> np.ndarray:
-        return self.prob.boundary.value_batch(self.grid.points())
+        return self.boundary.value_batch(self.grid.points())
 
     def apply_nonlinearity(self, flat: np.ndarray) -> np.ndarray:
         """T(u) = F(stencil Hessian) - c u at interior nodes."""
         hxx, hxy, hyy = self.stencil.hessian_components(flat)
-        return self.prob.op.apply_batch(hxx, hxy, hyy) - self.c_int * flat[self.stencil.center_flat]
+        uc = _interior(flat, self.grid.counts).ravel()
+        return self.op.apply_batch(hxx, hxy, hyy) - self.c_int * uc
 
     def residual_interior(self, flat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return self.apply_nonlinearity(flat) - rhs
+
+    def advance(self, flat: np.ndarray, res: np.ndarray, tau: float) -> None:
+        """u += tau * res at the interior nodes of `flat`, in place; a
+        non-finite update raises ArithmeticError naming its node."""
+        inner = _interior(flat, self.grid.counts)
+        with np.errstate(invalid="ignore"):
+            upd = inner + tau * res.reshape(inner.shape)
+        if not np.all(np.isfinite(upd)):
+            bad = np.argwhere(~np.isfinite(upd))[0] + 1
+            raise ArithmeticError(f"non-finite update at node {tuple(int(v) for v in bad)}")
+        inner[...] = upd
 
     def smooth(self, flat: np.ndarray, rhs: np.ndarray, sweeps: int) -> np.ndarray:
         """sweeps Jacobi pseudo-time steps toward T(u) = rhs; returns residual."""
         res = None
         for _ in range(sweeps):
             res = self.residual_interior(flat, rhs)
-            upd = flat[self.stencil.center_flat] + self.tau * res
-            if not np.all(np.isfinite(upd)):
-                bad = int(np.nonzero(~np.isfinite(upd))[0][0])
-                node = self.stencil.center_flat[bad]
-                idx = np.unravel_index(node, self.grid.counts)
-                raise ArithmeticError(f"non-finite update at node {tuple(int(v) for v in idx)}")
-            flat[self.stencil.center_flat] = upd
+            self.advance(flat, res, self.tau)
         return res
 
     def enforce_boundary(self, flat: np.ndarray) -> None:
@@ -265,47 +352,32 @@ def stencil_hessian(
     u: GridFunction, idx: tuple[int, int, int], step: float | None = None
 ) -> Sym2:
     """Frame-aligned second differences at one interior node of a bare grid
-    function (off-box samples clamped); boundary indices are rejected."""
+    function, its off-box samples clamped onto the box; boundary indices
+    are rejected."""
     if not u.grid.is_interior(idx):
         raise ValueError(f"index {idx} is not interior")
-    stencil = _Stencil(u.grid, None, step, nodes=np.array([idx]))
-    hxx, hxy, hyy = stencil.hessian_components(u.values.ravel())
-    return Sym2(float(hxx[0]), float(hxy[0]), float(hyy[0]))
-
-
-_DISC_CACHE: dict[int, Discretization] = {}
-
-
-def _discretization(prob: ProblemSpec) -> Discretization:
-    disc = _DISC_CACHE.get(id(prob))
-    if disc is None or disc.prob is not prob:
-        disc = Discretization(prob)
-        _DISC_CACHE.clear()
-        _DISC_CACHE[id(prob)] = disc
-    return disc
+    rho = step if step is not None else sample_step(u.grid)
+    p = u.grid.coordinate(idx)[None, :]
+    x_dir, y_dir = frame_batch(p)
+    pts = np.concatenate([p + rho * (cx * x_dir + cy * y_dir) for cx, cy in _COMBOS])
+    samples = np.append(u.value_batch(pts), u.values[tuple(idx)])
+    return Sym2(*(float(v) for v in _second_differences(rho) @ samples))
 
 
 def step(u: GridFunction, prob: ProblemSpec, tau: float) -> GridFunction:
     """One Jacobi pseudo-time step; boundary nodes reset to the Dirichlet data."""
     if not tau > 0:
         raise ValueError("tau must be positive")
-    disc = _discretization(prob)
+    disc = prob.discretization
     flat = u.values.ravel().copy()
     disc.enforce_boundary(flat)
-    res = disc.residual_interior(flat, disc.f_int)
-    upd = flat[disc.stencil.center_flat] + tau * res
-    if not np.all(np.isfinite(upd)):
-        bad = int(np.nonzero(~np.isfinite(upd))[0][0])
-        node = disc.stencil.center_flat[bad]
-        idx = np.unravel_index(node, disc.grid.counts)
-        raise ArithmeticError(f"non-finite update at node {tuple(int(v) for v in idx)}")
-    flat[disc.stencil.center_flat] = upd
+    disc.advance(flat, disc.residual_interior(flat, disc.f_int), tau)
     return GridFunction(u.grid, flat.reshape(u.grid.counts))
 
 
 def residual_norm(u: GridFunction, prob: ProblemSpec) -> float:
     """max over interior nodes of |F(stencil) - c u - f|."""
-    disc = _discretization(prob)
+    disc = prob.discretization
     flat = u.values.ravel()
     return float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
 
@@ -377,9 +449,6 @@ class _Multilevel:
             self.levels.append(Discretization(prob, grid))
         self.fine_steps = 0
 
-    def _interior(self, disc: Discretization, full: np.ndarray) -> np.ndarray:
-        return full.ravel()[disc.stencil.center_flat]
-
     def vcycle(self, l: int, flat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         disc = self.levels[l]
         if l == len(self.levels) - 1:
@@ -391,29 +460,21 @@ class _Multilevel:
         disc.smooth(flat, rhs, self.nu1)
         if l == 0:
             self.fine_steps += self.nu1
-        res = rhs - disc.apply_nonlinearity(flat)
-        res_full = np.zeros(disc.grid.counts)
-        res_full.ravel()[disc.stencil.center_flat] = res
+        fine = disc.grid.counts
         coarse = self.levels[l + 1]
-        rc = self._interior(coarse, _restrict_full_weight(res_full, coarse.grid.counts))
-        u_c = flat.reshape(disc.grid.counts)[::2, ::2, ::2].copy()
+        counts = coarse.grid.counts
+        res = rhs - disc.apply_nonlinearity(flat)
+        rc = _interior(_restrict_full_weight(_embed(res, fine), counts), counts).ravel()
+        u_c = flat.reshape(fine)[::2, ::2, ::2].copy()
         uc_flat = u_c.ravel().copy()
         rhs_c = coarse.apply_nonlinearity(uc_flat) + rc
         v_flat = self.vcycle(l + 1, uc_flat.copy(), rhs_c)
-        corr = np.zeros(coarse.grid.counts)
-        corr.ravel()[coarse.stencil.center_flat] = (
-            v_flat[coarse.stencil.center_flat] - uc_flat[coarse.stencil.center_flat]
-        )
-        flat += _prolong(corr, disc.grid.counts).ravel() * self._interior_mask(disc)
+        corr = _embed(_interior(v_flat, counts) - _interior(uc_flat, counts), counts)
+        _interior(flat, fine)[...] += _interior(_prolong(corr, fine), fine)
         disc.smooth(flat, rhs, self.nu2)
         if l == 0:
             self.fine_steps += self.nu2
         return flat
-
-    def _interior_mask(self, disc: Discretization) -> np.ndarray:
-        mask = np.zeros(disc.grid.n_nodes)
-        mask[disc.stencil.center_flat] = 1.0
-        return mask
 
     def fmg_initial(self) -> np.ndarray:
         """Nested iteration: solve coarse levels first, prolong upward."""
@@ -444,7 +505,8 @@ def solve(prob: ProblemSpec) -> SolveResult:
     iteration, which remains available via multilevel=False.  Non-convergence
     returns the best iterate flagged, never raises.
     """
-    disc = _discretization(prob)
+    disc = prob.discretization
+    stats = dict(rho=disc.rho, outside_fraction=disc.stencil.outside_fraction)
     use_ml = prob.multilevel and prob.grid.can_coarsen()
     if not use_ml:
         flat = disc.initial_values()
@@ -455,20 +517,26 @@ def solve(prob: ProblemSpec) -> SolveResult:
             rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
             if rn < prob.tol or iters >= prob.max_iters:
                 u = GridFunction(prob.grid, flat.reshape(prob.grid.counts))
-                return SolveResult(u, iters, rn, rn < prob.tol, disc.tau)
+                return SolveResult(
+                    u, iters, rn, rn < prob.tol, disc.tau, levels=[prob.grid.counts], **stats
+                )
             disc.smooth(flat, disc.f_int, 1)
             iters += 1
 
     ml = _Multilevel(prob, finest=disc)
     flat = ml.fmg_initial()
-    cycles = 0
+    history = []
     rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
-    while rn >= prob.tol and ml.fine_steps < prob.max_iters and cycles < 500:
+    while rn >= prob.tol and ml.fine_steps < prob.max_iters and len(history) < 500:
         ml.vcycle(0, flat, disc.f_int)
-        cycles += 1
         rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
+        history.append(rn)
     u = GridFunction(prob.grid, flat.reshape(prob.grid.counts))
-    return SolveResult(u, ml.fine_steps, rn, rn < prob.tol, disc.tau, cycles)
+    levels = [level.grid.counts for level in ml.levels]
+    return SolveResult(
+        u, ml.fine_steps, rn, rn < prob.tol, disc.tau, len(history),
+        levels=levels, cycle_residuals=history, **stats,
+    )
 
 
 def refine_problem(prob: ProblemSpec) -> ProblemSpec:

@@ -78,6 +78,14 @@ def test_flipped_pucci_is_detected(monkeypatch):
         ("group_mul_batch", lambda mul: lambda p, q: mul(p * [1, 1, 0], q), "check_group_algebra"),
         # a dilation by lam + 1, which is not a one-parameter group
         ("dilate_batch", lambda dil: lambda lam, p: dil(lam + 1.0, p), "check_group_algebra"),
+        # a dilation of degree 1 in x3: a one-parameter group, no automorphism
+        (
+            "dilate_batch",
+            lambda dil: lambda lam, p: p * np.reshape(lam, (-1, 1)),
+            "check_group_algebra",
+        ),
+        # the abelian product of R^3
+        ("group_mul_batch", lambda mul: lambda p, q: p + q, "check_group_algebra"),
         # X with the wrong sign in its vertical component
         (
             "frame_batch",
@@ -89,7 +97,17 @@ def test_flipped_pucci_is_detected(monkeypatch):
         # a norm bound without its (2/mu) M^2 part
         ("n_norm_bound_batch", lambda b: lambda *a: b(*a[:4], np.inf), "check_n_bound"),
     ],
-    ids=["group_inv", "group_mul", "dilate", "frame", "M", "M2", "n_norm_bound"],
+    ids=[
+        "group_inv",
+        "group_mul",
+        "dilate",
+        "dilate_degree",
+        "group_mul_abelian",
+        "frame",
+        "M",
+        "M2",
+        "n_norm_bound",
+    ],
 )
 def test_corrupted_shipped_formula_is_detected(monkeypatch, name, corrupt, check):
     monkeypatch.setattr(checks, name, corrupt(getattr(checks, name)))

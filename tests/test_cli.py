@@ -69,6 +69,11 @@ def test_solve_roundtrip(tmp_path):
     assert diag["converged"]
     assert set(diag) >= {"iterations", "residual", "tau"}
     assert diag["residual"] < 1e-7
+    assert diag["levels"] == [[9, 9, 9], [5, 5, 5]]
+    assert diag["rho_over_h"] == diag["rho"] / 0.25 == 1.0
+    assert len(diag["cycle_residuals"]) == diag["cycles"]
+    assert diag["cycle_residuals"][-1] == diag["residual"]
+    assert 0 < diag["outside_fraction"] < 1
 
 
 def test_solve_nonconvergence_exit_2(tmp_path):
@@ -105,6 +110,60 @@ def test_solve_unknown_key_exit_1(tmp_path, capsys):
 def test_solve_malformed_section_exit_1(tmp_path, capsys, override, words):
     cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, **override))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+
+
+@pytest.mark.parametrize(
+    "override,words",
+    [
+        ({"tol": [1]}, ("problem config", "'tol'")),
+        ({"max_iters": 2.5}, ("problem config", "'max_iters'", "integer")),
+        ({"multilevel": "no"}, ("problem config", "'multilevel'")),
+        ({"f": {"builtin": "smooth_abs", "eps": "x"}}, ("f config", "'eps'")),
+        (
+            {"operator": {"kind": "sublaplacian", "lambda": None, "Lambda": 1.0}},
+            ("operator config", "'lambda'"),
+        ),
+        (
+            {"grid": {"lower": [-1, None, -1], "upper": [1, 1, 1], "counts": [9, 9, 9]}},
+            ("grid config", "'lower'"),
+        ),
+        (
+            {"grid": {"lower": [-1, -1, -1], "upper": [1, 1, 1], "counts": 9}},
+            ("grid config", "'counts'"),
+        ),
+    ],
+    ids=[
+        "tol-list",
+        "max-iters-fraction",
+        "multilevel-string",
+        "builtin-eps-string",
+        "operator-lambda-null",
+        "grid-lower-null",
+        "grid-counts-scalar",
+    ],
+)
+def test_solve_wrong_typed_number_exit_1(tmp_path, capsys, override, words):
+    cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, **override))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+
+
+@pytest.mark.parametrize(
+    "override,words",
+    [
+        ({"bracket": {"lambda": None, "Lambda": 1.0}}, ("bracket config", "'lambda'")),
+        ({"holder": dict(PIPELINE_CONFIG["holder"], beta="1")}, ("holder config", "'beta'")),
+        ({"pairs": "many"}, ("pipeline config", "'pairs'")),
+        ({"penalty": {"per_axis": [17]}}, ("penalty config", "'per_axis'")),
+    ],
+    ids=["bracket-lambda-null", "holder-beta-string", "pairs-string", "per-axis-list"],
+)
+def test_pipeline_wrong_typed_number_exit_1(tmp_path, capsys, override, words):
+    cfg = write_json(tmp_path / "pipe.json", dict(PIPELINE_CONFIG, **override))
+    assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert all(w in err for w in words), err
 

@@ -1,12 +1,15 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from heisenpde.calculus import h_hessian
 from heisenpde.fields import PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction
-from heisenpde.group import Point
+from heisenpde.group import Point, frame_batch
 from heisenpde.operators import EllipticityBracket, OperatorSpec
 from heisenpde.solver import (
+    Discretization,
     ProblemSpec,
     cfl_tau,
     manufacture,
@@ -278,3 +281,77 @@ def test_manufacture_examples_and_validation():
     assert np.isclose(f.value_batch(pts)[0], expected, rtol=1e-14)
     with pytest.raises(ValueError):
         manufacture(_shift(u_star, 0.0), SUB, c)
+
+
+def oracle_hessian(grid, boundary, flat, rho):
+    """Each sample p + rho (cx X + cy Y) located on its own: trilinear in u
+    inside the box, the boundary field outside."""
+    pts = grid.points().reshape(grid.counts + (3,))[1:-1, 1:-1, 1:-1].reshape(-1, 3)
+    x_dir, y_dir = frame_batch(pts)
+    lower, upper = np.array(grid.lower), np.array(grid.upper)
+    eps = 1e-12 * max(upper - lower)
+    u = GridFunction(grid, flat)
+
+    def sample(cx, cy):
+        q = pts + rho * (cx * x_dir + cy * y_dir)
+        inside = np.all((q >= lower - eps) & (q <= upper + eps), axis=1)
+        vals = boundary.value_batch(q)
+        vals[inside] = u.value_batch(q[inside])
+        return vals
+
+    uc = u.values[1:-1, 1:-1, 1:-1].ravel()
+    hxx = (sample(1, 0) + sample(-1, 0) - 2 * uc) / rho**2
+    hyy = (sample(0, 1) + sample(0, -1) - 2 * uc) / rho**2
+    hxy = (sample(1, 1) + sample(-1, -1) - sample(1, -1) - sample(-1, 1)) / (4 * rho**2)
+    return np.array([hxx, hxy, hyy])
+
+
+@pytest.mark.parametrize(
+    "grid,boundary,width",
+    [
+        (box(17), ZERO, None),
+        # unequal spacings, both horizontal fractions nonzero: 4 corners
+        (Grid3.box((0.3, -0.7, 0.1), (1.4, 0.2, 0.9), (21, 17, 19)), ZERO, 0.137),
+        (box(5), ZERO, None),
+        (box(17), parse_polynomial("x1^2 x3 - x2 + 0.5 x3^2"), None),
+    ],
+    ids=["cube17", "off-centre-4-corners", "coarse-rho-h", "poly-boundary"],
+)
+def test_stencil_matches_per_sample_oracle(grid, boundary, width):
+    prob = ProblemSpec(SUB, ONE, ZERO, boundary, grid, sample_width=width)
+    disc = Discretization(prob)
+    if width is not None:
+        assert disc.stencil.directions[4].weights.shape == (2, 2)
+    if grid.counts == (5, 5, 5):
+        assert disc.rho == grid.spacings[0]
+    flat = np.random.default_rng(3).standard_normal(grid.n_nodes)
+    got = disc.stencil.hessian_components(flat)
+    want = oracle_hessian(grid, boundary, flat, disc.rho)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_stencil_storage_below_8_bytes_per_sample():
+    stencil = Discretization(ProblemSpec(SUB, ONE, ZERO, ZERO, box(33))).stencil
+    assert stencil.nbytes < 8 * (8 * 31**3)
+
+
+def test_discretization_belongs_to_its_problem():
+    prob = ProblemSpec(SUB, ONE, ZERO, ZERO, box(9), tol=1e-8)
+    res = solve(prob)
+    disc = prob.discretization
+    residual_norm(res.u, prob)
+    step(res.u, prob, 1e-3)
+    assert prob.discretization is disc
+    ref = weakref.ref(disc)
+    del disc, prob
+    assert ref() is None
+
+
+def test_solve_reports_levels_and_cycle_residuals():
+    u_star, prob = manufactured_problem(17, tol=1e-6)
+    res = solve(prob)
+    assert res.levels == [(17, 17, 17), (9, 9, 9), (5, 5, 5)]
+    assert res.rho == sample_step(prob.grid)
+    assert len(res.cycle_residuals) == res.cycles
+    assert res.cycle_residuals[-1] == res.residual
+    assert 0 < res.outside_fraction < 1
