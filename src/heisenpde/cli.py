@@ -14,15 +14,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checks import run_checks
-from .config import config_number, config_section
-from .doubling import PenaltyParams, doubling_certificate
 from .grid import GridFunction
-from .operators import EllipticityBracket, HolderData
-from .regularity import alpha_target, check_theorem, default_radii, modulus
-from .solver import ProblemSpec, SolveResult, refine_problem, solve
+from .pipeline import holder_config, run_pipeline
+from .solver import ProblemSpec, solve
 
 
 def _dump_json(obj, path) -> None:
@@ -37,33 +32,6 @@ def _load_json(path) -> dict:
         raise ValueError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON in {path}: {exc}")
-
-
-def _holder_from_config(cfg: dict) -> HolderData:
-    config_section(cfg, "holder", ("c0", "beta", "beta_prime", "L_c", "L_f"))
-    return HolderData(**{k: config_number(cfg, "holder", k) for k in cfg})
-
-
-def _bracket_from_config(cfg: dict) -> EllipticityBracket:
-    config_section(cfg, "bracket", ("lambda", "Lambda"))
-    return EllipticityBracket(
-        config_number(cfg, "bracket", "lambda"), config_number(cfg, "bracket", "Lambda")
-    )
-
-
-def _diagnostics(result: SolveResult) -> dict:
-    return {
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "tau": result.tau,
-        "converged": result.converged,
-        "cycles": result.cycles,
-        "rho": result.rho,
-        "rho_over_h": result.rho / result.u.grid.horizontal_spacing,
-        "levels": [list(counts) for counts in result.levels],
-        "outside_fraction": result.outside_fraction,
-        "cycle_residuals": result.cycle_residuals,
-    }
 
 
 def cmd_verify(args) -> int:
@@ -88,11 +56,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_json(args.config)
-    prob = ProblemSpec.from_config(cfg)
-    result = solve(prob)
+    result = solve(ProblemSpec.from_config(_load_json(args.config)))
     result.u.to_csv(args.out)
-    _dump_json(_diagnostics(result), str(args.out) + ".diag.json")
+    _dump_json(result.to_dict(), str(args.out) + ".diag.json")
     print(
         f"solve: converged={result.converged} iterations={result.iterations} "
         f"residual={result.residual:.3e}"
@@ -101,25 +67,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_holder(args) -> int:
-    cfg = config_section(
-        _load_json(args.config),
-        "holder",
-        ("holder", "bracket"),
-        ("seed", "pairs", "margin", "refined_grid"),
-    )
-    hd = _holder_from_config(cfg["holder"])
-    bracket = _bracket_from_config(cfg["bracket"])
+    check, refined = holder_config(_load_json(args.config))
     u = GridFunction.from_csv(args.grid)
-    refined = GridFunction.from_csv(cfg["refined_grid"]) if cfg.get("refined_grid") else None
-    report = check_theorem(
-        u,
-        refined,
-        hd,
-        bracket,
-        margin=config_number(cfg, "holder", "margin", default=0.1),
-        n_pairs=config_number(cfg, "holder", "pairs", int, default=200_000),
-        seed=config_number(cfg, "holder", "seed", int, default=0),
-    )
+    report = check.run(u, GridFunction.from_csv(refined) if refined else None)
     _dump_json(report.to_dict(), args.out)
     print(
         f"holder: alpha_target={report.alpha_target:.4g} "
@@ -130,88 +80,26 @@ def cmd_holder(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    cfg = config_section(
-        _load_json(args.config),
-        "pipeline",
-        ("problem", "holder", "bracket"),
-        ("seed", "pairs", "margin", "penalty"),
-    )
-    hd = _holder_from_config(cfg["holder"])
-    bracket = _bracket_from_config(cfg["bracket"])
-    pen_cfg = config_section(
-        cfg.get("penalty", {}), "penalty", optional=("delta", "eps", "L_factor", "per_axis", "mu")
-    )
-    seed = config_number(cfg, "pipeline", "seed", int, default=0)
-    margin = config_number(cfg, "pipeline", "margin", default=0.1)
-    n_pairs = config_number(cfg, "pipeline", "pairs", int, default=200_000)
-
-    prob = ProblemSpec.from_config(cfg["problem"])
+    artifacts = run_pipeline(_load_json(args.config), args.emit_plot_data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    coarse = solve(prob)
-    coarse.u.to_csv(out_dir / "solution.csv")
-    _dump_json(_diagnostics(coarse), out_dir / "solution.diag.json")
-    fine = solve(refine_problem(prob))
-    fine.u.to_csv(out_dir / "solution_refined.csv")
-    _dump_json(_diagnostics(fine), out_dir / "solution_refined.diag.json")
-    if not (coarse.converged and fine.converged):
-        _dump_json(
-            {"converged": False, "pass": False},
-            out_dir / "pipeline_report.json",
-        )
+    for name, artifact in artifacts.items():
+        if isinstance(artifact, GridFunction):
+            artifact.to_csv(out_dir / name)
+        elif isinstance(artifact, dict):
+            _dump_json(artifact, out_dir / name)
+        else:
+            (out_dir / name).write_text(artifact)
+    solves = [artifacts[name] for name in ("solution.diag.json", "solution_refined.diag.json")]
+    if not all(diag["converged"] for diag in solves):
         print("pipeline: solver did not converge")
         return 2
-
-    report = check_theorem(
-        coarse, fine, hd, bracket, margin=margin, n_pairs=n_pairs, seed=seed
-    )
-    _dump_json(report.to_dict(), out_dir / "holder_report.json")
-
-    pp = PenaltyParams(
-        L=config_number(pen_cfg, "penalty", "L_factor", default=1.1)
-        * max(report.seminorm_refined, 1e-12),
-        alpha=report.alpha_target,
-        delta=config_number(pen_cfg, "penalty", "delta", default=1e-6),
-        eps=config_number(pen_cfg, "penalty", "eps", default=1e-6),
-        mu=config_number(pen_cfg, "penalty", "mu", default=1.0),
-    )
-    box = fine.u.grid.margin_box(margin)
-    per_axis = config_number(pen_cfg, "penalty", "per_axis", int, default=17)
-    cert = doubling_certificate(fine.u, pp, box, per_axis=per_axis)
-    cert_dict = {
-        "theta": cert.theta,
-        "certified": cert.certified,
-        "gap": cert.gap,
-        "x_hat": list(cert.argmax[0].as_array()),
-        "y_hat": list(cert.argmax[1].as_array()),
-        "pairs_evaluated": cert.pairs_evaluated,
-        "L": pp.L,
-        "alpha": pp.alpha,
-        "delta": pp.delta,
-        "eps": pp.eps,
-    }
-    _dump_json(cert_dict, out_dir / "certificate.json")
-
-    if args.emit_plot_data:
-        radii, _ = default_radii(fine.u, margin)
-        pts = modulus(fine.u, radii, margin=margin, seed=seed)
-        lines = ["r,omega_r"] + ["%.17g,%.17g" % (r, w) for r, w in pts]
-        (out_dir / "modulus.csv").write_text("\n".join(lines) + "\n")
-
-    merged = {
-        "seed": seed,
-        "solve": {"coarse": _diagnostics(coarse), "refined": _diagnostics(fine)},
-        "holder": report.to_dict(),
-        "certificate": cert_dict,
-        "pass": bool(report.passed and coarse.converged and fine.converged),
-    }
-    _dump_json(merged, out_dir / "pipeline_report.json")
+    report = artifacts["pipeline_report.json"]
     print(
-        f"pipeline: converged={coarse.converged and fine.converged} "
-        f"holder_pass={report.passed} theta={cert.theta:.3e}"
+        f"pipeline: converged=True holder_pass={report['holder']['pass']} "
+        f"theta={report['certificate']['theta']:.3e}"
     )
-    return 0 if merged["pass"] else 1
+    return 0 if report["pass"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

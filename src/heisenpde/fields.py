@@ -120,9 +120,6 @@ class PolynomialField(ScalarField):
             {e: c * frac ** (e[0] + e[1] + 2 * e[2]) for e, c in self.terms.items()}
         )
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __add__(self, other: "PolynomialField") -> "PolynomialField":
         out = dict(self.terms)
         for e, c in other.terms.items():

@@ -57,10 +57,6 @@ class Grid3:
         return min(self.spacings[0], self.spacings[1])
 
     @property
-    def shape(self) -> tuple[int, int, int]:
-        return self.counts
-
-    @property
     def n_nodes(self) -> int:
         n1, n2, n3 = self.counts
         return n1 * n2 * n3
@@ -178,9 +174,6 @@ class GridFunction:
     @staticmethod
     def zeros(grid: Grid3) -> "GridFunction":
         return GridFunction(grid, np.zeros(grid.counts))
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         """Trilinear interpolation at arbitrary points, clamped to the box."""

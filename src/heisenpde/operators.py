@@ -42,6 +42,11 @@ class EllipticityBracket:
         if not (0.0 < self.lam <= self.Lam):
             raise ValueError(f"need 0 < lam <= Lam, got ({self.lam}, {self.Lam})")
 
+    @staticmethod
+    def from_config(cfg: dict) -> "EllipticityBracket":
+        config_section(cfg, "bracket", ("lambda", "Lambda"))
+        return EllipticityBracket(*(config_number(cfg, "bracket", k) for k in ("lambda", "Lambda")))
+
 
 @dataclass(frozen=True)
 class HolderData:
@@ -61,6 +66,11 @@ class HolderData:
                 raise ValueError(f"{name} must lie in (0, 1]")
         if self.L_c < 0 or self.L_f < 0:
             raise ValueError("Holder constants must be nonnegative")
+
+    @staticmethod
+    def from_config(cfg: dict) -> "HolderData":
+        config_section(cfg, "holder", ("c0", "beta", "beta_prime", "L_c", "L_f"))
+        return HolderData(**{k: config_number(cfg, "holder", k) for k in cfg})
 
 
 def _pucci_from_eigs(eigs, bracket: EllipticityBracket, plus: bool) -> float:

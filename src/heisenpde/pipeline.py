@@ -1,0 +1,120 @@
+"""The regularity pipeline as one library call: run_pipeline(cfg) solves on
+the config's grid and on the once-refined grid, checks the regularity
+theorem on the pair and runs the doubling certificate on the refined
+solution.  It reads every config key before the first solve and returns the
+artifacts keyed by file name; the CLI only writes them."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+
+from .config import config_number, config_section
+from .doubling import PenaltyParams, doubling_certificate
+from .operators import EllipticityBracket, HolderData
+from .regularity import DEFAULT_MARGIN, DEFAULT_PAIRS, HolderReport, alpha_target
+from .regularity import check_theorem, default_radii, modulus
+from .solver import ProblemSpec, refine_problem, solve
+
+
+@dataclass(frozen=True)
+class TheoremCheck:
+    """check_theorem's settings from the holder, bracket, margin, pairs and seed keys."""
+
+    hd: HolderData
+    bracket: EllipticityBracket
+    margin: float
+    pairs: int
+    seed: int
+
+    @staticmethod
+    def from_config(cfg: dict, name: str, required=(), optional=()) -> "TheoremCheck":
+        """Read config section `name`, which may hold the given other keys."""
+        keys = ("seed", "pairs", "margin") + optional
+        config_section(cfg, name, ("holder", "bracket") + required, keys)
+        return TheoremCheck(
+            HolderData.from_config(cfg["holder"]),
+            EllipticityBracket.from_config(cfg["bracket"]),
+            config_number(cfg, name, "margin", default=DEFAULT_MARGIN),
+            config_number(cfg, name, "pairs", int, default=DEFAULT_PAIRS),
+            config_number(cfg, name, "seed", int, default=0),
+        )
+
+    def run(self, u, fine) -> HolderReport:
+        return check_theorem(u, fine, self.hd, self.bracket, self.margin, self.pairs, self.seed)
+
+
+def holder_config(cfg: dict) -> tuple[TheoremCheck, str | None]:
+    """The holder command's check and its optional refined grid CSV path."""
+    check = TheoremCheck.from_config(cfg, "holder", optional=("refined_grid",))
+    refined = cfg.get("refined_grid")
+    if refined is not None and not isinstance(refined, str):
+        raise ValueError(f"holder config 'refined_grid' must be a string, got {refined!r}")
+    return check, refined or None
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """A pipeline config, read and checked without solving anything."""
+
+    problem: ProblemSpec
+    check: TheoremCheck
+    penalty: PenaltyParams  # its L is L_factor, scaled by the refined seminorm later
+    per_axis: int
+
+    @staticmethod
+    def from_config(cfg: dict) -> "PipelineConfig":
+        check = TheoremCheck.from_config(cfg, "pipeline", ("problem",), ("penalty",))
+        pen = config_section(
+            cfg.get("penalty", {}), "penalty", optional=("delta", "eps", "L_factor", "per_axis")
+        )
+        penalty = PenaltyParams(
+            L=config_number(pen, "penalty", "L_factor", default=1.1),
+            alpha=alpha_target(check.hd, check.bracket),
+            delta=config_number(pen, "penalty", "delta", default=1e-6),
+            eps=config_number(pen, "penalty", "eps", default=1e-6),
+        )
+        per_axis = config_number(pen, "penalty", "per_axis", int, default=17)
+        return PipelineConfig(ProblemSpec.from_config(cfg["problem"]), check, penalty, per_axis)
+
+
+def run_pipeline(cfg: dict, emit_plot_data: bool = False) -> dict:
+    """{file name: artifact} of a pipeline config: GridFunctions for the CSVs,
+    dicts for the JSON reports and, with emit_plot_data, the text of
+    modulus.csv.  If a solve does not converge, the artifacts stop after the
+    solves with the pipeline_report.json stub {"converged": false, "pass": false}."""
+    spec = PipelineConfig.from_config(cfg)
+    coarse = solve(spec.problem)
+    # the refined problem and its discretization are freed with this solve
+    fine = solve(refine_problem(spec.problem))
+    artifacts = {
+        "solution.csv": coarse.u,
+        "solution.diag.json": coarse.to_dict(),
+        "solution_refined.csv": fine.u,
+        "solution_refined.diag.json": fine.to_dict(),
+    }
+    if not (coarse.converged and fine.converged):
+        artifacts["pipeline_report.json"] = {"converged": False, "pass": False}
+        return artifacts
+    check = spec.check
+    report = check.run(coarse, fine)
+    pp = replace(spec.penalty, L=spec.penalty.L * max(report.seminorm_refined, 1e-12))
+    cert = doubling_certificate(fine.u, pp, fine.u.grid.margin_box(check.margin), spec.per_axis)
+    x_hat, y_hat = (list(p.as_array()) for p in cert.argmax)
+    cert_dict = dict(
+        theta=cert.theta, certified=cert.certified, gap=cert.gap, x_hat=x_hat, y_hat=y_hat,
+        pairs_evaluated=cert.pairs_evaluated, L=pp.L, alpha=pp.alpha, delta=pp.delta, eps=pp.eps,
+    )
+    artifacts["holder_report.json"] = report.to_dict()
+    artifacts["certificate.json"] = cert_dict
+    if emit_plot_data:
+        radii, _ = default_radii(fine.u, check.margin)
+        pts = modulus(fine.u, radii, margin=check.margin, seed=check.seed)
+        artifacts["modulus.csv"] = "".join(["r,omega_r\n"] + ["%.17g,%.17g\n" % p for p in pts])
+    artifacts["pipeline_report.json"] = {
+        "seed": check.seed,
+        "solve": {"coarse": coarse.to_dict(), "refined": fine.to_dict()},
+        "holder": report.to_dict(),
+        "certificate": cert_dict,
+        "pass": report.passed,
+    }
+    return artifacts

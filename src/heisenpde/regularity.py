@@ -11,7 +11,7 @@ throughout, matching the doubling penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,21 +44,10 @@ class HolderReport:
     stability_checked: bool
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_fit": self.alpha_fit,
-            "L_fit": self.L_fit,
-            "r_squared": self.r_squared,
-            "seminorm_at_target": self.seminorm_at_target,
-            "alpha_target": self.alpha_target,
-            "bound_c0_2Lambda": self.bound_c0_2Lambda,
-            "pass": self.passed,
-            "seminorm_refined": self.seminorm_refined,
-            "seminorm_rel_change": self.seminorm_rel_change,
-            "c0": self.c0,
-            "c0_exceeds_8": self.c0_exceeds_8,
-            "degenerate_fit": self.degenerate_fit,
-            "stability_checked": self.stability_checked,
-        }
+        """Every field, with `passed` under the key "pass"."""
+        out = asdict(self)
+        out["pass"] = out.pop("passed")
+        return out
 
 
 def sample_pairs(

@@ -16,7 +16,7 @@ Accuracy forces the sample step rho away from the grid spacing h: linear
 interpolation carries an O((h/rho)^2) bias into the second differences (pure
 numerical diffusion along x3, where the frame tilts off the grid planes), so
 rho = h would not converge at all on solutions with x3 curvature.  The
-default rho ~ scale*sqrt(h), snapped to a half-integer multiple of h (see
+default rho ~ 0.5*sqrt(h), snapped to a half-integer multiple of h (see
 sample_step), balances the O(rho^2) line-truncation error against that bias,
 giving a monotone first-order scheme; on coarse grids it reduces to the
 plain spacing step.
@@ -33,7 +33,7 @@ multilevel=False for the plain single-level iteration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -63,7 +63,6 @@ class ProblemSpec:
     tol: float = 1e-6
     max_iters: int = 200_000
     multilevel: bool = True
-    stencil_scale: float = 0.5
     sample_width: float | None = None
 
     def __post_init__(self):
@@ -73,8 +72,6 @@ class ProblemSpec:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not self.stencil_scale > 0:
-            raise ValueError("stencil_scale must be positive")
         if self.sample_width is not None and not self.sample_width > 0:
             raise ValueError("sample_width must be positive")
         cvals = self.c.value_batch(self.grid.points())
@@ -93,7 +90,7 @@ class ProblemSpec:
             cfg,
             "problem",
             ("operator", "c", "f", "boundary", "grid"),
-            ("tol", "max_iters", "multilevel", "stencil_scale", "sample_width"),
+            ("tol", "max_iters", "multilevel", "sample_width"),
         )
         return ProblemSpec(
             op=OperatorSpec.from_config(cfg["operator"]),
@@ -104,7 +101,6 @@ class ProblemSpec:
             tol=config_number(cfg, "problem", "tol", default=1e-6),
             max_iters=config_number(cfg, "problem", "max_iters", int, default=200_000),
             multilevel=config_number(cfg, "problem", "multilevel", bool, default=True),
-            stencil_scale=config_number(cfg, "problem", "stencil_scale", default=0.5),
             sample_width=(
                 config_number(cfg, "problem", "sample_width")
                 if cfg.get("sample_width") is not None
@@ -136,6 +132,13 @@ class SolveResult:
     levels: list = field(default_factory=list)  # grid counts, finest first
     outside_fraction: float = 0.0  # share of finest-grid samples off the box
     cycle_residuals: list = field(default_factory=list)  # fine residual after each V-cycle
+
+    def to_dict(self) -> dict:
+        """Every field but the solution u, plus rho_over_h: the diagnostics."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "u"}
+        out["levels"] = [list(counts) for counts in self.levels]
+        out["rho_over_h"] = self.rho / self.u.grid.horizontal_spacing
+        return out
 
 
 def sample_step(grid: Grid3, scale: float = 0.5) -> float:
@@ -302,7 +305,7 @@ class Discretization:
         if prob.sample_width is not None:
             self.rho = max(self.grid.horizontal_spacing, prob.sample_width)
         else:
-            self.rho = sample_step(self.grid, prob.stencil_scale)
+            self.rho = sample_step(self.grid)
         self.stencil = _Stencil(self.grid, prob.boundary, self.rho)
         pts = self.grid.points()
         inner = _interior(pts, self.grid.counts + (3,)).reshape(-1, 3)
@@ -436,13 +439,11 @@ def _prolong(coarse: np.ndarray, fine_counts: tuple[int, int, int]) -> np.ndarra
 class _Multilevel:
     """FAS V-cycles over nested coarsenings, with the Jacobi step as smoother."""
 
-    def __init__(
-        self, prob: ProblemSpec, nu1: int = 3, nu2: int = 3, finest: Discretization | None = None
-    ):
+    SWEEPS = 3  # smoothing sweeps before and after the coarse-grid correction
+
+    def __init__(self, prob: ProblemSpec, finest: Discretization):
         self.prob = prob
-        self.nu1 = nu1
-        self.nu2 = nu2
-        self.levels: list[Discretization] = [finest or Discretization(prob)]
+        self.levels: list[Discretization] = [finest]
         grid = prob.grid
         while grid.can_coarsen():
             grid = grid.coarsen()
@@ -457,9 +458,9 @@ class _Multilevel:
                 if np.abs(res).max() < 1e-14 * max(1.0, np.abs(rhs).max()):
                     break
             return flat
-        disc.smooth(flat, rhs, self.nu1)
+        disc.smooth(flat, rhs, self.SWEEPS)
         if l == 0:
-            self.fine_steps += self.nu1
+            self.fine_steps += self.SWEEPS
         fine = disc.grid.counts
         coarse = self.levels[l + 1]
         counts = coarse.grid.counts
@@ -471,9 +472,9 @@ class _Multilevel:
         v_flat = self.vcycle(l + 1, uc_flat.copy(), rhs_c)
         corr = _embed(_interior(v_flat, counts) - _interior(uc_flat, counts), counts)
         _interior(flat, fine)[...] += _interior(_prolong(corr, fine), fine)
-        disc.smooth(flat, rhs, self.nu2)
+        disc.smooth(flat, rhs, self.SWEEPS)
         if l == 0:
-            self.fine_steps += self.nu2
+            self.fine_steps += self.SWEEPS
         return flat
 
     def fmg_initial(self) -> np.ndarray:
@@ -506,36 +507,32 @@ def solve(prob: ProblemSpec) -> SolveResult:
     returns the best iterate flagged, never raises.
     """
     disc = prob.discretization
-    stats = dict(rho=disc.rho, outside_fraction=disc.stencil.outside_fraction)
-    use_ml = prob.multilevel and prob.grid.can_coarsen()
-    if not use_ml:
+    history = []  # the fine residual after each V-cycle
+    if prob.multilevel and prob.grid.can_coarsen():
+        ml = _Multilevel(prob, disc)
+        flat = ml.fmg_initial()
+        rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
+        while rn >= prob.tol and ml.fine_steps < prob.max_iters and len(history) < 500:
+            ml.vcycle(0, flat, disc.f_int)
+            rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
+            history.append(rn)
+        iters, levels = ml.fine_steps, [level.grid.counts for level in ml.levels]
+    else:
         flat = disc.initial_values()
         disc.enforce_boundary(flat)
-        iters = 0
-        while True:
-            # check first so the returned iterate is the one verified
-            rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
-            if rn < prob.tol or iters >= prob.max_iters:
-                u = GridFunction(prob.grid, flat.reshape(prob.grid.counts))
-                return SolveResult(
-                    u, iters, rn, rn < prob.tol, disc.tau, levels=[prob.grid.counts], **stats
-                )
-            disc.smooth(flat, disc.f_int, 1)
+        iters, levels = 0, [prob.grid.counts]
+        # each sweep advances with the residual of the stopping test before it
+        res = disc.residual_interior(flat, disc.f_int)
+        rn = float(np.abs(res).max())
+        while not rn < prob.tol and iters < prob.max_iters:
+            disc.advance(flat, res, disc.tau)
             iters += 1
-
-    ml = _Multilevel(prob, finest=disc)
-    flat = ml.fmg_initial()
-    history = []
-    rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
-    while rn >= prob.tol and ml.fine_steps < prob.max_iters and len(history) < 500:
-        ml.vcycle(0, flat, disc.f_int)
-        rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
-        history.append(rn)
+            res = disc.residual_interior(flat, disc.f_int)
+            rn = float(np.abs(res).max())
     u = GridFunction(prob.grid, flat.reshape(prob.grid.counts))
-    levels = [level.grid.counts for level in ml.levels]
     return SolveResult(
-        u, ml.fine_steps, rn, rn < prob.tol, disc.tau, len(history),
-        levels=levels, cycle_residuals=history, **stats,
+        u, iters, rn, rn < prob.tol, disc.tau, len(history), rho=disc.rho, levels=levels,
+        outside_fraction=disc.stencil.outside_fraction, cycle_residuals=history,
     )
 
 

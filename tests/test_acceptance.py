@@ -7,19 +7,20 @@ pytest's capture) and asserts the criterion itself.
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 import heisenpde.checks as checks
 from heisenpde.cli import main as cli_main
-from heisenpde.doubling import PenaltyParams, doubling_certificate
-from heisenpde.fields import PolynomialField, parse_polynomial, smooth_abs_field
+from heisenpde.fields import PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction
-from heisenpde.operators import EllipticityBracket, HolderData, OperatorSpec
-from heisenpde.regularity import check_theorem
-from heisenpde.solver import ProblemSpec, manufacture, refine_problem, solve
+from heisenpde.operators import OperatorSpec
+from heisenpde.pipeline import run_pipeline
+from heisenpde.solver import ProblemSpec, manufacture, solve
 
 SEED = 0
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def announce(capsys, num: int, ok: bool, detail: str) -> None:
@@ -165,50 +166,37 @@ def test_criterion_6_solver_convergence(capsys):
     assert elapsed < 180.0
 
 
-def shipped_problem(n=33):
-    op = OperatorSpec.sublaplacian()
-    one = PolynomialField.constant(1)
-    f = smooth_abs_field(eps=0.1, scale=1.0, offset=-1.0)
-    return ProblemSpec(
-        op, one, f, PolynomialField.constant(0),
-        Grid3.box((-1, -1, -1), (1, 1, 1), (n, n, n)), tol=1e-6,
-    )
-
-
 def test_criterion_7_regularity_pipeline(capsys):
     t0 = time.monotonic()
-    prob = shipped_problem(33)
-    coarse = solve(prob)
-    fine = solve(refine_problem(prob))
-    assert coarse.converged and fine.converged
-    hd = HolderData(c0=1.0, beta=1.0, beta_prime=1.0, L_c=0.0, L_f=1.0)
-    bracket = EllipticityBracket(1.0, 1.0)
-    report = check_theorem(coarse, fine, hd, bracket, seed=SEED)
-    assert report.alpha_target == 0.45  # min(1, 1, 0.9 * 0.5)
-    pp = PenaltyParams(
-        L=1.1 * report.seminorm_refined, alpha=report.alpha_target, delta=1e-6, eps=1e-6
-    )
-    cert = doubling_certificate(fine.u, pp, fine.u.grid.margin_box(0.1), per_axis=17)
+    cfg = json.loads((CONFIGS / "pipeline.json").read_text())
+    assert cfg["seed"] == SEED
+    artifacts = run_pipeline(cfg)
+    assert artifacts["solution.diag.json"]["converged"]
+    assert artifacts["solution_refined.diag.json"]["converged"]
+    report = artifacts["holder_report.json"]
+    cert = artifacts["certificate.json"]
+    assert report["alpha_target"] == 0.45  # min(1, 1, 0.9 * 0.5)
     elapsed = time.monotonic() - t0
     ok = (
-        report.seminorm_rel_change < 0.2
-        and report.alpha_fit >= 0.36
-        and cert.theta <= 0.0
+        report["seminorm_rel_change"] < 0.2
+        and report["alpha_fit"] >= 0.36
+        and cert["theta"] <= 0.0
         and elapsed < 300.0
     )
     announce(
         capsys,
         7,
         ok,
-        f"seminorm at alpha=0.45: {report.seminorm_at_target:.4f} -> "
-        f"{report.seminorm_refined:.4f} (change {100*report.seminorm_rel_change:.1f}% < 20%); "
-        f"alpha_fit {report.alpha_fit:.3f} >= 0.36; doubling theta = {cert.theta:.2e} <= 0; "
+        f"seminorm at alpha=0.45: {report['seminorm_at_target']:.4f} -> "
+        f"{report['seminorm_refined']:.4f} "
+        f"(change {100*report['seminorm_rel_change']:.1f}% < 20%); "
+        f"alpha_fit {report['alpha_fit']:.3f} >= 0.36; doubling theta = {cert['theta']:.2e} <= 0; "
         f"{elapsed:.1f}s < 300s",
     )
-    assert report.seminorm_rel_change < 0.2
-    assert report.alpha_fit >= 0.36
-    assert cert.theta <= 0.0
-    assert report.passed
+    assert report["seminorm_rel_change"] < 0.2
+    assert report["alpha_fit"] >= 0.36
+    assert cert["theta"] <= 0.0
+    assert report["pass"]
     assert elapsed < 300.0
 
 

@@ -1,8 +1,15 @@
 import json
+import weakref
+from pathlib import Path
 
 import pytest
 
 from heisenpde.cli import main
+from heisenpde.grid import GridFunction
+from heisenpde.pipeline import PipelineConfig, holder_config, run_pipeline
+from heisenpde.solver import ProblemSpec
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SOLVE_CONFIG = {
     "operator": {"kind": "sublaplacian", "lambda": 1.0, "Lambda": 1.0},
@@ -168,6 +175,36 @@ def test_pipeline_wrong_typed_number_exit_1(tmp_path, capsys, override, words):
     assert all(w in err for w in words), err
 
 
+@pytest.mark.parametrize(
+    "penalty",
+    [{"per_axis": [17]}, {"delta": "1e-6"}, {"eps": None}, {"L_factor": [1.1]}, {"mu": 5.0}],
+    ids=["per-axis-list", "delta-string", "eps-null", "l-factor-list", "mu-removed"],
+)
+def test_pipeline_bad_penalty_writes_nothing(tmp_path, capsys, penalty):
+    cfg = write_json(tmp_path / "pipe.json", dict(PIPELINE_CONFIG, penalty=penalty))
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 1
+    assert "penalty config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_problem_stencil_scale_is_unknown(tmp_path, capsys):
+    cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, stencil_scale=0.5))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1
+    assert "stencil_scale" in capsys.readouterr().err
+
+
+def test_every_shipped_config_loads_through_its_reader():
+    readers = {
+        "solve_manufactured.json": ProblemSpec.from_config,
+        "holder.json": holder_config,
+        "pipeline.json": PipelineConfig.from_config,
+    }
+    assert sorted(p.name for p in CONFIGS.iterdir()) == sorted(readers)
+    for name, reader in readers.items():
+        reader(json.loads((CONFIGS / name).read_text()))
+
+
 def test_holder_command(tmp_path):
     cfg = write_json(tmp_path / "prob.json", SOLVE_CONFIG)
     grid_csv = tmp_path / "u.csv"
@@ -201,6 +238,84 @@ def test_holder_rejects_zero_c0(tmp_path):
         },
     )
     assert main(["holder", "--grid", str(grid_csv), "--config", hcfg, "--out", str(tmp_path / "o.json")]) == 1
+
+
+@pytest.mark.parametrize("refined", [["u_fine.csv"], 3], ids=["list", "int"])
+def test_holder_rejects_non_string_refined_grid(tmp_path, capsys, refined):
+    cfg = write_json(tmp_path / "prob.json", SOLVE_CONFIG)
+    grid_csv = tmp_path / "u.csv"
+    assert main(["solve", "--config", cfg, "--out", str(grid_csv)]) == 0
+    hcfg = write_json(
+        tmp_path / "holder.json",
+        {
+            "holder": {"c0": 1.0, "beta": 1.0, "beta_prime": 1.0, "L_c": 0.0, "L_f": 1.0},
+            "bracket": {"lambda": 1.0, "Lambda": 1.0},
+            "refined_grid": refined,
+        },
+    )
+    out = tmp_path / "o.json"
+    argv = ["holder", "--grid", str(grid_csv), "--config", hcfg, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "holder config 'refined_grid'" in err and "string" in err, err
+    assert not out.exists()
+
+
+def test_run_pipeline_returns_what_the_cli_writes(tmp_path):
+    cfg = write_json(tmp_path / "pipe.json", PIPELINE_CONFIG)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", cfg, "--out", str(out), "--emit-plot-data"]) == 0
+    artifacts = run_pipeline(PIPELINE_CONFIG, emit_plot_data=True)
+    assert sorted(artifacts) == sorted(p.name for p in out.iterdir())
+    for name, artifact in artifacts.items():
+        written = (out / name).read_text()
+        if isinstance(artifact, GridFunction):
+            artifact.to_csv(tmp_path / "again.csv")
+            assert (tmp_path / "again.csv").read_text() == written, name
+        elif isinstance(artifact, dict):
+            assert json.dumps(artifact, indent=2, sort_keys=True) + "\n" == written, name
+        else:
+            assert artifact == written, name
+
+
+def test_run_pipeline_frees_the_refined_problem_before_the_certificate(monkeypatch):
+    from heisenpde import pipeline
+
+    refine, certificate = pipeline.refine_problem, pipeline.doubling_certificate
+    refined, alive = [], []
+
+    def tracked_refine(prob):
+        out = refine(prob)
+        refined.append(weakref.ref(out))
+        return out
+
+    def tracked_certificate(*args, **kwargs):
+        alive.append(refined[0]() is not None)
+        return certificate(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "refine_problem", tracked_refine)
+    monkeypatch.setattr(pipeline, "doubling_certificate", tracked_certificate)
+    run_pipeline(PIPELINE_CONFIG)
+    assert alive == [False]
+
+
+def test_pipeline_nonconvergence_exit_2(tmp_path, capsys):
+    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14, max_iters=2, multilevel=False)
+    cfg = write_json(tmp_path / "pipe.json", dict(PIPELINE_CONFIG, problem=problem))
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 2
+    assert "did not converge" in capsys.readouterr().out
+    assert sorted(p.name for p in out.iterdir()) == [
+        "pipeline_report.json",
+        "solution.csv",
+        "solution.diag.json",
+        "solution_refined.csv",
+        "solution_refined.diag.json",
+    ]
+    assert json.loads((out / "pipeline_report.json").read_text()) == {
+        "converged": False,
+        "pass": False,
+    }
 
 
 def test_pipeline_end_to_end(tmp_path):

@@ -258,6 +258,23 @@ def test_residual_monotone_after_warmup():
     assert (np.diff(tail) <= 1e-12 * max(1.0, tail[0])).all()
 
 
+def test_single_level_solve_evaluates_operator_once_per_sweep(monkeypatch):
+    from heisenpde.solver import Discretization
+
+    calls = []
+    apply = Discretization.apply_nonlinearity
+
+    def counted(self, flat):
+        calls.append(1)
+        return apply(self, flat)
+
+    monkeypatch.setattr(Discretization, "apply_nonlinearity", counted)
+    prob = ProblemSpec(SUB, ONE, ONE, boundary=ZERO, grid=box(5), tol=1e-8, multilevel=False)
+    res = solve(prob)
+    assert res.converged and res.iterations > 0
+    assert len(calls) == res.iterations + 1
+
+
 def test_multilevel_and_pure_agree():
     u_star = parse_polynomial("x1^2 + x2^2 - x1 x2")
     f = manufacture(u_star, SUB, ONE)
