@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .checks import run_checks
 from .grid import GridFunction
-from .pipeline import holder_config, run_pipeline
+from .pipeline import ARTIFACTS, holder_config, run_pipeline
 from .solver import ProblemSpec, solve
 
 
@@ -83,6 +83,9 @@ def cmd_pipeline(args) -> int:
     artifacts = run_pipeline(_load_json(args.config), args.emit_plot_data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ARTIFACTS:
+        if name not in artifacts:
+            (out_dir / name).unlink(missing_ok=True)
     for name, artifact in artifacts.items():
         if isinstance(artifact, GridFunction):
             artifact.to_csv(out_dir / name)

@@ -8,7 +8,6 @@ round-trip doubles exactly.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,16 +190,18 @@ class GridFunction:
         return float(np.abs(self.values[mask] - other.values[mask]).max())
 
     def to_csv(self, path) -> None:
-        buf = io.StringIO()
-        buf.write("x1,x2,x3,u\n")
-        pts = self.grid.points()
-        vals = self.values.ravel()
-        for k in range(pts.shape[0]):
-            buf.write(
-                "%.17g,%.17g,%.17g,%.17g\n" % (pts[k, 0], pts[k, 1], pts[k, 2], vals[k])
-            )
+        """Write the rows in storage order, one (i1, i2) column at a time:
+        each axis coordinate is formatted once, and each column's values
+        go through one %-format whose template holds its x1, x2 prefix."""
+        x1, x2, x3 = (["%.17g" % v for v in self.grid.axis_coordinates(i)] for i in range(3))
+        rows = [t + ",%.17g" for t in x3]
         with open(path, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.write("x1,x2,x3,u\n")
+            for i1, a in enumerate(x1):
+                for i2, b in enumerate(x2):
+                    prefix = f"{a},{b},"
+                    template = prefix + ("\n" + prefix).join(rows) + "\n"
+                    fh.write(template % tuple(self.values[i1, i2].tolist()))
 
     @staticmethod
     def from_csv(path) -> "GridFunction":

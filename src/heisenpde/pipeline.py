@@ -15,6 +15,18 @@ from .regularity import DEFAULT_MARGIN, DEFAULT_PAIRS, HolderReport, alpha_targe
 from .regularity import check_theorem, default_radii, modulus
 from .solver import ProblemSpec, refine_problem, solve
 
+# every file name that run_pipeline may return, in the order it adds them
+ARTIFACTS = (
+    "solution.csv",
+    "solution.diag.json",
+    "solution_refined.csv",
+    "solution_refined.diag.json",
+    "holder_report.json",
+    "certificate.json",
+    "modulus.csv",
+    "pipeline_report.json",
+)
+
 
 @dataclass(frozen=True)
 class TheoremCheck:

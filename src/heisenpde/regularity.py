@@ -113,30 +113,35 @@ def _polish_pairs(
     xs: np.ndarray,
     ys: np.ndarray,
     vals: np.ndarray,
+    strata: np.ndarray,
+    radii: np.ndarray,
     box: tuple[np.ndarray, np.ndarray],
-    r_lo: float,
-    r_hi: float,
     top: int = 6,
     rounds: int = 14,
-) -> float:
-    """Pattern-search polish of the best pairs in one radius stratum.
+) -> np.ndarray:
+    """Pattern-search polish of the best pairs of every radius stratum, one
+    polished maximum per stratum.
 
     Random sampling starves sup statistics near small features (a cusp hides
     in an O(r^3) volume); a short local search from the best starts recovers
-    the stratum supremum.  Moves keep both endpoints in the box and the pair
-    distance in [r_lo, r_hi]."""
+    the stratum supremum.  The `top` best pairs of each stratum move as one
+    stack, each row with its own step and distance range [0.9 r, 1.1 r];
+    moves keep both endpoints in the box and the pair distance in range."""
     lo, hi = box
-    order = np.argsort(vals)[-top:]
+    members = [np.nonzero(strata == k)[0] for k in range(radii.size)]
+    order = np.concatenate([sel[np.argsort(vals[sel])[-top:]] for sel in members])
     x = xs[order].copy()
     y = ys[order].copy()
     best = vals[order].copy()
+    r = radii[strata[order]]
+    r_lo, r_hi = 0.9 * r, 1.1 * r
     step = 0.5 * r_hi
     moves = np.concatenate([np.eye(3), -np.eye(3)])
     for _ in range(rounds):
         for which in (0, 1):
             for m in moves:
-                cx = x + step * m if which == 0 else x.copy()
-                cy = y + step * m if which == 1 else y.copy()
+                cx = x + step[:, None] * m if which == 0 else x.copy()
+                cy = y + step[:, None] * m if which == 1 else y.copy()
                 np.clip(cx, lo, hi, out=cx)
                 np.clip(cy, lo, hi, out=cy)
                 d = cy - cx
@@ -156,7 +161,8 @@ def _polish_pairs(
                 x[rows] = cx[rows]
                 y[rows] = cy[rows]
         step *= 0.6
-    return float(best.max())
+    first = np.cumsum([0] + [min(top, sel.size) for sel in members[:-1]])
+    return np.maximum.reduceat(best, first)
 
 
 def modulus(
@@ -175,15 +181,9 @@ def modulus(
     box = u.grid.margin_box(margin)
     xs, ys, strata = sample_pairs(box, radii, per_radius, seed)
     du = np.abs(u.value_batch(xs) - u.value_batch(ys))
-    omegas = np.zeros(radii.size)
-    for k, r in enumerate(radii):
-        sel = strata == k
-        omegas[k] = du[sel].max()
-        if polish:
-            omegas[k] = max(
-                omegas[k],
-                _polish_pairs(u, xs[sel], ys[sel], du[sel], box, 0.9 * r, 1.1 * r),
-            )
+    omegas = np.array([du[strata == k].max() for k in range(radii.size)])
+    if polish:
+        omegas = np.maximum(omegas, _polish_pairs(u, xs, ys, du, strata, radii, box))
     omegas = np.maximum.accumulate(omegas)
     return list(zip(radii.tolist(), omegas.tolist()))
 

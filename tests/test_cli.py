@@ -6,7 +6,7 @@ import pytest
 
 from heisenpde.cli import main
 from heisenpde.grid import GridFunction
-from heisenpde.pipeline import PipelineConfig, holder_config, run_pipeline
+from heisenpde.pipeline import ARTIFACTS, PipelineConfig, holder_config, run_pipeline
 from heisenpde.solver import ProblemSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -316,6 +316,38 @@ def test_pipeline_nonconvergence_exit_2(tmp_path, capsys):
         "converged": False,
         "pass": False,
     }
+
+
+def test_pipeline_removes_stale_plot_data(tmp_path):
+    cfg = write_json(tmp_path / "pipe.json", PIPELINE_CONFIG)
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    assert main(["pipeline", "--config", cfg, "--out", str(out), "--emit-plot-data"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS + ("notes.txt",))
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+    names = {p.name for p in out.iterdir()}
+    assert names == set(ARTIFACTS) - {"modulus.csv"} | {"notes.txt"}
+    assert (out / "notes.txt").read_text() == "kept"
+
+
+def test_pipeline_nonconvergence_removes_stale_reports(tmp_path):
+    out = tmp_path / "run"
+    cfg = write_json(tmp_path / "pipe.json", PIPELINE_CONFIG)
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+    (out / "notes.txt").write_text("kept")
+    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14, max_iters=2, multilevel=False)
+    stuck = write_json(tmp_path / "stuck.json", dict(PIPELINE_CONFIG, problem=problem))
+    assert main(["pipeline", "--config", stuck, "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == [
+        "notes.txt",
+        "pipeline_report.json",
+        "solution.csv",
+        "solution.diag.json",
+        "solution_refined.csv",
+        "solution_refined.diag.json",
+    ]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_pipeline_end_to_end(tmp_path):

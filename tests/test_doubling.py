@@ -21,7 +21,9 @@ from heisenpde.doubling import (
     trace_gap,
     vertical_obstruction_check,
 )
-from heisenpde.fields import NumericField, PolynomialField
+from heisenpde.doubling import _psi_max, _tensor_axes, _tensor_points
+from heisenpde.fields import NumericField, PolynomialField, parse_polynomial
+from heisenpde.grid import Grid3, GridFunction
 from heisenpde.group import Point, sqrt_p
 from heisenpde.rng import SplitMix64
 from heisenpde.symmetric import Sym3, operator_norm
@@ -416,3 +418,90 @@ def test_doubling_certificate_validation():
         doubling_certificate(
             u, PenaltyParams(L=1.0, alpha=0.5), (domain[1], domain[0])
         )
+
+
+def chunked_psi_max(u, pts_x, pts_y, pp, chunk=256):
+    """The chunked pair-product maximization that the blocked kernel replaced,
+    kept as its oracle: (theta, ix, iy) over all pairs of two point lists."""
+    ux = np.asarray(u.value_batch(pts_x), dtype=float)
+    uy = np.asarray(u.value_batch(pts_y), dtype=float)
+    x_sq = np.sum(pts_x**2, axis=1)
+    best = -np.inf
+    best_ix = best_iy = 0
+    for start in range(0, pts_x.shape[0], chunk):
+        stop = min(start + chunk, pts_x.shape[0])
+        d = pts_x[start:stop, None, :] - pts_y[None, :, :]
+        dist = np.sqrt(np.sum(d * d, axis=2))
+        psi = (
+            ux[start:stop, None]
+            - uy[None, :]
+            - pp.L * dist**pp.alpha
+            - pp.delta * x_sq[start:stop, None]
+            - pp.eps
+        )
+        k = int(np.argmax(psi))
+        val = float(psi.flat[k])
+        if val > best:
+            best = val
+            best_ix = start + k // psi.shape[1]
+            best_iy = k % psi.shape[1]
+    return best, best_ix, best_iy
+
+
+def cusp_grid_function(n=17):
+    """sum |x_i - c_i|^0.6 on an off-centre, non-dyadic grid, cusp off-node."""
+    grid = Grid3.box((-0.9, -1.1, -0.7), (1.3, 0.8, 1.2), (n, n + 2, n - 2))
+    c = np.array([0.23, -0.31, 0.17])
+    u = NumericField(lambda pts: np.sum(np.abs(pts - c) ** 0.6, axis=1))
+    return GridFunction.from_field(grid, u)
+
+
+BOX = (np.array([-0.7, -0.9, -0.5]), np.array([1.1, 0.6, 1.0]))
+
+
+def psi_case(name, m):
+    """(u, axes_x, axes_y, pp) of one oracle case with m points per axis."""
+    axes = _tensor_axes(*BOX, m)
+    if name == "cusp-off-diagonal":
+        return cusp_grid_function(), axes, axes, PenaltyParams(0.3, 0.6, 1e-6, 1e-6)
+    if name == "smooth-on-diagonal":
+        grid = cusp_grid_function().grid
+        u = GridFunction.from_field(grid, parse_polynomial("0.2 x1 + 0.1 x2 x3"))
+        return u, axes, axes, PenaltyParams(1.1, 0.45, 1e-6, 1e-6)
+    if name == "two-boxes":
+        other = _tensor_axes(BOX[0] + 0.2, BOX[1] - 0.35, m)
+        return cusp_grid_function(), axes, other, PenaltyParams(0.5, 0.45, 1e-3, 1e-6)
+    # a constant field without the delta term: every diagonal pair ties
+    return PolynomialField.constant(3.0), axes, axes, PenaltyParams(0.7, 1.0, 0.0, 1e-6)
+
+
+CASES = ["cusp-off-diagonal", "smooth-on-diagonal", "two-boxes", "ties"]
+
+
+@pytest.mark.parametrize("m", [2, 9, 17])
+@pytest.mark.parametrize("name", CASES)
+def test_blocked_psi_max_matches_chunked_oracle(name, m):
+    u, axes_x, axes_y, pp = psi_case(name, m)
+    got = _psi_max(u, axes_x, axes_y, pp)
+    want = chunked_psi_max(u, _tensor_points(axes_x), _tensor_points(axes_y), pp)
+    assert got == want
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    theta, ix, iy = got
+    if name == "cusp-off-diagonal" and m > 2:
+        assert ix != iy and theta > 0
+    if name == "smooth-on-diagonal":
+        assert ix == iy
+    if name == "ties":
+        assert (ix, iy) == (0, 0) and theta == -1e-6
+
+
+def test_certificate_rejects_non_finite_values():
+    class NaNField:
+        def value_batch(self, pts):
+            out = np.zeros(pts.shape[0])
+            out[pts.shape[0] // 2] = np.nan
+            return out
+
+    pp = PenaltyParams(L=1.0, alpha=0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        doubling_certificate(NaNField(), pp, BOX, per_axis=5)

@@ -124,3 +124,17 @@ def test_csv_is_deterministic(tmp_path):
     GridFunction.from_field(g, u).to_csv(a)
     GridFunction.from_field(g, u).to_csv(b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_csv_bytes_match_per_row_writer(tmp_path):
+    g = Grid3.box((-0.9, -1.1, -0.7), (1.3, 0.8, 1.2), (7, 9, 11))
+    values = np.random.default_rng(3).normal(size=g.counts) * np.logspace(-300, 300, 11)
+    values[0, 0, :3] = (-0.0, 5e-324, -1.7976931348623157e308)
+    gf = GridFunction(g, values)
+    path = tmp_path / "u.csv"
+    gf.to_csv(path)
+    pts = g.points()
+    rows = ["x1,x2,x3,u\n"] + [
+        "%.17g,%.17g,%.17g,%.17g\n" % (*p, v) for p, v in zip(pts, gf.values.ravel())
+    ]
+    assert path.read_bytes() == "".join(rows).encode()

@@ -182,3 +182,83 @@ def test_check_theorem_constant_solution():
     assert report.seminorm_at_target <= 1e-6
     assert report.degenerate_fit
     assert report.passed
+
+
+def per_stratum_polish(u, xs, ys, vals, box, r_lo, r_hi, top=6, rounds=14):
+    """The one-stratum-at-a-time polish that the stacked polish replaced,
+    kept as its oracle."""
+    lo, hi = box
+    order = np.argsort(vals)[-top:]
+    x = xs[order].copy()
+    y = ys[order].copy()
+    best = vals[order].copy()
+    step = 0.5 * r_hi
+    moves = np.concatenate([np.eye(3), -np.eye(3)])
+    for _ in range(rounds):
+        for which in (0, 1):
+            for m in moves:
+                cx = x + step * m if which == 0 else x.copy()
+                cy = y + step * m if which == 1 else y.copy()
+                np.clip(cx, lo, hi, out=cx)
+                np.clip(cy, lo, hi, out=cy)
+                d = cy - cx
+                dist = np.linalg.norm(d, axis=1)
+                bad = dist < 1e-12
+                dist[bad] = 1.0
+                clipped = np.clip(dist, r_lo, r_hi)
+                cy = cx + d * (clipped / dist)[:, None]
+                ok = np.all((cy >= lo) & (cy <= hi), axis=1) & ~bad
+                if not ok.any():
+                    continue
+                cand = np.abs(u.value_batch(cx[ok]) - u.value_batch(cy[ok]))
+                rows_all = np.nonzero(ok)[0]
+                improve = cand > best[rows_all]
+                rows = rows_all[improve]
+                best[rows] = cand[improve]
+                x[rows] = cx[rows]
+                y[rows] = cy[rows]
+        step *= 0.6
+    return float(best.max())
+
+
+def per_stratum_modulus(u, radii, margin=0.1, per_radius=2000, seed=0):
+    radii = np.asarray(radii, dtype=float)
+    box = u.grid.margin_box(margin)
+    xs, ys, strata = sample_pairs(box, radii, per_radius, seed)
+    du = np.abs(u.value_batch(xs) - u.value_batch(ys))
+    omegas = np.zeros(radii.size)
+    for k, r in enumerate(radii):
+        sel = strata == k
+        omegas[k] = du[sel].max()
+        omegas[k] = max(
+            omegas[k], per_stratum_polish(u, xs[sel], ys[sel], du[sel], box, 0.9 * r, 1.1 * r)
+        )
+    omegas = np.maximum.accumulate(omegas)
+    return list(zip(radii.tolist(), omegas.tolist()))
+
+
+class CountingGridFunction(GridFunction):
+    calls = 0
+
+    def value_batch(self, pts):
+        self.calls += 1
+        return super().value_batch(pts)
+
+
+def cusp_grid(n):
+    """sum |x_i - c_i|^0.6 on an off-centre, non-dyadic grid."""
+    grid = Grid3.box((-0.9, -1.1, -0.7), (1.3, 0.8, 1.2), (n, n + 2, n - 2))
+    c = np.array([0.23, -0.31, 0.17])
+    field = NumericField(lambda pts: np.sum(np.abs(pts - c) ** 0.6, axis=1))
+    return CountingGridFunction(grid, GridFunction.from_field(grid, field).values)
+
+
+@pytest.mark.parametrize("n, per_radius, seed", [(33, 2000, 0), (17, 400, 5), (17, 4, 2)])
+def test_stacked_polish_matches_per_stratum_oracle(n, per_radius, seed):
+    u = cusp_grid(n)
+    radii, _ = default_radii(u)
+    got = modulus(u, radii, per_radius=per_radius, seed=seed)
+    assert u.calls <= 2 + 14 * 2 * 6 * 2
+    assert got == per_stratum_modulus(u, radii, per_radius=per_radius, seed=seed)
+    unpolished = modulus(u, radii, per_radius=per_radius, seed=seed, polish=False)
+    assert any(w > w0 for (_, w), (_, w0) in zip(got, unpolished))
