@@ -446,14 +446,17 @@ def doubling_certificate(
     per_axis: int = 17,
 ) -> MaxReport:
     """Maximize psi(x,y) = u(x) - u(y) - L|x-y|^alpha - delta|x|^2 - eps over
-    a tensor product sample of the box, refining once (factor 4) around the
-    incumbent; theta <= 0 certifies the Holder bound at desk scale.
+    a tensor product sample of the box with per_axis >= 2 points per axis,
+    refining once (factor 4) around the incumbent; theta <= 0 certifies the
+    Holder bound at desk scale.
 
     u is any object with a value_batch((n,3)) method (ScalarField or a grid
     function).  The sample is deterministic, so the report is reproducible.
     """
     if pp.alpha > 1.0:
         raise ValueError("the certificate requires alpha <= 1")
+    if per_axis < 2:
+        raise ValueError(f"per_axis must be at least 2, got {per_axis}")
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
     if lower.shape != (3,) or upper.shape != (3,) or np.any(upper <= lower):

@@ -86,6 +86,8 @@ class PipelineConfig:
             eps=config_number(pen, "penalty", "eps", default=1e-6),
         )
         per_axis = config_number(pen, "penalty", "per_axis", int, default=17)
+        if per_axis < 2:
+            raise ValueError(f"penalty config 'per_axis' must be at least 2, got {per_axis}")
         return PipelineConfig(ProblemSpec.from_config(cfg["problem"]), check, penalty, per_axis)
 
 

@@ -25,10 +25,20 @@ The basic iteration is the Jacobi-style pseudo-time step
     v = u + tau * (F(stencil) - c u - f)
 with tau = 0.4 rho^2 / (Lam (4 + c_max rho^2)).  A single-level sweep needs
 O(1/(tau * lambda_min)) iterations, which is far too slow on fine grids, so
-solve() accelerates it with FAS-style V-cycles on nested coarser grids using
-the same step as smoother; the stencil, tau rule, stopping test (fine-grid
-residual below tol), and hence the fixed point are unchanged.  Set
-multilevel=False for the plain single-level iteration.
+solve() accelerates it with FAS-style V-cycles on nested coarser grids,
+smoothing with the same step on every level but the coarsest; the stencil,
+tau rule, stopping test (fine-grid residual below tol), and hence the fixed
+point are unchanged.  Set multilevel=False for the plain single-level
+iteration.
+
+The coarsest level is solved directly.  The stencil is affine in the
+interior node values, so probing it once with the interior unit vectors
+gives dense maps (hxx, hxy, hyy) = M u + b; the equation F(M u + b) - c u
+= rhs is then solved by Newton's method with the Jacobian
+sum_k diag(dF/dh_k) M_k - diag(c), the slopes dF/dh_k taken by central
+differences of OperatorSpec.apply_batch, so every operator kind shares one
+derivative path.  A coarsest level with more than _Multilevel.DENSE_MAX
+interior nodes (reached only from non-dyadic grids) is smoothed instead.
 """
 
 from __future__ import annotations
@@ -130,6 +140,8 @@ class SolveResult:
     cycles: int = 0
     rho: float = 0.0  # the sample step on the finest grid
     levels: list = field(default_factory=list)  # grid counts, finest first
+    level_evals: list = field(default_factory=list)  # evaluations of T per level, finest first
+    coarse_newton_steps: int = 0  # Newton steps of the coarsest-level solves
     outside_fraction: float = 0.0  # share of finest-grid samples off the box
     cycle_residuals: list = field(default_factory=list)  # fine residual after each V-cycle
 
@@ -315,12 +327,14 @@ class Discretization:
         mask = self.grid.interior_mask().ravel()
         self.boundary_flat = np.flatnonzero(~mask)
         self.boundary_vals = prob.boundary.value_batch(pts[~mask])
+        self.evals = 0  # evaluations of T on this level
 
     def initial_values(self) -> np.ndarray:
         return self.boundary.value_batch(self.grid.points())
 
     def apply_nonlinearity(self, flat: np.ndarray) -> np.ndarray:
         """T(u) = F(stencil Hessian) - c u at interior nodes."""
+        self.evals += 1
         hxx, hxy, hyy = self.stencil.hessian_components(flat)
         uc = _interior(flat, self.grid.counts).ravel()
         return self.op.apply_batch(hxx, hxy, hyy) - self.c_int * uc
@@ -436,28 +450,88 @@ def _prolong(coarse: np.ndarray, fine_counts: tuple[int, int, int]) -> np.ndarra
     return out
 
 
+def _probe(disc: Discretization) -> np.ndarray:
+    """The (3, n, n) matrix M of disc's stencil over its n interior nodes:
+    hessian_components(u) = M @ interior(u) + hessian_components(u with a
+    zero interior), read off one interior unit vector at a time."""
+    counts = disc.grid.counts
+    flat = np.zeros(int(np.prod(counts)))
+    inner = _interior(flat, counts)
+    base = disc.stencil.hessian_components(flat)
+    columns = []
+    for idx in np.ndindex(inner.shape):
+        inner[idx] = 1.0
+        columns.append(disc.stencil.hessian_components(flat) - base)
+        inner[idx] = 0.0
+    return np.stack(columns, axis=-1)
+
+
+def _values_and_slopes(op: OperatorSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F at the (3, n) Hessian components h and its slopes dF/dh_k, (3, n),
+    by central differences with steps 1e-7 max(1, |h_k|), from one
+    apply_batch call on the centre and the six shifted copies of h."""
+    n = h.shape[1]
+    steps = 1e-7 * np.maximum(1.0, np.abs(h))
+    up, down = h + steps, h - steps
+    probes = np.repeat(h[:, None, :], 7, axis=1)  # centre, then (up, down) per component
+    for k in range(3):
+        probes[k, 1 + 2 * k] = up[k]
+        probes[k, 2 + 2 * k] = down[k]
+    vals = op.apply_batch(*probes.reshape(3, 7 * n)).reshape(7, n)
+    return vals[0], (vals[1::2] - vals[2::2]) / (up - down)
+
+
 class _Multilevel:
-    """FAS V-cycles over nested coarsenings, with the Jacobi step as smoother."""
+    """FAS V-cycles over nested coarsenings, with the Jacobi step as smoother
+    and a direct solve on the coarsest level."""
 
     SWEEPS = 3  # smoothing sweeps before and after the coarse-grid correction
+    DENSE_MAX = 512  # largest coarsest level, in interior nodes, solved by Newton
+    NEWTON_MAX = 20  # Newton steps per coarsest-level solve
+    COARSE_SWEEPS = 300  # smoothing sweeps per solve on a coarsest level above DENSE_MAX
 
     def __init__(self, prob: ProblemSpec, finest: Discretization):
-        self.prob = prob
         self.levels: list[Discretization] = [finest]
         grid = prob.grid
         while grid.can_coarsen():
             grid = grid.coarsen()
             self.levels.append(Discretization(prob, grid))
         self.fine_steps = 0
+        self.newton_steps = 0
+        coarsest = self.levels[-1]
+        self.dense = _probe(coarsest) if coarsest.c_int.size <= self.DENSE_MAX else None
+
+    def coarse_solve(self, flat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve T(u) = rhs on the coarsest level in place, stopping once
+        max |T(u) - rhs| < 1e-14 max(1, max |rhs|): by Newton on the probed
+        affine stencil, or with at most COARSE_SWEEPS smoothing sweeps on a
+        level above DENSE_MAX."""
+        disc = self.levels[-1]
+        tol = 1e-14 * max(1.0, np.abs(rhs).max())
+        if self.dense is None:
+            for _ in range(self.COARSE_SWEEPS // 5):
+                if np.abs(disc.smooth(flat, rhs, 5)).max() < tol:
+                    break
+            return flat
+        edge = flat.copy()
+        _interior(edge, disc.grid.counts)[...] = 0.0
+        offset = disc.stencil.hessian_components(edge)
+        for _ in range(self.NEWTON_MAX):
+            u = _interior(flat, disc.grid.counts).ravel()
+            vals, slopes = _values_and_slopes(disc.op, self.dense @ u + offset)
+            disc.evals += 1
+            res = vals - disc.c_int * u - rhs
+            if np.abs(res).max() < tol:
+                break
+            jac = np.einsum("kn,knm->nm", slopes, self.dense) - np.diag(disc.c_int)
+            disc.advance(flat, -np.linalg.solve(jac, res), 1.0)
+            self.newton_steps += 1
+        return flat
 
     def vcycle(self, l: int, flat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         disc = self.levels[l]
         if l == len(self.levels) - 1:
-            for _ in range(60):
-                res = disc.smooth(flat, rhs, 5)
-                if np.abs(res).max() < 1e-14 * max(1.0, np.abs(rhs).max()):
-                    break
-            return flat
+            return self.coarse_solve(flat, rhs)
         disc.smooth(flat, rhs, self.SWEEPS)
         if l == 0:
             self.fine_steps += self.SWEEPS
@@ -478,14 +552,12 @@ class _Multilevel:
         return flat
 
     def fmg_initial(self) -> np.ndarray:
-        """Nested iteration: solve coarse levels first, prolong upward."""
+        """Nested iteration: solve the coarsest level, then prolong upward
+        with one V-cycle per intermediate level."""
         coarsest = self.levels[-1]
         flat = coarsest.initial_values()
         coarsest.enforce_boundary(flat)
-        for _ in range(80):
-            res = coarsest.smooth(flat, coarsest.f_int, 5)
-            if np.abs(res).max() < 0.01 * self.prob.tol:
-                break
+        self.coarse_solve(flat, coarsest.f_int)
         for l in range(len(self.levels) - 2, -1, -1):
             disc = self.levels[l]
             coarse = self.levels[l + 1]
@@ -507,6 +579,7 @@ def solve(prob: ProblemSpec) -> SolveResult:
     returns the best iterate flagged, never raises.
     """
     disc = prob.discretization
+    evals_before = disc.evals  # the finest level outlives this solve
     history = []  # the fine residual after each V-cycle
     if prob.multilevel and prob.grid.can_coarsen():
         ml = _Multilevel(prob, disc)
@@ -516,11 +589,11 @@ def solve(prob: ProblemSpec) -> SolveResult:
             ml.vcycle(0, flat, disc.f_int)
             rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
             history.append(rn)
-        iters, levels = ml.fine_steps, [level.grid.counts for level in ml.levels]
+        iters, levels, newton = ml.fine_steps, ml.levels, ml.newton_steps
     else:
         flat = disc.initial_values()
         disc.enforce_boundary(flat)
-        iters, levels = 0, [prob.grid.counts]
+        iters, levels, newton = 0, [disc], 0
         # each sweep advances with the residual of the stopping test before it
         res = disc.residual_interior(flat, disc.f_int)
         rn = float(np.abs(res).max())
@@ -530,9 +603,13 @@ def solve(prob: ProblemSpec) -> SolveResult:
             res = disc.residual_interior(flat, disc.f_int)
             rn = float(np.abs(res).max())
     u = GridFunction(prob.grid, flat.reshape(prob.grid.counts))
+    level_evals = [level.evals for level in levels]
+    level_evals[0] -= evals_before
     return SolveResult(
-        u, iters, rn, rn < prob.tol, disc.tau, len(history), rho=disc.rho, levels=levels,
-        outside_fraction=disc.stencil.outside_fraction, cycle_residuals=history,
+        u, iters, rn, rn < prob.tol, disc.tau, len(history), rho=disc.rho,
+        levels=[level.grid.counts for level in levels], level_evals=level_evals,
+        coarse_newton_steps=newton, outside_fraction=disc.stencil.outside_fraction,
+        cycle_residuals=history,
     )
 
 

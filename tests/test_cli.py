@@ -188,6 +188,19 @@ def test_pipeline_bad_penalty_writes_nothing(tmp_path, capsys, penalty):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("per_axis", [0, -1, 1])
+def test_pipeline_rejects_per_axis_below_two_before_solving(tmp_path, capsys, monkeypatch, per_axis):
+    def no_solve(prob):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr("heisenpde.pipeline.solve", no_solve)
+    cfg = write_json(tmp_path / "pipe.json", dict(PIPELINE_CONFIG, penalty={"per_axis": per_axis}))
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 1
+    assert "'per_axis'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_problem_stencil_scale_is_unknown(tmp_path, capsys):
     cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, stencil_scale=0.5))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1

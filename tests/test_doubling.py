@@ -420,6 +420,14 @@ def test_doubling_certificate_validation():
         )
 
 
+@pytest.mark.parametrize("per_axis", [0, -1, 1])
+def test_doubling_certificate_rejects_per_axis_below_two(per_axis):
+    u = PolynomialField.constant(0.0)
+    domain = (np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="per_axis"):
+        doubling_certificate(u, PenaltyParams(L=1.0, alpha=0.5), domain, per_axis)
+
+
 def chunked_psi_max(u, pts_x, pts_y, pp, chunk=256):
     """The chunked pair-product maximization that the blocked kernel replaced,
     kept as its oracle: (theta, ix, iy) over all pairs of two point lists."""

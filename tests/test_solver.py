@@ -8,9 +8,12 @@ from heisenpde.fields import PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction
 from heisenpde.group import Point, frame_batch
 from heisenpde.operators import EllipticityBracket, OperatorSpec
+from heisenpde.symmetric import Sym2
 from heisenpde.solver import (
     Discretization,
     ProblemSpec,
+    _interior,
+    _Multilevel,
     cfl_tau,
     manufacture,
     residual_norm,
@@ -273,6 +276,8 @@ def test_single_level_solve_evaluates_operator_once_per_sweep(monkeypatch):
     res = solve(prob)
     assert res.converged and res.iterations > 0
     assert len(calls) == res.iterations + 1
+    assert res.level_evals == [len(calls)]
+    assert res.coarse_newton_steps == 0
 
 
 def test_multilevel_and_pure_agree():
@@ -372,3 +377,108 @@ def test_solve_reports_levels_and_cycle_residuals():
     assert len(res.cycle_residuals) == res.cycles
     assert res.cycle_residuals[-1] == res.residual
     assert 0 < res.outside_fraction < 1
+
+
+def test_solve_reports_work_per_level():
+    u_star, prob = manufactured_problem(17, tol=1e-6)
+    first, again = solve(prob), solve(prob)
+    assert len(first.level_evals) == len(first.levels)
+    assert min(first.level_evals) > 0 and first.coarse_newton_steps > 0
+    # counted per solve, although the finest level is kept by the problem
+    assert (again.level_evals, again.coarse_newton_steps) == (
+        first.level_evals,
+        first.coarse_newton_steps,
+    )
+    diag = first.to_dict()
+    assert diag["level_evals"] == first.level_evals
+    assert diag["coarse_newton_steps"] == first.coarse_newton_steps
+
+
+POLY_BOUNDARY = parse_polynomial("x1^2 x3 - x2 + 0.5 x3^2")
+
+
+@pytest.mark.parametrize("n,coarsest", [(17, 5), (11, 6)])
+def test_probed_coarse_map_matches_stencil(n, coarsest):
+    prob = ProblemSpec(SUB, ONE, ZERO, POLY_BOUNDARY, box(n))
+    ml = _Multilevel(prob, prob.discretization)
+    disc = ml.levels[-1]
+    assert disc.grid.counts == (coarsest,) * 3
+    assert disc.stencil.outside_fraction > 0
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        flat = rng.standard_normal(disc.grid.n_nodes)
+        edge = flat.copy()
+        _interior(edge, disc.grid.counts)[...] = 0.0
+        probed = ml.dense @ _interior(flat, disc.grid.counts).ravel()
+        probed += disc.stencil.hessian_components(edge)
+        want = disc.stencil.hessian_components(flat)
+        assert np.abs(probed - want).max() <= 1e-13 * np.abs(want).max()
+
+
+COARSE_KINDS = {
+    "sublaplacian": SUB,
+    "trace_linear": OperatorSpec(
+        "trace_linear", EllipticityBracket(0.5, 1.5), coeff=Sym2(1.0, 0.4, 1.0)
+    ),
+    "pucci_plus": OperatorSpec("pucci_plus", EllipticityBracket(1.0, 4.0)),
+    "pucci_minus": OperatorSpec("pucci_minus", EllipticityBracket(1.0, 4.0)),
+    "custom": OperatorSpec(
+        "custom",
+        EllipticityBracket(0.75, 2.25),
+        fn=lambda h: 1.5 * h.a11 + h.a22 + 0.25 * np.sin(h.a11 + h.a22),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COARSE_KINDS))
+def test_coarse_solve_meets_its_test(kind):
+    # rhs = T(target) for a random interior: coarse_solve must find target
+    prob = ProblemSpec(COARSE_KINDS[kind], ONE, ONE, POLY_BOUNDARY, box(9))
+    ml = _Multilevel(prob, prob.discretization)
+    disc = ml.levels[-1]
+    target = disc.initial_values()
+    disc.enforce_boundary(target)
+    inner = _interior(target, disc.grid.counts)
+    inner += np.random.default_rng(5).standard_normal(inner.shape)
+    rhs = disc.apply_nonlinearity(target)
+    flat = disc.initial_values()
+    disc.enforce_boundary(flat)
+    ml.coarse_solve(flat, rhs)
+    assert 0 < ml.newton_steps < ml.NEWTON_MAX
+    assert np.abs(disc.apply_nonlinearity(flat) - rhs).max() < 1e-14 * np.abs(rhs).max()
+    assert np.abs(flat - target).max() < 1e-13
+
+
+def test_pucci_coarsest_level_evaluated_once_per_visit(monkeypatch):
+    calls = []
+    apply = Discretization.apply_nonlinearity
+
+    def counted(self, flat):
+        calls.append(self.grid.counts)
+        return apply(self, flat)
+
+    monkeypatch.setattr(Discretization, "apply_nonlinearity", counted)
+    u_star = parse_polynomial("x1^2 - x2^2")
+    op = COARSE_KINDS["pucci_plus"]
+    prob = ProblemSpec(op, ONE, manufacture(u_star, op, ONE), u_star, box(17), tol=1e-6)
+    res = solve(prob)
+    assert res.converged and res.levels[-1] == (5, 5, 5)
+    assert calls.count((5, 5, 5)) <= res.cycles + len(res.levels)
+    # every level but the coarsest is evaluated only through apply_nonlinearity
+    assert res.level_evals[:-1] == [calls.count(counts) for counts in res.levels[:-1]]
+    # each coarsest-level solve (one per V-cycle, len(levels) - 1 in the
+    # nested iteration) evaluates T once per Newton step and once to stop
+    coarse_solves = res.cycles + len(res.levels) - 1
+    newton_evals = coarse_solves + res.coarse_newton_steps
+    assert res.level_evals[-1] == calls.count((5, 5, 5)) + newton_evals
+
+
+def test_coarsest_level_above_dense_max_is_smoothed():
+    u_star, prob = manufactured_problem(27, tol=1e-5)
+    ml = _Multilevel(prob, prob.discretization)
+    assert ml.levels[-1].c_int.size > ml.DENSE_MAX and ml.dense is None
+    res = solve(prob)
+    assert res.converged
+    assert res.levels == [(27, 27, 27), (14, 14, 14)]
+    assert res.coarse_newton_steps == 0 and res.level_evals[-1] > 0
+    assert res.cycles <= 20
