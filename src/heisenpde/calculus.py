@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import PolynomialField, ScalarField
-from .group import Point, frame, frame_batch, p_matrix
+from .group import Point, frame, frame_batch
 from .symmetric import Sym2, Sym3
 
 HorizontalGradient = np.ndarray
@@ -92,8 +92,3 @@ def lift_batch(mats: np.ndarray, xy: np.ndarray) -> np.ndarray:
 def sublaplacian(u: ScalarField, p: Point) -> float:
     """X^2u + Y^2u = tr(D^{2,*}u) = tr(P D^2 u)."""
     return h_hessian(u, p).trace()
-
-
-def sublaplacian_via_p(u: ScalarField, p: Point) -> float:
-    """Alternative route tr(P(p) D^2u(p)); must agree with sublaplacian."""
-    return float(np.trace(p_matrix(p).mat @ full_hessian(u, p).mat))

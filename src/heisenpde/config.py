@@ -18,7 +18,7 @@ def config_section(cfg, name: str, required=(), optional=()) -> dict:
 
 
 def config_number(cfg: dict, name: str, key: str, kind=float, default=None, length=None):
-    """cfg[key] of section `name` as a `kind` (float, int or bool), or
+    """cfg[key] of section `name` as a `kind` (float or int), or
     `default` when the key is absent; with `length`, a list of that many such
     values, returned as a tuple.  A value of another JSON type, or a
     non-integral int, raises ValueError naming the section and the key."""
@@ -34,10 +34,6 @@ def config_number(cfg: dict, name: str, key: str, kind=float, default=None, leng
 
 
 def _convert(value, kind, where: str):
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ValueError(f"{where} must be true or false, got {value!r}")
-        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where} must be a number, got {value!r}")
     if kind is int and not float(value).is_integer():

@@ -161,10 +161,6 @@ def n_norm_bound_batch(x: np.ndarray, y: np.ndarray, L, alpha, mu) -> np.ndarray
     )
 
 
-def n_norm_bound(x: Point, y: Point, pp: PenaltyParams) -> float:
-    return float(n_norm_bound_batch(*_pair(x, y), pp.L, pp.alpha, pp.mu)[0])
-
-
 def block_matrix(n: np.ndarray) -> np.ndarray:
     """[[N, -N], [-N, N]] as a 6x6 array, or an (k, 6, 6) stack for (k, 3, 3)."""
     return np.block([[n, -n], [-n, n]])

@@ -183,12 +183,6 @@ class GridFunction:
         arr = p.as_array() if hasattr(p, "as_array") else np.asarray(p, dtype=float)
         return float(self.value_batch(arr[None, :])[0])
 
-    def max_interior_abs_diff(self, other: "GridFunction") -> float:
-        if self.grid != other.grid:
-            raise ValueError("grids differ")
-        mask = self.grid.interior_mask()
-        return float(np.abs(self.values[mask] - other.values[mask]).max())
-
     def to_csv(self, path) -> None:
         """Write the rows in storage order, one (i1, i2) column at a time:
         each axis coordinate is formatted once, and each column's values

@@ -139,10 +139,6 @@ def null_direction_batch(xy: np.ndarray) -> np.ndarray:
     return np.stack([-2.0 * xy[:, 1], 2.0 * xy[:, 0], np.ones(xy.shape[0])], axis=1)
 
 
-def null_direction(p: Point) -> Vec3:
-    return null_direction_batch(_row(p))[0]
-
-
 def sqrt_p_batch(xy: np.ndarray) -> np.ndarray:
     """Closed-form square root of P, regular at x' = 0; xy is (n, 2) or
     (n, 3), result (n, 3, 3).

@@ -1,8 +1,10 @@
 """Degenerate fully nonlinear operators on H^1 and PDE residual evaluation.
 
-An OperatorSpec names a monotone map F on small symmetric matrices together
-with its ellipticity bracket (lam, Lam) and the form it acts in: "intrinsic"
-applies F to the symmetrized horizontal Hessian (2x2), "lifted" applies it to
+An OperatorSpec names a monotone map F on small symmetric matrices, one of
+the kinds sublaplacian (the trace), pucci_plus, pucci_minus and trace_linear
+(trace(a H) with a fixed coefficient a), together with its ellipticity
+bracket (lam, Lam) and the form it acts in: "intrinsic" applies F to the
+symmetrized horizontal Hessian (2x2), "lifted" applies it to
 sqrt(P) D^2u sqrt(P) (3x3).  Pucci extremal operators are defined as the
 max/min of trace(a H) over matrices a with spectrum in [lam, Lam] and computed
 by the eigenvalue formula Lam*sum(e>0) + lam*sum(e<0) (resp. swapped), which
@@ -13,8 +15,7 @@ eigensolver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .symmetric import Sym2, Sym3
 INTRINSIC = "intrinsic"
 LIFTED = "lifted"
 
-KINDS = ("sublaplacian", "pucci_plus", "pucci_minus", "trace_linear", "custom")
+KINDS = ("sublaplacian", "pucci_plus", "pucci_minus", "trace_linear")
 
 
 @dataclass(frozen=True)
@@ -83,41 +84,30 @@ def _pucci_from_eigs(eigs, bracket: EllipticityBracket, plus: bool) -> float:
     return total
 
 
-def pucci_plus(h: Sym2, bracket: EllipticityBracket) -> float:
-    """max over admissible a of trace(a h) = Lam*sum(e>0) + lam*sum(e<0)."""
+def pucci_plus(h: Sym2 | Sym3, bracket: EllipticityBracket) -> float:
+    """max over admissible a of trace(a h) = Lam*sum(e>0) + lam*sum(e<0),
+    for a 2x2 (intrinsic) or 3x3 (lifted) argument."""
     return _pucci_from_eigs(h.eigenvalues(), bracket, plus=True)
 
 
-def pucci_minus(h: Sym2, bracket: EllipticityBracket) -> float:
+def pucci_minus(h: Sym2 | Sym3, bracket: EllipticityBracket) -> float:
     """min over admissible a of trace(a h); equals -pucci_plus(-h) exactly."""
     return _pucci_from_eigs(h.eigenvalues(), bracket, plus=False)
-
-
-def pucci_plus_3(s: Sym3, bracket: EllipticityBracket) -> float:
-    """3x3 extremal max (the lifted family), via Jacobi eigenvalues."""
-    return _pucci_from_eigs(s.eigenvalues(), bracket, plus=True)
-
-
-def pucci_minus_3(s: Sym3, bracket: EllipticityBracket) -> float:
-    return _pucci_from_eigs(s.eigenvalues(), bracket, plus=False)
 
 
 @dataclass(frozen=True)
 class OperatorSpec:
     """A monotone operator kind with its bracket and acting form.
 
-    kind: one of sublaplacian, pucci_plus, pucci_minus, trace_linear, custom.
+    kind: one of sublaplacian, pucci_plus, pucci_minus, trace_linear.
     coeff: the fixed coefficient matrix of trace_linear (Sym2 for intrinsic
     form, Sym3 for lifted); its spectrum must lie inside the bracket.
-    fn: the callable of a custom kind, mapping Sym2/Sym3 to float; its bracket
-    claim is checked by validate_operator, not at construction.
     """
 
     kind: str
     bracket: EllipticityBracket
     form: str = INTRINSIC
     coeff: Sym2 | Sym3 | None = None
-    fn: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -133,8 +123,6 @@ class OperatorSpec:
             evs = np.asarray(self.coeff.eigenvalues(), dtype=float)
             if evs.min() < self.bracket.lam - 1e-12 or evs.max() > self.bracket.Lam + 1e-12:
                 raise ValueError("trace_linear coefficient spectrum escapes the bracket")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom kind needs a callable")
 
     @staticmethod
     def sublaplacian(form: str = INTRINSIC) -> "OperatorSpec":
@@ -145,13 +133,10 @@ class OperatorSpec:
         if self.kind == "sublaplacian":
             return h.trace()
         if self.kind == "pucci_plus":
-            return _pucci_from_eigs(h.eigenvalues(), self.bracket, plus=True)
+            return pucci_plus(h, self.bracket)
         if self.kind == "pucci_minus":
-            return _pucci_from_eigs(h.eigenvalues(), self.bracket, plus=False)
-        if self.kind == "trace_linear":
-            a, m = self.coeff.mat, h.mat
-            return float(np.trace(a @ m))
-        return float(self.fn(h))
+            return pucci_minus(h, self.bracket)
+        return float(np.trace(self.coeff.mat @ h.mat))
 
     def apply_batch(self, hxx: np.ndarray, hxy: np.ndarray, hyy: np.ndarray) -> np.ndarray:
         """Vectorized intrinsic-form evaluation on 2x2 component arrays."""
@@ -162,32 +147,17 @@ class OperatorSpec:
         if self.kind == "trace_linear":
             a = self.coeff
             return a.a11 * hxx + 2.0 * a.a12 * hxy + a.a22 * hyy
-        if self.kind in ("pucci_plus", "pucci_minus"):
-            mean = 0.5 * (hxx + hyy)
-            r = np.hypot(0.5 * (hxx - hyy), hxy)
-            lo, hi = mean - r, mean + r
-            plus = self.kind == "pucci_plus"
-            big, small = (self.bracket.Lam, self.bracket.lam) if plus else (
-                self.bracket.lam,
-                self.bracket.Lam,
-            )
-            return np.where(lo > 0, big * lo, small * lo) + np.where(
-                hi > 0, big * hi, small * hi
-            )
-        return np.array([self.fn(Sym2(a, b, c)) for a, b, c in zip(hxx, hxy, hyy)])
-
-    def to_config(self) -> dict:
-        if self.kind == "custom":
-            raise ValueError("custom operators are not serializable")
-        cfg = {
-            "kind": self.kind,
-            "lambda": self.bracket.lam,
-            "Lambda": self.bracket.Lam,
-            "form": self.form,
-        }
-        if self.kind == "trace_linear":
-            cfg["a"] = self.coeff.mat.tolist()
-        return cfg
+        mean = 0.5 * (hxx + hyy)
+        r = np.hypot(0.5 * (hxx - hyy), hxy)
+        lo, hi = mean - r, mean + r
+        plus = self.kind == "pucci_plus"
+        big, small = (self.bracket.Lam, self.bracket.lam) if plus else (
+            self.bracket.lam,
+            self.bracket.Lam,
+        )
+        return np.where(lo > 0, big * lo, small * lo) + np.where(
+            hi > 0, big * hi, small * hi
+        )
 
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":

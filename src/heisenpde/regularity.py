@@ -171,7 +171,6 @@ def modulus(
     margin: float = DEFAULT_MARGIN,
     per_radius: int = 2000,
     seed: int = 0,
-    polish: bool = True,
 ) -> list[tuple[float, float]]:
     """Empirical modulus of continuity: omega_r = max |u(x)-u(y)| over pairs
     with |x-y| near r, max-rectified to be nondecreasing in r."""
@@ -182,8 +181,7 @@ def modulus(
     xs, ys, strata = sample_pairs(box, radii, per_radius, seed)
     du = np.abs(u.value_batch(xs) - u.value_batch(ys))
     omegas = np.array([du[strata == k].max() for k in range(radii.size)])
-    if polish:
-        omegas = np.maximum(omegas, _polish_pairs(u, xs, ys, du, strata, radii, box))
+    omegas = np.maximum(omegas, _polish_pairs(u, xs, ys, du, strata, radii, box))
     omegas = np.maximum.accumulate(omegas)
     return list(zip(radii.tolist(), omegas.tolist()))
 

@@ -28,8 +28,8 @@ O(1/(tau * lambda_min)) iterations, which is far too slow on fine grids, so
 solve() accelerates it with FAS-style V-cycles on nested coarser grids,
 smoothing with the same step on every level but the coarsest; the stencil,
 tau rule, stopping test (fine-grid residual below tol), and hence the fixed
-point are unchanged.  Set multilevel=False for the plain single-level
-iteration.
+point are unchanged.  A grid that cannot be coarsened runs the plain
+single-level iteration.
 
 The coarsest level is solved directly.  The stencil is affine in the
 interior node values, so probing it once with the interior unit vectors
@@ -72,7 +72,6 @@ class ProblemSpec:
     grid: Grid3
     tol: float = 1e-6
     max_iters: int = 200_000
-    multilevel: bool = True
     sample_width: float | None = None
 
     def __post_init__(self):
@@ -100,7 +99,7 @@ class ProblemSpec:
             cfg,
             "problem",
             ("operator", "c", "f", "boundary", "grid"),
-            ("tol", "max_iters", "multilevel", "sample_width"),
+            ("tol", "max_iters", "sample_width"),
         )
         return ProblemSpec(
             op=OperatorSpec.from_config(cfg["operator"]),
@@ -110,7 +109,6 @@ class ProblemSpec:
             grid=_grid_from_config(cfg["grid"]),
             tol=config_number(cfg, "problem", "tol", default=1e-6),
             max_iters=config_number(cfg, "problem", "max_iters", int, default=200_000),
-            multilevel=config_number(cfg, "problem", "multilevel", bool, default=True),
             sample_width=(
                 config_number(cfg, "problem", "sample_width")
                 if cfg.get("sample_width") is not None
@@ -153,8 +151,8 @@ class SolveResult:
         return out
 
 
-def sample_step(grid: Grid3, scale: float = 0.5) -> float:
-    """Frame-sample step rho ~ scale * sqrt(h), snapped to a half-integer
+def sample_step(grid: Grid3) -> float:
+    """Frame-sample step rho ~ 0.5 * sqrt(h), snapped to a half-integer
     multiple of the spacing h = min(h1, h2).
 
     The sqrt balances the O(rho^2) line-truncation error against the
@@ -164,7 +162,7 @@ def sample_step(grid: Grid3, scale: float = 0.5) -> float:
     at half-integer ratios the interpolation damps them instead.
     """
     h = grid.horizontal_spacing
-    ratio = scale * np.sqrt(h) / h
+    ratio = 0.5 * np.sqrt(h) / h
     if ratio < 1.25:
         return h
     return max(1.5, np.floor(ratio) + 0.5) * h
@@ -573,15 +571,15 @@ class _Multilevel:
 def solve(prob: ProblemSpec) -> SolveResult:
     """Iterate toward max interior |F(stencil) - c u - f| < tol.
 
-    With multilevel=True (default) the single-level Jacobi step is wrapped in
-    FAS V-cycles; the fixed point and stopping rule are identical to the pure
-    iteration, which remains available via multilevel=False.  Non-convergence
+    On a grid that can be coarsened the single-level Jacobi step is wrapped
+    in FAS V-cycles; the fixed point and stopping rule are identical to the
+    pure iteration, which runs on grids that cannot.  Non-convergence
     returns the best iterate flagged, never raises.
     """
     disc = prob.discretization
     evals_before = disc.evals  # the finest level outlives this solve
     history = []  # the fine residual after each V-cycle
-    if prob.multilevel and prob.grid.can_coarsen():
+    if prob.grid.can_coarsen():
         ml = _Multilevel(prob, disc)
         flat = ml.fmg_initial()
         rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())

@@ -191,9 +191,3 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 50) 
 
 def min_eigenvalue(a: np.ndarray) -> float:
     return float(jacobi_eigenvalues(a)[0])
-
-
-def operator_norm(a: np.ndarray) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix."""
-    evs = jacobi_eigenvalues(a)
-    return float(max(abs(evs[0]), abs(evs[-1])))

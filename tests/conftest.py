@@ -21,3 +21,10 @@ def random_polynomial(g: SplitMix64, degree: int = 6, n_terms: int = 8) -> Polyn
 
 def random_points(g: SplitMix64, n: int, lo: float = -2.0, hi: float = 2.0) -> np.ndarray:
     return g.uniform(3 * n, lo, hi).reshape(n, 3)
+
+
+def max_interior_abs_diff(u, exact) -> float:
+    """max |u - exact| over the interior nodes of two grid functions on one grid."""
+    assert u.grid == exact.grid
+    mask = u.grid.interior_mask()
+    return float(np.abs(u.values[mask] - exact.values[mask]).max())

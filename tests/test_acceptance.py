@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from conftest import max_interior_abs_diff
 
 import heisenpde.checks as checks
 from heisenpde.cli import main as cli_main
@@ -147,7 +148,7 @@ def test_criterion_6_solver_convergence(capsys):
         res = solve(prob)
         assert res.converged, (n, res.residual)
         exact = GridFunction.from_field(grid, u_star)
-        errs.append(res.u.max_interior_abs_diff(exact))
+        errs.append(max_interior_abs_diff(res.u, exact))
     elapsed = time.monotonic() - t0
     orders = [float(np.log2(errs[k] / errs[k + 1])) for k in range(2)]
     monotone = errs[0] > errs[1] > errs[2]

@@ -54,17 +54,15 @@ def test_run_checks_filter_and_determinism():
 
 
 def test_flipped_pucci_is_detected(monkeypatch):
-    from heisenpde.operators import pucci_minus as true_minus
+    from heisenpde.operators import OperatorSpec
 
     # a corrupted build: the printed sign convention taken literally
-    def flipped(h, bracket):
-        lam, Lam = bracket.lam, bracket.Lam
-        total = 0.0
-        for e in sorted(h.eigenvalues(), key=abs):
-            total += Lam * e if e > 0.0 else -lam * e
-        return total
+    def flipped(self, hxx, hxy, hyy):
+        lam, Lam = self.bracket.lam, self.bracket.Lam
+        mean, r = 0.5 * (hxx + hyy), np.hypot(0.5 * (hxx - hyy), hxy)
+        return sum(np.where(e > 0, Lam * e, -lam * e) for e in (mean - r, mean + r))
 
-    monkeypatch.setattr(checks, "pucci_plus", flipped)
+    monkeypatch.setattr(OperatorSpec, "apply_batch", flipped)
     report = checks.check_pucci_bruteforce(seed=0, trials=5, samples=20_000)
     assert not report["pass"]
 

@@ -84,7 +84,7 @@ def test_solve_roundtrip(tmp_path):
 
 
 def test_solve_nonconvergence_exit_2(tmp_path):
-    bad = dict(SOLVE_CONFIG, tol=1e-14, max_iters=2, multilevel=False)
+    bad = dict(SOLVE_CONFIG, tol=1e-14, max_iters=2)
     cfg = write_json(tmp_path / "prob.json", bad)
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")])
     assert code == 2
@@ -126,7 +126,6 @@ def test_solve_malformed_section_exit_1(tmp_path, capsys, override, words):
     [
         ({"tol": [1]}, ("problem config", "'tol'")),
         ({"max_iters": 2.5}, ("problem config", "'max_iters'", "integer")),
-        ({"multilevel": "no"}, ("problem config", "'multilevel'")),
         ({"f": {"builtin": "smooth_abs", "eps": "x"}}, ("f config", "'eps'")),
         (
             {"operator": {"kind": "sublaplacian", "lambda": None, "Lambda": 1.0}},
@@ -144,7 +143,6 @@ def test_solve_malformed_section_exit_1(tmp_path, capsys, override, words):
     ids=[
         "tol-list",
         "max-iters-fraction",
-        "multilevel-string",
         "builtin-eps-string",
         "operator-lambda-null",
         "grid-lower-null",
@@ -205,6 +203,12 @@ def test_problem_stencil_scale_is_unknown(tmp_path, capsys):
     cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, stencil_scale=0.5))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1
     assert "stencil_scale" in capsys.readouterr().err
+
+
+def test_problem_multilevel_is_unknown(tmp_path, capsys):
+    cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, multilevel=True))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1
+    assert "unknown problem config keys: ['multilevel']" in capsys.readouterr().err
 
 
 def test_every_shipped_config_loads_through_its_reader():
@@ -313,7 +317,7 @@ def test_run_pipeline_frees_the_refined_problem_before_the_certificate(monkeypat
 
 
 def test_pipeline_nonconvergence_exit_2(tmp_path, capsys):
-    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14, max_iters=2, multilevel=False)
+    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14, max_iters=2)
     cfg = write_json(tmp_path / "pipe.json", dict(PIPELINE_CONFIG, problem=problem))
     out = tmp_path / "o"
     assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 2
@@ -349,7 +353,7 @@ def test_pipeline_nonconvergence_removes_stale_reports(tmp_path):
     cfg = write_json(tmp_path / "pipe.json", PIPELINE_CONFIG)
     assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
     (out / "notes.txt").write_text("kept")
-    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14, max_iters=2, multilevel=False)
+    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14, max_iters=2)
     stuck = write_json(tmp_path / "stuck.json", dict(PIPELINE_CONFIG, problem=problem))
     assert main(["pipeline", "--config", stuck, "--out", str(out)]) == 2
     assert sorted(p.name for p in out.iterdir()) == [
@@ -414,13 +418,16 @@ def test_pipeline_rejects_bad_configs(tmp_path, capsys):
 
 
 def test_verify_detects_corrupted_pucci(tmp_path, monkeypatch):
-    import heisenpde.checks as checks
+    import numpy as np
 
-    def flipped(h, bracket):
-        lam, Lam = bracket.lam, bracket.Lam
-        return sum(Lam * e if e > 0 else -lam * e for e in h.eigenvalues())
+    from heisenpde.operators import OperatorSpec
 
-    monkeypatch.setattr(checks, "pucci_plus", flipped)
+    def flipped(self, hxx, hxy, hyy):
+        lam, Lam = self.bracket.lam, self.bracket.Lam
+        mean, r = 0.5 * (hxx + hyy), np.hypot(0.5 * (hxx - hyy), hxy)
+        return sum(np.where(e > 0, Lam * e, -lam * e) for e in (mean - r, mean + r))
+
+    monkeypatch.setattr(OperatorSpec, "apply_batch", flipped)
     out = tmp_path / "report.json"
     code = main(["verify", "--filter", "operators.pucci_bruteforce", "--out", str(out)])
     assert code == 1

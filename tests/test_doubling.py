@@ -12,7 +12,7 @@ from heisenpde.doubling import (
     make_admissible_batch,
     make_admissible_pair,
     n_matrix,
-    n_norm_bound,
+    n_norm_bound_batch,
     penalty_hessian,
     penalty_hessian_sq,
     penalty_value,
@@ -26,7 +26,7 @@ from heisenpde.fields import NumericField, PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction
 from heisenpde.group import Point, sqrt_p
 from heisenpde.rng import SplitMix64
-from heisenpde.symmetric import Sym3, operator_norm
+from heisenpde.symmetric import Sym3
 
 
 def fd_hessian_extended(fn, x, h=1e-5):
@@ -179,8 +179,10 @@ def test_n_matrix_examples_and_norm_bound():
             mu=float(g.log_uniform(1, 0.1, 10.0)[0]),
         )
         x, y = random_pair(g)
-        norm = operator_norm(n_matrix(x, y, pp).mat)
-        bound = n_norm_bound(x, y, pp)
+        norm = np.abs(np.linalg.eigvalsh(n_matrix(x, y, pp).mat)).max()
+        bound = n_norm_bound_batch(
+            x.as_array()[None], y.as_array()[None], pp.L, pp.alpha, pp.mu
+        )[0]
         assert norm <= bound * (1 + 1e-12)
 
 

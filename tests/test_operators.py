@@ -12,9 +12,7 @@ from heisenpde.operators import (
     eval_intrinsic,
     eval_lifted,
     pucci_minus,
-    pucci_minus_3,
     pucci_plus,
-    pucci_plus_3,
     residual,
     validate_operator,
 )
@@ -90,7 +88,7 @@ def test_pucci_duality_exact():
         assert pucci_minus(h, b) == -pucci_plus(-h, b)
     for m in g.symmetric(100, 3, scale=3.0):
         s = Sym3.from_matrix(m)
-        assert pucci_minus_3(s, b) == -pucci_plus_3(-s, b)
+        assert pucci_minus(s, b) == -pucci_plus(-s, b)
 
 
 def test_pucci_extremality_and_ordering():
@@ -119,7 +117,7 @@ def test_pucci_extremality_3x3():
         s = Sym3.from_matrix(hs[k])
         a = np.einsum("ij,j,kj->ik", rots[k], ds[k], rots[k])
         val = float(np.einsum("ij,ji->", a, s.mat))
-        lo, hi = pucci_minus_3(s, b), pucci_plus_3(s, b)
+        lo, hi = pucci_minus(s, b), pucci_plus(s, b)
         scale = max(1.0, abs(lo), abs(hi))
         assert lo - 1e-11 * scale <= val <= hi + 1e-11 * scale
 
@@ -149,12 +147,10 @@ def test_validate_operator_clean_kinds():
         assert report["violations"] == 0, report
 
 
-def test_validate_operator_flags_cubed_trace():
-    spec = OperatorSpec(
-        "custom",
-        EllipticityBracket(1.0, 2.0),
-        fn=lambda h: h.trace() ** 3,
-    )
+def test_validate_operator_flags_cubed_trace(monkeypatch):
+    # a corrupted operator: monotone, but with no ellipticity bracket
+    monkeypatch.setattr(OperatorSpec, "apply", lambda self, h: h.trace() ** 3)
+    spec = OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0))
     report = validate_operator(spec, samples=300, seed=2)
     assert report["violations"] > 0
     assert not report["pass"]
@@ -172,16 +168,15 @@ def test_operator_spec_validation():
         OperatorSpec(
             "trace_linear", EllipticityBracket(1.0, 2.0), coeff=Sym2.diag(0.5, 2.5)
         )
-    with pytest.raises(ValueError):
-        OperatorSpec("custom", EllipticityBracket(1.0, 2.0))
 
 
 def test_operator_spec_config_roundtrip():
     spec = OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0), form="lifted")
-    again = OperatorSpec.from_config(spec.to_config())
-    assert again == spec
+    cfg = {"kind": "pucci_plus", "lambda": 1, "Lambda": 2, "form": "lifted"}
+    assert OperatorSpec.from_config(cfg) == spec
     tl = OperatorSpec("trace_linear", EllipticityBracket(1.0, 2.0), coeff=Sym2(1.5, 0.1, 1.1))
-    assert OperatorSpec.from_config(tl.to_config()) == tl
+    cfg = {"kind": "trace_linear", "lambda": 1, "Lambda": 2, "a": [[1.5, 0.1], [0.1, 1.1]]}
+    assert OperatorSpec.from_config(cfg) == tl
     with pytest.raises(ValueError):
         OperatorSpec.from_config({"kind": "sublaplacian", "lambda": 1, "Lambda": 1, "huh": 2})
     with pytest.raises(ValueError):
