@@ -10,6 +10,8 @@ operator path, closed-form cross-checks).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .calculus import full_hessian, h_hessian
@@ -50,15 +52,18 @@ def _report(lemma_id: str, trials: int, worst: float, passed: bool, **extra) -> 
 
 
 def _random_polynomial(g: SplitMix64, degree: int = 6, n_terms: int = 8) -> PolynomialField:
-    from fractions import Fraction
-
-    terms: dict[tuple[int, int, int], Fraction] = {}
+    """n_terms monomials of total degree <= degree (x3 counted twice) with
+    uniform(-1, 1) coefficients; term k takes raw words 3k, 3k+1, 3k+2 after
+    the coefficients, reduced modulo its sequential bounds as in integers()."""
     coeffs = g.uniform(n_terms, -1.0, 1.0)
+    w = g.take(3 * n_terms).reshape(n_terms, 3)
+    one = np.uint64(1)
+    a = w[:, 0] % np.uint64(degree + 1)
+    b = w[:, 1] % (np.uint64(degree + 1) - a)
+    d = w[:, 2] % np.maximum(one, (np.uint64(degree) - a - b) // np.uint64(2) + one)
+    terms: dict[tuple[int, int, int], Fraction] = {}
     for k in range(n_terms):
-        a = int(g.integers(1, 0, degree + 1)[0])
-        b = int(g.integers(1, 0, degree + 1 - a)[0])
-        d = int(g.integers(1, 0, max(1, (degree - a - b) // 2 + 1))[0])
-        key = (a, b, d)
+        key = (int(a[k]), int(b[k]), int(d[k]))
         terms[key] = terms.get(key, Fraction(0)) + Fraction(float(coeffs[k]))
     return PolynomialField(terms)
 
@@ -186,8 +191,6 @@ def check_trace_identity(seed: int = 0, trials: int = 200) -> dict:
 
 def check_dilation(seed: int = 0, trials: int = 100) -> dict:
     """X(u o dil) = lam (Xu) o dil and the lam^2 sub-Laplacian scaling, exact."""
-    from fractions import Fraction
-
     g = SplitMix64(seed, "dilation")
     failures = 0
     for _ in range(trials):
@@ -204,17 +207,20 @@ def check_dilation(seed: int = 0, trials: int = 100) -> dict:
     return _report("calculus.dilation", trials, float(failures), failures == 0)
 
 
-def pucci_bruteforce(h: np.ndarray, lam: float, Lam: float, n: int, seed: int, plus: bool) -> float:
-    """Extremize trace(a h) over n sampled admissible a (random rotations,
-    sign-optimal eigenvalue corners)."""
+def pucci_bruteforce(
+    h: np.ndarray, lam: float, Lam: float, n: int, seed: int
+) -> tuple[float, float]:
+    """(max, min) of trace(a h) over n sampled admissible a (random rotations,
+    sign-optimal eigenvalue corners): brute-force Pucci+ and Pucci-, both
+    from one draw of the angles."""
     g = SplitMix64(seed, "pucci-bruteforce")
     t = g.uniform(n, 0.0, np.pi)
     c, s = np.cos(t), np.sin(t)
     q1 = c * c * h[0, 0] + 2 * c * s * h[0, 1] + s * s * h[1, 1]
     q2 = s * s * h[0, 0] - 2 * c * s * h[0, 1] + c * c * h[1, 1]
-    if plus:
-        return float((np.where(q1 > 0, Lam, lam) * q1 + np.where(q2 > 0, Lam, lam) * q2).max())
-    return float((np.where(q1 > 0, lam, Lam) * q1 + np.where(q2 > 0, lam, Lam) * q2).min())
+    plus = (np.where(q1 > 0, Lam, lam) * q1 + np.where(q2 > 0, Lam, lam) * q2).max()
+    minus = (np.where(q1 > 0, lam, Lam) * q1 + np.where(q2 > 0, lam, Lam) * q2).min()
+    return float(plus), float(minus)
 
 
 def _pucci_batch(kind: str, b: EllipticityBracket, mats: np.ndarray) -> np.ndarray:
@@ -230,11 +236,8 @@ def check_pucci_bruteforce(seed: int = 0, trials: int = 100, samples: int = 100_
     plus, minus = (_pucci_batch(kind, b, mats) for kind in ("pucci_plus", "pucci_minus"))
     worst = 0.0
     for k in range(trials):
-        worst = max(
-            worst,
-            abs(plus[k] - pucci_bruteforce(mats[k], 1.0, 2.0, samples, seed + k, True)),
-            abs(minus[k] - pucci_bruteforce(mats[k], 1.0, 2.0, samples, seed + k, False)),
-        )
+        bf_plus, bf_minus = pucci_bruteforce(mats[k], 1.0, 2.0, samples, seed + k)
+        worst = max(worst, abs(plus[k] - bf_plus), abs(minus[k] - bf_minus))
     return _report("operators.pucci_bruteforce", trials, worst, worst <= 1e-6)
 
 

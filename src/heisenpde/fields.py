@@ -14,11 +14,17 @@ import inspect
 import math
 import re
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .config import config_number, config_section
 from .group import Point
+
+
+def _accumulate(terms: dict, expo: tuple[int, int, int], coeff: Fraction) -> None:
+    """terms[expo] += coeff, with no Fraction(0) start for a new key."""
+    terms[expo] = terms[expo] + coeff if expo in terms else coeff
 
 
 class ScalarField:
@@ -49,10 +55,25 @@ class PolynomialField(ScalarField):
         for expo, coeff in terms.items():
             frac = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
             if frac != 0:
-                clean[tuple(int(e) for e in expo)] = clean.get(tuple(expo), Fraction(0)) + frac
+                _accumulate(clean, tuple(int(e) for e in expo), frac)
         self.terms = {e: c for e, c in clean.items() if c != 0}
-        self._expos = np.array(sorted(self.terms), dtype=np.int64).reshape(-1, 3)
-        self._coeffs = np.array([float(self.terms[tuple(e)]) for e in self._expos])
+
+    @classmethod
+    def _exact(cls, terms: dict[tuple[int, int, int], Fraction]) -> "PolynomialField":
+        """Field from int exponent triples and Fraction sums, dropping zero sums."""
+        field = cls.__new__(cls)
+        field.terms = {e: c for e, c in terms.items() if c != 0}
+        return field
+
+    # Float views for evaluation, built on first use: most exact
+    # intermediates (those of the quadratic-form check, say) are never evaluated.
+    @cached_property
+    def _expos(self) -> np.ndarray:
+        return np.array(sorted(self.terms), dtype=np.int64).reshape(-1, 3)
+
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        return np.array([float(self.terms[tuple(e)]) for e in self._expos])
 
     @staticmethod
     def constant(c) -> "PolynomialField":
@@ -85,9 +106,8 @@ class PolynomialField(ScalarField):
                 continue
             new = list(expo)
             new[i] -= 1
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + c * expo[i]
-        return PolynomialField(out)
+            _accumulate(out, tuple(new), c * expo[i])
+        return PolynomialField._exact(out)
 
     def partial(self, p: Point, i: int) -> float:
         return self.partial_field(i).value(p)
@@ -98,7 +118,7 @@ class PolynomialField(ScalarField):
     def shift_monomial(self, expo: tuple[int, int, int], factor) -> "PolynomialField":
         """Multiply by factor * x1^a x2^b x3^d."""
         frac = factor if isinstance(factor, Fraction) else Fraction(factor)
-        return PolynomialField(
+        return PolynomialField._exact(
             {
                 (e[0] + expo[0], e[1] + expo[1], e[2] + expo[2]): c * frac
                 for e, c in self.terms.items()
@@ -106,25 +126,37 @@ class PolynomialField(ScalarField):
         )
 
     def apply_x(self) -> "PolynomialField":
-        """The field X = d/dx1 + 2*x2*d/dx3, applied symbolically."""
-        return self.partial_field(0) + self.partial_field(2).shift_monomial((0, 1, 0), 2)
+        """The field X = d/dx1 + 2*x2*d/dx3, in one exact pass over the terms."""
+        out: dict[tuple[int, int, int], Fraction] = {}
+        for (a, b, d), c in self.terms.items():
+            if a:
+                _accumulate(out, (a - 1, b, d), c * a)
+            if d:
+                _accumulate(out, (a, b + 1, d - 1), c * (2 * d))
+        return PolynomialField._exact(out)
 
     def apply_y(self) -> "PolynomialField":
-        """The field Y = d/dx2 - 2*x1*d/dx3, applied symbolically."""
-        return self.partial_field(1) + self.partial_field(2).shift_monomial((1, 0, 0), -2)
+        """The field Y = d/dx2 - 2*x1*d/dx3, in one exact pass over the terms."""
+        out: dict[tuple[int, int, int], Fraction] = {}
+        for (a, b, d), c in self.terms.items():
+            if b:
+                _accumulate(out, (a, b - 1, d), c * b)
+            if d:
+                _accumulate(out, (a + 1, b, d - 1), c * (-2 * d))
+        return PolynomialField._exact(out)
 
     def dilate(self, lam: float) -> "PolynomialField":
         """Compose with the dilation (lam*x1, lam*x2, lam^2*x3), exactly."""
         frac = Fraction(lam)
-        return PolynomialField(
+        return PolynomialField._exact(
             {e: c * frac ** (e[0] + e[1] + 2 * e[2]) for e, c in self.terms.items()}
         )
 
     def __add__(self, other: "PolynomialField") -> "PolynomialField":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return PolynomialField(out)
+            _accumulate(out, e, c)
+        return PolynomialField._exact(out)
 
     def __sub__(self, other: "PolynomialField") -> "PolynomialField":
         return self + (other * -1)

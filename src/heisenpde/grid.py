@@ -66,13 +66,6 @@ class Grid3:
     def coordinate(self, idx: tuple[int, int, int]) -> np.ndarray:
         return np.array([self.lower[i] + idx[i] * self.spacings[i] for i in range(3)])
 
-    def index(self, point) -> tuple[int, int, int]:
-        """Nearest node index; exact inverse of coordinate on nodes."""
-        p = np.asarray(point, dtype=float)
-        return tuple(
-            int(round((p[i] - self.lower[i]) / self.spacings[i])) for i in range(3)
-        )
-
     def points(self) -> np.ndarray:
         """(n_nodes, 3) node coordinates in storage (x3-fastest) order."""
         axes = [self.axis_coordinates(i) for i in range(3)]

@@ -51,22 +51,20 @@ class SplitMix64:
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self._next = 0
 
-    def substream(self, label: str) -> "SplitMix64":
-        return SplitMix64(int(self.seed), label)
-
     def words(self, start: int, n: int) -> np.ndarray:
         idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
         with np.errstate(over="ignore"):
             return mix64(self.seed + idx * GOLDEN)
 
-    def _take(self, n: int) -> np.ndarray:
+    def take(self, n: int) -> np.ndarray:
+        """The next n raw 64-bit words of the stream."""
         out = self.words(self._next, n)
         self._next += n
         return out
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """n doubles in [lo, hi); 53-bit resolution."""
-        u = (self._take(n) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+        u = (self.take(n) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
         return lo + (hi - lo) * u
 
     def log_uniform(self, n: int, lo: float, hi: float) -> np.ndarray:
@@ -84,7 +82,7 @@ class SplitMix64:
 
     def integers(self, n: int, lo: int, hi: int) -> np.ndarray:
         """n ints uniform in [lo, hi); modulo bias negligible for hi-lo << 2^64."""
-        return (self._take(n) % np.uint64(hi - lo)).astype(np.int64) + lo
+        return (self.take(n) % np.uint64(hi - lo)).astype(np.int64) + lo
 
     def unit_vectors(self, n: int, dim: int = 3) -> np.ndarray:
         v = self.normal((n, dim))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from conftest import random_polynomial
 
 import heisenpde.checks as checks
+from heisenpde.fields import PolynomialField
+from heisenpde.rng import SplitMix64
 
 
 @pytest.mark.parametrize(
@@ -115,7 +118,27 @@ def test_corrupted_shipped_formula_is_detected(monkeypatch, name, corrupt, check
 
 def test_bruteforce_oracle_close_on_known_case():
     h = np.array([[2.0, 0.0], [0.0, -3.0]])
-    val = checks.pucci_bruteforce(h, 1.0, 2.0, 100_000, seed=0, plus=True)
-    assert abs(val - 1.0) < 1e-6
-    val = checks.pucci_bruteforce(h, 1.0, 2.0, 100_000, seed=0, plus=False)
-    assert abs(val - (-4.0)) < 1e-6
+    val_plus, val_minus = checks.pucci_bruteforce(h, 1.0, 2.0, 100_000, seed=0)
+    assert abs(val_plus - 1.0) < 1e-6
+    assert abs(val_minus - (-4.0)) < 1e-6
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 40))
+def test_random_polynomial_matches_per_draw_oracle(seed):
+    # conftest's random_polynomial takes one integers() word per exponent
+    for degree in (5, 6):
+        g, h = SplitMix64(seed, "poly"), SplitMix64(seed, "poly")
+        for _ in range(25):
+            assert checks._random_polynomial(g, degree=degree) == random_polynomial(h, degree)
+        # both leave the stream at the same position
+        assert np.array_equal(g.uniform(4), h.uniform(4))
+
+
+def test_flipped_vertical_term_in_x_is_detected(monkeypatch):
+    # X = d/dx1 - 2 x2 d/dx3: [X, Y] = 0, and D^{2,*} no longer lifts D^2
+    def flipped(self):
+        return self.partial_field(0) + self.partial_field(2).shift_monomial((0, 1, 0), -2)
+
+    monkeypatch.setattr(PolynomialField, "apply_x", flipped)
+    assert not checks.check_commutator(seed=0, trials=20)["pass"]
+    assert not checks.check_quadratic_form(seed=0, trials=20)["pass"]

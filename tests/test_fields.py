@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import random_points, random_polynomial
@@ -48,6 +50,36 @@ def test_value_batch_matches_scalar():
     batch = u.value_batch(pts)
     for k, row in enumerate(pts):
         assert np.isclose(batch[k], u.value(Point(*row)), rtol=1e-13, atol=1e-13)
+
+
+def test_one_pass_frame_fields_match_partial_route():
+    # the composed route X = d1 + 2 x2 d3, Y = d2 - 2 x1 d3 as an exact oracle
+    g = SplitMix64(17, "frame-oracle")
+    for k in range(240):
+        u = random_polynomial(g, degree=3 + k % 5, n_terms=1 + k % 12)
+        ux = u.partial_field(0) + u.partial_field(2).shift_monomial((0, 1, 0), 2)
+        uy = u.partial_field(1) + u.partial_field(2).shift_monomial((1, 0, 0), -2)
+        for fast, oracle in ((u.apply_x(), ux), (u.apply_y(), uy)):
+            assert fast.terms == oracle.terms
+            assert all(type(c) is Fraction and c != 0 for c in fast.terms.values())
+            assert all(type(e) is int for expo in fast.terms for e in expo)
+    # the two terms of X cancel exactly on x1 x2 - x3 / 2
+    assert parse_polynomial("x1 x2 - 0.5 x3").apply_x().terms == {}
+
+
+def test_float_views_follow_the_exact_terms():
+    u = PolynomialField(
+        {(2, 0, 0): 0.75, tuple(np.array([0, 0, 1])): 1, (1, 1, 1): 0.0, (0, 1, 0): -3}
+    )
+    assert u.terms == {(2, 0, 0): Fraction(3, 4), (0, 0, 1): Fraction(1), (0, 1, 0): Fraction(-3)}
+    assert all(type(e) is int for expo in u.terms for e in expo)
+    ux = u.apply_x()  # 1.5 x1 + 2 x2, built without float views
+    assert "_expos" not in vars(ux)
+    assert ux.value(Point(2.0, 1.0, 3.0)) == 1.5 * 2 + 2 * 1
+    # evaluation sums the monomials in sorted exponent order
+    assert np.array_equal(ux._expos, [[0, 1, 0], [1, 0, 0]])
+    assert np.array_equal(ux._coeffs, [2.0, 1.5])
+    assert (u - u).value_batch(np.zeros((3, 3))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_apply_x_on_coordinates():

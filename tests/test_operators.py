@@ -3,6 +3,7 @@ import pytest
 from conftest import random_points, random_polynomial
 
 from heisenpde.calculus import sublaplacian
+from heisenpde.checks import pucci_bruteforce
 from heisenpde.fields import PolynomialField, parse_polynomial
 from heisenpde.group import Point
 from heisenpde.operators import (
@@ -18,25 +19,6 @@ from heisenpde.operators import (
 )
 from heisenpde.rng import SplitMix64
 from heisenpde.symmetric import Sym2, Sym3
-
-
-def pucci_bruteforce_2x2(h: np.ndarray, lam: float, Lam: float, n: int, seed: int, plus: bool):
-    """Extremize trace(a h) over n sampled admissible a = R diag(d) R^T.
-
-    Rotation angles are drawn uniformly; each is paired with the sign-optimal
-    admissible eigenvalue corner, so the sampled max lands within ~(pi/n)^2 of
-    the true extremum.
-    """
-    g = SplitMix64(seed, "pucci-bruteforce")
-    t = g.uniform(n, 0.0, np.pi)
-    c, s = np.cos(t), np.sin(t)
-    q1 = c * c * h[0, 0] + 2 * c * s * h[0, 1] + s * s * h[1, 1]
-    q2 = s * s * h[0, 0] - 2 * c * s * h[0, 1] + c * c * h[1, 1]
-    if plus:
-        vals = np.where(q1 > 0, Lam, lam) * q1 + np.where(q2 > 0, Lam, lam) * q2
-        return vals.max()
-    vals = np.where(q1 > 0, lam, Lam) * q1 + np.where(q2 > 0, lam, Lam) * q2
-    return vals.min()
 
 
 def test_bracket_and_holder_data_validation():
@@ -67,8 +49,7 @@ def test_pucci_matches_bruteforce():
     mats = g.symmetric(20, 2, scale=2.0)
     for k, m in enumerate(mats):
         h = Sym2.from_matrix(m)
-        bf_plus = pucci_bruteforce_2x2(h.mat, 1.0, 2.0, 100_000, seed=k, plus=True)
-        bf_minus = pucci_bruteforce_2x2(h.mat, 1.0, 2.0, 100_000, seed=k, plus=False)
+        bf_plus, bf_minus = pucci_bruteforce(h.mat, 1.0, 2.0, 100_000, seed=k)
         assert abs(pucci_plus(h, b) - bf_plus) < 1e-6
         assert abs(pucci_minus(h, b) - bf_minus) < 1e-6
 

@@ -16,12 +16,21 @@ def test_streams_reproduce_across_instances():
 
 
 def test_substreams_differ():
-    g = SplitMix64(0)
     assert not np.array_equal(
-        g.substream("alpha").uniform(64), g.substream("beta").uniform(64)
+        SplitMix64(0, "alpha").uniform(64), SplitMix64(0, "beta").uniform(64)
     )
     assert derive(0, "alpha") != derive(0, "beta")
     assert derive(0, "alpha") != derive(1, "alpha")
+
+
+def test_take_is_the_raw_stream():
+    g = SplitMix64(9, "raw")
+    first = g.take(5)
+    assert np.array_equal(first, g.words(0, 5))
+    assert np.array_equal(g.take(3), g.words(5, 3))
+    # integers() reduces the same words modulo its range
+    h = SplitMix64(9, "raw")
+    assert np.array_equal(h.integers(5, 2, 9), (first % np.uint64(7)).astype(np.int64) + 2)
 
 
 def test_uniform_range_and_moments():
