@@ -6,15 +6,17 @@ composed derivatives are built by applying the fields symbolically twice, so
 the non-commutativity of X and Y is exercised directly; for numeric fields
 they come from centered directional differences along the frozen frame at the
 evaluation point (the first-order correction terms cancel in the
-symmetrization, so both routes target the same matrix).  lift compresses a
-full 3x3 Hessian to the intrinsic 2x2 form via the frame.
+symmetrization, so both routes target the same matrix; the quotient is
+fields.second_difference, shared with NumericField).  lift compresses a full
+3x3 Hessian to the intrinsic 2x2 form via the frame; it is lift_batch on one
+row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import PolynomialField, ScalarField
+from .fields import PolynomialField, ScalarField, second_difference
 from .group import Point, frame, frame_batch
 from .symmetric import Sym2, Sym3
 
@@ -29,31 +31,20 @@ def h_gradient(u: ScalarField, p: Point) -> HorizontalGradient:
     return np.array([d1 + 2.0 * p.x2 * d3, d2 - 2.0 * p.x1 * d3])
 
 
+def h_second_fields(u: PolynomialField) -> tuple[PolynomialField, ...]:
+    """(X^2u, XYu, YXu, Y^2u) as exact polynomials, where XYu = X(Yu)."""
+    ux, uy = u.apply_x(), u.apply_y()
+    return ux.apply_x(), uy.apply_x(), ux.apply_y(), uy.apply_y()
+
+
 def h_hessian(u: ScalarField, p: Point) -> Sym2:
     """Symmetrized horizontal Hessian [[X^2u, (XY+YX)u/2], [., Y^2u]] at p."""
     if isinstance(u, PolynomialField):
-        ux = u.apply_x()
-        uy = u.apply_y()
-        xx = ux.apply_x().value(p)
-        yy = uy.apply_y().value(p)
-        cross = 0.5 * (uy.apply_x().value(p) + ux.apply_y().value(p))
-        return Sym2(xx, cross, yy)
+        xx, xy, yx, yy = (w.value(p) for w in h_second_fields(u))
+        return Sym2(xx, 0.5 * (xy + yx), yy)
     x, y, _ = frame(p)
     h = u.h_fd if hasattr(u, "h_fd") else 1e-4
-    base = np.array([p.x1, p.x2, p.x3])
-
-    def d2(v: np.ndarray, w: np.ndarray) -> float:
-        if v is w:
-            vals = u.value_batch(np.array([base + h * v, base, base - h * v]))
-            return float((vals[0] - 2 * vals[1] + vals[2]) / (h * h))
-        vals = u.value_batch(
-            np.array(
-                [base + h * (v + w), base + h * (v - w), base - h * (v - w), base - h * (v + w)]
-            )
-        )
-        return float((vals[0] - vals[1] - vals[2] + vals[3]) / (4 * h * h))
-
-    return Sym2(d2(x, x), d2(x, y), d2(y, y))
+    return Sym2(*(second_difference(u, p, h, v, w) for v, w in ((x, None), (x, y), (y, None))))
 
 
 def full_hessian(u: ScalarField, p: Point) -> Sym3:
@@ -69,12 +60,9 @@ def full_hessian(u: ScalarField, p: Point) -> Sym3:
 
 
 def lift(a: Sym3, p: Point) -> Sym2:
-    """Compression [[<AX,X>, <AX,Y>], [<AX,Y>, <AY,Y>]] with the frame at p."""
-    x, y, _ = frame(p)
-    m = a.mat
-    ax = m @ x
-    ay = m @ y
-    return Sym2(float(x @ ax), float(x @ ay), float(y @ ay))
+    """Compression [[<AX,X>, <AX,Y>], [<AX,Y>, <AY,Y>]] with the frame at p,
+    as a one-row lift_batch."""
+    return Sym2.from_matrix(lift_batch(a.mat[None], p.as_array()[None])[0])
 
 
 def lift_batch(mats: np.ndarray, xy: np.ndarray) -> np.ndarray:

@@ -200,17 +200,21 @@ class NumericField(ScalarField):
         return float((vals[0] - vals[1]) / (2 * h))
 
     def second_partial(self, p: Point, i: int, j: int) -> float:
-        h = self.h_fd
-        x = np.array([p.x1, p.x2, p.x3])
-        ei = np.zeros(3)
-        ei[i] = h
-        if i == j:
-            vals = self.value_batch(np.array([x + ei, x, x - ei]))
-            return float((vals[0] - 2 * vals[1] + vals[2]) / (h * h))
-        ej = np.zeros(3)
-        ej[j] = h
-        vals = self.value_batch(np.array([x + ei + ej, x + ei - ej, x - ei + ej, x - ei - ej]))
-        return float((vals[0] - vals[1] - vals[2] + vals[3]) / (4 * h * h))
+        e = np.eye(3)
+        return second_difference(self, p, self.h_fd, e[i], None if i == j else e[j])
+
+
+def second_difference(u: ScalarField, p: Point, h: float, v: np.ndarray, w=None) -> float:
+    """Centred quotient with step h for the second derivative of u at p along
+    v and w: three samples on the line when w is None (w = v), else four on
+    the diagonals."""
+    x = np.array([p.x1, p.x2, p.x3])
+    if w is None:
+        vals = u.value_batch(np.array([x + h * v, x, x - h * v]))
+        return float((vals[0] - 2 * vals[1] + vals[2]) / (h * h))
+    pts = [x + h * (v + w), x + h * (v - w), x - h * (v - w), x - h * (v + w)]
+    vals = u.value_batch(np.array(pts))
+    return float((vals[0] - vals[1] - vals[2] + vals[3]) / (4 * h * h))
 
 
 _TOKEN = re.compile(

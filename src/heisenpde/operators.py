@@ -8,9 +8,10 @@ symmetrized horizontal Hessian (2x2), "lifted" applies it to
 sqrt(P) D^2u sqrt(P) (3x3).  Pucci extremal operators are defined as the
 max/min of trace(a H) over matrices a with spectrum in [lam, Lam] and computed
 by the eigenvalue formula Lam*sum(e>0) + lam*sum(e<0) (resp. swapped), which
-is the sign convention the max/min definition forces.  Eigenvalues on this
-path use the closed 2x2 formula and the cyclic Jacobi sweep, never a library
-eigensolver.
+is the sign convention the max/min definition forces.  Every 2x2 argument,
+one matrix or a stack, is evaluated by apply_batch, the solver's kernel, with
+the closed 2x2 eigenvalue formula; only the 3x3 lifted argument takes the
+cyclic Jacobi sweep.  Neither path calls a library eigensolver.
 """
 
 from __future__ import annotations
@@ -84,15 +85,19 @@ def _pucci_from_eigs(eigs, bracket: EllipticityBracket, plus: bool) -> float:
     return total
 
 
+def _form_of(h: Sym2 | Sym3) -> str:
+    return INTRINSIC if isinstance(h, Sym2) else LIFTED
+
+
 def pucci_plus(h: Sym2 | Sym3, bracket: EllipticityBracket) -> float:
     """max over admissible a of trace(a h) = Lam*sum(e>0) + lam*sum(e<0),
     for a 2x2 (intrinsic) or 3x3 (lifted) argument."""
-    return _pucci_from_eigs(h.eigenvalues(), bracket, plus=True)
+    return OperatorSpec("pucci_plus", bracket, _form_of(h)).apply(h)
 
 
 def pucci_minus(h: Sym2 | Sym3, bracket: EllipticityBracket) -> float:
     """min over admissible a of trace(a h); equals -pucci_plus(-h) exactly."""
-    return _pucci_from_eigs(h.eigenvalues(), bracket, plus=False)
+    return OperatorSpec("pucci_minus", bracket, _form_of(h)).apply(h)
 
 
 @dataclass(frozen=True)
@@ -129,14 +134,15 @@ class OperatorSpec:
         return OperatorSpec("sublaplacian", EllipticityBracket(1.0, 1.0), form)
 
     def apply(self, h: Sym2 | Sym3) -> float:
-        """F(h) for the 2x2 (intrinsic) or 3x3 (lifted) argument."""
+        """F(h) for the 2x2 (intrinsic) or 3x3 (lifted) argument; a 2x2
+        argument goes through apply_batch, the solver's evaluation."""
+        if isinstance(h, Sym2):
+            return float(self.apply_batch(h.a11, h.a12, h.a22))
         if self.kind == "sublaplacian":
             return h.trace()
-        if self.kind == "pucci_plus":
-            return pucci_plus(h, self.bracket)
-        if self.kind == "pucci_minus":
-            return pucci_minus(h, self.bracket)
-        return float(np.trace(self.coeff.mat @ h.mat))
+        if self.kind == "trace_linear":
+            return float(np.trace(self.coeff.mat @ h.mat))
+        return _pucci_from_eigs(h.eigenvalues(), self.bracket, self.kind == "pucci_plus")
 
     def apply_batch(self, hxx: np.ndarray, hxy: np.ndarray, hyy: np.ndarray) -> np.ndarray:
         """Vectorized intrinsic-form evaluation on 2x2 component arrays."""
@@ -161,18 +167,24 @@ class OperatorSpec:
 
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":
-        config_section(cfg, "operator", ("kind", "lambda", "Lambda"), ("form", "a"))
+        """The intrinsic-form operator of an operator config section; the
+        coefficient 'a' of trace_linear is a 2x2 list of finite numbers."""
+        config_section(cfg, "operator", ("kind", "lambda", "Lambda"), ("a",))
         bracket = EllipticityBracket(
             config_number(cfg, "operator", "lambda"), config_number(cfg, "operator", "Lambda")
         )
-        form = cfg.get("form", INTRINSIC)
         coeff = None
         if cfg["kind"] == "trace_linear":
             if "a" not in cfg:
                 raise ValueError("operator config is missing 'a'")
-            m = np.asarray(cfg["a"], dtype=float)
-            coeff = Sym2.from_matrix(m) if form == INTRINSIC else Sym3.from_matrix(m)
-        return OperatorSpec(cfg["kind"], bracket, form, coeff)
+            a = cfg["a"]
+            if not (isinstance(a, list) and len(a) == 2):
+                raise ValueError(f"operator config 'a' must be a 2x2 list of numbers, got {a!r}")
+            m = np.array([config_number({"a": row}, "operator", "a", length=2) for row in a])
+            if not np.all(np.isfinite(m)):
+                raise ValueError(f"operator config 'a' must be finite, got {a!r}")
+            coeff = Sym2.from_matrix(m)
+        return OperatorSpec(cfg["kind"], bracket, coeff=coeff)
 
 
 def eval_intrinsic(spec: OperatorSpec, u: ScalarField, p: Point) -> float:
@@ -221,22 +233,20 @@ def validate_operator(spec: OperatorSpec, samples: int = 1000, seed: int = 0) ->
         rot = g.rotations_2d(samples)
         d = g.log_uniform(2 * samples, 1e-3, 1e2).reshape(samples, 2)
         gaps = np.einsum("nij,nj,nkj->nik", rot, d, rot)
-    cls = Sym2 if dim == 2 else Sym3
-    worst = 0.0
-    violations = 0
+    tops = base + gaps
+    if dim == 2:
+        # one apply_batch call per side on the from_matrix entries
+        h1, h2 = ((m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]) for m in (tops, base))
+        diff = spec.apply_batch(*h1) - spec.apply_batch(*h2)
+    else:
+        sym = Sym3.from_matrix
+        diff = np.array([spec.apply(sym(t)) - spec.apply(sym(b)) for t, b in zip(tops, base)])
+    tr = np.trace(gaps, axis1=1, axis2=2)
     lam, Lam = spec.bracket.lam, spec.bracket.Lam
-    for k in range(samples):
-        h2 = cls.from_matrix(base[k])
-        h1 = cls.from_matrix(base[k] + gaps[k])
-        diff = spec.apply(h1) - spec.apply(h2)
-        tr = float(np.trace(gaps[k]))
-        scale = max(1.0, abs(diff), Lam * tr)
-        low_gap = (lam * tr - diff) / scale
-        high_gap = (diff - Lam * tr) / scale
-        margin = max(low_gap, high_gap)
-        worst = max(worst, margin)
-        if margin > 1e-9:
-            violations += 1
+    scale = np.maximum(np.maximum(1.0, np.abs(diff)), Lam * tr)
+    margin = np.maximum((lam * tr - diff) / scale, (diff - Lam * tr) / scale)
+    worst = max(0.0, float(margin.max()))
+    violations = int(np.count_nonzero(margin > 1e-9))
     return {
         "kind": spec.kind,
         "form": spec.form,

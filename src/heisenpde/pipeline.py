@@ -6,6 +6,7 @@ artifacts keyed by file name; the CLI only writes them."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .config import config_number, config_section
@@ -43,11 +44,17 @@ class TheoremCheck:
         """Read config section `name`, which may hold the given other keys."""
         keys = ("seed", "pairs", "margin") + optional
         config_section(cfg, name, ("holder", "bracket") + required, keys)
+        margin = config_number(cfg, name, "margin", default=DEFAULT_MARGIN)
+        if not 0.0 <= margin < 0.5:
+            raise ValueError(f"{name} config 'margin' must lie in [0, 0.5), got {margin}")
+        pairs = config_number(cfg, name, "pairs", int, default=DEFAULT_PAIRS)
+        if pairs < 1:
+            raise ValueError(f"{name} config 'pairs' must be at least 1, got {pairs}")
         return TheoremCheck(
             HolderData.from_config(cfg["holder"]),
             EllipticityBracket.from_config(cfg["bracket"]),
-            config_number(cfg, name, "margin", default=DEFAULT_MARGIN),
-            config_number(cfg, name, "pairs", int, default=DEFAULT_PAIRS),
+            margin,
+            pairs,
             config_number(cfg, name, "seed", int, default=0),
         )
 
@@ -79,16 +86,27 @@ class PipelineConfig:
         pen = config_section(
             cfg.get("penalty", {}), "penalty", optional=("delta", "eps", "L_factor", "per_axis")
         )
-        penalty = PenaltyParams(
-            L=config_number(pen, "penalty", "L_factor", default=1.1),
-            alpha=alpha_target(check.hd, check.bracket),
-            delta=config_number(pen, "penalty", "delta", default=1e-6),
-            eps=config_number(pen, "penalty", "eps", default=1e-6),
+        L_factor, delta, eps = (
+            config_number(pen, "penalty", key, default=value)
+            for key, value in (("L_factor", 1.1), ("delta", 1e-6), ("eps", 1e-6))
         )
+        if not (math.isfinite(L_factor) and L_factor > 0):
+            raise ValueError(f"penalty config 'L_factor' must be finite and > 0, got {L_factor}")
+        for key, value in (("delta", delta), ("eps", eps)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"penalty config {key!r} must be finite and >= 0, got {value}")
+        penalty = PenaltyParams(L_factor, alpha_target(check.hd, check.bracket), delta, eps)
         per_axis = config_number(pen, "penalty", "per_axis", int, default=17)
         if per_axis < 2:
             raise ValueError(f"penalty config 'per_axis' must be at least 2, got {per_axis}")
-        return PipelineConfig(ProblemSpec.from_config(cfg["problem"]), check, penalty, per_axis)
+        problem = ProblemSpec.from_config(cfg["problem"])
+        have, need = check.bracket, problem.op.bracket
+        if have.lam > need.lam or have.Lam < need.Lam:
+            raise ValueError(
+                f"bracket config [{have.lam}, {have.Lam}] must contain the operator config's "
+                f"[lambda, Lambda] = [{need.lam}, {need.Lam}]"
+            )
+        return PipelineConfig(problem, check, penalty, per_axis)
 
 
 def run_pipeline(cfg: dict, emit_plot_data: bool = False) -> dict:

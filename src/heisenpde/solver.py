@@ -4,13 +4,13 @@ The stencil is frame-aligned (semi-Lagrangian): second differences are taken
 along straight lines p +- h X(p), p +- h Y(p) and the four diagonal
 combinations, with off-node values obtained by trilinear interpolation, which
 preserves degenerate ellipticity.  Samples that leave the box are evaluated
-with the Dirichlet data (the boundary field extends u); a bare grid function
-without boundary data falls back to clamping onto the box.  Because the
-frame's horizontal step is the same at every node and its vertical step
-depends only on the node's column, the operator is evaluated from shifted
-x3 rows of u per column (see _Stencil).  A problem's finest discretization
-is built once and kept by the ProblemSpec itself; no module-level cache
-holds one.
+with the Dirichlet data (the boundary field extends u); stencil_hessian runs
+the same stencil on a bare grid function, which is its own off-box field and
+so clamps those samples onto the box.  Because the frame's horizontal step
+is the same at every node and its vertical step depends only on the node's
+column, the operator is evaluated from shifted x3 rows of u per column (see
+_Stencil).  A problem's finest discretization is built once and kept by the
+ProblemSpec itself; no module-level cache holds one.
 
 Accuracy forces the sample step rho away from the grid spacing h: linear
 interpolation carries an O((h/rho)^2) bias into the second differences (pure
@@ -50,6 +50,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .calculus import h_second_fields
 from .config import config_number, config_section
 from .fields import NumericField, PolynomialField, ScalarField, field_from_config
 from .grid import Grid3, GridFunction, cells
@@ -366,17 +367,15 @@ class Discretization:
 def stencil_hessian(
     u: GridFunction, idx: tuple[int, int, int], step: float | None = None
 ) -> Sym2:
-    """Frame-aligned second differences at one interior node of a bare grid
-    function, its off-box samples clamped onto the box; boundary indices
-    are rejected."""
+    """The solver's frame-aligned second differences at one interior node of
+    a bare grid function, which also serves as its own off-box field and so
+    clamps those samples onto the box; boundary indices are rejected."""
     if not u.grid.is_interior(idx):
         raise ValueError(f"index {idx} is not interior")
     rho = step if step is not None else sample_step(u.grid)
-    p = u.grid.coordinate(idx)[None, :]
-    x_dir, y_dir = frame_batch(p)
-    pts = np.concatenate([p + rho * (cx * x_dir + cy * y_dir) for cx, cy in _COMBOS])
-    samples = np.append(u.value_batch(pts), u.values[tuple(idx)])
-    return Sym2(*(float(v) for v in _second_differences(rho) @ samples))
+    stencil = _Stencil(u.grid, u, rho)
+    column = np.ravel_multi_index(tuple(i - 1 for i in idx), stencil.shape)
+    return Sym2(*(float(v) for v in stencil.hessian_components(u.values.ravel())[:, column]))
 
 
 def step(u: GridFunction, prob: ProblemSpec, tau: float) -> GridFunction:
@@ -406,17 +405,12 @@ def manufacture(u_star: ScalarField, op: OperatorSpec, c: ScalarField) -> Scalar
         raise ValueError("manufacture needs a polynomial exact solution")
     if op.form != INTRINSIC:
         raise ValueError("manufacture targets the intrinsic form")
-    ux = u_star.apply_x()
-    uy = u_star.apply_y()
-    xx = ux.apply_x()
-    yy = uy.apply_y()
-    cross_terms = ux.apply_y() + uy.apply_x()
+    xx, xy, yx, yy = h_second_fields(u_star)
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        hxx = xx.value_batch(pts)
-        hyy = yy.value_batch(pts)
-        hxy = 0.5 * cross_terms.value_batch(pts)
-        return op.apply_batch(hxx, hxy, hyy) - c.value_batch(pts) * u_star.value_batch(pts)
+        hxy = 0.5 * (xy.value_batch(pts) + yx.value_batch(pts))
+        h = op.apply_batch(xx.value_batch(pts), hxy, yy.value_batch(pts))
+        return h - c.value_batch(pts) * u_star.value_batch(pts)
 
     return NumericField(fn)
 

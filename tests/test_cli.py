@@ -199,6 +199,114 @@ def test_pipeline_rejects_per_axis_below_two_before_solving(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def no_solve(prob):
+    raise AssertionError("solve ran")
+
+
+TRACE_LINEAR = {"kind": "trace_linear", "lambda": 1.0, "Lambda": 2.0}
+
+
+@pytest.mark.parametrize(
+    "operator,words",
+    [
+        (dict(SOLVE_CONFIG["operator"], form="intrinsic"), ("unknown operator config keys: ['form']",)),
+        (dict(SOLVE_CONFIG["operator"], form="lifted"), ("unknown operator config keys: ['form']",)),
+        (dict(TRACE_LINEAR, a=[[1.5]]), ("operator config 'a'", "2x2")),
+        (dict(TRACE_LINEAR, a=[[1.5, 0, 0], [0, 1.5, 0], [0, 0, 1.5]]), ("operator config 'a'",)),
+        (dict(TRACE_LINEAR, a=[[1.5, 0], [0, "1.5"]]), ("operator config 'a'",)),
+        (dict(TRACE_LINEAR, a=[[1.5, 0], [0, float("nan")]]), ("operator config 'a'", "finite")),
+    ],
+    ids=["form-intrinsic", "form-lifted", "a-1x1", "a-3x3", "a-string-entry", "a-nan"],
+)
+def test_solve_rejects_bad_operator_before_solving(tmp_path, capsys, monkeypatch, operator, words):
+    monkeypatch.setattr("heisenpde.cli.solve", no_solve)
+    cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, operator=operator))
+    out = tmp_path / "u.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+    assert list(tmp_path.iterdir()) == [tmp_path / "prob.json"]
+
+
+PUCCI_4 = {"kind": "pucci_plus", "lambda": 1.0, "Lambda": 4.0}
+
+
+@pytest.mark.parametrize(
+    "override,words",
+    [
+        (
+            {"problem": dict(PIPELINE_CONFIG["problem"], operator=dict(PUCCI_4, form="lifted"))},
+            ("unknown operator config keys: ['form']",),
+        ),
+        ({"margin": -0.1}, ("pipeline config 'margin'",)),
+        ({"margin": 0.5}, ("pipeline config 'margin'",)),
+        ({"margin": 0.6}, ("pipeline config 'margin'",)),
+        ({"pairs": 0}, ("pipeline config 'pairs'",)),
+        ({"pairs": -5}, ("pipeline config 'pairs'",)),
+        ({"penalty": {"L_factor": 0}}, ("penalty config 'L_factor'",)),
+        ({"penalty": {"L_factor": float("inf")}}, ("penalty config 'L_factor'",)),
+        ({"penalty": {"delta": -1e-6}}, ("penalty config 'delta'",)),
+        ({"penalty": {"eps": -1.0}}, ("penalty config 'eps'",)),
+    ],
+    ids=[
+        "operator-form",
+        "margin-negative",
+        "margin-half",
+        "margin-above-half",
+        "pairs-zero",
+        "pairs-negative",
+        "l-factor-zero",
+        "l-factor-inf",
+        "delta-negative",
+        "eps-negative",
+    ],
+)
+def test_pipeline_rejects_bad_values_before_solving(tmp_path, capsys, monkeypatch, override, words):
+    monkeypatch.setattr("heisenpde.pipeline.solve", no_solve)
+    cfg = write_json(tmp_path / "pipe.json", dict(PIPELINE_CONFIG, **override))
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+    assert not out.exists()
+
+
+def test_pipeline_bracket_must_contain_the_operators(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("heisenpde.pipeline.solve", no_solve)
+    problem = dict(PIPELINE_CONFIG["problem"], operator=PUCCI_4)
+    wide = dict(PIPELINE_CONFIG, problem=problem, bracket={"lambda": 0.5, "Lambda": 4.0})
+    assert PipelineConfig.from_config(wide).check.bracket.lam == 0.5
+    out = tmp_path / "o"
+    for bracket in ((1.0, 1.0), (1.0, 2.0), (1.5, 4.0)):
+        narrow = dict(wide, bracket={"lambda": bracket[0], "Lambda": bracket[1]})
+        cfg = write_json(tmp_path / "pipe.json", narrow)
+        assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(w in err for w in ("bracket config", "operator config", "[1.0, 4.0]")), err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override,words",
+    [
+        ({"margin": -0.1}, ("holder config 'margin'",)),
+        ({"margin": 0.5}, ("holder config 'margin'",)),
+        ({"pairs": 0}, ("holder config 'pairs'",)),
+        ({"pairs": -5}, ("holder config 'pairs'",)),
+    ],
+    ids=["margin-negative", "margin-half", "pairs-zero", "pairs-negative"],
+)
+def test_holder_rejects_bad_values_before_reading_the_grid(tmp_path, capsys, override, words):
+    base = {key: PIPELINE_CONFIG[key] for key in ("holder", "bracket")}
+    hcfg = write_json(tmp_path / "holder.json", dict(base, **override))
+    out = tmp_path / "o.json"
+    argv = ["holder", "--grid", str(tmp_path / "absent.csv"), "--config", hcfg, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+    assert not out.exists()
+
+
 def test_problem_stencil_scale_is_unknown(tmp_path, capsys):
     cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, stencil_scale=0.5))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1

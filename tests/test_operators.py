@@ -129,12 +129,34 @@ def test_validate_operator_clean_kinds():
 
 
 def test_validate_operator_flags_cubed_trace(monkeypatch):
-    # a corrupted operator: monotone, but with no ellipticity bracket
-    monkeypatch.setattr(OperatorSpec, "apply", lambda self, h: h.trace() ** 3)
+    # a corrupted operator: monotone, but with no ellipticity bracket; the
+    # intrinsic form is checked through apply_batch, the solver's kernel
+    monkeypatch.setattr(OperatorSpec, "apply_batch", lambda self, hxx, hxy, hyy: (hxx + hyy) ** 3)
     spec = OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0))
     report = validate_operator(spec, samples=300, seed=2)
     assert report["violations"] > 0
     assert not report["pass"]
+    # the lifted form is checked through apply on the 3x3 argument
+    monkeypatch.setattr(OperatorSpec, "apply", lambda self, h: h.trace() ** 3)
+    spec = OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0), form="lifted")
+    report = validate_operator(spec, samples=300, seed=2)
+    assert report["violations"] > 0
+    assert not report["pass"]
+
+
+def test_apply_on_sym2_is_apply_batch_bitwise():
+    g = SplitMix64(56, "apply-batch")
+    mats = g.symmetric(500, 2, scale=3.0)
+    hxx, hxy, hyy = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+    for spec in (
+        OperatorSpec.sublaplacian(),
+        OperatorSpec("pucci_plus", EllipticityBracket(0.5, 2.0)),
+        OperatorSpec("pucci_minus", EllipticityBracket(0.5, 2.0)),
+        OperatorSpec("trace_linear", EllipticityBracket(1.0, 2.0), coeff=Sym2(1.5, 0.2, 1.2)),
+    ):
+        batch = spec.apply_batch(hxx, hxy, hyy)
+        single = [spec.apply(Sym2(*row)) for row in zip(hxx, hxy, hyy)]
+        assert np.array_equal(batch, single), spec.kind
 
 
 def test_operator_spec_validation():
@@ -152,9 +174,9 @@ def test_operator_spec_validation():
 
 
 def test_operator_spec_config_roundtrip():
-    spec = OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0), form="lifted")
     cfg = {"kind": "pucci_plus", "lambda": 1, "Lambda": 2, "form": "lifted"}
-    assert OperatorSpec.from_config(cfg) == spec
+    with pytest.raises(ValueError, match="unknown operator config keys: \\['form'\\]"):
+        OperatorSpec.from_config(cfg)
     tl = OperatorSpec("trace_linear", EllipticityBracket(1.0, 2.0), coeff=Sym2(1.5, 0.1, 1.1))
     cfg = {"kind": "trace_linear", "lambda": 1, "Lambda": 2, "a": [[1.5, 0.1], [0.1, 1.1]]}
     assert OperatorSpec.from_config(cfg) == tl

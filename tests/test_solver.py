@@ -9,6 +9,7 @@ from heisenpde.fields import PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction
 from heisenpde.group import Point, frame_batch
 from heisenpde.operators import EllipticityBracket, OperatorSpec
+from heisenpde.rng import SplitMix64
 from heisenpde.symmetric import Sym2
 from heisenpde.solver import (
     Discretization,
@@ -101,6 +102,19 @@ def test_stencil_hessian_linear_and_vertical():
     assert np.abs(m3.mat).max() <= 1e-10
     with pytest.raises(ValueError):
         stencil_hessian(lin, (0, 8, 8))
+
+
+def test_stencil_hessian_is_the_solver_stencil_column():
+    # the solver's stencil of a problem whose Dirichlet data is u itself
+    g = box(9)
+    values = SplitMix64(58, "stencil-column").uniform(9**3, -1.0, 1.0).reshape(g.counts)
+    u = GridFunction(g, values)
+    columns = ProblemSpec(SUB, ONE, ZERO, u, g).discretization.stencil.hessian_components(
+        values.ravel()
+    )
+    for k, idx in enumerate(np.ndindex(7, 7, 7)):
+        m = stencil_hessian(u, tuple(i + 1 for i in idx))
+        assert [m.a11, m.a12, m.a22] == columns[:, k].tolist(), idx
 
 
 def test_stencil_hessian_consistency_under_refinement():
