@@ -10,6 +10,7 @@ flagged solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -138,6 +139,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _release_freed_heap() -> None:
+    """Hand the heap pages freed by a command back to the OS (glibc only).
+
+    Once glibc's mmap threshold has risen past the solver's large temporaries,
+    they are freed into the heap and stay resident.  Whether the caller's next
+    large allocation reuses those pages or grows the heap then depends on the
+    layout, so the process's peak resident set jumped by about 12 MB from one
+    run of the same pipeline to the next.  After malloc_trim(0) the free pages
+    are not resident, and any later allocation faults its pages in alike."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return  # not glibc
+    trim(0)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -145,6 +162,8 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _release_freed_heap()
 
 
 if __name__ == "__main__":

@@ -98,6 +98,26 @@ def test_solve_missing_field_exit_1(tmp_path, capsys):
     assert "boundary" in capsys.readouterr().err
 
 
+def test_main_releases_the_freed_heap_after_every_command(tmp_path, monkeypatch):
+    from heisenpde import cli
+
+    trims = []
+
+    class Libc:
+        def malloc_trim(self, pad):
+            trims.append(pad)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    cfg = write_json(tmp_path / "prob.json", SOLVE_CONFIG)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 0
+    assert main(["solve", "--config", str(tmp_path / "missing.json"), "--out", "u.csv"]) == 1
+    assert trims == [0, 0]
+    # a C library without malloc_trim leaves the exit codes alone
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
+    assert (tmp_path / "u.csv").read_bytes() == (tmp_path / "v.csv").read_bytes()
+
+
 def test_solve_unknown_key_exit_1(tmp_path, capsys):
     cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, bogus=1))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1
