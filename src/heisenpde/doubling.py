@@ -355,16 +355,13 @@ def vertical_obstruction_check(
     y3: float,
     samples: int = 10_000,
     seed: int = 0,
-    x_prime: tuple[float, float] = (0.0, 0.0),
-    y_prime: tuple[float, float] = (0.0, 0.0),
 ) -> bool:
     """On the vertical axis, sqrt(P) annihilates e3, so no xi1, xi2 make
     sqrt(P)(x) xi1 - sqrt(P)(y) xi2 equal (0, 0, +-1); returns True.
 
-    Only the remark's hypothesis x' = y' = 0 (and x3 != y3) is accepted.
+    The points are x = (0, 0, x3) and y = (0, 0, y3), the remark's
+    hypothesis x' = y' = 0; x3 != y3 is required.
     """
-    if any(x_prime) or any(y_prime):
-        raise ValueError("check applies on the vertical axis only (x' = y' = 0)")
     if x3 == y3:
         raise ValueError("need x3 != y3")
     rx = sqrt_p(Point(0.0, 0.0, float(x3))).mat

@@ -21,7 +21,6 @@ import numpy as np
 from .symmetric import Mat2x3, Sym3
 
 Vec3 = np.ndarray
-Vec2 = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,6 @@ class Point:
     @staticmethod
     def of(x1: float, x2: float, x3: float) -> "Point":
         return Point(float(x1), float(x2), float(x3))
-
-    @property
-    def xy(self) -> Vec2:
-        return np.array([self.x1, self.x2])
 
     def as_array(self) -> Vec3:
         return np.array([self.x1, self.x2, self.x3])

@@ -168,7 +168,8 @@ class OperatorSpec:
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":
         """The intrinsic-form operator of an operator config section; the
-        coefficient 'a' of trace_linear is a 2x2 list of finite numbers."""
+        coefficient 'a', read by trace_linear only, is a symmetric 2x2 list
+        of finite numbers."""
         config_section(cfg, "operator", ("kind", "lambda", "Lambda"), ("a",))
         bracket = EllipticityBracket(
             config_number(cfg, "operator", "lambda"), config_number(cfg, "operator", "Lambda")
@@ -183,7 +184,13 @@ class OperatorSpec:
             m = np.array([config_number({"a": row}, "operator", "a", length=2) for row in a])
             if not np.all(np.isfinite(m)):
                 raise ValueError(f"operator config 'a' must be finite, got {a!r}")
+            if m[0, 1] != m[1, 0]:
+                raise ValueError(f"operator config 'a' must be symmetric, got {a!r}")
             coeff = Sym2.from_matrix(m)
+        elif "a" in cfg:
+            raise ValueError(
+                f"operator config 'a' is read by kind 'trace_linear' only, not {cfg['kind']!r}"
+            )
         return OperatorSpec(cfg["kind"], bracket, coeff=coeff)
 
 
@@ -227,12 +234,7 @@ def validate_operator(spec: OperatorSpec, samples: int = 1000, seed: int = 0) ->
     dim = 2 if spec.form == INTRINSIC else 3
     g = SplitMix64(seed, f"validate-{spec.kind}-{spec.form}")
     base = g.symmetric(samples, dim, scale=2.0)
-    if dim == 3:
-        gaps = g.spd(samples, 3)
-    else:
-        rot = g.rotations_2d(samples)
-        d = g.log_uniform(2 * samples, 1e-3, 1e2).reshape(samples, 2)
-        gaps = np.einsum("nij,nj,nkj->nik", rot, d, rot)
+    gaps = g.spd(samples, dim)
     tops = base + gaps
     if dim == 2:
         # one apply_batch call per side on the from_matrix entries

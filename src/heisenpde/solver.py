@@ -29,7 +29,9 @@ solve() accelerates it with FAS-style V-cycles on nested coarser grids,
 smoothing with the same step on every level but the coarsest; the stencil,
 tau rule, stopping test (fine-grid residual below tol), and hence the fixed
 point are unchanged.  A grid that cannot be coarsened runs the plain
-single-level iteration.
+single-level iteration.  Discretization.smooth is the only relaxation loop;
+it returns the residual of its final iterate, which the V-cycle passes on
+rather than evaluating the operator twice on one iterate.
 
 The coarsest level is solved directly.  The stencil is affine in the
 interior node values, so probing it once with the interior unit vectors
@@ -327,6 +329,7 @@ class Discretization:
         self.boundary_flat = np.flatnonzero(~mask)
         self.boundary_vals = prob.boundary.value_batch(pts[~mask])
         self.evals = 0  # evaluations of T on this level
+        self.sweeps = 0  # smoothing sweeps on this level
 
     def initial_values(self) -> np.ndarray:
         return self.boundary.value_batch(self.grid.points())
@@ -352,12 +355,19 @@ class Discretization:
             raise ArithmeticError(f"non-finite update at node {tuple(int(v) for v in bad)}")
         inner[...] = upd
 
-    def smooth(self, flat: np.ndarray, rhs: np.ndarray, sweeps: int) -> np.ndarray:
-        """sweeps Jacobi pseudo-time steps toward T(u) = rhs; returns residual."""
-        res = None
-        for _ in range(sweeps):
+    def smooth(self, flat: np.ndarray, rhs: np.ndarray, sweeps: int, res=None, tol=0.0):
+        """Up to `sweeps` Jacobi steps toward T(u) = rhs in place, each with the
+        residual T(u) - rhs of the iterate it moves (`res` for the first, if
+        given), stopping before a sweep once max |res| < tol; returns the
+        residual of the final iterate."""
+        if res is None:
             res = self.residual_interior(flat, rhs)
+        for _ in range(sweeps):
+            if tol > 0 and np.abs(res).max() < tol:
+                break
             self.advance(flat, res, self.tau)
+            self.sweeps += 1
+            res = self.residual_interior(flat, rhs)
         return res
 
     def enforce_boundary(self, flat: np.ndarray) -> None:
@@ -488,23 +498,20 @@ class _Multilevel:
         while grid.can_coarsen():
             grid = grid.coarsen()
             self.levels.append(Discretization(prob, grid))
-        self.fine_steps = 0
         self.newton_steps = 0
         coarsest = self.levels[-1]
         self.dense = _probe(coarsest) if coarsest.c_int.size <= self.DENSE_MAX else None
 
-    def coarse_solve(self, flat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def coarse_solve(self, flat: np.ndarray, rhs: np.ndarray, res=None) -> None:
         """Solve T(u) = rhs on the coarsest level in place, stopping once
         max |T(u) - rhs| < 1e-14 max(1, max |rhs|): by Newton on the probed
-        affine stencil, or with at most COARSE_SWEEPS smoothing sweeps on a
-        level above DENSE_MAX."""
+        affine stencil, or with at most COARSE_SWEEPS smoothing sweeps from
+        the residual `res` on a level above DENSE_MAX."""
         disc = self.levels[-1]
         tol = 1e-14 * max(1.0, np.abs(rhs).max())
         if self.dense is None:
-            for _ in range(self.COARSE_SWEEPS // 5):
-                if np.abs(disc.smooth(flat, rhs, 5)).max() < tol:
-                    break
-            return flat
+            disc.smooth(flat, rhs, self.COARSE_SWEEPS, res, tol)
+            return
         edge = flat.copy()
         _interior(edge, disc.grid.counts)[...] = 0.0
         offset = disc.stencil.hessian_components(edge)
@@ -518,30 +525,30 @@ class _Multilevel:
             jac = np.einsum("kn,knm->nm", slopes, self.dense) - np.diag(disc.c_int)
             disc.advance(flat, -np.linalg.solve(jac, res), 1.0)
             self.newton_steps += 1
-        return flat
 
-    def vcycle(self, l: int, flat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    def vcycle(self, l: int, flat: np.ndarray, rhs: np.ndarray, res=None) -> np.ndarray:
+        """One V-cycle on level l above the coarsest, in place, from the
+        residual res = T(u) - rhs if the caller has it; returns the
+        residual of the result."""
         disc = self.levels[l]
-        if l == len(self.levels) - 1:
-            return self.coarse_solve(flat, rhs)
-        disc.smooth(flat, rhs, self.SWEEPS)
-        if l == 0:
-            self.fine_steps += self.SWEEPS
+        res = disc.smooth(flat, rhs, self.SWEEPS, res)
         fine = disc.grid.counts
         coarse = self.levels[l + 1]
         counts = coarse.grid.counts
-        res = rhs - disc.apply_nonlinearity(flat)
-        rc = _interior(_restrict_full_weight(_embed(res, fine), counts), counts).ravel()
-        u_c = flat.reshape(fine)[::2, ::2, ::2].copy()
-        uc_flat = u_c.ravel().copy()
-        rhs_c = coarse.apply_nonlinearity(uc_flat) + rc
-        v_flat = self.vcycle(l + 1, uc_flat.copy(), rhs_c)
+        rc = _interior(_restrict_full_weight(_embed(-res, fine), counts), counts).ravel()
+        del res  # not kept through the recursion
+        uc_flat = flat.reshape(fine)[::2, ::2, ::2].flatten()
+        res_c = coarse.apply_nonlinearity(uc_flat)
+        rhs_c = res_c + rc
+        res_c -= rhs_c  # T(u_c) - rhs_c
+        v_flat = uc_flat.copy()
+        if l + 1 < len(self.levels) - 1:
+            self.vcycle(l + 1, v_flat, rhs_c, res_c)
+        else:
+            self.coarse_solve(v_flat, rhs_c, res_c)
         corr = _embed(_interior(v_flat, counts) - _interior(uc_flat, counts), counts)
         _interior(flat, fine)[...] += _interior(_prolong(corr, fine), fine)
-        disc.smooth(flat, rhs, self.SWEEPS)
-        if l == 0:
-            self.fine_steps += self.SWEEPS
-        return flat
+        return disc.smooth(flat, rhs, self.SWEEPS)
 
     def fmg_initial(self) -> np.ndarray:
         """Nested iteration: solve the coarsest level, then prolong upward
@@ -571,35 +578,29 @@ def solve(prob: ProblemSpec) -> SolveResult:
     returns the best iterate flagged, never raises.
     """
     disc = prob.discretization
-    evals_before = disc.evals  # the finest level outlives this solve
+    disc.evals = disc.sweeps = 0  # the problem keeps its finest level between solves
     history = []  # the fine residual after each V-cycle
     if prob.grid.can_coarsen():
         ml = _Multilevel(prob, disc)
         flat = ml.fmg_initial()
-        rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
-        while rn >= prob.tol and ml.fine_steps < prob.max_iters and len(history) < 500:
-            ml.vcycle(0, flat, disc.f_int)
-            rn = float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
+        res = disc.residual_interior(flat, disc.f_int)
+        rn = float(np.abs(res).max())
+        while rn >= prob.tol and disc.sweeps < prob.max_iters and len(history) < 500:
+            res = ml.vcycle(0, flat, disc.f_int, res)
+            rn = float(np.abs(res).max())
             history.append(rn)
-        iters, levels, newton = ml.fine_steps, ml.levels, ml.newton_steps
+        levels, newton = ml.levels, ml.newton_steps
     else:
         flat = disc.initial_values()
         disc.enforce_boundary(flat)
-        iters, levels, newton = 0, [disc], 0
-        # each sweep advances with the residual of the stopping test before it
-        res = disc.residual_interior(flat, disc.f_int)
+        res = disc.smooth(flat, disc.f_int, prob.max_iters, tol=prob.tol)
         rn = float(np.abs(res).max())
-        while not rn < prob.tol and iters < prob.max_iters:
-            disc.advance(flat, res, disc.tau)
-            iters += 1
-            res = disc.residual_interior(flat, disc.f_int)
-            rn = float(np.abs(res).max())
+        levels, newton = [disc], 0
     u = GridFunction(prob.grid, flat.reshape(prob.grid.counts))
-    level_evals = [level.evals for level in levels]
-    level_evals[0] -= evals_before
     return SolveResult(
-        u, iters, rn, rn < prob.tol, disc.tau, len(history), rho=disc.rho,
-        levels=[level.grid.counts for level in levels], level_evals=level_evals,
+        u, disc.sweeps, rn, rn < prob.tol, disc.tau, len(history), rho=disc.rho,
+        levels=[level.grid.counts for level in levels],
+        level_evals=[level.evals for level in levels],
         coarse_newton_steps=newton, outside_fraction=disc.stencil.outside_fraction,
         cycle_residuals=history,
     )

@@ -235,8 +235,16 @@ TRACE_LINEAR = {"kind": "trace_linear", "lambda": 1.0, "Lambda": 2.0}
         (dict(TRACE_LINEAR, a=[[1.5, 0, 0], [0, 1.5, 0], [0, 0, 1.5]]), ("operator config 'a'",)),
         (dict(TRACE_LINEAR, a=[[1.5, 0], [0, "1.5"]]), ("operator config 'a'",)),
         (dict(TRACE_LINEAR, a=[[1.5, 0], [0, float("nan")]]), ("operator config 'a'", "finite")),
+        (dict(TRACE_LINEAR, a=[[1.5, 0.3], [0.1, 1.1]]), ("operator config 'a'", "symmetric")),
+        (
+            {"kind": "pucci_plus", "lambda": 1.0, "Lambda": 2.0, "a": [[1.5, 0.3], [0.3, 1.1]]},
+            ("operator config 'a'", "trace_linear", "pucci_plus"),
+        ),
     ],
-    ids=["form-intrinsic", "form-lifted", "a-1x1", "a-3x3", "a-string-entry", "a-nan"],
+    ids=[
+        "form-intrinsic", "form-lifted", "a-1x1", "a-3x3", "a-string-entry", "a-nan",
+        "a-nonsymmetric", "a-on-pucci",
+    ],
 )
 def test_solve_rejects_bad_operator_before_solving(tmp_path, capsys, monkeypatch, operator, words):
     monkeypatch.setattr("heisenpde.cli.solve", no_solve)

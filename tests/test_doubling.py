@@ -377,8 +377,6 @@ def test_vertical_obstruction():
     assert vertical_obstruction_check(1.0, -1.0, samples=5000, seed=1)
     with pytest.raises(ValueError):
         vertical_obstruction_check(1.0, 1.0)
-    with pytest.raises(ValueError):
-        vertical_obstruction_check(1.0, 2.0, x_prime=(0.5, 0.0))
 
 
 def test_doubling_certificate_constant():

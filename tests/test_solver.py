@@ -409,6 +409,12 @@ def test_solve_reports_work_per_level():
         first.level_evals,
         first.coarse_newton_steps,
     )
+    # residuals are passed on, not recomputed: per V-cycle 3 pre-smoothing
+    # sweeps from the stopping test's residual, then 1 + 3 for post-smoothing
+    assert first.level_evals[0] == 7 * first.cycles + 1
+    assert first.iterations == 2 * _Multilevel.SWEEPS * first.cycles
+    # the carried residual is the one a fresh evaluation gives
+    assert residual_norm(first.u, prob) == first.residual
     diag = first.to_dict()
     assert diag["level_evals"] == first.level_evals
     assert diag["coarse_newton_steps"] == first.coarse_newton_steps
