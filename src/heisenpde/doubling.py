@@ -2,7 +2,7 @@
 trace-gap bounds, the sqrt(P) Lipschitz ratio, and the Holder certificate.
 Each formula is implemented once over stacks of pairs (the *_batch
 functions, which `heisenpde verify` checks); the Point/Sym3 functions wrap
-them for a single pair.
+them for a single pair.  Least eigenvalues come from numpy.linalg.eigvalsh.
 
 The penalty is always Euclidean: phi(x, y) = L|x-y|^alpha, whose Hessian in x
 is M = L*alpha*|x-y|^(alpha-2)*((alpha-2) e (x) e + I) along the unit
@@ -25,7 +25,7 @@ import numpy as np
 from .calculus import lift_batch
 from .group import Point, p_matrix_batch, sqrt_p, sqrt_p_batch
 from .rng import SplitMix64
-from .symmetric import Sym3, min_eigenvalue
+from .symmetric import Sym3
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,21 @@ def _pair(x: Point, y: Point) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _single(batch_fn, a: Sym3, b: Sym3, n: Sym3, x: Point, y: Point) -> tuple[float, float]:
-    """A batch trace-gap function's (lhs, rhs) for one instance."""
+    """A batch trace-gap function's (lhs, rhs) for one admissible instance."""
+    if not block_gap_holds(a, b, n):
+        raise ValueError("block inequality precondition fails")
     lhs, rhs = batch_fn(a.mat[None], b.mat[None], n.mat[None], *_pair(x, y))
     return float(lhs[0]), float(rhs[0])
+
+
+def _holds(lhs: float, rhs: float) -> bool:
+    """lhs <= rhs up to 1e-9 max(1, |lhs|, |rhs|)."""
+    return lhs <= rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs))
+
+
+def _is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
+    """Least eigenvalue of the symmetric m at least -tol max(1, max |m_ij|)."""
+    return bool(np.linalg.eigvalsh(m)[0] >= -tol * max(1.0, np.abs(m).max()))
 
 
 def penalty_value(x: Point, y: Point, pp: PenaltyParams) -> float:
@@ -180,13 +192,11 @@ def block_gap(a: Sym3, b: Sym3, n: Sym3) -> float:
     Nonnegative (up to 1e-9 times the largest entry) iff the block inequality
     [[A,0],[0,-B]] <= [[N,-N],[-N,N]] holds.
     """
-    return min_eigenvalue(block_gap_matrix(a.mat, b.mat, n.mat))
+    return float(np.linalg.eigvalsh(block_gap_matrix(a.mat, b.mat, n.mat))[0])
 
 
 def block_gap_holds(a: Sym3, b: Sym3, n: Sym3, tol: float = 1e-9) -> bool:
-    gap = block_gap_matrix(a.mat, b.mat, n.mat)
-    scale = max(1.0, np.abs(gap).max())
-    return min_eigenvalue(gap) >= -tol * scale
+    return _is_psd(block_gap_matrix(a.mat, b.mat, n.mat), tol)
 
 
 def make_admissible_pair(n: Sym3, seed: int = 0) -> tuple[Sym3, Sym3]:
@@ -245,15 +255,12 @@ def trace_gap(a: Sym3, b: Sym3, n: Sym3, x: Point, y: Point) -> TraceGapReport:
     enter the scalar block consequence squared, which is where the factor 4
     comes from.  Requires an admissible (A, B, N).
     """
-    if not block_gap_holds(a, b, n):
-        raise ValueError("block inequality precondition fails")
     lhs, rhs = _single(trace_gap_batch, a, b, n, x, y)
-    scale = max(1.0, abs(lhs), abs(rhs))
     return TraceGapReport(
         lhs=lhs,
         rhs=rhs,
         n33=n.a33,
-        holds=lhs <= rhs + 1e-9 * scale,
+        holds=_holds(lhs, rhs),
         rhs_stated=rhs / 4.0,  # exact: 4 is a power of two
     )
 
@@ -318,36 +325,36 @@ def lifted_trace_gap(
     also carries the penalty form rhs' = 3 c2^2 (L a d^a + (2/mu) L^2 a^2
     d^(2a-2)), which bounds lhs whenever N = n_matrix(x, y, pp).
     """
-    if not block_gap_holds(a, b, n):
-        raise ValueError("block inequality precondition fails")
     lhs, rhs = _single(lifted_trace_gap_batch, a, b, n, x, y)
-    scale = max(1.0, abs(lhs), abs(rhs))
     rhs_penalty = None
     holds_penalty = None
     if pp is not None and c2 is not None:
         rhs_penalty = float(lifted_penalty_bound_batch(*_pair(x, y), pp.L, pp.alpha, pp.mu, c2)[0])
-        holds_penalty = lhs <= rhs_penalty + 1e-9 * max(1.0, abs(lhs), abs(rhs_penalty))
+        holds_penalty = _holds(lhs, rhs_penalty)
     return TraceGapReport(
         lhs=lhs,
         rhs=rhs,
         n33=n.a33,
-        holds=lhs <= rhs + 1e-9 * scale,
+        holds=_holds(lhs, rhs),
         rhs_penalty=rhs_penalty,
         holds_penalty=holds_penalty,
     )
 
 
-def psd_sandwich_check(p: Sym3, s1: Sym3, s2: Sym3, tol: float = 1e-9) -> bool:
+def sandwich_batch(p: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """The symmetrized P (S2 - S1) P for (k, 3, 3) stacks P and S2 - S1."""
+    d = np.einsum("nij,njk,nkl->nil", p, gap, p)
+    return 0.5 * (d + np.swapaxes(d, -1, -2))
+
+
+def psd_sandwich_check(p: Sym3, s1: Sym3, s2: Sym3) -> bool:
     """True iff P S1 P <= P S2 P; requires P >= 0 and S1 <= S2."""
-    pm = p.mat
     gap = s2.mat - s1.mat
-    if min_eigenvalue(pm) < -tol * max(1.0, np.abs(pm).max()):
+    if not _is_psd(p.mat):
         raise ValueError("P must be positive semidefinite")
-    if min_eigenvalue(gap) < -tol * max(1.0, np.abs(gap).max()):
+    if not _is_psd(gap):
         raise ValueError("need S1 <= S2")
-    d = pm @ gap @ pm
-    d = 0.5 * (d + d.T)
-    return min_eigenvalue(d) >= -tol * max(1.0, np.abs(d).max())
+    return _is_psd(sandwich_batch(p.mat[None], gap[None])[0])
 
 
 def vertical_obstruction_check(

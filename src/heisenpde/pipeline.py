@@ -106,6 +106,9 @@ class PipelineConfig:
                 f"bracket config [{have.lam}, {have.Lam}] must contain the operator config's "
                 f"[lambda, Lambda] = [{need.lam}, {need.Lam}]"
             )
+        c0, c_min = check.hd.c0, float(problem.c.value_batch(problem.grid.points()).min())
+        if c0 > c_min:
+            raise ValueError(f"holder config 'c0' = {c0} exceeds min c = {c_min} on the grid")
         return PipelineConfig(problem, check, penalty, per_axis)
 
 

@@ -96,8 +96,8 @@ def sample_pairs(
     return np.concatenate(xs_all), np.concatenate(ys_all), np.concatenate(strata)
 
 
-def default_radii(u: GridFunction, margin: float = DEFAULT_MARGIN, count: int = DEFAULT_RADII):
-    """count log-spaced radii spanning [2h, interior-diameter/4]."""
+def default_radii(u: GridFunction, margin: float = DEFAULT_MARGIN):
+    """DEFAULT_RADII log-spaced radii spanning [2h, interior-diameter/4]."""
     lo, hi = u.grid.margin_box(margin)
     diam = float(np.linalg.norm(hi - lo))
     h = min(u.grid.spacings)
@@ -105,7 +105,7 @@ def default_radii(u: GridFunction, margin: float = DEFAULT_MARGIN, count: int = 
     r_max = diam / 4.0
     if r_min >= r_max:
         raise ValueError("grid too coarse for the requested radii span")
-    return np.geomspace(r_min, r_max, count), (lo, hi)
+    return np.geomspace(r_min, r_max, DEFAULT_RADII), (lo, hi)
 
 
 def _polish_pairs(
@@ -116,17 +116,17 @@ def _polish_pairs(
     strata: np.ndarray,
     radii: np.ndarray,
     box: tuple[np.ndarray, np.ndarray],
-    top: int = 6,
-    rounds: int = 14,
 ) -> np.ndarray:
     """Pattern-search polish of the best pairs of every radius stratum, one
     polished maximum per stratum.
 
     Random sampling starves sup statistics near small features (a cusp hides
     in an O(r^3) volume); a short local search from the best starts recovers
-    the stratum supremum.  The `top` best pairs of each stratum move as one
-    stack, each row with its own step and distance range [0.9 r, 1.1 r];
-    moves keep both endpoints in the box and the pair distance in range."""
+    the stratum supremum.  The 6 best pairs (`top`) of each stratum move as
+    one stack for 14 rounds, each row with its own step and distance range
+    [0.9 r, 1.1 r]; moves keep both endpoints in the box and the pair
+    distance in range."""
+    top = 6
     lo, hi = box
     members = [np.nonzero(strata == k)[0] for k in range(radii.size)]
     order = np.concatenate([sel[np.argsort(vals[sel])[-top:]] for sel in members])
@@ -137,7 +137,7 @@ def _polish_pairs(
     r_lo, r_hi = 0.9 * r, 1.1 * r
     step = 0.5 * r_hi
     moves = np.concatenate([np.eye(3), -np.eye(3)])
-    for _ in range(rounds):
+    for _ in range(14):
         for which in (0, 1):
             for m in moves:
                 cx = x + step[:, None] * m if which == 0 else x.copy()
@@ -186,29 +186,19 @@ def modulus(
     return list(zip(radii.tolist(), omegas.tolist()))
 
 
-def holder_seminorm(
-    u: GridFunction,
-    alpha: float,
-    margin: float = DEFAULT_MARGIN,
-    n_pairs: int = DEFAULT_PAIRS,
-    seed: int = 0,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """max over sampled interior pairs of |u(x)-u(y)| / |x-y|^alpha.
+def holder_seminorm(u: GridFunction, alpha: float, pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """max over the pairs (xs, ys) of |u(x)-u(y)| / |x-y|^alpha.
 
-    Finite for every grid function; the meaningful check is stability under
-    refinement, which callers obtain by reusing the same pair set.
+    The caller draws the pairs (check_theorem uses default_radii and
+    sample_pairs).  Finite for every grid function; the meaningful check is
+    stability under refinement, which callers obtain by reusing the same
+    pair set.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    if pairs is None:
-        radii, box = default_radii(u, margin)
-        per = max(1, n_pairs // radii.size)
-        xs, ys, _ = sample_pairs(box, radii, per, seed)
-    else:
-        xs, ys = pairs
-        if xs.shape[0] == 0:
-            raise ValueError("empty pair sample")
+    xs, ys = pairs
+    if xs.shape[0] == 0:
+        raise ValueError("empty pair sample")
     du = np.abs(u.value_batch(xs) - u.value_batch(ys))
     dist = np.linalg.norm(xs - ys, axis=1)
     return float((du / dist**alpha).max())
@@ -233,17 +223,16 @@ def fit_loglog(radii: np.ndarray, omegas: np.ndarray) -> tuple[float, float, flo
 def fit_alpha(
     u: GridFunction,
     margin: float = DEFAULT_MARGIN,
-    count: int = DEFAULT_RADII,
     per_radius: int = 2000,
     seed: int = 0,
 ) -> tuple[float, float, float, bool]:
-    """Fit omega_r ~ L r^alpha over log-spaced radii.
+    """Fit omega_r ~ L r^alpha over the default_radii.
 
     Returns (alpha_fit, L_fit, r_squared, degenerate); alpha_fit is clamped
     to (0, 1.5].  A flat (all-zero) modulus is flagged degenerate and reports
     alpha_fit = 1, L_fit = 0.
     """
-    radii, box = default_radii(u, margin, count)
+    radii, _ = default_radii(u, margin)
     pts = modulus(u, radii, margin, per_radius, seed)
     r = np.array([p[0] for p in pts])
     w = np.array([p[1] for p in pts])

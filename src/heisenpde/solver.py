@@ -1,9 +1,10 @@
-"""Monotone finite-difference solver for F(D^{2,*}u) - c u = f on a box.
+"""Finite-difference solver for F(D^{2,*}u) - c u = f on a box.
 
 The stencil is frame-aligned (semi-Lagrangian): second differences are taken
 along straight lines p +- h X(p), p +- h Y(p) and the four diagonal
-combinations, with off-node values obtained by trilinear interpolation, which
-preserves degenerate ellipticity.  Samples that leave the box are evaluated
+combinations, with off-node values obtained by trilinear interpolation.  The
+scheme is monotone only when F ignores h_xy: the cross term weighs two
+diagonal samples by -1/(4 rho^2).  Samples that leave the box are evaluated
 with the Dirichlet data (the boundary field extends u); stencil_hessian runs
 the same stencil on a bare grid function, which is its own off-box field and
 so clamps those samples onto the box.  Because the frame's horizontal step
@@ -18,7 +19,7 @@ numerical diffusion along x3, where the frame tilts off the grid planes), so
 rho = h would not converge at all on solutions with x3 curvature.  The
 default rho ~ 0.5*sqrt(h), snapped to a half-integer multiple of h (see
 sample_step), balances the O(rho^2) line-truncation error against that bias,
-giving a monotone first-order scheme; on coarse grids it reduces to the
+giving a first-order scheme; on coarse grids it reduces to the
 plain spacing step.
 
 The basic iteration is the Jacobi-style pseudo-time step

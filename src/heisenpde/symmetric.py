@@ -2,9 +2,10 @@
 
 Symmetry is structural: Sym2/Sym3 hold only the independent entries, so no
 runtime symmetry checks are ever needed.  Eigenvalues of 2x2 matrices use the
-closed quadratic formula; larger ones (3x3 penalty matrices, 6x6 block gaps)
-use a cyclic Jacobi sweep so the operator path does not depend on a library
-eigensolver (numpy.linalg serves as the independent oracle in the tests).
+closed quadratic formula; Sym3's (the lifted Pucci argument, a trace_linear
+coefficient) use a cyclic Jacobi sweep so the operator path does not depend
+on a library eigensolver.  The 6x6 block gaps of the doubling lab use
+numpy.linalg, which also serves as the independent oracle in the tests.
 """
 
 from __future__ import annotations
@@ -147,23 +148,23 @@ class Mat2x3:
         return np.array(self.rows)
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 50) -> np.ndarray:
+def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a small symmetric matrix by cyclic Jacobi.
 
     Sweeps rotate away each off-diagonal entry in turn until the off-diagonal
-    Frobenius mass falls below tol times the matrix scale.
+    Frobenius mass falls below 1e-12 times the matrix scale (50 sweeps at most).
     """
     a = np.array(a, dtype=float)
     n = a.shape[0]
     scale = np.max(np.abs(a))
     if scale == 0.0:
         return np.zeros(n)
-    for _ in range(max_sweeps):
+    for _ in range(50):
         off = 0.0
         for p in range(n - 1):
             for q in range(p + 1, n):
                 off += 2.0 * a[p, q] ** 2
-        if np.sqrt(off) <= tol * scale:
+        if np.sqrt(off) <= 1e-12 * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -187,7 +188,3 @@ def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 50) 
                         a[k, p] = a[p, k] = c * akp - s * akq
                         a[k, q] = a[q, k] = s * akp + c * akq
     return np.sort(np.diag(a))
-
-
-def min_eigenvalue(a: np.ndarray) -> float:
-    return float(jacobi_eigenvalues(a)[0])

@@ -97,6 +97,10 @@ def test_flipped_pucci_is_detected(monkeypatch):
         ("penalty_hessian_sq_batch", lambda m: lambda *a: m(*a) * 1.000001, "check_penalty_square"),
         # a norm bound without its (2/mu) M^2 part
         ("n_norm_bound_batch", lambda b: lambda *a: b(*a[:4], np.inf), "check_n_bound"),
+        # the frame of the reflected point, whose vertical parts change sign
+        ("lift_batch", lambda lift: lambda m, xy: lift(m, -xy), "check_trace_identity"),
+        # the gap taken the wrong way round, P (S1 - S2) P
+        ("sandwich_batch", lambda s: lambda p, gap: s(p, -gap), "check_psd_sandwich"),
     ],
     ids=[
         "group_inv",
@@ -108,6 +112,8 @@ def test_flipped_pucci_is_detected(monkeypatch):
         "M",
         "M2",
         "n_norm_bound",
+        "lift",
+        "sandwich",
     ],
 )
 def test_corrupted_shipped_formula_is_detected(monkeypatch, name, corrupt, check):

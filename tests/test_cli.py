@@ -275,6 +275,10 @@ PUCCI_4 = {"kind": "pucci_plus", "lambda": 1.0, "Lambda": 4.0}
         ({"penalty": {"L_factor": float("inf")}}, ("penalty config 'L_factor'",)),
         ({"penalty": {"delta": -1e-6}}, ("penalty config 'delta'",)),
         ({"penalty": {"eps": -1.0}}, ("penalty config 'eps'",)),
+        (
+            {"problem": dict(PIPELINE_CONFIG["problem"], c={"poly": "0.1"})},
+            ("holder config 'c0'", "0.1"),
+        ),
     ],
     ids=[
         "operator-form",
@@ -287,6 +291,7 @@ PUCCI_4 = {"kind": "pucci_plus", "lambda": 1.0, "Lambda": 4.0}
         "l-factor-inf",
         "delta-negative",
         "eps-negative",
+        "c0-above-c",
     ],
 )
 def test_pipeline_rejects_bad_values_before_solving(tmp_path, capsys, monkeypatch, override, words):

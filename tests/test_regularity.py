@@ -64,18 +64,26 @@ def test_modulus_linear_scales_with_radius():
         assert 0.85 * r <= w <= 1.1 * r + 1e-12
 
 
+def default_pairs(u, n_pairs=200_000):
+    """check_theorem's pair draw: n_pairs split over u's default radii, seed 0."""
+    radii, box = default_radii(u)
+    xs, ys, _ = sample_pairs(box, radii, n_pairs // radii.size, seed=0)
+    return xs, ys
+
+
 def test_holder_seminorm_cases():
     u = GridFunction.from_field(grid_box(), PolynomialField.constant(1.0))
-    assert holder_seminorm(u, 0.5) == 0.0
+    pairs = default_pairs(u)
+    assert holder_seminorm(u, 0.5, pairs) == 0.0
     sqrt_field = NumericField(lambda pts: np.sqrt(np.linalg.norm(pts, axis=1)))
     us = GridFunction.from_field(grid_box(33), sqrt_field)
-    s = holder_seminorm(us, 0.5, n_pairs=100_000)
+    s = holder_seminorm(us, 0.5, default_pairs(us, 100_000))
     assert s <= 1.05
     assert s > 0.5
     with pytest.raises(ValueError):
-        holder_seminorm(u, 0.0)
+        holder_seminorm(u, 0.0, pairs)
     with pytest.raises(ValueError):
-        holder_seminorm(u, 1.2)
+        holder_seminorm(u, 1.2, pairs)
 
 
 def test_holder_seminorm_monotone_in_alpha_small_domain():
@@ -83,8 +91,9 @@ def test_holder_seminorm_monotone_in_alpha_small_domain():
     # grows with alpha
     g = grid_box(17, half=0.2)
     u = GridFunction.from_field(g, parse_polynomial("x1 + 0.5 x2 x3"))
-    s1 = holder_seminorm(u, 0.3, n_pairs=20_000)
-    s2 = holder_seminorm(u, 0.8, n_pairs=20_000)
+    pairs = default_pairs(u, 20_000)
+    s1 = holder_seminorm(u, 0.3, pairs)
+    s2 = holder_seminorm(u, 0.8, pairs)
     assert s1 <= s2
 
 

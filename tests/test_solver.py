@@ -16,6 +16,8 @@ from heisenpde.solver import (
     ProblemSpec,
     _interior,
     _Multilevel,
+    _probe,
+    _values_and_slopes,
     cfl_tau,
     manufacture,
     residual_norm,
@@ -503,3 +505,27 @@ def test_coarsest_level_above_dense_max_is_smoothed():
     assert res.levels == [(27, 27, 27), (14, 14, 14)]
     assert res.coarse_newton_steps == 0 and res.level_evals[-1] > 0
     assert res.cycles <= 20
+
+
+MONOTONE_KINDS = {
+    "sublaplacian": SUB,
+    "trace_linear_diagonal": OperatorSpec(
+        "trace_linear", EllipticityBracket(0.5, 1.5), coeff=Sym2(1.0, 0.0, 1.2)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MONOTONE_KINDS))
+def test_scheme_is_monotone_when_f_ignores_hxy(kind):
+    # the Jacobian sum_k diag(dF/dh_k) M_k of the stencil has no negative
+    # off-diagonal entry; kinds whose F depends on h_xy do not have this
+    op = MONOTONE_KINDS[kind]
+    disc = ProblemSpec(op, ONE, ZERO, ZERO, box(9)).discretization
+    m = _probe(disc)
+    g = SplitMix64(0, "monotone")
+    for _ in range(3):
+        flat = g.uniform(disc.grid.n_nodes, -1.0, 1.0)
+        _, slopes = _values_and_slopes(op, disc.stencil.hessian_components(flat))
+        jac = np.einsum("kn,knm->nm", slopes, m)
+        np.fill_diagonal(jac, 0.0)
+        assert jac.min() >= 0.0

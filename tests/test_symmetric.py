@@ -5,7 +5,6 @@ from heisenpde.symmetric import (
     Sym2,
     Sym3,
     jacobi_eigenvalues,
-    min_eigenvalue,
 )
 
 
@@ -39,7 +38,6 @@ def test_jacobi_handles_zero_and_diagonal():
 def test_operator_norm_and_min_eigenvalue():
     m = np.diag([-5.0, 1.0, 2.0])
     assert np.abs(jacobi_eigenvalues(m)).max() == 5.0
-    assert min_eigenvalue(m) == -5.0
 
 
 def test_sym3_arithmetic_roundtrip():
