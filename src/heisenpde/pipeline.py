@@ -106,9 +106,14 @@ class PipelineConfig:
                 f"bracket config [{have.lam}, {have.Lam}] must contain the operator config's "
                 f"[lambda, Lambda] = [{need.lam}, {need.Lam}]"
             )
-        c0, c_min = check.hd.c0, float(problem.c.value_batch(problem.grid.points()).min())
+        # the pipeline also solves on the refined grid, whose nodes hold the config grid's
+        c0 = check.hd.c0
+        c_min = float(problem.c.value_batch(problem.grid.refine().points()).min())
         if c0 > c_min:
-            raise ValueError(f"holder config 'c0' = {c0} exceeds min c = {c_min} on the grid")
+            raise ValueError(
+                f"holder config 'c0' = {c0} exceeds min c = {c_min} on the nodes of the "
+                "grid or its refinement"
+            )
         return PipelineConfig(problem, check, penalty, per_axis)
 
 

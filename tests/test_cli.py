@@ -304,6 +304,23 @@ def test_pipeline_rejects_bad_values_before_solving(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_pipeline_checks_c0_on_the_refined_grid(tmp_path, capsys, monkeypatch):
+    # min c is 0.5009 on the 33^3 nodes but 0.5000016 on the 65^3 nodes, which
+    # the pipeline also solves and checks
+    monkeypatch.setattr("heisenpde.pipeline.solve", no_solve)
+    cfg = json.loads((CONFIGS / "pipeline.json").read_text())
+    cfg["problem"]["c"] = {"poly": "x1^2 - 0.06 x1 + 0.5009"}
+    cfg["holder"]["c0"] = 0.5005
+    out = tmp_path / "o"
+    path = write_json(tmp_path / "pipe.json", cfg)
+    assert main(["pipeline", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in ("holder config 'c0'", "0.5005", "refinement")), err
+    assert not out.exists()
+    cfg["holder"]["c0"] = 0.5
+    assert PipelineConfig.from_config(cfg).check.hd.c0 == 0.5
+
+
 def test_pipeline_bracket_must_contain_the_operators(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("heisenpde.pipeline.solve", no_solve)
     problem = dict(PIPELINE_CONFIG["problem"], operator=PUCCI_4)

@@ -14,9 +14,11 @@ from heisenpde.symmetric import Sym2
 from heisenpde.solver import (
     Discretization,
     ProblemSpec,
+    _Anderson,
     _interior,
     _Multilevel,
     _probe,
+    _second_differences,
     _values_and_slopes,
     cfl_tau,
     manufacture,
@@ -327,26 +329,32 @@ def test_manufacture_examples_and_validation():
         manufacture(_shift(u_star, 0.0), SUB, c)
 
 
-def oracle_hessian(grid, boundary, flat, rho):
-    """Each sample p + rho (cx X + cy Y) located on its own: trilinear in u
-    inside the box, the boundary field outside."""
+def oracle_samples(grid, boundary, flat, rho):
+    """The samples along solver._COMBOS, then the centre values: each sample
+    p + rho (cx X + cy Y) located on its own, trilinear in u inside the box,
+    the boundary field outside."""
     pts = grid.points().reshape(grid.counts + (3,))[1:-1, 1:-1, 1:-1].reshape(-1, 3)
     x_dir, y_dir = frame_batch(pts)
     lower, upper = np.array(grid.lower), np.array(grid.upper)
     eps = 1e-12 * max(upper - lower)
     u = GridFunction(grid, flat)
-
-    def sample(cx, cy):
+    rows = []
+    for cx, cy in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)):
         q = pts + rho * (cx * x_dir + cy * y_dir)
         inside = np.all((q >= lower - eps) & (q <= upper + eps), axis=1)
         vals = boundary.value_batch(q)
         vals[inside] = u.value_batch(q[inside])
-        return vals
+        rows.append(vals)
+    rows.append(u.values[1:-1, 1:-1, 1:-1].ravel())
+    return np.array(rows)
 
-    uc = u.values[1:-1, 1:-1, 1:-1].ravel()
-    hxx = (sample(1, 0) + sample(-1, 0) - 2 * uc) / rho**2
-    hyy = (sample(0, 1) + sample(0, -1) - 2 * uc) / rho**2
-    hxy = (sample(1, 1) + sample(-1, -1) - sample(1, -1) - sample(-1, 1)) / (4 * rho**2)
+
+def oracle_hessian(grid, boundary, flat, rho):
+    """The second differences of the oracle samples, written out."""
+    s = oracle_samples(grid, boundary, flat, rho)
+    hxx = (s[0] + s[1] - 2 * s[8]) / rho**2
+    hyy = (s[2] + s[3] - 2 * s[8]) / rho**2
+    hxy = (s[4] + s[5] - s[6] - s[7]) / (4 * rho**2)
     return np.array([hxx, hxy, hyy])
 
 
@@ -412,14 +420,30 @@ def test_solve_reports_work_per_level():
         first.coarse_newton_steps,
     )
     # residuals are passed on, not recomputed: per V-cycle 3 pre-smoothing
-    # sweeps from the stopping test's residual, then 1 + 3 for post-smoothing
-    assert first.level_evals[0] == 7 * first.cycles + 1
+    # sweeps from the stopping test's residual, then 1 + 3 for post-smoothing,
+    # plus 1 per mixed iterate, kept or rejected
+    mixes = first.anderson_accepted + first.anderson_rejected
+    assert first.level_evals[0] == 7 * first.cycles + 1 + mixes
     assert first.iterations == 2 * _Multilevel.SWEEPS * first.cycles
+    # an intermediate level is visited once per V-cycle and once by the nested
+    # iteration, each time for 1 + 3 + 3 evaluations: post-smoothing's final
+    # residual, which no caller reads, is not computed
+    assert first.level_evals[1] == 7 * (first.cycles + 1)
+    assert first.level_sweeps == [
+        2 * _Multilevel.SWEEPS * first.cycles,
+        2 * _Multilevel.SWEEPS * (first.cycles + 1),
+        0,
+    ]
     # the carried residual is the one a fresh evaluation gives
     assert residual_norm(first.u, prob) == first.residual
     diag = first.to_dict()
     assert diag["level_evals"] == first.level_evals
     assert diag["coarse_newton_steps"] == first.coarse_newton_steps
+    assert diag["level_sweeps"] == first.level_sweeps
+    assert (diag["anderson_accepted"], diag["anderson_rejected"]) == (
+        first.anderson_accepted,
+        first.anderson_rejected,
+    )
 
 
 POLY_BOUNDARY = parse_polynomial("x1^2 x3 - x2 + 0.5 x3^2")
@@ -529,3 +553,89 @@ def test_scheme_is_monotone_when_f_ignores_hxy(kind):
         jac = np.einsum("kn,knm->nm", slopes, m)
         np.fill_diagonal(jac, 0.0)
         assert jac.min() >= 0.0
+
+
+PUCCI_PLUS = COARSE_KINDS["pucci_plus"]
+
+
+def pucci_problem(n, u_star="x1^2 - x2^2", tol=1e-6):
+    u_star = parse_polynomial(u_star)
+    f = manufacture(u_star, PUCCI_PLUS, ONE)
+    return ProblemSpec(PUCCI_PLUS, ONE, f, u_star, box(n), tol=tol)
+
+
+def test_anderson_cycle_counts():
+    # regression pins: without mixing these solves took 12 and 37 V-cycles
+    sub = solve(manufactured_problem(17, tol=1e-6)[1])
+    pucci = solve(pucci_problem(17))
+    assert sub.converged and pucci.converged
+    assert (sub.cycles, pucci.cycles) == (8, 17)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [manufactured_problem(17, tol=1e-6)[1], pucci_problem(9, "x1^2 x3 - x2 + 0.5 x3^2")],
+    ids=["sublaplacian-17", "pucci-plus-9-rejects"],
+)
+def test_every_mix_is_accepted_or_rejected(monkeypatch, prob):
+    mixes = []
+    mix = _Anderson.mix
+
+    def counted(self):
+        mixes.append(self.pairs)
+        return mix(self)
+
+    monkeypatch.setattr(_Anderson, "mix", counted)
+    res = solve(prob)
+    assert res.converged
+    assert res.anderson_accepted + res.anderson_rejected == len(mixes)
+    assert len(res.cycle_residuals) == res.cycles
+    # the first cycle has no difference to mix, and the cycle that meets tol is
+    # not mixed
+    assert len(mixes) in (res.cycles - 1, res.cycles - 2)
+    if prob.grid.counts == (9, 9, 9):
+        assert res.anderson_rejected > 0
+
+
+def test_rejected_mixes_leave_the_plain_v_cycle(monkeypatch):
+    # a mix that is never strictly better is always rejected: the iteration is
+    # then the plain V-cycle iteration, which took 12 cycles on this problem
+    monkeypatch.setattr(_Anderson, "mix", lambda self: self.g + 1.0)
+    res = solve(manufactured_problem(17, tol=1e-6)[1])
+    assert res.converged and res.cycles == 12
+    # every cycle but the first and the last, which met tol, tried a mix
+    assert res.anderson_accepted == 0 and res.anderson_rejected == res.cycles - 2
+    assert res.level_evals[0] == 7 * res.cycles + 1 + res.anderson_rejected
+
+
+def test_anderson_mix_solves_a_linear_map_exactly():
+    # on an affine map of R^3 three independent differences span the space,
+    # so the mix is the fixed point; the iterates run on through G alone, so
+    # the ring buffer wraps twice
+    assert _Multilevel.DEPTH == 3
+    a = np.array([[0.5, 0.2, 0.0], [-0.1, 0.7, 0.1], [0.2, 0.0, 0.6]])
+    b = np.array([1.0, -2.0, 0.5])
+    fixed = np.linalg.solve(np.eye(3) - a, b)
+    aa = _Anderson((3,))
+    x = np.array([3.0, 4.0, -1.0])
+    for k in range(10):
+        aa.start(x)
+        x = a @ x + b
+        aa.record(x)
+        if k >= 3:
+            assert np.abs(aa.mix() - fixed).max() <= 1e-9 * np.abs(fixed).max()
+    assert aa.pairs == 10
+
+
+@pytest.mark.parametrize(
+    "grid,width",
+    [(box(17), None), (Grid3.box((0.3, -0.7, 0.1), (1.4, 0.2, 0.9), (21, 17, 19)), 0.137)],
+    ids=["cube17", "off-centre-4-corners"],
+)
+def test_streamed_stencil_is_the_3x9_map_of_the_samples(grid, width):
+    disc = Discretization(ProblemSpec(SUB, ONE, ZERO, POLY_BOUNDARY, grid, sample_width=width))
+    assert disc.stencil.outside_fraction > 0
+    flat = np.random.default_rng(8).standard_normal(grid.n_nodes)
+    got = disc.stencil.hessian_components(flat)
+    want = _second_differences(disc.rho) @ oracle_samples(grid, POLY_BOUNDARY, flat, disc.rho)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
