@@ -17,12 +17,8 @@ from pathlib import Path
 
 from .checks import run_checks
 from .grid import GridFunction
-from .pipeline import ARTIFACTS, holder_config, run_pipeline
+from .pipeline import TIMINGS, dump_json, holder_config, run_pipeline, write_artifacts
 from .solver import ProblemSpec, solve
-
-
-def _dump_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_json(path) -> dict:
@@ -51,7 +47,7 @@ def cmd_verify(args) -> int:
         "all_pass": all_pass,
     }
     if args.out:
-        _dump_json(report, args.out)
+        dump_json(report, args.out)
     print("all checks passed" if all_pass else "SOME CHECKS FAILED")
     return 0 if all_pass else 1
 
@@ -59,7 +55,7 @@ def cmd_verify(args) -> int:
 def cmd_solve(args) -> int:
     result = solve(ProblemSpec.from_config(_load_json(args.config)))
     result.u.to_csv(args.out)
-    _dump_json(result.to_dict(), str(args.out) + ".diag.json")
+    dump_json(result.to_dict(), str(args.out) + ".diag.json")
     print(
         f"solve: converged={result.converged} iterations={result.iterations} "
         f"residual={result.residual:.3e}"
@@ -71,7 +67,7 @@ def cmd_holder(args) -> int:
     check, refined = holder_config(_load_json(args.config))
     u = GridFunction.from_csv(args.grid)
     report = check.run(u, GridFunction.from_csv(refined) if refined else None)
-    _dump_json(report.to_dict(), args.out)
+    dump_json(report.to_dict(), args.out)
     print(
         f"holder: alpha_target={report.alpha_target:.4g} "
         f"seminorm={report.seminorm_at_target:.4g} alpha_fit={report.alpha_fit:.4g} "
@@ -81,19 +77,14 @@ def cmd_holder(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    artifacts = run_pipeline(_load_json(args.config), args.emit_plot_data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ARTIFACTS:
-        if name not in artifacts:
-            (out_dir / name).unlink(missing_ok=True)
-    for name, artifact in artifacts.items():
-        if isinstance(artifact, GridFunction):
-            artifact.to_csv(out_dir / name)
-        elif isinstance(artifact, dict):
-            _dump_json(artifact, out_dir / name)
-        else:
-            (out_dir / name).write_text(artifact)
+    timings = {}
+    artifacts = run_pipeline(_load_json(args.config), args.emit_plot_data, timings)
+    write_artifacts(artifacts, args.out, timings)
+    # a timings.json of an earlier run would pass for this run's
+    if args.timings:
+        dump_json(timings, Path(args.out) / TIMINGS)
+    else:
+        (Path(args.out) / TIMINGS).unlink(missing_ok=True)
     solves = [artifacts[name] for name in ("solution.diag.json", "solution_refined.diag.json")]
     if not all(diag["converged"] for diag in solves):
         print("pipeline: solver did not converge")
@@ -135,6 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--config", required=True)
     p_pipe.add_argument("--out", required=True, help="output directory")
     p_pipe.add_argument("--emit-plot-data", action="store_true")
+    p_pipe.add_argument(
+        "--timings",
+        action="store_true",
+        help=f"also write {TIMINGS}, the wall seconds of each stage (differs run to run)",
+    )
     p_pipe.set_defaults(fn=cmd_pipeline)
     return parser
 

@@ -133,6 +133,14 @@ class OperatorSpec:
     def sublaplacian(form: str = INTRINSIC) -> "OperatorSpec":
         return OperatorSpec("sublaplacian", EllipticityBracket(1.0, 1.0), form)
 
+    @property
+    def hessian_rows(self) -> tuple[int, ...]:
+        """The rows of (h_xx, h_xy, h_yy) that apply_batch reads: h_xy drops
+        out of the sub-Laplacian and of trace_linear with a12 = 0."""
+        if self.kind == "sublaplacian" or (self.kind == "trace_linear" and self.coeff.a12 == 0):
+            return (0, 2)
+        return (0, 1, 2)
+
     def apply(self, h: Sym2 | Sym3) -> float:
         """F(h) for the 2x2 (intrinsic) or 3x3 (lifted) argument; a 2x2
         argument goes through apply_batch, the solver's evaluation."""

@@ -2,15 +2,21 @@
 the config's grid and on the once-refined grid, checks the regularity
 theorem on the pair and runs the doubling certificate on the refined
 solution.  It reads every config key before the first solve and returns the
-artifacts keyed by file name; the CLI only writes them."""
+artifacts keyed by file name; write_artifacts puts them in a directory, and
+both record the wall time of each stage when given a timings dict."""
 
 from __future__ import annotations
 
+import json
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 from .config import config_number, config_section
 from .doubling import PenaltyParams, doubling_certificate
+from .grid import GridFunction
 from .operators import EllipticityBracket, HolderData
 from .regularity import DEFAULT_MARGIN, DEFAULT_PAIRS, HolderReport, alpha_target
 from .regularity import check_theorem, default_radii, modulus
@@ -27,6 +33,22 @@ ARTIFACTS = (
     "modulus.csv",
     "pipeline_report.json",
 )
+# wall seconds per stage; it differs from run to run, so it is not one of ARTIFACTS
+TIMINGS = "timings.json"
+
+
+def dump_json(obj, path) -> None:
+    """Write obj as canonical JSON: sorted keys, indent 2, a final newline."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+@contextmanager
+def _stage(timings: dict | None, name: str):
+    """Store the wall seconds of the with-block in timings[name], if timings is a dict."""
+    start = time.perf_counter()
+    yield
+    if timings is not None:
+        timings[name] = time.perf_counter() - start
 
 
 @dataclass(frozen=True)
@@ -117,15 +139,20 @@ class PipelineConfig:
         return PipelineConfig(problem, check, penalty, per_axis)
 
 
-def run_pipeline(cfg: dict, emit_plot_data: bool = False) -> dict:
+def run_pipeline(cfg: dict, emit_plot_data: bool = False, timings: dict | None = None) -> dict:
     """{file name: artifact} of a pipeline config: GridFunctions for the CSVs,
     dicts for the JSON reports and, with emit_plot_data, the text of
     modulus.csv.  If a solve does not converge, the artifacts stop after the
-    solves with the pipeline_report.json stub {"converged": false, "pass": false}."""
+    solves with the pipeline_report.json stub {"converged": false, "pass": false}.
+    A dict `timings` receives the wall seconds of each stage that ran, under
+    coarse_solve_s, refined_solve_s, check_theorem_s, certificate_s and
+    modulus_s."""
     spec = PipelineConfig.from_config(cfg)
-    coarse = solve(spec.problem)
-    # the refined problem and its discretization are freed with this solve
-    fine = solve(refine_problem(spec.problem))
+    with _stage(timings, "coarse_solve_s"):
+        coarse = solve(spec.problem)
+    with _stage(timings, "refined_solve_s"):
+        # the refined problem and its discretization are freed with this solve
+        fine = solve(refine_problem(spec.problem))
     artifacts = {
         "solution.csv": coarse.u,
         "solution.diag.json": coarse.to_dict(),
@@ -136,9 +163,11 @@ def run_pipeline(cfg: dict, emit_plot_data: bool = False) -> dict:
         artifacts["pipeline_report.json"] = {"converged": False, "pass": False}
         return artifacts
     check = spec.check
-    report = check.run(coarse, fine)
+    with _stage(timings, "check_theorem_s"):
+        report = check.run(coarse, fine)
     pp = replace(spec.penalty, L=spec.penalty.L * max(report.seminorm_refined, 1e-12))
-    cert = doubling_certificate(fine.u, pp, fine.u.grid.margin_box(check.margin), spec.per_axis)
+    with _stage(timings, "certificate_s"):
+        cert = doubling_certificate(fine.u, pp, fine.u.grid.margin_box(check.margin), spec.per_axis)
     x_hat, y_hat = (list(p.as_array()) for p in cert.argmax)
     cert_dict = dict(
         theta=cert.theta, certified=cert.certified, gap=cert.gap, x_hat=x_hat, y_hat=y_hat,
@@ -147,8 +176,9 @@ def run_pipeline(cfg: dict, emit_plot_data: bool = False) -> dict:
     artifacts["holder_report.json"] = report.to_dict()
     artifacts["certificate.json"] = cert_dict
     if emit_plot_data:
-        radii, _ = default_radii(fine.u, check.margin)
-        pts = modulus(fine.u, radii, margin=check.margin, seed=check.seed)
+        with _stage(timings, "modulus_s"):
+            radii, _ = default_radii(fine.u, check.margin)
+            pts = modulus(fine.u, radii, margin=check.margin, seed=check.seed)
         artifacts["modulus.csv"] = "".join(["r,omega_r\n"] + ["%.17g,%.17g\n" % p for p in pts])
     artifacts["pipeline_report.json"] = {
         "seed": check.seed,
@@ -158,3 +188,23 @@ def run_pipeline(cfg: dict, emit_plot_data: bool = False) -> dict:
         "pass": report.passed,
     }
     return artifacts
+
+
+def write_artifacts(artifacts: dict, out_dir, timings: dict | None = None) -> None:
+    """Write run_pipeline's artifacts into out_dir, first deleting there every
+    file of ARTIFACTS that they do not include; other files are left alone.
+    A dict `timings` receives the wall seconds of the writes as
+    artifact_writes_s."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with _stage(timings, "artifact_writes_s"):
+        for name in ARTIFACTS:
+            if name not in artifacts:
+                (out_dir / name).unlink(missing_ok=True)
+        for name, artifact in artifacts.items():
+            if isinstance(artifact, GridFunction):
+                artifact.to_csv(out_dir / name)
+            elif isinstance(artifact, dict):
+                dump_json(artifact, out_dir / name)
+            else:
+                (out_dir / name).write_text(artifact)

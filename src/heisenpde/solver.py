@@ -48,6 +48,15 @@ fine interior vectors (about 16 MB at 65^3).  To pay for them the stencil
 adds each sample into the Hessian rows as it is taken rather than storing
 all nine.
 
+T computes only the Hessian rows that F reads (OperatorSpec.hessian_rows),
+and the stencil takes no sample that none of those rows weighs.  The
+sub-Laplacian and trace_linear with a12 = 0 ignore h_xy, so their T skips
+the four diagonal directions, the four-corner gathers; the rows it does
+compute are bitwise those of the full call.  On a 65^3 grid with one BLAS
+thread this took one sub-Laplacian evaluation of T from 109 to 55 ns per
+interior node (95 to 41 at 33^3).  stencil_hessian and the coarsest-level
+probe compute all three rows.
+
 The coarsest level is solved directly.  The stencil is affine in the
 interior node values, so probing it once with the interior unit vectors
 gives dense maps (hxx, hxy, hyy) = M u + b; the equation F(M u + b) - c u
@@ -296,30 +305,38 @@ class _Stencil:
                     out_vals,
                 )
             )
-        self.combine = _second_differences(step)
+        # per sample along _COMBOS, then the centre: (row, weight) of its nonzero weights
+        self.row_weights = [
+            [(k, w) for k, w in enumerate(column) if w] for column in _second_differences(step).T
+        ]
         n_samples = len(_COMBOS) * (n1 - 2) * (n2 - 2) * (n3 - 2)
         self.outside_fraction = sum(d.out_rows.size for d in self.directions) / n_samples
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the stored arrays."""
-        return self.combine.nbytes + sum(a.nbytes for d in self.directions for a in d)
+        return sum(a.nbytes for d in self.directions for a in d)
 
-    def hessian_components(self, flat: np.ndarray) -> np.ndarray:
+    def hessian_components(self, flat: np.ndarray, rows=(0, 1, 2)) -> np.ndarray:
         """(X^2u, (XY+YX)u/2, Y^2u) at the interior nodes, as a (3, n) array:
-        each sample is added into the rows that weigh it as it is taken."""
+        each sample is added into the rows that weigh it as it is taken.
+        Only the given rows are computed, the others are zero, and a sample
+        that no given row weighs is not taken: rows (0, 2) skip the four
+        diagonal directions."""
         hessian = np.zeros((3, int(np.prod(self.shape))))
         term = np.empty(hessian.shape[1])
+        kept = [[(k, w) for k, w in column if k in rows] for column in self.row_weights]
         # non-finite inputs propagate and are reported by the caller's check
         with np.errstate(invalid="ignore"):
-            for sample, weights in zip(self._samples(flat), self.combine.T):
-                for k in np.flatnonzero(weights):
-                    hessian[k] += np.multiply(sample, weights[k], out=term)
+            for sample, column in zip(self._samples(flat, kept), filter(None, kept)):
+                for k, w in column:
+                    hessian[k] += np.multiply(sample, w, out=term)
         return hessian
 
-    def _samples(self, flat: np.ndarray):
+    def _samples(self, flat: np.ndarray, taken: list):
         """The samples along _COMBOS, then the centre values, each flat over
-        the interior nodes; the direction samples share one buffer."""
+        the interior nodes, for those of the nine whose entry in `taken` is
+        true; the direction samples share one buffer."""
         u = flat.reshape(self.grid.counts)
         n3 = u.shape[2]
         padded = np.zeros(u.shape[:2] + (n3 + 2 * self.pad,))
@@ -328,14 +345,17 @@ class _Stencil:
         rows = sliding_window_view(padded, n3 - 1, axis=2)
         out = np.empty(int(np.prod(self.shape)))
         s = out.reshape(self.shape)
-        for d in self.directions:
+        for d, take in zip(self.directions, taken):
+            if not take:
+                continue
             windows = np.tensordot(d.weights, rows[d.rows1, d.rows2, d.start], 2)
             np.multiply(windows[..., :-1], 1 - d.fz, out=s)
             s += windows[..., 1:] * d.fz
             del windows  # freed before the next direction gathers its rows
             out[d.out_rows] = d.out_vals
             yield out
-        yield _interior(u, self.grid.counts).ravel()
+        if taken[-1]:
+            yield _interior(u, self.grid.counts).ravel()
 
 
 class Discretization:
@@ -365,9 +385,10 @@ class Discretization:
         return self.boundary.value_batch(self.grid.points())
 
     def apply_nonlinearity(self, flat: np.ndarray) -> np.ndarray:
-        """T(u) = F(stencil Hessian) - c u at interior nodes."""
+        """T(u) = F(stencil Hessian) - c u at interior nodes, computing only
+        the Hessian rows that F reads."""
         self.evals += 1
-        hxx, hxy, hyy = self.stencil.hessian_components(flat)
+        hxx, hxy, hyy = self.stencil.hessian_components(flat, self.op.hessian_rows)
         uc = _interior(flat, self.grid.counts).ravel()
         return self.op.apply_batch(hxx, hxy, hyy) - self.c_int * uc
 

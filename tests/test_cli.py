@@ -6,7 +6,7 @@ import pytest
 
 from heisenpde.cli import main
 from heisenpde.grid import GridFunction
-from heisenpde.pipeline import ARTIFACTS, PipelineConfig, holder_config, run_pipeline
+from heisenpde.pipeline import ARTIFACTS, TIMINGS, PipelineConfig, holder_config, run_pipeline
 from heisenpde.solver import ProblemSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -592,3 +592,35 @@ def test_verify_detects_corrupted_pucci(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     failing = [c["lemma_id"] for c in report["checks"] if not c["pass"]]
     assert failing == ["operators.pucci_bruteforce"]
+
+
+def test_pipeline_timings_sidecar(tmp_path):
+    cfg = write_json(tmp_path / "pipe.json", PIPELINE_CONFIG)
+    out, plain = tmp_path / "timed", tmp_path / "plain"
+    assert main(["pipeline", "--config", cfg, "--out", str(out), "--timings"]) == 0
+    timings = json.loads((out / TIMINGS).read_text())
+    stages = {"coarse_solve_s", "refined_solve_s", "check_theorem_s", "certificate_s"}
+    assert set(timings) == stages | {"artifact_writes_s"}
+    assert all(isinstance(t, float) and t >= 0.0 for t in timings.values())
+    # the sidecar is no artifact: the artifacts are those of an untimed run
+    assert main(["pipeline", "--config", cfg, "--out", str(plain)]) == 0
+    assert sorted(p.name for p in plain.iterdir()) == sorted(set(ARTIFACTS) - {"modulus.csv"})
+    for p in plain.iterdir():
+        assert (out / p.name).read_bytes() == p.read_bytes(), p.name
+    # an untimed run into the same directory does not leave an earlier run's timings
+    assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
+    assert not (out / TIMINGS).exists()
+
+
+def test_pipeline_timings_of_the_stages_that_ran(tmp_path):
+    timings = {}
+    run_pipeline(PIPELINE_CONFIG, emit_plot_data=True, timings=timings)
+    assert set(timings) == {
+        "coarse_solve_s", "refined_solve_s", "check_theorem_s", "certificate_s", "modulus_s"
+    }
+    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14, max_iters=2)
+    stuck = write_json(tmp_path / "stuck.json", dict(PIPELINE_CONFIG, problem=problem))
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", stuck, "--out", str(out), "--timings"]) == 2
+    timings = json.loads((out / TIMINGS).read_text())
+    assert set(timings) == {"coarse_solve_s", "refined_solve_s", "artifact_writes_s"}

@@ -229,3 +229,32 @@ def test_residual_manufactured_and_errors():
     assert residual(sub, zero, zero, zero, Point(1, 1, 1)) == 0.0
     with pytest.raises(ValueError):
         residual(sub, PolynomialField.constant(-1), zero, zero, Point(0, 0, 0))
+
+
+ROW_KINDS = {
+    "sublaplacian": OperatorSpec.sublaplacian(),
+    "trace_linear_a12_0": OperatorSpec(
+        "trace_linear", EllipticityBracket(0.5, 1.5), coeff=Sym2(1.0, 0.0, 1.2)
+    ),
+    "trace_linear_a12_0.4": OperatorSpec(
+        "trace_linear", EllipticityBracket(0.5, 1.5), coeff=Sym2(1.0, 0.4, 1.0)
+    ),
+    "pucci_plus": OperatorSpec("pucci_plus", EllipticityBracket(1.0, 4.0)),
+    "pucci_minus": OperatorSpec("pucci_minus", EllipticityBracket(1.0, 4.0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+def test_hessian_rows_are_the_ones_f_reads(kind):
+    # moving h_xy leaves F bitwise unchanged exactly when row 1 is not listed
+    spec = ROW_KINDS[kind]
+    rng = np.random.default_rng(13)
+    h = rng.standard_normal((3, 2000))
+    moved = h.copy()
+    moved[1] += rng.standard_normal(h.shape[1])
+    before, after = spec.apply_batch(*h), spec.apply_batch(*moved)
+    assert set(spec.hessian_rows) >= {0, 2}
+    if 1 in spec.hessian_rows:
+        assert np.any(before != after)
+    else:
+        assert before.tobytes() == after.tobytes()

@@ -639,3 +639,25 @@ def test_streamed_stencil_is_the_3x9_map_of_the_samples(grid, width):
     got = disc.stencil.hessian_components(flat)
     want = _second_differences(disc.rho) @ oracle_samples(grid, POLY_BOUNDARY, flat, disc.rho)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [9, 17])
+@pytest.mark.parametrize("width", ["default", "rho-h"])
+@pytest.mark.parametrize("kind", sorted({**COARSE_KINDS, **MONOTONE_KINDS}))
+def test_restricted_rows_are_the_full_evaluation(kind, width, n):
+    # samples fall off the box onto POLY_BOUNDARY; at rho = h every corner is single
+    op = {**COARSE_KINDS, **MONOTONE_KINDS}[kind]
+    grid = box(n)
+    sample_width = grid.horizontal_spacing if width == "rho-h" else None
+    prob = ProblemSpec(op, ONE, ZERO, POLY_BOUNDARY, grid, sample_width=sample_width)
+    disc = Discretization(prob)
+    assert disc.stencil.outside_fraction > 0
+    if width == "rho-h":
+        assert all(d.weights.shape == (1, 1) for d in disc.stencil.directions)
+    flat = np.random.default_rng(21).standard_normal(grid.n_nodes)
+    full = disc.stencil.hessian_components(flat)
+    want = op.apply_batch(*full) - disc.c_int * _interior(flat, grid.counts).ravel()
+    assert disc.apply_nonlinearity(flat).tobytes() == want.tobytes()
+    part = disc.stencil.hessian_components(flat, (0, 2))
+    assert part[[0, 2]].tobytes() == full[[0, 2]].tobytes()
+    assert not part[1].any()
