@@ -392,6 +392,16 @@ def _tensor_points(axes: list[np.ndarray]) -> np.ndarray:
     return np.stack([g.ravel() for g in grid], axis=1)
 
 
+def _refined_axes(
+    lower: np.ndarray, upper: np.ndarray, center: np.ndarray, per_axis: int
+) -> list[np.ndarray]:
+    """Axes of the box of 1/4 the width of (lower, upper) around center,
+    which is clipped so that the box stays inside."""
+    width = (upper - lower) / 4.0
+    center = np.clip(center, lower + width / 2, upper - width / 2)
+    return _tensor_axes(center - width / 2, center + width / 2, per_axis)
+
+
 def _psi_max(
     u, axes_x: list[np.ndarray], axes_y: list[np.ndarray], pp: PenaltyParams
 ) -> tuple[float, int, int]:
@@ -401,10 +411,15 @@ def _psi_max(
 
     |x-y|^2 = q1[j1, k1] + q2[j2, k2] + q3[j3, k3] with one m x m table of
     squared differences per axis, summed in that order, so psi is evaluated
-    one x pencil (j1, j2 fixed, all j3) against all of y at a time, in two
-    preallocated (m, m^3) buffers.  The pencils run in x order and replace
-    the best only when strictly larger, so ties go to the first pair in
-    (ix, iy) order."""
+    one x pencil (j1, j2 fixed, all j3) against all of y at a time, in one
+    (m, m^3) buffer.  q3 holds few distinct values (q3 = v3[i3], 38 of 289
+    on a 17-point margin box), so per pencil the penalty
+    L*sqrt(q1[j1, k1] + q2[j2, k2] + v3)^alpha fills an (m^2, len(v3))
+    table once, and i3 gathers it to every pair: each pair sees the same
+    operations on the same operands as if evaluated alone, so the result
+    is bitwise that of the direct evaluation.  The pencils run in x order
+    and replace the best only when strictly larger, so ties go to the first
+    pair in (ix, iy) order."""
     pts_x, pts_y = _tensor_points(axes_x), _tensor_points(axes_y)
     ux = np.asarray(u.value_batch(pts_x), dtype=float)
     uy = np.asarray(u.value_batch(pts_y), dtype=float)
@@ -413,21 +428,23 @@ def _psi_max(
     penalty_x = pp.delta * np.sum(pts_x**2, axis=1)
     q1, q2, q3 = ((ax[:, None] - ay[None, :]) ** 2 for ax, ay in zip(axes_x, axes_y))
     m = q3.shape[0]
-    dist = np.empty((m, m * m, m))
+    v3, i3 = np.unique(q3, return_inverse=True)
+    i3 = i3.reshape(m, m)
+    table = np.empty((m * m, v3.size))
     psi = np.empty((m, m**3))
+    psi3 = psi.reshape(m, m * m, m)  # (j3, k1 k2, k3)
     best = -np.inf
     best_ix = best_iy = 0
     for pencil in range(m * m):
         j1, j2 = divmod(pencil, m)
         rows = slice(pencil * m, (pencil + 1) * m)
         q12 = (q1[j1][:, None] + q2[j2][None, :]).ravel()
-        np.add(q12[None, :, None], q3[:, None, :], out=dist)
-        np.sqrt(dist, out=dist)
-        d = dist.reshape(m, m**3)
-        d **= pp.alpha
-        d *= pp.L
+        np.add(q12[:, None], v3[None, :], out=table)
+        np.sqrt(table, out=table)
+        table **= pp.alpha
+        table *= pp.L
         np.subtract(ux[rows, None], uy[None, :], out=psi)
-        psi -= d
+        psi3 -= table[:, i3].transpose(1, 0, 2)
         psi -= penalty_x[rows, None]
         psi -= pp.eps
         k = int(np.argmax(psi))
@@ -465,13 +482,10 @@ def doubling_certificate(
     pts = _tensor_points(axes)
     theta, ix, iy = _psi_max(u, axes, axes, pp)
 
-    # one refinement pass: boxes of 1/4 the width around each incumbent point
-    width = (upper - lower) / 4.0
+    # one refinement pass around each incumbent point
     best_pair = (pts[ix], pts[iy])
-    centers_x = np.clip(pts[ix], lower + width / 2, upper - width / 2)
-    centers_y = np.clip(pts[iy], lower + width / 2, upper - width / 2)
-    fine_x = _tensor_axes(centers_x - width / 2, centers_x + width / 2, per_axis)
-    fine_y = _tensor_axes(centers_y - width / 2, centers_y + width / 2, per_axis)
+    fine_x = _refined_axes(lower, upper, pts[ix], per_axis)
+    fine_y = _refined_axes(lower, upper, pts[iy], per_axis)
     theta_f, jx, jy = _psi_max(u, fine_x, fine_y, pp)
     if theta_f > theta:
         theta = theta_f

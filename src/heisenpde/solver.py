@@ -667,7 +667,9 @@ class _Anderson:
         """The mixed iterate from every stored difference; needs two pairs."""
         count = min(self.pairs - 1, len(self.df))
         df = self.df[:count].reshape(count, -1)
-        gamma = np.linalg.lstsq(df @ df.T, df @ self.f.ravel(), rcond=None)[0]
+        # einsum, not BLAS: its sums do not depend on the BLAS thread count
+        gram = np.einsum("in,jn->ij", df, df)
+        gamma = np.linalg.lstsq(gram, np.einsum("in,n->i", df, self.f.ravel()), rcond=None)[0]
         return self.g - np.tensordot(gamma, self.dg[:count], 1)
 
 

@@ -21,7 +21,7 @@ from heisenpde.doubling import (
     trace_gap,
     vertical_obstruction_check,
 )
-from heisenpde.doubling import _psi_max, _tensor_axes, _tensor_points
+from heisenpde.doubling import _psi_max, _refined_axes, _tensor_axes, _tensor_points
 from heisenpde.fields import NumericField, PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction
 from heisenpde.group import Point, sqrt_p
@@ -479,11 +479,17 @@ def psi_case(name, m):
     if name == "two-boxes":
         other = _tensor_axes(BOX[0] + 0.2, BOX[1] - 0.35, m)
         return cusp_grid_function(), axes, other, PenaltyParams(0.5, 0.45, 1e-3, 1e-6)
+    if name == "offset-equal-boxes":
+        # the refinement pass's geometry: equal widths, different clipped
+        # centres, so a transposed gather of q3's distinct values shows
+        fine_x = _refined_axes(*BOX, np.array([1.05, -0.8, 0.9]), m)
+        fine_y = _refined_axes(*BOX, np.array([0.23, -0.31, 0.4]), m)
+        return cusp_grid_function(), fine_x, fine_y, PenaltyParams(0.4, 0.6, 1e-6, 1e-6)
     # a constant field without the delta term: every diagonal pair ties
     return PolynomialField.constant(3.0), axes, axes, PenaltyParams(0.7, 1.0, 0.0, 1e-6)
 
 
-CASES = ["cusp-off-diagonal", "smooth-on-diagonal", "two-boxes", "ties"]
+CASES = ["cusp-off-diagonal", "smooth-on-diagonal", "two-boxes", "ties", "offset-equal-boxes"]
 
 
 @pytest.mark.parametrize("m", [2, 9, 17])
@@ -501,6 +507,17 @@ def test_blocked_psi_max_matches_chunked_oracle(name, m):
         assert ix == iy
     if name == "ties":
         assert (ix, iy) == (0, 0) and theta == -1e-6
+
+
+@pytest.mark.parametrize("m", [2, 9, 17])
+def test_offset_equal_boxes_case_separates_q3_from_its_transpose(m):
+    # the case catches a gather through i3.T only if q3 is not symmetric and
+    # the maximizer pairs different x3 indices
+    u, axes_x, axes_y, pp = psi_case("offset-equal-boxes", m)
+    q3 = (axes_x[2][:, None] - axes_y[2][None, :]) ** 2
+    assert not np.array_equal(q3, q3.T)
+    _, ix, iy = _psi_max(u, axes_x, axes_y, pp)
+    assert ix % m != iy % m
 
 
 def test_certificate_rejects_non_finite_values():
