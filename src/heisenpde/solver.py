@@ -24,17 +24,16 @@ plain spacing step.
 
 The basic iteration is the Jacobi-style pseudo-time step
     v = u + tau * (F(stencil) - c u - f)
-with tau = 0.4 rho^2 / (Lam (4 + c_max rho^2)).  A single-level sweep needs
-O(1/(tau * lambda_min)) iterations, which is far too slow on fine grids, so
-solve() accelerates it with FAS-style V-cycles on nested coarser grids,
-smoothing with the same step on every level but the coarsest; the stencil,
-tau rule, stopping test (fine-grid residual below tol), and hence the fixed
-point are unchanged.  A grid that cannot be coarsened runs the plain
-single-level iteration.  Discretization.smooth is the only relaxation loop;
-it returns the residual of its final iterate, which the V-cycle passes on
-rather than evaluating the operator twice on one iterate (on the levels
-below the finest no caller reads post-smoothing's final residual, so it is
-not computed).
+with tau = 0.4 rho^2 / (Lam (4 + c_max rho^2)).  Alone it needs
+O(1/(tau * lambda_min)) sweeps, far too many on fine grids, so solve() runs
+FAS-style V-cycles over the grid's coarsenings (none on a grid that cannot
+be coarsened), smoothing with the same step on every level but the
+coarsest; the stencil, tau rule, stopping test (fine-grid residual below
+tol), and hence the fixed point are those of the plain step.
+Discretization.smooth is the only relaxation loop; it returns the residual
+of its final iterate, which the V-cycle passes on rather than evaluating
+the operator twice on one iterate (on the levels below the finest no caller
+reads post-smoothing's final residual, so it is not computed).
 
 The V-cycle is a fixed-point map G on the fine interior values, and solve()
 Anderson-mixes it (Anderson 1965; Walker and Ni 2011) with the fixed depth
@@ -64,7 +63,9 @@ gives dense maps (hxx, hxy, hyy) = M u + b; the equation F(M u + b) - c u
 sum_k diag(dF/dh_k) M_k - diag(c), the slopes dF/dh_k taken by central
 differences of OperatorSpec.apply_batch, so every operator kind shares one
 derivative path.  A coarsest level with more than _Multilevel.DENSE_MAX
-interior nodes (reached only from non-dyadic grids) is smoothed instead.
+interior nodes is smoothed instead, COARSE_SWEEPS sweeps per visit.  On a
+grid that cannot be coarsened a V-cycle is this solve alone, so a Newton
+solve there runs no sweep: SolveResult.iterations is 0.
 """
 
 from __future__ import annotations
@@ -539,13 +540,15 @@ def _values_and_slopes(op: OperatorSpec, h: np.ndarray) -> tuple[np.ndarray, np.
 
 class _Multilevel:
     """FAS V-cycles over nested coarsenings, with the Jacobi step as smoother
-    and a direct solve on the coarsest level."""
+    and a direct solve on the coarsest level, which is the only level of a
+    grid that cannot be coarsened."""
 
     SWEEPS = 3  # smoothing sweeps before and after the coarse-grid correction
     DEPTH = 3  # (x, G(x)) differences mixed by Anderson acceleration of the V-cycle
     DENSE_MAX = 512  # largest coarsest level, in interior nodes, solved by Newton
     NEWTON_MAX = 20  # Newton steps per coarsest-level solve
     COARSE_SWEEPS = 300  # smoothing sweeps per solve on a coarsest level above DENSE_MAX
+    MAX_CYCLES = 500  # cycles per solve before it stops unconverged
 
     def __init__(self, prob: ProblemSpec, finest: Discretization):
         self.levels: list[Discretization] = [finest]
@@ -557,16 +560,16 @@ class _Multilevel:
         coarsest = self.levels[-1]
         self.dense = _probe(coarsest) if coarsest.c_int.size <= self.DENSE_MAX else None
 
-    def coarse_solve(self, flat: np.ndarray, rhs: np.ndarray, res=None) -> None:
+    def coarse_solve(self, flat: np.ndarray, rhs: np.ndarray, res=None, final=False):
         """Solve T(u) = rhs on the coarsest level in place, stopping once
         max |T(u) - rhs| < 1e-14 max(1, max |rhs|): by Newton on the probed
         affine stencil, or with at most COARSE_SWEEPS smoothing sweeps from
-        the residual `res` on a level above DENSE_MAX."""
+        the residual `res` on a level above DENSE_MAX.  Returns the stencil
+        residual of the result, or None after Newton unless `final`."""
         disc = self.levels[-1]
         tol = 1e-14 * max(1.0, np.abs(rhs).max())
         if self.dense is None:
-            disc.smooth(flat, rhs, self.COARSE_SWEEPS, res, tol)
-            return
+            return disc.smooth(flat, rhs, self.COARSE_SWEEPS, res, tol)
         edge = flat.copy()
         _interior(edge, disc.grid.counts)[...] = 0.0
         offset = disc.stencil.hessian_components(edge)
@@ -580,12 +583,15 @@ class _Multilevel:
             jac = np.einsum("kn,knm->nm", slopes, self.dense) - np.diag(disc.c_int)
             disc.advance(flat, -np.linalg.solve(jac, res), 1.0)
             self.newton_steps += 1
+        return disc.residual_interior(flat, rhs) if final else None
 
     def vcycle(self, l: int, flat: np.ndarray, rhs: np.ndarray, res=None) -> np.ndarray | None:
-        """One V-cycle on level l above the coarsest, in place, from the
-        residual res = T(u) - rhs if the caller has it; returns the
-        residual of the result on the finest level (l = 0) and None on the
-        others, whose callers have no use for it."""
+        """One V-cycle on level l in place, from the residual res = T(u) - rhs
+        if the caller has it; on the coarsest level it is the coarse solve.
+        Returns the residual of the result on the finest level (l = 0); the
+        callers on the other levels have no use for it."""
+        if l == len(self.levels) - 1:
+            return self.coarse_solve(flat, rhs, res, final=l == 0)
         disc = self.levels[l]
         res = disc.smooth(flat, rhs, self.SWEEPS, res)
         fine = disc.grid.counts
@@ -598,10 +604,7 @@ class _Multilevel:
         rhs_c = res_c + rc
         res_c -= rhs_c  # T(u_c) - rhs_c
         v_flat = uc_flat.copy()
-        if l + 1 < len(self.levels) - 1:
-            self.vcycle(l + 1, v_flat, rhs_c, res_c)
-        else:
-            self.coarse_solve(v_flat, rhs_c, res_c)
+        self.vcycle(l + 1, v_flat, rhs_c, res_c)
         corr = _embed(_interior(v_flat, counts) - _interior(uc_flat, counts), counts)
         _interior(flat, fine)[...] += _interior(_prolong(corr, fine), fine)
         return disc.smooth(flat, rhs, self.SWEEPS, final=l == 0)
@@ -676,56 +679,48 @@ class _Anderson:
 def solve(prob: ProblemSpec) -> SolveResult:
     """Iterate toward max interior |F(stencil) - c u - f| < tol.
 
-    On a grid that can be coarsened the single-level Jacobi step is wrapped
-    in FAS V-cycles, and the V-cycle map is Anderson-mixed: after each cycle
-    that has not met tol, the mix of the last DEPTH cycles replaces the
-    cycle's result only if its residual is strictly smaller.  The fixed
-    point and stopping rule are identical to the pure iteration, which runs
-    on grids that cannot be coarsened.  Non-convergence returns the best
-    iterate flagged, never raises.
+    FAS V-cycles (on a grid that cannot be coarsened, the coarsest-level
+    solve alone) are Anderson-mixed: after each cycle that has not met tol,
+    the mix of the last DEPTH cycles replaces the cycle's result only if its
+    residual is strictly smaller.  The fixed point and stopping rule are
+    those of the pure iteration `step`.  Between cycles the solve stops after
+    max_iters fine sweeps or _Multilevel.MAX_CYCLES cycles; non-convergence
+    returns the last iterate flagged, never raises.
     """
     disc = prob.discretization
     disc.evals = disc.sweeps = 0  # the problem keeps its finest level between solves
-    history = []  # the fine residual after each V-cycle
+    ml = _Multilevel(prob, disc)
+    flat = ml.fmg_initial()
+    inner = _interior(flat, prob.grid.counts)
+    res = disc.residual_interior(flat, disc.f_int)
+    rn = float(np.abs(res).max())
+    aa = _Anderson(inner.shape)
+    history = []  # the fine residual after each cycle
     accepted = rejected = 0
-    if prob.grid.can_coarsen():
-        ml = _Multilevel(prob, disc)
-        flat = ml.fmg_initial()
-        inner = _interior(flat, prob.grid.counts)
-        res = disc.residual_interior(flat, disc.f_int)
+    while rn >= prob.tol and disc.sweeps < prob.max_iters and len(history) < ml.MAX_CYCLES:
+        aa.start(inner)
+        res = ml.vcycle(0, flat, disc.f_int, res)
         rn = float(np.abs(res).max())
-        aa = _Anderson(inner.shape)
-        while rn >= prob.tol and disc.sweeps < prob.max_iters and len(history) < 500:
-            aa.start(inner)
-            res = ml.vcycle(0, flat, disc.f_int, res)
-            rn = float(np.abs(res).max())
-            aa.record(inner)
-            if rn >= prob.tol and aa.pairs > 1:
-                inner[...] = aa.mix()
-                mixed = disc.residual_interior(flat, disc.f_int)
-                mn = float(np.abs(mixed).max())
-                if mn < rn:
-                    res, rn = mixed, mn
-                    accepted += 1
-                else:
-                    inner[...] = aa.g
-                    rejected += 1
-                del mixed  # a rejected residual is not kept through the next cycle
-            history.append(rn)
-        levels, newton = ml.levels, ml.newton_steps
-    else:
-        flat = disc.initial_values()
-        disc.enforce_boundary(flat)
-        res = disc.smooth(flat, disc.f_int, prob.max_iters, tol=prob.tol)
-        rn = float(np.abs(res).max())
-        levels, newton = [disc], 0
+        aa.record(inner)
+        if rn >= prob.tol and aa.pairs > 1:
+            inner[...] = aa.mix()
+            mixed = disc.residual_interior(flat, disc.f_int)
+            mn = float(np.abs(mixed).max())
+            if mn < rn:
+                res, rn = mixed, mn
+                accepted += 1
+            else:
+                inner[...] = aa.g
+                rejected += 1
+            del mixed  # a rejected residual is not kept through the next cycle
+        history.append(rn)
     u = GridFunction(prob.grid, flat.reshape(prob.grid.counts))
     return SolveResult(
         u, disc.sweeps, rn, rn < prob.tol, disc.tau, len(history), rho=disc.rho,
-        levels=[level.grid.counts for level in levels],
-        level_evals=[level.evals for level in levels],
-        coarse_newton_steps=newton, outside_fraction=disc.stencil.outside_fraction,
-        cycle_residuals=history, level_sweeps=[level.sweeps for level in levels],
+        levels=[level.grid.counts for level in ml.levels],
+        level_evals=[level.evals for level in ml.levels],
+        coarse_newton_steps=ml.newton_steps, outside_fraction=disc.stencil.outside_fraction,
+        cycle_residuals=history, level_sweeps=[level.sweeps for level in ml.levels],
         anderson_accepted=accepted, anderson_rejected=rejected,
     )
 

@@ -204,13 +204,26 @@ def test_residual_norm_zero_and_discretization_scale():
 
 
 def test_solve_flags_nonconvergence():
-    # start (boundary extension = 0) is far from the solution of f = 1; a 7^3
-    # grid cannot be coarsened, so this is the single-level iteration
-    prob = ProblemSpec(SUB, ONE, ONE, ZERO, box(7), tol=1e-12, max_iters=3)
+    # max_iters is checked between V-cycles: the first cycle's fine sweeps
+    # pass it, so the solve stops after one cycle, far from tol
+    prob = ProblemSpec(SUB, ONE, ONE, ZERO, box(9), tol=1e-14, max_iters=2)
     res = solve(prob)
     assert not res.converged
-    assert res.iterations == 3
+    assert res.cycles == 1
+    assert res.iterations == 2 * _Multilevel.SWEEPS
     assert res.residual > prob.tol
+    assert residual_norm(res.u, prob) == res.residual
+
+
+def test_solve_stops_at_the_cycle_cap():
+    # tol 1e-16 is below the rounding of the stencil residual, and a 7^3
+    # Newton solve runs no sweeps, so only the cycle cap stops it
+    prob = ProblemSpec(SUB, ONE, ONE, ZERO, box(7), tol=1e-16)
+    res = solve(prob)
+    assert not res.converged
+    assert res.cycles == _Multilevel.MAX_CYCLES == len(res.cycle_residuals)
+    assert res.iterations == 0
+    assert residual_norm(res.u, prob) == res.residual
 
 
 def _shift(field, delta):
@@ -279,39 +292,35 @@ def test_residual_monotone_after_warmup():
     assert (np.diff(tail) <= 1e-12 * max(1.0, tail[0])).all()
 
 
-def test_single_level_solve_evaluates_operator_once_per_sweep(monkeypatch):
-    from heisenpde.solver import Discretization
-
-    calls = []
-    apply = Discretization.apply_nonlinearity
-
-    def counted(self, flat):
-        calls.append(1)
-        return apply(self, flat)
-
-    monkeypatch.setattr(Discretization, "apply_nonlinearity", counted)
-    prob = ProblemSpec(SUB, ONE, ONE, boundary=ZERO, grid=box(5), tol=1e-8)
-    res = solve(prob)
-    assert res.converged and res.iterations > 0
-    assert len(calls) == res.iterations + 1
-    assert res.level_evals == [len(calls)]
-    assert res.coarse_newton_steps == 0
-
-
 def test_multilevel_and_pure_agree():
+    # 9^3 runs V-cycles; 7^3 and 12^3 cannot be coarsened, so their one level
+    # is solved by Newton on the probed map (7^3) or, above DENSE_MAX,
+    # smoothed (12^3), from a start far from the solution
     u_star = parse_polynomial("x1^2 + x2^2 - x1 x2")
-    f = manufacture(u_star, SUB, ONE)
-    prob = ProblemSpec(SUB, ONE, f, boundary=u_star, grid=box(9), tol=1e-10)
-    res_ml = solve(prob)
-    # the pure iteration from the solver's start, the boundary data at every node
-    pure = GridFunction.from_field(prob.grid, u_star)
-    for _ in range(100_000):
-        if residual_norm(pure, prob) < prob.tol:
-            break
-        pure = step(pure, prob, res_ml.tau)
-    assert res_ml.converged and res_ml.cycles > 0
-    assert residual_norm(pure, prob) < prob.tol
-    assert np.abs(res_ml.u.values - pure.values).max() <= 20 * 1e-10
+    manufactured = dict(f=manufacture(u_star, SUB, ONE), boundary=u_star)
+    far = dict(f=parse_polynomial("1 + x1 x2"), boundary=ZERO)
+    for n, data in ((9, manufactured), (7, far), (12, far)):
+        prob = ProblemSpec(SUB, ONE, grid=box(n), tol=1e-10, **data)
+        res_ml = solve(prob)
+        # the pure iteration from the solver's start, the boundary data at every node
+        pure = GridFunction.from_field(prob.grid, prob.boundary)
+        for _ in range(100_000):
+            if residual_norm(pure, prob) < prob.tol:
+                break
+            pure = step(pure, prob, res_ml.tau)
+        assert res_ml.converged
+        assert residual_norm(pure, prob) < prob.tol
+        assert np.abs(res_ml.u.values - pure.values).max() <= 20 * 1e-10
+        assert residual_norm(res_ml.u, prob) == res_ml.residual
+        if n == 9:
+            assert res_ml.cycles > 0
+        elif n == 7:
+            assert res_ml.levels == [prob.grid.counts]
+            assert res_ml.iterations == 0 and res_ml.coarse_newton_steps > 0
+        else:
+            assert res_ml.levels == [prob.grid.counts]
+            assert (n - 2) ** 3 > _Multilevel.DENSE_MAX
+            assert res_ml.iterations > 0 and res_ml.coarse_newton_steps == 0
 
 
 def test_manufacture_examples_and_validation():
