@@ -47,16 +47,13 @@ def h_hessian(u: ScalarField, p: Point) -> Sym2:
     return Sym2(*(second_difference(u, p, h, v, w) for v, w in ((x, None), (x, y), (y, None))))
 
 
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
 def full_hessian(u: ScalarField, p: Point) -> Sym3:
-    """Classical symmetric Hessian via the field's derivative provider."""
-    return Sym3(
-        u.second_partial(p, 0, 0),
-        u.second_partial(p, 0, 1),
-        u.second_partial(p, 0, 2),
-        u.second_partial(p, 1, 1),
-        u.second_partial(p, 1, 2),
-        u.second_partial(p, 2, 2),
-    )
+    """Classical symmetric Hessian via the field's derivative provider (one
+    exact pass over the terms of a polynomial field)."""
+    return Sym3(*u.second_partials(p, _UPPER))
 
 
 def lift(a: Sym3, p: Point) -> Sym2:

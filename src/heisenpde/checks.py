@@ -208,19 +208,37 @@ def check_dilation(seed: int = 0, trials: int = 100) -> dict:
     return _report("calculus.dilation", trials, float(failures), failures == 0)
 
 
+# Angles per block of the brute-force Pucci oracle: the working arrays of a
+# block stay in cache, where one array of all the angles would not.
+_ANGLE_BLOCK = 8192
+
+
 def pucci_bruteforce(
     h: np.ndarray, lam: float, Lam: float, n: int, seed: int
 ) -> tuple[float, float]:
     """(max, min) of trace(a h) over n sampled admissible a (random rotations,
     sign-optimal eigenvalue corners): brute-force Pucci+ and Pucci-, both
-    from one draw of the angles."""
+    from one draw of the angles.
+
+    The angles are drawn from one stream in blocks of _ANGLE_BLOCK, with a
+    running max and min across the blocks.  It needs 0 < lam <= Lam, for
+    which the corner max(Lam q, lam q) is Lam q for q > 0 and lam q
+    otherwise, bitwise, as rounding is monotone.
+    """
+    if n < 1:
+        raise ValueError(f"pucci_bruteforce needs n >= 1 angles, got n={n}")
+    EllipticityBracket(lam, Lam)  # raises unless 0 < lam <= Lam
     g = SplitMix64(seed, "pucci-bruteforce")
-    t = g.uniform(n, 0.0, np.pi)
-    c, s = np.cos(t), np.sin(t)
-    q1 = c * c * h[0, 0] + 2 * c * s * h[0, 1] + s * s * h[1, 1]
-    q2 = s * s * h[0, 0] - 2 * c * s * h[0, 1] + c * c * h[1, 1]
-    plus = (np.where(q1 > 0, Lam, lam) * q1 + np.where(q2 > 0, Lam, lam) * q2).max()
-    minus = (np.where(q1 > 0, lam, Lam) * q1 + np.where(q2 > 0, lam, Lam) * q2).min()
+    plus, minus = -np.inf, np.inf
+    for start in range(0, n, _ANGLE_BLOCK):
+        t = g.uniform(min(_ANGLE_BLOCK, n - start), 0.0, np.pi)
+        c, s = np.cos(t), np.sin(t)
+        cc, ss, cs2 = c * c, s * s, 2 * c * s
+        q1 = cc * h[0, 0] + cs2 * h[0, 1] + ss * h[1, 1]
+        q2 = ss * h[0, 0] - cs2 * h[0, 1] + cc * h[1, 1]
+        lq1, lq2, Lq1, Lq2 = lam * q1, lam * q2, Lam * q1, Lam * q2
+        plus = np.maximum(plus, (np.maximum(Lq1, lq1) + np.maximum(Lq2, lq2)).max())
+        minus = np.minimum(minus, (np.minimum(Lq1, lq1) + np.minimum(Lq2, lq2)).min())
     return float(plus), float(minus)
 
 

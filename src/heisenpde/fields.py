@@ -42,6 +42,10 @@ class ScalarField:
     def second_partial(self, p: Point, i: int, j: int) -> float:
         raise NotImplementedError
 
+    def second_partials(self, p: Point, pairs) -> list[float]:
+        """second_partial(p, i, j) for each (i, j) in pairs."""
+        return [self.second_partial(p, i, j) for i, j in pairs]
+
 
 class PolynomialField(ScalarField):
     """Polynomial in (x1, x2, x3) with exact rational coefficients.
@@ -68,12 +72,17 @@ class PolynomialField(ScalarField):
     # Float views for evaluation, built on first use: most exact
     # intermediates (those of the quadratic-form check, say) are never evaluated.
     @cached_property
+    def _float_terms(self) -> list[tuple[tuple[int, int, int], float]]:
+        """(exponents, float coefficient) in sorted exponent order."""
+        return [(e, float(self.terms[e])) for e in sorted(self.terms)]
+
+    @cached_property
     def _expos(self) -> np.ndarray:
-        return np.array(sorted(self.terms), dtype=np.int64).reshape(-1, 3)
+        return np.array([e for e, _ in self._float_terms], dtype=np.int64).reshape(-1, 3)
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
-        return np.array([float(self.terms[tuple(e)]) for e in self._expos])
+        return np.array([c for _, c in self._float_terms])
 
     @staticmethod
     def constant(c) -> "PolynomialField":
@@ -86,10 +95,10 @@ class PolynomialField(ScalarField):
         return PolynomialField({tuple(expo): 1})
 
     def value(self, p: Point) -> float:
-        x = (p.x1, p.x2, p.x3)
+        x1, x2, x3 = float(p.x1), float(p.x2), float(p.x3)
         total = 0.0
-        for (a, b, d), c in zip(self._expos, self._coeffs):
-            total += c * x[0] ** a * x[1] ** b * x[2] ** d
+        for (a, b, d), c in self._float_terms:
+            total += c * x1**a * x2**b * x3**d
         return total
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
@@ -113,7 +122,31 @@ class PolynomialField(ScalarField):
         return self.partial_field(i).value(p)
 
     def second_partial(self, p: Point, i: int, j: int) -> float:
-        return self.partial_field(i).partial_field(j).value(p)
+        return self.second_partials(p, ((i, j),))[0]
+
+    def second_partials(self, p: Point, pairs) -> list[float]:
+        """d^2u/dx_i dx_j at p for each (i, j) in pairs, in one pass over the
+        terms and with no intermediate field.
+
+        The term c x^e contributes c k x^(e - e_i - e_j) with the integer
+        k = e_i (e_j - [i == j]).  Differentiating by one coordinate never
+        merges two monomials and keeps their sorted order, so this is
+        partial_field(i).partial_field(j).value(p) bitwise: the coefficient
+        is rounded once, as float(c * k) (int / int divides correctly
+        rounded), and the monomials are summed in the same order.
+        """
+        x = (float(p.x1), float(p.x2), float(p.x3))
+        totals = [0.0] * len(pairs)
+        for e, c in sorted(self.terms.items()):
+            for n, (i, j) in enumerate(pairs):
+                k = e[i] * (e[j] - (i == j))
+                if k:
+                    f = list(e)
+                    f[i] -= 1
+                    f[j] -= 1
+                    coeff = (c.numerator * k) / c.denominator
+                    totals[n] += coeff * x[0] ** f[0] * x[1] ** f[1] * x[2] ** f[2]
+        return totals
 
     def shift_monomial(self, expo: tuple[int, int, int], factor) -> "PolynomialField":
         """Multiply by factor * x1^a x2^b x3^d."""

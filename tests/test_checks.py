@@ -129,6 +129,39 @@ def test_bruteforce_oracle_close_on_known_case():
     assert abs(val_minus - (-4.0)) < 1e-6
 
 
+def _single_array_bruteforce(h, lam, Lam, n, seed):
+    """The oracle as one array of all n angles (before the blocked loop)."""
+    g = SplitMix64(seed, "pucci-bruteforce")
+    t = g.uniform(n, 0.0, np.pi)
+    c, s = np.cos(t), np.sin(t)
+    q1 = c * c * h[0, 0] + 2 * c * s * h[0, 1] + s * s * h[1, 1]
+    q2 = s * s * h[0, 0] - 2 * c * s * h[0, 1] + c * c * h[1, 1]
+    plus = (np.where(q1 > 0, Lam, lam) * q1 + np.where(q2 > 0, Lam, lam) * q2).max()
+    minus = (np.where(q1 > 0, lam, Lam) * q1 + np.where(q2 > 0, lam, Lam) * q2).min()
+    return float(plus), float(minus)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8192, 8193, 100_000])
+def test_blocked_bruteforce_is_the_single_array_formula_bitwise(n):
+    mats = SplitMix64(n, "blocked-oracle").symmetric(6, 2, scale=1.5)
+    for k, h in enumerate(mats):
+        for lam, Lam in ((1.0, 2.0), (0.5, 2.5), (1.0, 1.0)):
+            got = checks.pucci_bruteforce(h, lam, Lam, n, seed=k)
+            assert got == _single_array_bruteforce(h, lam, Lam, n, k)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_bruteforce_rejects_an_empty_sample(n):
+    with pytest.raises(ValueError, match="n="):
+        checks.pucci_bruteforce(np.eye(2), 1.0, 2.0, n, seed=0)
+
+
+@pytest.mark.parametrize("lam,Lam", [(2.0, 1.0), (0.0, 1.0), (-1.0, 1.0)])
+def test_bruteforce_rejects_a_bracket_its_corners_do_not_fit(lam, Lam):
+    with pytest.raises(ValueError, match="lam <= Lam"):
+        checks.pucci_bruteforce(np.eye(2), lam, Lam, 10, seed=0)
+
+
 @pytest.mark.parametrize("seed", range(0, 400, 40))
 def test_random_polynomial_matches_per_draw_oracle(seed):
     # conftest's random_polynomial takes one integers() word per exponent

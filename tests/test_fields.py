@@ -67,6 +67,45 @@ def test_one_pass_frame_fields_match_partial_route():
     assert parse_polynomial("x1 x2 - 0.5 x3").apply_x().terms == {}
 
 
+def _composed_value(u: PolynomialField, p: Point) -> float:
+    """u(p) summed over the float views with numpy scalar powers."""
+    x = (np.float64(p.x1), np.float64(p.x2), np.float64(p.x3))
+    total = 0.0
+    for (a, b, d), c in zip(u._expos, u._coeffs):
+        total += c * x[0] ** a * x[1] ** b * x[2] ** d
+    return total
+
+
+def test_one_pass_hessian_is_the_composed_fields_bitwise():
+    from heisenpde.calculus import full_hessian
+
+    g = SplitMix64(11, "one-pass-hessian")
+    # a coefficient that is no double and terms with x3^3, x3^4
+    extra = PolynomialField(
+        {(1, 0, 3): Fraction(1, 3), (0, 2, 4): Fraction(-7, 5), (2, 1, 0): Fraction(10, 3)}
+    )
+    pairs = [(i, j) for i in range(3) for j in range(3)]
+    for trial in range(60):
+        u = random_polynomial(g, degree=6)
+        if trial % 2:
+            u = u + extra
+        p = Point(*g.uniform(3, -2.0, 2.0))
+        composed = {
+            (i, j): u.partial_field(i).partial_field(j).value(p) for i, j in pairs
+        }
+        for i, j in pairs:
+            assert u.second_partial(p, i, j) == composed[i, j]
+            # the plain float loop of value() sums as the numpy scalar loop did
+            w = u.partial_field(i).partial_field(j)
+            assert w.value(p) == _composed_value(w, p)
+        h = full_hessian(u, p).mat
+        assert all(h[i, j] == composed[i, j] for i, j in pairs)
+        assert u.value(p) == _composed_value(u, p)
+    # d^2/dx3^2 of x1 x3^3 / 3 is 2 x1 x3: the coefficient 3 * 2 / 3 rounds once
+    third = PolynomialField({(1, 0, 3): Fraction(1, 3)})
+    assert third.second_partial(Point(0.5, 0.0, 7.0), 2, 2) == 7.0
+
+
 def test_float_views_follow_the_exact_terms():
     u = PolynomialField(
         {(2, 0, 0): 0.75, tuple(np.array([0, 0, 1])): 1, (1, 1, 1): 0.0, (0, 1, 0): -3}
