@@ -164,14 +164,12 @@ class OperatorSpec:
         mean = 0.5 * (hxx + hyy)
         r = np.hypot(0.5 * (hxx - hyy), hxy)
         lo, hi = mean - r, mean + r
-        plus = self.kind == "pucci_plus"
-        big, small = (self.bracket.Lam, self.bracket.lam) if plus else (
-            self.bracket.lam,
-            self.bracket.Lam,
-        )
-        return np.where(lo > 0, big * lo, small * lo) + np.where(
-            hi > 0, big * hi, small * hi
-        )
+        lam, Lam = self.bracket.lam, self.bracket.Lam
+        # for 0 < lam <= Lam, bitwise the select of Lam e (Pucci+) or lam e
+        # (Pucci-) for e > 0 and the other product otherwise
+        if self.kind == "pucci_plus":
+            return np.maximum(Lam * lo, lam * lo) + np.maximum(Lam * hi, lam * hi)
+        return np.minimum(lam * lo, Lam * lo) + np.minimum(lam * hi, Lam * hi)
 
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":

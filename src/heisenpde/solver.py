@@ -10,8 +10,11 @@ the same stencil on a bare grid function, which is its own off-box field and
 so clamps those samples onto the box.  Because the frame's horizontal step
 is the same at every node and its vertical step depends only on the node's
 column, the operator is evaluated from shifted x3 rows of u per column (see
-_Stencil).  A problem's finest discretization is built once and kept by the
-ProblemSpec itself; no module-level cache holds one.
+_Stencil): the directions that share one horizontal weight table, a family,
+share one horizontal interpolation of u, and each direction then takes one
+x3 window of it per column.  The evaluation makes no BLAS call.  A problem's
+finest discretization is built once and kept by the ProblemSpec itself; no
+module-level cache holds one.
 
 Accuracy forces the sample step rho away from the grid spacing h: linear
 interpolation carries an O((h/rho)^2) bias into the second differences (pure
@@ -50,11 +53,9 @@ all nine.
 T computes only the Hessian rows that F reads (OperatorSpec.hessian_rows),
 and the stencil takes no sample that none of those rows weighs.  The
 sub-Laplacian and trace_linear with a12 = 0 ignore h_xy, so their T skips
-the four diagonal directions, the four-corner gathers; the rows it does
-compute are bitwise those of the full call.  On a 65^3 grid with one BLAS
-thread this took one sub-Laplacian evaluation of T from 109 to 55 ns per
-interior node (95 to 41 at 33^3).  stencil_hessian and the coarsest-level
-probe compute all three rows.
+the four diagonal directions and their four-corner blend; the rows it does
+compute are bitwise those of the full call.  stencil_hessian and the
+coarsest-level probe compute all three rows.
 
 The coarsest level is solved directly.  The stencil is affine in the
 interior node values, so probing it once with the interior unit vectors
@@ -75,7 +76,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .calculus import h_second_fields
 from .config import config_number, config_section
@@ -233,13 +234,27 @@ def _embed(values: np.ndarray, counts) -> np.ndarray:
 class _Direction(NamedTuple):
     """The samples of one direction cx X + cy Y at every interior node."""
 
-    rows1: np.ndarray  # (A, 1, n1-2, 1) x1 index of each corner with nonzero weight
-    rows2: np.ndarray  # (1, B, 1, n2-2) x2 index of each corner with nonzero weight
     weights: np.ndarray  # (A, B) horizontal corner weights, the same in every column
-    start: np.ndarray  # (n1-2, n2-2) first padded x3 index of each column's window
-    fz: np.ndarray  # (n1-2, n2-2, 1) x3 fraction of each column
+    window: np.ndarray  # (n1-2, n2-2) flat index in the family blend of each column's x3 window
+    wz: np.ndarray  # (2, n1-2 or 1, n2-2 or 1, 1) x3 weights 1 - f, f of each column's fraction f
     out_rows: np.ndarray  # interior-node indices of the samples off the box
     out_vals: np.ndarray  # their frozen Dirichlet values
+
+
+def _blend(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The horizontal blend sum_ab weights[a, b] padded[j1 + a, j2 + b, :]
+    for every first corner (j1, j2) whose (A, B) table fits, its terms
+    added in row-major order."""
+    a_max, b_max = weights.shape
+    m1, m2 = padded.shape[0] - a_max + 1, padded.shape[1] - b_max + 1
+    blend = None
+    for (a, b), w in np.ndenumerate(weights):
+        term = w * padded[a : a + m1, b : b + m2]
+        if blend is None:
+            blend = term
+        else:
+            blend += term
+    return blend
 
 
 class _Stencil:
@@ -251,9 +266,11 @@ class _Stencil:
     So per direction the horizontal corners and their weights are
     constants, and each column keeps one x3 cell shift and one x3 fraction,
     taken with grid.cells from the sample of the column's bottom node.  A
-    column of samples is then a blend of at most four x3 rows of u, shifted
-    alike.  Samples that leave the box keep the frozen values of the
-    boundary field.  Storage is O(n1 n2 + off-box samples).
+    column of samples is then one x3 window of the direction's horizontal
+    blend of u, interpolated along x3.  Directions with the same weight
+    table, a family, share that blend.  Samples that leave the box keep the
+    frozen values of the boundary field.  Storage is O(n1 n2 n3) for the
+    padded copy of u, plus O(n1 n2 + off-box samples) per direction.
     """
 
     def __init__(self, grid: Grid3, boundary: ScalarField, step: float):
@@ -292,16 +309,25 @@ class _Stencil:
             fx, fy = frac[0, :2]
             wx = [1 - fx, fx] if fx else [1.0]
             wy = [1 - fy, fy] if fy else [1.0]
-            rows1 = np.arange(1, n1 - 1) + corner[0] + np.arange(len(wx))[:, None]
-            rows2 = np.arange(1, n2 - 1) + corner[1] + np.arange(len(wy))[:, None]
+            # padded index clip(k, -1, n) + 1 holds node clip(k, 0, n - 1) of
+            # axis length n, so every corner k is clipped onto the grid
+            base1 = np.clip(np.arange(1, n1 - 1) + corner[0], -1, n1 - 1) + 1
+            base2 = np.clip(np.arange(1, n2 - 1) + corner[1], -1, n2 - 1) + 1
             start = np.clip(1 + cell[:, 2] + self.pad, 0, 2 * self.pad + 1)
+            # its family's blend has shape (n1 + 3 - len(wx), n2 + 3 - len(wy), n3 + 2 pad)
+            x2_len, x3_len = n2 + 3 - len(wy), n3 + 2 * self.pad
+            window = (base1[:, None] * x2_len + base2) * x3_len + start.reshape(n1 - 2, n2 - 2)
+            # f is kept once along an axis where it does not change: x1 for X+-,
+            # x2 for Y+-, whose products then run over whole x2 rows of windows
+            fz = frac[:, 2].reshape(n1 - 2, n2 - 2)
+            for axis in (0, 1):
+                if np.all(fz == fz.take([0], axis=axis)):
+                    fz = fz.take([0], axis=axis)
             self.directions.append(
                 _Direction(
-                    np.clip(rows1, 0, n1 - 1)[:, None, :, None],
-                    np.clip(rows2, 0, n2 - 1)[None, :, None, :],
                     np.outer(wx, wy),
-                    start.reshape(n1 - 2, n2 - 2),
-                    frac[:, 2].reshape(n1 - 2, n2 - 2, 1),
+                    window,
+                    np.stack((1 - fz, fz))[..., None],
                     out_rows,
                     out_vals,
                 )
@@ -312,18 +338,22 @@ class _Stencil:
         ]
         n_samples = len(_COMBOS) * (n1 - 2) * (n2 - 2) * (n3 - 2)
         self.outside_fraction = sum(d.out_rows.size for d in self.directions) / n_samples
+        # the padded copy of u: x3 pads of zeros, zeroed here only, and one
+        # layer around x1 and x2 that each call copies from the grid's edge
+        self.padded = np.zeros((n1 + 2, n2 + 2, n3 + 2 * self.pad))
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the stored arrays."""
-        return sum(a.nbytes for d in self.directions for a in d)
+        return self.padded.nbytes + sum(a.nbytes for d in self.directions for a in d)
 
     def hessian_components(self, flat: np.ndarray, rows=(0, 1, 2)) -> np.ndarray:
         """(X^2u, (XY+YX)u/2, Y^2u) at the interior nodes, as a (3, n) array:
         each sample is added into the rows that weigh it as it is taken.
         Only the given rows are computed, the others are zero, and a sample
         that no given row weighs is not taken: rows (0, 2) skip the four
-        diagonal directions."""
+        diagonal directions.  Calls on one stencil must not overlap: they
+        share its padded copy of u."""
         hessian = np.zeros((3, int(np.prod(self.shape))))
         term = np.empty(hessian.shape[1])
         kept = [[(k, w) for k, w in column if k in rows] for column in self.row_weights]
@@ -337,22 +367,36 @@ class _Stencil:
     def _samples(self, flat: np.ndarray, taken: list):
         """The samples along _COMBOS, then the centre values, each flat over
         the interior nodes, for those of the nine whose entry in `taken` is
-        true; the direction samples share one buffer."""
+        true; the direction samples share one buffer.  A family of
+        directions with one horizontal weight table (X+-, Y+- and the
+        diagonals at the default rho) shares one blend, and only one
+        family's blend is held at a time."""
         u = flat.reshape(self.grid.counts)
         n3 = u.shape[2]
-        padded = np.zeros(u.shape[:2] + (n3 + 2 * self.pad,))
-        padded[:, :, self.pad : self.pad + n3] = u
-        # rows[i1, i2, j]: the n3 - 1 values of column (i1, i2) from padded x3 index j
-        rows = sliding_window_view(padded, n3 - 1, axis=2)
+        p = self.padded
+        p[1:-1, 1:-1, self.pad : self.pad + n3] = u
+        p[0], p[-1] = p[1], p[-2]
+        p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
         out = np.empty(int(np.prod(self.shape)))
         s = out.reshape(self.shape)
+        family = blend = rows = None
         for d, take in zip(self.directions, taken):
             if not take:
                 continue
-            windows = np.tensordot(d.weights, rows[d.rows1, d.rows2, d.start], 2)
-            np.multiply(windows[..., :-1], 1 - d.fz, out=s)
-            s += windows[..., 1:] * d.fz
-            del windows  # freed before the next direction gathers its rows
+            key = (d.weights.shape, d.weights.tobytes())
+            if key != family:
+                family = key
+                blend = rows = None  # freed before the next family's is formed
+                blend = _blend(p, d.weights)
+                # rows[j]: the n3 - 1 blend values from flat index j on
+                step = blend.strides[-1]
+                shape = (blend.size - n3 + 2, n3 - 1)
+                rows = as_strided(blend, shape, (step, step), writeable=False)
+            windows = rows[d.window]  # (n1-2, n2-2, n3-1)
+            lower = np.multiply(windows, d.wz[0])
+            np.multiply(windows, d.wz[1], out=windows)
+            np.add(lower[..., :-1], windows[..., 1:], out=s)
+            del windows, lower  # freed before the next direction gathers its windows
             out[d.out_rows] = d.out_vals
             yield out
         if taken[-1]:
@@ -609,13 +653,15 @@ class _Multilevel:
         _interior(flat, fine)[...] += _interior(_prolong(corr, fine), fine)
         return disc.smooth(flat, rhs, self.SWEEPS, final=l == 0)
 
-    def fmg_initial(self) -> np.ndarray:
+    def fmg_initial(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Nested iteration: solve the coarsest level, then prolong upward
-        with one V-cycle per intermediate level."""
+        with one V-cycle per intermediate level.  Returns the finest-level
+        iterate and, on a one-level grid, the residual the coarse solve
+        returned (None after Newton, and on a grid with coarser levels)."""
         coarsest = self.levels[-1]
         flat = coarsest.initial_values()
         coarsest.enforce_boundary(flat)
-        self.coarse_solve(flat, coarsest.f_int)
+        res = self.coarse_solve(flat, coarsest.f_int)
         for l in range(len(self.levels) - 2, -1, -1):
             disc = self.levels[l]
             coarse = self.levels[l + 1]
@@ -625,7 +671,7 @@ class _Multilevel:
             disc.enforce_boundary(flat)
             if l > 0:
                 self.vcycle(l, flat, disc.f_int)
-        return flat
+        return flat, res if len(self.levels) == 1 else None
 
 
 class _Anderson:
@@ -690,9 +736,10 @@ def solve(prob: ProblemSpec) -> SolveResult:
     disc = prob.discretization
     disc.evals = disc.sweeps = 0  # the problem keeps its finest level between solves
     ml = _Multilevel(prob, disc)
-    flat = ml.fmg_initial()
+    flat, res = ml.fmg_initial()
     inner = _interior(flat, prob.grid.counts)
-    res = disc.residual_interior(flat, disc.f_int)
+    if res is None:
+        res = disc.residual_interior(flat, disc.f_int)
     rn = float(np.abs(res).max())
     aa = _Anderson(inner.shape)
     history = []  # the fine residual after each cycle

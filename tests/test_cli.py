@@ -372,6 +372,7 @@ def test_problem_multilevel_is_unknown(tmp_path, capsys):
 def test_every_shipped_config_loads_through_its_reader():
     readers = {
         "solve_manufactured.json": ProblemSpec.from_config,
+        "solve_pucci.json": ProblemSpec.from_config,
         "holder.json": holder_config,
         "pipeline.json": PipelineConfig.from_config,
     }

@@ -258,3 +258,32 @@ def test_hessian_rows_are_the_ones_f_reads(kind):
         assert np.any(before != after)
     else:
         assert before.tobytes() == after.tobytes()
+
+
+def selected_pucci(spec, hxx, hxy, hyy):
+    """The Pucci corner as a select, kept as a reference: Lam e (Pucci+) or
+    lam e (Pucci-) where the eigenvalue e is positive, the other product
+    elsewhere."""
+    mean = 0.5 * (hxx + hyy)
+    r = np.hypot(0.5 * (hxx - hyy), hxy)
+    lo, hi = mean - r, mean + r
+    lam, Lam = spec.bracket.lam, spec.bracket.Lam
+    big, small = (Lam, lam) if spec.kind == "pucci_plus" else (lam, Lam)
+    return np.where(lo > 0, big * lo, small * lo) + np.where(hi > 0, big * hi, small * hi)
+
+
+@pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+@pytest.mark.parametrize("bracket", [(0.5, 2.0), (1.0, 4.0), (1.5, 1.5)])
+def test_pucci_corner_is_the_select_bitwise(kind, bracket):
+    # every triple of signed zeros, exact zero eigenvalues (diag(1, 0),
+    # [[1, 1], [1, 1]]), subnormal, huge and infinite entries, plus random ones
+    special = [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -1e-310, 1e308, -1e308, np.inf, -np.inf]
+    grid = np.array(np.meshgrid(special, special, special, indexing="ij")).reshape(3, -1)
+    h = np.concatenate((grid, np.random.default_rng(9).standard_normal((3, 2000))), axis=1)
+    spec = OperatorSpec(kind, EllipticityBracket(*bracket))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = spec.apply_batch(*h)
+        want = selected_pucci(spec, *h)
+    nan = np.isnan(want)
+    assert nan.any() and np.isnan(got[nan]).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()

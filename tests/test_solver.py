@@ -3,15 +3,17 @@ import weakref
 import numpy as np
 import pytest
 from conftest import max_interior_abs_diff
+from numpy.lib.stride_tricks import sliding_window_view
 
 from heisenpde.calculus import h_hessian
 from heisenpde.fields import PolynomialField, parse_polynomial
-from heisenpde.grid import Grid3, GridFunction
+from heisenpde.grid import Grid3, GridFunction, cells
 from heisenpde.group import Point, frame_batch
 from heisenpde.operators import EllipticityBracket, OperatorSpec
 from heisenpde.rng import SplitMix64
 from heisenpde.symmetric import Sym2
 from heisenpde.solver import (
+    _COMBOS,
     Discretization,
     ProblemSpec,
     _Anderson,
@@ -321,6 +323,17 @@ def test_multilevel_and_pure_agree():
             assert res_ml.levels == [prob.grid.counts]
             assert (n - 2) ** 3 > _Multilevel.DENSE_MAX
             assert res_ml.iterations > 0 and res_ml.coarse_newton_steps == 0
+
+
+def test_one_level_smoothed_solve_passes_its_first_residual_on():
+    # the first block of sweeps returns the residual of its last iterate,
+    # which is the first stopping test's: T is evaluated once per sweep, once
+    # for the first residual and once per Anderson mix
+    far = dict(f=parse_polynomial("1 + x1 x2"), boundary=ZERO)
+    res = solve(ProblemSpec(SUB, ONE, grid=box(12), tol=1e-10, **far))
+    assert res.converged and res.levels == [(12, 12, 12)] and res.iterations > 0
+    mixes = res.anderson_accepted + res.anderson_rejected
+    assert res.level_evals[0] == res.level_sweeps[0] + 1 + mixes
 
 
 def test_manufacture_examples_and_validation():
@@ -670,3 +683,87 @@ def test_restricted_rows_are_the_full_evaluation(kind, width, n):
     part = disc.stencil.hessian_components(flat, (0, 2))
     assert part[[0, 2]].tobytes() == full[[0, 2]].tobytes()
     assert not part[1].any()
+
+
+def gathered_hessian(stencil, flat, rho, rows=(0, 1, 2)):
+    """The stencil as each direction evaluated it before directions shared
+    a horizontal blend, kept as a reference: per direction, the windows of
+    all its A x B horizontal corners are gathered from the zero-padded u
+    (corner indices clipped onto the grid) and reduced with np.tensordot,
+    then interpolated along x3; the samples are added into the rows in the
+    stencil's order."""
+    grid = stencil.grid
+    n1, n2, n3 = grid.counts
+    pad = stencil.pad
+    x1, x2 = (grid.axis_coordinates(axis)[1:-1] for axis in range(2))
+    cols = np.stack(np.broadcast_arrays(x1[:, None], x2[None, :], grid.lower[2]), axis=-1)
+    cols = cols.reshape(-1, 3)
+    x_dir, y_dir = frame_batch(cols)
+    u = flat.reshape(grid.counts)
+    padded = np.zeros((n1, n2, n3 + 2 * pad))
+    padded[:, :, pad : pad + n3] = u
+    windows = sliding_window_view(padded, n3 - 1, axis=2)
+    samples = []
+    for (cx, cy), d in zip(_COMBOS, stencil.directions):
+        cell, frac = cells(grid, cols + rho * (cx * x_dir + cy * y_dir), clamp=False)
+        corner = cell[0, :2] - 1
+        fx, fy = frac[0, :2]
+        wx = [1 - fx, fx] if fx else [1.0]
+        wy = [1 - fy, fy] if fy else [1.0]
+        rows1 = np.arange(1, n1 - 1) + corner[0] + np.arange(len(wx))[:, None]
+        rows2 = np.arange(1, n2 - 1) + corner[1] + np.arange(len(wy))[:, None]
+        rows1 = np.clip(rows1, 0, n1 - 1)[:, None, :, None]
+        rows2 = np.clip(rows2, 0, n2 - 1)[None, :, None, :]
+        start = np.clip(1 + cell[:, 2] + pad, 0, 2 * pad + 1).reshape(n1 - 2, n2 - 2)
+        fz = frac[:, 2].reshape(n1 - 2, n2 - 2, 1)
+        blended = np.tensordot(np.outer(wx, wy), windows[rows1, rows2, start], 2)
+        sample = (blended[..., :-1] * (1 - fz) + blended[..., 1:] * fz).ravel()
+        sample[d.out_rows] = d.out_vals
+        samples.append(sample)
+    samples.append(_interior(u, grid.counts).ravel())
+    hessian = np.zeros((3, samples[-1].size))
+    for sample, column in zip(samples, stencil.row_weights):
+        for k, w in column:
+            if k in rows:
+                hessian[k] += sample * w
+    return hessian
+
+
+@pytest.mark.parametrize("n", [9, 17, 33])
+@pytest.mark.parametrize("kind", sorted(COARSE_KINDS))
+def test_family_blend_is_the_per_direction_gather_bitwise(kind, n):
+    # at the default rho a family's weights are 1, 1/2 or 1/4, so every
+    # product is exact and the blend adds the same terms in the same order
+    op = COARSE_KINDS[kind]
+    disc = Discretization(ProblemSpec(op, ONE, ZERO, POLY_BOUNDARY, box(n)))
+    assert disc.stencil.outside_fraction > 0
+    flat = np.random.default_rng(n).standard_normal(disc.grid.n_nodes)
+    got = disc.stencil.hessian_components(flat, op.hessian_rows)
+    want = gathered_hessian(disc.stencil, flat, disc.rho, op.hessian_rows)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 12])
+def test_corners_past_the_grid_read_the_edge(n):
+    # on these grids the horizontal fractions are rounding residues, so a
+    # sample on the box face has a second corner one past the grid, with a
+    # weight near 1e-16, which reads the edge node as a clipped index did
+    disc = Discretization(ProblemSpec(SUB, ONE, ZERO, POLY_BOUNDARY, box(n)))
+    assert any(0 < d.weights.min() < 1e-15 for d in disc.stencil.directions)
+    flat = np.random.default_rng(n).standard_normal(disc.grid.n_nodes)
+    got = disc.stencil.hessian_components(flat)
+    want = gathered_hessian(disc.stencil, flat, disc.rho)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_family_blend_off_centre_width_matches_the_gather():
+    # at width 0.137 the X+ and X- tables differ and no weight is a power of
+    # two: the blend rounds like the gather up to the order of fused steps
+    grid = Grid3.box((0.3, -0.7, 0.1), (1.4, 0.2, 0.9), (21, 17, 19))
+    disc = Discretization(ProblemSpec(SUB, ONE, ZERO, POLY_BOUNDARY, grid, sample_width=0.137))
+    tables = {(d.weights.shape, d.weights.tobytes()) for d in disc.stencil.directions}
+    assert len(tables) > 3
+    flat = np.random.default_rng(4).standard_normal(grid.n_nodes)
+    got = disc.stencil.hessian_components(flat)
+    want = gathered_hessian(disc.stencil, flat, disc.rho)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
