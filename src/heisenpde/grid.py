@@ -80,16 +80,15 @@ class Grid3:
         mask[1:-1, 1:-1, 1:-1] = True
         return mask
 
-    def can_coarsen(self) -> bool:
-        return all(n % 2 == 1 and (n + 1) // 2 >= 5 for n in self.counts)
-
     def coarsen(self) -> "Grid3":
-        if not self.can_coarsen():
-            raise ValueError(f"grid {self.counts} cannot be coarsened")
+        """The next coarser grid over the same box: an axis of n >= 8 nodes
+        gets n // 2 + 1 (spacing 2h when n is odd), a shorter axis is kept,
+        so a grid with no axis of 8 nodes is its own coarsening."""
+        counts = tuple(n // 2 + 1 if n >= 8 else n for n in self.counts)
         return Grid3(
             self.lower,
-            tuple((n + 1) // 2 for n in self.counts),
-            tuple(2 * h for h in self.spacings),
+            counts,
+            tuple(h * ((n - 1) / (m - 1)) for h, n, m in zip(self.spacings, self.counts, counts)),
         )
 
     def refine(self) -> "Grid3":

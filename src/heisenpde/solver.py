@@ -29,10 +29,11 @@ The basic iteration is the Jacobi-style pseudo-time step
     v = u + tau * (F(stencil) - c u - f)
 with tau = 0.4 rho^2 / (Lam (4 + c_max rho^2)).  Alone it needs
 O(1/(tau * lambda_min)) sweeps, far too many on fine grids, so solve() runs
-FAS-style V-cycles over the grid's coarsenings (none on a grid that cannot
-be coarsened), smoothing with the same step on every level but the
-coarsest; the stencil, tau rule, stopping test (fine-grid residual below
-tol), and hence the fixed point are those of the plain step.
+FAS-style V-cycles over the grid's coarsenings (Grid3.coarsen, one rule for
+every grid) with linear transfers per axis (_transfers), smoothing with the
+same step on every level but the coarsest; the stencil, tau rule, stopping
+test (fine-grid residual below tol), and hence the fixed point are those of
+the plain step.
 Discretization.smooth is the only relaxation loop; it returns the residual
 of its final iterate, which the V-cycle passes on rather than evaluating
 the operator twice on one iterate (on the levels below the finest no caller
@@ -63,10 +64,9 @@ gives dense maps (hxx, hxy, hyy) = M u + b; the equation F(M u + b) - c u
 = rhs is then solved by Newton's method with the Jacobian
 sum_k diag(dF/dh_k) M_k - diag(c), the slopes dF/dh_k taken by central
 differences of OperatorSpec.apply_batch, so every operator kind shares one
-derivative path.  A coarsest level with more than _Multilevel.DENSE_MAX
-interior nodes is smoothed instead, COARSE_SWEEPS sweeps per visit.  On a
-grid that cannot be coarsened a V-cycle is this solve alone, so a Newton
-solve there runs no sweep: SolveResult.iterations is 0.
+derivative path.  Every coarsest level has at most 7 nodes per axis, 125
+interior nodes.  On a grid with no axis of 8 nodes a V-cycle is this solve
+alone and runs no sweep: SolveResult.iterations is 0.
 """
 
 from __future__ import annotations
@@ -220,15 +220,6 @@ def _second_differences(rho: float) -> np.ndarray:
 def _interior(values: np.ndarray, counts) -> np.ndarray:
     """The interior-node view of node values, flat or shaped like the grid."""
     return values.reshape(counts)[1:-1, 1:-1, 1:-1]
-
-
-def _embed(values: np.ndarray, counts) -> np.ndarray:
-    """Node values equal to `values` (one per interior node) inside and 0 on
-    the boundary."""
-    full = np.zeros(counts)
-    inner = _interior(full, counts)
-    inner[...] = values.reshape(inner.shape)
-    return full
 
 
 class _Direction(NamedTuple):
@@ -451,19 +442,14 @@ class Discretization:
             raise ArithmeticError(f"non-finite update at node {tuple(int(v) for v in bad)}")
         inner[...] = upd
 
-    def smooth(
-        self, flat: np.ndarray, rhs: np.ndarray, sweeps: int, res=None, tol=0.0, final=True
-    ):
-        """Up to `sweeps` Jacobi steps toward T(u) = rhs in place, each with the
+    def smooth(self, flat: np.ndarray, rhs: np.ndarray, sweeps: int, res=None, final=True):
+        """`sweeps` Jacobi steps toward T(u) = rhs in place, each with the
         residual T(u) - rhs of the iterate it moves (`res` for the first, if
-        given), stopping before a sweep once max |res| < tol; returns the
-        residual of the final iterate, or None if `final` is false, in which
-        case the last sweep does not evaluate it."""
+        given); returns the residual of the final iterate, or None if
+        `final` is false, in which case the last sweep does not evaluate it."""
         if res is None:
             res = self.residual_interior(flat, rhs)
         for i in range(sweeps):
-            if tol > 0 and np.abs(res).max() < tol:
-                break
             self.advance(flat, res, self.tau)
             self.sweeps += 1
             res = self.residual_interior(flat, rhs) if final or i + 1 < sweeps else None
@@ -524,31 +510,37 @@ def manufacture(u_star: ScalarField, op: OperatorSpec, c: ScalarField) -> Scalar
     return NumericField(fn)
 
 
-def _restrict_full_weight(fine: np.ndarray, coarse_counts: tuple[int, int, int]) -> np.ndarray:
-    """Full-weighting restriction of a fine field that vanishes on the boundary."""
-    out = np.zeros(coarse_counts)
-    w1d = (0.25, 0.5, 0.25)
-    nf = fine.shape
-    for o1, v1 in zip((-1, 0, 1), w1d):
-        for o2, v2 in zip((-1, 0, 1), w1d):
-            for o3, v3 in zip((-1, 0, 1), w1d):
-                w = v1 * v2 * v3
-                out[1:-1, 1:-1, 1:-1] += w * fine[
-                    2 + o1 : nf[0] - 2 + o1 + 1 : 2,
-                    2 + o2 : nf[1] - 2 + o2 + 1 : 2,
-                    2 + o3 : nf[2] - 2 + o3 + 1 : 2,
-                ]
+def _interpolation(n_from: int, n_to: int) -> np.ndarray:
+    """The (n_to, n_from) matrix of linear interpolation from n_from to n_to
+    equally spaced nodes over one interval; node i of n_to lies at
+    i (n_from - 1) / (n_to - 1) nodes of n_from, a ratio taken exactly."""
+    rows = np.arange(n_to)
+    pos = rows * (n_from - 1)
+    cell = np.minimum(pos // (n_to - 1), n_from - 2)
+    frac = (pos - cell * (n_to - 1)) / (n_to - 1)
+    out = np.zeros((n_to, n_from))
+    out[rows, cell] = 1 - frac
+    out[rows, cell + 1] = frac
     return out
 
 
-def _prolong(coarse: np.ndarray, fine_counts: tuple[int, int, int]) -> np.ndarray:
-    """Trilinear prolongation onto the refined grid (counts 2n-1)."""
-    out = np.zeros(fine_counts)
-    out[::2, ::2, ::2] = coarse
-    out[::2, ::2, 1::2] = 0.5 * (out[::2, ::2, :-2:2] + out[::2, ::2, 2::2])
-    out[::2, 1::2, :] = 0.5 * (out[::2, :-2:2, :] + out[::2, 2::2, :])
-    out[1::2, :, :] = 0.5 * (out[:-2:2, :, :] + out[2::2, :, :])
-    return out
+def _along_axes(mats, values: np.ndarray) -> np.ndarray:
+    """values with the 1-D matrix mats[k] applied along axis k, x3 first,
+    then x2, then x1; each is a matrix product."""
+    n1, n2, n3 = values.shape
+    out = (values.reshape(-1, n3) @ mats[2].T).reshape(n1, n2, -1)
+    return np.tensordot(mats[0], mats[1] @ out, 1)
+
+
+def _transfers(fine: tuple, coarse: tuple) -> tuple[list, list, list]:
+    """Per axis, prolongation P (n_f, n_c), the interpolation at the coarse
+    nodes (n_c, n_f) that gives the FAS coarse iterate, and restriction, P^T
+    with each row divided by its sum, on interior nodes (n_c - 2, n_f - 2).
+    On odd counts: trilinear prolongation, injection and full weighting."""
+    prolong = [_interpolation(nc, nf) for nf, nc in zip(fine, coarse)]
+    inject = [_interpolation(nf, nc) for nf, nc in zip(fine, coarse)]
+    restrict = [p.T[1:-1, 1:-1] / p.sum(axis=0)[1:-1, None] for p in prolong]
+    return prolong, inject, restrict
 
 
 def _probe(disc: Discretization) -> np.ndarray:
@@ -582,38 +574,49 @@ def _values_and_slopes(op: OperatorSpec, h: np.ndarray) -> tuple[np.ndarray, np.
     return vals[0], (vals[1::2] - vals[2::2]) / (up - down)
 
 
+def _gauss_jordan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^-1 b by Gauss-Jordan elimination with partial pivoting, in
+    elementwise numpy operations: OpenBLAS factors LAPACK's LU on threads
+    from 100 unknowns on, with results that depend on the thread count."""
+    ab = np.column_stack((a, b))
+    for k in range(len(b)):
+        p = k + np.abs(ab[k:, k]).argmax()
+        if p != k:
+            ab[[k, p]] = ab[[p, k]]
+        pivot = ab[k, k:] / ab[k, k]
+        ab[:, k:] -= np.multiply.outer(ab[:, k], pivot)
+        ab[k, k:] = pivot
+    return ab[:, -1]
+
+
 class _Multilevel:
-    """FAS V-cycles over nested coarsenings, with the Jacobi step as smoother
-    and a direct solve on the coarsest level, which is the only level of a
-    grid that cannot be coarsened."""
+    """FAS V-cycles over the grid's coarsenings, with the Jacobi step as
+    smoother and a direct solve on the coarsest level, which has at most 7
+    nodes per axis and is the only level of a grid with no axis of 8."""
 
     SWEEPS = 3  # smoothing sweeps before and after the coarse-grid correction
     DEPTH = 3  # (x, G(x)) differences mixed by Anderson acceleration of the V-cycle
-    DENSE_MAX = 512  # largest coarsest level, in interior nodes, solved by Newton
     NEWTON_MAX = 20  # Newton steps per coarsest-level solve
-    COARSE_SWEEPS = 300  # smoothing sweeps per solve on a coarsest level above DENSE_MAX
     MAX_CYCLES = 500  # cycles per solve before it stops unconverged
 
     def __init__(self, prob: ProblemSpec, finest: Discretization):
         self.levels: list[Discretization] = [finest]
+        self.transfers = []  # _transfers between levels l and l + 1
         grid = prob.grid
-        while grid.can_coarsen():
-            grid = grid.coarsen()
-            self.levels.append(Discretization(prob, grid))
+        while (coarse := grid.coarsen()).counts != grid.counts:
+            self.transfers.append(_transfers(grid.counts, coarse.counts))
+            self.levels.append(Discretization(prob, coarse))
+            grid = coarse
         self.newton_steps = 0
-        coarsest = self.levels[-1]
-        self.dense = _probe(coarsest) if coarsest.c_int.size <= self.DENSE_MAX else None
+        self.dense = _probe(self.levels[-1])
 
-    def coarse_solve(self, flat: np.ndarray, rhs: np.ndarray, res=None, final=False):
-        """Solve T(u) = rhs on the coarsest level in place, stopping once
-        max |T(u) - rhs| < 1e-14 max(1, max |rhs|): by Newton on the probed
-        affine stencil, or with at most COARSE_SWEEPS smoothing sweeps from
-        the residual `res` on a level above DENSE_MAX.  Returns the stencil
-        residual of the result, or None after Newton unless `final`."""
+    def coarse_solve(self, flat: np.ndarray, rhs: np.ndarray, final=False):
+        """Solve T(u) = rhs on the coarsest level in place by Newton on the
+        probed affine stencil, stopping once max |T(u) - rhs| < 1e-14
+        max(1, max |rhs|).  Returns the stencil residual of the result if
+        `final`, else None."""
         disc = self.levels[-1]
         tol = 1e-14 * max(1.0, np.abs(rhs).max())
-        if self.dense is None:
-            return disc.smooth(flat, rhs, self.COARSE_SWEEPS, res, tol)
         edge = flat.copy()
         _interior(edge, disc.grid.counts)[...] = 0.0
         offset = disc.stencil.hessian_components(edge)
@@ -625,7 +628,7 @@ class _Multilevel:
             if np.abs(res).max() < tol:
                 break
             jac = np.einsum("kn,knm->nm", slopes, self.dense) - np.diag(disc.c_int)
-            disc.advance(flat, -np.linalg.solve(jac, res), 1.0)
+            disc.advance(flat, -_gauss_jordan(jac, res), 1.0)
             self.newton_steps += 1
         return disc.residual_interior(flat, rhs) if final else None
 
@@ -635,43 +638,41 @@ class _Multilevel:
         Returns the residual of the result on the finest level (l = 0); the
         callers on the other levels have no use for it."""
         if l == len(self.levels) - 1:
-            return self.coarse_solve(flat, rhs, res, final=l == 0)
+            return self.coarse_solve(flat, rhs, final=l == 0)
         disc = self.levels[l]
         res = disc.smooth(flat, rhs, self.SWEEPS, res)
         fine = disc.grid.counts
         coarse = self.levels[l + 1]
         counts = coarse.grid.counts
-        rc = _interior(_restrict_full_weight(_embed(-res, fine), counts), counts).ravel()
+        prolong, inject, restrict = self.transfers[l]
+        rc = _along_axes(restrict, -res.reshape(disc.stencil.shape)).ravel()
         del res  # not kept through the recursion
-        uc_flat = flat.reshape(fine)[::2, ::2, ::2].flatten()
+        uc_flat = _along_axes(inject, flat.reshape(fine)).ravel()
         res_c = coarse.apply_nonlinearity(uc_flat)
         rhs_c = res_c + rc
         res_c -= rhs_c  # T(u_c) - rhs_c
         v_flat = uc_flat.copy()
         self.vcycle(l + 1, v_flat, rhs_c, res_c)
-        corr = _embed(_interior(v_flat, counts) - _interior(uc_flat, counts), counts)
-        _interior(flat, fine)[...] += _interior(_prolong(corr, fine), fine)
+        corr = _interior(v_flat, counts) - _interior(uc_flat, counts)
+        _interior(flat, fine)[...] += _along_axes([p[1:-1, 1:-1] for p in prolong], corr)
         return disc.smooth(flat, rhs, self.SWEEPS, final=l == 0)
 
-    def fmg_initial(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def fmg_initial(self) -> np.ndarray:
         """Nested iteration: solve the coarsest level, then prolong upward
-        with one V-cycle per intermediate level.  Returns the finest-level
-        iterate and, on a one-level grid, the residual the coarse solve
-        returned (None after Newton, and on a grid with coarser levels)."""
+        with one V-cycle per intermediate level; returns the finest-level
+        iterate."""
         coarsest = self.levels[-1]
         flat = coarsest.initial_values()
         coarsest.enforce_boundary(flat)
-        res = self.coarse_solve(flat, coarsest.f_int)
+        self.coarse_solve(flat, coarsest.f_int)
         for l in range(len(self.levels) - 2, -1, -1):
             disc = self.levels[l]
-            coarse = self.levels[l + 1]
-            flat = _prolong(
-                flat.reshape(coarse.grid.counts), disc.grid.counts
-            ).ravel()
+            prolong = self.transfers[l][0]
+            flat = _along_axes(prolong, flat.reshape(self.levels[l + 1].grid.counts)).ravel()
             disc.enforce_boundary(flat)
             if l > 0:
                 self.vcycle(l, flat, disc.f_int)
-        return flat, res if len(self.levels) == 1 else None
+        return flat
 
 
 class _Anderson:
@@ -725,7 +726,7 @@ class _Anderson:
 def solve(prob: ProblemSpec) -> SolveResult:
     """Iterate toward max interior |F(stencil) - c u - f| < tol.
 
-    FAS V-cycles (on a grid that cannot be coarsened, the coarsest-level
+    FAS V-cycles (on a grid with no axis of 8 nodes, the coarsest-level
     solve alone) are Anderson-mixed: after each cycle that has not met tol,
     the mix of the last DEPTH cycles replaces the cycle's result only if its
     residual is strictly smaller.  The fixed point and stopping rule are
@@ -736,10 +737,9 @@ def solve(prob: ProblemSpec) -> SolveResult:
     disc = prob.discretization
     disc.evals = disc.sweeps = 0  # the problem keeps its finest level between solves
     ml = _Multilevel(prob, disc)
-    flat, res = ml.fmg_initial()
+    flat = ml.fmg_initial()
     inner = _interior(flat, prob.grid.counts)
-    if res is None:
-        res = disc.residual_interior(flat, disc.f_int)
+    res = disc.residual_interior(flat, disc.f_int)
     rn = float(np.abs(res).max())
     aa = _Anderson(inner.shape)
     history = []  # the fine residual after each cycle

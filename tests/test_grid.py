@@ -62,9 +62,21 @@ def test_coarsen_refine():
     assert c.counts == (9, 9, 9)
     assert c.spacings == (0.25, 0.25, 0.25)
     assert c.refine() == g
-    assert not Grid3.box((0, 0, 0), (1, 1, 1), (8, 9, 9)).can_coarsen()
-    with pytest.raises(ValueError):
-        Grid3.box((0, 0, 0), (1, 1, 1), (8, 9, 9)).coarsen()
+    odd = Grid3.box((-1, 0, 0.5), (1, 2, 1.5), (9, 33, 65))
+    assert odd.coarsen().counts == (5, 17, 33)
+    assert odd.coarsen().refine() == odd
+    # every axis of at least 8 nodes goes to n // 2 + 1 over the same box
+    mixed = Grid3.box((0, 0, 0), (1, 1, 1), (8, 9, 9)).coarsen()
+    assert mixed.counts == (5, 5, 5)
+    assert np.allclose(mixed.upper, (1, 1, 1), rtol=0, atol=1e-15)
+    assert mixed.spacings == (1 / 7 * (7 / 4), 0.25, 0.25)
+    # shorter axes are kept (semi-coarsening)
+    semi = Grid3.box((0, 0, 0), (1, 1, 1), (65, 65, 7)).coarsen()
+    assert semi.counts == (33, 33, 7)
+    assert semi.spacings == (1 / 32, 1 / 32, 1 / 6)
+    # a grid with no axis of 8 nodes is its own coarsening
+    small = Grid3.box((0, 0, 0), (1, 1, 1), (7, 5, 3))
+    assert small.coarsen() == small
 
 
 def test_margin_box():

@@ -16,11 +16,14 @@ from heisenpde.solver import (
     _COMBOS,
     Discretization,
     ProblemSpec,
+    _along_axes,
     _Anderson,
+    _gauss_jordan,
     _interior,
     _Multilevel,
     _probe,
     _second_differences,
+    _transfers,
     _values_and_slopes,
     cfl_tau,
     manufacture,
@@ -295,9 +298,9 @@ def test_residual_monotone_after_warmup():
 
 
 def test_multilevel_and_pure_agree():
-    # 9^3 runs V-cycles; 7^3 and 12^3 cannot be coarsened, so their one level
-    # is solved by Newton on the probed map (7^3) or, above DENSE_MAX,
-    # smoothed (12^3), from a start far from the solution
+    # 9^3 runs V-cycles, and so does 12^3, over a 7^3 coarsest level; 7^3 has
+    # no axis of 8 nodes, so its one level is solved by Newton on the probed
+    # map, from a start far from the solution
     u_star = parse_polynomial("x1^2 + x2^2 - x1 x2")
     manufactured = dict(f=manufacture(u_star, SUB, ONE), boundary=u_star)
     far = dict(f=parse_polynomial("1 + x1 x2"), boundary=ZERO)
@@ -320,20 +323,8 @@ def test_multilevel_and_pure_agree():
             assert res_ml.levels == [prob.grid.counts]
             assert res_ml.iterations == 0 and res_ml.coarse_newton_steps > 0
         else:
-            assert res_ml.levels == [prob.grid.counts]
-            assert (n - 2) ** 3 > _Multilevel.DENSE_MAX
-            assert res_ml.iterations > 0 and res_ml.coarse_newton_steps == 0
-
-
-def test_one_level_smoothed_solve_passes_its_first_residual_on():
-    # the first block of sweeps returns the residual of its last iterate,
-    # which is the first stopping test's: T is evaluated once per sweep, once
-    # for the first residual and once per Anderson mix
-    far = dict(f=parse_polynomial("1 + x1 x2"), boundary=ZERO)
-    res = solve(ProblemSpec(SUB, ONE, grid=box(12), tol=1e-10, **far))
-    assert res.converged and res.levels == [(12, 12, 12)] and res.iterations > 0
-    mixes = res.anderson_accepted + res.anderson_rejected
-    assert res.level_evals[0] == res.level_sweeps[0] + 1 + mixes
+            assert res_ml.levels == [(12, 12, 12), (7, 7, 7)]
+            assert res_ml.iterations > 0 and res_ml.coarse_newton_steps > 0
 
 
 def test_manufacture_examples_and_validation():
@@ -540,17 +531,6 @@ def test_pucci_coarsest_level_evaluated_once_per_visit(monkeypatch):
     coarse_solves = res.cycles + len(res.levels) - 1
     newton_evals = coarse_solves + res.coarse_newton_steps
     assert res.level_evals[-1] == calls.count((5, 5, 5)) + newton_evals
-
-
-def test_coarsest_level_above_dense_max_is_smoothed():
-    u_star, prob = manufactured_problem(27, tol=1e-5)
-    ml = _Multilevel(prob, prob.discretization)
-    assert ml.levels[-1].c_int.size > ml.DENSE_MAX and ml.dense is None
-    res = solve(prob)
-    assert res.converged
-    assert res.levels == [(27, 27, 27), (14, 14, 14)]
-    assert res.coarse_newton_steps == 0 and res.level_evals[-1] > 0
-    assert res.cycles <= 20
 
 
 MONOTONE_KINDS = {
@@ -767,3 +747,104 @@ def test_family_blend_off_centre_width_matches_the_gather():
     got = disc.stencil.hessian_components(flat)
     want = gathered_hessian(disc.stencil, flat, disc.rho)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+# levels and V-cycles of the Pucci+ (1, 4) solve of u* = x1^2 - x2^2 + 0.5 x1 x3
+# (c = 1, tol 1e-6) on grids that do not halve down to 5 nodes per axis
+NON_DYADIC = {
+    (32, 32, 32): ([(32, 32, 32), (17, 17, 17), (9, 9, 9), (5, 5, 5)], 16),
+    (31, 31, 31): ([(31, 31, 31), (16, 16, 16), (9, 9, 9), (5, 5, 5)], 20),
+    (27, 27, 27): ([(27, 27, 27), (14, 14, 14), (8, 8, 8), (5, 5, 5)], 20),
+    (12, 12, 12): ([(12, 12, 12), (7, 7, 7)], 13),
+    (33, 33, 7): ([(33, 33, 7), (17, 17, 7), (9, 9, 7), (5, 5, 7)], 23),
+}
+
+
+@pytest.mark.parametrize("counts", list(NON_DYADIC), ids=lambda c: "x".join(map(str, c)))
+def test_every_grid_gets_a_hierarchy(counts):
+    levels, cycles = NON_DYADIC[counts]
+    u_star = parse_polynomial("x1^2 - x2^2 + 0.5 x1 x3")
+    grid = Grid3.box((-1, -1, -1), (1, 1, 1), counts)
+    f = manufacture(u_star, PUCCI_PLUS, ONE)
+    res = solve(ProblemSpec(PUCCI_PLUS, ONE, f, u_star, grid, tol=1e-6))
+    assert res.converged
+    assert res.levels == levels
+    assert max(res.levels[-1]) <= 7
+    assert res.cycles <= cycles
+
+
+def slicing_prolong(coarse, fine_counts):
+    """Trilinear prolongation onto the refined grid (counts 2n - 1) by
+    strided slices: the form the per-axis matrices replaced."""
+    out = np.zeros(fine_counts)
+    out[::2, ::2, ::2] = coarse
+    out[::2, ::2, 1::2] = 0.5 * (out[::2, ::2, :-2:2] + out[::2, ::2, 2::2])
+    out[::2, 1::2, :] = 0.5 * (out[::2, :-2:2, :] + out[::2, 2::2, :])
+    out[1::2, :, :] = 0.5 * (out[:-2:2, :, :] + out[2::2, :, :])
+    return out
+
+
+def slicing_full_weight(fine, coarse_counts):
+    """27-term full weighting of a fine field that vanishes on the boundary,
+    at the interior coarse nodes: the form the per-axis matrices replaced."""
+    out = np.zeros(tuple(n - 2 for n in coarse_counts))
+    w1d = (0.25, 0.5, 0.25)
+    nf = fine.shape
+    for o1, v1 in zip((-1, 0, 1), w1d):
+        for o2, v2 in zip((-1, 0, 1), w1d):
+            for o3, v3 in zip((-1, 0, 1), w1d):
+                out += v1 * v2 * v3 * fine[
+                    2 + o1 : nf[0] - 2 + o1 + 1 : 2,
+                    2 + o2 : nf[1] - 2 + o2 + 1 : 2,
+                    2 + o3 : nf[2] - 2 + o3 + 1 : 2,
+                ]
+    return out
+
+
+@pytest.mark.parametrize("coarse", [(5, 5, 5), (9, 9, 9), (17, 17, 17), (33, 33, 33), (9, 17, 5)])
+def test_transfers_on_odd_counts_are_the_slicing_forms(coarse):
+    fine = tuple(2 * n - 1 for n in coarse)
+    prolong, inject, restrict = _transfers(fine, coarse)
+    g = np.random.default_rng(sum(coarse))
+    v = g.uniform(-1, 1, coarse)
+    assert _along_axes(prolong, v).tobytes() == slicing_prolong(v, fine).tobytes()
+    # the correction form: interior rows and columns on a field zero on the boundary
+    corr = np.zeros(coarse)
+    corr[1:-1, 1:-1, 1:-1] = g.uniform(-1, 1, tuple(n - 2 for n in coarse))
+    inner = _along_axes([p[1:-1, 1:-1] for p in prolong], corr[1:-1, 1:-1, 1:-1])
+    assert inner.tobytes() == slicing_prolong(corr, fine)[1:-1, 1:-1, 1:-1].tobytes()
+    u = g.uniform(-1, 1, fine)
+    assert _along_axes(inject, u).tobytes() == u[::2, ::2, ::2].tobytes()
+    r = np.zeros(fine)
+    r[1:-1, 1:-1, 1:-1] = g.uniform(-1, 1, tuple(n - 2 for n in fine))
+    got = _along_axes(restrict, r[1:-1, 1:-1, 1:-1])
+    assert np.abs(got - slicing_full_weight(r, coarse)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("fine", [(8, 9, 12), (32, 31, 27), (14, 65, 7), (16, 10, 20)])
+def test_transfers_on_any_counts(fine):
+    coarse = Grid3.box((0, 0, 0), (1, 1, 1), fine).coarsen().counts
+    prolong, inject, restrict = _transfers(fine, coarse)
+    for r in restrict:
+        assert np.abs(r.sum(axis=1) - 1.0).max() <= 2 * np.finfo(float).eps
+    # both interpolations reproduce constants exactly and linear functions
+    # to rounding, on the box [0, 1]^3 of either grid
+    for mats, src, dst in ((prolong, coarse, fine), (inject, fine, coarse)):
+        assert np.all(_along_axes(mats, np.ones(src)) == 1.0)
+        x_src = np.meshgrid(*(np.arange(n) / (n - 1) for n in src), indexing="ij")
+        x_dst = np.meshgrid(*(np.arange(n) / (n - 1) for n in dst), indexing="ij")
+        linear = [0.3 + x[0] - 2.0 * x[1] + 0.7 * x[2] for x in (x_src, x_dst)]
+        assert np.abs(_along_axes(mats, linear[0]) - linear[1]).max() <= 1e-14
+
+
+def test_gauss_jordan_pivots_and_solves():
+    g = np.random.default_rng(3)
+    a = g.standard_normal((125, 125)) + 20.0 * np.eye(125)
+    a[0, 0] = 0.0  # the first column needs a row swap
+    b = g.standard_normal(125)
+    kept = a.copy()
+    x = _gauss_jordan(a, b)
+    assert np.array_equal(a, kept)
+    assert np.abs(a @ x - b).max() <= 1e-12
+    perm = np.eye(3)[[2, 0, 1]]
+    assert np.array_equal(_gauss_jordan(perm, np.array([1.0, 2.0, 3.0])), perm.T @ [1.0, 2.0, 3.0])
