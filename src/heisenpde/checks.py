@@ -242,17 +242,12 @@ def pucci_bruteforce(
     return float(plus), float(minus)
 
 
-def _pucci_batch(kind: str, b: EllipticityBracket, mats: np.ndarray) -> np.ndarray:
-    """The solver's vectorized Pucci operator on a (n, 2, 2) symmetric stack."""
-    return OperatorSpec(kind, b).apply_batch(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])
-
-
 def check_pucci_bruteforce(seed: int = 0, trials: int = 100, samples: int = 100_000) -> dict:
     """Eigenvalue formula vs brute-force extremization within 1e-6."""
     g = SplitMix64(seed, "pucci-check")
     b = EllipticityBracket(1.0, 2.0)
     mats = g.symmetric(trials, 2, scale=1.5)
-    plus, minus = (_pucci_batch(kind, b, mats) for kind in ("pucci_plus", "pucci_minus"))
+    plus, minus = (OperatorSpec(k, b).apply_stack(mats) for k in ("pucci_plus", "pucci_minus"))
     worst = 0.0
     for k in range(trials):
         bf_plus, bf_minus = pucci_bruteforce(mats[k], 1.0, 2.0, samples, seed + k)
@@ -265,7 +260,8 @@ def check_pucci_duality(seed: int = 0, trials: int = 2000) -> dict:
     g = SplitMix64(seed, "pucci-duality")
     b = EllipticityBracket(0.5, 2.5)
     mats = g.symmetric(trials, 2, scale=2.0)
-    gaps = _pucci_batch("pucci_minus", b, mats) + _pucci_batch("pucci_plus", b, -mats)
+    minus, plus = (OperatorSpec(kind, b) for kind in ("pucci_minus", "pucci_plus"))
+    gaps = minus.apply_stack(mats) + plus.apply_stack(-mats)
     worst = float(np.abs(gaps).max())
     return _report("operators.pucci_duality", trials, worst, worst == 0.0)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 def config_section(cfg, name: str, required=(), optional=()) -> dict:
     """Return cfg if it is a JSON object holding every key in `required` and
@@ -20,8 +22,9 @@ def config_section(cfg, name: str, required=(), optional=()) -> dict:
 def config_number(cfg: dict, name: str, key: str, kind=float, default=None, length=None):
     """cfg[key] of section `name` as a `kind` (float or int), or
     `default` when the key is absent; with `length`, a list of that many such
-    values, returned as a tuple.  A value of another JSON type, or a
-    non-integral int, raises ValueError naming the section and the key."""
+    values, returned as a tuple.  A value of another JSON type, a non-finite
+    number (JSON's Infinity and NaN, or an integer beyond the float range),
+    or a non-integral int, raises ValueError naming the section and the key."""
     if key not in cfg and default is not None:
         return default
     where = f"{name} config {key!r}"
@@ -36,6 +39,12 @@ def config_number(cfg: dict, name: str, key: str, kind=float, default=None, leng
 def _convert(value, kind, where: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{where} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{where} must be finite, got {value!r}")
     if kind is int and not float(value).is_integer():
         raise ValueError(f"{where} must be an integer, got {value!r}")
     return kind(value)

@@ -18,6 +18,7 @@ alpha) at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .symmetric import Sym3
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Penalty constants L > 0, alpha in (0, 2], delta, eps >= 0, mu > 0.
+    """Finite penalty constants L > 0, alpha in (0, 2], delta, eps >= 0, mu > 0.
 
     alpha > 1 is admitted only so the matrix algebra can be exercised at the
     rank-one-free exponent alpha = 2; the certificate itself requires
@@ -44,6 +45,9 @@ class PenaltyParams:
     mu: float = 1.0
 
     def __post_init__(self):
+        for name in ("L", "delta", "eps", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.L > 0:
             raise ValueError("L must be positive")
         if not (0.0 < self.alpha <= 2.0):

@@ -15,6 +15,12 @@ import numpy as np
 from .fields import ScalarField
 
 
+def _check_counts(counts) -> None:
+    """The count rule of every grid: each count an integer >= 3."""
+    if any(not float(n).is_integer() or n < 3 for n in counts):
+        raise ValueError(f"counts must be integers >= 3, got {tuple(counts)}")
+
+
 @dataclass(frozen=True)
 class Grid3:
     """Uniform grid: lower corner, per-axis counts (>= 3), per-axis spacings."""
@@ -26,8 +32,7 @@ class Grid3:
     def __post_init__(self):
         if len(self.lower) != 3 or len(self.counts) != 3 or len(self.spacings) != 3:
             raise ValueError("grid needs 3 lower coords, 3 counts, 3 spacings")
-        if any(int(n) != n or n < 3 for n in self.counts):
-            raise ValueError(f"counts must be integers >= 3, got {self.counts}")
+        _check_counts(self.counts)
         if any(not h > 0 for h in self.spacings):
             raise ValueError(f"spacings must be positive, got {self.spacings}")
 
@@ -36,8 +41,7 @@ class Grid3:
         """Grid spanning [lower, upper] with the given node counts."""
         if any(np.ndim(v) != 1 or len(v) != 3 for v in (lower, upper, counts)):
             raise ValueError("a grid box needs 3 lower coords, 3 upper coords and 3 counts")
-        if any(int(n) < 3 for n in counts):
-            raise ValueError(f"counts must be integers >= 3, got {tuple(counts)}")
+        _check_counts(counts)
         lower = tuple(float(v) for v in lower)
         upper = tuple(float(v) for v in upper)
         counts = tuple(int(n) for n in counts)

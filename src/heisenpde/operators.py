@@ -8,10 +8,11 @@ symmetrized horizontal Hessian (2x2), "lifted" applies it to
 sqrt(P) D^2u sqrt(P) (3x3).  Pucci extremal operators are defined as the
 max/min of trace(a H) over matrices a with spectrum in [lam, Lam] and computed
 by the eigenvalue formula Lam*sum(e>0) + lam*sum(e<0) (resp. swapped), which
-is the sign convention the max/min definition forces.  Every 2x2 argument,
-one matrix or a stack, is evaluated by apply_batch, the solver's kernel, with
-the closed 2x2 eigenvalue formula; only the 3x3 lifted argument takes the
-cyclic Jacobi sweep.  Neither path calls a library eigensolver.
+is the sign convention the max/min definition forces.  Every argument, one
+matrix or a stack, is evaluated by apply_stack: a 2x2 stack goes through
+apply_batch, the solver's kernel, with the closed 2x2 eigenvalue formula; a
+3x3 lifted stack takes numpy.linalg.eigvalsh.  Both sum the Pucci corners
+through one helper.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .config import config_number, config_section
 from .fields import ScalarField
 from .group import Point, sqrt_p
 from .rng import SplitMix64
-from .symmetric import Sym2, Sym3
+from .symmetric import Sym2, Sym3, eigenvalues2
 
 INTRINSIC = "intrinsic"
 LIFTED = "lifted"
@@ -75,14 +76,14 @@ class HolderData:
         return HolderData(**{k: config_number(cfg, "holder", k) for k in cfg})
 
 
-def _pucci_from_eigs(eigs, bracket: EllipticityBracket, plus: bool) -> float:
+def _corner_sum(eigs, bracket: EllipticityBracket, plus: bool):
+    """Sum, in the order given, of the Pucci corners of the eigenvalue arrays
+    eigs: max(Lam e, lam e) for Pucci+, min(lam e, Lam e) for Pucci-.  For
+    0 < lam <= Lam each corner is bitwise Lam e (Pucci+) or lam e (Pucci-)
+    for e > 0 and the other product otherwise."""
     lam, Lam = bracket.lam, bracket.Lam
-    hi, lo = (Lam, lam) if plus else (lam, Lam)
-    total = 0.0
-    # accumulate in |e| order so pucci_minus(h) == -pucci_plus(-h) bitwise
-    for e in sorted(eigs, key=abs):
-        total += hi * e if e > 0.0 else lo * e
-    return total
+    corners = [np.maximum(Lam * e, lam * e) if plus else np.minimum(lam * e, Lam * e) for e in eigs]
+    return sum(corners[1:], corners[0])
 
 
 def _form_of(h: Sym2 | Sym3) -> str:
@@ -142,15 +143,29 @@ class OperatorSpec:
         return (0, 1, 2)
 
     def apply(self, h: Sym2 | Sym3) -> float:
-        """F(h) for the 2x2 (intrinsic) or 3x3 (lifted) argument; a 2x2
-        argument goes through apply_batch, the solver's evaluation."""
-        if isinstance(h, Sym2):
-            return float(self.apply_batch(h.a11, h.a12, h.a22))
+        """F(h) for the 2x2 (intrinsic) or 3x3 (lifted) argument: apply_stack
+        on a one-matrix stack."""
+        return float(self.apply_stack(h.mat[None])[0])
+
+    def apply_stack(self, mats: np.ndarray) -> np.ndarray:
+        """F on a symmetric (n, 2, 2) stack through apply_batch, or on a
+        symmetric (n, 3, 3) stack in lifted form.  Lifted Pucci eigenvalues
+        come from numpy.linalg.eigvalsh and are summed in ascending |e|
+        order, so that pucci_minus(h) == -pucci_plus(-h) bitwise: Pucci-
+        breaks ties in |e| from the descending spectrum, which is the
+        negated ascending spectrum of -h."""
+        if mats.shape[1:] == (2, 2):
+            return self.apply_batch(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])
+        if mats.shape[1:] != (3, 3) or self.form != LIFTED:
+            raise ValueError(f"the {self.form} form cannot act on a stack of shape {mats.shape}")
         if self.kind == "sublaplacian":
-            return h.trace()
+            return mats[:, 0, 0] + mats[:, 1, 1] + mats[:, 2, 2]
         if self.kind == "trace_linear":
-            return float(np.trace(self.coeff.mat @ h.mat))
-        return _pucci_from_eigs(h.eigenvalues(), self.bracket, self.kind == "pucci_plus")
+            return np.einsum("ij,nij->n", self.coeff.mat, mats)
+        plus = self.kind == "pucci_plus"
+        e = np.linalg.eigvalsh(mats)[:, :: 1 if plus else -1]
+        e = np.take_along_axis(e, np.argsort(np.abs(e), axis=1, kind="stable"), axis=1)
+        return _corner_sum(e.T, self.bracket, plus)
 
     def apply_batch(self, hxx: np.ndarray, hxy: np.ndarray, hyy: np.ndarray) -> np.ndarray:
         """Vectorized intrinsic-form evaluation on 2x2 component arrays."""
@@ -161,15 +176,7 @@ class OperatorSpec:
         if self.kind == "trace_linear":
             a = self.coeff
             return a.a11 * hxx + 2.0 * a.a12 * hxy + a.a22 * hyy
-        mean = 0.5 * (hxx + hyy)
-        r = np.hypot(0.5 * (hxx - hyy), hxy)
-        lo, hi = mean - r, mean + r
-        lam, Lam = self.bracket.lam, self.bracket.Lam
-        # for 0 < lam <= Lam, bitwise the select of Lam e (Pucci+) or lam e
-        # (Pucci-) for e > 0 and the other product otherwise
-        if self.kind == "pucci_plus":
-            return np.maximum(Lam * lo, lam * lo) + np.maximum(Lam * hi, lam * hi)
-        return np.minimum(lam * lo, Lam * lo) + np.minimum(lam * hi, Lam * hi)
+        return _corner_sum(eigenvalues2(hxx, hxy, hyy), self.bracket, self.kind == "pucci_plus")
 
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":
@@ -188,8 +195,6 @@ class OperatorSpec:
             if not (isinstance(a, list) and len(a) == 2):
                 raise ValueError(f"operator config 'a' must be a 2x2 list of numbers, got {a!r}")
             m = np.array([config_number({"a": row}, "operator", "a", length=2) for row in a])
-            if not np.all(np.isfinite(m)):
-                raise ValueError(f"operator config 'a' must be finite, got {a!r}")
             if m[0, 1] != m[1, 0]:
                 raise ValueError(f"operator config 'a' must be symmetric, got {a!r}")
             coeff = Sym2.from_matrix(m)
@@ -233,22 +238,16 @@ def residual(
 def validate_operator(spec: OperatorSpec, samples: int = 1000, seed: int = 0) -> dict:
     """Sample ordered pairs H2 <= H1 = H2 + PSD and report bracket violations.
 
-    Gaps are drawn with log-uniform eigenvalues in [1e-3, 1e2] so both
-    well- and ill-conditioned orderings are exercised.  Violations beyond
-    1e-9 * scale are reported, never raised.
+    Each side of the pairs is one apply_stack call.  Gaps are drawn with
+    log-uniform eigenvalues in [1e-3, 1e2] so both well- and ill-conditioned
+    orderings are exercised.  Violations beyond 1e-9 * scale are reported,
+    never raised.
     """
     dim = 2 if spec.form == INTRINSIC else 3
     g = SplitMix64(seed, f"validate-{spec.kind}-{spec.form}")
     base = g.symmetric(samples, dim, scale=2.0)
     gaps = g.spd(samples, dim)
-    tops = base + gaps
-    if dim == 2:
-        # one apply_batch call per side on the from_matrix entries
-        h1, h2 = ((m[:, 0, 0], 0.5 * (m[:, 0, 1] + m[:, 1, 0]), m[:, 1, 1]) for m in (tops, base))
-        diff = spec.apply_batch(*h1) - spec.apply_batch(*h2)
-    else:
-        sym = Sym3.from_matrix
-        diff = np.array([spec.apply(sym(t)) - spec.apply(sym(b)) for t, b in zip(tops, base)])
+    diff = spec.apply_stack(base + gaps) - spec.apply_stack(base)
     tr = np.trace(gaps, axis1=1, axis2=2)
     lam, Lam = spec.bracket.lam, spec.bracket.Lam
     scale = np.maximum(np.maximum(1.0, np.abs(diff)), Lam * tr)

@@ -8,7 +8,6 @@ both record the wall time of each stage when given a timings dict."""
 from __future__ import annotations
 
 import json
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -112,11 +111,11 @@ class PipelineConfig:
             config_number(pen, "penalty", key, default=value)
             for key, value in (("L_factor", 1.1), ("delta", 1e-6), ("eps", 1e-6))
         )
-        if not (math.isfinite(L_factor) and L_factor > 0):
-            raise ValueError(f"penalty config 'L_factor' must be finite and > 0, got {L_factor}")
+        if not L_factor > 0:
+            raise ValueError(f"penalty config 'L_factor' must be > 0, got {L_factor}")
         for key, value in (("delta", delta), ("eps", eps)):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"penalty config {key!r} must be finite and >= 0, got {value}")
+            if not value >= 0:
+                raise ValueError(f"penalty config {key!r} must be >= 0, got {value}")
         penalty = PenaltyParams(L_factor, alpha_target(check.hd, check.bracket), delta, eps)
         per_axis = config_number(pen, "penalty", "per_axis", int, default=17)
         if per_axis < 2:

@@ -100,7 +100,6 @@ class ProblemSpec:
     boundary: ScalarField
     grid: Grid3
     tol: float = 1e-6
-    max_iters: int = 200_000
     sample_width: float | None = None
 
     def __post_init__(self):
@@ -108,8 +107,6 @@ class ProblemSpec:
             raise ValueError("the grid solver discretizes the intrinsic form")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
         if self.sample_width is not None and not self.sample_width > 0:
             raise ValueError("sample_width must be positive")
         cvals = self.c.value_batch(self.grid.points())
@@ -128,7 +125,7 @@ class ProblemSpec:
             cfg,
             "problem",
             ("operator", "c", "f", "boundary", "grid"),
-            ("tol", "max_iters", "sample_width"),
+            ("tol", "sample_width"),
         )
         return ProblemSpec(
             op=OperatorSpec.from_config(cfg["operator"]),
@@ -137,7 +134,6 @@ class ProblemSpec:
             boundary=field_from_config(cfg["boundary"], "boundary"),
             grid=_grid_from_config(cfg["grid"]),
             tol=config_number(cfg, "problem", "tol", default=1e-6),
-            max_iters=config_number(cfg, "problem", "max_iters", int, default=200_000),
             sample_width=(
                 config_number(cfg, "problem", "sample_width")
                 if cfg.get("sample_width") is not None
@@ -730,9 +726,9 @@ def solve(prob: ProblemSpec) -> SolveResult:
     solve alone) are Anderson-mixed: after each cycle that has not met tol,
     the mix of the last DEPTH cycles replaces the cycle's result only if its
     residual is strictly smaller.  The fixed point and stopping rule are
-    those of the pure iteration `step`.  Between cycles the solve stops after
-    max_iters fine sweeps or _Multilevel.MAX_CYCLES cycles; non-convergence
-    returns the last iterate flagged, never raises.
+    those of the pure iteration `step`.  The solve stops unconverged after
+    _Multilevel.MAX_CYCLES cycles; non-convergence returns the last iterate
+    flagged, never raises.
     """
     disc = prob.discretization
     disc.evals = disc.sweeps = 0  # the problem keeps its finest level between solves
@@ -744,7 +740,7 @@ def solve(prob: ProblemSpec) -> SolveResult:
     aa = _Anderson(inner.shape)
     history = []  # the fine residual after each cycle
     accepted = rejected = 0
-    while rn >= prob.tol and disc.sweeps < prob.max_iters and len(history) < ml.MAX_CYCLES:
+    while rn >= prob.tol and len(history) < ml.MAX_CYCLES:
         aa.start(inner)
         res = ml.vcycle(0, flat, disc.f_int, res)
         rn = float(np.abs(res).max())

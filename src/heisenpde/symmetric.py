@@ -1,11 +1,11 @@
-"""Small symmetric matrices stored as upper triangles, plus eigenvalue kernels.
+"""Small symmetric matrices stored as upper triangles, plus the 2x2 eigenvalues.
 
 Symmetry is structural: Sym2/Sym3 hold only the independent entries, so no
-runtime symmetry checks are ever needed.  Eigenvalues of 2x2 matrices use the
-closed quadratic formula; Sym3's (the lifted Pucci argument, a trace_linear
-coefficient) use a cyclic Jacobi sweep so the operator path does not depend
-on a library eigensolver.  The 6x6 block gaps of the doubling lab use
-numpy.linalg, which also serves as the independent oracle in the tests.
+runtime symmetry checks are ever needed.  Eigenvalues of 2x2 matrices, one
+matrix or a stack of components, use the closed quadratic formula
+`eigenvalues2`, the one the solver's Pucci kernel runs; every larger matrix
+(Sym3, the lifted Pucci argument, the 6x6 block gaps of the doubling lab)
+takes numpy.linalg.eigvalsh.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ class Sym2:
 
     def eigenvalues(self) -> tuple[float, float]:
         """Ascending eigenvalues by the closed quadratic formula."""
-        mean = 0.5 * (self.a11 + self.a22)
-        r = np.hypot(0.5 * (self.a11 - self.a22), self.a12)
-        return (mean - r, mean + r)
+        return eigenvalues2(self.a11, self.a12, self.a22)
 
     def __add__(self, other: "Sym2") -> "Sym2":
         return Sym2(self.a11 + other.a11, self.a12 + other.a12, self.a22 + other.a22)
@@ -117,7 +115,8 @@ class Sym3:
         return self.a11 + self.a22 + self.a33
 
     def eigenvalues(self) -> np.ndarray:
-        return jacobi_eigenvalues(self.mat)
+        """Ascending eigenvalues, from numpy.linalg.eigvalsh."""
+        return np.linalg.eigvalsh(self.mat)
 
     def __add__(self, other: "Sym3") -> "Sym3":
         return Sym3(*(a + b for a, b in zip(self._tuple(), other._tuple())))
@@ -148,43 +147,9 @@ class Mat2x3:
         return np.array(self.rows)
 
 
-def jacobi_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a small symmetric matrix by cyclic Jacobi.
-
-    Sweeps rotate away each off-diagonal entry in turn until the off-diagonal
-    Frobenius mass falls below 1e-12 times the matrix scale (50 sweeps at most).
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    scale = np.max(np.abs(a))
-    if scale == 0.0:
-        return np.zeros(n)
-    for _ in range(50):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += 2.0 * a[p, q] ** 2
-        if np.sqrt(off) <= 1e-12 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if a[p, q] == 0.0:
-                    continue
-                # Rutishauser rotation: tan(2*theta) = 2*a_pq / (a_qq - a_pp)
-                theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                app, aqq, apq = a[p, p], a[q, q], a[p, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for k in range(n):
-                    if k != p and k != q:
-                        akp, akq = a[k, p], a[k, q]
-                        a[k, p] = a[p, k] = c * akp - s * akq
-                        a[k, q] = a[q, k] = s * akp + c * akq
-    return np.sort(np.diag(a))
+def eigenvalues2(a11, a12, a22):
+    """Ascending eigenvalues (lo, hi) of [[a11, a12], [a12, a22]] by the
+    closed quadratic formula, elementwise over arrays of components."""
+    mean = 0.5 * (a11 + a22)
+    r = np.hypot(0.5 * (a11 - a22), a12)
+    return mean - r, mean + r

@@ -7,9 +7,11 @@ import pytest
 from heisenpde.cli import main
 from heisenpde.grid import GridFunction
 from heisenpde.pipeline import ARTIFACTS, TIMINGS, PipelineConfig, holder_config, run_pipeline
-from heisenpde.solver import ProblemSpec
+from heisenpde.solver import ProblemSpec, _Multilevel
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+INF, NAN = float("inf"), float("nan")
 
 SOLVE_CONFIG = {
     "operator": {"kind": "sublaplacian", "lambda": 1.0, "Lambda": 1.0},
@@ -83,8 +85,9 @@ def test_solve_roundtrip(tmp_path):
     assert 0 < diag["outside_fraction"] < 1
 
 
-def test_solve_nonconvergence_exit_2(tmp_path):
-    bad = dict(SOLVE_CONFIG, tol=1e-14, max_iters=2)
+def test_solve_nonconvergence_exit_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(_Multilevel, "MAX_CYCLES", 1)
+    bad = dict(SOLVE_CONFIG, tol=1e-14)
     cfg = write_json(tmp_path / "prob.json", bad)
     code = main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")])
     assert code == 2
@@ -131,8 +134,12 @@ def test_solve_unknown_key_exit_1(tmp_path, capsys):
         ({"operator": "sublaplacian"}, ("operator config", "object")),
         ({"f": {"poly": 5}}, ("f config", "string")),
         ({"f": {"builtin": "smooth_abs", "bogus": 1}}, ("f config", "bogus")),
+        ({"max_iters": 200000}, ("unknown problem config keys: ['max_iters']",)),
     ],
-    ids=["grid-not-object", "operator-not-object", "poly-not-string", "builtin-unknown-key"],
+    ids=[
+        "grid-not-object", "operator-not-object", "poly-not-string", "builtin-unknown-key",
+        "max-iters-removed",
+    ],
 )
 def test_solve_malformed_section_exit_1(tmp_path, capsys, override, words):
     cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, **override))
@@ -145,7 +152,10 @@ def test_solve_malformed_section_exit_1(tmp_path, capsys, override, words):
     "override,words",
     [
         ({"tol": [1]}, ("problem config", "'tol'")),
-        ({"max_iters": 2.5}, ("problem config", "'max_iters'", "integer")),
+        (
+            {"grid": {"lower": [-1, -1, -1], "upper": [1, 1, 1], "counts": [9, 9.5, 9]}},
+            ("grid config", "'counts'", "integer"),
+        ),
         ({"f": {"builtin": "smooth_abs", "eps": "x"}}, ("f config", "'eps'")),
         (
             {"operator": {"kind": "sublaplacian", "lambda": None, "Lambda": 1.0}},
@@ -159,14 +169,33 @@ def test_solve_malformed_section_exit_1(tmp_path, capsys, override, words):
             {"grid": {"lower": [-1, -1, -1], "upper": [1, 1, 1], "counts": 9}},
             ("grid config", "'counts'"),
         ),
+        # json reads Infinity and NaN as floats; the config reader must not pass them on
+        ({"tol": INF}, ("problem config 'tol'", "finite")),
+        ({"tol": 10**400}, ("problem config 'tol'", "finite")),
+        ({"sample_width": NAN}, ("problem config 'sample_width'", "finite")),
+        (
+            {"operator": {"kind": "pucci_plus", "lambda": 1.0, "Lambda": INF}},
+            ("operator config 'Lambda'", "finite"),
+        ),
+        (
+            {"grid": {"lower": [-1, -1, -1], "upper": [1, -NAN, 1], "counts": [9, 9, 9]}},
+            ("grid config 'upper'", "finite"),
+        ),
+        ({"f": {"builtin": "smooth_abs", "eps": -INF}}, ("f config 'eps'", "finite")),
     ],
     ids=[
         "tol-list",
-        "max-iters-fraction",
+        "grid-counts-fraction",
         "builtin-eps-string",
         "operator-lambda-null",
         "grid-lower-null",
         "grid-counts-scalar",
+        "tol-inf",
+        "tol-beyond-float",
+        "sample-width-nan",
+        "operator-Lambda-inf",
+        "grid-upper-nan",
+        "builtin-eps-inf",
     ],
 )
 def test_solve_wrong_typed_number_exit_1(tmp_path, capsys, override, words):
@@ -275,6 +304,10 @@ PUCCI_4 = {"kind": "pucci_plus", "lambda": 1.0, "Lambda": 4.0}
         ({"penalty": {"L_factor": float("inf")}}, ("penalty config 'L_factor'",)),
         ({"penalty": {"delta": -1e-6}}, ("penalty config 'delta'",)),
         ({"penalty": {"eps": -1.0}}, ("penalty config 'eps'",)),
+        ({"penalty": {"delta": NAN}}, ("penalty config 'delta'", "finite")),
+        ({"penalty": {"eps": INF}}, ("penalty config 'eps'", "finite")),
+        ({"margin": NAN}, ("pipeline config 'margin'", "finite")),
+        ({"holder": dict(PIPELINE_CONFIG["holder"], L_f=INF)}, ("holder config 'L_f'", "finite")),
         (
             {"problem": dict(PIPELINE_CONFIG["problem"], c={"poly": "0.1"})},
             ("holder config 'c0'", "0.1"),
@@ -291,6 +324,10 @@ PUCCI_4 = {"kind": "pucci_plus", "lambda": 1.0, "Lambda": 4.0}
         "l-factor-inf",
         "delta-negative",
         "eps-negative",
+        "delta-nan",
+        "eps-inf",
+        "margin-nan",
+        "holder-L-f-inf",
         "c0-above-c",
     ],
 )
@@ -475,8 +512,9 @@ def test_run_pipeline_frees_the_refined_problem_before_the_certificate(monkeypat
     assert alive == [False]
 
 
-def test_pipeline_nonconvergence_exit_2(tmp_path, capsys):
-    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14, max_iters=2)
+def test_pipeline_nonconvergence_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_Multilevel, "MAX_CYCLES", 1)
+    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14)
     cfg = write_json(tmp_path / "pipe.json", dict(PIPELINE_CONFIG, problem=problem))
     out = tmp_path / "o"
     assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 2
@@ -507,12 +545,13 @@ def test_pipeline_removes_stale_plot_data(tmp_path):
     assert (out / "notes.txt").read_text() == "kept"
 
 
-def test_pipeline_nonconvergence_removes_stale_reports(tmp_path):
+def test_pipeline_nonconvergence_removes_stale_reports(tmp_path, monkeypatch):
     out = tmp_path / "run"
     cfg = write_json(tmp_path / "pipe.json", PIPELINE_CONFIG)
     assert main(["pipeline", "--config", cfg, "--out", str(out)]) == 0
     (out / "notes.txt").write_text("kept")
-    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14, max_iters=2)
+    monkeypatch.setattr(_Multilevel, "MAX_CYCLES", 1)
+    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14)
     stuck = write_json(tmp_path / "stuck.json", dict(PIPELINE_CONFIG, problem=problem))
     assert main(["pipeline", "--config", stuck, "--out", str(out)]) == 2
     assert sorted(p.name for p in out.iterdir()) == [
@@ -613,13 +652,14 @@ def test_pipeline_timings_sidecar(tmp_path):
     assert not (out / TIMINGS).exists()
 
 
-def test_pipeline_timings_of_the_stages_that_ran(tmp_path):
+def test_pipeline_timings_of_the_stages_that_ran(tmp_path, monkeypatch):
     timings = {}
     run_pipeline(PIPELINE_CONFIG, emit_plot_data=True, timings=timings)
     assert set(timings) == {
         "coarse_solve_s", "refined_solve_s", "check_theorem_s", "certificate_s", "modulus_s"
     }
-    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14, max_iters=2)
+    monkeypatch.setattr(_Multilevel, "MAX_CYCLES", 1)
+    problem = dict(PIPELINE_CONFIG["problem"], tol=1e-14)
     stuck = write_json(tmp_path / "stuck.json", dict(PIPELINE_CONFIG, problem=problem))
     out = tmp_path / "o"
     assert main(["pipeline", "--config", stuck, "--out", str(out), "--timings"]) == 2

@@ -63,6 +63,12 @@ def test_penalty_params_validation():
         PenaltyParams(L=1.0, alpha=0.5, delta=-1.0)
     with pytest.raises(ValueError):
         PenaltyParams(L=1.0, alpha=0.5, mu=0.0)
+    # a NaN or infinite constant would let the certificate report
+    # theta = -inf as certified
+    for name in ("L", "delta", "eps", "mu"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                PenaltyParams(**dict({"L": 1.0, "alpha": 0.5}, **{name: value}))
 
 
 def test_penalty_value_examples():

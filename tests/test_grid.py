@@ -27,6 +27,11 @@ def test_grid_box_rejects_bad_lengths_and_counts():
         Grid3.box((0, 0, 0), (1, 1, 1), 5)
     with pytest.raises(ValueError, match="counts must be integers >= 3"):
         Grid3.box((0, 0, 0), (1, 1, 1), (5, 1, 5))
+    # the count rule of Grid3 itself: a fractional or non-finite count is rejected
+    for bad in (3.7, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="counts must be integers >= 3"):
+            Grid3.box((0, 0, 0), (1, 1, 1), (bad, 5, 5))
+    assert Grid3.box((0, 0, 0), (1, 1, 1), (5.0, 5, 5)).counts == (5, 5, 5)
 
 
 def test_index_coordinate_roundtrip():

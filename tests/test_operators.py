@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from conftest import random_points, random_polynomial
 
-from heisenpde.calculus import sublaplacian
+from heisenpde.calculus import lift, sublaplacian
 from heisenpde.checks import pucci_bruteforce
 from heisenpde.fields import PolynomialField, parse_polynomial
-from heisenpde.group import Point
+from heisenpde.group import Point, sqrt_p
 from heisenpde.operators import (
     EllipticityBracket,
     HolderData,
@@ -70,6 +70,11 @@ def test_pucci_duality_exact():
     for m in g.symmetric(100, 3, scale=3.0):
         s = Sym3.from_matrix(m)
         assert pucci_minus(s, b) == -pucci_plus(-s, b)
+    # eigenvalues +-a tie in |e|; the sum order must still mirror
+    for a in np.linspace(0.1, 3.1, 31):
+        for c in (0.05, 0.3, 1.7):
+            s = Sym3.diag(-a, c, a)
+            assert pucci_minus(s, b) == -pucci_plus(-s, b), (a, c)
 
 
 def test_pucci_extremality_and_ordering():
@@ -103,6 +108,38 @@ def test_pucci_extremality_3x3():
         assert lo - 1e-11 * scale <= val <= hi + 1e-11 * scale
 
 
+def test_lifted_pucci_is_pucci_of_the_lift():
+    # the nonzero eigenvalues of sqrt(P) H sqrt(P) are those of sigma H sigma^T
+    b = EllipticityBracket(0.5, 2.0)
+    g = SplitMix64(57, "lifted-lift")
+    mats = g.symmetric(300, 3, scale=2.0)
+    worst = 0.0
+    for m, row in zip(mats, random_points(g, 300)):
+        h, p = Sym3.from_matrix(m), Point(*row)
+        r = sqrt_p(p).mat
+        lifted, flat = Sym3.from_matrix(r @ h.mat @ r), lift(h, p)
+        scale = max(1.0, np.abs(flat.mat).max())
+        for op in (pucci_plus, pucci_minus):
+            worst = max(worst, abs(op(lifted, b) - op(flat, b)) / scale)
+    assert worst <= 1e-12
+
+
+def test_apply_stack_is_apply_per_matrix_bitwise():
+    g = SplitMix64(58, "apply-stack")
+    mats = g.symmetric(200, 3, scale=3.0)
+    b = EllipticityBracket(0.5, 2.0)
+    for spec in (
+        OperatorSpec.sublaplacian(form="lifted"),
+        OperatorSpec("pucci_plus", b, form="lifted"),
+        OperatorSpec("pucci_minus", b, form="lifted"),
+        OperatorSpec("trace_linear", b, form="lifted", coeff=Sym3(1.5, 0.2, 0.1, 1.2, -0.1, 1.4)),
+    ):
+        single = [spec.apply(Sym3.from_matrix(m)) for m in mats]
+        assert np.array_equal(spec.apply_stack(mats), single), spec.kind
+    with pytest.raises(ValueError):
+        OperatorSpec("pucci_plus", b).apply_stack(mats)
+
+
 def test_pucci_one_homogeneity():
     b = EllipticityBracket(1.0, 2.0)
     h = Sym2(1.3, -0.4, -2.1)
@@ -123,6 +160,15 @@ def test_validate_operator_clean_kinds():
             EllipticityBracket(1.0, 2.0),
             coeff=Sym2(1.5, 0.2, 1.2),
         ),
+        OperatorSpec.sublaplacian(form="lifted"),
+        OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0), form="lifted"),
+        OperatorSpec("pucci_minus", EllipticityBracket(0.5, 1.5), form="lifted"),
+        OperatorSpec(
+            "trace_linear",
+            EllipticityBracket(1.0, 2.0),
+            form="lifted",
+            coeff=Sym3(1.5, 0.2, 0.1, 1.2, -0.1, 1.4),
+        ),
     ):
         report = validate_operator(spec, samples=300, seed=1)
         assert report["violations"] == 0, report
@@ -136,8 +182,10 @@ def test_validate_operator_flags_cubed_trace(monkeypatch):
     report = validate_operator(spec, samples=300, seed=2)
     assert report["violations"] > 0
     assert not report["pass"]
-    # the lifted form is checked through apply on the 3x3 argument
-    monkeypatch.setattr(OperatorSpec, "apply", lambda self, h: h.trace() ** 3)
+    # the lifted form is checked through apply_stack on the 3x3 stacks
+    monkeypatch.setattr(
+        OperatorSpec, "apply_stack", lambda self, mats: np.trace(mats, axis1=1, axis2=2) ** 3
+    )
     spec = OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0), form="lifted")
     report = validate_operator(spec, samples=300, seed=2)
     assert report["violations"] > 0

@@ -158,16 +158,15 @@ def test_check_theorem_end_to_end_small():
     assert not report.c0_exceeds_8
 
 
-def test_check_theorem_rejects_unconverged():
+def test_check_theorem_rejects_unconverged(monkeypatch):
     from heisenpde.operators import OperatorSpec
-    from heisenpde.solver import ProblemSpec, solve
+    from heisenpde.solver import ProblemSpec, _Multilevel, solve
 
     op = OperatorSpec.sublaplacian()
     one = PolynomialField.constant(1)
-    # max_iters stops the solve after its first V-cycle
-    prob = ProblemSpec(
-        op, one, one, PolynomialField.constant(0), grid_box(9), tol=1e-14, max_iters=2
-    )
+    # a cap of one cycle stops the solve far from tol
+    monkeypatch.setattr(_Multilevel, "MAX_CYCLES", 1)
+    prob = ProblemSpec(op, one, one, PolynomialField.constant(0), grid_box(9), tol=1e-14)
     res = solve(prob)
     assert not res.converged
     hd = HolderData(c0=1.0, beta=1.0, beta_prime=1.0, L_c=0.0, L_f=1.0)

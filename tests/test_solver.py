@@ -208,10 +208,10 @@ def test_residual_norm_zero_and_discretization_scale():
     assert norms[1] < norms[0]
 
 
-def test_solve_flags_nonconvergence():
-    # max_iters is checked between V-cycles: the first cycle's fine sweeps
-    # pass it, so the solve stops after one cycle, far from tol
-    prob = ProblemSpec(SUB, ONE, ONE, ZERO, box(9), tol=1e-14, max_iters=2)
+def test_solve_flags_nonconvergence(monkeypatch):
+    # a cap of one cycle stops the solve far from tol
+    monkeypatch.setattr(_Multilevel, "MAX_CYCLES", 1)
+    prob = ProblemSpec(SUB, ONE, ONE, ZERO, box(9), tol=1e-14)
     res = solve(prob)
     assert not res.converged
     assert res.cycles == 1

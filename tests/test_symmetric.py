@@ -1,11 +1,7 @@
 import numpy as np
 
 from heisenpde.rng import SplitMix64
-from heisenpde.symmetric import (
-    Sym2,
-    Sym3,
-    jacobi_eigenvalues,
-)
+from heisenpde.symmetric import Sym2, Sym3, eigenvalues2
 
 
 def test_sym2_eigenvalues_closed_form_vs_numpy():
@@ -18,26 +14,12 @@ def test_sym2_eigenvalues_closed_form_vs_numpy():
         assert np.allclose([lo, hi], ref, rtol=1e-12, atol=1e-12)
 
 
-def test_jacobi_vs_numpy_3x3_and_6x6():
-    g = SplitMix64(2, "jacobi")
-    for dim in (3, 6):
-        mats = g.symmetric(300, dim, scale=2.0)
-        for m in mats:
-            ours = jacobi_eigenvalues(m)
-            ref = np.linalg.eigvalsh(m)
-            scale = max(1.0, np.abs(ref).max())
-            assert np.allclose(ours, ref, atol=1e-11 * scale)
-
-
-def test_jacobi_handles_zero_and_diagonal():
-    assert np.array_equal(jacobi_eigenvalues(np.zeros((3, 3))), np.zeros(3))
-    d = np.diag([3.0, -1.0, 2.0])
-    assert np.allclose(jacobi_eigenvalues(d), [-1.0, 2.0, 3.0])
-
-
-def test_operator_norm_and_min_eigenvalue():
-    m = np.diag([-5.0, 1.0, 2.0])
-    assert np.abs(jacobi_eigenvalues(m)).max() == 5.0
+def test_eigenvalues2_on_stacks_is_sym2_eigenvalues_bitwise():
+    g = SplitMix64(2, "eigenvalues2")
+    mats = g.symmetric(500, 2, scale=3.0)
+    lo, hi = eigenvalues2(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])
+    single = np.array([Sym2.from_matrix(m).eigenvalues() for m in mats])
+    assert np.array_equal(np.stack([lo, hi], axis=1), single)
 
 
 def test_sym3_arithmetic_roundtrip():
