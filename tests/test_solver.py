@@ -90,7 +90,8 @@ def test_sample_step_rule():
     g33 = box(33)
     ratio = sample_step(g33) / 0.0625
     assert ratio == 2.5
-    assert cfl_tau(0.1, 1.0, 0.0) == pytest.approx(0.4 * 0.01 / 4.0)
+    assert cfl_tau(0.1, 1.0, 0.0) == pytest.approx(0.8 * 0.01 / 4.0)
+    assert cfl_tau(0.1, 0.25, 1000.0) == pytest.approx(0.8 * 0.01 / (4.0 * 0.25 + 10.0))
 
 
 def test_stencil_hessian_quadratic_exact_at_spacing_step():
@@ -557,6 +558,35 @@ def test_scheme_is_monotone_when_f_ignores_hxy(kind):
         assert jac.min() >= 0.0
 
 
+MONOTONE_STEPS = {
+    "sublaplacian": (SUB, ONE),
+    "trace_linear_diagonal": (MONOTONE_KINDS["trace_linear_diagonal"], ONE),
+    # Lam < 1 with a large c: the zero-order term dominates the diagonal
+    "trace_linear_low_bracket_c1000": (
+        OperatorSpec("trace_linear", EllipticityBracket(0.25, 0.25), coeff=Sym2(0.25, 0.0, 0.25)),
+        PolynomialField.constant(1000),
+    ),
+}
+
+
+@pytest.mark.parametrize("width", [None, 0.375], ids=["rho-h", "rho-1.5h"])
+@pytest.mark.parametrize("kind", sorted(MONOTONE_STEPS))
+def test_plain_step_is_monotone_at_the_shipped_tau(kind, width):
+    # u + tau T(u) is monotone in u when I + tau J >= 0, J = sum_k
+    # diag(dF/dh_k) M_k - diag(c) the Jacobian of T: the off-diagonal entries
+    # are those of the test above, and the damped-Jacobi weight 4/5 < 1 keeps
+    # the diagonal 1 + tau J_ii >= 1/5.  At rho = h (9^3) and at 1.5 h every
+    # horizontal interpolation weight is 1 or 1/2.
+    op, c = MONOTONE_STEPS[kind]
+    disc = ProblemSpec(op, c, ZERO, ZERO, box(9), sample_width=width).discretization
+    assert disc.rho == (width or 0.25)
+    # F is linear for these kinds: its slopes at u = 0 are its coefficients
+    _, slopes = _values_and_slopes(op, disc.stencil.hessian_components(np.zeros(9**3)))
+    jac = np.einsum("kn,knm->nm", slopes, _probe(disc)) - np.diag(disc.c_int)
+    assert (np.eye(len(jac)) + disc.tau * jac).min() >= -1e-12
+    assert disc.tau * np.abs(np.diag(jac)).max() <= 0.8 + 1e-12
+
+
 PUCCI_PLUS = COARSE_KINDS["pucci_plus"]
 
 
@@ -567,11 +597,36 @@ def pucci_problem(n, u_star="x1^2 - x2^2", tol=1e-6):
 
 
 def test_anderson_cycle_counts():
-    # regression pins: without mixing these solves took 12 and 37 V-cycles
+    # regression pins: without mixing these solves take 6 and 18 V-cycles
     sub = solve(manufactured_problem(17, tol=1e-6)[1])
     pucci = solve(pucci_problem(17))
     assert sub.converged and pucci.converged
-    assert (sub.cycles, pucci.cycles) == (8, 17)
+    assert (sub.cycles, pucci.cycles) == (5, 10)
+
+
+@pytest.mark.parametrize(
+    "op,c,counts,cycles",
+    [
+        (OperatorSpec("pucci_plus", EllipticityBracket(1.0, 16.0)), ONE, (17, 17, 17), 20),
+        (OperatorSpec("pucci_minus", EllipticityBracket(1.0, 16.0)), ONE, (17, 17, 17), 20),
+        (COARSE_KINDS["trace_linear"], ONE, (17, 17, 17), 6),
+        (SUB, ZERO, (17, 17, 17), 5),
+        (SUB, ONE, (17, 17, 7), 4),
+        (PUCCI_PLUS, ONE, (12, 12, 12), 8),
+        (*MONOTONE_STEPS["trace_linear_low_bracket_c1000"], (17, 17, 17), 2),
+    ],
+    ids=["pucci-plus-16", "pucci-minus-16", "trace-linear-a12", "sublaplacian-c0",
+         "sublaplacian-semi-coarsened", "pucci-plus-12", "trace-linear-low-bracket-c1000"],
+)
+def test_cycle_counts_across_kinds_and_grids(op, c, counts, cycles):
+    # regression pins of the V-cycle count at the shipped step, over the
+    # operator kinds, a zero c, a semi-coarsened and a non-dyadic grid; with
+    # Lam < 1 and a large c a step that scaled c_max by Lam diverged
+    u_star = parse_polynomial("x1^2 - x2^2 + 0.5 x1 x3")
+    grid = Grid3.box((-1, -1, -1), (1, 1, 1), counts)
+    res = solve(ProblemSpec(op, c, manufacture(u_star, op, c), u_star, grid, tol=1e-6))
+    assert res.converged
+    assert res.cycles == cycles
 
 
 @pytest.mark.parametrize(
@@ -601,10 +656,10 @@ def test_every_mix_is_accepted_or_rejected(monkeypatch, prob):
 
 def test_rejected_mixes_leave_the_plain_v_cycle(monkeypatch):
     # a mix that is never strictly better is always rejected: the iteration is
-    # then the plain V-cycle iteration, which took 12 cycles on this problem
+    # then the plain V-cycle iteration, which takes 6 cycles on this problem
     monkeypatch.setattr(_Anderson, "mix", lambda self: self.g + 1.0)
     res = solve(manufactured_problem(17, tol=1e-6)[1])
-    assert res.converged and res.cycles == 12
+    assert res.converged and res.cycles == 6
     # every cycle but the first and the last, which met tol, tried a mix
     assert res.anderson_accepted == 0 and res.anderson_rejected == res.cycles - 2
     assert res.level_evals[0] == 7 * res.cycles + 1 + res.anderson_rejected
