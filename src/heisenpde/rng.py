@@ -21,12 +21,19 @@ _FNV_PRIME = np.uint64(0x00000100000001B3)
 
 
 def mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """SplitMix64 finalizer; bijective on 64-bit words (wraps mod 2^64)."""
-    z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer; bijective on 64-bit words (wraps mod 2^64).
+
+    A uint64 array is mixed in place and returned: numpy wraps array
+    products silently.  A scalar is mixed as a one-word array, since numpy
+    warns when a scalar product wraps."""
+    if np.isscalar(z):
+        return mix64(np.array([z], dtype=np.uint64))[0]
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def derive(seed: int, label: str) -> int:
@@ -52,9 +59,10 @@ class SplitMix64:
         self._next = 0
 
     def words(self, start: int, n: int) -> np.ndarray:
-        idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            return mix64(self.seed + idx * GOLDEN)
+        z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+        z *= GOLDEN
+        z += self.seed
+        return mix64(z)
 
     def take(self, n: int) -> np.ndarray:
         """The next n raw 64-bit words of the stream."""

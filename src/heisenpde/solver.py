@@ -12,9 +12,11 @@ is the same at every node and its vertical step depends only on the node's
 column, the operator is evaluated from shifted x3 rows of u per column (see
 _Stencil): the directions that share one horizontal weight table, a family,
 share one horizontal interpolation of u, and each direction then takes one
-x3 window of it per column.  The evaluation makes no BLAS call.  A problem's
-finest discretization is built once and kept by the ProblemSpec itself; no
-module-level cache holds one.
+x3 window of it per column.  Those rows are unpadded: each holds a column's
+n3 values and one zero, in one flat buffer with slack only at its two ends.
+The evaluation makes no BLAS call.  A problem's finest discretization is
+built once and kept by the ProblemSpec itself; no module-level cache holds
+one.
 
 Accuracy forces the sample step rho away from the grid spacing h: linear
 interpolation carries an O((h/rho)^2) bias into the second differences (pure
@@ -46,11 +48,12 @@ _Multilevel.DEPTH = 3: after a cycle that has not met tol, the iterate
 G(x) - dG gamma, gamma the least-squares fit of G(x) - x by the last three
 differences of G(x) - x, is evaluated once.  Its residual passes on to the
 next cycle if it is strictly smaller than G(x)'s; otherwise G(x) and its
-residual are kept.  That evaluation is the only extra work, 8 fine
-evaluations per mixed cycle instead of 7, and the buffers hold 2 DEPTH + 2
-fine interior vectors (about 16 MB at 65^3).  To pay for them the stencil
-adds each sample into the Hessian rows as it is taken rather than storing
-all nine.
+residual are kept, as they are without evaluating the mix if its fit
+raises LinAlgError or its iterate is not finite.  That evaluation is the
+only extra work, 8 fine evaluations per mixed cycle instead of 7, and the
+buffers hold 2 DEPTH + 2 fine interior vectors (about 16 MB at 65^3).  To
+pay for them the stencil adds each sample into the Hessian rows as it is
+taken rather than storing all nine.
 
 T computes only the Hessian rows that F reads (OperatorSpec.hessian_rows),
 and the stencil takes no sample that none of those rows weighs.  The
@@ -235,26 +238,27 @@ class _Direction(NamedTuple):
     """The samples of one direction cx X + cy Y at every interior node."""
 
     weights: np.ndarray  # (A, B) horizontal corner weights, the same in every column
-    window: np.ndarray  # (n1-2, n2-2) flat index in the family blend of each column's x3 window
+    window: np.ndarray  # (n1-2, n2-2) flat buffer index of each column's x3 window
     wz: np.ndarray  # (2, n1-2 or 1, n2-2 or 1, 1) x3 weights 1 - f, f of each column's fraction f
     out_rows: np.ndarray  # interior-node indices of the samples off the box
     out_vals: np.ndarray  # their frozen Dirichlet values
 
 
-def _blend(padded: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The horizontal blend sum_ab weights[a, b] padded[j1 + a, j2 + b, :]
-    for every first corner (j1, j2) whose (A, B) table fits, its terms
-    added in row-major order."""
-    a_max, b_max = weights.shape
-    m1, m2 = padded.shape[0] - a_max + 1, padded.shape[1] - b_max + 1
-    blend = None
-    for (a, b), w in np.ndenumerate(weights):
-        term = w * padded[a : a + m1, b : b + m2]
-        if blend is None:
-            blend = term
-        else:
-            blend += term
-    return blend
+def _blend(source: np.ndarray, terms: list, out: np.ndarray) -> None:
+    """out[j] = sum of w source[j + offset] over the (offset, w) terms, added
+    in their order, for every j whose every term lies in source; the first
+    term is written in place."""
+    n = source.size - max(offset for offset, _ in terms)
+    (offset, w), *rest = terms
+    np.multiply(source[offset : offset + n], w, out=out[:n])
+    for offset, w in rest:
+        out[:n] += w * source[offset : offset + n]
+
+
+def _runs(buffer: np.ndarray, length: int) -> np.ndarray:
+    """The read-only view of a flat buffer whose row j is buffer[j : j + length]."""
+    step = buffer.strides[0]
+    return as_strided(buffer, (buffer.size - length + 1, length), (step, step), writeable=False)
 
 
 class _Stencil:
@@ -268,9 +272,22 @@ class _Stencil:
     taken with grid.cells from the sample of the column's bottom node.  A
     column of samples is then one x3 window of the direction's horizontal
     blend of u, interpolated along x3.  Directions with the same weight
-    table, a family, share that blend.  Samples that leave the box keep the
-    frozen values of the boundary field.  Storage is O(n1 n2 n3) for the
-    padded copy of u, plus O(n1 n2 + off-box samples) per direction.
+    table, a family, share that blend; the table [1] is the copy of u
+    itself.  Samples that leave the box keep the frozen values of the
+    boundary field.
+
+    The copy of u, and the blend laid out as it, are flat buffers of x3
+    rows, one per column of the grid and of one layer around it in x1 and
+    x2, each row its n3 values and one zero.  A sample on the box face
+    whose x3 fraction is a rounding residue reads the value one past its
+    row with a weight near 1e-16, and the zero makes that term vanish.  A
+    window that leaves its row by more reads the neighbouring rows; only
+    samples off the box do that, and they then take their frozen values.
+    So do the values that one family's blend leaves from another's, which
+    are finite.  Zero slack at the buffers' two ends, for the most-shifted
+    window, keeps every window in the buffer.  Storage is the copy, about
+    n1 n2 n3 values, plus O(n1 n2 + off-box samples) per direction; a call
+    that blends allocates the blend.
     """
 
     def __init__(self, grid: Grid3, boundary: ScalarField, step: float):
@@ -300,23 +317,24 @@ class _Stencil:
             out_vals = boundary.value_batch(off_box) if out_rows.size else np.zeros(0)
             found.append((cell, frac, out_rows, out_vals))
 
-        # zero x3 padding wide enough for every column with a sample in the box
+        # slack wide enough for every column with a sample in the box; a
+        # column shifted further has every sample off the box, and its
+        # window is clipped into the buffer
         shifts = np.concatenate([cell[:, 2] for cell, _, _, _ in found])
-        self.pad = min(int(np.abs(shifts).max()), n3 - 2) + 1
+        slack = min(int(np.abs(shifts).max()), n3 - 2) + 1
+        row = n3 + 1  # a column's x3 values and one zero
         self.directions = []
         for cell, frac, out_rows, out_vals in found:
             corner = cell[0, :2] - 1
             fx, fy = frac[0, :2]
             wx = [1 - fx, fx] if fx else [1.0]
             wy = [1 - fy, fy] if fy else [1.0]
-            # padded index clip(k, -1, n) + 1 holds node clip(k, 0, n - 1) of
+            # buffer column clip(k, -1, n) + 1 holds node clip(k, 0, n - 1) of
             # axis length n, so every corner k is clipped onto the grid
             base1 = np.clip(np.arange(1, n1 - 1) + corner[0], -1, n1 - 1) + 1
             base2 = np.clip(np.arange(1, n2 - 1) + corner[1], -1, n2 - 1) + 1
-            start = np.clip(1 + cell[:, 2] + self.pad, 0, 2 * self.pad + 1)
-            # its family's blend has shape (n1 + 3 - len(wx), n2 + 3 - len(wy), n3 + 2 pad)
-            x2_len, x3_len = n2 + 3 - len(wy), n3 + 2 * self.pad
-            window = (base1[:, None] * x2_len + base2) * x3_len + start.reshape(n1 - 2, n2 - 2)
+            shift = np.clip(1 + cell[:, 2], -slack, slack + 1).reshape(n1 - 2, n2 - 2)
+            window = slack + (base1[:, None] * (n2 + 2) + base2) * row + shift
             # f is kept once along an axis where it does not change: x1 for X+-,
             # x2 for Y+-, whose products then run over whole x2 rows of windows
             fz = frac[:, 2].reshape(n1 - 2, n2 - 2)
@@ -338,69 +356,105 @@ class _Stencil:
         ]
         n_samples = len(_COMBOS) * (n1 - 2) * (n2 - 2) * (n3 - 2)
         self.outside_fraction = sum(d.out_rows.size for d in self.directions) / n_samples
-        # the padded copy of u: x3 pads of zeros, zeroed here only, and one
-        # layer around x1 and x2 that each call copies from the grid's edge
-        self.padded = np.zeros((n1 + 2, n2 + 2, n3 + 2 * self.pad))
+        # the copy of u, zeroed here only: each call writes u and one layer
+        # around x1 and x2 that repeats the grid's edge, and no call writes
+        # the zeros ending the rows or the slack
+        self.slack = slack
+        self.copy = np.zeros((n1 + 2) * (n2 + 2) * row + 2 * slack)
+        self._copy_runs = _runs(self.copy, n3 - 1)
+        self._plans = {}  # per tuple of Hessian rows, its _plan
 
     @property
     def nbytes(self) -> int:
         """Bytes held by the stored arrays."""
-        return self.padded.nbytes + sum(a.nbytes for d in self.directions for a in d)
+        return self.copy.nbytes + sum(a.nbytes for d in self.directions for a in d)
+
+    def _body(self, buffer: np.ndarray) -> np.ndarray:
+        """The buffer between its slack: the x3 rows of the grid and of the
+        layer around it, flat."""
+        return buffer[self.slack : buffer.size - self.slack]
+
+    def _plan(self, rows: tuple) -> list:
+        """(direction, terms, pairs) per sample that one of the Hessian
+        rows weighs, along _COMBOS and then the centre (direction None).  A
+        direction whose table is [1] reads its windows from the copy of u,
+        any other from the blend, formed first from the copy by _blend with
+        the (offset, weight) `terms` of its table unless the blend holds
+        that table's already (terms None).  `pairs` are the (row, weight)
+        that weigh the sample."""
+        n2, n3 = self.grid.counts[1:]
+        plan, family = [], None
+        for d, column in zip([*self.directions, None], self.row_weights):
+            pairs = [(k, w) for k, w in column if k in rows]
+            if not pairs:
+                continue
+            terms = None
+            if d is not None and d.weights.size > 1:
+                key = (d.weights.shape, d.weights.tobytes())
+                if key != family:
+                    family = key
+                    # corner (a, b) lies a (n2 + 2) + b rows of n3 + 1 values on
+                    terms = [
+                        ((a * (n2 + 2) + b) * (n3 + 1), w)
+                        for (a, b), w in np.ndenumerate(d.weights)
+                    ]
+            plan.append((d, terms, pairs))
+        return plan
 
     def hessian_components(self, flat: np.ndarray, rows=(0, 1, 2)) -> np.ndarray:
         """(X^2u, (XY+YX)u/2, Y^2u) at the interior nodes, as a (3, n) array:
         each sample is added into the rows that weigh it as it is taken.
-        Only the given rows are computed, the others are zero, and a sample
-        that no given row weighs is not taken: rows (0, 2) skip the four
-        diagonal directions.  Calls on one stencil must not overlap: they
-        share its padded copy of u."""
+        Only the given rows (a tuple) are computed, the others are zero, and
+        a sample that no given row weighs is not taken: rows (0, 2) skip the
+        four diagonal directions.  Calls on one stencil must not overlap:
+        they share its copy of u."""
+        plan = self._plans.get(rows)
+        if plan is None:
+            plan = self._plans[rows] = self._plan(rows)
         hessian = np.zeros((3, int(np.prod(self.shape))))
         term = np.empty(hessian.shape[1])
-        kept = [[(k, w) for k, w in column if k in rows] for column in self.row_weights]
         # non-finite inputs propagate and are reported by the caller's check
         with np.errstate(invalid="ignore"):
-            for sample, column in zip(self._samples(flat, kept), filter(None, kept)):
-                for k, w in column:
+            for sample, pairs in self._samples(flat, plan):
+                for k, w in pairs:
                     hessian[k] += np.multiply(sample, w, out=term)
         return hessian
 
-    def _samples(self, flat: np.ndarray, taken: list):
-        """The samples along _COMBOS, then the centre values, each flat over
-        the interior nodes, for those of the nine whose entry in `taken` is
-        true; the direction samples share one buffer.  A family of
+    def _samples(self, flat: np.ndarray, plan: list):
+        """(sample, pairs) per entry of the plan, each sample flat over the
+        interior nodes; the direction samples share one buffer.  A family of
         directions with one horizontal weight table (X+-, Y+- and the
         diagonals at the default rho) shares one blend, and only one
-        family's blend is held at a time."""
+        family's blend is held at a time, in a buffer laid out as the copy
+        and zeroed once per call that blends."""
+        n1, n2, n3 = self.grid.counts
         u = flat.reshape(self.grid.counts)
-        n3 = u.shape[2]
-        p = self.padded
-        p[1:-1, 1:-1, self.pad : self.pad + n3] = u
-        p[0], p[-1] = p[1], p[-2]
-        p[:, 0], p[:, -1] = p[:, 1], p[:, -2]
+        copy = self._body(self.copy).reshape(n1 + 2, n2 + 2, n3 + 1)
+        copy[1:-1, 1:-1, :-1] = u
+        copy[0], copy[-1] = copy[1], copy[-2]
+        copy[:, 0], copy[:, -1] = copy[:, 1], copy[:, -2]
         out = np.empty(int(np.prod(self.shape)))
         s = out.reshape(self.shape)
-        family = blend = rows = None
-        for d, take in zip(self.directions, taken):
-            if not take:
+        blend = None
+        for d, terms, pairs in plan:
+            if d is None:
+                yield _interior(u, self.grid.counts).ravel(), pairs
                 continue
-            key = (d.weights.shape, d.weights.tobytes())
-            if key != family:
-                family = key
-                blend = rows = None  # freed before the next family's is formed
-                blend = _blend(p, d.weights)
-                # rows[j]: the n3 - 1 blend values from flat index j on
-                step = blend.strides[-1]
-                shape = (blend.size - n3 + 2, n3 - 1)
-                rows = as_strided(blend, shape, (step, step), writeable=False)
-            windows = rows[d.window]  # (n1-2, n2-2, n3-1)
-            lower = np.multiply(windows, d.wz[0])
+            runs = self._copy_runs  # runs[j]: the n3 - 1 values from flat index j on
+            if d.weights.size > 1:
+                if blend is None:
+                    blend = np.zeros(self.copy.size)
+                    blend_runs = _runs(blend, n3 - 1)
+                if terms is not None:
+                    _blend(self._body(self.copy), terms, self._body(blend))
+                runs = blend_runs
+            windows = runs[d.window]  # (n1-2, n2-2, n3-1)
+            np.multiply(windows[..., :-1], d.wz[0], out=s)
             np.multiply(windows, d.wz[1], out=windows)
-            np.add(lower[..., :-1], windows[..., 1:], out=s)
-            del windows, lower  # freed before the next direction gathers its windows
+            s += windows[..., 1:]
+            del windows  # freed before the next direction gathers its windows
             out[d.out_rows] = d.out_vals
-            yield out
-        if taken[-1]:
-            yield _interior(u, self.grid.counts).ravel()
+            yield out, pairs
 
 
 class Discretization:
@@ -435,10 +489,14 @@ class Discretization:
         self.evals += 1
         hxx, hxy, hyy = self.stencil.hessian_components(flat, self.op.hessian_rows)
         uc = _interior(flat, self.grid.counts).ravel()
-        return self.op.apply_batch(hxx, hxy, hyy) - self.c_int * uc
+        out = self.op.apply_batch(hxx, hxy, hyy)
+        out -= self.c_int * uc
+        return out
 
     def residual_interior(self, flat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        return self.apply_nonlinearity(flat) - rhs
+        out = self.apply_nonlinearity(flat)
+        out -= rhs
+        return out
 
     def advance(self, flat: np.ndarray, res: np.ndarray, tau: float) -> None:
         """u += tau * res at the interior nodes of `flat`, in place; a
@@ -738,8 +796,9 @@ def solve(prob: ProblemSpec) -> SolveResult:
     FAS V-cycles (on a grid with no axis of 8 nodes, the coarsest-level
     solve alone) are Anderson-mixed: after each cycle that has not met tol,
     the mix of the last DEPTH cycles replaces the cycle's result only if its
-    residual is strictly smaller.  The fixed point and stopping rule are
-    those of the pure iteration `step`.  The solve stops unconverged after
+    residual is strictly smaller; a mix that raises LinAlgError or is not
+    finite is rejected.  The fixed point and stopping rule are those of the
+    pure iteration `step`.  The solve stops unconverged after
     _Multilevel.MAX_CYCLES cycles; non-convergence returns the last iterate
     flagged, never raises.
     """
@@ -759,16 +818,22 @@ def solve(prob: ProblemSpec) -> SolveResult:
         rn = float(np.abs(res).max())
         aa.record(inner)
         if rn >= prob.tol and aa.pairs > 1:
-            inner[...] = aa.mix()
-            mixed = disc.residual_interior(flat, disc.f_int)
-            mn = float(np.abs(mixed).max())
+            mixed, mn = None, np.inf  # a mix that fails or is not finite is rejected
+            try:
+                inner[...] = aa.mix()
+            except np.linalg.LinAlgError:  # no fit, as on a non-finite Gram matrix
+                pass
+            else:
+                if np.isfinite(inner).all():
+                    mixed = disc.residual_interior(flat, disc.f_int)
+                    mn = float(np.abs(mixed).max())
             if mn < rn:
                 res, rn = mixed, mn
                 accepted += 1
             else:
                 inner[...] = aa.g
                 rejected += 1
-            del mixed  # a rejected residual is not kept through the next cycle
+            mixed = None  # a rejected residual is not kept through the next cycle
         history.append(rn)
     u = GridFunction(prob.grid, flat.reshape(prob.grid.counts))
     return SolveResult(

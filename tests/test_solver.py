@@ -396,9 +396,9 @@ def test_stencil_matches_per_sample_oracle(grid, boundary, width):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_stencil_storage_below_8_bytes_per_sample():
+def test_stencil_storage_below_5_bytes_per_sample():
     stencil = Discretization(ProblemSpec(SUB, ONE, ZERO, ZERO, box(33))).stencil
-    assert stencil.nbytes < 8 * (8 * 31**3)
+    assert stencil.nbytes < 5 * (8 * 31**3)
 
 
 def test_discretization_belongs_to_its_problem():
@@ -629,6 +629,44 @@ def test_cycle_counts_across_kinds_and_grids(op, c, counts, cycles):
     assert res.cycles == cycles
 
 
+# V-cycles of u* = x1^2 - x2^2 + 0.5 x1 x3 at tol 1e-6, over Lam/lam, then c,
+# then the grid; every one of these solves converges
+CONVERGENCE_MAP = {
+    "pucci_plus": (5, 7, 2, 2, 10, 12, 2, 3, 20, 25, 3, 3),
+    "trace_linear": (5, 7, 2, 2, 10, 12, 2, 3, 21, 25, 3, 3),
+}
+MAP_CASES = [
+    (kind, ratio, c, counts, cycles)
+    for kind, counts_row in CONVERGENCE_MAP.items()
+    for (ratio, c, counts), cycles in zip(
+        [(r, c, g) for r in (1, 4, 16) for c in (0, 10**4) for g in ((17, 17, 17), (33, 9, 9))],
+        counts_row,
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "kind,ratio,c,counts,cycles",
+    MAP_CASES,
+    ids=[f"{k}-{r}-c{c}-{'x'.join(map(str, g))}" for k, r, c, g, _ in MAP_CASES],
+)
+def test_convergence_map(kind, ratio, c, counts, cycles):
+    # Pucci+ (1, Lam/lam) and trace_linear with a = diag(Lam/lam, 1): solve
+    # flags non-convergence rather than raising, and the cycle counts are pinned
+    bracket = EllipticityBracket(1.0, float(ratio))
+    if kind == "trace_linear":
+        op = OperatorSpec(kind, bracket, coeff=Sym2(float(ratio), 0.0, 1.0))
+    else:
+        op = OperatorSpec(kind, bracket)
+    c = PolynomialField.constant(c)
+    u_star = parse_polynomial("x1^2 - x2^2 + 0.5 x1 x3")
+    grid = Grid3.box((-1, -1, -1), (1, 1, 1), counts)
+    prob = ProblemSpec(op, c, manufacture(u_star, op, c), u_star, grid, tol=1e-6)
+    res = solve(prob)
+    assert res.converged == (res.residual < prob.tol)
+    assert res.cycles == cycles
+
+
 @pytest.mark.parametrize(
     "prob",
     [manufactured_problem(17, tol=1e-6)[1], pucci_problem(9, "x1^2 x3 - x2 + 0.5 x3^2")],
@@ -663,6 +701,28 @@ def test_rejected_mixes_leave_the_plain_v_cycle(monkeypatch):
     # every cycle but the first and the last, which met tol, tried a mix
     assert res.anderson_accepted == 0 and res.anderson_rejected == res.cycles - 2
     assert res.level_evals[0] == 7 * res.cycles + 1 + res.anderson_rejected
+
+
+def _singular_fit(self):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _non_finite_mix(self):
+    mixed = self.g.copy()
+    mixed.flat[mixed.size // 2] = np.inf
+    return mixed
+
+
+@pytest.mark.parametrize("mix", [_singular_fit, _non_finite_mix], ids=["raises", "non-finite"])
+def test_failed_mixes_are_rejected(monkeypatch, mix):
+    # a mix whose fit raises or whose iterate is not finite is rejected
+    # without being evaluated: the iteration is the plain V-cycle iteration
+    monkeypatch.setattr(_Anderson, "mix", mix)
+    res = solve(manufactured_problem(17, tol=1e-6)[1])
+    assert res.converged and res.cycles == 6
+    assert res.anderson_accepted == 0 and res.anderson_rejected == res.cycles - 2
+    assert res.level_evals[0] == 7 * res.cycles + 1
+    assert np.isfinite(res.u.values).all()
 
 
 def test_anderson_mix_solves_a_linear_map_exactly():
@@ -720,27 +780,32 @@ def test_restricted_rows_are_the_full_evaluation(kind, width, n):
     assert not part[1].any()
 
 
-def gathered_hessian(stencil, flat, rho, rows=(0, 1, 2)):
+def gathered_hessian(stencil, flat, rho, rows=(0, 1, 2), ordered=False):
     """The stencil as each direction evaluated it before directions shared
     a horizontal blend, kept as a reference: per direction, the windows of
     all its A x B horizontal corners are gathered from the zero-padded u
     (corner indices clipped onto the grid) and reduced with np.tensordot,
-    then interpolated along x3; the samples are added into the rows in the
-    stencil's order."""
+    or if `ordered` by adding the weighted corners in row-major order as
+    the stencil's blend does, then interpolated along x3; the samples are
+    added into the rows in the stencil's order.  The x3 padding is the
+    smallest that holds every window of a column with a sample in the
+    box."""
     grid = stencil.grid
     n1, n2, n3 = grid.counts
-    pad = stencil.pad
     x1, x2 = (grid.axis_coordinates(axis)[1:-1] for axis in range(2))
     cols = np.stack(np.broadcast_arrays(x1[:, None], x2[None, :], grid.lower[2]), axis=-1)
     cols = cols.reshape(-1, 3)
     x_dir, y_dir = frame_batch(cols)
+    located = [
+        cells(grid, cols + rho * (cx * x_dir + cy * y_dir), clamp=False) for cx, cy in _COMBOS
+    ]
+    pad = min(max(int(np.abs(cell[:, 2]).max()) for cell, _ in located), n3 - 2) + 1
     u = flat.reshape(grid.counts)
     padded = np.zeros((n1, n2, n3 + 2 * pad))
     padded[:, :, pad : pad + n3] = u
     windows = sliding_window_view(padded, n3 - 1, axis=2)
     samples = []
-    for (cx, cy), d in zip(_COMBOS, stencil.directions):
-        cell, frac = cells(grid, cols + rho * (cx * x_dir + cy * y_dir), clamp=False)
+    for (cell, frac), d in zip(located, stencil.directions):
         corner = cell[0, :2] - 1
         fx, fy = frac[0, :2]
         wx = [1 - fx, fx] if fx else [1.0]
@@ -751,7 +816,12 @@ def gathered_hessian(stencil, flat, rho, rows=(0, 1, 2)):
         rows2 = np.clip(rows2, 0, n2 - 1)[None, :, None, :]
         start = np.clip(1 + cell[:, 2] + pad, 0, 2 * pad + 1).reshape(n1 - 2, n2 - 2)
         fz = frac[:, 2].reshape(n1 - 2, n2 - 2, 1)
-        blended = np.tensordot(np.outer(wx, wy), windows[rows1, rows2, start], 2)
+        table, corners = np.outer(wx, wy), windows[rows1, rows2, start]
+        if ordered:
+            terms = [w * corners[a, b] for (a, b), w in np.ndenumerate(table)]
+            blended = sum(terms[1:], terms[0])
+        else:
+            blended = np.tensordot(table, corners, 2)
         sample = (blended[..., :-1] * (1 - fz) + blended[..., 1:] * fz).ravel()
         sample[d.out_rows] = d.out_vals
         samples.append(sample)
@@ -802,6 +872,45 @@ def test_family_blend_off_centre_width_matches_the_gather():
     got = disc.stencil.hessian_components(flat)
     want = gathered_hessian(disc.stencil, flat, disc.rho)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+# grids on which x3 windows leave their column's row: thin x3 axes, whose
+# padding in the gather is clipped to n3 - 1, unequal spacings, a box off
+# the origin, and x3 fractions that are rounding residues, where a sample on
+# the box face reads one value past its row with a weight near 1e-16
+ROW_GRIDS = {
+    "33x9x9": Grid3.box((-1, -1, -1), (1, 1, 1), (33, 9, 9)),
+    "17x17x3": Grid3.box((-1, -1, -1), (1, 1, 1), (17, 17, 3)),
+    "12x12x12": box(12),
+    "off-centre": Grid3.box((0.3, -0.7, 0.1), (1.4, 0.2, 0.9), (21, 17, 19)),
+    "x3-residues": Grid3.box((-1, -1, -0.7), (1, 1, 0.2), (17, 17, 9)),
+}
+
+
+@pytest.mark.parametrize("width", [None, 0.137], ids=["default", "width-0.137"])
+@pytest.mark.parametrize("name", list(ROW_GRIDS))
+def test_unpadded_rows_are_the_zero_padded_gather(name, width):
+    # bitwise against the gather that adds its corners in the blend's order;
+    # the np.tensordot gather rounds its products apart from the blend where a
+    # horizontal weight is not a power of two
+    grid = ROW_GRIDS[name]
+    prob = ProblemSpec(PUCCI_PLUS, ONE, ZERO, POLY_BOUNDARY, grid, sample_width=width)
+    disc = Discretization(prob)
+    stencil = disc.stencil
+    assert stencil.outside_fraction > 0
+    if name == "x3-residues" and width is None:
+        assert any(np.any((0 < d.wz) & (d.wz < 1e-12)) for d in stencil.directions)
+    # with weights 1, 1/2 and 1/4 every product is exact, so both gathers agree
+    exact = all(np.all(np.frexp(d.weights)[0] == 0.5) for d in stencil.directions)
+    assert exact == (width is None and name in ("17x17x3", "x3-residues"))
+    g = np.random.default_rng(len(name))
+    for flat in (g.standard_normal(grid.n_nodes), g.uniform(1e3, 1e4, grid.n_nodes)):
+        got = stencil.hessian_components(flat)
+        ordered = gathered_hessian(stencil, flat, disc.rho, ordered=True)
+        assert got.tobytes() == ordered.tobytes()
+        want = gathered_hessian(stencil, flat, disc.rho)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert (got.tobytes() == want.tobytes()) or not exact
 
 
 # levels and V-cycles of the Pucci+ (1, 4) solve of u* = x1^2 - x2^2 + 0.5 x1 x3
