@@ -18,7 +18,7 @@ from .doubling import PenaltyParams, doubling_certificate
 from .grid import GridFunction
 from .operators import EllipticityBracket, HolderData
 from .regularity import DEFAULT_MARGIN, DEFAULT_PAIRS, HolderReport, alpha_target
-from .regularity import check_theorem, default_radii, modulus
+from .regularity import check_theorem, modulus, radius_span
 from .solver import ProblemSpec, refine_problem, solve
 
 # every file name that run_pipeline may return, in the order it adds them
@@ -121,6 +121,7 @@ class PipelineConfig:
         if per_axis < 2:
             raise ValueError(f"penalty config 'per_axis' must be at least 2, got {per_axis}")
         problem = ProblemSpec.from_config(cfg["problem"])
+        radius_span(problem.grid, check.margin)
         have, need = check.bracket, problem.op.bracket
         if have.lam > need.lam or have.Lam < need.Lam:
             raise ValueError(
@@ -176,8 +177,7 @@ def run_pipeline(cfg: dict, emit_plot_data: bool = False, timings: dict | None =
     artifacts["certificate.json"] = cert_dict
     if emit_plot_data:
         with _stage(timings, "modulus_s"):
-            radii, _ = default_radii(fine.u, check.margin)
-            pts = modulus(fine.u, radii, margin=check.margin, seed=check.seed)
+            pts = modulus(fine.u, check.margin)
         artifacts["modulus.csv"] = "".join(["r,omega_r\n"] + ["%.17g,%.17g\n" % p for p in pts])
     artifacts["pipeline_report.json"] = {
         "seed": check.seed,

@@ -1,12 +1,14 @@
 """Holder-regularity measurement on grid functions.
 
-All statistics run over seeded pair samples inside the interior margin box
-(nodes within 10% of the boundary are excluded: boxed computations carry
-artificial Dirichlet data, so reports never claim whole-space fidelity).
-Pairs are stratified by log-radius; the same seed and box reproduce the same
+Every statistic reads only the interior margin box (nodes within 10% of the
+boundary are excluded: boxed computations carry artificial Dirichlet data,
+so reports never claim whole-space fidelity).  The seminorm runs over seeded
+pairs stratified by log-radius; the same seed and box reproduce the same
 pairs regardless of grid resolution, which is what makes the
-refinement-stability comparison meaningful.  Distances are Euclidean
-throughout, matching the doubling penalty.
+refinement-stability comparison meaningful.  Its distances are Euclidean,
+matching the doubling penalty.  The modulus of continuity, and the exponent
+fit to it, are exact over the box's node pairs, with distances in the sup
+norm max_i |x_i - y_i|.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import Grid3, GridFunction
 from .operators import EllipticityBracket, HolderData
 from .rng import SplitMix64
 
@@ -27,7 +29,9 @@ DEFAULT_RADII = 12
 @dataclass(frozen=True)
 class HolderReport:
     """check_theorem output: the fitted exponent, the seminorm at the
-    theorem's candidate exponent, and the quantitative bound c0/(2 Lam)."""
+    theorem's candidate exponent, and the quantitative bound c0/(2 Lam).
+    The spans are the [least, greatest] radius that each statistic read:
+    the seminorm's sampled radius_span and the modulus's node_radii."""
 
     alpha_fit: float
     L_fit: float
@@ -42,6 +46,8 @@ class HolderReport:
     c0_exceeds_8: bool
     degenerate_fit: bool
     stability_checked: bool
+    seminorm_radius_span: tuple[float, float]
+    fit_radius_span: tuple[float, float]
 
     def to_dict(self) -> dict:
         """Every field, with `passed` under the key "pass"."""
@@ -96,94 +102,60 @@ def sample_pairs(
     return np.concatenate(xs_all), np.concatenate(ys_all), np.concatenate(strata)
 
 
+def radius_span(grid: Grid3, margin: float = DEFAULT_MARGIN) -> tuple[float, float]:
+    """[2h, diam/4], h the least spacing and diam the margin box's diameter; its
+    ends must round to two distinct multiples of h, the fewest the fit takes."""
+    lo, hi = grid.margin_box(margin)
+    h = min(grid.spacings)
+    r_min, r_max = 2.0 * h, float(np.linalg.norm(hi - lo)) / 4.0
+    if np.floor(r_max / h + 0.5) < 3:
+        raise ValueError(
+            f"grid too coarse for margin {margin}: the radii span [2h, diam/4] = "
+            f"[{r_min:.6g}, {r_max:.6g}] holds fewer than two node radii j*h"
+        )
+    return r_min, r_max
+
+
 def default_radii(u: GridFunction, margin: float = DEFAULT_MARGIN):
-    """DEFAULT_RADII log-spaced radii spanning [2h, interior-diameter/4]."""
-    lo, hi = u.grid.margin_box(margin)
-    diam = float(np.linalg.norm(hi - lo))
+    """DEFAULT_RADII log-spaced radii spanning radius_span, and the margin box."""
+    return np.geomspace(*radius_span(u.grid, margin), DEFAULT_RADII), u.grid.margin_box(margin)
+
+
+def node_radii(u: GridFunction, margin: float = DEFAULT_MARGIN) -> np.ndarray:
+    """The distinct multiples j*h nearest the default_radii, h the least spacing."""
+    radii, _ = default_radii(u, margin)
     h = min(u.grid.spacings)
-    r_min = 2.0 * h
-    r_max = diam / 4.0
-    if r_min >= r_max:
-        raise ValueError("grid too coarse for the requested radii span")
-    return np.geomspace(r_min, r_max, DEFAULT_RADII), (lo, hi)
+    return np.unique(np.floor(radii / h + 0.5)) * h
 
 
-def _polish_pairs(
-    u: GridFunction,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    vals: np.ndarray,
-    strata: np.ndarray,
-    radii: np.ndarray,
-    box: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Pattern-search polish of the best pairs of every radius stratum, one
-    polished maximum per stratum.
+def modulus(u: GridFunction, margin: float = DEFAULT_MARGIN) -> list[tuple[float, float]]:
+    """Exact sup-norm modulus of continuity: omega(r) = max |u(x) - u(y)| over
+    the margin box's node pairs with |x_i - y_i| <= r on every axis, at each
+    of the node_radii r.
 
-    Random sampling starves sup statistics near small features (a cusp hides
-    in an O(r^3) volume); a short local search from the best starts recovers
-    the stratum supremum.  The 6 best pairs (`top`) of each stratum move as
-    one stack for 14 rounds, each row with its own step and distance range
-    [0.9 r, 1.1 r]; moves keep both endpoints in the box and the pair
-    distance in range."""
-    top = 6
-    lo, hi = box
-    members = [np.nonzero(strata == k)[0] for k in range(radii.size)]
-    order = np.concatenate([sel[np.argsort(vals[sel])[-top:]] for sel in members])
-    x = xs[order].copy()
-    y = ys[order].copy()
-    best = vals[order].copy()
-    r = radii[strata[order]]
-    r_lo, r_hi = 0.9 * r, 1.1 * r
-    step = 0.5 * r_hi
-    moves = np.concatenate([np.eye(3), -np.eye(3)])
-    for _ in range(14):
-        for which in (0, 1):
-            for m in moves:
-                cx = x + step[:, None] * m if which == 0 else x.copy()
-                cy = y + step[:, None] * m if which == 1 else y.copy()
-                np.clip(cx, lo, hi, out=cx)
-                np.clip(cy, lo, hi, out=cy)
-                d = cy - cx
-                dist = np.linalg.norm(d, axis=1)
-                bad = dist < 1e-12
-                dist[bad] = 1.0
-                clipped = np.clip(dist, r_lo, r_hi)
-                cy = cx + d * (clipped / dist)[:, None]
-                ok = np.all((cy >= lo) & (cy <= hi), axis=1) & ~bad
-                if not ok.any():
-                    continue
-                cand = np.abs(u.value_batch(cx[ok]) - u.value_batch(cy[ok]))
-                rows_all = np.nonzero(ok)[0]
-                improve = cand > best[rows_all]
-                rows = rows_all[improve]
-                best[rows] = cand[improve]
-                x[rows] = cx[rows]
-                y[rows] = cy[rows]
-        step *= 0.6
-    first = np.cumsum([0] + [min(top, sel.size) for sel in members[:-1]])
-    return np.maximum.reduceat(best, first)
-
-
-def modulus(
-    u: GridFunction,
-    radii,
-    margin: float = DEFAULT_MARGIN,
-    per_radius: int = 2000,
-    seed: int = 0,
-) -> list[tuple[float, float]]:
-    """Empirical modulus of continuity: omega_r = max |u(x)-u(y)| over pairs
-    with |x-y| near r, max-rectified to be nondecreasing in r."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 2:
-        raise ValueError("need at least 2 radii")
-    box = u.grid.margin_box(margin)
-    xs, ys, strata = sample_pairs(box, radii, per_radius, seed)
-    du = np.abs(u.value_batch(xs) - u.value_batch(ys))
-    omegas = np.array([du[strata == k].max() for k in range(radii.size)])
-    omegas = np.maximum(omegas, _polish_pairs(u, xs, ys, du, strata, radii, box))
-    omegas = np.maximum.accumulate(omegas)
-    return list(zip(radii.tolist(), omegas.tolist()))
+    M, the max of u over the nodes within r of each node, grows one node per
+    axis step from radius to radius, and omega(r) = max(M - u).  Rounding is
+    monotone, so this is bitwise the max over all node pairs; the cubes are
+    nested, so omega is nondecreasing in r."""
+    grid = u.grid
+    lo, hi = grid.margin_box(margin)
+    axes = [grid.axis_coordinates(i) for i in range(3)]
+    box = u.values[np.ix_(*[(x >= a) & (x <= b) for x, a, b in zip(axes, lo, hi)])]
+    m = box.copy()
+    reach = [0, 0, 0]
+    out = []
+    for r in node_radii(u, margin):
+        for axis, h in enumerate(grid.spacings):
+            # the largest k with k h <= r, up to rounding, and no wider than the box
+            k = min(int(r / h + 1e-9), box.shape[axis] - 1)
+            a = np.moveaxis(m, axis, 0)
+            for _ in range(k - reach[axis]):
+                # numpy reads overlapping operands as if copied first
+                np.maximum(a[1:], a[:-1], out=a[1:])
+                np.maximum(a[:-1], a[1:], out=a[:-1])
+            reach[axis] = k
+        out.append((float(r), float((m - box).max())))
+    return out
 
 
 def holder_seminorm(u: GridFunction, alpha: float, pairs: tuple[np.ndarray, np.ndarray]) -> float:
@@ -220,28 +192,20 @@ def fit_loglog(radii: np.ndarray, omegas: np.ndarray) -> tuple[float, float, flo
     return float(slope), float(np.exp(intercept)), float(r2)
 
 
-def fit_alpha(
-    u: GridFunction,
-    margin: float = DEFAULT_MARGIN,
-    per_radius: int = 2000,
-    seed: int = 0,
-) -> tuple[float, float, float, bool]:
-    """Fit omega_r ~ L r^alpha over the default_radii.
+def fit_alpha(u: GridFunction, margin: float = DEFAULT_MARGIN) -> tuple[float, float, float, bool]:
+    """Fit omega(r) ~ L r^alpha to the modulus at its nonzero values.
 
     Returns (alpha_fit, L_fit, r_squared, degenerate); alpha_fit is clamped
-    to (0, 1.5].  A flat (all-zero) modulus is flagged degenerate and reports
-    alpha_fit = 1, L_fit = 0.
+    to (0, 1.5] and L_fit is in sup-norm units of r.  A modulus with fewer
+    than two nonzero values is flagged degenerate and reports alpha_fit = 1,
+    L_fit = 0.
     """
-    radii, _ = default_radii(u, margin)
-    pts = modulus(u, radii, margin, per_radius, seed)
-    r = np.array([p[0] for p in pts])
-    w = np.array([p[1] for p in pts])
+    r, w = np.array(modulus(u, margin)).T
     keep = w > 0
     if keep.sum() < 2:
         return 1.0, 0.0, 0.0, True
     slope, amp, r2 = fit_loglog(r[keep], w[keep])
-    alpha = min(max(slope, 1e-12), 1.5)
-    return float(alpha), float(amp), float(r2), False
+    return float(min(max(slope, 1e-12), 1.5)), float(amp), float(r2), False
 
 
 def theorem_bound(hd: HolderData, bracket: EllipticityBracket) -> float:
@@ -276,10 +240,9 @@ def check_theorem(
     u = coarse.u if hasattr(coarse, "u") else coarse
     target = alpha_target(hd, bracket)
     radii, box = default_radii(u, margin)
-    per = max(1, n_pairs // radii.size)
-    xs, ys, _ = sample_pairs(box, radii, per, seed)
+    xs, ys, _ = sample_pairs(box, radii, max(1, n_pairs // radii.size), seed)
     semi = holder_seminorm(u, target, pairs=(xs, ys))
-    afit, lfit, r2, degenerate = fit_alpha(u, margin=margin, seed=seed)
+    afit, lfit, r2, degenerate = fit_alpha(u, margin)
 
     stability_checked = fine is not None
     if stability_checked:
@@ -317,4 +280,6 @@ def check_theorem(
         c0_exceeds_8=hd.c0 > 8.0,
         degenerate_fit=degenerate,
         stability_checked=stability_checked,
+        seminorm_radius_span=(float(radii[0]), float(radii[-1])),
+        fit_radius_span=tuple(node_radii(u, margin)[[0, -1]].tolist()),
     )

@@ -2,10 +2,11 @@ import json
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from heisenpde.cli import main
-from heisenpde.grid import GridFunction
+from heisenpde.grid import Grid3, GridFunction
 from heisenpde.pipeline import ARTIFACTS, TIMINGS, PipelineConfig, holder_config, run_pipeline
 from heisenpde.solver import ProblemSpec, _Multilevel
 
@@ -307,6 +308,7 @@ PUCCI_4 = {"kind": "pucci_plus", "lambda": 1.0, "Lambda": 4.0}
         ({"penalty": {"delta": NAN}}, ("penalty config 'delta'", "finite")),
         ({"penalty": {"eps": INF}}, ("penalty config 'eps'", "finite")),
         ({"margin": NAN}, ("pipeline config 'margin'", "finite")),
+        ({"margin": 0.45}, ("margin 0.45", "[2h, diam/4] = [0.25, 0.0866")),
         ({"holder": dict(PIPELINE_CONFIG["holder"], L_f=INF)}, ("holder config 'L_f'", "finite")),
         (
             {"problem": dict(PIPELINE_CONFIG["problem"], c={"poly": "0.1"})},
@@ -327,6 +329,7 @@ PUCCI_4 = {"kind": "pucci_plus", "lambda": 1.0, "Lambda": 4.0}
         "delta-nan",
         "eps-inf",
         "margin-nan",
+        "margin-too-coarse",
         "holder-L-f-inf",
         "c0-above-c",
     ],
@@ -437,6 +440,20 @@ def test_holder_command(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["alpha_target"] == 0.45
     assert not rep["stability_checked"]
+    # 2h to diam/4 of the margin box, and the node radii 2h and 3h nearest them
+    assert rep["seminorm_radius_span"] == [0.5, pytest.approx(0.4 * 3**0.5)]
+    assert rep["fit_radius_span"] == [0.5, 0.75]
+
+
+def test_holder_rejects_a_margin_too_wide_for_the_grid(tmp_path, capsys):
+    grid_csv = tmp_path / "u.csv"
+    GridFunction(Grid3.box((-1, -1, -1), (1, 1, 1), (9, 9, 9)), np.zeros((9, 9, 9))).to_csv(grid_csv)
+    hcfg = write_json(tmp_path / "holder.json", dict({key: PIPELINE_CONFIG[key] for key in ("holder", "bracket")}, margin=0.3))
+    out = tmp_path / "o.json"
+    assert main(["holder", "--grid", str(grid_csv), "--config", hcfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in ("margin 0.3", "[2h, diam/4] = [0.5, 0.3464")), err
+    assert not out.exists()
 
 
 def test_holder_rejects_zero_c0(tmp_path):
@@ -616,8 +633,6 @@ def test_pipeline_rejects_bad_configs(tmp_path, capsys):
 
 
 def test_verify_detects_corrupted_pucci(tmp_path, monkeypatch):
-    import numpy as np
-
     from heisenpde.operators import OperatorSpec
 
     def flipped(self, hxx, hxy, hyy):

@@ -12,9 +12,12 @@ from heisenpde.regularity import (
     fit_loglog,
     holder_seminorm,
     modulus,
+    node_radii,
+    radius_span,
     sample_pairs,
     theorem_bound,
 )
+from heisenpde.rng import SplitMix64
 
 
 def grid_box(n=17, half=1.0):
@@ -45,23 +48,53 @@ def test_sample_pairs_rejects_oversized_radius():
 
 def test_modulus_constant_and_monotone():
     u = GridFunction.from_field(grid_box(), PolynomialField.constant(2.5))
-    radii, _ = default_radii(u)
-    pts = modulus(u, radii, per_radius=200)
-    assert all(w == 0.0 for _, w in pts)
-    lin = GridFunction.from_field(grid_box(), PolynomialField.coordinate(0))
-    pts = modulus(lin, radii, per_radius=500)
-    ws = [w for _, w in pts]
+    assert all(w == 0.0 for _, w in modulus(u))
+    u = GridFunction.from_field(grid_box(), NumericField(lambda pts: np.sin(7 * pts).sum(axis=1)))
+    ws = [w for _, w in modulus(u)]
     assert all(b >= a for a, b in zip(ws, ws[1:]))
-    with pytest.raises(ValueError):
-        modulus(lin, [0.1], per_radius=10)
 
 
 def test_modulus_linear_scales_with_radius():
-    lin = GridFunction.from_field(grid_box(33), PolynomialField.coordinate(0))
-    radii = np.array([0.05, 0.1, 0.2, 0.4])
-    pts = modulus(lin, radii, per_radius=4000, seed=3)
-    for r, w in pts:
-        assert 0.85 * r <= w <= 1.1 * r + 1e-12
+    for n in (17, 33):
+        lin = GridFunction.from_field(grid_box(n), PolynomialField.coordinate(0))
+        pts = modulus(lin)
+        assert [r for r, _ in pts] == node_radii(lin).tolist()
+        assert all(w == r for r, w in pts)
+
+
+def brute_modulus(u, margin=0.1):
+    """max |u(x) - u(y)| over every pair of margin-box nodes within r of
+    each other on every axis, at each node radius r."""
+    lo, hi = u.grid.margin_box(margin)
+    pts = u.grid.points()
+    inside = np.all((pts >= lo) & (pts <= hi), axis=1)
+    idx = np.argwhere(np.ones(u.grid.counts, dtype=bool))[inside]
+    vals = u.values.ravel()[inside]
+    du = np.abs(vals[:, None] - vals[None, :])
+    steps = np.abs(idx[:, None, :] - idx[None, :, :])
+    out = []
+    for r in node_radii(u, margin):
+        near = np.all(steps <= r / np.array(u.grid.spacings) + 1e-9, axis=2)
+        out.append((float(r), float(du[near].max())))
+    return out
+
+
+@pytest.mark.parametrize("counts", [(9, 9, 9), (12, 12, 12), (17, 9, 5), (13, 7, 11)])
+def test_modulus_matches_all_node_pairs(counts):
+    grid = Grid3.box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), counts)
+    values = SplitMix64(5, "modulus-oracle").uniform(grid.n_nodes, -1.0, 1.0)
+    u = GridFunction(grid, values.reshape(counts))
+    assert modulus(u) == brute_modulus(u)
+    # an off-node cusp on an off-centre box
+    grid = Grid3.box((-0.9, -1.1, -0.7), (1.3, 0.8, 1.2), counts)
+    c = np.array([0.23, -0.31, 0.17])
+    cusp = NumericField(lambda pts: np.sum(np.abs(pts - c) ** 0.6, axis=1))
+    u = GridFunction.from_field(grid, cusp)
+    assert modulus(u) == brute_modulus(u)
+    # a thin x3 axis, whose radii in its own spacing outgrow the box
+    grid = Grid3.box((-1.0, -1.0, -0.1), (1.0, 1.0, 0.1), counts)
+    u = GridFunction.from_field(grid, cusp)
+    assert modulus(u) == brute_modulus(u)
 
 
 def default_pairs(u, n_pairs=200_000):
@@ -109,17 +142,33 @@ def test_fit_loglog_exact_on_powerlaw():
 def test_fit_alpha_on_profiles():
     sqrt_field = NumericField(lambda pts: np.sqrt(np.linalg.norm(pts, axis=1)))
     us = GridFunction.from_field(grid_box(33), sqrt_field)
-    a, L, r2, degenerate = fit_alpha(us, per_radius=3000)
+    a, L, r2, degenerate = fit_alpha(us)
     assert not degenerate
-    assert abs(a - 0.5) <= 0.05
+    assert abs(a - 0.5) <= 1e-9
     lin = GridFunction.from_field(grid_box(33), PolynomialField.coordinate(0))
-    a, L, r2, degenerate = fit_alpha(lin, per_radius=3000)
+    a, L, r2, degenerate = fit_alpha(lin)
     assert not degenerate
-    assert abs(a - 1.0) <= 0.05
+    assert abs(a - 1.0) <= 1e-9 and abs(L - 1.0) <= 1e-9
     const = GridFunction.from_field(grid_box(), PolynomialField.constant(3.0))
     a, L, r2, degenerate = fit_alpha(const)
     assert degenerate
     assert (a, L) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [17, 33, 65])
+@pytest.mark.parametrize("beta", [0.3, 0.6])
+def test_fit_alpha_on_node_cusp(n, beta):
+    # |x|_1^beta has its cusp on the origin, a node of every odd grid of [-1, 1]^3
+    cusp = NumericField(lambda pts: np.abs(pts).sum(axis=1) ** beta)
+    a, L, r2, degenerate = fit_alpha(GridFunction.from_field(grid_box(n), cusp))
+    assert not degenerate
+    assert abs(a - beta) <= 1e-6
+
+
+def test_radius_span_needs_two_node_radii():
+    assert radius_span(grid_box(33)) == (0.125, pytest.approx(0.4 * np.sqrt(3)))
+    with pytest.raises(ValueError, match=r"margin 0\.45.*\[2h, diam/4\]"):
+        radius_span(grid_box(33), 0.45)
 
 
 def test_theorem_bound_examples():
@@ -190,86 +239,3 @@ def test_check_theorem_constant_solution():
     assert report.seminorm_at_target <= 1e-6
     assert report.degenerate_fit
     assert report.passed
-
-
-def per_stratum_polish(u, xs, ys, vals, box, r_lo, r_hi, top=6, rounds=14):
-    """The one-stratum-at-a-time polish that the stacked polish replaced,
-    kept as its oracle."""
-    lo, hi = box
-    order = np.argsort(vals)[-top:]
-    x = xs[order].copy()
-    y = ys[order].copy()
-    best = vals[order].copy()
-    step = 0.5 * r_hi
-    moves = np.concatenate([np.eye(3), -np.eye(3)])
-    for _ in range(rounds):
-        for which in (0, 1):
-            for m in moves:
-                cx = x + step * m if which == 0 else x.copy()
-                cy = y + step * m if which == 1 else y.copy()
-                np.clip(cx, lo, hi, out=cx)
-                np.clip(cy, lo, hi, out=cy)
-                d = cy - cx
-                dist = np.linalg.norm(d, axis=1)
-                bad = dist < 1e-12
-                dist[bad] = 1.0
-                clipped = np.clip(dist, r_lo, r_hi)
-                cy = cx + d * (clipped / dist)[:, None]
-                ok = np.all((cy >= lo) & (cy <= hi), axis=1) & ~bad
-                if not ok.any():
-                    continue
-                cand = np.abs(u.value_batch(cx[ok]) - u.value_batch(cy[ok]))
-                rows_all = np.nonzero(ok)[0]
-                improve = cand > best[rows_all]
-                rows = rows_all[improve]
-                best[rows] = cand[improve]
-                x[rows] = cx[rows]
-                y[rows] = cy[rows]
-        step *= 0.6
-    return float(best.max())
-
-
-def per_stratum_modulus(u, radii, margin=0.1, per_radius=2000, seed=0):
-    radii = np.asarray(radii, dtype=float)
-    box = u.grid.margin_box(margin)
-    xs, ys, strata = sample_pairs(box, radii, per_radius, seed)
-    du = np.abs(u.value_batch(xs) - u.value_batch(ys))
-    omegas = np.zeros(radii.size)
-    for k, r in enumerate(radii):
-        sel = strata == k
-        omegas[k] = du[sel].max()
-        omegas[k] = max(
-            omegas[k], per_stratum_polish(u, xs[sel], ys[sel], du[sel], box, 0.9 * r, 1.1 * r)
-        )
-    omegas = np.maximum.accumulate(omegas)
-    return list(zip(radii.tolist(), omegas.tolist()))
-
-
-class CountingGridFunction(GridFunction):
-    calls = 0
-
-    def value_batch(self, pts):
-        self.calls += 1
-        return super().value_batch(pts)
-
-
-def cusp_grid(n):
-    """sum |x_i - c_i|^0.6 on an off-centre, non-dyadic grid."""
-    grid = Grid3.box((-0.9, -1.1, -0.7), (1.3, 0.8, 1.2), (n, n + 2, n - 2))
-    c = np.array([0.23, -0.31, 0.17])
-    field = NumericField(lambda pts: np.sum(np.abs(pts - c) ** 0.6, axis=1))
-    return CountingGridFunction(grid, GridFunction.from_field(grid, field).values)
-
-
-@pytest.mark.parametrize("n, per_radius, seed", [(33, 2000, 0), (17, 400, 5), (17, 4, 2)])
-def test_stacked_polish_matches_per_stratum_oracle(n, per_radius, seed):
-    u = cusp_grid(n)
-    radii, _ = default_radii(u)
-    got = modulus(u, radii, per_radius=per_radius, seed=seed)
-    assert u.calls <= 2 + 14 * 2 * 6 * 2
-    assert got == per_stratum_modulus(u, radii, per_radius=per_radius, seed=seed)
-    # the polish must move some stratum above the best sampled pair
-    xs, ys, strata = sample_pairs(u.grid.margin_box(0.1), radii, per_radius, seed)
-    du = np.abs(u.value_batch(xs) - u.value_batch(ys))
-    unpolished = np.maximum.accumulate([du[strata == k].max() for k in range(radii.size)])
-    assert any(w > w0 for (_, w), w0 in zip(got, unpolished))
