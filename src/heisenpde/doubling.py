@@ -79,7 +79,13 @@ class TraceGapReport:
 
 @dataclass(frozen=True)
 class MaxReport:
-    """Result of maximizing psi over the sample set."""
+    """Result of maximizing psi over the sample set.
+
+    pairs_evaluated counts the sampled (x, y) pairs of both passes, m^6
+    each: every one of them is either evaluated or bounded below the max
+    (see _psi_max), so the count is the pairs the max is taken over, not
+    the psi evaluations made.
+    """
 
     theta: float
     argmax: tuple[Point, Point]
@@ -414,16 +420,34 @@ def _psi_max(
     into the samples in x3-fastest order.
 
     |x-y|^2 = q1[j1, k1] + q2[j2, k2] + q3[j3, k3] with one m x m table of
-    squared differences per axis, summed in that order, so psi is evaluated
-    one x pencil (j1, j2 fixed, all j3) against all of y at a time, in one
-    (m, m^3) buffer.  q3 holds few distinct values (q3 = v3[i3], 38 of 289
-    on a 17-point margin box), so per pencil the penalty
-    L*sqrt(q1[j1, k1] + q2[j2, k2] + v3)^alpha fills an (m^2, len(v3))
-    table once, and i3 gathers it to every pair: each pair sees the same
-    operations on the same operands as if evaluated alone, so the result
-    is bitwise that of the direct evaluation.  The pencils run in x order
-    and replace the best only when strictly larger, so ties go to the first
-    pair in (ix, iy) order."""
+    squared differences per axis, summed in that order.  The max is a
+    branch and bound over x pencils (j1, j2 fixed, all j3) and y columns
+    (k1, k2 fixed, all k3).  Every pair of pencil P and column C has
+
+        psi <= bound = max_P(u(x) - delta|x|^2) - min_C u(y)
+                       - L*sqrt(q1[j1, k1] + q2[j2, k2] + min q3)^alpha - eps,
+
+    and the pencils run in x order, each evaluating psi only on the
+    columns whose bound is at least the running best minus a slack.  The
+    slack is 1e-9 * S, S = max|ux| + max|uy| + max delta|x|^2 + eps + the
+    largest bound penalty.  Float psi cannot exceed the float bound by
+    more than a few units of 2^-53 * S: each is a chain of at most four
+    roundings of terms of size at most S (a pair's penalty above its
+    bound penalty lowers psi by more than it adds to the rounding), and
+    pow is monotone up to a few ulps.  So a skipped column holds no pair
+    that ties or beats the best, and the result is that of evaluating
+    every pair.
+
+    q3 holds few distinct values (q3 = v3[i3], 38 of 289 on a 17-point
+    margin box), so per pencil the penalty L*sqrt(q1 + q2 + v3)^alpha
+    fills a (len(v3), columns kept) table, and i3 gathers its rows to
+    every pair.  psi is laid out (j3, k3, column) so that every operation
+    runs over contiguous rows; its buffer and the table's are sized for
+    all m^2 columns and reused by every pencil.  Each pair sees the same
+    operations on the same operands as if evaluated alone, so every value
+    is bitwise the direct evaluation.  A pencil replaces the best only
+    when strictly larger, with its first maximal pair in (ix, iy) order, so
+    ties go to the first pair in (ix, iy) order."""
     pts_x, pts_y = _tensor_points(axes_x), _tensor_points(axes_y)
     ux = np.asarray(u.value_batch(pts_x), dtype=float)
     uy = np.asarray(u.value_batch(pts_y), dtype=float)
@@ -434,29 +458,42 @@ def _psi_max(
     m = q3.shape[0]
     v3, i3 = np.unique(q3, return_inverse=True)
     i3 = i3.reshape(m, m)
-    table = np.empty((m * m, v3.size))
-    psi = np.empty((m, m**3))
-    psi3 = psi.reshape(m, m * m, m)  # (j3, k1 k2, k3)
+    ux_p = ux.reshape(m * m, m)
+    uy_t = uy.reshape(m * m, m).T.copy()  # (k3, column)
+    px_p = penalty_x.reshape(m * m, m)
+    top = (ux_p - px_p).max(axis=1)
+    low = uy_t.min(axis=0)
+    largest = pp.L * math.sqrt(q1.max() + q2.max() + v3[0]) ** pp.alpha
+    slack = 1e-9 * (np.abs(ux).max() + np.abs(uy).max() + penalty_x.max() + pp.eps + largest)
+    table_buf = np.empty(v3.size * m * m)
+    psi_buf = np.empty(m**4)
     best = -np.inf
     best_ix = best_iy = 0
     for pencil in range(m * m):
         j1, j2 = divmod(pencil, m)
-        rows = slice(pencil * m, (pencil + 1) * m)
         q12 = (q1[j1][:, None] + q2[j2][None, :]).ravel()
-        np.add(q12[:, None], v3[None, :], out=table)
+        bound = top[pencil] - low - pp.L * np.sqrt(q12 + v3[0]) ** pp.alpha - pp.eps
+        cols = np.nonzero(bound >= best - slack)[0]
+        s = cols.size
+        if s == 0:
+            continue
+        table = table_buf[: v3.size * s].reshape(v3.size, s)
+        np.add(v3[:, None], q12[cols], out=table)
         np.sqrt(table, out=table)
         table **= pp.alpha
         table *= pp.L
-        np.subtract(ux[rows, None], uy[None, :], out=psi)
-        psi3 -= table[:, i3].transpose(1, 0, 2)
-        psi -= penalty_x[rows, None]
+        psi = psi_buf[: m * m * s].reshape(m, m * s)  # (j3, k3 column)
+        np.subtract(ux_p[pencil][:, None], uy_t[:, cols].ravel(), out=psi)
+        psi -= table[i3].reshape(m, m * s)
+        psi -= px_p[pencil][:, None]
         psi -= pp.eps
-        k = int(np.argmax(psi))
-        val = float(psi.flat[k])
+        val = float(psi.max())
         if val > best:
+            j3, k3, c = np.nonzero(psi.reshape(m, m, s) == val)
+            first = np.lexsort((k3, c, j3))[0]
             best = val
-            best_ix = rows.start + k // psi.shape[1]
-            best_iy = k % psi.shape[1]
+            best_ix = pencil * m + int(j3[first])
+            best_iy = int(cols[c[first]]) * m + int(k3[first])
     return best, best_ix, best_iy
 
 
@@ -467,12 +504,15 @@ def doubling_certificate(
     per_axis: int = 17,
 ) -> MaxReport:
     """Maximize psi(x,y) = u(x) - u(y) - L|x-y|^alpha - delta|x|^2 - eps over
-    a tensor product sample of the box with per_axis >= 2 points per axis,
-    refining once (factor 4) around the incumbent; theta <= 0 certifies the
-    Holder bound at desk scale.
+    a tensor product sample of the finite box with per_axis >= 2 points per
+    axis, refining once (factor 4) around the incumbent; theta <= 0
+    certifies the Holder bound at desk scale.
 
-    u is any object with a value_batch((n,3)) method (ScalarField or a grid
-    function).  The sample is deterministic, so the report is reproducible.
+    Each pass is _psi_max's exact branch and bound: psi is evaluated only
+    on the y columns whose bound can reach the running max, and theta and
+    the argmax are bitwise those of evaluating every pair.  u is any object
+    with a value_batch((n,3)) method (ScalarField or a grid function).  The
+    sample is deterministic, so the report is reproducible.
     """
     if pp.alpha > 1.0:
         raise ValueError("the certificate requires alpha <= 1")
@@ -480,7 +520,12 @@ def doubling_certificate(
         raise ValueError(f"per_axis must be at least 2, got {per_axis}")
     lower = np.asarray(domain[0], dtype=float)
     upper = np.asarray(domain[1], dtype=float)
-    if lower.shape != (3,) or upper.shape != (3,) or np.any(upper <= lower):
+    if (
+        lower.shape != (3,)
+        or upper.shape != (3,)
+        or not np.isfinite([lower, upper]).all()
+        or np.any(upper <= lower)
+    ):
         raise ValueError("domain must be a nondegenerate box (lower, upper)")
     axes = _tensor_axes(lower, upper, per_axis)
     pts = _tensor_points(axes)

@@ -171,7 +171,13 @@ class GridFunction:
         return GridFunction(grid, np.zeros(grid.counts))
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation at arbitrary points, clamped to the box."""
+        """Trilinear interpolation at finite points, clamped to the box."""
+        pts = np.asarray(pts, dtype=float)
+        # min and max see any NaN or infinity without a temporary array, which
+        # would shift where the heap places the solver's later arrays
+        if pts.size and not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
+            bad = tuple(pts[~np.isfinite(pts).all(axis=1)][0].tolist())
+            raise ValueError(f"cannot evaluate a grid function at the non-finite point {bad}")
         base, frac = locate(self.grid, pts)
         return trilinear(self.values.ravel(), self.grid.counts, base, frac)
 

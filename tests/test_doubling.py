@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisenpde.doubling import (
     MaxReport,
@@ -426,6 +428,16 @@ def test_doubling_certificate_validation():
         )
 
 
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_doubling_certificate_rejects_non_finite_domain(side, bad):
+    # NaN passed the ordering check upper <= lower, which is False for NaN
+    domain = [np.array([-1.0, -1.0, -1.0]), np.array([1.0, 1.0, 1.0])]
+    domain[side][1] = bad
+    with pytest.raises(ValueError, match="nondegenerate box"):
+        doubling_certificate(PolynomialField.constant(0.0), PenaltyParams(1.0, 0.5), domain)
+
+
 @pytest.mark.parametrize("per_axis", [0, -1, 1])
 def test_doubling_certificate_rejects_per_axis_below_two(per_axis):
     u = PolynomialField.constant(0.0)
@@ -491,11 +503,74 @@ def psi_case(name, m):
         fine_x = _refined_axes(*BOX, np.array([1.05, -0.8, 0.9]), m)
         fine_y = _refined_axes(*BOX, np.array([0.23, -0.31, 0.4]), m)
         return cusp_grid_function(), fine_x, fine_y, PenaltyParams(0.4, 0.6, 1e-6, 1e-6)
+    if name == "x3-only":
+        # the column bound ignores the x3 distance, so almost no column prunes
+        u = GridFunction.from_field(cusp_grid_function().grid, parse_polynomial("x3^2 - 0.4 x3"))
+        return u, axes, axes, PenaltyParams(0.3, 1.0, 1e-6, 1e-6)
+    if name == "cusp-plus-1e6":
+        # psi rounds in units of 1e6 * 2^-53, so the slack must scale with |u|
+        cusp = cusp_grid_function()
+        u = GridFunction(cusp.grid, cusp.values + 1e6)
+        return u, axes, axes, PenaltyParams(0.3, 0.6, 1e-6, 1e-6)
+    if name == "spike":
+        # a dip at one sample point: once it is found only its column survives
+        dip = _tensor_points(axes)[spike_index(m)]
+        u = NumericField(lambda pts: -np.exp(-np.sum((pts - dip) ** 2, axis=1) / 1e-4))
+        return u, axes, axes, PenaltyParams(0.5, 0.5, 1e-6, 1e-6)
+    if name == "cone":
+        # u = L|x - c|^alpha, so psi <= -delta|x|^2 - eps and the bound is nearly tight
+        c = np.array([0.23, -0.31, 0.17])
+        u = NumericField(lambda pts: 0.8 * np.linalg.norm(pts - c, axis=1) ** 0.6)
+        return u, axes, axes, PenaltyParams(0.8, 0.6, 1e-6, 1e-6)
+    if name == "tie-across-columns":
+        # x = sample 0 ties with y = sample 1 (its own column, k3 = 1) and
+        # y = sample m (the next column, k3 = 0) at the distance 2/(m - 1);
+        # the first in (ix, iy) order is the one in the earlier column
+        cube = _tensor_axes(-np.ones(3), np.ones(3), m)
+        values = np.zeros(m**3)
+        values[0], values[1], values[m] = 1.0, -1.0, -1.0
+        return SampleTable(values), cube, cube, PenaltyParams(0.01, 0.5, 0.0, 0.0)
+    if name == "delta-below-ulp":
+        # u = 1e6 and delta|x|^2 between ulp(1e6)/2 and ulp(1e6), largest at
+        # the first sample: u - delta|x|^2 rounds to 1e6 - ulp, so a column
+        # bound falls below later pencils' psi = -delta|x|^2 - eps by less
+        # than one ulp of u; only a slack scaled by |u| keeps those columns
+        box_axes = _tensor_axes(np.full(3, -1.3), np.full(3, -1.0), m)
+        pp = PenaltyParams(0.3, 0.6, 0.55 * np.spacing(1e6) / 3.0, 1e-6)
+        return PolynomialField.constant(1e6), box_axes, box_axes, pp
     # a constant field without the delta term: every diagonal pair ties
     return PolynomialField.constant(3.0), axes, axes, PenaltyParams(0.7, 1.0, 0.0, 1e-6)
 
 
-CASES = ["cusp-off-diagonal", "smooth-on-diagonal", "two-boxes", "ties", "offset-equal-boxes"]
+class SampleTable:
+    """A field given by its values at the tensor sample, in x3-fastest order."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def value_batch(self, pts):
+        assert pts.shape == (self.values.size, 3)
+        return self.values
+
+
+def spike_index(m):
+    """The sample index of the spike case's dip, in x3-fastest order."""
+    return ((m // 2) * m + m // 3) * m + m - 1
+
+
+CASES = [
+    "cusp-off-diagonal",
+    "smooth-on-diagonal",
+    "two-boxes",
+    "ties",
+    "offset-equal-boxes",
+    "x3-only",
+    "cusp-plus-1e6",
+    "spike",
+    "cone",
+    "tie-across-columns",
+    "delta-below-ulp",
+]
 
 
 @pytest.mark.parametrize("m", [2, 9, 17])
@@ -513,6 +588,56 @@ def test_blocked_psi_max_matches_chunked_oracle(name, m):
         assert ix == iy
     if name == "ties":
         assert (ix, iy) == (0, 0) and theta == -1e-6
+    if name == "spike":
+        assert iy == spike_index(m) and theta > 0
+    if name == "cone":
+        assert theta < 0
+    if name == "tie-across-columns":
+        assert (ix, iy) == (0, 1)
+    if name == "delta-below-ulp":
+        assert ix == iy == m**3 - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["grid-function", "integer-table"]),
+    geometry=st.sampled_from(["same", "shifted", "other"]),
+    L=st.floats(1e-3, 10.0),
+    alpha=st.floats(0.05, 1.0),
+    delta=st.sampled_from([0.0, 1e-9, 1e-6, 1e-2, 1.0]),
+    eps=st.sampled_from([0.0, 1e-6, 0.5]),
+)
+def test_psi_max_equals_chunked_oracle_on_random_cases(
+    m, seed, kind, geometry, L, alpha, delta, eps
+):
+    g = np.random.default_rng(seed)
+    if kind == "integer-table":
+        # few distinct values on a unit-spaced sample: many pairs tie exactly
+        corner = g.integers(-3, 3, size=3).astype(float)
+        axes_x = axes_y = _tensor_axes(corner, corner + m - 1, m)
+        u = SampleTable(g.integers(-2, 3, size=m**3).astype(float))
+    else:
+        lower = g.uniform(-2.0, 1.0, 3)
+        upper = lower + g.uniform(0.1, 3.0, 3)
+        axes_x = _tensor_axes(lower, upper, m)
+        if geometry == "same":
+            axes_y = axes_x
+        elif geometry == "shifted":
+            shift = g.uniform(-1.0, 1.0, 3)
+            axes_y = _tensor_axes(lower + shift, upper + shift, m)
+        else:
+            other = g.uniform(-2.0, 1.0, 3)
+            axes_y = _tensor_axes(other, other + g.uniform(0.1, 3.0, 3), m)
+        counts = g.integers(3, 8, size=3)
+        grid = Grid3.box(lower - 0.5, upper + 0.5, counts)
+        u = GridFunction(grid, g.normal(size=counts) * 10.0 ** g.uniform(-3.0, 6.0))
+    pp = PenaltyParams(L, alpha, delta, eps)
+    got = _psi_max(u, axes_x, axes_y, pp)
+    want = chunked_psi_max(u, _tensor_points(axes_x), _tensor_points(axes_y), pp)
+    assert got == want
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
 
 
 @pytest.mark.parametrize("m", [2, 9, 17])

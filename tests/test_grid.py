@@ -162,3 +162,16 @@ def test_csv_bytes_match_per_row_writer(tmp_path):
         "%.17g,%.17g,%.17g,%.17g\n" % (*p, v) for p, v in zip(pts, gf.values.ravel())
     ]
     assert path.read_bytes() == "".join(rows).encode()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_value_batch_rejects_non_finite_points(bad):
+    # a NaN coordinate used to reach the integer cast and fail with an IndexError
+    grid = Grid3.box((0, 0, 0), (1, 1, 1), (5, 5, 5))
+    gf = GridFunction.from_field(grid, parse_polynomial("x1"))
+    pts = np.array([[0.5, 0.5, 0.5], [0.25, bad, 0.75]])
+    with pytest.raises(ValueError, match=r"non-finite point \(0\.25, .*, 0\.75\)"):
+        gf.value_batch(pts)
+    with pytest.raises(ValueError, match="non-finite point"):
+        gf.value(np.array([bad, 0.0, 0.0]))
+    assert gf.value_batch(pts[:1]).tolist() == [0.5]
