@@ -1,9 +1,9 @@
 """Command-line entry points: verify, solve, holder, pipeline.
 
-All randomness flows from the single --seed / config seed through named
-SplitMix64 substreams, so identical configs produce byte-identical reports;
-JSON is written canonically (sorted keys) and CSV floats carry 17 significant
-digits.  Exit codes: 0 success, 1 bad config or failed verification, 2
+Only verify draws random numbers, from its --seed through named SplitMix64
+substreams; solve, holder and pipeline draw none.  Identical inputs produce
+byte-identical reports: JSON is written canonically (sorted keys) and CSV
+floats carry 17 significant digits.  Exit codes: 0 success, 1 bad config or failed verification, 2
 flagged solver non-convergence.
 """
 

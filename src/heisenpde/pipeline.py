@@ -17,7 +17,7 @@ from .config import config_number, config_section
 from .doubling import PenaltyParams, doubling_certificate
 from .grid import GridFunction
 from .operators import EllipticityBracket, HolderData
-from .regularity import DEFAULT_MARGIN, DEFAULT_PAIRS, HolderReport, alpha_target
+from .regularity import DEFAULT_MARGIN, HolderReport, alpha_target
 from .regularity import check_theorem, modulus, radius_span
 from .solver import ProblemSpec, refine_problem, solve
 
@@ -52,13 +52,14 @@ def _stage(timings: dict | None, name: str):
 
 @dataclass(frozen=True)
 class TheoremCheck:
-    """check_theorem's settings from the holder, bracket, margin, pairs and seed keys."""
+    """check_theorem's settings from the holder, bracket and margin keys.
+
+    The seed and pairs keys are still accepted and checked, but nothing reads
+    them: the seminorm is exact over the node pairs, so nothing is drawn."""
 
     hd: HolderData
     bracket: EllipticityBracket
     margin: float
-    pairs: int
-    seed: int
 
     @staticmethod
     def from_config(cfg: dict, name: str, required=(), optional=()) -> "TheoremCheck":
@@ -68,19 +69,16 @@ class TheoremCheck:
         margin = config_number(cfg, name, "margin", default=DEFAULT_MARGIN)
         if not 0.0 <= margin < 0.5:
             raise ValueError(f"{name} config 'margin' must lie in [0, 0.5), got {margin}")
-        pairs = config_number(cfg, name, "pairs", int, default=DEFAULT_PAIRS)
+        pairs = config_number(cfg, name, "pairs", int, default=1)
         if pairs < 1:
             raise ValueError(f"{name} config 'pairs' must be at least 1, got {pairs}")
-        return TheoremCheck(
-            HolderData.from_config(cfg["holder"]),
-            EllipticityBracket.from_config(cfg["bracket"]),
-            margin,
-            pairs,
-            config_number(cfg, name, "seed", int, default=0),
-        )
+        hd = HolderData.from_config(cfg["holder"])
+        bracket = EllipticityBracket.from_config(cfg["bracket"])
+        config_number(cfg, name, "seed", int, default=0)
+        return TheoremCheck(hd, bracket, margin)
 
     def run(self, u, fine) -> HolderReport:
-        return check_theorem(u, fine, self.hd, self.bracket, self.margin, self.pairs, self.seed)
+        return check_theorem(u, fine, self.hd, self.bracket, self.margin)
 
 
 def holder_config(cfg: dict) -> tuple[TheoremCheck, str | None]:
@@ -180,7 +178,6 @@ def run_pipeline(cfg: dict, emit_plot_data: bool = False, timings: dict | None =
             pts = modulus(fine.u, check.margin)
         artifacts["modulus.csv"] = "".join(["r,omega_r\n"] + ["%.17g,%.17g\n" % p for p in pts])
     artifacts["pipeline_report.json"] = {
-        "seed": check.seed,
         "solve": {"coarse": coarse.to_dict(), "refined": fine.to_dict()},
         "holder": report.to_dict(),
         "certificate": cert_dict,

@@ -2,13 +2,10 @@
 
 Every statistic reads only the interior margin box (nodes within 10% of the
 boundary are excluded: boxed computations carry artificial Dirichlet data,
-so reports never claim whole-space fidelity).  The seminorm runs over seeded
-pairs stratified by log-radius; the same seed and box reproduce the same
-pairs regardless of grid resolution, which is what makes the
-refinement-stability comparison meaningful.  Its distances are Euclidean,
-matching the doubling penalty.  The modulus of continuity, and the exponent
-fit to it, are exact over the box's node pairs, with distances in the sup
-norm max_i |x_i - y_i|.
+so reports never claim whole-space fidelity).  The seminorm, the modulus of
+continuity and the exponent fit to it are exact over the box's node pairs,
+all with distances in the sup norm max_i |x_i - y_i|.  That is at most the
+Euclidean distance, so a seminorm in it bounds the Euclidean one.
 """
 
 from __future__ import annotations
@@ -19,10 +16,8 @@ import numpy as np
 
 from .grid import Grid3, GridFunction
 from .operators import EllipticityBracket, HolderData
-from .rng import SplitMix64
 
 DEFAULT_MARGIN = 0.1
-DEFAULT_PAIRS = 200_000
 DEFAULT_RADII = 12
 
 
@@ -30,8 +25,10 @@ DEFAULT_RADII = 12
 class HolderReport:
     """check_theorem output: the fitted exponent, the seminorm at the
     theorem's candidate exponent, and the quantitative bound c0/(2 Lam).
-    The spans are the [least, greatest] radius that each statistic read:
-    the seminorm's sampled radius_span and the modulus's node_radii."""
+    Each seminorm is the max over every node pair of its margin box, attained
+    at the sup-norm distance seminorm_radius (seminorm_refined_radius on the
+    refined grid); fit_radius_span is the [least, greatest] of the
+    node_radii that the fit read."""
 
     alpha_fit: float
     L_fit: float
@@ -41,12 +38,13 @@ class HolderReport:
     bound_c0_2Lambda: float
     passed: bool
     seminorm_refined: float
+    seminorm_radius: float
+    seminorm_refined_radius: float
     seminorm_rel_change: float
     c0: float
     c0_exceeds_8: bool
     degenerate_fit: bool
     stability_checked: bool
-    seminorm_radius_span: tuple[float, float]
     fit_radius_span: tuple[float, float]
 
     def to_dict(self) -> dict:
@@ -54,52 +52,6 @@ class HolderReport:
         out = asdict(self)
         out["pass"] = out.pop("passed")
         return out
-
-
-def sample_pairs(
-    box: tuple[np.ndarray, np.ndarray],
-    radii: np.ndarray,
-    per_radius: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stratified pairs (x, y) with |x - y| in [0.9 r, 1.1 r] per radius.
-
-    Returns (xs, ys, stratum) with both endpoints inside the box.  The draw
-    is index-addressable, so the pair set depends only on (box, radii,
-    per_radius, seed).
-    """
-    lo = np.asarray(box[0], dtype=float)
-    hi = np.asarray(box[1], dtype=float)
-    diam = float(np.linalg.norm(hi - lo))
-    xs_all, ys_all, strata = [], [], []
-    for k, r in enumerate(radii):
-        if not 0 < r:
-            raise ValueError("radii must be positive")
-        if 0.9 * r > diam:
-            raise ValueError(f"no admissible pairs for radius {r} in a box of diameter {diam}")
-        g = SplitMix64(seed, f"pairs-{k}")
-        need = per_radius
-        got_x, got_y = [], []
-        for _ in range(64):
-            m = 2 * need
-            x = np.stack([g.uniform(m, lo[i], hi[i]) for i in range(3)], axis=1)
-            d = g.unit_vectors(m)
-            ell = g.uniform(m, 0.9 * r, 1.1 * r)
-            y = x + ell[:, None] * d
-            ok = np.all((y >= lo) & (y <= hi), axis=1)
-            got_x.append(x[ok])
-            got_y.append(y[ok])
-            need -= int(ok.sum())
-            if need <= 0:
-                break
-        x = np.concatenate(got_x)[:per_radius]
-        y = np.concatenate(got_y)[:per_radius]
-        if x.shape[0] == 0:
-            raise ValueError(f"no admissible pairs for radius {r}")
-        xs_all.append(x)
-        ys_all.append(y)
-        strata.append(np.full(x.shape[0], k))
-    return np.concatenate(xs_all), np.concatenate(ys_all), np.concatenate(strata)
 
 
 def radius_span(grid: Grid3, margin: float = DEFAULT_MARGIN) -> tuple[float, float]:
@@ -116,64 +68,77 @@ def radius_span(grid: Grid3, margin: float = DEFAULT_MARGIN) -> tuple[float, flo
     return r_min, r_max
 
 
-def default_radii(u: GridFunction, margin: float = DEFAULT_MARGIN):
-    """DEFAULT_RADII log-spaced radii spanning radius_span, and the margin box."""
-    return np.geomspace(*radius_span(u.grid, margin), DEFAULT_RADII), u.grid.margin_box(margin)
-
-
 def node_radii(u: GridFunction, margin: float = DEFAULT_MARGIN) -> np.ndarray:
-    """The distinct multiples j*h nearest the default_radii, h the least spacing."""
-    radii, _ = default_radii(u, margin)
+    """The distinct multiples j*h nearest DEFAULT_RADII log-spaced radii over
+    radius_span, h the least spacing."""
+    radii = np.geomspace(*radius_span(u.grid, margin), DEFAULT_RADII)
     h = min(u.grid.spacings)
     return np.unique(np.floor(radii / h + 0.5)) * h
+
+
+def _margin_values(u: GridFunction, margin: float) -> np.ndarray:
+    """u at the margin box's nodes, as a 3-d array."""
+    lo, hi = u.grid.margin_box(margin)
+    axes = [u.grid.axis_coordinates(i) for i in range(3)]
+    return u.values[np.ix_(*[(x >= a) & (x <= b) for x, a, b in zip(axes, lo, hi)])]
+
+
+def _running_modulus(box: np.ndarray, spacings, radii) -> np.ndarray:
+    """omega(r) = max |box[p] - box[q]| over the node pairs with
+    |p_i - q_i| h_i <= r on every axis, at each of the ascending radii r.
+
+    M, the max of the box over the nodes within r of each node, grows one
+    node per axis step from radius to radius, and omega(r) = max(M - box).
+    Rounding is monotone, so this is bitwise the max over the node pairs."""
+    m = box.copy()
+    reach = [0, 0, 0]
+    out = np.empty(len(radii))
+    for j, r in enumerate(radii):
+        for axis, h in enumerate(spacings):
+            # the largest k with k h <= r, up to rounding, and no wider than the box
+            k = min(int(r / h + 1e-9), box.shape[axis] - 1)
+            a = np.moveaxis(m, axis, 0)
+            for _ in range(k - reach[axis]):
+                # a[i] = max(a[i-1], a[i], a[i+1]) from the max of each adjacent pair
+                pair = np.maximum(a[:-1], a[1:])
+                np.maximum(pair[:-1], pair[1:], out=a[1:-1])
+                a[0], a[-1] = pair[0], pair[-1]
+            reach[axis] = k
+        out[j] = (m - box).max()
+    return out
 
 
 def modulus(u: GridFunction, margin: float = DEFAULT_MARGIN) -> list[tuple[float, float]]:
     """Exact sup-norm modulus of continuity: omega(r) = max |u(x) - u(y)| over
     the margin box's node pairs with |x_i - y_i| <= r on every axis, at each
-    of the node_radii r.
-
-    M, the max of u over the nodes within r of each node, grows one node per
-    axis step from radius to radius, and omega(r) = max(M - u).  Rounding is
-    monotone, so this is bitwise the max over all node pairs; the cubes are
-    nested, so omega is nondecreasing in r."""
-    grid = u.grid
-    lo, hi = grid.margin_box(margin)
-    axes = [grid.axis_coordinates(i) for i in range(3)]
-    box = u.values[np.ix_(*[(x >= a) & (x <= b) for x, a, b in zip(axes, lo, hi)])]
-    m = box.copy()
-    reach = [0, 0, 0]
-    out = []
-    for r in node_radii(u, margin):
-        for axis, h in enumerate(grid.spacings):
-            # the largest k with k h <= r, up to rounding, and no wider than the box
-            k = min(int(r / h + 1e-9), box.shape[axis] - 1)
-            a = np.moveaxis(m, axis, 0)
-            for _ in range(k - reach[axis]):
-                # numpy reads overlapping operands as if copied first
-                np.maximum(a[1:], a[:-1], out=a[1:])
-                np.maximum(a[:-1], a[1:], out=a[:-1])
-            reach[axis] = k
-        out.append((float(r), float((m - box).max())))
-    return out
+    of the node_radii r.  The cubes are nested, so omega is nondecreasing in r."""
+    radii = node_radii(u, margin)
+    omega = _running_modulus(_margin_values(u, margin), u.grid.spacings, radii)
+    return [(float(r), float(w)) for r, w in zip(radii, omega)]
 
 
-def holder_seminorm(u: GridFunction, alpha: float, pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """max over the pairs (xs, ys) of |u(x)-u(y)| / |x-y|^alpha.
+def holder_seminorm(
+    u: GridFunction, alpha: float, margin: float = DEFAULT_MARGIN
+) -> tuple[float, float]:
+    """The Holder seminorm max |u(x) - u(y)| / |x - y|^alpha over every pair
+    of the margin box's nodes, |x - y| the sup norm max_i |x_i - y_i|, and
+    the distance at which it is attained.
 
-    The caller draws the pairs (check_theorem uses default_radii and
-    sample_pairs).  Finite for every grid function; the meaningful check is
-    stability under refinement, which callers obtain by reusing the same
-    pair set.
+    The distances two box nodes realize are the multiples j h_i of the
+    spacings.  At each such r, omega(r) / r^alpha bounds the ratio of every
+    pair at distance r and is the ratio of a pair at most r apart, so the
+    max of omega(r) / r^alpha over those r is the max over the pairs.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
-    xs, ys = pairs
-    if xs.shape[0] == 0:
-        raise ValueError("empty pair sample")
-    du = np.abs(u.value_batch(xs) - u.value_batch(ys))
-    dist = np.linalg.norm(xs - ys, axis=1)
-    return float((du / dist**alpha).max())
+    box = _margin_values(u, margin)
+    spacings = u.grid.spacings
+    radii = np.unique(np.concatenate([np.arange(1, n) * h for n, h in zip(box.shape, spacings)]))
+    if radii.size == 0:
+        raise ValueError(f"the margin box of margin {margin} holds a single node")
+    ratio = _running_modulus(box, spacings, radii) / radii**alpha
+    best = int(ratio.argmax())
+    return float(ratio[best]), float(radii[best])
 
 
 def fit_loglog(radii: np.ndarray, omegas: np.ndarray) -> tuple[float, float, float]:
@@ -224,36 +189,34 @@ def check_theorem(
     hd: HolderData,
     bracket: EllipticityBracket,
     margin: float = DEFAULT_MARGIN,
-    n_pairs: int = DEFAULT_PAIRS,
-    seed: int = 0,
 ) -> HolderReport:
     """Compare a solved u against the regularity theorem's prediction.
 
     coarse and fine are SolveResults of the same problem at two resolutions
     (fine may be None: the stability clause is then reported unchecked).
-    pass requires the seminorm at the target exponent to move < 20% under
-    refinement and alpha_fit >= 0.8 * alpha_target.
+    pass requires the exact seminorm at the target exponent to move < 20%
+    from the coarse grid's node pairs to the fine grid's, which hold them,
+    and alpha_fit >= 0.8 * alpha_target.
     """
     for result in (coarse, fine):
         if result is not None and hasattr(result, "converged") and not result.converged:
             raise ValueError("check_theorem requires converged solves")
     u = coarse.u if hasattr(coarse, "u") else coarse
+    fit_radii = node_radii(u, margin)
     target = alpha_target(hd, bracket)
-    radii, box = default_radii(u, margin)
-    xs, ys, _ = sample_pairs(box, radii, max(1, n_pairs // radii.size), seed)
-    semi = holder_seminorm(u, target, pairs=(xs, ys))
+    semi, semi_radius = holder_seminorm(u, target, margin)
     afit, lfit, r2, degenerate = fit_alpha(u, margin)
 
     stability_checked = fine is not None
     if stability_checked:
         u_fine = fine.u if hasattr(fine, "u") else fine
-        fine_box = u_fine.grid.margin_box(margin)
+        box, fine_box = u.grid.margin_box(margin), u_fine.grid.margin_box(margin)
         if not (np.allclose(fine_box[0], box[0]) and np.allclose(fine_box[1], box[1])):
             raise ValueError("refined grid must cover the same box")
-        semi_ref = holder_seminorm(u_fine, target, pairs=(xs, ys))
+        semi_ref, ref_radius = holder_seminorm(u_fine, target, margin)
         rel = abs(semi_ref - semi) / max(semi, semi_ref, 1e-300)
     else:
-        semi_ref = semi
+        semi_ref, ref_radius = semi, semi_radius
         rel = 0.0
 
     passed = (
@@ -275,11 +238,12 @@ def check_theorem(
         bound_c0_2Lambda=theorem_bound(hd, bracket),
         passed=bool(passed),
         seminorm_refined=semi_ref,
+        seminorm_radius=semi_radius,
+        seminorm_refined_radius=ref_radius,
         seminorm_rel_change=float(rel),
         c0=hd.c0,
         c0_exceeds_8=hd.c0 > 8.0,
         degenerate_fit=degenerate,
         stability_checked=stability_checked,
-        seminorm_radius_span=(float(radii[0]), float(radii[-1])),
-        fit_radius_span=tuple(node_radii(u, margin)[[0, -1]].tolist()),
+        fit_radius_span=tuple(fit_radii[[0, -1]].tolist()),
     )

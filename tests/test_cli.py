@@ -440,9 +440,26 @@ def test_holder_command(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["alpha_target"] == 0.45
     assert not rep["stability_checked"]
-    # 2h to diam/4 of the margin box, and the node radii 2h and 3h nearest them
-    assert rep["seminorm_radius_span"] == [0.5, pytest.approx(0.4 * 3**0.5)]
+    # the seminorm is attained at a node distance j h of the 7^3 margin box
+    radius = rep["seminorm_radius"]
+    assert radius in [j * 0.25 for j in range(1, 7)]
+    assert rep["seminorm_refined_radius"] == radius
+    # the node radii 2h and 3h nearest 2h and diam/4 of the margin box
     assert rep["fit_radius_span"] == [0.5, 0.75]
+
+
+def test_holder_ignores_seed_and_pairs(tmp_path):
+    grid_csv = tmp_path / "u.csv"
+    grid = Grid3.box((-1, -1, -1), (1, 1, 1), (9, 9, 9))
+    GridFunction(grid, np.sin(3 * grid.points()).sum(axis=1).reshape(9, 9, 9)).to_csv(grid_csv)
+    base = {key: PIPELINE_CONFIG[key] for key in ("holder", "bracket")}
+    reports = []
+    for seed, pairs in ((0, 200000), (7, 1)):
+        hcfg = write_json(tmp_path / "holder.json", dict(base, seed=seed, pairs=pairs))
+        out = tmp_path / f"holder_{seed}.json"
+        assert main(["holder", "--grid", str(grid_csv), "--config", hcfg, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_holder_rejects_a_margin_too_wide_for_the_grid(tmp_path, capsys):

@@ -7,14 +7,12 @@ from heisenpde.operators import EllipticityBracket, HolderData
 from heisenpde.regularity import (
     alpha_target,
     check_theorem,
-    default_radii,
     fit_alpha,
     fit_loglog,
     holder_seminorm,
     modulus,
     node_radii,
     radius_span,
-    sample_pairs,
     theorem_bound,
 )
 from heisenpde.rng import SplitMix64
@@ -22,28 +20,6 @@ from heisenpde.rng import SplitMix64
 
 def grid_box(n=17, half=1.0):
     return Grid3.box((-half, -half, -half), (half, half, half), (n, n, n))
-
-
-def test_sample_pairs_respects_box_and_radii():
-    box = (np.array([-0.8, -0.8, -0.8]), np.array([0.8, 0.8, 0.8]))
-    radii = np.array([0.1, 0.4])
-    xs, ys, strata = sample_pairs(box, radii, 500, seed=1)
-    assert np.all(xs >= box[0]) and np.all(xs <= box[1])
-    assert np.all(ys >= box[0]) and np.all(ys <= box[1])
-    d = np.linalg.norm(xs - ys, axis=1)
-    for k, r in enumerate(radii):
-        dk = d[strata == k]
-        assert dk.size > 0
-        assert np.all(dk >= 0.9 * r - 1e-12) and np.all(dk <= 1.1 * r + 1e-12)
-    # deterministic given the seed
-    xs2, ys2, _ = sample_pairs(box, radii, 500, seed=1)
-    assert np.array_equal(xs, xs2) and np.array_equal(ys, ys2)
-
-
-def test_sample_pairs_rejects_oversized_radius():
-    box = (np.zeros(3), np.ones(3) * 0.1)
-    with pytest.raises(ValueError):
-        sample_pairs(box, np.array([10.0, 20.0]), 10, seed=0)
 
 
 def test_modulus_constant_and_monotone():
@@ -62,9 +38,14 @@ def test_modulus_linear_scales_with_radius():
         assert all(w == r for r, w in pts)
 
 
-def brute_modulus(u, margin=0.1):
-    """max |u(x) - u(y)| over every pair of margin-box nodes within r of
-    each other on every axis, at each node radius r."""
+ALPHAS = (0.3, 0.45, 1.0)
+
+
+def all_node_pairs(u, margin=0.1):
+    """The modulus and, at each of ALPHAS, the Holder seminorm with the
+    sup-norm distance at which it is attained, each a max over every pair of
+    margin-box nodes.  The modulus is max |u(x) - u(y)| over the pairs within
+    r of each other on every axis, at each node radius r."""
     lo, hi = u.grid.margin_box(margin)
     pts = u.grid.points()
     inside = np.all((pts >= lo) & (pts <= hi), axis=1)
@@ -72,51 +53,54 @@ def brute_modulus(u, margin=0.1):
     vals = u.values.ravel()[inside]
     du = np.abs(vals[:, None] - vals[None, :])
     steps = np.abs(idx[:, None, :] - idx[None, :, :])
-    out = []
+    omega = []
     for r in node_radii(u, margin):
         near = np.all(steps <= r / np.array(u.grid.spacings) + 1e-9, axis=2)
-        out.append((float(r), float(du[near].max())))
-    return out
+        omega.append((float(r), float(du[near].max())))
+    x = pts[inside]
+    dist = np.abs(x[:, None, :] - x[None, :, :]).max(axis=2)
+    apart = dist > 0
+    seminorms = []
+    for alpha in ALPHAS:
+        ratio = du[apart] / dist[apart] ** alpha
+        best = ratio.argmax()
+        seminorms.append((float(ratio[best]), float(dist[apart][best])))
+    return omega, seminorms
 
 
 @pytest.mark.parametrize("counts", [(9, 9, 9), (12, 12, 12), (17, 9, 5), (13, 7, 11)])
 def test_modulus_matches_all_node_pairs(counts):
     grid = Grid3.box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), counts)
     values = SplitMix64(5, "modulus-oracle").uniform(grid.n_nodes, -1.0, 1.0)
-    u = GridFunction(grid, values.reshape(counts))
-    assert modulus(u) == brute_modulus(u)
+    noise = GridFunction(grid, values.reshape(counts))
     # an off-node cusp on an off-centre box
     grid = Grid3.box((-0.9, -1.1, -0.7), (1.3, 0.8, 1.2), counts)
     c = np.array([0.23, -0.31, 0.17])
     cusp = NumericField(lambda pts: np.sum(np.abs(pts - c) ** 0.6, axis=1))
-    u = GridFunction.from_field(grid, cusp)
-    assert modulus(u) == brute_modulus(u)
     # a thin x3 axis, whose radii in its own spacing outgrow the box
-    grid = Grid3.box((-1.0, -1.0, -0.1), (1.0, 1.0, 0.1), counts)
-    u = GridFunction.from_field(grid, cusp)
-    assert modulus(u) == brute_modulus(u)
-
-
-def default_pairs(u, n_pairs=200_000):
-    """check_theorem's pair draw: n_pairs split over u's default radii, seed 0."""
-    radii, box = default_radii(u)
-    xs, ys, _ = sample_pairs(box, radii, n_pairs // radii.size, seed=0)
-    return xs, ys
+    thin = Grid3.box((-1.0, -1.0, -0.1), (1.0, 1.0, 0.1), counts)
+    for u in (noise, GridFunction.from_field(grid, cusp), GridFunction.from_field(thin, cusp)):
+        omega, seminorms = all_node_pairs(u)
+        assert modulus(u) == omega
+        for alpha, (want, radius) in zip(ALPHAS, seminorms):
+            got, at = holder_seminorm(u, alpha)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+            assert at == pytest.approx(radius, rel=1e-12)
 
 
 def test_holder_seminorm_cases():
     u = GridFunction.from_field(grid_box(), PolynomialField.constant(1.0))
-    pairs = default_pairs(u)
-    assert holder_seminorm(u, 0.5, pairs) == 0.0
+    assert holder_seminorm(u, 0.5)[0] == 0.0
     sqrt_field = NumericField(lambda pts: np.sqrt(np.linalg.norm(pts, axis=1)))
     us = GridFunction.from_field(grid_box(33), sqrt_field)
-    s = holder_seminorm(us, 0.5, default_pairs(us, 100_000))
-    assert s <= 1.05
-    assert s > 0.5
+    # |x|^(1/2) has Euclidean seminorm 1, and the sup norm is up to sqrt(3)
+    # shorter: the origin and a box corner attain 3^(1/4)
+    s, _ = holder_seminorm(us, 0.5)
+    assert 1.0 <= s <= 3**0.25 * (1 + 1e-12)
     with pytest.raises(ValueError):
-        holder_seminorm(u, 0.0, pairs)
+        holder_seminorm(u, 0.0)
     with pytest.raises(ValueError):
-        holder_seminorm(u, 1.2, pairs)
+        holder_seminorm(u, 1.2)
 
 
 def test_holder_seminorm_monotone_in_alpha_small_domain():
@@ -124,9 +108,8 @@ def test_holder_seminorm_monotone_in_alpha_small_domain():
     # grows with alpha
     g = grid_box(17, half=0.2)
     u = GridFunction.from_field(g, parse_polynomial("x1 + 0.5 x2 x3"))
-    pairs = default_pairs(u, 20_000)
-    s1 = holder_seminorm(u, 0.3, pairs)
-    s2 = holder_seminorm(u, 0.8, pairs)
+    s1, _ = holder_seminorm(u, 0.3)
+    s2, _ = holder_seminorm(u, 0.8)
     assert s1 <= s2
 
 
@@ -198,7 +181,7 @@ def test_check_theorem_end_to_end_small():
     assert coarse.converged and fine.converged
     hd = HolderData(c0=1.0, beta=1.0, beta_prime=1.0, L_c=0.0, L_f=1.0)
     b = EllipticityBracket(1.0, 1.0)
-    report = check_theorem(coarse, fine, hd, b, n_pairs=50_000)
+    report = check_theorem(coarse, fine, hd, b)
     assert report.alpha_target == 0.45
     assert report.bound_c0_2Lambda == 0.5
     assert report.stability_checked
@@ -235,7 +218,7 @@ def test_check_theorem_constant_solution():
     coarse = solve(prob)
     fine = solve(refine_problem(prob))
     hd = HolderData(c0=1.0, beta=1.0, beta_prime=1.0, L_c=0.0, L_f=1.0)
-    report = check_theorem(coarse, fine, hd, EllipticityBracket(1.0, 1.0), n_pairs=20_000)
+    report = check_theorem(coarse, fine, hd, EllipticityBracket(1.0, 1.0))
     assert report.seminorm_at_target <= 1e-6
     assert report.degenerate_fit
     assert report.passed
