@@ -6,18 +6,7 @@ from .calculus import full_hessian, h_gradient, h_hessian, lift, sublaplacian
 from .doubling import (
     MaxReport,
     PenaltyParams,
-    TraceGapReport,
-    block_gap,
     doubling_certificate,
-    lifted_trace_gap,
-    make_admissible_pair,
-    n_matrix,
-    penalty_hessian,
-    penalty_hessian_sq,
-    penalty_value,
-    psd_sandwich_check,
-    sqrtp_ratio,
-    trace_gap,
     vertical_obstruction_check,
 )
 from .fields import NumericField, PolynomialField, ScalarField, parse_polynomial
@@ -75,8 +64,6 @@ __all__ = [
     "SolveResult",
     "Sym2",
     "Sym3",
-    "TraceGapReport",
-    "block_gap",
     "check_theorem",
     "dilate",
     "doubling_certificate",
@@ -91,17 +78,10 @@ __all__ = [
     "h_hessian",
     "holder_seminorm",
     "lift",
-    "lifted_trace_gap",
-    "make_admissible_pair",
     "manufacture",
     "modulus",
-    "n_matrix",
     "p_matrix",
     "parse_polynomial",
-    "penalty_hessian",
-    "penalty_hessian_sq",
-    "penalty_value",
-    "psd_sandwich_check",
     "pucci_minus",
     "pucci_plus",
     "residual",
@@ -110,12 +90,10 @@ __all__ = [
     "sigma",
     "solve",
     "sqrt_p",
-    "sqrtp_ratio",
     "stencil_hessian",
     "step",
     "sublaplacian",
     "theorem_bound",
-    "trace_gap",
     "validate_operator",
     "vertical_obstruction_check",
 ]

@@ -1,16 +1,16 @@
 """Doubling-of-variables laboratory: penalty Hessians, block inequalities,
 trace-gap bounds, the sqrt(P) Lipschitz ratio, and the Holder certificate.
-Each formula is implemented once over stacks of pairs (the *_batch
-functions, which `heisenpde verify` checks); the Point/Sym3 functions wrap
-them for a single pair.  Least eigenvalues come from numpy.linalg.eigvalsh.
+Each lemma has one code path, over stacks of pairs (the *_batch functions,
+which `heisenpde verify` checks); one pair is a one-row stack.  Least
+eigenvalues come from numpy.linalg.eigvalsh.
 
 The penalty is always Euclidean: phi(x, y) = L|x-y|^alpha, whose Hessian in x
 is M = L*alpha*|x-y|^(alpha-2)*((alpha-2) e (x) e + I) along the unit
 difference e, with the closed-form square M^2 and N = M + (2/mu) M^2.  A pair
-(A, B) is admissible for N when [[A,0],[0,-B]] <= [[N,-N],[-N,N]]; block_gap
-measures the margin as the least eigenvalue of the difference.  trace_gap and
-lifted_trace_gap instantiate the two trace bounds that drive the regularity
-proof, and doubling_certificate maximizes psi(x, y) = u(x) - u(y) -
+(A, B) is admissible for N when [[A,0],[0,-B]] <= [[N,-N],[-N,N]], that is
+when block_gap_matrix is positive semidefinite.  trace_gap_batch and
+lifted_trace_gap_batch instantiate the two trace bounds that drive the
+regularity proof, and doubling_certificate maximizes psi(x, y) = u(x) - u(y) -
 L|x-y|^alpha - delta*|x|^2 - eps over a tensor product sample of a box: a
 nonpositive maximum for all delta, eps certifies the Holder bound at (L,
 alpha) at desk scale.
@@ -26,55 +26,28 @@ import numpy as np
 from .calculus import lift_batch
 from .group import Point, p_matrix_batch, sqrt_p, sqrt_p_batch
 from .rng import SplitMix64
-from .symmetric import Sym3
 
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Finite penalty constants L > 0, alpha in (0, 2], delta, eps >= 0, mu > 0.
-
-    alpha > 1 is admitted only so the matrix algebra can be exercised at the
-    rank-one-free exponent alpha = 2; the certificate itself requires
-    alpha <= 1.
-    """
+    """The certificate's finite constants: L > 0, alpha in (0, 1], and
+    delta, eps >= 0."""
 
     L: float
     alpha: float
     delta: float = 0.0
     eps: float = 0.0
-    mu: float = 1.0
 
     def __post_init__(self):
-        for name in ("L", "delta", "eps", "mu"):
+        for name in ("L", "delta", "eps"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.L > 0:
             raise ValueError("L must be positive")
-        if not (0.0 < self.alpha <= 2.0):
-            raise ValueError("alpha must lie in (0, 2]")
+        if not (0.0 < self.alpha <= 1.0):
+            raise ValueError("alpha must lie in (0, 1]")
         if self.delta < 0 or self.eps < 0:
             raise ValueError("delta and eps must be nonnegative")
-        if not self.mu > 0:
-            raise ValueError("mu must be positive")
-
-
-@dataclass(frozen=True)
-class TraceGapReport:
-    """One trace-gap instance: lhs <= rhs must hold for admissible pairs.
-
-    rhs_stated is the factor-free display form ((x2-y2)^2 + (x1-y1)^2) * n33,
-    kept for reference; the provable bound carries the factor 4 from the frame
-    differences (0, 0, +-2*dx) and is what `holds` certifies.  rhs_penalty is
-    the penalty-parameter form of the lifted bound when requested.
-    """
-
-    lhs: float
-    rhs: float
-    n33: float
-    holds: bool
-    rhs_stated: float | None = None
-    rhs_penalty: float | None = None
-    holds_penalty: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -114,44 +87,12 @@ def _directions(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dist, np.einsum("ni,nj->nij", e, e)
 
 
-def _pair(x: Point, y: Point) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([x.as_array()], dtype=float), np.array([y.as_array()], dtype=float)
-
-
-def _single(batch_fn, a: Sym3, b: Sym3, n: Sym3, x: Point, y: Point) -> tuple[float, float]:
-    """A batch trace-gap function's (lhs, rhs) for one admissible instance."""
-    if not block_gap_holds(a, b, n):
-        raise ValueError("block inequality precondition fails")
-    lhs, rhs = batch_fn(a.mat[None], b.mat[None], n.mat[None], *_pair(x, y))
-    return float(lhs[0]), float(rhs[0])
-
-
-def _holds(lhs: float, rhs: float) -> bool:
-    """lhs <= rhs up to 1e-9 max(1, |lhs|, |rhs|)."""
-    return lhs <= rhs + 1e-9 * max(1.0, abs(lhs), abs(rhs))
-
-
-def _is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """Least eigenvalue of the symmetric m at least -tol max(1, max |m_ij|)."""
-    return bool(np.linalg.eigvalsh(m)[0] >= -tol * max(1.0, np.abs(m).max()))
-
-
-def penalty_value(x: Point, y: Point, pp: PenaltyParams) -> float:
-    """L |x-y|^alpha (Euclidean; the psi assembly adds the delta/eps terms)."""
-    dist = float(np.linalg.norm(x.as_array() - y.as_array()))
-    return pp.L * dist**pp.alpha
-
-
 def penalty_hessian_batch(x: np.ndarray, y: np.ndarray, L, alpha) -> np.ndarray:
     """M = L*alpha*|x-y|^(alpha-2) * ((alpha-2) e(x)e + I) for (n, 3) point
     arrays x != y; L and alpha are scalars or (n,) arrays.  Result (n, 3, 3)."""
     dist, ee = _directions(x, y)
     scale = L * alpha * dist ** (alpha - 2.0)
     return _col(scale) * (_col(alpha - 2.0) * ee + np.eye(3))
-
-
-def penalty_hessian(x: Point, y: Point, pp: PenaltyParams) -> Sym3:
-    return Sym3.from_matrix(penalty_hessian_batch(*_pair(x, y), pp.L, pp.alpha)[0])
 
 
 def penalty_hessian_sq_batch(x: np.ndarray, y: np.ndarray, L, alpha) -> np.ndarray:
@@ -161,18 +102,10 @@ def penalty_hessian_sq_batch(x: np.ndarray, y: np.ndarray, L, alpha) -> np.ndarr
     return _col(scale) * (_col(alpha * (alpha - 2.0)) * ee + np.eye(3))
 
 
-def penalty_hessian_sq(x: Point, y: Point, pp: PenaltyParams) -> Sym3:
-    return Sym3.from_matrix(penalty_hessian_sq_batch(*_pair(x, y), pp.L, pp.alpha)[0])
-
-
 def n_matrix_batch(x: np.ndarray, y: np.ndarray, L, alpha, mu) -> np.ndarray:
     """N = M + (2/mu) M^2."""
     m = penalty_hessian_batch(x, y, L, alpha)
     return m + _col(2.0 / mu) * penalty_hessian_sq_batch(x, y, L, alpha)
-
-
-def n_matrix(x: Point, y: Point, pp: PenaltyParams) -> Sym3:
-    return Sym3.from_matrix(n_matrix_batch(*_pair(x, y), pp.L, pp.alpha, pp.mu)[0])
 
 
 def n_norm_bound_batch(x: np.ndarray, y: np.ndarray, L, alpha, mu) -> np.ndarray:
@@ -196,37 +129,16 @@ def block_gap_matrix(a: np.ndarray, b: np.ndarray, n: np.ndarray) -> np.ndarray:
     return gap
 
 
-def block_gap(a: Sym3, b: Sym3, n: Sym3) -> float:
-    """Least eigenvalue of [[N,-N],[-N,N]] - [[A,0],[0,-B]].
-
-    Nonnegative (up to 1e-9 times the largest entry) iff the block inequality
-    [[A,0],[0,-B]] <= [[N,-N],[-N,N]] holds.
-    """
-    return float(np.linalg.eigvalsh(block_gap_matrix(a.mat, b.mat, n.mat))[0])
-
-
-def block_gap_holds(a: Sym3, b: Sym3, n: Sym3, tol: float = 1e-9) -> bool:
-    return _is_psd(block_gap_matrix(a.mat, b.mat, n.mat), tol)
-
-
-def make_admissible_pair(n: Sym3, seed: int = 0) -> tuple[Sym3, Sym3]:
-    """Random (A, B) with [[A,0],[0,-B]] <= [[N,-N],[-N,N]], by construction.
+def make_admissible_batch(ns: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Random (A, B) with [[A,0],[0,-B]] <= [[N,-N],[-N,N]] by construction,
+    for each N of the (k, 3, 3) stack ns; returns two (k, 3, 3) stacks.
 
     Writing the gap as [[U, -N], [-N, V]] with U = N - A and V = N + B, the
     Schur condition U > 0, V >= N U^-1 N guarantees positivity, so we sample
     U SPD and V = N U^-1 N + E with E PSD (E = 0 with probability ~1/3 to
     produce sharp pairs whose gap has a kernel).
     """
-    a, b = _admissible_batch(np.asarray(n.mat)[None, :, :], SplitMix64(seed, "admissible-pair"))
-    return Sym3.from_matrix(a[0]), Sym3.from_matrix(b[0])
-
-
-def make_admissible_batch(ns: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Batched make_admissible_pair; ns is (k, 3, 3), returns (k,3,3) pairs."""
-    return _admissible_batch(ns, SplitMix64(seed, "admissible-batch"))
-
-
-def _admissible_batch(ns: np.ndarray, g: SplitMix64) -> tuple[np.ndarray, np.ndarray]:
+    g = SplitMix64(seed, "admissible-batch")
     k = ns.shape[0]
     u = g.spd(k, 3, 1e-2, 1e1)
     slack_a = g.spd(k, 3, 1e-3, 1e0)
@@ -249,30 +161,15 @@ def trace_gap_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of the intrinsic trace-gap bound for (k, 3, 3) stacks A, B,
     N and (k, 3) points x, y: lhs = tr(lift(A,x)) - tr(lift(B,y)) and
-    rhs = 4*((x2-y2)^2 + (x1-y1)^2) * n33."""
+    rhs = 4*((x2-y2)^2 + (x1-y1)^2) * n33 with n33 = <N e3, e3>.  lhs <= rhs
+    for admissible (A, B, N): the frame differences X(x)-X(y) =
+    (0,0,2(x2-y2)) and Y(x)-Y(y) = (0,0,2(y1-x1)) enter the scalar block
+    consequence squared, which is where the factor 4 comes from."""
     la = lift_batch(a, x)
     lb = lift_batch(b, y)
     lhs = la[:, 0, 0] + la[:, 1, 1] - lb[:, 0, 0] - lb[:, 1, 1]
     s = (x[:, 1] - y[:, 1]) ** 2 + (x[:, 0] - y[:, 0]) ** 2
     return lhs, 4.0 * s * n[:, 2, 2]
-
-
-def trace_gap(a: Sym3, b: Sym3, n: Sym3, x: Point, y: Point) -> TraceGapReport:
-    """Intrinsic trace-gap bound tr(lift(A,x)) - tr(lift(B,y)) <= rhs.
-
-    rhs = 4*((x2-y2)^2 + (x1-y1)^2) * n33 with n33 = <N e3, e3>; the frame
-    differences X(x)-X(y) = (0,0,2(x2-y2)) and Y(x)-Y(y) = (0,0,2(y1-x1))
-    enter the scalar block consequence squared, which is where the factor 4
-    comes from.  Requires an admissible (A, B, N).
-    """
-    lhs, rhs = _single(trace_gap_batch, a, b, n, x, y)
-    return TraceGapReport(
-        lhs=lhs,
-        rhs=rhs,
-        n33=n.a33,
-        holds=_holds(lhs, rhs),
-        rhs_stated=rhs / 4.0,  # exact: 4 is a power of two
-    )
 
 
 def sqrtp_ratio_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -286,20 +183,13 @@ def sqrtp_ratio_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         )
 
 
-def sqrtp_ratio(x: Point, y: Point) -> float:
-    """Frobenius ratio |sqrt(P)(x) - sqrt(P)(y)| / |x'-y'|; needs x' != y'."""
-    ratio = float(sqrtp_ratio_batch(*_pair(x, y))[0])
-    if np.isnan(ratio):
-        raise ValueError("ratio undefined for x' == y' (the difference is exactly 0)")
-    return ratio
-
-
 def lifted_trace_gap_batch(
     a: np.ndarray, b: np.ndarray, n: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) of the lifted trace-gap bound for (k, 3, 3) stacks A, B, N
     and (k, 3) points: lhs = tr(P(x)A - P(y)B), rhs = 3 |N| |sqrt(P)x -
-    sqrt(P)y|_F^2 with |N| the operator norm."""
+    sqrt(P)y|_F^2 with |N| the operator norm; lhs <= rhs for admissible
+    (A, B, N)."""
     lhs = np.einsum("nij,nji->n", p_matrix_batch(x), a) - np.einsum(
         "nij,nji->n", p_matrix_batch(y), b
     )
@@ -311,60 +201,20 @@ def lifted_trace_gap_batch(
 
 def lifted_penalty_bound_batch(x: np.ndarray, y: np.ndarray, L, alpha, mu, c2) -> np.ndarray:
     """Penalty form 3 c2^2 (L a d^a + (2/mu) L^2 a^2 d^(2a-2)) of the lifted
-    bound, which bounds its lhs whenever N = N(x, y) and c2 bounds the
-    sqrt(P) Lipschitz ratio."""
+    bound, which bounds its lhs whenever N = n_matrix_batch(x, y, L, alpha,
+    mu) and c2 bounds the sqrt(P) Lipschitz ratio."""
     _, dist = _distances(x, y)
     return 3.0 * c2**2 * (
         L * alpha * dist**alpha + (2.0 / mu) * (L * alpha) ** 2 * dist ** (2.0 * alpha - 2.0)
     )
 
 
-def lifted_trace_gap(
-    a: Sym3,
-    b: Sym3,
-    n: Sym3,
-    x: Point,
-    y: Point,
-    pp: PenaltyParams | None = None,
-    c2: float | None = None,
-) -> TraceGapReport:
-    """Lifted trace-gap bound tr(P(x)A - P(y)B) <= 3 |N| |sqrt(P)x - sqrt(P)y|^2.
-
-    |N| is the operator norm, the sqrt(P) difference is Frobenius (m = 3).
-    When pp and an empirical Lipschitz constant c2 are supplied, the report
-    also carries the penalty form rhs' = 3 c2^2 (L a d^a + (2/mu) L^2 a^2
-    d^(2a-2)), which bounds lhs whenever N = n_matrix(x, y, pp).
-    """
-    lhs, rhs = _single(lifted_trace_gap_batch, a, b, n, x, y)
-    rhs_penalty = None
-    holds_penalty = None
-    if pp is not None and c2 is not None:
-        rhs_penalty = float(lifted_penalty_bound_batch(*_pair(x, y), pp.L, pp.alpha, pp.mu, c2)[0])
-        holds_penalty = _holds(lhs, rhs_penalty)
-    return TraceGapReport(
-        lhs=lhs,
-        rhs=rhs,
-        n33=n.a33,
-        holds=_holds(lhs, rhs),
-        rhs_penalty=rhs_penalty,
-        holds_penalty=holds_penalty,
-    )
-
-
 def sandwich_batch(p: np.ndarray, gap: np.ndarray) -> np.ndarray:
-    """The symmetrized P (S2 - S1) P for (k, 3, 3) stacks P and S2 - S1."""
+    """The symmetrized P (S2 - S1) P for (k, 3, 3) stacks P and S2 - S1: it
+    is positive semidefinite, P S1 P <= P S2 P, whenever P >= 0 and
+    S1 <= S2."""
     d = np.einsum("nij,njk,nkl->nil", p, gap, p)
     return 0.5 * (d + np.swapaxes(d, -1, -2))
-
-
-def psd_sandwich_check(p: Sym3, s1: Sym3, s2: Sym3) -> bool:
-    """True iff P S1 P <= P S2 P; requires P >= 0 and S1 <= S2."""
-    gap = s2.mat - s1.mat
-    if not _is_psd(p.mat):
-        raise ValueError("P must be positive semidefinite")
-    if not _is_psd(gap):
-        raise ValueError("need S1 <= S2")
-    return _is_psd(sandwich_batch(p.mat[None], gap[None])[0])
 
 
 def vertical_obstruction_check(
@@ -514,8 +364,6 @@ def doubling_certificate(
     with a value_batch((n,3)) method (ScalarField or a grid function).  The
     sample is deterministic, so the report is reproducible.
     """
-    if pp.alpha > 1.0:
-        raise ValueError("the certificate requires alpha <= 1")
     if per_axis < 2:
         raise ValueError(f"per_axis must be at least 2, got {per_axis}")
     lower = np.asarray(domain[0], dtype=float)

@@ -204,6 +204,11 @@ class GridFunction:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         if data.ndim != 2 or data.shape[1] != 4:
             raise ValueError("grid CSV needs columns x1,x2,x3,u")
+        bad = np.flatnonzero(~np.isfinite(data[:, 3]))
+        if bad.size:
+            row = data[bad[0]]
+            point = ", ".join("%.17g" % v for v in row[:3])
+            raise ValueError(f"grid CSV line {bad[0] + 2}: u = {row[3]} at ({point}) is not finite")
         axes = [np.unique(data[:, i]) for i in range(3)]
         counts = tuple(len(a) for a in axes)
         if int(np.prod(counts)) != data.shape[0]:

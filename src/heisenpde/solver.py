@@ -58,8 +58,8 @@ taken rather than storing all nine.
 T computes only the Hessian rows that F reads (OperatorSpec.hessian_rows),
 and the stencil takes no sample that none of those rows weighs.  The
 sub-Laplacian and trace_linear with a12 = 0 ignore h_xy, so their T skips
-the four diagonal directions and their four-corner blend; the rows it does
-compute are bitwise those of the full call.  stencil_hessian and the
+the four diagonal directions and their four-corner blend and allocate no
+h_xy row; the rows it does compute are bitwise those of the full call.  stencil_hessian and the
 coarsest-level probe compute all three rows.
 
 The coarsest level is solved directly.  The stencil is affine in the
@@ -401,24 +401,30 @@ class _Stencil:
             plan.append((d, terms, pairs))
         return plan
 
-    def hessian_components(self, flat: np.ndarray, rows=(0, 1, 2)) -> np.ndarray:
-        """(X^2u, (XY+YX)u/2, Y^2u) at the interior nodes, as a (3, n) array:
-        each sample is added into the rows that weigh it as it is taken.
-        Only the given rows (a tuple) are computed, the others are zero, and
-        a sample that no given row weighs is not taken: rows (0, 2) skip the
-        four diagonal directions.  Calls on one stencil must not overlap:
-        they share its copy of u."""
+    def hessian_components(self, flat: np.ndarray, rows=(0, 1, 2)):
+        """(X^2u, (XY+YX)u/2, Y^2u) at the interior nodes: each sample is
+        added into the rows that weigh it as it is taken.  Only the given
+        rows (a tuple) are computed, and a sample that no given row weighs
+        is not taken: rows (0, 2) skip the four diagonal directions.  All
+        three rows come as a (3, n) array; a subset as a tuple of the three
+        rows in which each row not computed is one shared read-only zero,
+        which takes no memory.  Calls on one stencil must not overlap: they
+        share its copy of u."""
         plan = self._plans.get(rows)
         if plan is None:
             plan = self._plans[rows] = self._plan(rows)
-        hessian = np.zeros((3, int(np.prod(self.shape))))
-        term = np.empty(hessian.shape[1])
+        n = int(np.prod(self.shape))
+        hessian = np.zeros((len(rows), n))
+        term = np.empty(n)
         # non-finite inputs propagate and are reported by the caller's check
         with np.errstate(invalid="ignore"):
             for sample, pairs in self._samples(flat, plan):
                 for k, w in pairs:
-                    hessian[k] += np.multiply(sample, w, out=term)
-        return hessian
+                    hessian[rows.index(k)] += np.multiply(sample, w, out=term)
+        if rows == (0, 1, 2):
+            return hessian
+        zero = np.broadcast_to(0.0, (n,))
+        return tuple(hessian[rows.index(k)] if k in rows else zero for k in range(3))
 
     def _samples(self, flat: np.ndarray, plan: list):
         """(sample, pairs) per entry of the plan, each sample flat over the

@@ -462,6 +462,21 @@ def test_holder_ignores_seed_and_pairs(tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("bad", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+def test_holder_rejects_a_non_finite_grid_value(tmp_path, capsys, bad):
+    grid = Grid3.box((-1, -1, -1), (1, 1, 1), (9, 9, 9))
+    values = np.sin(3 * grid.points()).sum(axis=1).reshape(9, 9, 9)
+    values[4, 5, 6] = bad
+    grid_csv = tmp_path / "u.csv"
+    GridFunction(grid, values).to_csv(grid_csv)
+    hcfg = write_json(tmp_path / "holder.json", {key: PIPELINE_CONFIG[key] for key in ("holder", "bracket")})
+    out = tmp_path / "o.json"
+    assert main(["holder", "--grid", str(grid_csv), "--config", hcfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "(0, 0.25, 0.5)" in err and "not finite" in err, err
+    assert not out.exists()
+
+
 def test_holder_rejects_a_margin_too_wide_for_the_grid(tmp_path, capsys):
     grid_csv = tmp_path / "u.csv"
     GridFunction(Grid3.box((-1, -1, -1), (1, 1, 1), (9, 9, 9)), np.zeros((9, 9, 9))).to_csv(grid_csv)

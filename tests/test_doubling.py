@@ -6,21 +6,19 @@ from hypothesis import strategies as st
 from heisenpde.doubling import (
     MaxReport,
     PenaltyParams,
-    block_gap,
-    block_gap_holds,
+    block_gap_matrix,
     block_matrix,
     doubling_certificate,
-    lifted_trace_gap,
+    lifted_penalty_bound_batch,
+    lifted_trace_gap_batch,
     make_admissible_batch,
-    make_admissible_pair,
-    n_matrix,
+    n_matrix_batch,
     n_norm_bound_batch,
-    penalty_hessian,
-    penalty_hessian_sq,
-    penalty_value,
-    psd_sandwich_check,
-    sqrtp_ratio,
-    trace_gap,
+    penalty_hessian_batch,
+    penalty_hessian_sq_batch,
+    sandwich_batch,
+    sqrtp_ratio_batch,
+    trace_gap_batch,
     vertical_obstruction_check,
 )
 from heisenpde.doubling import _psi_max, _refined_axes, _tensor_axes, _tensor_points
@@ -28,7 +26,6 @@ from heisenpde.fields import NumericField, PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction
 from heisenpde.group import Point, sqrt_p
 from heisenpde.rng import SplitMix64
-from heisenpde.symmetric import Sym3
 
 
 def fd_hessian_extended(fn, x, h=1e-5):
@@ -49,65 +46,69 @@ def fd_hessian_extended(fn, x, h=1e-5):
 
 
 def random_pair(g, lo=0.1, hi=2.0):
-    x = Point(*g.uniform(3, -2, 2))
+    """Two points as one-row (1, 3) stacks, |x - y| drawn from [lo, hi]."""
+    x = g.uniform(3, -2, 2)
     direction = g.unit_vectors(1)[0]
     dist = g.uniform(1, lo, hi)[0]
-    y = Point(*(x.as_array() + dist * direction))
-    return x, y
+    return x[None], (x + dist * direction)[None]
+
+
+def rows(*points):
+    """Points as one-row (1, 3) stacks."""
+    return tuple(np.array([p], dtype=float) for p in points)
+
+
+def least_block_gap(a, b, n):
+    """Least eigenvalue of [[N,-N],[-N,N]] - [[A,0],[0,-B]] for 3x3 arrays."""
+    return np.linalg.eigvalsh(block_gap_matrix(a, b, n))[0]
+
+
+def holds(lhs, rhs):
+    """lhs <= rhs up to 1e-9 max(1, |lhs|, |rhs|), elementwise."""
+    return lhs <= rhs + 1e-9 * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
 
 
 def test_penalty_params_validation():
     with pytest.raises(ValueError):
         PenaltyParams(L=0.0, alpha=0.5)
-    with pytest.raises(ValueError):
-        PenaltyParams(L=1.0, alpha=2.5)
+    for alpha in (0.0, 1.5, 2.0, float("nan")):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            PenaltyParams(L=1.0, alpha=alpha)
+    assert PenaltyParams(L=1.0, alpha=1.0).alpha == 1.0
     with pytest.raises(ValueError):
         PenaltyParams(L=1.0, alpha=0.5, delta=-1.0)
-    with pytest.raises(ValueError):
-        PenaltyParams(L=1.0, alpha=0.5, mu=0.0)
     # a NaN or infinite constant would let the certificate report
     # theta = -inf as certified
-    for name in ("L", "delta", "eps", "mu"):
+    for name in ("L", "delta", "eps"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 PenaltyParams(**dict({"L": 1.0, "alpha": 0.5}, **{name: value}))
 
 
-def test_penalty_value_examples():
-    pp = PenaltyParams(L=1.0, alpha=1.0)
-    p = Point(1, 2, 3)
-    assert penalty_value(p, p, pp) == 0.0
-    assert penalty_value(Point(3, 4, 0), Point(0, 0, 0), pp) == 5.0
-    pp2 = PenaltyParams(L=2.0, alpha=0.5)
-    assert penalty_value(Point(4, 0, 0), Point(0, 0, 0), pp2) == 2 * 2.0
-
-
 def test_penalty_hessian_closed_cases():
     # alpha = 2 kills the rank-one term: M = 2 L I
-    pp = PenaltyParams(L=1.5, alpha=2.0)
-    m = penalty_hessian(Point(1, 0, 2), Point(0, 1, 0), pp)
-    assert np.allclose(m.mat, 2 * 1.5 * np.eye(3), rtol=1e-14)
+    m = penalty_hessian_batch(*rows((1, 0, 2), (0, 1, 0)), 1.5, 2.0)[0]
+    assert np.allclose(m, 2 * 1.5 * np.eye(3), rtol=1e-14)
     # alpha = 1 along e1: diag(0, 1, 1)
-    pp1 = PenaltyParams(L=1.0, alpha=1.0)
-    m1 = penalty_hessian(Point(1, 0, 0), Point(0, 0, 0), pp1)
-    assert np.allclose(m1.mat, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
+    m1 = penalty_hessian_batch(*rows((1, 0, 0), (0, 0, 0)), 1.0, 1.0)[0]
+    assert np.allclose(m1, np.diag([0.0, 1.0, 1.0]), atol=1e-14)
     with pytest.raises(ValueError):
-        penalty_hessian(Point(1, 1, 1), Point(1, 1, 1), pp1)
+        penalty_hessian_batch(*rows((1, 1, 1), (1, 1, 1)), 1.0, 1.0)
 
 
 def test_penalty_hessian_matches_fd_oracle():
     g = SplitMix64(60, "mfd")
     for alpha in (0.3, 0.5, 0.9, 1.0):
         for _ in range(10):
-            pp = PenaltyParams(L=float(g.uniform(1, 0.5, 2.0)[0]), alpha=alpha)
+            L = float(g.uniform(1, 0.5, 2.0)[0])
             x, y = random_pair(g, 0.1, 2.0)
-            yv = y.as_array().astype(np.longdouble)
+            yv = y[0].astype(np.longdouble)
 
             def phi(z):
-                return pp.L * np.sqrt(np.sum((z - yv) ** 2)) ** np.longdouble(pp.alpha)
+                return L * np.sqrt(np.sum((z - yv) ** 2)) ** np.longdouble(alpha)
 
-            ref = fd_hessian_extended(phi, x.as_array())
-            ours = penalty_hessian(x, y, pp).mat
+            ref = fd_hessian_extended(phi, x[0])
+            ours = penalty_hessian_batch(x, y, L, alpha)[0]
             scale = np.abs(ours).max()
             assert np.abs(ours - ref).max() <= 1e-6 * scale
 
@@ -116,13 +117,13 @@ def test_penalty_hessian_extreme_eigenvalue():
     g = SplitMix64(61, "meig")
     for _ in range(20):
         alpha = float(g.uniform(1, 0.2, 1.0)[0])
-        pp = PenaltyParams(L=float(g.uniform(1, 0.5, 3.0)[0]), alpha=alpha)
+        L = float(g.uniform(1, 0.5, 3.0)[0])
         x, y = random_pair(g)
-        d = x.as_array() - y.as_array()
+        d = (x - y)[0]
         dist = np.linalg.norm(d)
         e = d / dist
-        m = penalty_hessian(x, y, pp).mat
-        expected = pp.L * alpha * (alpha - 1.0) * dist ** (alpha - 2.0)
+        m = penalty_hessian_batch(x, y, L, alpha)[0]
+        expected = L * alpha * (alpha - 1.0) * dist ** (alpha - 2.0)
         assert np.allclose(m @ e, expected * e, atol=1e-10 * max(1.0, abs(expected)))
         evs = np.linalg.eigvalsh(m)
         assert np.isclose(evs[0], expected, rtol=1e-10)
@@ -132,26 +133,25 @@ def test_penalty_hessian_sq_is_square():
     g = SplitMix64(62, "msq")
     for _ in range(30):
         alpha = float(g.uniform(1, 0.2, 2.0)[0])
-        pp = PenaltyParams(L=float(g.uniform(1, 0.5, 2.0)[0]), alpha=alpha)
+        L = float(g.uniform(1, 0.5, 2.0)[0])
         x, y = random_pair(g)
-        m = penalty_hessian(x, y, pp).mat
-        msq = penalty_hessian_sq(x, y, pp).mat
+        m = penalty_hessian_batch(x, y, L, alpha)[0]
+        msq = penalty_hessian_sq_batch(x, y, L, alpha)[0]
         scale = max(1.0, np.abs(msq).max())
         assert np.abs(msq - m @ m).max() <= 1e-10 * scale
-    pp2 = PenaltyParams(L=2.0, alpha=2.0)
-    msq2 = penalty_hessian_sq(Point(1, 0, 0), Point(0, 0, 0), pp2)
-    assert np.allclose(msq2.mat, 4 * 4.0 * np.eye(3), rtol=1e-14)
+    msq2 = penalty_hessian_sq_batch(*rows((1, 0, 0), (0, 0, 0)), 2.0, 2.0)[0]
+    assert np.allclose(msq2, 4 * 4.0 * np.eye(3), rtol=1e-14)
 
 
 def test_penalty_hessian_sq_eigenvalue_along_e():
-    pp = PenaltyParams(L=1.3, alpha=0.7)
-    x, y = Point(1, 1, 0), Point(0, 0, 1)
-    d = x.as_array() - y.as_array()
+    L, alpha = 1.3, 0.7
+    x, y = rows((1, 1, 0), (0, 0, 1))
+    d = (x - y)[0]
     dist = np.linalg.norm(d)
     e = d / dist
-    msq = penalty_hessian_sq(x, y, pp).mat
+    msq = penalty_hessian_sq_batch(x, y, L, alpha)[0]
     # alpha(alpha-2) + 1 = (alpha-1)^2
-    expected = (pp.L * pp.alpha) ** 2 * dist ** (2 * pp.alpha - 4) * (pp.alpha - 1) ** 2
+    expected = (L * alpha) ** 2 * dist ** (2 * alpha - 4) * (alpha - 1) ** 2
     assert np.allclose(msq @ e, expected * e, atol=1e-12 * max(1.0, expected))
 
 
@@ -160,49 +160,41 @@ def test_block_square_factor_two():
     g = SplitMix64(63, "factor2")
     for _ in range(20):
         alpha = float(g.uniform(1, 0.2, 1.0)[0])
-        pp = PenaltyParams(L=float(g.uniform(1, 0.5, 2.0)[0]), alpha=alpha)
+        L = float(g.uniform(1, 0.5, 2.0)[0])
         x, y = random_pair(g)
-        big = block_matrix(penalty_hessian(x, y, pp).mat)
-        bigsq = block_matrix(penalty_hessian_sq(x, y, pp).mat)
+        big = block_matrix(penalty_hessian_batch(x, y, L, alpha)[0])
+        bigsq = block_matrix(penalty_hessian_sq_batch(x, y, L, alpha)[0])
         scale = max(1.0, np.abs(bigsq).max())
         assert np.abs(big @ big - 2 * bigsq).max() <= 1e-10 * scale
 
 
 def test_n_matrix_examples_and_norm_bound():
-    pp = PenaltyParams(L=1.5, alpha=2.0, mu=2.0)
-    x, y = Point(1, 0, 0), Point(0, 0, 0)
-    n = n_matrix(x, y, pp)
-    assert np.allclose(n.mat, (2 * 1.5 + 4 * 1.5**2) * np.eye(3), rtol=1e-14)
+    n = n_matrix_batch(*rows((1, 0, 0), (0, 0, 0)), 1.5, 2.0, 2.0)[0]
+    assert np.allclose(n, (2 * 1.5 + 4 * 1.5**2) * np.eye(3), rtol=1e-14)
     # mu -> infinity recovers M
-    pp_inf = PenaltyParams(L=1.5, alpha=0.5, mu=1e12)
-    m = penalty_hessian(Point(1, 2, 0), Point(0, 0, 1), pp_inf).mat
-    nn = n_matrix(Point(1, 2, 0), Point(0, 0, 1), pp_inf).mat
+    x, y = rows((1, 2, 0), (0, 0, 1))
+    m = penalty_hessian_batch(x, y, 1.5, 0.5)[0]
+    nn = n_matrix_batch(x, y, 1.5, 0.5, 1e12)[0]
     assert np.abs(nn - m).max() <= 1e-10 * np.abs(m).max()
     g = SplitMix64(64, "nbound")
     for _ in range(50):
         alpha = float(g.uniform(1, 0.2, 1.0)[0])
-        pp = PenaltyParams(
-            L=float(g.uniform(1, 0.5, 3.0)[0]),
-            alpha=alpha,
-            mu=float(g.log_uniform(1, 0.1, 10.0)[0]),
-        )
+        L = float(g.uniform(1, 0.5, 3.0)[0])
+        mu = float(g.log_uniform(1, 0.1, 10.0)[0])
         x, y = random_pair(g)
-        norm = np.abs(np.linalg.eigvalsh(n_matrix(x, y, pp).mat)).max()
-        bound = n_norm_bound_batch(
-            x.as_array()[None], y.as_array()[None], pp.L, pp.alpha, pp.mu
-        )[0]
+        norm = np.abs(np.linalg.eigvalsh(n_matrix_batch(x, y, L, alpha, mu)[0])).max()
+        bound = n_norm_bound_batch(x, y, L, alpha, mu)[0]
         assert norm <= bound * (1 + 1e-12)
 
 
 def test_block_gap_examples():
-    z = Sym3.zero()
-    assert abs(block_gap(z, z, z)) <= 1e-15
-    one = Sym3.identity()
-    assert np.isclose(block_gap(-1.0 * one, one, z), 1.0, rtol=1e-12)
+    z = np.zeros((3, 3))
+    assert abs(least_block_gap(z, z, z)) <= 1e-15
+    one = np.eye(3)
+    assert np.isclose(least_block_gap(-one, one, z), 1.0, rtol=1e-12)
     # A = N, B = -N with N > 0 must fail on the vector (xi, xi)
-    n = Sym3.diag(1.0, 2.0, 3.0)
-    assert block_gap(n, -1.0 * n, n) < -0.5
-    assert not block_gap_holds(n, -1.0 * n, n)
+    n = np.diag([1.0, 2.0, 3.0])
+    assert least_block_gap(n, -n, n) < -0.5
 
 
 def test_make_admissible_pair_postcondition():
@@ -220,13 +212,14 @@ def test_make_admissible_pair_postcondition():
 
 
 def test_make_admissible_pair_single_and_zero_n():
-    a, b = make_admissible_pair(Sym3.zero(), seed=3)
+    a, b = make_admissible_batch(np.zeros((1, 3, 3)), seed=3)
     # N = 0 forces A <= 0 <= B
-    assert np.linalg.eigvalsh(a.mat).max() <= 1e-12
-    assert np.linalg.eigvalsh(b.mat).min() >= -1e-12
-    n = Sym3.diag(0.5, -1.0, 2.0)
-    a2, b2 = make_admissible_pair(n, seed=4)
-    assert block_gap_holds(a2, b2, n, tol=1e-10)
+    assert np.linalg.eigvalsh(a[0]).max() <= 1e-12
+    assert np.linalg.eigvalsh(b[0]).min() >= -1e-12
+    n = np.diag([0.5, -1.0, 2.0])
+    a2, b2 = make_admissible_batch(n[None], seed=4)
+    gap = block_gap_matrix(a2[0], b2[0], n)
+    assert np.linalg.eigvalsh(gap)[0] >= -1e-10 * max(1.0, np.abs(gap).max())
 
 
 def test_admissible_scalar_consequence():
@@ -268,43 +261,36 @@ def test_admissible_weighted_consequence():
 
 def test_trace_gap_cases():
     g = SplitMix64(68, "tgap")
-    n = Sym3.from_matrix(g.symmetric(1, 3)[0])
-    a, b = make_admissible_pair(n, seed=1)
-    p = Point(0.5, -1.0, 2.0)
-    rep = trace_gap(a, b, n, p, p)
-    assert rep.rhs == 0.0
-    assert rep.lhs <= 1e-9
-    assert rep.holds
-    # equal horizontal parts, A = B admissible requires A <= 0 route: x'=y'
-    q = Point(0.5, -1.0, -3.0)
-    rep2 = trace_gap(a, b, n, p, q)
-    assert rep2.rhs == 0.0 and rep2.holds
-    with pytest.raises(ValueError):
-        bad = Sym3.diag(1.0, 1.0, 1.0)
-        trace_gap(bad, -1.0 * bad, bad, p, q)
+    n = g.symmetric(1, 3)
+    a, b = make_admissible_batch(n, seed=1)
+    p, q = rows((0.5, -1.0, 2.0), (0.5, -1.0, -3.0))
+    lhs, rhs = trace_gap_batch(a, b, n, p, p)
+    assert rhs[0] == 0.0
+    assert lhs[0] <= 1e-9
+    assert holds(lhs, rhs).all()
+    # equal horizontal parts, x' = y': the bound is 0 and still holds
+    lhs2, rhs2 = trace_gap_batch(a, b, n, p, q)
+    assert rhs2[0] == 0.0 and holds(lhs2, rhs2).all()
 
 
 def test_trace_gap_randomized_holds():
     g = SplitMix64(69, "tgaprand")
     ns = g.symmetric(200, 3, scale=1.5)
     amats, bmats = make_admissible_batch(ns, seed=13)
-    for k in range(200):
-        x, y = random_pair(g, 0.1, 3.0)
-        rep = trace_gap(
-            Sym3.from_matrix(amats[k]), Sym3.from_matrix(bmats[k]), Sym3.from_matrix(ns[k]), x, y
-        )
-        assert rep.holds, (k, rep)
+    x, y = (np.concatenate(z) for z in zip(*(random_pair(g, 0.1, 3.0) for _ in range(200))))
+    lhs, rhs = trace_gap_batch(amats, bmats, ns, x, y)
+    assert holds(lhs, rhs).all(), np.nonzero(~holds(lhs, rhs))
 
 
 def test_sqrtp_ratio_cases():
-    r = sqrtp_ratio(Point(1, 0, 0), Point(0, 1, 5))
+    r = sqrtp_ratio_batch(*rows((1, 0, 0), (0, 1, 5)))[0]
     assert np.isfinite(r) and r > 0
     # equal radii: the corner entries agree, so only off-corner parts differ
     mx = sqrt_p(Point(1, 0, 0)).mat
     my = sqrt_p(Point(0, 1, 5)).mat
     assert mx[2, 2] == my[2, 2]
-    with pytest.raises(ValueError):
-        sqrtp_ratio(Point(1, 2, 3), Point(1, 2, -3))
+    # x' == y': sqrt(P) depends only on x', so the ratio is 0/0
+    assert np.isnan(sqrtp_ratio_batch(*rows((1, 2, 3), (1, 2, -3)))[0])
     assert sqrt_p(Point(1, 2, 3)) == sqrt_p(Point(1, 2, -3))
 
 
@@ -315,70 +301,61 @@ def test_sqrtp_ratio_bounded_over_regime():
     x2 = g.uniform(n, -1000, 1000)
     dirs = g.unit_vectors(n, 2)
     dist = g.uniform(n, 0.1, 10.0)
-    worst = 0.0
-    for k in range(0, n, 1000):
-        end = min(k + 1000, n)
-        for i in range(k, end):
-            x = Point(x1[i], x2[i], 0.0)
-            y = Point(x1[i] + dist[i] * dirs[i, 0], x2[i] + dist[i] * dirs[i, 1], 0.0)
-            worst = max(worst, sqrtp_ratio(x, y))
-    assert worst < 10.0
+    x = np.stack([x1, x2, np.zeros(n)], axis=1)
+    y = np.stack([x1 + dist * dirs[:, 0], x2 + dist * dirs[:, 1], np.zeros(n)], axis=1)
+    assert sqrtp_ratio_batch(x, y).max() < 10.0
 
 
 def test_lifted_trace_gap_cases():
     g = SplitMix64(71, "lgap")
-    n = Sym3.from_matrix(g.symmetric(1, 3)[0])
-    a, b = make_admissible_pair(n, seed=2)
-    p = Point(0.3, 0.8, -1.0)
-    rep = lifted_trace_gap(a, b, n, p, p)
-    assert rep.rhs == 0.0
-    assert rep.lhs <= 1e-9
-    zero = Sym3.zero()
+    n = g.symmetric(1, 3)
+    a, b = make_admissible_batch(n, seed=2)
+    p, q = rows((0.3, 0.8, -1.0), (1, -1, 0))
+    lhs, rhs = lifted_trace_gap_batch(a, b, n, p, p)
+    assert rhs[0] == 0.0
+    assert lhs[0] <= 1e-9
+    zero = np.zeros((1, 3, 3))
     # A = B = 0 is admissible iff N >= 0
-    n_psd = Sym3.from_matrix(g.spd(1, 3, 1e-1, 1e1)[0])
-    rep0 = lifted_trace_gap(zero, zero, n_psd, p, Point(1, -1, 0))
-    assert rep0.lhs == 0.0 and rep0.holds
+    n_psd = g.spd(1, 3, 1e-1, 1e1)
+    lhs0, rhs0 = lifted_trace_gap_batch(zero, zero, n_psd, p, q)
+    assert lhs0[0] == 0.0 and holds(lhs0, rhs0).all()
 
 
 def test_lifted_trace_gap_randomized_and_penalty_form():
     g = SplitMix64(72, "lgaprand")
-    ratios = []
     cases = []
-    for k in range(150):
+    for _ in range(150):
         alpha = float(g.uniform(1, 0.2, 1.0)[0])
-        pp = PenaltyParams(
-            L=float(g.uniform(1, 0.5, 2.0)[0]),
-            alpha=alpha,
-            mu=float(g.log_uniform(1, 0.5, 5.0)[0]),
-        )
+        L = float(g.uniform(1, 0.5, 2.0)[0])
+        mu = float(g.log_uniform(1, 0.5, 5.0)[0])
         x, y = random_pair(g, 0.2, 2.0)
-        if np.hypot(x.x1 - y.x1, x.x2 - y.x2) < 1e-6:
-            continue
-        n = n_matrix(x, y, pp)
-        a, b = make_admissible_pair(n, seed=100 + k)
-        ratios.append(sqrtp_ratio(x, y))
-        cases.append((a, b, n, x, y, pp))
-    c2 = max(ratios)
-    for a, b, n, x, y, pp in cases:
-        rep = lifted_trace_gap(a, b, n, x, y, pp=pp, c2=c2)
-        assert rep.holds, (x, y, rep)
-        assert rep.holds_penalty, (x, y, rep)
+        cases.append((L, alpha, mu, x[0], y[0]))
+    L, alpha, mu, x, y = (np.array(c) for c in zip(*cases))
+    keep = np.hypot(x[:, 0] - y[:, 0], x[:, 1] - y[:, 1]) >= 1e-6
+    L, alpha, mu, x, y = L[keep], alpha[keep], mu[keep], x[keep], y[keep]
+    n = n_matrix_batch(x, y, L, alpha, mu)
+    a, b = make_admissible_batch(n, seed=100)
+    c2 = sqrtp_ratio_batch(x, y).max()
+    lhs, rhs = lifted_trace_gap_batch(a, b, n, x, y)
+    assert holds(lhs, rhs).all(), np.nonzero(~holds(lhs, rhs))
+    rhs_penalty = lifted_penalty_bound_batch(x, y, L, alpha, mu, c2)
+    assert holds(lhs, rhs_penalty).all(), np.nonzero(~holds(lhs, rhs_penalty))
 
 
 def test_psd_sandwich():
+    def least(p, gap):
+        d = sandwich_batch(p, gap)
+        return np.linalg.eigvalsh(d)[:, 0] / np.maximum(1.0, np.abs(d).max(axis=(1, 2)))
+
     g = SplitMix64(73, "sandwich")
-    one = Sym3.identity()
-    assert psd_sandwich_check(one, one, one)
-    assert psd_sandwich_check(Sym3.zero(), -2.0 * one, one)
-    for k in range(100):
-        p = Sym3.from_matrix(g.spd(1, 3, 1e-2, 1e2)[0])
-        s1 = Sym3.from_matrix(g.symmetric(1, 3, scale=2.0)[0])
-        s2 = s1 + Sym3.from_matrix(g.spd(1, 3, 1e-3, 1e1)[0])
-        assert psd_sandwich_check(p, s1, s2)
-    with pytest.raises(ValueError):
-        psd_sandwich_check(-1.0 * one, one, one)
-    with pytest.raises(ValueError):
-        psd_sandwich_check(one, one, -2.0 * one)
+    one = np.eye(3)[None]
+    assert least(one, 0.0 * one)[0] >= -1e-9
+    # P = 0, S1 = -2I, S2 = I
+    assert least(0.0 * one, 3.0 * one)[0] >= -1e-9
+    p = g.spd(100, 3, 1e-2, 1e2)
+    s1 = g.symmetric(100, 3, scale=2.0)
+    s2 = s1 + g.spd(100, 3, 1e-3, 1e1)
+    assert (least(p, s2 - s1) >= -1e-9).all()
 
 
 def test_vertical_obstruction():

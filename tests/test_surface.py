@@ -35,3 +35,9 @@ def test_every_module_function_is_used_or_exported():
         if name not in used and name not in heisenpde.__all__
     ]
     assert not dead, f"no caller in src/ and not in heisenpde.__all__: {dead}"
+
+
+def test_every_exported_name_resolves():
+    # a stale name in __all__ breaks `from heisenpde import *`
+    missing = [name for name in heisenpde.__all__ if not hasattr(heisenpde, name)]
+    assert not missing, f"in heisenpde.__all__ but not on the package: {missing}"
