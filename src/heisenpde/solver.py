@@ -58,9 +58,9 @@ taken rather than storing all nine.
 T computes only the Hessian rows that F reads (OperatorSpec.hessian_rows),
 and the stencil takes no sample that none of those rows weighs.  The
 sub-Laplacian and trace_linear with a12 = 0 ignore h_xy, so their T skips
-the four diagonal directions and their four-corner blend and allocate no
-h_xy row; the rows it does compute are bitwise those of the full call.  stencil_hessian and the
-coarsest-level probe compute all three rows.
+the four diagonal directions and their four-corner blend and allocates no
+h_xy row; the rows it does compute are bitwise those of the full call.
+stencil_hessian and the coarsest-level probe compute all three rows.
 
 The coarsest level is solved directly.  The stencil is affine in the
 interior node values, so probing it once with the interior unit vectors
