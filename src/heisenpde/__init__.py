@@ -1,5 +1,6 @@
 """Heisenberg-group calculus, degenerate fully nonlinear operators on H^1,
-a grid solver for F(D^{2,*}u) - c u = f (monotone when F ignores h_xy), and
+a grid solver for F(D^{2,*}u) - c u = f that reduces directional second
+differences (monotone when F is nondecreasing in them), and
 Holder-regularity measurement, with a seeded verification suite."""
 
 from .calculus import full_hessian, h_gradient, h_hessian, lift, sublaplacian

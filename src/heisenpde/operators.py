@@ -8,10 +8,19 @@ symmetrized horizontal Hessian (2x2), "lifted" applies it to
 sqrt(P) D^2u sqrt(P) (3x3).  Pucci extremal operators are defined as the
 max/min of trace(a H) over matrices a with spectrum in [lam, Lam] and computed
 by the eigenvalue formula Lam*sum(e>0) + lam*sum(e<0) (resp. swapped), which
-is the sign convention the max/min definition forces.  Every argument, one
-matrix or a stack, is evaluated by apply_stack: a 2x2 stack goes through
-apply_batch, the solver's kernel, with the closed 2x2 eigenvalue formula; a
-3x3 lifted stack takes numpy.linalg.eigvalsh.  Both sum the Pucci corners
+is the sign convention the max/min definition forces.
+
+The intrinsic form reads H through directional second differences, one row
+per line v = cx X + cy Y of DIRECTIONS: D_v = v^T H v, which the solver's
+stencil approximates by (u(p + rho v) + u(p - rho v) - 2 u(p)) / rho^2, a
+difference whose off-centre weights are nonnegative.  apply_batch reduces
+the rows that hessian_rows names: the sub-Laplacian is D_X + D_Y, and
+trace_linear and Pucci rebuild the cross term h_xy = (D_{X+Y} - D_{X-Y}) / 4
+in cross_term, the one place that formula lives.  Every argument, one
+matrix or a stack, is evaluated by apply_stack: a 2x2 stack is mapped to its
+rows (h11, h22, h11 + h22 +- 2 h12) and goes through apply_batch, the
+solver's kernel, with the closed 2x2 eigenvalue formula for Pucci; a 3x3
+lifted stack takes numpy.linalg.eigvalsh.  Both sum the Pucci corners
 through one helper.
 """
 
@@ -32,6 +41,11 @@ INTRINSIC = "intrinsic"
 LIFTED = "lifted"
 
 KINDS = ("sublaplacian", "pucci_plus", "pucci_minus", "trace_linear")
+
+# the lines cx X + cy Y through a node along which second differences are
+# taken, as coefficient pairs (cx, cy) on the frame
+X, Y, X_PLUS_Y, X_MINUS_Y = (1, 0), (0, 1), (1, 1), (1, -1)
+DIRECTIONS = (X, Y, X_PLUS_Y, X_MINUS_Y)
 
 
 @dataclass(frozen=True)
@@ -86,6 +100,13 @@ def _corner_sum(eigs, bracket: EllipticityBracket, plus: bool):
     return sum(corners[1:], corners[0])
 
 
+def cross_term(d_plus, d_minus):
+    """h_xy = (D_{X+Y} - D_{X-Y}) / 4 from the rows along X + Y and X - Y."""
+    out = d_plus - d_minus
+    out *= 0.25
+    return out
+
+
 def _form_of(h: Sym2 | Sym3) -> str:
     return INTRINSIC if isinstance(h, Sym2) else LIFTED
 
@@ -135,12 +156,13 @@ class OperatorSpec:
         return OperatorSpec("sublaplacian", EllipticityBracket(1.0, 1.0), form)
 
     @property
-    def hessian_rows(self) -> tuple[int, ...]:
-        """The rows of (h_xx, h_xy, h_yy) that apply_batch reads: h_xy drops
-        out of the sub-Laplacian and of trace_linear with a12 = 0."""
+    def hessian_rows(self) -> tuple:
+        """The directions of DIRECTIONS whose rows F reads, in the order
+        apply_batch takes them: X and Y for the kinds that ignore h_xy (the
+        sub-Laplacian, trace_linear with a12 = 0), all four otherwise."""
         if self.kind == "sublaplacian" or (self.kind == "trace_linear" and self.coeff.a12 == 0):
-            return (0, 2)
-        return (0, 1, 2)
+            return (X, Y)
+        return DIRECTIONS
 
     def apply(self, h: Sym2 | Sym3) -> float:
         """F(h) for the 2x2 (intrinsic) or 3x3 (lifted) argument: apply_stack
@@ -148,14 +170,18 @@ class OperatorSpec:
         return float(self.apply_stack(h.mat[None])[0])
 
     def apply_stack(self, mats: np.ndarray) -> np.ndarray:
-        """F on a symmetric (n, 2, 2) stack through apply_batch, or on a
+        """F on a symmetric (n, 2, 2) stack through apply_batch, on the rows
+        D_X = h11, D_Y = h22 and D_{X+-Y} = h11 + h22 +- 2 h12, or on a
         symmetric (n, 3, 3) stack in lifted form.  Lifted Pucci eigenvalues
         come from numpy.linalg.eigvalsh and are summed in ascending |e|
         order, so that pucci_minus(h) == -pucci_plus(-h) bitwise: Pucci-
         breaks ties in |e| from the descending spectrum, which is the
         negated ascending spectrum of -h."""
         if mats.shape[1:] == (2, 2):
-            return self.apply_batch(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1])
+            h11, h12, h22 = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+            trace = h11 + h22
+            rows = {X: h11, Y: h22, X_PLUS_Y: trace + 2.0 * h12, X_MINUS_Y: trace - 2.0 * h12}
+            return self.apply_batch([rows[v] for v in self.hessian_rows])
         if mats.shape[1:] != (3, 3) or self.form != LIFTED:
             raise ValueError(f"the {self.form} form cannot act on a stack of shape {mats.shape}")
         if self.kind == "sublaplacian":
@@ -167,16 +193,20 @@ class OperatorSpec:
         e = np.take_along_axis(e, np.argsort(np.abs(e), axis=1, kind="stable"), axis=1)
         return _corner_sum(e.T, self.bracket, plus)
 
-    def apply_batch(self, hxx: np.ndarray, hxy: np.ndarray, hyy: np.ndarray) -> np.ndarray:
-        """Vectorized intrinsic-form evaluation on 2x2 component arrays."""
+    def apply_batch(self, rows) -> np.ndarray:
+        """Vectorized intrinsic-form evaluation on the direction rows of
+        hessian_rows, in that order: a (k, n) array or k arrays."""
         if self.form != INTRINSIC:
             raise ValueError("apply_batch evaluates the intrinsic form")
+        d_x, d_y = rows[0], rows[1]
         if self.kind == "sublaplacian":
-            return hxx + hyy
+            return d_x + d_y
         if self.kind == "trace_linear":
             a = self.coeff
-            return a.a11 * hxx + 2.0 * a.a12 * hxy + a.a22 * hyy
-        return _corner_sum(eigenvalues2(hxx, hxy, hyy), self.bracket, self.kind == "pucci_plus")
+            mixed = 2.0 * a.a12 * cross_term(rows[2], rows[3]) if a.a12 else 0.0
+            return a.a11 * d_x + mixed + a.a22 * d_y
+        hxy = cross_term(rows[2], rows[3])
+        return _corner_sum(eigenvalues2(d_x, hxy, d_y), self.bracket, self.kind == "pucci_plus")
 
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":

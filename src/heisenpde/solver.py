@@ -1,13 +1,20 @@
 """Finite-difference solver for F(D^{2,*}u) - c u = f on a box.
 
-The stencil is frame-aligned (semi-Lagrangian): second differences are taken
-along straight lines p +- h X(p), p +- h Y(p) and the four diagonal
-combinations, with off-node values obtained by trilinear interpolation.  The
-scheme is monotone only when F ignores h_xy: the cross term weighs two
-diagonal samples by -1/(4 rho^2).  Samples that leave the box are evaluated
-with the Dirichlet data (the boundary field extends u); stencil_hessian runs
-the same stencil on a bare grid function, which is its own off-box field and
-so clamps those samples onto the box.  Because the frame's horizontal step
+The stencil is frame-aligned (semi-Lagrangian): it returns one row per line
+through the node, the directional second difference
+    D_v = (u(p + rho v) + u(p - rho v) - 2 u(p)) / rho^2
+for v in operators.DIRECTIONS (X, Y, X + Y and X - Y at the frame of p),
+with off-node values obtained by trilinear interpolation, so every row has
+nonnegative off-centre weights.  Each operator kind is a reduction of the
+rows it reads (OperatorSpec.apply_batch).  The scheme is monotone when that
+reduction is a nondecreasing function of the rows: the sub-Laplacian
+D_X + D_Y and trace_linear with a12 = 0.  Pucci and trace_linear with
+a12 != 0 rebuild h_xy = (D_{X+Y} - D_{X-Y}) / 4, which weighs the X - Y
+samples by -1/(4 rho^2), so they are not.  Samples that leave the box are
+evaluated with the Dirichlet data (the boundary field extends u);
+stencil_hessian runs the same stencil on a bare grid function, which is its
+own off-box field and so clamps those samples onto the box.  Because the
+frame's horizontal step
 is the same at every node and its vertical step depends only on the node's
 column, the operator is evaluated from shifted x3 rows of u per column (see
 _Stencil): the directions that share one horizontal weight table, a family,
@@ -52,25 +59,26 @@ residual are kept, as they are without evaluating the mix if its fit
 raises LinAlgError or its iterate is not finite.  That evaluation is the
 only extra work, 8 fine evaluations per mixed cycle instead of 7, and the
 buffers hold 2 DEPTH + 2 fine interior vectors (about 16 MB at 65^3).  To
-pay for them the stencil adds each sample into the Hessian rows as it is
-taken rather than storing all nine.
+pay for them the stencil adds each sample into its row as it is taken
+rather than storing all eight.
 
-T computes only the Hessian rows that F reads (OperatorSpec.hessian_rows),
-and the stencil takes no sample that none of those rows weighs.  The
-sub-Laplacian and trace_linear with a12 = 0 ignore h_xy, so their T skips
-the four diagonal directions and their four-corner blend and allocates no
-h_xy row; the rows it does compute are bitwise those of the full call.
-stencil_hessian and the coarsest-level probe compute all three rows.
+T computes only the direction rows that F reads (OperatorSpec.hessian_rows),
+and the stencil takes no sample of a line that F does not read.  The
+sub-Laplacian and trace_linear with a12 = 0 read D_X and D_Y only, so their
+T skips the two diagonal lines and their four-corner blend; the rows it
+does compute are bitwise those of the full call.  stencil_hessian computes
+all four rows.
 
 The coarsest level is solved directly.  The stencil is affine in the
 interior node values, so probing it once with the interior unit vectors
-gives dense maps (hxx, hxy, hyy) = M u + b; the equation F(M u + b) - c u
-= rhs is then solved by Newton's method with the Jacobian
-sum_k diag(dF/dh_k) M_k - diag(c), the slopes dF/dh_k taken by central
-differences of OperatorSpec.apply_batch, so every operator kind shares one
-derivative path.  Every coarsest level has at most 7 nodes per axis, 125
-interior nodes.  On a grid with no axis of 8 nodes a V-cycle is this solve
-alone and runs no sweep: SolveResult.iterations is 0.
+gives one dense map per row that F reads, D_k = M_k u + b_k; the equation
+F(M u + b) - c u = rhs is then solved by Newton's method with the Jacobian
+sum_k diag(dF/dD_k) M_k - diag(c), the slopes dF/dD_k taken by central
+differences of OperatorSpec.apply_batch over 2k + 1 probes for k rows, so
+every operator kind shares one derivative path.  Every coarsest level has
+at most 7 nodes per axis, 125 interior nodes.  On a grid with no axis of 8
+nodes a V-cycle is this solve alone and runs no sweep:
+SolveResult.iterations is 0.
 """
 
 from __future__ import annotations
@@ -87,11 +95,12 @@ from .config import config_number, config_section
 from .fields import NumericField, PolynomialField, ScalarField, field_from_config
 from .grid import Grid3, GridFunction, cells
 from .group import frame_batch
-from .operators import INTRINSIC, OperatorSpec
+from .operators import DIRECTIONS, INTRINSIC, OperatorSpec, cross_term
 from .symmetric import Sym2
 
-# sample directions as coefficient pairs on the frame (X, Y)
-_COMBOS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1))
+# the samples p + rho v and p - rho v of each direction v, as coefficient
+# pairs on the frame (X, Y)
+_COMBOS = tuple((s * cx, s * cy) for cx, cy in DIRECTIONS for s in (1, -1))
 
 
 @dataclass(frozen=True)
@@ -111,8 +120,8 @@ class ProblemSpec:
             raise ValueError("the grid solver discretizes the intrinsic form")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.sample_width is not None and not self.sample_width > 0:
-            raise ValueError("sample_width must be positive")
+        if self.sample_width is not None:
+            _check_step(self.sample_width, "sample_width")
         cvals = self.c.value_batch(self.grid.points())
         if cvals.min() < 0:
             raise ValueError(f"c must be nonnegative on the grid (min {cvals.min()})")
@@ -217,16 +226,14 @@ def cfl_tau(rho: float, Lam: float, c_max: float) -> float:
     return 0.8 * rho * rho / (4.0 * Lam + c_max * rho * rho)
 
 
-def _second_differences(rho: float) -> np.ndarray:
-    """The (3, 9) map from the 8 samples along _COMBOS and the centre value
-    to (X^2u, (XY+YX)u/2, Y^2u)."""
-    return np.array(
-        [
-            [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0],
-            [0.0, 0.0, 0.0, 0.0, 0.25, 0.25, -0.25, -0.25, 0.0],
-            [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, -2.0],
-        ]
-    ) / (rho * rho)
+def _check_step(rho, key: str) -> None:
+    """Reject the sample step or width `key` unless rho > 0 and rho^2 and
+    1/rho^2 are finite, the weights of the second differences."""
+    sq = float(rho) * float(rho)
+    if not (rho > 0 and 0 < sq < np.inf and 1.0 / sq < np.inf):
+        raise ValueError(
+            f"{key} must be positive with finite square and inverse square, got {rho!r}"
+        )
 
 
 def _interior(values: np.ndarray, counts) -> np.ndarray:
@@ -350,10 +357,19 @@ class _Stencil:
                     out_vals,
                 )
             )
-        # per sample along _COMBOS, then the centre: (row, weight) of its nonzero weights
-        self.row_weights = [
-            [(k, w) for k, w in enumerate(column) if w] for column in _second_differences(step).T
-        ]
+        # per sample, the (offset, weight) terms that blend its horizontal
+        # table from the copy, one list per family (None for the table [1]);
+        # corner (a, b) lies a (n2 + 2) + b rows of n3 + 1 values on
+        families = {}
+        self.terms = []
+        for d in self.directions:
+            key = (d.weights.shape, d.weights.tobytes())
+            if d.weights.size > 1 and key not in families:
+                families[key] = [
+                    ((a * (n2 + 2) + b) * row, w) for (a, b), w in np.ndenumerate(d.weights)
+                ]
+            self.terms.append(families.get(key))
+        self.weight = 1.0 / (step * step)  # the off-centre weight of every difference
         n_samples = len(_COMBOS) * (n1 - 2) * (n2 - 2) * (n3 - 2)
         self.outside_fraction = sum(d.out_rows.size for d in self.directions) / n_samples
         # the copy of u, zeroed here only: each call writes u and one layer
@@ -362,7 +378,6 @@ class _Stencil:
         self.slack = slack
         self.copy = np.zeros((n1 + 2) * (n2 + 2) * row + 2 * slack)
         self._copy_runs = _runs(self.copy, n3 - 1)
-        self._plans = {}  # per tuple of Hessian rows, its _plan
 
     @property
     def nbytes(self) -> int:
@@ -374,65 +389,38 @@ class _Stencil:
         layer around it, flat."""
         return buffer[self.slack : buffer.size - self.slack]
 
-    def _plan(self, rows: tuple) -> list:
-        """(direction, terms, pairs) per sample that one of the Hessian
-        rows weighs, along _COMBOS and then the centre (direction None).  A
-        direction whose table is [1] reads its windows from the copy of u,
-        any other from the blend, formed first from the copy by _blend with
-        the (offset, weight) `terms` of its table unless the blend holds
-        that table's already (terms None).  `pairs` are the (row, weight)
-        that weigh the sample."""
-        n2, n3 = self.grid.counts[1:]
-        plan, family = [], None
-        for d, column in zip([*self.directions, None], self.row_weights):
-            pairs = [(k, w) for k, w in column if k in rows]
-            if not pairs:
-                continue
-            terms = None
-            if d is not None and d.weights.size > 1:
-                key = (d.weights.shape, d.weights.tobytes())
-                if key != family:
-                    family = key
-                    # corner (a, b) lies a (n2 + 2) + b rows of n3 + 1 values on
-                    terms = [
-                        ((a * (n2 + 2) + b) * (n3 + 1), w)
-                        for (a, b), w in np.ndenumerate(d.weights)
-                    ]
-            plan.append((d, terms, pairs))
-        return plan
-
-    def hessian_components(self, flat: np.ndarray, rows=(0, 1, 2)):
-        """(X^2u, (XY+YX)u/2, Y^2u) at the interior nodes: each sample is
-        added into the rows that weigh it as it is taken.  Only the given
-        rows (a tuple) are computed, and a sample that no given row weighs
-        is not taken: rows (0, 2) skip the four diagonal directions.  All
-        three rows come as a (3, n) array; a subset as a tuple of the three
-        rows in which each row not computed is one shared read-only zero,
-        which takes no memory.  Calls on one stencil must not overlap: they
-        share its copy of u."""
-        plan = self._plans.get(rows)
-        if plan is None:
-            plan = self._plans[rows] = self._plan(rows)
+    def hessian_components(self, flat: np.ndarray, dirs=DIRECTIONS) -> np.ndarray:
+        """The rows D_v = (u(p + rho v) + u(p - rho v) - 2 u(p)) / rho^2 at
+        the interior nodes, one per direction v of `dirs` (a tuple drawn from
+        DIRECTIONS), as a (len(dirs), n) array.  Each row is s+ w, then
+        += s- w, then += c, with w = 1 / rho^2 and the centre term
+        c = u (-2 w) formed once per call; a direction not in `dirs` takes
+        no sample.  Calls on one stencil must not overlap: they share its
+        copy of u."""
         n = int(np.prod(self.shape))
-        hessian = np.zeros((len(rows), n))
-        term = np.empty(n)
+        rows, centre = np.empty((len(dirs), n)), np.empty(n)
+        w = self.weight
+        np.multiply(_interior(flat, self.grid.counts), -2.0 * w, out=centre.reshape(self.shape))
+        samples = self._samples(flat, dirs)
         # non-finite inputs propagate and are reported by the caller's check
         with np.errstate(invalid="ignore"):
-            for sample, pairs in self._samples(flat, plan):
-                for k, w in pairs:
-                    hessian[rows.index(k)] += np.multiply(sample, w, out=term)
-        if rows == (0, 1, 2):
-            return hessian
-        zero = np.broadcast_to(0.0, (n,))
-        return tuple(hessian[rows.index(k)] if k in rows else zero for k in range(3))
+            for row in rows:
+                np.multiply(next(samples), w, out=row)
+                other = next(samples)
+                row += np.multiply(other, w, out=other)
+                row += centre
+        return rows
 
-    def _samples(self, flat: np.ndarray, plan: list):
-        """(sample, pairs) per entry of the plan, each sample flat over the
-        interior nodes; the direction samples share one buffer.  A family of
-        directions with one horizontal weight table (X+-, Y+- and the
-        diagonals at the default rho) shares one blend, and only one
-        family's blend is held at a time, in a buffer laid out as the copy
-        and zeroed once per call that blends."""
+    def _samples(self, flat: np.ndarray, dirs):
+        """The samples at p + rho v and then p - rho v per direction v of
+        `dirs`, each flat over the interior nodes, all in one buffer that
+        the caller may overwrite.  A direction whose table is [1] reads its
+        windows from the copy of u, any other from the blend, formed from
+        the copy by _blend with its family's terms unless the blend holds
+        that family's already.  A family of directions with one horizontal
+        weight table (X+-, Y+- and the diagonals at the default rho) shares
+        one blend, and only one family's blend is held at a time, in a
+        buffer laid out as the copy and zeroed once per call that blends."""
         n1, n2, n3 = self.grid.counts
         u = flat.reshape(self.grid.counts)
         copy = self._body(self.copy).reshape(n1 + 2, n2 + 2, n3 + 1)
@@ -441,26 +429,26 @@ class _Stencil:
         copy[:, 0], copy[:, -1] = copy[:, 1], copy[:, -2]
         out = np.empty(int(np.prod(self.shape)))
         s = out.reshape(self.shape)
-        blend = None
-        for d, terms, pairs in plan:
-            if d is None:
-                yield _interior(u, self.grid.counts).ravel(), pairs
-                continue
-            runs = self._copy_runs  # runs[j]: the n3 - 1 values from flat index j on
-            if d.weights.size > 1:
-                if blend is None:
-                    blend = np.zeros(self.copy.size)
-                    blend_runs = _runs(blend, n3 - 1)
+        blend = held = None
+        for v in dirs:
+            first = 2 * DIRECTIONS.index(v)
+            for d, terms in zip(self.directions[first : first + 2], self.terms[first : first + 2]):
+                runs = self._copy_runs  # runs[j]: the n3 - 1 values from flat index j on
                 if terms is not None:
-                    _blend(self._body(self.copy), terms, self._body(blend))
-                runs = blend_runs
-            windows = runs[d.window]  # (n1-2, n2-2, n3-1)
-            np.multiply(windows[..., :-1], d.wz[0], out=s)
-            np.multiply(windows, d.wz[1], out=windows)
-            s += windows[..., 1:]
-            del windows  # freed before the next direction gathers its windows
-            out[d.out_rows] = d.out_vals
-            yield out, pairs
+                    if blend is None:
+                        blend = np.zeros(self.copy.size)
+                        blend_runs = _runs(blend, n3 - 1)
+                    if terms is not held:
+                        _blend(self._body(self.copy), terms, self._body(blend))
+                        held = terms
+                    runs = blend_runs
+                windows = runs[d.window]  # (n1-2, n2-2, n3-1)
+                np.multiply(windows[..., :-1], d.wz[0], out=s)
+                np.multiply(windows, d.wz[1], out=windows)
+                s += windows[..., 1:]
+                del windows  # freed before the next direction gathers its windows
+                out[d.out_rows] = d.out_vals
+                yield out
 
 
 class Discretization:
@@ -490,13 +478,12 @@ class Discretization:
         return self.boundary.value_batch(self.grid.points())
 
     def apply_nonlinearity(self, flat: np.ndarray) -> np.ndarray:
-        """T(u) = F(stencil Hessian) - c u at interior nodes, computing only
-        the Hessian rows that F reads."""
+        """T(u) = F(stencil rows) - c u at interior nodes, computing only the
+        direction rows that F reads."""
         self.evals += 1
-        hxx, hxy, hyy = self.stencil.hessian_components(flat, self.op.hessian_rows)
-        uc = _interior(flat, self.grid.counts).ravel()
-        out = self.op.apply_batch(hxx, hxy, hyy)
-        out -= self.c_int * uc
+        rows = self.stencil.hessian_components(flat, self.op.hessian_rows)
+        out = self.op.apply_batch(rows)
+        out -= self.c_int * _interior(flat, self.grid.counts).ravel()
         return out
 
     def residual_interior(self, flat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -537,13 +524,18 @@ def stencil_hessian(
 ) -> Sym2:
     """The solver's frame-aligned second differences at one interior node of
     a bare grid function, which also serves as its own off-box field and so
-    clamps those samples onto the box; boundary indices are rejected."""
+    clamps those samples onto the box: (D_X, h_xy, D_Y), with h_xy formed
+    from D_{X+Y} and D_{X-Y} by operators.cross_term.  Boundary indices are
+    rejected, and so is a step that is not positive or whose square or
+    inverse square is not finite."""
     if not u.grid.is_interior(idx):
         raise ValueError(f"index {idx} is not interior")
-    rho = step if step is not None else sample_step(u.grid)
-    stencil = _Stencil(u.grid, u, rho)
+    if step is not None:
+        _check_step(step, "step")
+    stencil = _Stencil(u.grid, u, step if step is not None else sample_step(u.grid))
     column = np.ravel_multi_index(tuple(i - 1 for i in idx), stencil.shape)
-    return Sym2(*(float(v) for v in stencil.hessian_components(u.values.ravel())[:, column]))
+    d_x, d_y, d_plus, d_minus = stencil.hessian_components(u.values.ravel())[:, column]
+    return Sym2(float(d_x), float(cross_term(d_plus, d_minus)), float(d_y))
 
 
 def step(u: GridFunction, prob: ProblemSpec, tau: float) -> GridFunction:
@@ -576,9 +568,10 @@ def manufacture(u_star: ScalarField, op: OperatorSpec, c: ScalarField) -> Scalar
     xx, xy, yx, yy = h_second_fields(u_star)
 
     def fn(pts: np.ndarray) -> np.ndarray:
-        hxy = 0.5 * (xy.value_batch(pts) + yx.value_batch(pts))
-        h = op.apply_batch(xx.value_batch(pts), hxy, yy.value_batch(pts))
-        return h - c.value_batch(pts) * u_star.value_batch(pts)
+        hessians = np.empty((len(pts), 2, 2))
+        hessians[:, 0, 0], hessians[:, 1, 1] = xx.value_batch(pts), yy.value_batch(pts)
+        hessians[:, 0, 1] = hessians[:, 1, 0] = 0.5 * (xy.value_batch(pts) + yx.value_batch(pts))
+        return op.apply_stack(hessians) - c.value_batch(pts) * u_star.value_batch(pts)
 
     return NumericField(fn)
 
@@ -617,33 +610,35 @@ def _transfers(fine: tuple, coarse: tuple) -> tuple[list, list, list]:
 
 
 def _probe(disc: Discretization) -> np.ndarray:
-    """The (3, n, n) matrix M of disc's stencil over its n interior nodes:
-    hessian_components(u) = M @ interior(u) + hessian_components(u with a
-    zero interior), read off one interior unit vector at a time."""
+    """The (k, n, n) matrix M of disc's stencil rows that F reads over its n
+    interior nodes: hessian_components(u) = M @ interior(u) +
+    hessian_components(u with a zero interior), read off one interior unit
+    vector at a time."""
     counts = disc.grid.counts
+    dirs = disc.op.hessian_rows
     flat = np.zeros(int(np.prod(counts)))
     inner = _interior(flat, counts)
-    base = disc.stencil.hessian_components(flat)
+    base = disc.stencil.hessian_components(flat, dirs)
     columns = []
     for idx in np.ndindex(inner.shape):
         inner[idx] = 1.0
-        columns.append(disc.stencil.hessian_components(flat) - base)
+        columns.append(disc.stencil.hessian_components(flat, dirs) - base)
         inner[idx] = 0.0
     return np.stack(columns, axis=-1)
 
 
 def _values_and_slopes(op: OperatorSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F at the (3, n) Hessian components h and its slopes dF/dh_k, (3, n),
-    by central differences with steps 1e-7 max(1, |h_k|), from one
-    apply_batch call on the centre and the six shifted copies of h."""
-    n = h.shape[1]
+    """F at the (k, n) direction rows h and its slopes dF/dh_k, (k, n), by
+    central differences with steps 1e-7 max(1, |h_k|), from one apply_batch
+    call on the centre and the 2k shifted copies of h: one path for every
+    operator kind."""
+    k, n = h.shape
     steps = 1e-7 * np.maximum(1.0, np.abs(h))
     up, down = h + steps, h - steps
-    probes = np.repeat(h[:, None, :], 7, axis=1)  # centre, then (up, down) per component
-    for k in range(3):
-        probes[k, 1 + 2 * k] = up[k]
-        probes[k, 2 + 2 * k] = down[k]
-    vals = op.apply_batch(*probes.reshape(3, 7 * n)).reshape(7, n)
+    probes = np.repeat(h[:, None, :], 2 * k + 1, axis=1)  # centre, then (up, down) per row
+    j = np.arange(k)
+    probes[j, 1 + 2 * j], probes[j, 2 + 2 * j] = up, down
+    vals = op.apply_batch(probes.reshape(k, -1)).reshape(2 * k + 1, n)
     return vals[0], (vals[1::2] - vals[2::2]) / (up - down)
 
 
@@ -692,7 +687,7 @@ class _Multilevel:
         tol = 1e-14 * max(1.0, np.abs(rhs).max())
         edge = flat.copy()
         _interior(edge, disc.grid.counts)[...] = 0.0
-        offset = disc.stencil.hessian_components(edge)
+        offset = disc.stencil.hessian_components(edge, disc.op.hessian_rows)
         for _ in range(self.NEWTON_MAX):
             u = _interior(flat, disc.grid.counts).ravel()
             vals, slopes = _values_and_slopes(disc.op, self.dense @ u + offset)

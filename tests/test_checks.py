@@ -57,10 +57,11 @@ def test_run_checks_filter_and_determinism():
 
 
 def test_flipped_pucci_is_detected(monkeypatch):
-    from heisenpde.operators import OperatorSpec
+    from heisenpde.operators import OperatorSpec, cross_term
 
     # a corrupted build: the printed sign convention taken literally
-    def flipped(self, hxx, hxy, hyy):
+    def flipped(self, rows):
+        hxx, hxy, hyy = rows[0], cross_term(rows[2], rows[3]), rows[1]
         lam, Lam = self.bracket.lam, self.bracket.Lam
         mean, r = 0.5 * (hxx + hyy), np.hypot(0.5 * (hxx - hyy), hxy)
         return sum(np.where(e > 0, Lam * e, -lam * e) for e in (mean - r, mean + r))

@@ -174,6 +174,8 @@ def test_solve_malformed_section_exit_1(tmp_path, capsys, override, words):
         ({"tol": INF}, ("problem config 'tol'", "finite")),
         ({"tol": 10**400}, ("problem config 'tol'", "finite")),
         ({"sample_width": NAN}, ("problem config 'sample_width'", "finite")),
+        # finite, but its square is not: the stencil weights would be 0 and inf
+        ({"sample_width": 1e300}, ("sample_width", "finite square")),
         (
             {"operator": {"kind": "pucci_plus", "lambda": 1.0, "Lambda": INF}},
             ("operator config 'Lambda'", "finite"),
@@ -194,6 +196,7 @@ def test_solve_malformed_section_exit_1(tmp_path, capsys, override, words):
         "tol-inf",
         "tol-beyond-float",
         "sample-width-nan",
+        "sample-width-1e300",
         "operator-Lambda-inf",
         "grid-upper-nan",
         "builtin-eps-inf",
@@ -665,9 +668,10 @@ def test_pipeline_rejects_bad_configs(tmp_path, capsys):
 
 
 def test_verify_detects_corrupted_pucci(tmp_path, monkeypatch):
-    from heisenpde.operators import OperatorSpec
+    from heisenpde.operators import OperatorSpec, cross_term
 
-    def flipped(self, hxx, hxy, hyy):
+    def flipped(self, rows):
+        hxx, hxy, hyy = rows[0], cross_term(rows[2], rows[3]), rows[1]
         lam, Lam = self.bracket.lam, self.bracket.Lam
         mean, r = 0.5 * (hxx + hyy), np.hypot(0.5 * (hxx - hyy), hxy)
         return sum(np.where(e > 0, Lam * e, -lam * e) for e in (mean - r, mean + r))

@@ -423,30 +423,44 @@ def test_doubling_certificate_rejects_per_axis_below_two(per_axis):
         doubling_certificate(u, PenaltyParams(L=1.0, alpha=0.5), domain, per_axis)
 
 
-def chunked_psi_max(u, pts_x, pts_y, pp, chunk=256):
-    """The chunked pair-product maximization that the blocked kernel replaced,
-    kept as its oracle: (theta, ix, iy) over all pairs of two point lists."""
-    ux = np.asarray(u.value_batch(pts_x), dtype=float)
+def chunked_psi_max(u, axes_x, axes_y, pp):
+    """The all-pairs maximization that the blocked kernel replaced, kept as
+    its oracle: (theta, ix, iy) over every pair of the tensor samples on
+    axes_x and axes_y, indices in x3-fastest order, with no pruning.
+
+    Each pair sees the operations of the direct evaluation
+    ((ux - uy) - L |x - y|^alpha - delta |x|^2) - eps, with |x - y|^2 =
+    (q1 + q2) + q3 from one table of squared differences per axis.  Per x
+    pencil (j1, j2) the penalty is computed once per y column (k1, k2) and
+    distinct value of q3, and gathered to every pair.  The chunks are the
+    pencils, in x order; a chunk replaces the best only when strictly
+    larger, with its first maximal pair in (ix, iy) order."""
+    pts_x, pts_y = _tensor_points(axes_x), _tensor_points(axes_y)
+    m = len(axes_x[0])
+    # the tables index the samples as _tensor_points lays them out
+    for axes, pts in ((axes_x, pts_x), (axes_y, pts_y)):
+        index = np.unravel_index(np.arange(m**3), (m, m, m))
+        assert np.array_equal(pts, np.column_stack([a[j] for a, j in zip(axes, index)]))
+    ux = np.asarray(u.value_batch(pts_x), dtype=float).reshape(m * m, m)
     uy = np.asarray(u.value_batch(pts_y), dtype=float)
-    x_sq = np.sum(pts_x**2, axis=1)
+    x_sq = np.sum(pts_x**2, axis=1).reshape(m * m, m)
+    q1, q2, q3 = ((ax[:, None] - ay[None, :]) ** 2 for ax, ay in zip(axes_x, axes_y))
+    v3, i3 = np.unique(q3, return_inverse=True)
+    i3 = i3.reshape(m, m)
     best = -np.inf
     best_ix = best_iy = 0
-    for start in range(0, pts_x.shape[0], chunk):
-        stop = min(start + chunk, pts_x.shape[0])
-        d = pts_x[start:stop, None, :] - pts_y[None, :, :]
-        dist = np.sqrt(np.sum(d * d, axis=2))
-        psi = (
-            ux[start:stop, None]
-            - uy[None, :]
-            - pp.L * dist**pp.alpha
-            - pp.delta * x_sq[start:stop, None]
-            - pp.eps
-        )
+    for pencil in range(m * m):
+        j1, j2 = divmod(pencil, m)
+        q12 = (q1[j1][:, None] + q2[j2][None, :]).ravel()  # per y column
+        table = pp.L * np.sqrt(q12[:, None] + v3[None, :]) ** pp.alpha
+        penalty = table[:, i3].transpose(1, 0, 2).reshape(m, -1)  # (j3, iy)
+        psi = ux[pencil][:, None] - uy[None, :] - penalty
+        psi = psi - pp.delta * x_sq[pencil][:, None] - pp.eps
         k = int(np.argmax(psi))
         val = float(psi.flat[k])
         if val > best:
             best = val
-            best_ix = start + k // psi.shape[1]
+            best_ix = pencil * m + k // psi.shape[1]
             best_iy = k % psi.shape[1]
     return best, best_ix, best_iy
 
@@ -555,7 +569,7 @@ CASES = [
 def test_blocked_psi_max_matches_chunked_oracle(name, m):
     u, axes_x, axes_y, pp = psi_case(name, m)
     got = _psi_max(u, axes_x, axes_y, pp)
-    want = chunked_psi_max(u, _tensor_points(axes_x), _tensor_points(axes_y), pp)
+    want = chunked_psi_max(u, axes_x, axes_y, pp)
     assert got == want
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
     theta, ix, iy = got
@@ -612,7 +626,7 @@ def test_psi_max_equals_chunked_oracle_on_random_cases(
         u = GridFunction(grid, g.normal(size=counts) * 10.0 ** g.uniform(-3.0, 6.0))
     pp = PenaltyParams(L, alpha, delta, eps)
     got = _psi_max(u, axes_x, axes_y, pp)
-    want = chunked_psi_max(u, _tensor_points(axes_x), _tensor_points(axes_y), pp)
+    want = chunked_psi_max(u, axes_x, axes_y, pp)
     assert got == want
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
 

@@ -7,9 +7,15 @@ from heisenpde.checks import pucci_bruteforce
 from heisenpde.fields import PolynomialField, parse_polynomial
 from heisenpde.group import Point, sqrt_p
 from heisenpde.operators import (
+    DIRECTIONS,
+    X,
+    X_MINUS_Y,
+    X_PLUS_Y,
+    Y,
     EllipticityBracket,
     HolderData,
     OperatorSpec,
+    cross_term,
     eval_intrinsic,
     eval_lifted,
     pucci_minus,
@@ -177,7 +183,7 @@ def test_validate_operator_clean_kinds():
 def test_validate_operator_flags_cubed_trace(monkeypatch):
     # a corrupted operator: monotone, but with no ellipticity bracket; the
     # intrinsic form is checked through apply_batch, the solver's kernel
-    monkeypatch.setattr(OperatorSpec, "apply_batch", lambda self, hxx, hxy, hyy: (hxx + hyy) ** 3)
+    monkeypatch.setattr(OperatorSpec, "apply_batch", lambda self, rows: (rows[0] + rows[1]) ** 3)
     spec = OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0))
     report = validate_operator(spec, samples=300, seed=2)
     assert report["violations"] > 0
@@ -192,6 +198,13 @@ def test_validate_operator_flags_cubed_trace(monkeypatch):
     assert not report["pass"]
 
 
+def direction_rows(hxx, hxy, hyy, dirs):
+    """The rows D_v = v^T H v of the directions dirs, written out."""
+    trace = hxx + hyy
+    rows = {X: hxx, Y: hyy, X_PLUS_Y: trace + 2.0 * hxy, X_MINUS_Y: trace - 2.0 * hxy}
+    return np.array([rows[v] for v in dirs])
+
+
 def test_apply_on_sym2_is_apply_batch_bitwise():
     g = SplitMix64(56, "apply-batch")
     mats = g.symmetric(500, 2, scale=3.0)
@@ -202,7 +215,7 @@ def test_apply_on_sym2_is_apply_batch_bitwise():
         OperatorSpec("pucci_minus", EllipticityBracket(0.5, 2.0)),
         OperatorSpec("trace_linear", EllipticityBracket(1.0, 2.0), coeff=Sym2(1.5, 0.2, 1.2)),
     ):
-        batch = spec.apply_batch(hxx, hxy, hyy)
+        batch = spec.apply_batch(direction_rows(hxx, hxy, hyy, spec.hessian_rows))
         single = [spec.apply(Sym2(*row)) for row in zip(hxx, hxy, hyy)]
         assert np.array_equal(batch, single), spec.kind
 
@@ -294,18 +307,45 @@ ROW_KINDS = {
 
 @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
 def test_hessian_rows_are_the_ones_f_reads(kind):
-    # moving h_xy leaves F bitwise unchanged exactly when row 1 is not listed
+    # moving h_xy leaves F bitwise unchanged exactly when F reads X and Y only
     spec = ROW_KINDS[kind]
     rng = np.random.default_rng(13)
-    h = rng.standard_normal((3, 2000))
-    moved = h.copy()
-    moved[1] += rng.standard_normal(h.shape[1])
-    before, after = spec.apply_batch(*h), spec.apply_batch(*moved)
-    assert set(spec.hessian_rows) >= {0, 2}
-    if 1 in spec.hessian_rows:
-        assert np.any(before != after)
-    else:
+    mats = SplitMix64(13, "rows").symmetric(2000, 2, scale=2.0)
+    moved = mats.copy()
+    moved[:, 0, 1] = moved[:, 1, 0] = mats[:, 0, 1] + rng.standard_normal(len(mats))
+    before, after = spec.apply_stack(mats), spec.apply_stack(moved)
+    ignores_hxy = kind in ("sublaplacian", "trace_linear_a12_0")
+    assert spec.hessian_rows == ((X, Y) if ignores_hxy else DIRECTIONS)
+    if ignores_hxy:
         assert before.tobytes() == after.tobytes()
+    else:
+        assert np.any(before != after)
+
+
+def parent_formula(spec, hxx, hxy, hyy):
+    """F on the components (h_xx, h_xy, h_yy), as apply_batch computed it
+    before it read direction rows, kept as a reference."""
+    if spec.kind == "sublaplacian":
+        return hxx + hyy
+    if spec.kind == "trace_linear":
+        a = spec.coeff
+        return a.a11 * hxx + 2.0 * a.a12 * hxy + a.a22 * hyy
+    return selected_pucci(spec, hxx, hxy, hyy)
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+def test_apply_stack_rows_match_the_component_formula(kind):
+    # the map H -> (h11, h22, h11 + h22 +- 2 h12) and the cross term rebuilt
+    # from the last two rows leave F within a few ulps of the entries' scale
+    spec = ROW_KINDS[kind]
+    g = SplitMix64(14, "stack-rows")
+    for scale in (1e-3, 1.0, 1e3):
+        mats = g.symmetric(5000, 2, scale=scale)
+        hxx, hxy, hyy = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+        want = parent_formula(spec, hxx, hxy, hyy)
+        size = np.abs(hxx) + np.abs(hyy) + 2.0 * np.abs(hxy)
+        ulps = np.abs(spec.apply_stack(mats) - want) / (spec.bracket.Lam * np.spacing(size))
+        assert ulps.max() <= 4.0, (scale, ulps.max())
 
 
 def selected_pucci(spec, hxx, hxy, hyy):
@@ -323,15 +363,16 @@ def selected_pucci(spec, hxx, hxy, hyy):
 @pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
 @pytest.mark.parametrize("bracket", [(0.5, 2.0), (1.0, 4.0), (1.5, 1.5)])
 def test_pucci_corner_is_the_select_bitwise(kind, bracket):
-    # every triple of signed zeros, exact zero eigenvalues (diag(1, 0),
-    # [[1, 1], [1, 1]]), subnormal, huge and infinite entries, plus random ones
+    # every quadruple of rows from signed zeros, exact zero eigenvalues
+    # (diag(1, 0), [[1, 1], [1, 1]]), subnormal, huge and infinite entries,
+    # plus random ones; the select reads the cross term of the same rows
     special = [0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -1e-310, 1e308, -1e308, np.inf, -np.inf]
-    grid = np.array(np.meshgrid(special, special, special, indexing="ij")).reshape(3, -1)
-    h = np.concatenate((grid, np.random.default_rng(9).standard_normal((3, 2000))), axis=1)
+    grid = np.array(np.meshgrid(*[special] * 4, indexing="ij")).reshape(4, -1)
+    rows = np.concatenate((grid, np.random.default_rng(9).standard_normal((4, 2000))), axis=1)
     spec = OperatorSpec(kind, EllipticityBracket(*bracket))
     with np.errstate(invalid="ignore", over="ignore"):
-        got = spec.apply_batch(*h)
-        want = selected_pucci(spec, *h)
+        got = spec.apply_batch(rows)
+        want = selected_pucci(spec, rows[0], cross_term(rows[2], rows[3]), rows[1])
     nan = np.isnan(want)
     assert nan.any() and np.isnan(got[nan]).all()
     assert got[~nan].tobytes() == want[~nan].tobytes()

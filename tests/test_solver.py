@@ -9,7 +9,15 @@ from heisenpde.calculus import h_hessian
 from heisenpde.fields import PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction, cells
 from heisenpde.group import Point, frame_batch
-from heisenpde.operators import EllipticityBracket, OperatorSpec
+from heisenpde.operators import (
+    DIRECTIONS,
+    X,
+    X_MINUS_Y,
+    Y,
+    EllipticityBracket,
+    OperatorSpec,
+    cross_term,
+)
 from heisenpde.rng import SplitMix64
 from heisenpde.symmetric import Sym2
 from heisenpde.solver import (
@@ -22,7 +30,6 @@ from heisenpde.solver import (
     _interior,
     _Multilevel,
     _probe,
-    _second_differences,
     _transfers,
     _values_and_slopes,
     cfl_tau,
@@ -114,6 +121,29 @@ def test_stencil_hessian_linear_and_vertical():
         stencil_hessian(lin, (0, 8, 8))
 
 
+@pytest.mark.parametrize("bad", [0.0, 1e-300, -0.25, 1e300, float("nan"), float("inf")])
+def test_stencil_hessian_rejects_bad_steps(bad):
+    # a step whose square or inverse square is not a positive finite number
+    # would return a non-finite Sym2
+    u = GridFunction.from_field(box(9), parse_polynomial("x1^2 + x2^2"))
+    with pytest.raises(ValueError, match="step"):
+        stencil_hessian(u, (4, 4, 4), step=bad)
+
+
+@pytest.mark.parametrize("bad", [1e300, 1e-300, 0.0, -0.25])
+def test_problem_rejects_bad_sample_width(bad):
+    cfg = {
+        "operator": {"kind": "sublaplacian", "lambda": 1.0, "Lambda": 1.0},
+        "c": {"poly": "1"},
+        "f": {"poly": "0"},
+        "boundary": {"poly": "0"},
+        "grid": {"lower": [-1, -1, -1], "upper": [1, 1, 1], "counts": [9, 9, 9]},
+        "sample_width": bad,
+    }
+    with pytest.raises(ValueError, match="sample_width"):
+        ProblemSpec.from_config(cfg)
+
+
 def test_stencil_hessian_is_the_solver_stencil_column():
     # the solver's stencil of a problem whose Dirichlet data is u itself
     g = box(9)
@@ -122,9 +152,10 @@ def test_stencil_hessian_is_the_solver_stencil_column():
     columns = ProblemSpec(SUB, ONE, ZERO, u, g).discretization.stencil.hessian_components(
         values.ravel()
     )
+    d_x, d_y, d_plus, d_minus = columns
     for k, idx in enumerate(np.ndindex(7, 7, 7)):
         m = stencil_hessian(u, tuple(i + 1 for i in idx))
-        assert [m.a11, m.a12, m.a22] == columns[:, k].tolist(), idx
+        assert [m.a11, m.a12, m.a22] == [d_x[k], cross_term(d_plus[k], d_minus[k]), d_y[k]], idx
 
 
 def test_stencil_hessian_consistency_under_refinement():
@@ -364,12 +395,10 @@ def oracle_samples(grid, boundary, flat, rho):
 
 
 def oracle_hessian(grid, boundary, flat, rho):
-    """The second differences of the oracle samples, written out."""
+    """The second differences of the oracle samples along X, Y, X + Y and
+    X - Y, written out."""
     s = oracle_samples(grid, boundary, flat, rho)
-    hxx = (s[0] + s[1] - 2 * s[8]) / rho**2
-    hyy = (s[2] + s[3] - 2 * s[8]) / rho**2
-    hxy = (s[4] + s[5] - s[6] - s[7]) / (4 * rho**2)
-    return np.array([hxx, hxy, hyy])
+    return np.array([(s[2 * j] + s[2 * j + 1] - 2 * s[8]) / rho**2 for j in range(4)])
 
 
 @pytest.mark.parametrize(
@@ -476,8 +505,8 @@ def test_probed_coarse_map_matches_stencil(n, coarsest):
         edge = flat.copy()
         _interior(edge, disc.grid.counts)[...] = 0.0
         probed = ml.dense @ _interior(flat, disc.grid.counts).ravel()
-        probed += disc.stencil.hessian_components(edge)
-        want = disc.stencil.hessian_components(flat)
+        probed += disc.stencil.hessian_components(edge, SUB.hessian_rows)
+        want = disc.stencil.hessian_components(flat, SUB.hessian_rows)
         assert np.abs(probed - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -489,6 +518,7 @@ COARSE_KINDS = {
     "pucci_plus": OperatorSpec("pucci_plus", EllipticityBracket(1.0, 4.0)),
     "pucci_minus": OperatorSpec("pucci_minus", EllipticityBracket(1.0, 4.0)),
 }
+PUCCI_PLUS = COARSE_KINDS["pucci_plus"]
 
 
 @pytest.mark.parametrize("kind", sorted(COARSE_KINDS))
@@ -534,6 +564,39 @@ def test_pucci_coarsest_level_evaluated_once_per_visit(monkeypatch):
     assert res.level_evals[-1] == calls.count((5, 5, 5)) + newton_evals
 
 
+def min_off_diagonal(disc, dirs):
+    """Per direction of dirs, the least off-diagonal entry of its row's
+    matrix over the interior nodes, probed one interior unit vector at a
+    time; the boundary data must be zero, so that the probe is the column."""
+    counts = disc.grid.counts
+    flat = np.zeros(disc.grid.n_nodes)
+    inner = _interior(flat, counts)
+    assert not disc.stencil.hessian_components(flat, dirs).any()
+    least = np.full(len(dirs), np.inf)
+    for k, idx in enumerate(np.ndindex(inner.shape)):
+        inner[idx] = 1.0
+        column = disc.stencil.hessian_components(flat, dirs)
+        inner[idx] = 0.0
+        column[:, k] = np.inf
+        least = np.minimum(least, column.min(axis=1))
+    return least
+
+
+@pytest.mark.parametrize("n,width", [(9, None), (9, 1.5), (12, None), (12, 1.5), (17, None)])
+def test_direction_rows_are_monotone(n, width):
+    # each row D_v weighs its two samples, trilinear interpolations, by
+    # 1 / rho^2, so no row has a negative off-diagonal entry; at 17^3 the
+    # default rho is 1.5 h.  Every kind reads a subset of these rows.
+    grid = box(n)
+    sample_width = None if width is None else width * grid.horizontal_spacing
+    disc = ProblemSpec(PUCCI_PLUS, ONE, ZERO, ZERO, grid, sample_width=sample_width).discretization
+    assert disc.stencil.outside_fraction > 0
+    assert disc.rho == (1.5 if width or n == 17 else 1.0) * grid.horizontal_spacing
+    assert PUCCI_PLUS.hessian_rows == DIRECTIONS
+    assert all(set(op.hessian_rows) <= set(DIRECTIONS) for op in COARSE_KINDS.values())
+    assert min_off_diagonal(disc, DIRECTIONS).min() >= 0.0
+
+
 MONOTONE_KINDS = {
     "sublaplacian": SUB,
     "trace_linear_diagonal": OperatorSpec(
@@ -552,7 +615,7 @@ def test_scheme_is_monotone_when_f_ignores_hxy(kind):
     g = SplitMix64(0, "monotone")
     for _ in range(3):
         flat = g.uniform(disc.grid.n_nodes, -1.0, 1.0)
-        _, slopes = _values_and_slopes(op, disc.stencil.hessian_components(flat))
+        _, slopes = _values_and_slopes(op, disc.stencil.hessian_components(flat, op.hessian_rows))
         jac = np.einsum("kn,knm->nm", slopes, m)
         np.fill_diagonal(jac, 0.0)
         assert jac.min() >= 0.0
@@ -581,13 +644,11 @@ def test_plain_step_is_monotone_at_the_shipped_tau(kind, width):
     disc = ProblemSpec(op, c, ZERO, ZERO, box(9), sample_width=width).discretization
     assert disc.rho == (width or 0.25)
     # F is linear for these kinds: its slopes at u = 0 are its coefficients
-    _, slopes = _values_and_slopes(op, disc.stencil.hessian_components(np.zeros(9**3)))
+    rows = disc.stencil.hessian_components(np.zeros(9**3), op.hessian_rows)
+    _, slopes = _values_and_slopes(op, rows)
     jac = np.einsum("kn,knm->nm", slopes, _probe(disc)) - np.diag(disc.c_int)
     assert (np.eye(len(jac)) + disc.tau * jac).min() >= -1e-12
     assert disc.tau * np.abs(np.diag(jac)).max() <= 0.8 + 1e-12
-
-
-PUCCI_PLUS = COARSE_KINDS["pucci_plus"]
 
 
 def pucci_problem(n, u_star="x1^2 - x2^2", tol=1e-6):
@@ -749,12 +810,17 @@ def test_anderson_mix_solves_a_linear_map_exactly():
     [(box(17), None), (Grid3.box((0.3, -0.7, 0.1), (1.4, 0.2, 0.9), (21, 17, 19)), 0.137)],
     ids=["cube17", "off-centre-4-corners"],
 )
-def test_streamed_stencil_is_the_3x9_map_of_the_samples(grid, width):
+def test_streamed_stencil_is_the_4x9_map_of_the_samples(grid, width):
+    # row j weighs the samples 2j and 2j + 1 along _COMBOS by 1 / rho^2 and
+    # the centre by -2 / rho^2: every off-centre weight is nonnegative
     disc = Discretization(ProblemSpec(SUB, ONE, ZERO, POLY_BOUNDARY, grid, sample_width=width))
     assert disc.stencil.outside_fraction > 0
     flat = np.random.default_rng(8).standard_normal(grid.n_nodes)
     got = disc.stencil.hessian_components(flat)
-    want = _second_differences(disc.rho) @ oracle_samples(grid, POLY_BOUNDARY, flat, disc.rho)
+    weights = np.zeros((4, 9))
+    for j in range(4):
+        weights[j, [2 * j, 2 * j + 1, 8]] = (1.0, 1.0, -2.0)
+    want = weights / disc.rho**2 @ oracle_samples(grid, POLY_BOUNDARY, flat, disc.rho)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -773,23 +839,25 @@ def test_restricted_rows_are_the_full_evaluation(kind, width, n):
         assert all(d.weights.shape == (1, 1) for d in disc.stencil.directions)
     flat = np.random.default_rng(21).standard_normal(grid.n_nodes)
     full = disc.stencil.hessian_components(flat)
-    want = op.apply_batch(*full) - disc.c_int * _interior(flat, grid.counts).ravel()
+    read = full[[DIRECTIONS.index(v) for v in op.hessian_rows]]
+    want = op.apply_batch(read) - disc.c_int * _interior(flat, grid.counts).ravel()
     assert disc.apply_nonlinearity(flat).tobytes() == want.tobytes()
-    part = disc.stencil.hessian_components(flat, (0, 2))
-    assert all(part[k].tobytes() == full[k].tobytes() for k in (0, 2))
-    assert part[1].shape == full[1].shape and not part[1].any()
+    # any subset of the directions, in any order, is bitwise those rows of the full call
+    for dirs in ((X, Y), (X_MINUS_Y, Y)):
+        part = disc.stencil.hessian_components(flat, dirs)
+        assert part.tobytes() == full[[DIRECTIONS.index(v) for v in dirs]].tobytes()
 
 
-def gathered_hessian(stencil, flat, rho, rows=(0, 1, 2), ordered=False):
+def gathered_hessian(stencil, flat, rho, dirs=DIRECTIONS, ordered=False):
     """The stencil as each direction evaluated it before directions shared
     a horizontal blend, kept as a reference: per direction, the windows of
     all its A x B horizontal corners are gathered from the zero-padded u
     (corner indices clipped onto the grid) and reduced with np.tensordot,
     or if `ordered` by adding the weighted corners in row-major order as
-    the stencil's blend does, then interpolated along x3; the samples are
-    added into the rows in the stencil's order.  The x3 padding is the
-    smallest that holds every window of a column with a sample in the
-    box."""
+    the stencil's blend does, then interpolated along x3; the row of each
+    line in `dirs` adds its two samples and the centre term in the
+    stencil's order.  The x3 padding is the smallest that holds every
+    window of a column with a sample in the box."""
     grid = stencil.grid
     n1, n2, n3 = grid.counts
     x1, x2 = (grid.axis_coordinates(axis)[1:-1] for axis in range(2))
@@ -825,13 +893,10 @@ def gathered_hessian(stencil, flat, rho, rows=(0, 1, 2), ordered=False):
         sample = (blended[..., :-1] * (1 - fz) + blended[..., 1:] * fz).ravel()
         sample[d.out_rows] = d.out_vals
         samples.append(sample)
-    samples.append(_interior(u, grid.counts).ravel())
-    hessian = np.zeros((3, samples[-1].size))
-    for sample, column in zip(samples, stencil.row_weights):
-        for k, w in column:
-            if k in rows:
-                hessian[k] += sample * w
-    return hessian
+    w = 1.0 / (rho * rho)
+    centre = _interior(u, grid.counts).ravel() * (-2.0 * w)
+    first = [2 * DIRECTIONS.index(v) for v in dirs]
+    return np.array([samples[j] * w + samples[j + 1] * w + centre for j in first])
 
 
 @pytest.mark.parametrize("n", [9, 17, 33])
@@ -845,7 +910,7 @@ def test_family_blend_is_the_per_direction_gather_bitwise(kind, n):
     flat = np.random.default_rng(n).standard_normal(disc.grid.n_nodes)
     got = disc.stencil.hessian_components(flat, op.hessian_rows)
     want = gathered_hessian(disc.stencil, flat, disc.rho, op.hessian_rows)
-    assert np.stack(got).tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [7, 12])
