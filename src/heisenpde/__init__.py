@@ -1,9 +1,14 @@
 """Heisenberg-group calculus, degenerate fully nonlinear operators on H^1,
 a grid solver for F(D^{2,*}u) - c u = f that reduces directional second
 differences (monotone when F is nondecreasing in them), and
-Holder-regularity measurement, with a seeded verification suite."""
+Holder-regularity measurement, with a seeded verification suite.
 
-from .calculus import full_hessian, h_gradient, h_hessian, lift, sublaplacian
+Each formula has one entry point: an array kernel (the *_batch functions of
+group and doubling, OperatorSpec.apply_stack and apply_batch), h_hessian and
+full_hessian for a field at a point, or the solver's Discretization; one
+point or matrix is a one-row stack."""
+
+from .calculus import full_hessian, h_hessian
 from .doubling import (
     MaxReport,
     PenaltyParams,
@@ -12,16 +17,11 @@ from .doubling import (
 )
 from .fields import NumericField, PolynomialField, ScalarField, parse_polynomial
 from .grid import Grid3, GridFunction
-from .group import ORIGIN, Point, dilate, frame, group_inv, group_mul, p_matrix, sigma, sqrt_p
+from .group import ORIGIN, Point
 from .operators import (
     EllipticityBracket,
     HolderData,
     OperatorSpec,
-    eval_intrinsic,
-    eval_lifted,
-    pucci_minus,
-    pucci_plus,
-    residual,
     validate_operator,
 )
 from .pipeline import run_pipeline
@@ -37,12 +37,10 @@ from .solver import (
     ProblemSpec,
     SolveResult,
     manufacture,
-    residual_norm,
     solve,
     stencil_hessian,
-    step,
 )
-from .symmetric import Mat2x3, Sym2, Sym3
+from .symmetric import Sym2, Sym3
 
 __version__ = "0.1.0"
 
@@ -53,7 +51,6 @@ __all__ = [
     "GridFunction",
     "HolderData",
     "HolderReport",
-    "Mat2x3",
     "MaxReport",
     "NumericField",
     "OperatorSpec",
@@ -66,34 +63,17 @@ __all__ = [
     "Sym2",
     "Sym3",
     "check_theorem",
-    "dilate",
     "doubling_certificate",
-    "eval_intrinsic",
-    "eval_lifted",
     "fit_alpha",
-    "frame",
     "full_hessian",
-    "group_inv",
-    "group_mul",
-    "h_gradient",
     "h_hessian",
     "holder_seminorm",
-    "lift",
     "manufacture",
     "modulus",
-    "p_matrix",
     "parse_polynomial",
-    "pucci_minus",
-    "pucci_plus",
-    "residual",
-    "residual_norm",
     "run_pipeline",
-    "sigma",
     "solve",
-    "sqrt_p",
     "stencil_hessian",
-    "step",
-    "sublaplacian",
     "theorem_bound",
     "validate_operator",
     "vertical_obstruction_check",

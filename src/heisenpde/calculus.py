@@ -1,15 +1,16 @@
 """Horizontal differential calculus on H^1.
 
-h_gradient and h_hessian produce the intrinsic first and second order objects
-(Xu, Yu) and [[X^2u, (XY+YX)u/2], [., Y^2u]].  For polynomial fields the
-composed derivatives are built by applying the fields symbolically twice, so
-the non-commutativity of X and Y is exercised directly; for numeric fields
-they come from centered directional differences along the frozen frame at the
-evaluation point (the first-order correction terms cancel in the
-symmetrization, so both routes target the same matrix; the quotient is
-fields.second_difference, shared with NumericField).  lift compresses a full
-3x3 Hessian to the intrinsic 2x2 form via the frame; it is lift_batch on one
-row.
+h_hessian produces the intrinsic second order object
+[[X^2u, (XY+YX)u/2], [., Y^2u]], whose trace is the sub-Laplacian
+X^2u + Y^2u.  For polynomial fields the composed derivatives are built by
+applying the fields symbolically twice, so the non-commutativity of X and Y
+is exercised directly; for numeric fields they come from centered
+directional differences along the frozen frame at the evaluation point (the
+first-order correction terms cancel in the symmetrization, so both routes
+target the same matrix; the quotient is fields.second_difference, shared
+with NumericField).  full_hessian is the classical 3x3 Hessian, and
+lift_batch compresses a stack of them to the intrinsic 2x2 form via the
+frame.
 """
 
 from __future__ import annotations
@@ -17,18 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import PolynomialField, ScalarField, second_difference
-from .group import Point, frame, frame_batch
+from .group import Point, frame_batch
 from .symmetric import Sym2, Sym3
-
-HorizontalGradient = np.ndarray
-
-
-def h_gradient(u: ScalarField, p: Point) -> HorizontalGradient:
-    """(Xu, Yu) at p."""
-    d1 = u.partial(p, 0)
-    d2 = u.partial(p, 1)
-    d3 = u.partial(p, 2)
-    return np.array([d1 + 2.0 * p.x2 * d3, d2 - 2.0 * p.x1 * d3])
 
 
 def h_second_fields(u: PolynomialField) -> tuple[PolynomialField, ...]:
@@ -42,7 +33,7 @@ def h_hessian(u: ScalarField, p: Point) -> Sym2:
     if isinstance(u, PolynomialField):
         xx, xy, yx, yy = (w.value(p) for w in h_second_fields(u))
         return Sym2(xx, 0.5 * (xy + yx), yy)
-    x, y, _ = frame(p)
+    (x,), (y,) = frame_batch(p.as_array()[None])
     h = u.h_fd if hasattr(u, "h_fd") else 1e-4
     return Sym2(*(second_difference(u, p, h, v, w) for v, w in ((x, None), (x, y), (y, None))))
 
@@ -56,14 +47,10 @@ def full_hessian(u: ScalarField, p: Point) -> Sym3:
     return Sym3(*u.second_partials(p, _UPPER))
 
 
-def lift(a: Sym3, p: Point) -> Sym2:
-    """Compression [[<AX,X>, <AX,Y>], [<AX,Y>, <AY,Y>]] with the frame at p,
-    as a one-row lift_batch."""
-    return Sym2.from_matrix(lift_batch(a.mat[None], p.as_array()[None])[0])
-
-
 def lift_batch(mats: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Batched lift; mats is (n, 3, 3), xy the points (n, 2) or (n, 3)."""
+    """Compressions [[<AX,X>, <AX,Y>], [<AX,Y>, <AY,Y>]] of a stack of 3x3
+    matrices A with the frame at each point; mats is (n, 3, 3), xy the
+    points (n, 2) or (n, 3)."""
     xv, yv = frame_batch(xy)
     out = np.empty((mats.shape[0], 2, 2))
     ax = np.einsum("nij,nj->ni", mats, xv)
@@ -72,8 +59,3 @@ def lift_batch(mats: np.ndarray, xy: np.ndarray) -> np.ndarray:
     out[:, 0, 1] = out[:, 1, 0] = np.einsum("ni,ni->n", xv, ay)
     out[:, 1, 1] = np.einsum("ni,ni->n", yv, ay)
     return out
-
-
-def sublaplacian(u: ScalarField, p: Point) -> float:
-    """X^2u + Y^2u = tr(D^{2,*}u) = tr(P D^2 u)."""
-    return h_hessian(u, p).trace()

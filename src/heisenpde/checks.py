@@ -256,7 +256,7 @@ def check_pucci_bruteforce(seed: int = 0, trials: int = 100, samples: int = 100_
 
 
 def check_pucci_duality(seed: int = 0, trials: int = 2000) -> dict:
-    """pucci_minus(H) = -pucci_plus(-H), bitwise."""
+    """Pucci-(H) = -Pucci+(-H), bitwise."""
     g = SplitMix64(seed, "pucci-duality")
     b = EllipticityBracket(0.5, 2.5)
     mats = g.symmetric(trials, 2, scale=2.0)

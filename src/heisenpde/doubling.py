@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import lift_batch
-from .group import Point, p_matrix_batch, sqrt_p, sqrt_p_batch
+from .group import Point, p_matrix_batch, sqrt_p_batch
 from .rng import SplitMix64
 
 
@@ -231,8 +231,7 @@ def vertical_obstruction_check(
     """
     if x3 == y3:
         raise ValueError("need x3 != y3")
-    rx = sqrt_p(Point(0.0, 0.0, float(x3))).mat
-    ry = sqrt_p(Point(0.0, 0.0, float(y3))).mat
+    rx, ry = sqrt_p_batch(np.array([[0.0, 0.0, x3], [0.0, 0.0, y3]], dtype=float))
     g = SplitMix64(seed, "vertical-obstruction")
     xi1 = g.normal((samples, 3))
     xi2 = g.normal((samples, 3))

@@ -28,16 +28,13 @@ def _accumulate(terms: dict, expo: tuple[int, int, int], coeff: Fraction) -> Non
 
 
 class ScalarField:
-    """Evaluation plus first/second partial derivatives at a point."""
+    """Evaluation plus second partial derivatives at a point."""
 
     def value(self, p: Point) -> float:
         raise NotImplementedError
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         return np.array([self.value(Point(*row)) for row in np.asarray(pts, dtype=float)])
-
-    def partial(self, p: Point, i: int) -> float:
-        raise NotImplementedError
 
     def second_partial(self, p: Point, i: int, j: int) -> float:
         raise NotImplementedError
@@ -117,9 +114,6 @@ class PolynomialField(ScalarField):
             new[i] -= 1
             _accumulate(out, tuple(new), c * expo[i])
         return PolynomialField._exact(out)
-
-    def partial(self, p: Point, i: int) -> float:
-        return self.partial_field(i).value(p)
 
     def second_partial(self, p: Point, i: int, j: int) -> float:
         return self.second_partials(p, ((i, j),))[0]
@@ -223,14 +217,6 @@ class NumericField(ScalarField):
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
-
-    def partial(self, p: Point, i: int) -> float:
-        h = self.h_fd
-        e = np.zeros(3)
-        e[i] = h
-        x = np.array([p.x1, p.x2, p.x3])
-        vals = self.value_batch(np.array([x + e, x - e]))
-        return float((vals[0] - vals[1]) / (2 * h))
 
     def second_partial(self, p: Point, i: int, j: int) -> float:
         e = np.eye(3)

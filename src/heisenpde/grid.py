@@ -181,10 +181,6 @@ class GridFunction:
         base, frac = locate(self.grid, pts)
         return trilinear(self.values.ravel(), self.grid.counts, base, frac)
 
-    def value(self, p) -> float:
-        arr = p.as_array() if hasattr(p, "as_array") else np.asarray(p, dtype=float)
-        return float(self.value_batch(arr[None, :])[0])
-
     def to_csv(self, path) -> None:
         """Write the rows in storage order, one (i1, i2) column at a time:
         each axis coordinate is formatted once, and each column's values

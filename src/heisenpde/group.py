@@ -3,12 +3,13 @@
 Points are (x1, x2, x3) with the non-commutative product
 ``x . y = (x1+y1, x2+y2, x3+y3+2*(y1*x2 - y2*x1))``.  The horizontal frame is
 X = (1, 0, 2*x2), Y = (0, 1, -2*x1), T = (0, 0, 1), with [X, Y] = -4T.  The
-coefficient matrix sigma has rows X, Y; P = sigma^T sigma is positive
-semidefinite with a structurally zero eigenvalue, and sqrt_p is its matrix
-square root in a closed form that is regular at x' = 0.
+coefficient matrix sigma has rows X, Y (frame_batch); P = sigma^T sigma
+(p_matrix_batch) is positive semidefinite with a structurally zero
+eigenvalue, and sqrt_p_batch is its matrix square root in a closed form that
+is regular at x' = 0.
 
 Each formula is implemented once, over (n, 3) arrays of points (the *_batch
-functions); the Point/Sym3 functions wrap them for a single point.
+functions); a single point is a one-row array.
 """
 
 from __future__ import annotations
@@ -17,11 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .symmetric import Mat2x3, Sym3
-
-Vec3 = np.ndarray
-
 
 @dataclass(frozen=True)
 class Point:
@@ -35,19 +31,11 @@ class Point:
         if not (math.isfinite(self.x1) and math.isfinite(self.x2) and math.isfinite(self.x3)):
             raise ValueError("point coordinates must be finite")
 
-    @staticmethod
-    def of(x1: float, x2: float, x3: float) -> "Point":
-        return Point(float(x1), float(x2), float(x3))
-
-    def as_array(self) -> Vec3:
+    def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3])
 
 
 ORIGIN = Point(0.0, 0.0, 0.0)
-
-
-def _row(p: Point) -> np.ndarray:
-    return np.array([[p.x1, p.x2, p.x3]], dtype=float)
 
 
 def group_mul_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -57,17 +45,9 @@ def group_mul_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def group_mul(p: Point, q: Point) -> Point:
-    return Point.of(*group_mul_batch(_row(p), _row(q))[0])
-
-
 def group_inv_batch(p: np.ndarray) -> np.ndarray:
     """Row-wise inverses of an (n, 3) array of points."""
     return -p
-
-
-def group_inv(p: Point) -> Point:
-    return Point.of(*group_inv_batch(_row(p))[0])
 
 
 def dilate_batch(lam, p: np.ndarray) -> np.ndarray:
@@ -77,10 +57,6 @@ def dilate_batch(lam, p: np.ndarray) -> np.ndarray:
     if not np.all(lam > 0.0):
         raise ValueError(f"dilation factor must be positive, got {lam}")
     return np.stack([lam * p[:, 0], lam * p[:, 1], lam * lam * p[:, 2]], axis=1)
-
-
-def dilate(lam: float, p: Point) -> Point:
-    return Point.of(*dilate_batch(lam, _row(p))[0])
 
 
 def frame_batch(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,18 +71,6 @@ def frame_batch(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y[:, 1] = 1.0
     y[:, 2] = -2.0 * xy[:, 0]
     return x, y
-
-
-def frame(p: Point) -> tuple[Vec3, Vec3, Vec3]:
-    """Horizontal frame (X, Y) and the vertical direction T at p."""
-    x, y = frame_batch(_row(p))
-    return x[0], y[0], np.array([0.0, 0.0, 1.0])
-
-
-def sigma(p: Point) -> Mat2x3:
-    """Coefficient matrix with rows X(p), Y(p)."""
-    x, y = frame_batch(_row(p))
-    return Mat2x3((tuple(x[0]), tuple(y[0])))
 
 
 def p_matrix_batch(xy: np.ndarray) -> np.ndarray:
@@ -125,10 +89,6 @@ def p_matrix_batch(xy: np.ndarray) -> np.ndarray:
     return out
 
 
-def p_matrix(p: Point) -> Sym3:
-    return Sym3.from_matrix(p_matrix_batch(_row(p))[0])
-
-
 def null_direction_batch(xy: np.ndarray) -> np.ndarray:
     """The exact kernel vectors (-2*x2, 2*x1, 1) of P; result (n, 3)."""
     return np.stack([-2.0 * xy[:, 1], 2.0 * xy[:, 0], np.ones(xy.shape[0])], axis=1)
@@ -143,7 +103,7 @@ def sqrt_p_batch(xy: np.ndarray) -> np.ndarray:
     [w^T/s, |w|^2/s]] with s = sqrt(1 + |w|^2).  In regularized entries, with
     D = (1+s)*s: diagonal 1 - 4*x2^2/D, 1 - 4*x1^2/D, 4*(x1^2+x2^2)/s and
     off-diagonal 4*x1*x2/D, 2*x2/s, -2*x1/s.  (The x2^2/x1^2 placement on the
-    diagonal is forced by sqrt_p(p)^2 = p_matrix(p).)
+    diagonal is forced by sqrt_p_batch(xy)^2 = p_matrix_batch(xy).)
     """
     x1, x2 = xy[:, 0], xy[:, 1]
     rho2 = x1 * x1 + x2 * x2
@@ -158,7 +118,3 @@ def sqrt_p_batch(xy: np.ndarray) -> np.ndarray:
     out[:, 0, 2] = out[:, 2, 0] = 2.0 * x2 / s
     out[:, 1, 2] = out[:, 2, 1] = -2.0 * x1 / s
     return out
-
-
-def sqrt_p(p: Point) -> Sym3:
-    return Sym3.from_matrix(sqrt_p_batch(_row(p))[0])

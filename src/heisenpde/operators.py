@@ -1,4 +1,4 @@
-"""Degenerate fully nonlinear operators on H^1 and PDE residual evaluation.
+"""Degenerate fully nonlinear operators on H^1.
 
 An OperatorSpec names a monotone map F on small symmetric matrices, one of
 the kinds sublaplacian (the trace), pucci_plus, pucci_minus and trace_linear
@@ -16,12 +16,13 @@ stencil approximates by (u(p + rho v) + u(p - rho v) - 2 u(p)) / rho^2, a
 difference whose off-centre weights are nonnegative.  apply_batch reduces
 the rows that hessian_rows names: the sub-Laplacian is D_X + D_Y, and
 trace_linear and Pucci rebuild the cross term h_xy = (D_{X+Y} - D_{X-Y}) / 4
-in cross_term, the one place that formula lives.  Every argument, one
-matrix or a stack, is evaluated by apply_stack: a 2x2 stack is mapped to its
-rows (h11, h22, h11 + h22 +- 2 h12) and goes through apply_batch, the
-solver's kernel, with the closed 2x2 eigenvalue formula for Pucci; a 3x3
-lifted stack takes numpy.linalg.eigvalsh.  Both sum the Pucci corners
-through one helper.
+in cross_term, the one place that formula lives.  A stack of matrices, one
+matrix being a one-matrix stack, is evaluated by apply_stack: a 2x2 stack is
+mapped to its rows (h11, h22, h11 + h22 +- 2 h12) and goes through
+apply_batch, the solver's kernel, with the closed 2x2 eigenvalue formula for
+Pucci; a 3x3 lifted stack takes numpy.linalg.eigvalsh.  Both sum the Pucci
+corners through one helper.  The residual F - c u - f of a field is the
+solver's (Discretization.residual_interior), on the stencil's rows.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import full_hessian, h_hessian
 from .config import config_number, config_section
-from .fields import ScalarField
-from .group import Point, sqrt_p
 from .rng import SplitMix64
 from .symmetric import Sym2, Sym3, eigenvalues2
 
@@ -107,21 +105,6 @@ def cross_term(d_plus, d_minus):
     return out
 
 
-def _form_of(h: Sym2 | Sym3) -> str:
-    return INTRINSIC if isinstance(h, Sym2) else LIFTED
-
-
-def pucci_plus(h: Sym2 | Sym3, bracket: EllipticityBracket) -> float:
-    """max over admissible a of trace(a h) = Lam*sum(e>0) + lam*sum(e<0),
-    for a 2x2 (intrinsic) or 3x3 (lifted) argument."""
-    return OperatorSpec("pucci_plus", bracket, _form_of(h)).apply(h)
-
-
-def pucci_minus(h: Sym2 | Sym3, bracket: EllipticityBracket) -> float:
-    """min over admissible a of trace(a h); equals -pucci_plus(-h) exactly."""
-    return OperatorSpec("pucci_minus", bracket, _form_of(h)).apply(h)
-
-
 @dataclass(frozen=True)
 class OperatorSpec:
     """A monotone operator kind with its bracket and acting form.
@@ -164,17 +147,12 @@ class OperatorSpec:
             return (X, Y)
         return DIRECTIONS
 
-    def apply(self, h: Sym2 | Sym3) -> float:
-        """F(h) for the 2x2 (intrinsic) or 3x3 (lifted) argument: apply_stack
-        on a one-matrix stack."""
-        return float(self.apply_stack(h.mat[None])[0])
-
     def apply_stack(self, mats: np.ndarray) -> np.ndarray:
         """F on a symmetric (n, 2, 2) stack through apply_batch, on the rows
         D_X = h11, D_Y = h22 and D_{X+-Y} = h11 + h22 +- 2 h12, or on a
         symmetric (n, 3, 3) stack in lifted form.  Lifted Pucci eigenvalues
         come from numpy.linalg.eigvalsh and are summed in ascending |e|
-        order, so that pucci_minus(h) == -pucci_plus(-h) bitwise: Pucci-
+        order, so that Pucci-(h) == -Pucci+(-h) bitwise: Pucci-
         breaks ties in |e| from the descending spectrum, which is the
         negated ascending spectrum of -h."""
         if mats.shape[1:] == (2, 2):
@@ -233,36 +211,6 @@ class OperatorSpec:
                 f"operator config 'a' is read by kind 'trace_linear' only, not {cfg['kind']!r}"
             )
         return OperatorSpec(cfg["kind"], bracket, coeff=coeff)
-
-
-def eval_intrinsic(spec: OperatorSpec, u: ScalarField, p: Point) -> float:
-    """F applied to the symmetrized horizontal Hessian of u at p."""
-    if spec.form != INTRINSIC:
-        raise ValueError("operator is not in intrinsic form")
-    return spec.apply(h_hessian(u, p))
-
-
-def eval_lifted(spec: OperatorSpec, u: ScalarField, p: Point) -> float:
-    """G applied to sqrt(P) D^2u sqrt(P) at p."""
-    if spec.form != LIFTED:
-        raise ValueError("operator is not in lifted form")
-    r = sqrt_p(p).mat
-    s = r @ full_hessian(u, p).mat @ r
-    return spec.apply(Sym3.from_matrix(s))
-
-
-def eval_operator(spec: OperatorSpec, u: ScalarField, p: Point) -> float:
-    return eval_intrinsic(spec, u, p) if spec.form == INTRINSIC else eval_lifted(spec, u, p)
-
-
-def residual(
-    spec: OperatorSpec, c: ScalarField, f: ScalarField, u: ScalarField, p: Point
-) -> float:
-    """F(.) - c(p) u(p) - f(p); the zero-order coefficient must be >= 0."""
-    cval = c.value(p)
-    if cval < 0:
-        raise ValueError(f"zero-order coefficient is negative at {p}: {cval}")
-    return eval_operator(spec, u, p) - cval * u.value(p) - f.value(p)
 
 
 def validate_operator(spec: OperatorSpec, samples: int = 1000, seed: int = 0) -> dict:

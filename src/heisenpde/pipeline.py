@@ -77,7 +77,7 @@ class TheoremCheck:
         config_number(cfg, name, "seed", int, default=0)
         return TheoremCheck(hd, bracket, margin)
 
-    def run(self, u, fine) -> HolderReport:
+    def run(self, u: GridFunction, fine: GridFunction | None) -> HolderReport:
         return check_theorem(u, fine, self.hd, self.bracket, self.margin)
 
 
@@ -162,7 +162,7 @@ def run_pipeline(cfg: dict, emit_plot_data: bool = False, timings: dict | None =
         return artifacts
     check = spec.check
     with _stage(timings, "check_theorem_s"):
-        report = check.run(coarse, fine)
+        report = check.run(coarse.u, fine.u)
     pp = replace(spec.penalty, L=spec.penalty.L * max(report.seminorm_refined, 1e-12))
     with _stage(timings, "certificate_s"):
         cert = doubling_certificate(fine.u, pp, fine.u.grid.margin_box(check.margin), spec.per_axis)

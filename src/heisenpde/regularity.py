@@ -184,36 +184,43 @@ def alpha_target(hd: HolderData, bracket: EllipticityBracket) -> float:
 
 
 def check_theorem(
-    coarse,
-    fine,
+    u: GridFunction,
+    fine: GridFunction | None,
     hd: HolderData,
     bracket: EllipticityBracket,
     margin: float = DEFAULT_MARGIN,
 ) -> HolderReport:
     """Compare a solved u against the regularity theorem's prediction.
 
-    coarse and fine are SolveResults of the same problem at two resolutions
-    (fine may be None: the stability clause is then reported unchecked).
-    pass requires the exact seminorm at the target exponent to move < 20%
-    from the coarse grid's node pairs to the fine grid's, which hold them,
-    and alpha_fit >= 0.8 * alpha_target.
+    u and fine are solutions of the same problem on a grid and on its
+    refinement (fine may be None: the stability clause is then reported
+    unchecked).  fine must cover u's box, up to the rounding a CSV round
+    trip leaves, with the counts 2n - 1 of u.grid.refine(); a ValueError
+    names the mismatch.  pass requires the exact seminorm at the target
+    exponent to move < 20% from the coarse grid's node pairs to the fine
+    grid's, which hold them, and alpha_fit >= 0.8 * alpha_target.
     """
-    for result in (coarse, fine):
-        if result is not None and hasattr(result, "converged") and not result.converged:
-            raise ValueError("check_theorem requires converged solves")
-    u = coarse.u if hasattr(coarse, "u") else coarse
+    stability_checked = fine is not None
+    if stability_checked:
+        box, fine_box = u.grid.margin_box(margin), fine.grid.margin_box(margin)
+        if not (np.allclose(fine_box[0], box[0]) and np.allclose(fine_box[1], box[1])):
+            raise ValueError(
+                f"refined grid must cover the same box as the grid: it spans {fine.grid.lower} "
+                f"to {fine.grid.upper}, the grid {u.grid.lower} to {u.grid.upper}"
+            )
+        want = u.grid.refine().counts
+        if fine.grid.counts != want:
+            raise ValueError(
+                f"refined grid has counts {fine.grid.counts}, but the refinement of the "
+                f"{u.grid.counts} grid has {want}"
+            )
     fit_radii = node_radii(u, margin)
     target = alpha_target(hd, bracket)
     semi, semi_radius = holder_seminorm(u, target, margin)
     afit, lfit, r2, degenerate = fit_alpha(u, margin)
 
-    stability_checked = fine is not None
     if stability_checked:
-        u_fine = fine.u if hasattr(fine, "u") else fine
-        box, fine_box = u.grid.margin_box(margin), u_fine.grid.margin_box(margin)
-        if not (np.allclose(fine_box[0], box[0]) and np.allclose(fine_box[1], box[1])):
-            raise ValueError("refined grid must cover the same box")
-        semi_ref, ref_radius = holder_seminorm(u_fine, target, margin)
+        semi_ref, ref_radius = holder_seminorm(fine, target, margin)
         rel = abs(semi_ref - semi) / max(semi, semi_ref, 1e-300)
     else:
         semi_ref, ref_radius = semi, semi_radius

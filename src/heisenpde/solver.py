@@ -462,6 +462,7 @@ class Discretization:
             self.rho = max(self.grid.horizontal_spacing, prob.sample_width)
         else:
             self.rho = sample_step(self.grid)
+        _check_step(self.rho, "sample step")
         self.stencil = _Stencil(self.grid, prob.boundary, self.rho)
         pts = self.grid.points()
         inner = _interior(pts, self.grid.counts + (3,)).reshape(-1, 3)
@@ -526,34 +527,16 @@ def stencil_hessian(
     a bare grid function, which also serves as its own off-box field and so
     clamps those samples onto the box: (D_X, h_xy, D_Y), with h_xy formed
     from D_{X+Y} and D_{X-Y} by operators.cross_term.  Boundary indices are
-    rejected, and so is a step that is not positive or whose square or
-    inverse square is not finite."""
+    rejected, and so is a step, given or the default sample_step, that is
+    not positive or whose square or inverse square is not finite."""
     if not u.grid.is_interior(idx):
         raise ValueError(f"index {idx} is not interior")
-    if step is not None:
-        _check_step(step, "step")
-    stencil = _Stencil(u.grid, u, step if step is not None else sample_step(u.grid))
+    step = sample_step(u.grid) if step is None else step
+    _check_step(step, "step")
+    stencil = _Stencil(u.grid, u, step)
     column = np.ravel_multi_index(tuple(i - 1 for i in idx), stencil.shape)
     d_x, d_y, d_plus, d_minus = stencil.hessian_components(u.values.ravel())[:, column]
     return Sym2(float(d_x), float(cross_term(d_plus, d_minus)), float(d_y))
-
-
-def step(u: GridFunction, prob: ProblemSpec, tau: float) -> GridFunction:
-    """One Jacobi pseudo-time step; boundary nodes reset to the Dirichlet data."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    disc = prob.discretization
-    flat = u.values.ravel().copy()
-    disc.enforce_boundary(flat)
-    disc.advance(flat, disc.residual_interior(flat, disc.f_int), tau)
-    return GridFunction(u.grid, flat.reshape(u.grid.counts))
-
-
-def residual_norm(u: GridFunction, prob: ProblemSpec) -> float:
-    """max over interior nodes of |F(stencil) - c u - f|."""
-    disc = prob.discretization
-    flat = u.values.ravel()
-    return float(np.abs(disc.residual_interior(flat, disc.f_int)).max())
 
 
 def manufacture(u_star: ScalarField, op: OperatorSpec, c: ScalarField) -> ScalarField:
@@ -799,7 +782,8 @@ def solve(prob: ProblemSpec) -> SolveResult:
     the mix of the last DEPTH cycles replaces the cycle's result only if its
     residual is strictly smaller; a mix that raises LinAlgError or is not
     finite is rejected.  The fixed point and stopping rule are those of the
-    pure iteration `step`.  The solve stops unconverged after
+    plain Jacobi step of Discretization (advance with tau on the residual
+    of residual_interior).  The solve stops unconverged after
     _Multilevel.MAX_CYCLES cycles; non-convergence returns the last iterate
     flagged, never raises.
     """

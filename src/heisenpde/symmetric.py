@@ -28,18 +28,6 @@ class Sym2:
         m = np.asarray(m, dtype=float)
         return Sym2(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1])
 
-    @staticmethod
-    def zero() -> "Sym2":
-        return Sym2(0.0, 0.0, 0.0)
-
-    @staticmethod
-    def identity() -> "Sym2":
-        return Sym2(1.0, 0.0, 1.0)
-
-    @staticmethod
-    def diag(d1: float, d2: float) -> "Sym2":
-        return Sym2(float(d1), 0.0, float(d2))
-
     @property
     def mat(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a12, self.a22]])
@@ -50,20 +38,6 @@ class Sym2:
     def eigenvalues(self) -> tuple[float, float]:
         """Ascending eigenvalues by the closed quadratic formula."""
         return eigenvalues2(self.a11, self.a12, self.a22)
-
-    def __add__(self, other: "Sym2") -> "Sym2":
-        return Sym2(self.a11 + other.a11, self.a12 + other.a12, self.a22 + other.a22)
-
-    def __sub__(self, other: "Sym2") -> "Sym2":
-        return Sym2(self.a11 - other.a11, self.a12 - other.a12, self.a22 - other.a22)
-
-    def __mul__(self, t: float) -> "Sym2":
-        return Sym2(self.a11 * t, self.a12 * t, self.a22 * t)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Sym2":
-        return Sym2(-self.a11, -self.a12, -self.a22)
 
 
 @dataclass(frozen=True)
@@ -89,18 +63,6 @@ class Sym3:
             m[2, 2],
         )
 
-    @staticmethod
-    def zero() -> "Sym3":
-        return Sym3(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def identity() -> "Sym3":
-        return Sym3(1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
-
-    @staticmethod
-    def diag(d1: float, d2: float, d3: float) -> "Sym3":
-        return Sym3(float(d1), 0.0, 0.0, float(d2), 0.0, float(d3))
-
     @property
     def mat(self) -> np.ndarray:
         return np.array(
@@ -117,34 +79,6 @@ class Sym3:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues, from numpy.linalg.eigvalsh."""
         return np.linalg.eigvalsh(self.mat)
-
-    def __add__(self, other: "Sym3") -> "Sym3":
-        return Sym3(*(a + b for a, b in zip(self._tuple(), other._tuple())))
-
-    def __sub__(self, other: "Sym3") -> "Sym3":
-        return Sym3(*(a - b for a, b in zip(self._tuple(), other._tuple())))
-
-    def __mul__(self, t: float) -> "Sym3":
-        return Sym3(*(a * t for a in self._tuple()))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Sym3":
-        return Sym3(*(-a for a in self._tuple()))
-
-    def _tuple(self):
-        return (self.a11, self.a12, self.a13, self.a22, self.a23, self.a33)
-
-
-@dataclass(frozen=True)
-class Mat2x3:
-    """Dense 2x3 matrix (the horizontal-frame coefficient matrix)."""
-
-    rows: tuple[tuple[float, float, float], tuple[float, float, float]]
-
-    @property
-    def mat(self) -> np.ndarray:
-        return np.array(self.rows)
 
 
 def eigenvalues2(a11, a12, a22):

@@ -1,30 +1,15 @@
 import numpy as np
 from conftest import random_points, random_polynomial
 
-from heisenpde.calculus import (
-    full_hessian,
-    h_gradient,
-    h_hessian,
-    lift,
-    lift_batch,
-    sublaplacian,
-)
+from heisenpde.calculus import full_hessian, h_hessian, lift_batch
 from heisenpde.fields import NumericField, PolynomialField, parse_polynomial
-from heisenpde.group import Point, frame, p_matrix
+from heisenpde.group import Point, frame_batch, p_matrix_batch
 from heisenpde.rng import SplitMix64
-from heisenpde.symmetric import Sym3
 
 
-def test_h_gradient_examples():
-    x3 = PolynomialField.coordinate(2)
-    assert np.array_equal(h_gradient(x3, Point(1, 2, 0.5)), [4.0, -2.0])
-    const = PolynomialField.constant(7)
-    assert np.array_equal(h_gradient(const, Point(1, 1, 1)), [0.0, 0.0])
-    r2 = parse_polynomial("x1^2 + x2^2")
-    g = SplitMix64(40, "hgrad")
-    for row in random_points(g, 20):
-        p = Point(*row)
-        assert np.allclose(h_gradient(r2, p), [2 * p.x1, 2 * p.x2], rtol=1e-14)
+def lift(a: np.ndarray, p: Point) -> np.ndarray:
+    """lift_batch on a one-matrix stack."""
+    return lift_batch(a[None], p.as_array()[None])[0]
 
 
 def test_h_hessian_examples():
@@ -62,29 +47,18 @@ def test_lift_of_full_hessian_is_h_hessian():
     for _ in range(50):
         u = random_polynomial(g, degree=5)
         p = Point(*random_points(g, 1)[0])
-        a = lift(full_hessian(u, p), p).mat
+        a = lift(full_hessian(u, p).mat, p)
         b = h_hessian(u, p).mat
         scale = max(1.0, np.abs(a).max(), np.abs(b).max())
         assert np.allclose(a, b, atol=1e-12 * scale)
 
 
 def test_lift_identity_and_linearity():
-    assert np.array_equal(lift(Sym3.identity(), Point(0, 0, 0)).mat, np.eye(2))
+    assert np.array_equal(lift(np.eye(3), Point(0, 0, 0)), np.eye(2))
     g = SplitMix64(43, "liftlin")
-    a = Sym3.from_matrix(g.symmetric(1, 3)[0])
-    b = Sym3.from_matrix(g.symmetric(1, 3)[0])
+    a, b = g.symmetric(1, 3)[0], g.symmetric(1, 3)[0]
     p = Point(0.5, -1.5, 2.0)
-    assert np.allclose(lift(a + b, p).mat, lift(a, p).mat + lift(b, p).mat, rtol=1e-14)
-
-
-def test_lift_batch_matches_scalar():
-    g = SplitMix64(44, "liftbatch")
-    mats = g.symmetric(20, 3)
-    xy = g.uniform(40, -3, 3).reshape(20, 2)
-    out = lift_batch(mats, xy)
-    for k in range(20):
-        ref = lift(Sym3.from_matrix(mats[k]), Point(xy[k, 0], xy[k, 1], 0.0)).mat
-        assert np.allclose(out[k], ref, rtol=1e-13, atol=1e-15)
+    assert np.allclose(lift(a + b, p), lift(a, p) + lift(b, p), rtol=1e-14)
 
 
 def test_quadratic_form_identity_polynomial():
@@ -95,7 +69,7 @@ def test_quadratic_form_identity_polynomial():
         u = random_polynomial(g, degree=6)
         p = Point(*random_points(g, 1)[0])
         a, b = g.uniform(2, -2.0, 2.0)
-        x, y, _ = frame(p)
+        (x,), (y,) = frame_batch(p.as_array()[None])
         v = a * x + b * y
         d2 = full_hessian(u, p).mat
         lhs = float(v @ d2 @ v)
@@ -111,19 +85,20 @@ def test_trace_consistency_three_routes():
     for _ in range(50):
         u = random_polynomial(g, degree=5)
         p = Point(*random_points(g, 1)[0])
-        s1 = sublaplacian(u, p)
-        s2 = float(np.trace(lift(full_hessian(u, p), p).mat))
-        s3 = float(np.trace(p_matrix(p).mat @ full_hessian(u, p).mat))
+        s1 = h_hessian(u, p).trace()
+        s2 = float(np.trace(lift(full_hessian(u, p).mat, p)))
+        s3 = float(np.trace(p_matrix_batch(p.as_array()[None])[0] @ full_hessian(u, p).mat))
         scale = max(1.0, abs(s1))
         assert abs(s1 - s2) <= 1e-12 * scale
         assert abs(s1 - s3) <= 1e-12 * scale
 
 
 def test_sublaplacian_examples():
+    # X^2u + Y^2u, the trace of the horizontal Hessian
     p = Point(1.2, -0.4, 3.0)
-    assert np.isclose(sublaplacian(parse_polynomial("x1^2 + x2^2"), p), 4.0, rtol=1e-14)
-    assert sublaplacian(PolynomialField.coordinate(2), p) == 0.0
-    assert np.isclose(sublaplacian(parse_polynomial("x1 x2"), p), 0.0, atol=1e-14)
+    assert np.isclose(h_hessian(parse_polynomial("x1^2 + x2^2"), p).trace(), 4.0, rtol=1e-14)
+    assert h_hessian(PolynomialField.coordinate(2), p).trace() == 0.0
+    assert np.isclose(h_hessian(parse_polynomial("x1 x2"), p).trace(), 0.0, atol=1e-14)
 
 
 def test_dilation_homogeneity_exact():

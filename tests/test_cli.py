@@ -1,4 +1,5 @@
 import json
+import warnings
 import weakref
 from pathlib import Path
 
@@ -523,6 +524,61 @@ def test_holder_rejects_non_string_refined_grid(tmp_path, capsys, refined):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "holder config 'refined_grid'" in err and "string" in err, err
+    assert not out.exists()
+
+
+def holder_with_refined_grid(tmp_path, coarse: Grid3, fine: Grid3) -> tuple[list, Path]:
+    """holder argv on a field sampled on `coarse`, with refined_grid on `fine`."""
+    paths = []
+    for name, grid in (("u.csv", coarse), ("u_fine.csv", fine)):
+        paths.append(tmp_path / name)
+        GridFunction(grid, np.sin(3 * grid.points()).sum(axis=1)).to_csv(paths[-1])
+    base = {key: PIPELINE_CONFIG[key] for key in ("holder", "bracket")}
+    hcfg = write_json(tmp_path / "holder.json", dict(base, refined_grid=str(paths[1])))
+    out = tmp_path / "o.json"
+    return ["holder", "--grid", str(paths[0]), "--config", hcfg, "--out", str(out)], out
+
+
+def test_holder_rejects_a_refined_grid_that_is_not_the_refinement(tmp_path, capsys):
+    # a coarser grid on the same box used to pass with a seminorm change of 0
+    coarse, fine = (Grid3.box((-1, -1, -1), (1, 1, 1), (n, n, n)) for n in (33, 17))
+    argv, out = holder_with_refined_grid(tmp_path, coarse, fine)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "refined grid has counts (17, 17, 17)" in err, err
+    assert "(33, 33, 33) grid has (65, 65, 65)" in err, err
+    assert not out.exists()
+
+
+def test_holder_rejects_a_refined_grid_on_another_box(tmp_path, capsys):
+    coarse = Grid3.box((-1, -1, -1), (1, 1, 1), (9, 9, 9))
+    fine = Grid3.box((-1, -1, -1), (1, 1, 2), (17, 17, 17))
+    argv, out = holder_with_refined_grid(tmp_path, coarse, fine)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "refined grid must cover the same box as the grid" in err, err
+    assert "(1.0, 1.0, 2.0)" in err and "(1.0, 1.0, 1.0)" in err, err
+    assert not out.exists()
+
+
+def test_holder_accepts_the_refinement_read_back_from_csv(tmp_path):
+    coarse = Grid3.box((-1, -1, -1), (1, 1, 1), (9, 9, 9))
+    argv, out = holder_with_refined_grid(tmp_path, coarse, coarse.refine())
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["stability_checked"]
+
+
+def test_solve_rejects_a_sample_step_with_infinite_square(tmp_path, capsys):
+    # h = 2.5e159 on the huge box: rho^2 overflows, and the solve used to fail
+    # later with a non-finite update after numpy overflow warnings
+    grid = {"lower": [-1e160, -1e160, -1], "upper": [1e160, 1e160, 1], "counts": [9, 9, 9]}
+    cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, grid=grid))
+    out = tmp_path / "u.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "sample step must be positive with finite square" in err and "2.5e+159" in err, err
     assert not out.exists()
 
 

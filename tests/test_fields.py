@@ -37,8 +37,8 @@ def test_parse_rejects_garbage():
 def test_polynomial_partials_are_exact():
     u = parse_polynomial("x1^2 x3 - 2 x2 x3^2")
     p = Point(1.5, -0.5, 2.0)
-    assert u.partial(p, 0) == 2 * 1.5 * 2.0
-    assert u.partial(p, 2) == 1.5**2 - 2 * 2 * (-0.5) * 2.0
+    assert u.partial_field(0).value(p) == 2 * 1.5 * 2.0
+    assert u.partial_field(2).value(p) == 1.5**2 - 2 * 2 * (-0.5) * 2.0
     assert u.second_partial(p, 0, 2) == 2 * 1.5
     assert u.second_partial(p, 2, 2) == -4 * (-0.5)
 
@@ -137,12 +137,11 @@ def test_dilate_composition_is_exact():
     assert v == PolynomialField({(1, 1, 0): 9, (0, 0, 2): 81})
 
 
-def test_numeric_field_first_and_second_partials():
+def test_numeric_field_second_partials():
     fn = lambda pts: np.sin(pts[:, 0]) * pts[:, 2] + pts[:, 1] ** 3
     u = NumericField(fn)
     p = Point(0.3, 0.7, -1.2)
-    assert np.isclose(u.partial(p, 0), np.cos(0.3) * -1.2, atol=1e-8)
-    assert np.isclose(u.partial(p, 1), 3 * 0.7**2, atol=1e-8)
+    assert np.isclose(u.second_partial(p, 0, 0), -np.sin(0.3) * -1.2, atol=1e-6)
     assert np.isclose(u.second_partial(p, 0, 2), np.cos(0.3), atol=1e-6)
     assert np.isclose(u.second_partial(p, 1, 1), 6 * 0.7, atol=1e-5)
 
@@ -154,7 +153,7 @@ def test_numeric_field_fd_order_two():
     errs = []
     for h in (1e-2, 5e-3, 2.5e-3):
         u = NumericField(fn, h_fd=h)
-        errs.append(abs(u.partial(p, 0) - exact))
+        errs.append(abs(u.second_partial(p, 0, 0) - exact))
     order = np.log(errs[0] / errs[2]) / np.log(4.0)
     assert order > 1.9
 
@@ -169,11 +168,13 @@ def test_numeric_field_rejects_nonfinite_and_bad_step():
 def test_smooth_abs_field_shape():
     f = smooth_abs_field(eps=0.1)
     assert f.value(Point(0, 0, 0)) == 0.0
-    # gradient norm strictly below 1: Lipschitz-1
+    # gradient norm strictly below 1: Lipschitz-1; the gradient by centred
+    # differences of step 1e-4 along each axis
     g = SplitMix64(32, "sa")
-    for row in random_points(g, 20, -3, 3):
-        p = Point(*row)
-        grad = np.array([f.partial(p, i) for i in range(3)])
+    step = 1e-4 * np.eye(3)
+    for x in random_points(g, 20, -3, 3):
+        vals = f.value_batch(np.concatenate([x + step, x - step]))
+        grad = (vals[:3] - vals[3:]) / 2e-4
         assert np.linalg.norm(grad) < 1.0 + 1e-8
 
 

@@ -173,5 +173,5 @@ def test_value_batch_rejects_non_finite_points(bad):
     with pytest.raises(ValueError, match=r"non-finite point \(0\.25, .*, 0\.75\)"):
         gf.value_batch(pts)
     with pytest.raises(ValueError, match="non-finite point"):
-        gf.value(np.array([bad, 0.0, 0.0]))
+        gf.value_batch(np.array([[bad, 0.0, 0.0]]))
     assert gf.value_batch(pts[:1]).tolist() == [0.5]

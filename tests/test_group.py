@@ -6,20 +6,23 @@ from hypothesis import strategies as st
 from heisenpde.group import (
     ORIGIN,
     Point,
-    dilate,
-    frame,
-    group_inv,
-    group_mul,
+    dilate_batch,
+    frame_batch,
+    group_inv_batch,
+    group_mul_batch,
     null_direction_batch,
-    p_matrix,
-    sigma,
-    sqrt_p,
+    p_matrix_batch,
     sqrt_p_batch,
 )
 from heisenpde.rng import SplitMix64
 
 coords = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
-points = st.builds(Point, coords, coords, coords)
+points = st.tuples(coords, coords, coords)
+
+
+def row(*x) -> np.ndarray:
+    """One point as a one-row (1, 3) stack."""
+    return np.array([x], dtype=float)
 
 
 def manual_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -28,45 +31,42 @@ def manual_matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def test_group_mul_identity_and_example():
-    p = Point(0.3, -1.2, 2.0)
-    assert group_mul(ORIGIN, p) == p
-    assert group_mul(p, ORIGIN) == p
+    p, origin = row(0.3, -1.2, 2.0), ORIGIN.as_array()[None]
+    assert np.array_equal(group_mul_batch(origin, p), p)
+    assert np.array_equal(group_mul_batch(p, origin), p)
     # substitute into the group law: third slot 0+0+2*(0*0 - 1*1) = -2
-    assert group_mul(Point(1, 0, 0), Point(0, 1, 0)) == Point(1, 1, -2)
+    assert np.array_equal(group_mul_batch(row(1, 0, 0), row(0, 1, 0)), row(1, 1, -2))
 
 
 def test_group_inverse():
-    assert group_inv(ORIGIN) == ORIGIN
-    assert group_inv(Point(1, 2, 3)) == Point(-1, -2, -3)
+    assert np.array_equal(group_inv_batch(row(1, 2, 3)), row(-1, -2, -3))
     g = SplitMix64(10, "inv")
-    for row in g.uniform(30, -50, 50).reshape(10, 3):
-        p = Point(*row)
-        assert group_mul(p, group_inv(p)) == ORIGIN
-        assert group_mul(group_inv(p), p) == ORIGIN
+    p = g.uniform(30, -50, 50).reshape(10, 3)
+    assert np.array_equal(group_mul_batch(p, group_inv_batch(p)), np.zeros((10, 3)))
+    assert np.array_equal(group_mul_batch(group_inv_batch(p), p), np.zeros((10, 3)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(points, points, points)
 def test_associativity(a, b, c):
-    lhs = group_mul(group_mul(a, b), c)
-    rhs = group_mul(a, group_mul(b, c))
-    scale = max(1.0, *(abs(v) for p in (a, b, c) for v in (p.x1, p.x2, p.x3))) ** 2
-    assert abs(lhs.x1 - rhs.x1) <= 1e-12 * scale
-    assert abs(lhs.x2 - rhs.x2) <= 1e-12 * scale
-    assert abs(lhs.x3 - rhs.x3) <= 1e-12 * scale
+    a, b, c = row(*a), row(*b), row(*c)
+    lhs = group_mul_batch(group_mul_batch(a, b), c)
+    rhs = group_mul_batch(a, group_mul_batch(b, c))
+    scale = max(1.0, np.abs(np.concatenate([a, b, c])).max()) ** 2
+    assert np.abs(lhs - rhs).max() <= 1e-12 * scale
 
 
 def test_dilate_examples_and_semigroup():
-    p = Point(0.5, -2.0, 7.0)
-    assert dilate(1.0, p) == p
-    assert dilate(2.0, Point(1, 1, 1)) == Point(2, 2, 4)
-    q1 = dilate(1.5, dilate(2.0, p))
-    q2 = dilate(3.0, p)
-    assert np.allclose(q1.as_array(), q2.as_array(), rtol=1e-14)
+    p = row(0.5, -2.0, 7.0)
+    assert np.array_equal(dilate_batch(1.0, p), p)
+    assert np.array_equal(dilate_batch(2.0, row(1, 1, 1)), row(2, 2, 4))
+    q1 = dilate_batch(1.5, dilate_batch(2.0, p))
+    q2 = dilate_batch(3.0, p)
+    assert np.allclose(q1, q2, rtol=1e-14)
     with pytest.raises(ValueError):
-        dilate(0.0, p)
+        dilate_batch(0.0, p)
     with pytest.raises(ValueError):
-        dilate(-1.0, p)
+        dilate_batch(-1.0, p)
 
 
 def test_point_rejects_nonfinite():
@@ -75,105 +75,78 @@ def test_point_rejects_nonfinite():
 
 
 def test_frame_values():
-    x, y, t = frame(ORIGIN)
+    (x,), (y,) = frame_batch(ORIGIN.as_array()[None])
     assert np.array_equal(x, [1, 0, 0])
     assert np.array_equal(y, [0, 1, 0])
-    assert np.array_equal(t, [0, 0, 1])
-    x, y, _ = frame(Point(1, 2, 5))
+    (x,), (y,) = frame_batch(row(1, 2, 5))
     assert np.array_equal(x, [1, 0, 4])
     assert np.array_equal(y, [0, 1, -2])
 
 
 def test_frame_differences_are_vertical():
     # X(p) - X(q) = (0, 0, 2(p2 - q2)); Y(p) - Y(q) = (0, 0, 2(q1 - p1))
-    p, q = Point(1.5, -0.25, 3.0), Point(-2.0, 4.0, 0.5)
-    xp, yp, _ = frame(p)
-    xq, yq, _ = frame(q)
-    assert np.array_equal(xp - xq, [0, 0, 2 * (p.x2 - q.x2)])
-    assert np.array_equal(yp - yq, [0, 0, 2 * (q.x1 - p.x1)])
-
-
-def test_sigma_rows_are_frame():
-    p = Point(0.7, -1.1, 9.0)
-    s = sigma(p).mat
-    x, y, _ = frame(p)
-    assert np.array_equal(s[0], x)
-    assert np.array_equal(s[1], y)
-    assert np.array_equal(s[0], [1, 0, 2 * p.x2])
+    p, q = (1.5, -0.25, 3.0), (-2.0, 4.0, 0.5)
+    (xp, xq), (yp, yq) = frame_batch(np.array([p, q]))
+    assert np.array_equal(xp - xq, [0, 0, 2 * (p[1] - q[1])])
+    assert np.array_equal(yp - yq, [0, 0, 2 * (q[0] - p[0])])
 
 
 def test_p_matrix_is_sigma_t_sigma():
     g = SplitMix64(20, "psigma")
-    for row in g.uniform(60, -10, 10).reshape(20, 3):
-        p = Point(*row)
-        s = sigma(p).mat
-        # entrywise sums with fixed association (BLAS may reassociate/FMA)
-        sts = np.array(
-            [[s[0, i] * s[0, j] + s[1, i] * s[1, j] for j in range(3)] for i in range(3)]
-        )
-        assert np.array_equal(p_matrix(p).mat, sts)
+    pts = g.uniform(60, -10, 10).reshape(20, 3)
+    xs, ys = frame_batch(pts)
+    for x, y, p in zip(xs, ys, p_matrix_batch(pts)):
+        # sigma has rows X, Y; entrywise sums with fixed association (BLAS
+        # may reassociate/FMA)
+        sts = np.array([[x[i] * x[j] + y[i] * y[j] for j in range(3)] for i in range(3)])
+        assert np.array_equal(p, sts)
 
 
 def test_p_matrix_origin_trace_and_smallest_eigenvalue():
-    assert np.array_equal(p_matrix(ORIGIN).mat, np.diag([1.0, 1.0, 0.0]))
+    assert np.array_equal(p_matrix_batch(ORIGIN.as_array()[None])[0], np.diag([1.0, 1.0, 0.0]))
     g = SplitMix64(21, "ptrace")
-    for row in g.uniform(60, -5, 5).reshape(20, 3):
-        p = Point(*row)
-        m = p_matrix(p)
-        assert np.isclose(m.trace(), 2 + 4 * (p.x1**2 + p.x2**2), rtol=1e-14)
-        evs = np.linalg.eigvalsh(m.mat)
+    pts = g.uniform(60, -5, 5).reshape(20, 3)
+    for p, m in zip(pts, p_matrix_batch(pts)):
+        assert np.isclose(np.trace(m), 2 + 4 * (p[0] ** 2 + p[1] ** 2), rtol=1e-14)
+        evs = np.linalg.eigvalsh(m)
         assert abs(evs[0]) <= 1e-12 * max(1.0, evs[-1])
 
 
 def test_p_matrix_null_vector_exact():
     g = SplitMix64(22, "pnull")
-    for row in g.uniform(300, -1000, 1000).reshape(100, 3):
-        p = Point(*row)
-        out = manual_matvec(p_matrix(p).mat, null_direction_batch(row[None])[0])
-        assert np.array_equal(out, np.zeros(3))
+    pts = g.uniform(300, -1000, 1000).reshape(100, 3)
+    for m, v in zip(p_matrix_batch(pts), null_direction_batch(pts)):
+        assert np.array_equal(manual_matvec(m, v), np.zeros(3))
 
 
 def test_sqrt_p_origin_and_closed_form_entry():
-    assert np.array_equal(sqrt_p(ORIGIN).mat, np.diag([1.0, 1.0, 0.0]))
+    assert np.array_equal(sqrt_p_batch(ORIGIN.as_array()[None])[0], np.diag([1.0, 1.0, 0.0]))
     # at x' = (1, 0): s = sqrt(5), corner entry 4/sqrt(5); the x1-axis is
     # untouched there (a11 = 1) and the x2/x3 block carries the correction
-    m = sqrt_p(Point(1.0, 0.0, 3.0))
-    assert np.isclose(m.a33, 4 / np.sqrt(5), rtol=1e-15)
-    assert m.a11 == 1.0
-    assert np.isclose(m.a22, 1 - 4 / ((1 + np.sqrt(5)) * np.sqrt(5)), rtol=1e-15)
-    assert np.isclose(m.a22, 1 / np.sqrt(5), rtol=1e-14)
-    assert m.a12 == 0.0
+    m = sqrt_p_batch(row(1.0, 0.0, 3.0))[0]
+    assert np.isclose(m[2, 2], 4 / np.sqrt(5), rtol=1e-15)
+    assert m[0, 0] == 1.0
+    assert np.isclose(m[1, 1], 1 - 4 / ((1 + np.sqrt(5)) * np.sqrt(5)), rtol=1e-15)
+    assert np.isclose(m[1, 1], 1 / np.sqrt(5), rtol=1e-14)
+    assert m[0, 1] == m[1, 0] == 0.0
 
 
 def test_sqrt_p_squares_to_p():
     # oracle: P assembled from sigma
     g = SplitMix64(23, "sqrtp")
     pts = g.uniform(3000, -10, 10).reshape(1000, 3)
-    for row in pts:
-        p = Point(*row)
-        r = sqrt_p(p).mat
-        target = p_matrix(p).mat
+    for r, target in zip(sqrt_p_batch(pts), p_matrix_batch(pts)):
         scale = max(1.0, np.abs(target).max())
         assert np.allclose(r @ r, target, atol=1e-10 * scale)
 
 
 def test_sqrt_p_is_psd():
     g = SplitMix64(24, "sqrtpsd")
-    for row in g.uniform(150, -100, 100).reshape(50, 3):
-        m = sqrt_p(Point(*row)).mat
+    for m in sqrt_p_batch(g.uniform(150, -100, 100).reshape(50, 3)):
         evs = np.linalg.eigvalsh(m)
         assert evs[0] >= -1e-10 * max(1.0, np.abs(evs).max())
 
 
 def test_sqrt_p_depends_only_on_horizontal_part():
-    a = sqrt_p(Point(2.0, -3.0, 100.0))
-    b = sqrt_p(Point(2.0, -3.0, -7.5))
-    assert a == b
-
-
-def test_sqrt_p_batch_matches_scalar():
-    g = SplitMix64(25, "batch")
-    xy = g.uniform(40, -8, 8).reshape(20, 2)
-    batch = sqrt_p_batch(xy)
-    for k, (x1, x2) in enumerate(xy):
-        assert np.array_equal(batch[k], sqrt_p(Point(x1, x2, 0.0)).mat)
+    a, b = sqrt_p_batch(np.array([[2.0, -3.0, 100.0], [2.0, -3.0, -7.5]]))
+    assert np.array_equal(a, b)

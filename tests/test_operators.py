@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from conftest import random_points, random_polynomial
 
-from heisenpde.calculus import lift, sublaplacian
+from heisenpde.calculus import full_hessian, h_hessian, lift_batch
 from heisenpde.checks import pucci_bruteforce
 from heisenpde.fields import PolynomialField, parse_polynomial
-from heisenpde.group import Point, sqrt_p
+from heisenpde.grid import Grid3
+from heisenpde.group import Point, sqrt_p_batch
 from heisenpde.operators import (
     DIRECTIONS,
     X,
@@ -16,14 +17,10 @@ from heisenpde.operators import (
     HolderData,
     OperatorSpec,
     cross_term,
-    eval_intrinsic,
-    eval_lifted,
-    pucci_minus,
-    pucci_plus,
-    residual,
     validate_operator,
 )
 from heisenpde.rng import SplitMix64
+from heisenpde.solver import ProblemSpec, manufacture
 from heisenpde.symmetric import Sym2, Sym3
 
 
@@ -40,47 +37,45 @@ def test_bracket_and_holder_data_validation():
         HolderData(c0=1.0, beta=1.0, beta_prime=1.0, L_c=-1.0, L_f=1.0)
 
 
+def pucci(kind: str, b: EllipticityBracket, mats: np.ndarray) -> np.ndarray:
+    """Pucci+ or Pucci- on a stack of 2x2 (intrinsic) or 3x3 (lifted) matrices."""
+    form = "intrinsic" if mats.shape[1:] == (2, 2) else "lifted"
+    return OperatorSpec(kind, b, form).apply_stack(mats)
+
+
 def test_pucci_frozen_examples():
     b = EllipticityBracket(1.0, 2.0)
-    assert pucci_plus(Sym2.zero(), b) == 0.0
-    assert pucci_minus(Sym2.zero(), b) == 0.0
-    h = Sym2.diag(2.0, -3.0)
-    assert pucci_plus(h, b) == 2 * 2 + 1 * (-3)
-    assert pucci_minus(h, b) == 1 * 2 + 2 * (-3)
+    mats = np.array([np.zeros((2, 2)), np.diag([2.0, -3.0])])
+    assert np.array_equal(pucci("pucci_plus", b, mats), [0.0, 2 * 2 + 1 * (-3)])
+    assert np.array_equal(pucci("pucci_minus", b, mats), [0.0, 1 * 2 + 2 * (-3)])
 
 
 def test_pucci_matches_bruteforce():
     b = EllipticityBracket(1.0, 2.0)
     g = SplitMix64(50, "pucci")
     mats = g.symmetric(20, 2, scale=2.0)
+    plus, minus = pucci("pucci_plus", b, mats), pucci("pucci_minus", b, mats)
     for k, m in enumerate(mats):
-        h = Sym2.from_matrix(m)
-        bf_plus, bf_minus = pucci_bruteforce(h.mat, 1.0, 2.0, 100_000, seed=k)
-        assert abs(pucci_plus(h, b) - bf_plus) < 1e-6
-        assert abs(pucci_minus(h, b) - bf_minus) < 1e-6
+        bf_plus, bf_minus = pucci_bruteforce(m, 1.0, 2.0, 100_000, seed=k)
+        assert abs(plus[k] - bf_plus) < 1e-6
+        assert abs(minus[k] - bf_minus) < 1e-6
 
 
 def test_pucci_positive_definite_is_Lam_trace():
     b = EllipticityBracket(0.5, 3.0)
     h = Sym2(2.0, 0.3, 1.0)
     assert min(h.eigenvalues()) > 0
-    assert np.isclose(pucci_plus(h, b), 3.0 * h.trace(), rtol=1e-14)
+    assert np.isclose(pucci("pucci_plus", b, h.mat[None])[0], 3.0 * h.trace(), rtol=1e-14)
 
 
 def test_pucci_duality_exact():
     b = EllipticityBracket(0.7, 2.5)
     g = SplitMix64(51, "dual")
-    for m in g.symmetric(200, 2, scale=3.0):
-        h = Sym2.from_matrix(m)
-        assert pucci_minus(h, b) == -pucci_plus(-h, b)
-    for m in g.symmetric(100, 3, scale=3.0):
-        s = Sym3.from_matrix(m)
-        assert pucci_minus(s, b) == -pucci_plus(-s, b)
     # eigenvalues +-a tie in |e|; the sum order must still mirror
-    for a in np.linspace(0.1, 3.1, 31):
-        for c in (0.05, 0.3, 1.7):
-            s = Sym3.diag(-a, c, a)
-            assert pucci_minus(s, b) == -pucci_plus(-s, b), (a, c)
+    ties = [np.diag([-a, c, a]) for a in np.linspace(0.1, 3.1, 31) for c in (0.05, 0.3, 1.7)]
+    for mats in (g.symmetric(200, 2, scale=3.0), g.symmetric(100, 3, scale=3.0), np.array(ties)):
+        minus, plus = pucci("pucci_minus", b, mats), pucci("pucci_plus", b, -mats)
+        assert np.array_equal(minus, -plus)
 
 
 def test_pucci_extremality_and_ordering():
@@ -89,11 +84,11 @@ def test_pucci_extremality_and_ordering():
     hs = g.symmetric(50, 2, scale=2.0)
     rots = g.rotations_2d(50)
     ds = g.uniform(100, 1.0, 2.0).reshape(50, 2)
+    los, his = pucci("pucci_minus", b, hs), pucci("pucci_plus", b, hs)
     for k in range(50):
-        h = Sym2.from_matrix(hs[k])
         a = rots[k] @ np.diag(ds[k]) @ rots[k].T
-        val = float(np.trace(a @ h.mat))
-        lo, hi = pucci_minus(h, b), pucci_plus(h, b)
+        val = float(np.trace(a @ hs[k]))
+        lo, hi = los[k], his[k]
         scale = max(1.0, abs(lo), abs(hi))
         assert lo - 1e-12 * scale <= val <= hi + 1e-12 * scale
         assert lo <= hi
@@ -105,11 +100,11 @@ def test_pucci_extremality_3x3():
     hs = g.symmetric(50, 3, scale=2.0)
     rots = g.rotations_3d(50)
     ds = g.uniform(150, 0.5, 2.0).reshape(50, 3)
+    los, his = pucci("pucci_minus", b, hs), pucci("pucci_plus", b, hs)
     for k in range(50):
-        s = Sym3.from_matrix(hs[k])
         a = np.einsum("ij,j,kj->ik", rots[k], ds[k], rots[k])
-        val = float(np.einsum("ij,ji->", a, s.mat))
-        lo, hi = pucci_minus(s, b), pucci_plus(s, b)
+        val = float(np.einsum("ij,ji->", a, hs[k]))
+        lo, hi = los[k], his[k]
         scale = max(1.0, abs(lo), abs(hi))
         assert lo - 1e-11 * scale <= val <= hi + 1e-11 * scale
 
@@ -119,18 +114,17 @@ def test_lifted_pucci_is_pucci_of_the_lift():
     b = EllipticityBracket(0.5, 2.0)
     g = SplitMix64(57, "lifted-lift")
     mats = g.symmetric(300, 3, scale=2.0)
-    worst = 0.0
-    for m, row in zip(mats, random_points(g, 300)):
-        h, p = Sym3.from_matrix(m), Point(*row)
-        r = sqrt_p(p).mat
-        lifted, flat = Sym3.from_matrix(r @ h.mat @ r), lift(h, p)
-        scale = max(1.0, np.abs(flat.mat).max())
-        for op in (pucci_plus, pucci_minus):
-            worst = max(worst, abs(op(lifted, b) - op(flat, b)) / scale)
-    assert worst <= 1e-12
+    pts = random_points(g, 300)
+    r = sqrt_p_batch(pts)
+    lifted, flat = r @ mats @ r, lift_batch(mats, pts)
+    scale = np.maximum(1.0, np.abs(flat).max(axis=(1, 2)))
+    for kind in ("pucci_plus", "pucci_minus"):
+        worst = np.abs(pucci(kind, b, lifted) - pucci(kind, b, flat)) / scale
+        assert worst.max() <= 1e-12
 
 
 def test_apply_stack_is_apply_per_matrix_bitwise():
+    # a stack evaluates each matrix as a one-matrix stack would
     g = SplitMix64(58, "apply-stack")
     mats = g.symmetric(200, 3, scale=3.0)
     b = EllipticityBracket(0.5, 2.0)
@@ -140,7 +134,7 @@ def test_apply_stack_is_apply_per_matrix_bitwise():
         OperatorSpec("pucci_minus", b, form="lifted"),
         OperatorSpec("trace_linear", b, form="lifted", coeff=Sym3(1.5, 0.2, 0.1, 1.2, -0.1, 1.4)),
     ):
-        single = [spec.apply(Sym3.from_matrix(m)) for m in mats]
+        single = [spec.apply_stack(m[None])[0] for m in mats]
         assert np.array_equal(spec.apply_stack(mats), single), spec.kind
     with pytest.raises(ValueError):
         OperatorSpec("pucci_plus", b).apply_stack(mats)
@@ -148,12 +142,13 @@ def test_apply_stack_is_apply_per_matrix_bitwise():
 
 def test_pucci_one_homogeneity():
     b = EllipticityBracket(1.0, 2.0)
-    h = Sym2(1.3, -0.4, -2.1)
+    h = Sym2(1.3, -0.4, -2.1).mat
+    plus = pucci("pucci_plus", b, h[None])[0]
     for t in (0.5, 2.0, 4.0):
-        assert pucci_plus(t * h, b) == t * pucci_plus(h, b)
+        assert pucci("pucci_plus", b, t * h[None])[0] == t * plus
     for t in (0.3, 1.7):
-        assert np.isclose(pucci_plus(t * h, b), t * pucci_plus(h, b), rtol=5e-15)
-    assert pucci_plus(0.0 * h, b) == 0.0
+        assert np.isclose(pucci("pucci_plus", b, t * h[None])[0], t * plus, rtol=5e-15)
+    assert pucci("pucci_plus", b, 0.0 * h[None])[0] == 0.0
 
 
 def test_validate_operator_clean_kinds():
@@ -216,7 +211,7 @@ def test_apply_on_sym2_is_apply_batch_bitwise():
         OperatorSpec("trace_linear", EllipticityBracket(1.0, 2.0), coeff=Sym2(1.5, 0.2, 1.2)),
     ):
         batch = spec.apply_batch(direction_rows(hxx, hxy, hyy, spec.hessian_rows))
-        single = [spec.apply(Sym2(*row)) for row in zip(hxx, hxy, hyy)]
+        single = [spec.apply_stack(Sym2(*row).mat[None])[0] for row in zip(hxx, hxy, hyy)]
         assert np.array_equal(batch, single), spec.kind
 
 
@@ -230,7 +225,7 @@ def test_operator_spec_validation():
     with pytest.raises(ValueError):
         # spectrum {0.5, 2.5} escapes [1, 2]
         OperatorSpec(
-            "trace_linear", EllipticityBracket(1.0, 2.0), coeff=Sym2.diag(0.5, 2.5)
+            "trace_linear", EllipticityBracket(1.0, 2.0), coeff=Sym2(0.5, 0.0, 2.5)
         )
 
 
@@ -247,18 +242,29 @@ def test_operator_spec_config_roundtrip():
         OperatorSpec.from_config({"kind": "sublaplacian", "lambda": 1})
 
 
+def intrinsic(spec: OperatorSpec, u, p: Point) -> float:
+    """F of the symmetrized horizontal Hessian of u at p."""
+    return spec.apply_stack(h_hessian(u, p).mat[None])[0]
+
+
 def test_eval_intrinsic_examples():
     p = Point(0.4, -0.2, 1.0)
     sub = OperatorSpec.sublaplacian()
-    assert np.isclose(eval_intrinsic(sub, parse_polynomial("x1^2 + x2^2"), p), 4.0, rtol=1e-13)
+    assert np.isclose(intrinsic(sub, parse_polynomial("x1^2 + x2^2"), p), 4.0, rtol=1e-13)
     lin = parse_polynomial("2 x1 - x2 + 3 x3")
     for spec in (sub, OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0))):
-        assert eval_intrinsic(spec, lin, p) == 0.0
+        assert intrinsic(spec, lin, p) == 0.0
     saddle = parse_polynomial("x1^2 - x2^2")
     pp = OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0))
-    assert np.isclose(eval_intrinsic(pp, saddle, Point(0, 0, 0)), 2 * 2 + 1 * (-2), rtol=1e-14)
+    assert np.isclose(intrinsic(pp, saddle, Point(0, 0, 0)), 2 * 2 + 1 * (-2), rtol=1e-14)
     with pytest.raises(ValueError):
-        eval_intrinsic(OperatorSpec.sublaplacian(form="lifted"), saddle, p)
+        intrinsic(OperatorSpec.sublaplacian(form="lifted"), saddle, p)
+
+
+def lifted(spec: OperatorSpec, u, p: Point) -> float:
+    """G of sqrt(P) D^2u sqrt(P) at p."""
+    r = sqrt_p_batch(p.as_array()[None])
+    return spec.apply_stack(r @ full_hessian(u, p).mat @ r)[0]
 
 
 def test_eval_lifted_trace_equals_sublaplacian():
@@ -267,29 +273,36 @@ def test_eval_lifted_trace_equals_sublaplacian():
     for _ in range(20):
         u = random_polynomial(g, degree=5)
         p = Point(*random_points(g, 1)[0])
-        lifted_val = eval_lifted(spec, u, p)
-        intrinsic_val = sublaplacian(u, p)
+        lifted_val = lifted(spec, u, p)
+        intrinsic_val = h_hessian(u, p).trace()
         scale = max(1.0, abs(intrinsic_val))
         assert abs(lifted_val - intrinsic_val) <= 1e-9 * scale
     lin = parse_polynomial("x1 + x2 + x3")
-    assert abs(eval_lifted(spec, lin, Point(1, 2, 3))) < 1e-14
+    assert abs(lifted(spec, lin, Point(1, 2, 3))) < 1e-14
     with pytest.raises(ValueError):
-        eval_lifted(OperatorSpec.sublaplacian(), lin, Point(0, 0, 0))
+        lifted(OperatorSpec.sublaplacian(), lin, Point(0, 0, 0))
 
 
 def test_residual_manufactured_and_errors():
+    # F(D^{2,*}u) - c u - f vanishes on a manufactured pair, and manufacture
+    # rebuilds f from u and c
     sub = OperatorSpec.sublaplacian()
     u = parse_polynomial("x1^2 + x2^2")
     c = PolynomialField.constant(1)
     f = parse_polynomial("4 - x1^2 - x2^2")
-    g = SplitMix64(55, "resid")
-    for row in random_points(g, 20):
-        p = Point(*row)
-        assert abs(residual(sub, c, f, u, p)) <= 1e-12 * max(1.0, abs(f.value(p)))
+    pts = random_points(SplitMix64(55, "resid"), 20)
+    hessians = np.array([h_hessian(u, Point(*row)).mat for row in pts])
+    res = sub.apply_stack(hessians) - c.value_batch(pts) * u.value_batch(pts) - f.value_batch(pts)
+    scale = np.maximum(1.0, np.abs(f.value_batch(pts)))
+    assert (np.abs(res) <= 1e-12 * scale).all()
+    rebuilt = manufacture(u, sub, c).value_batch(pts)
+    assert (np.abs(rebuilt - f.value_batch(pts)) <= 1e-12 * scale).all()
     zero = PolynomialField.constant(0)
-    assert residual(sub, zero, zero, zero, Point(1, 1, 1)) == 0.0
+    grid = Grid3.box((-1, -1, -1), (1, 1, 1), (5, 5, 5))
+    disc = ProblemSpec(sub, zero, zero, zero, grid).discretization
+    assert not disc.residual_interior(np.zeros(grid.n_nodes), disc.f_int).any()
     with pytest.raises(ValueError):
-        residual(sub, PolynomialField.constant(-1), zero, zero, Point(0, 0, 0))
+        ProblemSpec(sub, PolynomialField.constant(-1), zero, zero, grid)
 
 
 ROW_KINDS = {

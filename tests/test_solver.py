@@ -34,10 +34,8 @@ from heisenpde.solver import (
     _values_and_slopes,
     cfl_tau,
     manufacture,
-    residual_norm,
     sample_step,
     solve,
-    step,
     stencil_hessian,
 )
 
@@ -48,6 +46,26 @@ ZERO = PolynomialField.constant(0)
 
 def box(n):
     return Grid3.box((-1, -1, -1), (1, 1, 1), (n, n, n))
+
+
+def residual_norm(u: GridFunction, prob: ProblemSpec) -> float:
+    """max over interior nodes of |F(stencil) - c u - f|, the solver's stopping statistic."""
+    disc = prob.discretization
+    return float(np.abs(disc.residual_interior(u.values.ravel(), disc.f_int)).max())
+
+
+def pure_iteration(prob: ProblemSpec, u: GridFunction, max_sweeps: int) -> GridFunction:
+    """Plain Jacobi sweeps of the problem's finest level from u, with its
+    boundary data reset, until the residual falls below tol."""
+    disc = prob.discretization
+    flat = u.values.ravel().copy()
+    disc.enforce_boundary(flat)
+    res = disc.residual_interior(flat, disc.f_int)
+    for _ in range(max_sweeps):
+        if np.abs(res).max() < prob.tol:
+            break
+        res = disc.smooth(flat, disc.f_int, 1, res)
+    return GridFunction(u.grid, flat.reshape(u.grid.counts))
 
 
 def manufactured_problem(n=17, tol=1e-7, **kw):
@@ -130,6 +148,13 @@ def test_stencil_hessian_rejects_bad_steps(bad):
         stencil_hessian(u, (4, 4, 4), step=bad)
 
 
+def test_stencil_hessian_rejects_a_default_step_with_infinite_square():
+    # h = 2.5e159: the default step is h, and its square overflows
+    grid = Grid3.box((-1e160, -1e160, -1), (1e160, 1e160, 1), (9, 9, 9))
+    with pytest.raises(ValueError, match="step must be positive with finite square"):
+        stencil_hessian(GridFunction.zeros(grid), (4, 4, 4))
+
+
 @pytest.mark.parametrize("bad", [1e300, 1e-300, 0.0, -0.25])
 def test_problem_rejects_bad_sample_width(bad):
     cfg = {
@@ -205,25 +230,25 @@ def test_pucci_equal_brackets_match_sublaplacian():
 
 
 def test_step_fixed_point_and_validation():
-    prob = ProblemSpec(SUB, ONE, ZERO, ZERO, box(9), tol=1e-8)
-    u0 = GridFunction.zeros(prob.grid)
-    u1 = step(u0, prob, 1e-3)
-    assert np.array_equal(u0.values, u1.values)
-    with pytest.raises(ValueError):
-        step(u0, prob, 0.0)
+    # zero data: the zero function is a fixed point of the Jacobi step
+    disc = ProblemSpec(SUB, ONE, ZERO, ZERO, box(9), tol=1e-8).discretization
+    flat = np.zeros(disc.grid.n_nodes)
+    res = disc.smooth(flat, disc.f_int, 1)
+    assert not flat.any() and not res.any()
 
 
 def test_step_resets_boundary_and_reports_nan():
     u_star, prob = manufactured_problem(9)
-    junk = GridFunction(prob.grid, np.ones(prob.grid.counts))
-    out = step(junk, prob, 1e-3)
-    bmask = ~prob.grid.interior_mask()
-    expected = u_star.value_batch(prob.grid.points()).reshape(prob.grid.counts)
-    assert np.allclose(out.values[bmask], expected[bmask], rtol=1e-14)
-    bad = GridFunction(prob.grid, np.ones(prob.grid.counts))
-    bad.values[4, 4, 4] = np.inf
+    disc = prob.discretization
+    flat = np.ones(prob.grid.n_nodes)
+    disc.enforce_boundary(flat)
+    bmask = ~prob.grid.interior_mask().ravel()
+    expected = u_star.value_batch(prob.grid.points())
+    assert np.allclose(flat[bmask], expected[bmask], rtol=1e-14)
+    bad = np.ones(prob.grid.counts)
+    bad[4, 4, 4] = np.inf
     with pytest.raises(ArithmeticError, match=r"node"):
-        step(bad, prob, 1e-3)
+        disc.smooth(bad.ravel(), disc.f_int, 1)
 
 
 def test_residual_norm_zero_and_discretization_scale():
@@ -294,11 +319,7 @@ def test_degenerate_direction_x3():
     exact2 = GridFunction.from_field(prob2.grid, x3)
     u = GridFunction.from_field(prob2.grid, x3)
     u.values[1:-1, 1:-1, 1:-1] += 0.1
-    tau = solve(prob2).tau
-    for _ in range(4000):
-        u = step(u, prob2, tau)
-        if residual_norm(u, prob2) < prob2.tol:
-            break
+    u = pure_iteration(prob2, u, 4000)
     assert max_interior_abs_diff(u, exact2) <= 10 * prob2.tol
 
 
@@ -340,11 +361,7 @@ def test_multilevel_and_pure_agree():
         prob = ProblemSpec(SUB, ONE, grid=box(n), tol=1e-10, **data)
         res_ml = solve(prob)
         # the pure iteration from the solver's start, the boundary data at every node
-        pure = GridFunction.from_field(prob.grid, prob.boundary)
-        for _ in range(100_000):
-            if residual_norm(pure, prob) < prob.tol:
-                break
-            pure = step(pure, prob, res_ml.tau)
+        pure = pure_iteration(prob, GridFunction.from_field(prob.grid, prob.boundary), 100_000)
         assert res_ml.converged
         assert residual_norm(pure, prob) < prob.tol
         assert np.abs(res_ml.u.values - pure.values).max() <= 20 * 1e-10
@@ -435,7 +452,7 @@ def test_discretization_belongs_to_its_problem():
     res = solve(prob)
     disc = prob.discretization
     residual_norm(res.u, prob)
-    step(res.u, prob, 1e-3)
+    pure_iteration(prob, res.u, 1)
     assert prob.discretization is disc
     ref = weakref.ref(disc)
     del disc, prob

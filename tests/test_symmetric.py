@@ -23,14 +23,14 @@ def test_eigenvalues2_on_stacks_is_sym2_eigenvalues_bitwise():
 
 
 def test_sym3_arithmetic_roundtrip():
+    # arithmetic acts on .mat, and from_matrix brings the result back
     g = SplitMix64(3, "arith")
-    a = Sym3.from_matrix(g.symmetric(1, 3)[0])
-    b = Sym3.from_matrix(g.symmetric(1, 3)[0])
-    assert np.allclose((a + b).mat, a.mat + b.mat)
-    assert np.allclose((a - b).mat, a.mat - b.mat)
-    assert np.allclose((2.5 * a).mat, 2.5 * a.mat)
-    assert np.allclose((-a).mat, -a.mat)
-    assert np.isclose(a.trace(), np.trace(a.mat))
+    a, b = g.symmetric(1, 3)[0], g.symmetric(1, 3)[0]
+    sa, sb = Sym3.from_matrix(a), Sym3.from_matrix(b)
+    assert np.array_equal(sa.mat, a)
+    assert np.array_equal(Sym3.from_matrix(sa.mat + sb.mat).mat, a + b)
+    assert np.array_equal(Sym3.from_matrix(2.5 * sa.mat - sb.mat).mat, 2.5 * a - b)
+    assert np.isclose(sa.trace(), np.trace(a))
 
 
 def test_from_matrix_symmetrizes():
