@@ -6,6 +6,12 @@ identity) are exact; floats only appear at evaluation time.  NumericField
 wraps an arbitrary vectorized callable and differentiates it with centered
 finite differences of step h_fd (order 2 on smooth inputs).  Every lemma test
 can therefore cross-check the exact route against the finite-difference one.
+
+PolynomialField.value_batch forms the (n, T) table of the T monomials at the
+n points and multiplies it by the coefficients.  A constant field, every
+exponent zero, skips the table: it returns np.full(n, c), which is that
+product bitwise, since x^0 = 1 at every point (NaN and infinity included)
+and 1 * c = c.  The solver's c is such a field in every shipped config.
 """
 
 from __future__ import annotations
@@ -102,6 +108,8 @@ class PolynomialField(ScalarField):
         pts = np.asarray(pts, dtype=float)
         if len(self._coeffs) == 0:
             return np.zeros(pts.shape[0])
+        if not self._expos.any():  # a constant: the matvec bitwise (module docstring)
+            return np.full(pts.shape[0], self._coeffs[0])
         monomials = np.prod(pts[:, None, :] ** self._expos[None, :, :], axis=2)
         return monomials @ self._coeffs
 

@@ -83,17 +83,17 @@ def _margin_values(u: GridFunction, margin: float) -> np.ndarray:
     return u.values[np.ix_(*[(x >= a) & (x <= b) for x, a, b in zip(axes, lo, hi)])]
 
 
-def _running_modulus(box: np.ndarray, spacings, radii) -> np.ndarray:
-    """omega(r) = max |box[p] - box[q]| over the node pairs with
-    |p_i - q_i| h_i <= r on every axis, at each of the ascending radii r.
+def _running_modulus(box: np.ndarray, spacings, radii):
+    """Yield omega(r) = max |box[p] - box[q]| over the node pairs with
+    |p_i - q_i| h_i <= r on every axis, at each of the ascending radii r in
+    turn; a caller that stops early skips the growth to the later radii.
 
     M, the max of the box over the nodes within r of each node, grows one
     node per axis step from radius to radius, and omega(r) = max(M - box).
     Rounding is monotone, so this is bitwise the max over the node pairs."""
     m = box.copy()
     reach = [0, 0, 0]
-    out = np.empty(len(radii))
-    for j, r in enumerate(radii):
+    for r in radii:
         for axis, h in enumerate(spacings):
             # the largest k with k h <= r, up to rounding, and no wider than the box
             k = min(int(r / h + 1e-9), box.shape[axis] - 1)
@@ -104,8 +104,7 @@ def _running_modulus(box: np.ndarray, spacings, radii) -> np.ndarray:
                 np.maximum(pair[:-1], pair[1:], out=a[1:-1])
                 a[0], a[-1] = pair[0], pair[-1]
             reach[axis] = k
-        out[j] = (m - box).max()
-    return out
+        yield (m - box).max()
 
 
 def modulus(u: GridFunction, margin: float = DEFAULT_MARGIN) -> list[tuple[float, float]]:
@@ -128,6 +127,14 @@ def holder_seminorm(
     spacings.  At each such r, omega(r) / r^alpha bounds the ratio of every
     pair at distance r and is the ratio of a pair at most r apart, so the
     max of omega(r) / r^alpha over those r is the max over the pairs.
+
+    The sweep over the ascending radii stops before the first radius from
+    which on (max - min of the box) / r^alpha cannot beat the best ratio so
+    far.  That stop is exact: omega(r) <= max - min in floats, since
+    rounding is monotone, and the bound is taken against the least r^alpha
+    of the remaining radii, so no later ratio exceeds the best; the first
+    of tied ratios is kept, as argmax keeps it.  So the seminorm and its
+    radius are bitwise those of the full sweep.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError("alpha must lie in (0, 1]")
@@ -136,8 +143,17 @@ def holder_seminorm(
     radii = np.unique(np.concatenate([np.arange(1, n) * h for n, h in zip(box.shape, spacings)]))
     if radii.size == 0:
         raise ValueError(f"the margin box of margin {margin} holds a single node")
-    ratio = _running_modulus(box, spacings, radii) / radii**alpha
-    best = int(ratio.argmax())
+    scale = radii**alpha
+    # the bound on every ratio from radius j on: osc / min(scale[j:])
+    bound = (box.max() - box.min()) / np.minimum.accumulate(scale[::-1])[::-1]
+    ratio = np.empty(radii.size)
+    best = 0
+    for j, omega in enumerate(_running_modulus(box, spacings, radii)):
+        ratio[j] = omega / scale[j]
+        if ratio[j] > ratio[best]:
+            best = j
+        if j + 1 == radii.size or bound[j + 1] <= ratio[best]:
+            break
     return float(ratio[best]), float(radii[best])
 
 

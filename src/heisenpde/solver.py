@@ -25,6 +25,12 @@ The evaluation makes no BLAS call.  A problem's finest discretization is
 built once and kept by the ProblemSpec itself; no module-level cache holds
 one.
 
+Each level's set-up (Discretization) evaluates every data field once: c on
+all nodes, whose interior slice is c_int and whose max sets tau; f on the
+interior nodes; the boundary field on the boundary nodes and, in the
+stencil, at the samples off the box.  Each of those arrays must be finite:
+a ValueError names the field and the first node where it is not.
+
 Accuracy forces the sample step rho away from the grid spacing h: linear
 interpolation carries an O((h/rho)^2) bias into the second differences (pure
 numerical diffusion along x3, where the frame tilts off the grid planes), so
@@ -234,6 +240,19 @@ def _check_step(rho, key: str) -> None:
         raise ValueError(
             f"{key} must be positive with finite square and inverse square, got {rho!r}"
         )
+
+
+def _check_finite(values: np.ndarray, name: str, shape, rows=None, offset: int = 0) -> None:
+    """Reject values of the field `name` that are not all finite, with a
+    ValueError naming the first bad value and its grid node: value k sits
+    at flat index rows[k] (k if rows is None) of an array of `shape`, whose
+    index is the node's less `offset` on every axis.  min and max see any
+    NaN or infinity without a temporary array."""
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        k = int(np.flatnonzero(~np.isfinite(values))[0])
+        idx = np.unravel_index(k if rows is None else rows[k], shape)
+        node = tuple(int(i) + offset for i in idx)
+        raise ValueError(f"{name} must be finite on the grid, got {values[k]} at node {node}")
 
 
 def _interior(values: np.ndarray, counts) -> np.ndarray:
@@ -452,7 +471,13 @@ class _Stencil:
 
 
 class Discretization:
-    """A ProblemSpec bound to its grid arrays: one level of the solver."""
+    """A ProblemSpec bound to its grid arrays: one level of the solver.
+
+    c is evaluated once, on all nodes: c_int is its interior slice, bitwise
+    an evaluation on the interior nodes alone, and its max is tau's c_max.
+    c, f_int, the boundary node values and the stencil's frozen off-box
+    values are checked finite as they are built; a ValueError names the
+    field and a node."""
 
     def __init__(self, prob: ProblemSpec, grid: Grid3 | None = None):
         self.op = prob.op
@@ -464,14 +489,22 @@ class Discretization:
             self.rho = sample_step(self.grid)
         _check_step(self.rho, "sample step")
         self.stencil = _Stencil(self.grid, prob.boundary, self.rho)
+        counts, shape = self.grid.counts, self.stencil.shape
         pts = self.grid.points()
-        inner = _interior(pts, self.grid.counts + (3,)).reshape(-1, 3)
-        self.c_int = prob.c.value_batch(inner)
+        c = prob.c.value_batch(pts)
+        _check_finite(c, "c", counts)
+        self.c_int = _interior(c, counts).ravel()
+        inner = _interior(pts, counts + (3,)).reshape(-1, 3)
         self.f_int = prob.f.value_batch(inner)
-        self.tau = cfl_tau(self.rho, prob.op.bracket.Lam, float(prob.c.value_batch(pts).max()))
+        _check_finite(self.f_int, "f", shape, offset=1)
+        self.tau = cfl_tau(self.rho, prob.op.bracket.Lam, float(c.max()))
         mask = self.grid.interior_mask().ravel()
         self.boundary_flat = np.flatnonzero(~mask)
         self.boundary_vals = prob.boundary.value_batch(pts[~mask])
+        _check_finite(self.boundary_vals, "boundary", counts, self.boundary_flat)
+        for (cx, cy), d in zip(_COMBOS, self.stencil.directions):
+            name = f"boundary off the box along {cx} X + {cy} Y"
+            _check_finite(d.out_vals, name, shape, d.out_rows, offset=1)
         self.evals = 0  # evaluations of T on this level
         self.sweeps = 0  # smoothing sweeps on this level
 
@@ -493,12 +526,15 @@ class Discretization:
         return out
 
     def advance(self, flat: np.ndarray, res: np.ndarray, tau: float) -> None:
-        """u += tau * res at the interior nodes of `flat`, in place; a
-        non-finite update raises ArithmeticError naming its node."""
+        """u += tau * res at the interior nodes of `flat`, in place: tau * res
+        is formed once and the interior added to it.  A non-finite update
+        raises ArithmeticError naming its first node and writes nothing."""
         inner = _interior(flat, self.grid.counts)
         with np.errstate(invalid="ignore"):
-            upd = inner + tau * res.reshape(inner.shape)
-        if not np.all(np.isfinite(upd)):
+            upd = np.multiply(res.reshape(inner.shape), tau)
+            upd += inner
+        # min and max see any NaN or infinity without a temporary array
+        if not (np.isfinite(upd.min()) and np.isfinite(upd.max())):
             bad = np.argwhere(~np.isfinite(upd))[0] + 1
             raise ArithmeticError(f"non-finite update at node {tuple(int(v) for v in bad)}")
         inner[...] = upd

@@ -582,6 +582,19 @@ def test_solve_rejects_a_sample_step_with_infinite_square(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_rejects_c_that_overflows_on_the_grid(tmp_path, capsys):
+    # x3^2 overflows to inf at the top and bottom of the box, which passes
+    # the check min c >= 0
+    grid = {"lower": [-1, -1, -1e160], "upper": [1, 1, 1e160], "counts": [9, 9, 9]}
+    cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, grid=grid, c={"poly": "1 + x3^2"}))
+    out = tmp_path / "u.csv"
+    with np.errstate(over="ignore"):
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "c must be finite on the grid, got inf at node (0, 0, 0)" in err, err
+    assert not out.exists()
+
+
 def test_run_pipeline_returns_what_the_cli_writes(tmp_path):
     cfg = write_json(tmp_path / "pipe.json", PIPELINE_CONFIG)
     out = tmp_path / "run"

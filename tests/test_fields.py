@@ -52,6 +52,30 @@ def test_value_batch_matches_scalar():
         assert np.isclose(batch[k], u.value(Point(*row)), rtol=1e-13, atol=1e-13)
 
 
+def _monomial_formula(u: PolynomialField, pts: np.ndarray) -> np.ndarray:
+    """The general evaluation path: the (n, T) monomial table times the
+    coefficients."""
+    return np.prod(pts[:, None, :] ** u._expos[None, :, :], axis=2) @ u._coeffs
+
+
+@pytest.mark.parametrize("c", [1, 0.1, -3.75, 1e300, Fraction(1, 3)])
+def test_constant_value_batch_is_the_monomial_formula_bitwise(c):
+    pts = random_points(SplitMix64(44, "constant"), 200, -1e3, 1e3)
+    pts[3] = [np.nan, 0.0, 1.0]
+    pts[4] = [np.inf, -np.inf, np.nan]
+    pts[5] = [-0.0, 0.0, -np.inf]
+    u = PolynomialField.constant(c)
+    got = u.value_batch(pts)
+    assert got.tobytes() == _monomial_formula(u, pts).tobytes()
+    assert got.tolist() == [float(Fraction(c))] * len(pts)
+    assert u.value_batch(np.zeros((0, 3))).shape == (0,)
+    # the zero polynomial has no terms: zeros, as the empty matvec gives
+    zero = PolynomialField.constant(0)
+    assert zero.terms == {}
+    assert zero.value_batch(pts).tobytes() == _monomial_formula(zero, pts).tobytes()
+    assert zero.value_batch(pts).tobytes() == np.zeros(len(pts)).tobytes()
+
+
 def test_one_pass_frame_fields_match_partial_route():
     # the composed route X = d1 + 2 x2 d3, Y = d2 - 2 x1 d3 as an exact oracle
     g = SplitMix64(17, "frame-oracle")

@@ -4,7 +4,10 @@ import pytest
 from heisenpde.fields import NumericField, PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction
 from heisenpde.operators import EllipticityBracket, HolderData
+from heisenpde import regularity
 from heisenpde.regularity import (
+    _margin_values,
+    _running_modulus,
     alpha_target,
     check_theorem,
     fit_alpha,
@@ -101,6 +104,58 @@ def test_holder_seminorm_cases():
         holder_seminorm(u, 0.0)
     with pytest.raises(ValueError):
         holder_seminorm(u, 1.2)
+
+
+def full_sweep_seminorm(u, alpha, margin=0.1):
+    """The seminorm and its radius from omega at every distance the box's
+    nodes realize, with no early stop: the reference for holder_seminorm."""
+    box = _margin_values(u, margin)
+    spacings = u.grid.spacings
+    radii = np.unique(np.concatenate([np.arange(1, n) * h for n, h in zip(box.shape, spacings)]))
+    ratio = np.array(list(_running_modulus(box, spacings, radii))) / radii**alpha
+    best = int(ratio.argmax())
+    return float(ratio[best]), float(radii[best]), radii
+
+
+CUSP = np.array([0.125, -0.25, 0.375])  # a node of every grid_box(n) with 8 | n - 1
+SWEEP_CASES = {
+    "smooth": (
+        grid_box(33),
+        NumericField(lambda pts: np.sin(2 * pts[:, 0]) * np.cos(pts[:, 1] - pts[:, 2])),
+    ),
+    "cusp": (grid_box(33), NumericField(lambda pts: np.sum(np.abs(pts - CUSP) ** 0.3, axis=1))),
+    "constant": (grid_box(17), PolynomialField.constant(2.5)),
+    # omega(r) = r, so r^(1 - alpha) grows to the largest radius
+    "linear": (grid_box(17), PolynomialField.coordinate(0)),
+    "anisotropic": (
+        Grid3.box((-1.0, -0.5, -2.0), (1.3, 0.4, 1.0), (25, 9, 13)),
+        NumericField(lambda p: np.abs(p[:, 0] - 0.2) ** 0.5 + np.cos(3 * p[:, 2]) + p[:, 1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_CASES))
+def test_holder_seminorm_stop_is_the_full_sweep_bitwise(monkeypatch, name):
+    grid, field = SWEEP_CASES[name]
+    u = GridFunction.from_field(grid, field)
+    swept = []
+
+    def counted(box, spacings, radii):
+        for omega in _running_modulus(box, spacings, radii):
+            swept.append(omega)
+            yield omega
+
+    monkeypatch.setattr(regularity, "_running_modulus", counted)
+    for alpha in (0.3, 0.45, 0.8, 1.0):
+        swept.clear()
+        semi, radius, radii = full_sweep_seminorm(u, alpha)
+        assert holder_seminorm(u, alpha) == (semi, radius)
+        if name == "constant":
+            assert len(swept) == 1
+        elif name == "linear" and alpha < 1:
+            assert radius == radii[-1] and len(swept) == radii.size
+        elif name in ("smooth", "cusp"):
+            assert len(swept) < radii.size
 
 
 def test_holder_seminorm_monotone_in_alpha_small_domain():

@@ -6,7 +6,7 @@ from conftest import max_interior_abs_diff
 from numpy.lib.stride_tricks import sliding_window_view
 
 from heisenpde.calculus import h_hessian
-from heisenpde.fields import PolynomialField, parse_polynomial
+from heisenpde.fields import NumericField, PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction, cells
 from heisenpde.group import Point, frame_batch
 from heisenpde.operators import (
@@ -249,6 +249,73 @@ def test_step_resets_boundary_and_reports_nan():
     bad[4, 4, 4] = np.inf
     with pytest.raises(ArithmeticError, match=r"node"):
         disc.smooth(bad.ravel(), disc.f_int, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_advance_names_the_first_non_finite_update(bad):
+    _, prob = manufactured_problem(9)
+    disc = prob.discretization
+    flat = np.zeros(prob.grid.n_nodes)
+    res = np.ones(disc.stencil.shape)
+    res[2, 5, 1] = res[6, 0, 3] = bad
+    with pytest.raises(ArithmeticError, match=r"non-finite update at node \(3, 6, 2\)"):
+        disc.advance(flat, res.ravel(), disc.tau)
+    assert not flat.any()  # nothing is written
+    disc.advance(flat, np.ones(res.size), 0.5)
+    assert (_interior(flat, prob.grid.counts) == 0.5).all()
+
+
+@pytest.mark.parametrize(
+    "counts,c",
+    [((9, 9, 9), "1 + x1^2 - 0.3 x2 x3"), ((17, 12, 7), "2 + x1 x2 x3 + 0.5 x3^2 - x2^3")],
+)
+def test_interior_c_is_the_interior_evaluation_bitwise(counts, c):
+    # c is evaluated once on every node; its interior slice is what an
+    # evaluation on the interior nodes alone gives
+    grid = Grid3.box((-1.0, -0.7, -1.3), (0.9, 1.1, 1.2), counts)
+    field = parse_polynomial(c)
+    disc = ProblemSpec(SUB, field, ZERO, ZERO, grid).discretization
+    inner = _interior(grid.points(), counts + (3,)).reshape(-1, 3)
+    assert disc.c_int.tobytes() == field.value_batch(inner).tobytes()
+    assert disc.tau == cfl_tau(disc.rho, 1.0, float(field.value_batch(grid.points()).max()))
+
+
+def _bad_at(point, value=np.nan, elsewhere=1.0):
+    """A field equal to `elsewhere` but at `point`, where it is `value`."""
+    return NumericField(lambda pts: np.where(np.all(pts == point, axis=1), value, elsewhere))
+
+
+def _nan_off_box(pts):
+    """0 on the box [-1, 1]^3 and NaN off it."""
+    return np.where(np.abs(pts).max(axis=1) <= 1.0, 0.0, np.nan)
+
+
+TALL = Grid3.box((-1, -1, -1e160), (1, 1, 1e160), (9, 9, 9))
+
+
+@pytest.mark.parametrize(
+    "c,f,boundary,grid,words",
+    [
+        (_bad_at([-0.5, -0.25, 0.0]), ZERO, ZERO, box(9), "c must be finite on the grid, "
+         "got nan at node (2, 3, 4)"),
+        # x3^2 overflows at the top and bottom of the tall box
+        (parse_polynomial("1 + x3^2"), ZERO, ZERO, TALL, "c must be finite on the grid, "
+         "got inf at node (0, 0, 0)"),
+        (ONE, _bad_at([0.25, -0.75, 0.5], -np.inf, 0.0), ZERO, box(9), "f must be finite "
+         "on the grid, got -inf at node (5, 1, 6)"),
+        (ONE, ZERO, _bad_at([1.0, 0.0, -1.0], np.inf, 0.0), box(9), "boundary must be "
+         "finite on the grid, got inf at node (8, 4, 0)"),
+        (ONE, ZERO, NumericField(_nan_off_box), box(9), "boundary off the box along 1 X + 0 Y "
+         "must be finite on the grid, got nan at node ("),
+    ],
+    ids=["c-nan", "c-overflow", "f", "boundary-node", "boundary-off-box"],
+)
+def test_level_set_up_rejects_non_finite_data(c, f, boundary, grid, words):
+    with np.errstate(over="ignore"):
+        prob = ProblemSpec(SUB, c, f, boundary, grid)
+        with pytest.raises(ValueError) as err:
+            prob.discretization
+    assert words in str(err.value), err.value
 
 
 def test_residual_norm_zero_and_discretization_scale():
