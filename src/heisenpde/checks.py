@@ -450,10 +450,14 @@ def check_sqrtp_lipschitz(seed: int = 0, trials: int = 100_000) -> dict:
     return _report("sums.sqrtp_lipschitz", trials, c2, np.isfinite(c2) and c2 <= 8.0, c2=c2)
 
 
-def check_vertical_obstruction(seed: int = 0, trials: int = 10_000) -> dict:
-    ok = vertical_obstruction_check(1.0, -1.0, samples=trials, seed=seed)
-    ok2 = vertical_obstruction_check(0.25, 3.0, samples=trials, seed=seed + 1)
-    return _report("sums.vertical_obstruction", 2 * trials, 0.0 if (ok and ok2) else 1.0, ok and ok2)
+def check_vertical_obstruction(seed: int = 0, trials: int = 2) -> dict:
+    """The third rows of sqrt(P) and sqrt(P) e3 at two pairs of points on
+    the vertical axis; a trial is one pair.  The check draws nothing, so it
+    takes seed and trials, as every check does, and reads neither."""
+    del seed, trials
+    pairs = ((1.0, -1.0), (0.25, 3.0))
+    ok = all(vertical_obstruction_check(x3, y3) for x3, y3 in pairs)
+    return _report("sums.vertical_obstruction", len(pairs), 0.0 if ok else 1.0, ok)
 
 
 ALL_CHECKS = [

@@ -217,28 +217,21 @@ def sandwich_batch(p: np.ndarray, gap: np.ndarray) -> np.ndarray:
     return 0.5 * (d + np.swapaxes(d, -1, -2))
 
 
-def vertical_obstruction_check(
-    x3: float,
-    y3: float,
-    samples: int = 10_000,
-    seed: int = 0,
-) -> bool:
+def vertical_obstruction_check(x3: float, y3: float) -> bool:
     """On the vertical axis, sqrt(P) annihilates e3, so no xi1, xi2 make
-    sqrt(P)(x) xi1 - sqrt(P)(y) xi2 equal (0, 0, +-1); returns True.
+    sqrt(P)(x) xi1 - sqrt(P)(y) xi2 equal (0, 0, +-1).
 
-    The points are x = (0, 0, x3) and y = (0, 0, y3), the remark's
-    hypothesis x' = y' = 0; x3 != y3 is required.
+    The third component of that difference is r_x . xi1 - r_y . xi2, with
+    r_x and r_y the third rows of sqrt(P) at x = (0, 0, x3) and
+    y = (0, 0, y3), the remark's hypothesis x' = y' = 0.  So the check is
+    that both rows, and sqrt(P) e3 at both points, are exactly zero; it
+    draws no vectors, since none could change that verdict.  x3 != y3 is
+    required.
     """
     if x3 == y3:
         raise ValueError("need x3 != y3")
-    rx, ry = sqrt_p_batch(np.array([[0.0, 0.0, x3], [0.0, 0.0, y3]], dtype=float))
-    g = SplitMix64(seed, "vertical-obstruction")
-    xi1 = g.normal((samples, 3))
-    xi2 = g.normal((samples, 3))
-    third = xi1 @ rx[2] - xi2 @ ry[2]
-    if np.any(third != 0.0):
-        return False
-    return True
+    roots = sqrt_p_batch(np.array([[0.0, 0.0, x3], [0.0, 0.0, y3]], dtype=float))
+    return not (roots[:, 2, :].any() or roots[:, :, 2].any())
 
 
 def _tensor_axes(lower: np.ndarray, upper: np.ndarray, per_axis: int) -> list[np.ndarray]:

@@ -28,8 +28,9 @@ one.
 Each level's set-up (Discretization) evaluates every data field once: c on
 all nodes, whose interior slice is c_int and whose max sets tau; f on the
 interior nodes; the boundary field on the boundary nodes and, in the
-stencil, at the samples off the box.  Each of those arrays must be finite:
-a ValueError names the field and the first node where it is not.
+stencil, at the samples off the box.  Each of those arrays must be finite,
+and c nonnegative: a ValueError names the field and the first node where
+it is not.
 
 Accuracy forces the sample step rho away from the grid spacing h: linear
 interpolation carries an O((h/rho)^2) bias into the second differences (pure
@@ -50,23 +51,29 @@ every grid) with linear transfers per axis (_transfers), smoothing with the
 same step on every level but the coarsest; the stencil, tau rule, stopping
 test (fine-grid residual below tol), and hence the fixed point are those of
 the plain step.
-Discretization.smooth is the only relaxation loop; it returns the residual
+Discretization.smooth is the only relaxation loop; it hands on the residual
 of its final iterate, which the V-cycle passes on rather than evaluating
 the operator twice on one iterate (on the levels below the finest no caller
 reads post-smoothing's final residual, so it is not computed).
 
 The V-cycle is a fixed-point map G on the fine interior values, and solve()
 Anderson-mixes it (Anderson 1965; Walker and Ni 2011) with the fixed depth
-_Multilevel.DEPTH = 3: after a cycle that has not met tol, the iterate
-G(x) - dG gamma, gamma the least-squares fit of G(x) - x by the last three
-differences of G(x) - x, is evaluated once.  Its residual passes on to the
-next cycle if it is strictly smaller than G(x)'s; otherwise G(x) and its
-residual are kept, as they are without evaluating the mix if its fit
-raises LinAlgError or its iterate is not finite.  That evaluation is the
-only extra work, 8 fine evaluations per mixed cycle instead of 7, and the
-buffers hold 2 DEPTH + 2 fine interior vectors (about 16 MB at 65^3).  To
-pay for them the stencil adds each sample into its row as it is taken
-rather than storing all eight.
+_Multilevel.DEPTH = 4, chosen by measured fine evaluations over depths 3, 4
+and 5: every cycle after the first is mixed.  Such a cycle's last
+post-smoothing sweep does not evaluate its residual; the iterate
+G(x) - dG gamma, gamma the least-squares fit of G(x) - x by the last four
+differences of G(x) - x, is evaluated instead, and its residual is the
+cycle's and starts the next one.  The mix is kept if its residual is
+strictly smaller than that of the cycle's input x.  Otherwise, or without
+evaluating the mix if its fit raises LinAlgError or its iterate is not
+finite, G(x) is restored and its residual evaluated.  So a mixed cycle costs
+the 7 fine evaluations of a plain one and a rejected mix 1 more: a solve
+makes 7 per cycle, 1 for its first residual and 1 per rejected mix that was
+evaluated.  The buffers hold 2 DEPTH + 2 fine interior vectors (about 20 MB
+at 65^3).  To pay for them, the residual is handed from call to call rather
+than kept by a caller, so no fine evaluation holds an earlier residual; and
+the stencil adds each sample into its row as it is taken, rather than
+storing all eight, and forms the centre term in a sample's buffer.
 
 T computes only the direction rows that F reads (OperatorSpec.hessian_rows),
 and the stencil takes no sample of a line that F does not read.  The
@@ -187,7 +194,7 @@ class SolveResult:
     outside_fraction: float = 0.0  # share of finest-grid samples off the box
     cycle_residuals: list = field(default_factory=list)  # fine residual after each V-cycle
     level_sweeps: list = field(default_factory=list)  # smoothing sweeps per level, finest first
-    anderson_accepted: int = 0  # mixed iterates kept
+    anderson_accepted: int = 0  # mixed iterates kept, the last cycle's included
     anderson_rejected: int = 0  # mixed iterates dropped for the V-cycle's own result
 
     def to_dict(self) -> dict:
@@ -413,13 +420,13 @@ class _Stencil:
         the interior nodes, one per direction v of `dirs` (a tuple drawn from
         DIRECTIONS), as a (len(dirs), n) array.  Each row is s+ w, then
         += s- w, then += c, with w = 1 / rho^2 and the centre term
-        c = u (-2 w) formed once per call; a direction not in `dirs` takes
-        no sample.  Calls on one stencil must not overlap: they share its
-        copy of u."""
-        n = int(np.prod(self.shape))
-        rows, centre = np.empty((len(dirs), n)), np.empty(n)
+        c = u (-2 w) formed per row in the buffer of s-, once that is added,
+        so no array of the interior is held for it; a direction not in
+        `dirs` takes no sample.  Calls on one stencil must not overlap: they
+        share its copy of u."""
+        rows = np.empty((len(dirs), int(np.prod(self.shape))))
         w = self.weight
-        np.multiply(_interior(flat, self.grid.counts), -2.0 * w, out=centre.reshape(self.shape))
+        u = _interior(flat, self.grid.counts)
         samples = self._samples(flat, dirs)
         # non-finite inputs propagate and are reported by the caller's check
         with np.errstate(invalid="ignore"):
@@ -427,7 +434,7 @@ class _Stencil:
                 np.multiply(next(samples), w, out=row)
                 other = next(samples)
                 row += np.multiply(other, w, out=other)
-                row += centre
+                row += np.multiply(u, -2.0 * w, out=other.reshape(self.shape)).ravel()
         return rows
 
     def _samples(self, flat: np.ndarray, dirs):
@@ -476,8 +483,10 @@ class Discretization:
     c is evaluated once, on all nodes: c_int is its interior slice, bitwise
     an evaluation on the interior nodes alone, and its max is tau's c_max.
     c, f_int, the boundary node values and the stencil's frozen off-box
-    values are checked finite as they are built; a ValueError names the
-    field and a node."""
+    values are checked finite as they are built, and c nonnegative, on
+    every level: ProblemSpec checks c on the finest nodes only, and a
+    coarse level can hold nodes that the finest does not.  A ValueError
+    names the field and a node."""
 
     def __init__(self, prob: ProblemSpec, grid: Grid3 | None = None):
         self.op = prob.op
@@ -493,6 +502,13 @@ class Discretization:
         pts = self.grid.points()
         c = prob.c.value_batch(pts)
         _check_finite(c, "c", counts)
+        if c.min() < 0:  # a coarse level holds nodes that the finest does not
+            k = int(np.flatnonzero(c < 0)[0])
+            node = tuple(int(i) for i in np.unravel_index(k, counts))
+            raise ValueError(
+                f"c must be nonnegative on every level, got {c[k]} at node {node} "
+                f"of the {counts} level"
+            )
         self.c_int = _interior(c, counts).ravel()
         inner = _interior(pts, counts + (3,)).reshape(-1, 3)
         self.f_int = prob.f.value_batch(inner)
@@ -539,18 +555,25 @@ class Discretization:
             raise ArithmeticError(f"non-finite update at node {tuple(int(v) for v in bad)}")
         inner[...] = upd
 
-    def smooth(self, flat: np.ndarray, rhs: np.ndarray, sweeps: int, res=None, final=True):
+    def smooth(self, flat: np.ndarray, rhs: np.ndarray, sweeps: int, held: list, final=True):
         """`sweeps` Jacobi steps toward T(u) = rhs in place, each with the
-        residual T(u) - rhs of the iterate it moves (`res` for the first, if
-        given); returns the residual of the final iterate, or None if
-        `final` is false, in which case the last sweep does not evaluate it."""
-        if res is None:
-            res = self.residual_interior(flat, rhs)
+        residual T(u) - rhs of the iterate it moves.
+
+        `held` hands that residual over: a list holding the residual of
+        flat, or empty, in which case the first is evaluated here.  It is
+        taken out of the list, and each residual is freed once its step is
+        taken, so no frame keeps one alive while the next is evaluated.  On
+        return `held` holds the residual of the final iterate if `final`,
+        and is empty otherwise: the last sweep then does not evaluate it."""
+        res = held.pop() if held else self.residual_interior(flat, rhs)
         for i in range(sweeps):
             self.advance(flat, res, self.tau)
             self.sweeps += 1
-            res = self.residual_interior(flat, rhs) if final or i + 1 < sweeps else None
-        return res
+            del res
+            if final or i + 1 < sweeps:
+                res = self.residual_interior(flat, rhs)
+        if final:
+            held.append(res)
 
     def enforce_boundary(self, flat: np.ndarray) -> None:
         flat[self.boundary_flat] = self.boundary_vals
@@ -682,7 +705,7 @@ class _Multilevel:
     nodes per axis and is the only level of a grid with no axis of 8."""
 
     SWEEPS = 3  # smoothing sweeps before and after the coarse-grid correction
-    DEPTH = 3  # (x, G(x)) differences mixed by Anderson acceleration of the V-cycle
+    DEPTH = 4  # (x, G(x)) differences mixed by Anderson acceleration of the V-cycle
     NEWTON_MAX = 20  # Newton steps per coarsest-level solve
     MAX_CYCLES = 500  # cycles per solve before it stops unconverged
 
@@ -697,11 +720,10 @@ class _Multilevel:
         self.newton_steps = 0
         self.dense = _probe(self.levels[-1])
 
-    def coarse_solve(self, flat: np.ndarray, rhs: np.ndarray, final=False):
+    def coarse_solve(self, flat: np.ndarray, rhs: np.ndarray) -> None:
         """Solve T(u) = rhs on the coarsest level in place by Newton on the
         probed affine stencil, stopping once max |T(u) - rhs| < 1e-14
-        max(1, max |rhs|).  Returns the stencil residual of the result if
-        `final`, else None."""
+        max(1, max |rhs|)."""
         disc = self.levels[-1]
         tol = 1e-14 * max(1.0, np.abs(rhs).max())
         edge = flat.copy()
@@ -717,32 +739,36 @@ class _Multilevel:
             jac = np.einsum("kn,knm->nm", slopes, self.dense) - np.diag(disc.c_int)
             disc.advance(flat, -_gauss_jordan(jac, res), 1.0)
             self.newton_steps += 1
-        return disc.residual_interior(flat, rhs) if final else None
 
-    def vcycle(self, l: int, flat: np.ndarray, rhs: np.ndarray, res=None) -> np.ndarray | None:
-        """One V-cycle on level l in place, from the residual res = T(u) - rhs
-        if the caller has it; on the coarsest level it is the coarse solve.
-        Returns the residual of the result on the finest level (l = 0); the
-        callers on the other levels have no use for it."""
-        if l == len(self.levels) - 1:
-            return self.coarse_solve(flat, rhs, final=l == 0)
+    def vcycle(self, l: int, flat: np.ndarray, rhs: np.ndarray, held: list, final=True) -> None:
+        """One V-cycle on level l in place; on the coarsest level it is the
+        coarse solve.  `held` hands the residual res = T(u) - rhs over as in
+        Discretization.smooth: it holds res if the caller has it, and the
+        cycle empties it.  On the finest level (l = 0) the cycle then leaves
+        the residual of its result in it if `final`; the callers on the
+        other levels have no use for it."""
         disc = self.levels[l]
-        res = disc.smooth(flat, rhs, self.SWEEPS, res)
+        if l == len(self.levels) - 1:
+            held.clear()  # Newton starts from its own residual
+            self.coarse_solve(flat, rhs)
+            if final and l == 0:
+                held.append(disc.residual_interior(flat, rhs))
+            return
+        disc.smooth(flat, rhs, self.SWEEPS, held)
         fine = disc.grid.counts
         coarse = self.levels[l + 1]
         counts = coarse.grid.counts
         prolong, inject, restrict = self.transfers[l]
-        rc = _along_axes(restrict, -res.reshape(disc.stencil.shape)).ravel()
-        del res  # not kept through the recursion
+        rc = _along_axes(restrict, -held.pop().reshape(disc.stencil.shape)).ravel()
         uc_flat = _along_axes(inject, flat.reshape(fine)).ravel()
-        res_c = coarse.apply_nonlinearity(uc_flat)
-        rhs_c = res_c + rc
-        res_c -= rhs_c  # T(u_c) - rhs_c
+        held_c = [coarse.apply_nonlinearity(uc_flat)]
+        rhs_c = held_c[0] + rc
+        held_c[0] -= rhs_c  # T(u_c) - rhs_c
         v_flat = uc_flat.copy()
-        self.vcycle(l + 1, v_flat, rhs_c, res_c)
+        self.vcycle(l + 1, v_flat, rhs_c, held_c)
         corr = _interior(v_flat, counts) - _interior(uc_flat, counts)
         _interior(flat, fine)[...] += _along_axes([p[1:-1, 1:-1] for p in prolong], corr)
-        return disc.smooth(flat, rhs, self.SWEEPS, final=l == 0)
+        disc.smooth(flat, rhs, self.SWEEPS, held, final=final and l == 0)
 
     def fmg_initial(self) -> np.ndarray:
         """Nested iteration: solve the coarsest level, then prolong upward
@@ -758,7 +784,7 @@ class _Multilevel:
             flat = _along_axes(prolong, flat.reshape(self.levels[l + 1].grid.counts)).ravel()
             disc.enforce_boundary(flat)
             if l > 0:
-                self.vcycle(l, flat, disc.f_int)
+                self.vcycle(l, flat, disc.f_int, [])
         return flat
 
 
@@ -814,10 +840,13 @@ def solve(prob: ProblemSpec) -> SolveResult:
     """Iterate toward max interior |F(stencil) - c u - f| < tol.
 
     FAS V-cycles (on a grid with no axis of 8 nodes, the coarsest-level
-    solve alone) are Anderson-mixed: after each cycle that has not met tol,
-    the mix of the last DEPTH cycles replaces the cycle's result only if its
-    residual is strictly smaller; a mix that raises LinAlgError or is not
-    finite is rejected.  The fixed point and stopping rule are those of the
+    solve alone) are Anderson-mixed: every cycle after the first evaluates
+    the mix of the last DEPTH cycles in place of its own result, and keeps
+    it only if its residual is strictly smaller than that of the cycle's
+    input.  A mix that raises LinAlgError or is not finite is rejected
+    unevaluated; a rejected mix gives way to the cycle's result G(x), whose
+    residual is then evaluated.  The stopping test reads the residual of
+    the iterate kept.  The fixed point and stopping rule are those of the
     plain Jacobi step of Discretization (advance with tau on the residual
     of residual_interior).  The solve stops unconverged after
     _Multilevel.MAX_CYCLES cycles; non-convergence returns the last iterate
@@ -828,33 +857,34 @@ def solve(prob: ProblemSpec) -> SolveResult:
     ml = _Multilevel(prob, disc)
     flat = ml.fmg_initial()
     inner = _interior(flat, prob.grid.counts)
-    res = disc.residual_interior(flat, disc.f_int)
-    rn = float(np.abs(res).max())
+    held = [disc.residual_interior(flat, disc.f_int)]  # handed to each cycle
+    rn = float(np.abs(held[0]).max())
     aa = _Anderson(inner.shape)
     history = []  # the fine residual after each cycle
     accepted = rejected = 0
     while rn >= prob.tol and len(history) < ml.MAX_CYCLES:
+        mixing = aa.pairs > 0  # every cycle after the first
         aa.start(inner)
-        res = ml.vcycle(0, flat, disc.f_int, res)
-        rn = float(np.abs(res).max())
+        ml.vcycle(0, flat, disc.f_int, held, final=not mixing)
         aa.record(inner)
-        if rn >= prob.tol and aa.pairs > 1:
-            mixed, mn = None, np.inf  # a mix that fails or is not finite is rejected
+        if mixing:
+            mn = np.inf  # a mix that fails or is not finite is rejected
             try:
                 inner[...] = aa.mix()
             except np.linalg.LinAlgError:  # no fit, as on a non-finite Gram matrix
                 pass
             else:
                 if np.isfinite(inner).all():
-                    mixed = disc.residual_interior(flat, disc.f_int)
-                    mn = float(np.abs(mixed).max())
+                    held.append(disc.residual_interior(flat, disc.f_int))
+                    mn = float(np.abs(held[0]).max())
             if mn < rn:
-                res, rn = mixed, mn
                 accepted += 1
             else:
+                held.clear()  # freed before G(x)'s residual is evaluated
                 inner[...] = aa.g
+                held.append(disc.residual_interior(flat, disc.f_int))
                 rejected += 1
-            mixed = None  # a rejected residual is not kept through the next cycle
+        rn = float(np.abs(held[0]).max())
         history.append(rn)
     u = GridFunction(prob.grid, flat.reshape(prob.grid.counts))
     return SolveResult(

@@ -40,6 +40,13 @@ def test_each_check_passes_at_reduced_scale(fn, kwargs):
     assert set(report) >= {"lemma_id", "trials", "worst_gap", "pass"}
 
 
+def test_vertical_obstruction_reports_the_pairs_it_checks():
+    # it draws nothing: whatever the seed and trials, it checks two pairs
+    for seed, trials in ((0, 2), (11, 10_000)):
+        report = checks.check_vertical_obstruction(seed=seed, trials=trials)
+        assert (report["trials"], report["pass"]) == (2, True)
+
+
 def test_registry_covers_all_checks():
     names = [name for name, _ in checks.ALL_CHECKS]
     assert len(names) == len(set(names))

@@ -290,6 +290,19 @@ def test_solve_rejects_bad_operator_before_solving(tmp_path, capsys, monkeypatch
     assert list(tmp_path.iterdir()) == [tmp_path / "prob.json"]
 
 
+def test_solve_rejects_c_negative_on_a_coarse_level(tmp_path, capsys):
+    # (x1 - 1/3)^2 - 0.001 is positive on the 12^3 nodes and -0.001 at
+    # x1 = 1/3, a node of the 7^3 level below them
+    c = {"poly": "x1^2 - 0.6666666666666666 x1 + 0.11011111111111111"}
+    grid = dict(SOLVE_CONFIG["grid"], counts=[12, 12, 12])
+    cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, c=c, grid=grid))
+    out = tmp_path / "u.csv"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "c must be nonnegative on every level" in err and "(7, 7, 7) level" in err, err
+    assert not out.exists()
+
+
 PUCCI_4 = {"kind": "pucci_plus", "lambda": 1.0, "Lambda": 4.0}
 
 

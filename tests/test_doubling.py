@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heisenpde import doubling
 from heisenpde.doubling import (
     MaxReport,
     PenaltyParams,
@@ -359,9 +360,22 @@ def test_psd_sandwich():
 
 
 def test_vertical_obstruction():
-    assert vertical_obstruction_check(1.0, -1.0, samples=5000, seed=1)
+    assert vertical_obstruction_check(1.0, -1.0)
     with pytest.raises(ValueError):
         vertical_obstruction_check(1.0, 1.0)
+
+
+@pytest.mark.parametrize("entry", [(2, 0), (2, 1), (0, 2)], ids=["row-e1", "row-e2", "column"])
+def test_vertical_obstruction_fails_on_a_nonzero_row_or_column(monkeypatch, entry):
+    # the verdict is decided by the third row and by sqrt(P) e3: one nonzero
+    # entry of either at one of the two points turns it
+    def perturbed(xy):
+        roots = sqrt_p_batch(xy)
+        roots[1][entry] = 1e-300
+        return roots
+
+    monkeypatch.setattr(doubling, "sqrt_p_batch", perturbed)
+    assert not vertical_obstruction_check(1.0, -1.0)
 
 
 def test_doubling_certificate_constant():

@@ -30,6 +30,7 @@ from heisenpde.solver import (
     _interior,
     _Multilevel,
     _probe,
+    _Stencil,
     _transfers,
     _values_and_slopes,
     cfl_tau,
@@ -60,11 +61,11 @@ def pure_iteration(prob: ProblemSpec, u: GridFunction, max_sweeps: int) -> GridF
     disc = prob.discretization
     flat = u.values.ravel().copy()
     disc.enforce_boundary(flat)
-    res = disc.residual_interior(flat, disc.f_int)
+    held = [disc.residual_interior(flat, disc.f_int)]
     for _ in range(max_sweeps):
-        if np.abs(res).max() < prob.tol:
+        if np.abs(held[0]).max() < prob.tol:
             break
-        res = disc.smooth(flat, disc.f_int, 1, res)
+        disc.smooth(flat, disc.f_int, 1, held)
     return GridFunction(u.grid, flat.reshape(u.grid.counts))
 
 
@@ -233,7 +234,9 @@ def test_step_fixed_point_and_validation():
     # zero data: the zero function is a fixed point of the Jacobi step
     disc = ProblemSpec(SUB, ONE, ZERO, ZERO, box(9), tol=1e-8).discretization
     flat = np.zeros(disc.grid.n_nodes)
-    res = disc.smooth(flat, disc.f_int, 1)
+    held = []
+    disc.smooth(flat, disc.f_int, 1, held)
+    (res,) = held
     assert not flat.any() and not res.any()
 
 
@@ -248,7 +251,7 @@ def test_step_resets_boundary_and_reports_nan():
     bad = np.ones(prob.grid.counts)
     bad[4, 4, 4] = np.inf
     with pytest.raises(ArithmeticError, match=r"node"):
-        disc.smooth(bad.ravel(), disc.f_int, 1)
+        disc.smooth(bad.ravel(), disc.f_int, 1, [])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -316,6 +319,21 @@ def test_level_set_up_rejects_non_finite_data(c, f, boundary, grid, words):
         with pytest.raises(ValueError) as err:
             prob.discretization
     assert words in str(err.value), err.value
+
+
+# (x1 - 1/3)^2 - 0.001: at least 0.0027 on every node of the 12^3 grid over
+# [-1, 1]^3, but -0.001 at x1 = 1/3, a node of its 7^3 coarse level
+NEGATIVE_ON_A_COARSE_LEVEL = "x1^2 - 0.6666666666666666 x1 + 0.11011111111111111"
+
+
+def test_negative_c_on_a_coarse_level_is_rejected():
+    c = parse_polynomial(NEGATIVE_ON_A_COARSE_LEVEL)
+    prob = ProblemSpec(SUB, c, ZERO, ZERO, box(12))
+    assert c.value_batch(prob.grid.points()).min() > 0.0026
+    with pytest.raises(ValueError) as err:
+        solve(prob)
+    assert str(err.value).startswith("c must be nonnegative on every level, got -0.000999")
+    assert str(err.value).endswith("at node (4, 0, 0) of the (7, 7, 7) level")
 
 
 def test_residual_norm_zero_and_discretization_scale():
@@ -411,8 +429,9 @@ def test_residual_monotone_after_warmup():
     disc.enforce_boundary(flat)
     history = []
     for _ in range(300):
-        res = disc.smooth(flat, disc.f_int, 1)
-        history.append(np.abs(res).max())
+        held = []
+        disc.smooth(flat, disc.f_int, 1, held)
+        history.append(np.abs(held.pop()).max())
     tail = np.array(history[10:])
     assert (np.diff(tail) <= 1e-12 * max(1.0, tail[0])).all()
 
@@ -548,9 +567,9 @@ def test_solve_reports_work_per_level():
     )
     # residuals are passed on, not recomputed: per V-cycle 3 pre-smoothing
     # sweeps from the stopping test's residual, then 1 + 3 for post-smoothing,
-    # plus 1 per mixed iterate, kept or rejected
-    mixes = first.anderson_accepted + first.anderson_rejected
-    assert first.level_evals[0] == 7 * first.cycles + 1 + mixes
+    # whose last residual a mixed cycle leaves to the mix, plus 1 per
+    # rejected mix for the residual of the cycle's own result
+    assert first.level_evals[0] == 7 * first.cycles + 1 + first.anderson_rejected
     assert first.iterations == 2 * _Multilevel.SWEEPS * first.cycles
     # an intermediate level is visited once per V-cycle and once by the nested
     # iteration, each time for 1 + 3 + 3 evaluations: post-smoothing's final
@@ -742,43 +761,46 @@ def pucci_problem(n, u_star="x1^2 - x2^2", tol=1e-6):
 
 
 def test_anderson_cycle_counts():
-    # regression pins: without mixing these solves take 6 and 18 V-cycles
+    # regression pins of V-cycles and fine evaluations: without mixing these
+    # solves take 6 and 18 V-cycles
     sub = solve(manufactured_problem(17, tol=1e-6)[1])
     pucci = solve(pucci_problem(17))
     assert sub.converged and pucci.converged
     assert (sub.cycles, pucci.cycles) == (5, 10)
+    assert (sub.level_evals[0], pucci.level_evals[0]) == (36, 71)
 
 
 @pytest.mark.parametrize(
-    "op,c,counts,cycles",
+    "op,c,counts,cycles,evals",
     [
-        (OperatorSpec("pucci_plus", EllipticityBracket(1.0, 16.0)), ONE, (17, 17, 17), 20),
-        (OperatorSpec("pucci_minus", EllipticityBracket(1.0, 16.0)), ONE, (17, 17, 17), 20),
-        (COARSE_KINDS["trace_linear"], ONE, (17, 17, 17), 6),
-        (SUB, ZERO, (17, 17, 17), 5),
-        (SUB, ONE, (17, 17, 7), 4),
-        (PUCCI_PLUS, ONE, (12, 12, 12), 8),
-        (*MONOTONE_STEPS["trace_linear_low_bracket_c1000"], (17, 17, 17), 2),
+        (OperatorSpec("pucci_plus", EllipticityBracket(1.0, 16.0)), ONE, (17, 17, 17), 19, 134),
+        (OperatorSpec("pucci_minus", EllipticityBracket(1.0, 16.0)), ONE, (17, 17, 17), 21, 148),
+        (COARSE_KINDS["trace_linear"], ONE, (17, 17, 17), 6, 43),
+        (SUB, ZERO, (17, 17, 17), 5, 36),
+        (SUB, ONE, (17, 17, 7), 4, 29),
+        (PUCCI_PLUS, ONE, (12, 12, 12), 9, 64),
+        (*MONOTONE_STEPS["trace_linear_low_bracket_c1000"], (17, 17, 17), 2, 15),
     ],
     ids=["pucci-plus-16", "pucci-minus-16", "trace-linear-a12", "sublaplacian-c0",
          "sublaplacian-semi-coarsened", "pucci-plus-12", "trace-linear-low-bracket-c1000"],
 )
-def test_cycle_counts_across_kinds_and_grids(op, c, counts, cycles):
-    # regression pins of the V-cycle count at the shipped step, over the
-    # operator kinds, a zero c, a semi-coarsened and a non-dyadic grid; with
-    # Lam < 1 and a large c a step that scaled c_max by Lam diverged
+def test_cycle_counts_across_kinds_and_grids(op, c, counts, cycles, evals):
+    # regression pins of the V-cycle count and of the fine evaluations at the
+    # shipped step, over the operator kinds, a zero c, a semi-coarsened and a
+    # non-dyadic grid; with Lam < 1 and a large c a step that scaled c_max by
+    # Lam diverged
     u_star = parse_polynomial("x1^2 - x2^2 + 0.5 x1 x3")
     grid = Grid3.box((-1, -1, -1), (1, 1, 1), counts)
     res = solve(ProblemSpec(op, c, manufacture(u_star, op, c), u_star, grid, tol=1e-6))
     assert res.converged
-    assert res.cycles == cycles
+    assert (res.cycles, res.level_evals[0]) == (cycles, evals)
 
 
 # V-cycles of u* = x1^2 - x2^2 + 0.5 x1 x3 at tol 1e-6, over Lam/lam, then c,
 # then the grid; every one of these solves converges
 CONVERGENCE_MAP = {
-    "pucci_plus": (5, 7, 2, 2, 10, 12, 2, 3, 20, 25, 3, 3),
-    "trace_linear": (5, 7, 2, 2, 10, 12, 2, 3, 21, 25, 3, 3),
+    "pucci_plus": (5, 7, 2, 2, 10, 12, 2, 3, 20, 22, 3, 3),
+    "trace_linear": (5, 7, 2, 2, 10, 12, 2, 3, 21, 23, 3, 3),
 }
 MAP_CASES = [
     (kind, ratio, c, counts, cycles)
@@ -812,9 +834,45 @@ def test_convergence_map(kind, ratio, c, counts, cycles):
     assert res.cycles == cycles
 
 
+def manufactured_kind(op, n, u_star):
+    """op's problem on the n^3 cube, manufactured from u_star with c = 1."""
+    u_star = parse_polynomial(u_star)
+    return ProblemSpec(op, ONE, manufacture(u_star, op, ONE), u_star, box(n), tol=1e-6)
+
+
+def rejecting_problem():
+    """Pucci+ (1, 16) at 9^3, whose solve rejects 2 of its mixes."""
+    op = OperatorSpec("pucci_plus", EllipticityBracket(1.0, 16.0))
+    return manufactured_kind(op, 9, "x1^2 x3 - x2 + 0.5 x3^2")
+
+
+FINE_EVAL_CASES = {
+    "sublaplacian-17": lambda: manufactured_problem(17, tol=1e-6)[1],
+    "trace-linear-a12-17": lambda: manufactured_kind(
+        COARSE_KINDS["trace_linear"], 17, "x1^2 - x2^2 + 0.5 x1 x3"
+    ),
+    "pucci-plus-17": lambda: pucci_problem(17),
+    "pucci-minus-17": lambda: manufactured_kind(COARSE_KINDS["pucci_minus"], 17, "x1^2 - x2^2"),
+    "pucci-plus-16-9-rejects": rejecting_problem,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FINE_EVAL_CASES))
+def test_fine_evaluations_are_7_per_cycle_plus_rejected_mixes(case):
+    # 1 for the first residual, 7 per cycle (a mixed cycle's last sweep leaves
+    # its residual to the mix's), and 1 more per rejected mix: the residual
+    # of the cycle's own result, which the mix replaced
+    res = solve(FINE_EVAL_CASES[case]())
+    assert res.converged
+    assert res.level_evals[0] == 7 * res.cycles + 1 + res.anderson_rejected
+    assert res.anderson_accepted + res.anderson_rejected == res.cycles - 1
+    if case.endswith("rejects"):
+        assert (res.cycles, res.anderson_rejected) == (27, 2)
+
+
 @pytest.mark.parametrize(
     "prob",
-    [manufactured_problem(17, tol=1e-6)[1], pucci_problem(9, "x1^2 x3 - x2 + 0.5 x3^2")],
+    [manufactured_problem(17, tol=1e-6)[1], rejecting_problem()],
     ids=["sublaplacian-17", "pucci-plus-9-rejects"],
 )
 def test_every_mix_is_accepted_or_rejected(monkeypatch, prob):
@@ -830,22 +888,83 @@ def test_every_mix_is_accepted_or_rejected(monkeypatch, prob):
     assert res.converged
     assert res.anderson_accepted + res.anderson_rejected == len(mixes)
     assert len(res.cycle_residuals) == res.cycles
-    # the first cycle has no difference to mix, and the cycle that meets tol is
-    # not mixed
-    assert len(mixes) in (res.cycles - 1, res.cycles - 2)
+    # every cycle but the first, which has no difference to mix, is mixed,
+    # the one that meets tol included
+    assert len(mixes) == res.cycles - 1
     if prob.grid.counts == (9, 9, 9):
         assert res.anderson_rejected > 0
 
 
+def plain_v_cycles(prob: ProblemSpec) -> tuple[np.ndarray, list]:
+    """The unmixed V-cycle iteration of solve, from the same nested
+    iteration to the same stopping test: its iterate and its residuals."""
+    disc = prob.discretization
+    ml = _Multilevel(prob, disc)
+    flat = ml.fmg_initial()
+    held = [disc.residual_interior(flat, disc.f_int)]
+    history = []
+    while np.abs(held[0]).max() >= prob.tol:
+        ml.vcycle(0, flat, disc.f_int, held)
+        history.append(float(np.abs(held[0]).max()))
+    return flat, history
+
+
 def test_rejected_mixes_leave_the_plain_v_cycle(monkeypatch):
-    # a mix that is never strictly better is always rejected: the iteration is
-    # then the plain V-cycle iteration, which takes 6 cycles on this problem
+    # a mix that is never strictly better than the cycle's input is always
+    # rejected: the iterates are then bitwise those of the plain V-cycle
+    # iteration, which takes 6 cycles on this problem
+    prob = manufactured_problem(17, tol=1e-6)[1]
+    plain, history = plain_v_cycles(prob)
     monkeypatch.setattr(_Anderson, "mix", lambda self: self.g + 1.0)
-    res = solve(manufactured_problem(17, tol=1e-6)[1])
-    assert res.converged and res.cycles == 6
-    # every cycle but the first and the last, which met tol, tried a mix
-    assert res.anderson_accepted == 0 and res.anderson_rejected == res.cycles - 2
+    res = solve(prob)
+    assert res.converged and res.cycles == len(history) == 6
+    assert np.array_equal(res.u.values.ravel(), plain)
+    assert res.cycle_residuals == history
+    # every cycle but the first tried a mix, the last, which met tol, included
+    assert res.anderson_accepted == 0 and res.anderson_rejected == res.cycles - 1
     assert res.level_evals[0] == 7 * res.cycles + 1 + res.anderson_rejected
+
+
+def _backward(self):
+    # x - (G(x) - x): on this affine T its residual is 2 r(x) - r(G(x))
+    return self.g - 2.0 * self.f
+
+
+def _midway(self):
+    # (x + G(x)) / 2: its residual is (r(x) + r(G(x))) / 2
+    return self.g - 0.5 * self.f
+
+
+@pytest.mark.parametrize("mix,kept", [(_backward, False), (_midway, True)], ids=["backward", "midway"])
+def test_a_mix_is_kept_when_below_the_cycles_input(monkeypatch, mix, kept):
+    # the safeguard compares the mix with the cycle's input x, not with G(x):
+    # a mix worse than x is rejected, and one better than x but worse than
+    # G(x) is kept
+    prob = manufactured_problem(9, tol=1e-6)[1]
+    judge = Discretization(prob)  # evaluates apart from the solve's counts
+    flat = judge.initial_values()
+    judge.enforce_boundary(flat)
+
+    def norm(values):
+        _interior(flat, prob.grid.counts)[...] = values
+        return float(np.abs(judge.residual_interior(flat, judge.f_int)).max())
+
+    seen = []
+
+    def recorded(self):
+        mixed = mix(self)
+        seen.append((norm(self.g - self.f), norm(self.g), norm(mixed)))
+        return mixed
+
+    monkeypatch.setattr(_Anderson, "mix", recorded)
+    res = solve(prob)
+    assert res.converged and len(seen) == res.cycles - 1 > 0
+    for (x, gx, mixed), after in zip(seen, res.cycle_residuals[1:]):
+        assert gx < mixed < x if kept else x < mixed
+        assert after == (mixed if kept else gx)
+    assert (res.anderson_accepted, res.anderson_rejected) == (
+        (len(seen), 0) if kept else (0, len(seen))
+    )
 
 
 def _singular_fit(self):
@@ -861,32 +980,34 @@ def _non_finite_mix(self):
 @pytest.mark.parametrize("mix", [_singular_fit, _non_finite_mix], ids=["raises", "non-finite"])
 def test_failed_mixes_are_rejected(monkeypatch, mix):
     # a mix whose fit raises or whose iterate is not finite is rejected
-    # without being evaluated: the iteration is the plain V-cycle iteration
+    # without being evaluated: the iteration is the plain V-cycle iteration,
+    # each mixed cycle evaluating its own result's residual in the mix's place
     monkeypatch.setattr(_Anderson, "mix", mix)
     res = solve(manufactured_problem(17, tol=1e-6)[1])
     assert res.converged and res.cycles == 6
-    assert res.anderson_accepted == 0 and res.anderson_rejected == res.cycles - 2
+    assert res.anderson_accepted == 0 and res.anderson_rejected == res.cycles - 1
     assert res.level_evals[0] == 7 * res.cycles + 1
     assert np.isfinite(res.u.values).all()
 
 
 def test_anderson_mix_solves_a_linear_map_exactly():
-    # on an affine map of R^3 three independent differences span the space,
-    # so the mix is the fixed point; the iterates run on through G alone, so
-    # the ring buffer wraps twice
-    assert _Multilevel.DEPTH == 3
-    a = np.array([[0.5, 0.2, 0.0], [-0.1, 0.7, 0.1], [0.2, 0.0, 0.6]])
-    b = np.array([1.0, -2.0, 0.5])
-    fixed = np.linalg.solve(np.eye(3) - a, b)
-    aa = _Anderson((3,))
-    x = np.array([3.0, 4.0, -1.0])
-    for k in range(10):
+    # on an affine map of R^DEPTH, DEPTH independent differences span the
+    # space, so the mix is the fixed point; the iterates run on through G
+    # alone, so the ring buffer wraps twice
+    depth = _Multilevel.DEPTH
+    rng = np.random.default_rng(3)
+    a = 0.5 * np.eye(depth) + 0.1 * rng.standard_normal((depth, depth))
+    b = rng.standard_normal(depth)
+    fixed = np.linalg.solve(np.eye(depth) - a, b)
+    aa = _Anderson((depth,))
+    x = rng.standard_normal(depth)
+    for k in range(3 * depth + 1):
         aa.start(x)
         x = a @ x + b
         aa.record(x)
-        if k >= 3:
+        if k >= depth:
             assert np.abs(aa.mix() - fixed).max() <= 1e-9 * np.abs(fixed).max()
-    assert aa.pairs == 10
+    assert aa.pairs == 3 * depth + 1
 
 
 @pytest.mark.parametrize(
@@ -1060,6 +1181,67 @@ def test_unpadded_rows_are_the_zero_padded_gather(name, width):
         want = gathered_hessian(stencil, flat, disc.rho)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         assert (got.tobytes() == want.tobytes()) or not exact
+
+
+def centre_once(stencil: _Stencil, flat: np.ndarray, dirs=DIRECTIONS) -> np.ndarray:
+    """The stencil's rows with the centre term u (-2 w) formed once into an
+    interior array of its own and added to every row."""
+    rows, centre = np.empty((len(dirs), int(np.prod(stencil.shape)))), np.empty(stencil.shape)
+    w = stencil.weight
+    np.multiply(_interior(flat, stencil.grid.counts), -2.0 * w, out=centre)
+    samples = stencil._samples(flat, dirs)
+    for row in rows:
+        np.multiply(next(samples), w, out=row)
+        other = next(samples)
+        row += np.multiply(other, w, out=other)
+        row += centre.ravel()
+    return rows
+
+
+@pytest.mark.parametrize("dirs", [DIRECTIONS, (X, Y)], ids=["four-rows", "x-y-rows"])
+@pytest.mark.parametrize("name", list(ROW_GRIDS))
+def test_centre_term_formed_per_row_is_bitwise_the_stored_one(name, dirs):
+    # each row adds the centre term formed in the buffer of its second sample:
+    # the same products, added in the same order, as one stored centre array
+    stencil = _Stencil(ROW_GRIDS[name], POLY_BOUNDARY, 0.137)
+    g = np.random.default_rng(len(name))
+    for flat in (g.standard_normal(stencil.grid.n_nodes), g.uniform(1e3, 1e4, stencil.grid.n_nodes)):
+        got = stencil.hessian_components(flat, dirs)
+        assert got.tobytes() == centre_once(stencil, flat, dirs).tobytes()
+
+
+def test_solve_is_bitwise_the_stored_centre_solve(monkeypatch):
+    # the centre term formed per row and the residual handed over leave a
+    # whole solve bitwise as it was
+    prob = pucci_problem(17)
+    res = solve(prob)
+    monkeypatch.setattr(_Stencil, "hessian_components", centre_once)
+    ref = solve(pucci_problem(17))
+    assert res.u.values.tobytes() == ref.u.values.tobytes()
+    assert (res.cycle_residuals, res.level_evals) == (ref.cycle_residuals, ref.level_evals)
+
+
+@pytest.mark.parametrize("case", ["sublaplacian-17", "pucci-plus-16-9-rejects"])
+def test_no_fine_evaluation_keeps_an_earlier_residual(monkeypatch, case):
+    # the residual is handed over, not kept by a caller: when the finest level
+    # evaluates a residual, every residual it evaluated before has been freed
+    prob = FINE_EVAL_CASES[case]()
+    finest = prob.discretization
+    evaluate = Discretization.residual_interior
+    earlier, alive = [], []
+
+    def watched(self, flat, rhs):
+        if self is not finest:
+            return evaluate(self, flat, rhs)
+        alive.append(sum(ref() is not None for ref in earlier))
+        out = evaluate(self, flat, rhs)
+        earlier.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(Discretization, "residual_interior", watched)
+    res = solve(prob)
+    assert res.converged and len(alive) == res.level_evals[0]
+    assert max(alive) == 0
 
 
 # levels and V-cycles of the Pucci+ (1, 4) solve of u* = x1^2 - x2^2 + 0.5 x1 x3
