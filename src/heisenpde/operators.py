@@ -23,6 +23,9 @@ apply_batch, the solver's kernel, with the closed 2x2 eigenvalue formula for
 Pucci; a 3x3 lifted stack takes numpy.linalg.eigvalsh.  Both sum the Pucci
 corners through one helper.  The residual F - c u - f of a field is the
 solver's (Discretization.residual_interior), on the stencil's rows.
+apply_batch also marks, from the same eigenvalues, the nodes on Pucci's Lam
+corner, where F's slope sum (slope_sums) is 2 Lam: the solver sizes each
+node's Jacobi step on it.
 """
 
 from __future__ import annotations
@@ -171,9 +174,29 @@ class OperatorSpec:
         e = np.take_along_axis(e, np.argsort(np.abs(e), axis=1, kind="stable"), axis=1)
         return _corner_sum(e.T, self.bracket, plus)
 
-    def apply_batch(self, rows) -> np.ndarray:
+    @property
+    def slope_sums(self) -> tuple:
+        """The sum S = g'(e_lo) + g'(e_hi) of F's slopes over the direction
+        rows, as (S where both eigenvalues sit on the Lam corner, S
+        elsewhere); the slopes of D_{X+Y} and D_{X-Y} cancel in it, since
+        h_xy weighs them by +-1/4.  The linear kinds have one S, the trace
+        of their coefficient, and None second.  Pucci's S is 2 Lam on the
+        Lam corner (e_lo >= 0 for Pucci+, e_hi <= 0 for Pucci-) and
+        lam + Lam elsewhere: exact at a saddle, and a floor where both
+        eigenvalues sit on the lam corner, whose S is 2 lam."""
+        if self.kind == "sublaplacian":
+            return 2.0, None
+        if self.kind == "trace_linear":
+            return self.coeff.a11 + self.coeff.a22, None
+        return 2.0 * self.bracket.Lam, self.bracket.lam + self.bracket.Lam
+
+    def apply_batch(self, rows, corners: np.ndarray | None = None) -> np.ndarray:
         """Vectorized intrinsic-form evaluation on the direction rows of
-        hessian_rows, in that order: a (k, n) array or k arrays."""
+        hessian_rows, in that order: a (k, n) array or k arrays.  For Pucci,
+        a boolean array `corners` of n receives, from the eigenvalues that F
+        is summed from, True where both sit on the Lam corner, where F's
+        slope sum is slope_sums[0]; the linear kinds, whose slope sum is
+        that everywhere, do not write it."""
         if self.form != INTRINSIC:
             raise ValueError("apply_batch evaluates the intrinsic form")
         d_x, d_y = rows[0], rows[1]
@@ -183,8 +206,14 @@ class OperatorSpec:
             a = self.coeff
             mixed = 2.0 * a.a12 * cross_term(rows[2], rows[3]) if a.a12 else 0.0
             return a.a11 * d_x + mixed + a.a22 * d_y
-        hxy = cross_term(rows[2], rows[3])
-        return _corner_sum(eigenvalues2(d_x, hxy, d_y), self.bracket, self.kind == "pucci_plus")
+        plus = self.kind == "pucci_plus"
+        lo, hi = eigenvalues2(d_x, cross_term(rows[2], rows[3]), d_y)
+        if corners is not None:
+            if plus:
+                np.greater_equal(lo, 0.0, out=corners)
+            else:
+                np.less_equal(hi, 0.0, out=corners)
+        return _corner_sum((lo, hi), self.bracket, plus)
 
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":

@@ -42,15 +42,20 @@ giving a first-order scheme; on coarse grids it reduces to the
 plain spacing step.
 
 The basic iteration is the Jacobi-style pseudo-time step
-    v = u + tau * (F(stencil) - c u - f)
-with tau = 0.8 rho^2 / (4 Lam + c_max rho^2), the damped-Jacobi weight 4/5
-on a bound of the Jacobian's diagonal (cfl_tau).  Alone it needs
-O(1/(tau * lambda_min)) sweeps, far too many on fine grids, so solve() runs
-FAS-style V-cycles over the grid's coarsenings (Grid3.coarsen, one rule for
-every grid) with linear transfers per axis (_transfers), smoothing with the
-same step on every level but the coarsest; the stencil, tau rule, stopping
-test (fine-grid residual below tol), and hence the fixed point are those of
-the plain step.
+    v_i = u_i + tau_i * (F(stencil) - c u - f)_i
+with tau_i = 0.8 rho^2 / (2 S_i + c_max rho^2), the damped-Jacobi weight 4/5
+on node i's own Jacobian diagonal (cfl_tau), S_i the sum of F's slopes at
+the iterate moved (OperatorSpec.slope_sums): one number for the linear kinds
+(2 for the sub-Laplacian, whose step is the scalar cfl_tau(rho, 1, c_max)),
+and for Pucci 2 Lam where both eigenvalues sit on the Lam corner and
+lam + Lam elsewhere.  Each evaluation of T leaves F's Lam-corner mask on its
+level, and a sweep steps with the mask of the evaluation whose residual it
+uses, the level's last.  Alone the step needs O(1/(tau * lambda_min))
+sweeps, far too many on fine grids, so solve() runs FAS-style V-cycles over
+the grid's coarsenings (Grid3.coarsen, one rule for every grid) with linear
+transfers per axis (_transfers), smoothing with the same step rule on every
+level but the coarsest; the stencil, step rule, stopping test (fine-grid
+residual below tol), and hence the fixed point are those of the plain step.
 Discretization.smooth is the only relaxation loop; it hands on the residual
 of its final iterate, which the V-cycle passes on rather than evaluating
 the operator twice on one iterate (on the levels below the finest no caller
@@ -222,11 +227,20 @@ def sample_step(grid: Grid3) -> float:
     return max(1.5, np.floor(ratio) + 0.5) * h
 
 
-def cfl_tau(rho: float, Lam: float, c_max: float) -> float:
-    """Pseudo-time step tau = omega / D: the damped-Jacobi weight omega = 4/5
-    on D = (4 Lam + c_max rho^2) / rho^2, which bounds the diagonal of the
-    Jacobian J of T(u) = F(stencil) - c u, since J_ii = -2 (dF/dh_xx +
-    dF/dh_yy) / rho^2 - c_i and the two slopes sum to at most 2 Lam.
+def cfl_tau(rho: float, slope: float, c_max: float) -> float:
+    """Pseudo-time step tau = omega / D of a node: the damped-Jacobi weight
+    omega = 4/5 on D = (2 S + c_max rho^2) / rho^2, S = 2 slope the sum of
+    F's slopes over the direction rows at the node (OperatorSpec.slope_sums).
+    The Jacobian J of T(u) = F(stencil) - c u has J_ii = -2 S / rho^2 - c_i:
+    each row's centre weight is -2 / rho^2, and the slopes of D_{X+Y} and
+    D_{X-Y} cancel.  So D is |J_ii| where c_i = c_max and S is F's slope sum
+    at the iterate, which is exact for the linear kinds (slope 1 for the
+    sub-Laplacian, (a11 + a22) / 2 for trace_linear) and at Pucci nodes with
+    both eigenvalues on one corner or one on each.  Where both sit on
+    Pucci's lam corner, S = 2 lam is floored to lam + Lam, the saddle's:
+    with the unfloored step the Pucci+ (1, 16) solve of x1^2 - x2^2 +
+    0.5 x1 x3 (c = 1) at 9^3 and at 17^3 did not converge in 500 V-cycles,
+    its residual stalling near 1e3, where the floored one takes 11 and 13.
 
     4/5 is the textbook weight for the 5-point (X, Y) operator (Trottenberg,
     Oosterlee and Schueller, Multigrid, 2001, 2.1): it damps high
@@ -236,7 +250,7 @@ def cfl_tau(rho: float, Lam: float, c_max: float) -> float:
     a12 = 0); undamped Jacobi (omega = 1) leaves the checkerboard mode
     undamped.
     """
-    return 0.8 * rho * rho / (4.0 * Lam + c_max * rho * rho)
+    return 0.8 * rho * rho / (4.0 * slope + c_max * rho * rho)
 
 
 def _check_step(rho, key: str) -> None:
@@ -513,7 +527,14 @@ class Discretization:
         inner = _interior(pts, counts + (3,)).reshape(-1, 3)
         self.f_int = prob.f.value_batch(inner)
         _check_finite(self.f_int, "f", shape, offset=1)
-        self.tau = cfl_tau(self.rho, prob.op.bracket.Lam, float(c.max()))
+        # the steps on the Lam corner (the only one of the linear kinds) and
+        # at a Pucci saddle, and the mask of nodes on the Lam corner at the
+        # iterate that this level last evaluated, which each evaluation writes
+        s_corner, s_saddle = prob.op.slope_sums
+        c_max = float(c.max())
+        self.tau = cfl_tau(self.rho, 0.5 * s_corner, c_max)
+        self.tau_saddle = None if s_saddle is None else cfl_tau(self.rho, 0.5 * s_saddle, c_max)
+        self.corners = None if s_saddle is None else np.ones(self.c_int.size, dtype=bool)
         mask = self.grid.interior_mask().ravel()
         self.boundary_flat = np.flatnonzero(~mask)
         self.boundary_vals = prob.boundary.value_batch(pts[~mask])
@@ -529,10 +550,11 @@ class Discretization:
 
     def apply_nonlinearity(self, flat: np.ndarray) -> np.ndarray:
         """T(u) = F(stencil rows) - c u at interior nodes, computing only the
-        direction rows that F reads."""
+        direction rows that F reads; for Pucci, F's Lam-corner mask at u is
+        left in `corners`."""
         self.evals += 1
         rows = self.stencil.hessian_components(flat, self.op.hessian_rows)
-        out = self.op.apply_batch(rows)
+        out = self.op.apply_batch(rows, self.corners)
         out -= self.c_int * _interior(flat, self.grid.counts).ravel()
         return out
 
@@ -541,10 +563,20 @@ class Discretization:
         out -= rhs
         return out
 
-    def advance(self, flat: np.ndarray, res: np.ndarray, tau: float) -> None:
-        """u += tau * res at the interior nodes of `flat`, in place: tau * res
-        is formed once and the interior added to it.  A non-finite update
-        raises ArithmeticError naming its first node and writes nothing."""
+    def step(self):
+        """The Jacobi step at the iterate this level last evaluated: tau for
+        the linear kinds, and for Pucci one per interior node, shaped as the
+        interior, tau on the Lam corner and tau_saddle elsewhere."""
+        if self.corners is None:
+            return self.tau
+        return np.where(self.corners, self.tau, self.tau_saddle).reshape(self.stencil.shape)
+
+    def advance(self, flat: np.ndarray, res: np.ndarray, tau) -> None:
+        """u += tau * res at the interior nodes of `flat`, in place, with tau
+        a number or one step per interior node, shaped as the interior:
+        tau * res is formed once and the interior added to it.  A non-finite
+        update raises ArithmeticError naming its first node and writes
+        nothing."""
         inner = _interior(flat, self.grid.counts)
         with np.errstate(invalid="ignore"):
             upd = np.multiply(res.reshape(inner.shape), tau)
@@ -557,17 +589,19 @@ class Discretization:
 
     def smooth(self, flat: np.ndarray, rhs: np.ndarray, sweeps: int, held: list, final=True):
         """`sweeps` Jacobi steps toward T(u) = rhs in place, each with the
-        residual T(u) - rhs of the iterate it moves.
+        residual T(u) - rhs of the iterate it moves and the step of that
+        evaluation (step()).
 
         `held` hands that residual over: a list holding the residual of
-        flat, or empty, in which case the first is evaluated here.  It is
-        taken out of the list, and each residual is freed once its step is
-        taken, so no frame keeps one alive while the next is evaluated.  On
-        return `held` holds the residual of the final iterate if `final`,
-        and is empty otherwise: the last sweep then does not evaluate it."""
+        flat, this level's last evaluation, or empty, in which case the
+        first is evaluated here.  It is taken out of the list, and each
+        residual is freed once its step is taken, so no frame keeps one
+        alive while the next is evaluated.  On return `held` holds the
+        residual of the final iterate if `final`, and is empty otherwise:
+        the last sweep then does not evaluate it."""
         res = held.pop() if held else self.residual_interior(flat, rhs)
         for i in range(sweeps):
-            self.advance(flat, res, self.tau)
+            self.advance(flat, res, self.step())
             self.sweeps += 1
             del res
             if final or i + 1 < sweeps:
