@@ -20,12 +20,15 @@ in cross_term, the one place that formula lives.  A stack of matrices, one
 matrix being a one-matrix stack, is evaluated by apply_stack: a 2x2 stack is
 mapped to its rows (h11, h22, h11 + h22 +- 2 h12) and goes through
 apply_batch, the solver's kernel, with the closed 2x2 eigenvalue formula for
-Pucci; a 3x3 lifted stack takes numpy.linalg.eigvalsh.  Both sum the Pucci
-corners through one helper.  The residual F - c u - f of a field is the
-solver's (Discretization.residual_interior), on the stencil's rows.
-apply_batch also marks, from the same eigenvalues, the nodes on Pucci's Lam
-corner, where F's slope sum (slope_sums) is 2 Lam: the solver sizes each
-node's Jacobi step on it.
+Pucci; a 3x3 lifted stack takes numpy.linalg.eigvalsh.  The residual
+F - c u - f of a field is the solver's (Discretization.residual_interior),
+on the stencil's rows.
+
+F's derivative has one source, Pucci's slope g'(e) per eigenvalue (_slope):
+Pucci's F is the sum of g'(e) e in both forms, apply_batch writes each
+node's slope sum g'(e_lo) + g'(e_hi) for the solver's Jacobi step, and
+linearize returns F's exact slopes on the rows for the solver's coarse
+Newton.  The linear kinds' slopes are their constant coefficients.
 """
 
 from __future__ import annotations
@@ -89,16 +92,6 @@ class HolderData:
     def from_config(cfg: dict) -> "HolderData":
         config_section(cfg, "holder", ("c0", "beta", "beta_prime", "L_c", "L_f"))
         return HolderData(**{k: config_number(cfg, "holder", k) for k in cfg})
-
-
-def _corner_sum(eigs, bracket: EllipticityBracket, plus: bool):
-    """Sum, in the order given, of the Pucci corners of the eigenvalue arrays
-    eigs: max(Lam e, lam e) for Pucci+, min(lam e, Lam e) for Pucci-.  For
-    0 < lam <= Lam each corner is bitwise Lam e (Pucci+) or lam e (Pucci-)
-    for e > 0 and the other product otherwise."""
-    lam, Lam = bracket.lam, bracket.Lam
-    corners = [np.maximum(Lam * e, lam * e) if plus else np.minimum(lam * e, Lam * e) for e in eigs]
-    return sum(corners[1:], corners[0])
 
 
 def cross_term(d_plus, d_minus):
@@ -169,34 +162,26 @@ class OperatorSpec:
             return mats[:, 0, 0] + mats[:, 1, 1] + mats[:, 2, 2]
         if self.kind == "trace_linear":
             return np.einsum("ij,nij->n", self.coeff.mat, mats)
-        plus = self.kind == "pucci_plus"
-        e = np.linalg.eigvalsh(mats)[:, :: 1 if plus else -1]
+        e = np.linalg.eigvalsh(mats)[:, :: 1 if self.kind == "pucci_plus" else -1]
         e = np.take_along_axis(e, np.argsort(np.abs(e), axis=1, kind="stable"), axis=1)
-        return _corner_sum(e.T, self.bracket, plus)
+        terms = [self._slope(v) * v for v in e.T]
+        return sum(terms[1:], terms[0])
 
-    @property
-    def slope_sums(self) -> tuple:
-        """The sum S = g'(e_lo) + g'(e_hi) of F's slopes over the direction
-        rows, as (S where both eigenvalues sit on the Lam corner, S
-        elsewhere); the slopes of D_{X+Y} and D_{X-Y} cancel in it, since
-        h_xy weighs them by +-1/4.  The linear kinds have one S, the trace
-        of their coefficient, and None second.  Pucci's S is 2 Lam on the
-        Lam corner (e_lo >= 0 for Pucci+, e_hi <= 0 for Pucci-) and
-        lam + Lam elsewhere: exact at a saddle, and a floor where both
-        eigenvalues sit on the lam corner, whose S is 2 lam."""
-        if self.kind == "sublaplacian":
-            return 2.0, None
-        if self.kind == "trace_linear":
-            return self.coeff.a11 + self.coeff.a22, None
-        return 2.0 * self.bracket.Lam, self.bracket.lam + self.bracket.Lam
+    def _slope(self, e) -> np.ndarray:
+        """Pucci's slope g'(e) at the eigenvalue array e: Lam on the Lam corner
+        (e >= 0 for Pucci+, e <= 0 for Pucci-) and lam elsewhere.  Each term
+        g'(e) e of F is bitwise max(Lam e, lam e) for Pucci+ and
+        min(lam e, Lam e) for Pucci-, as 0 < lam <= Lam."""
+        on_Lam = e >= 0 if self.kind == "pucci_plus" else e <= 0
+        return np.where(on_Lam, self.bracket.Lam, self.bracket.lam)
 
-    def apply_batch(self, rows, corners: np.ndarray | None = None) -> np.ndarray:
+    def apply_batch(self, rows, slope_sum: np.ndarray | None = None) -> np.ndarray:
         """Vectorized intrinsic-form evaluation on the direction rows of
         hessian_rows, in that order: a (k, n) array or k arrays.  For Pucci,
-        a boolean array `corners` of n receives, from the eigenvalues that F
-        is summed from, True where both sit on the Lam corner, where F's
-        slope sum is slope_sums[0]; the linear kinds, whose slope sum is
-        that everywhere, do not write it."""
+        an array `slope_sum` of n receives F's slope sum over the rows,
+        S = g'(e_lo) + g'(e_hi), from the eigenvalues that F is summed from
+        (the slopes of D_{X+Y} and D_{X-Y} cancel in it); the linear kinds,
+        whose S is a constant, do not write it."""
         if self.form != INTRINSIC:
             raise ValueError("apply_batch evaluates the intrinsic form")
         d_x, d_y = rows[0], rows[1]
@@ -206,14 +191,38 @@ class OperatorSpec:
             a = self.coeff
             mixed = 2.0 * a.a12 * cross_term(rows[2], rows[3]) if a.a12 else 0.0
             return a.a11 * d_x + mixed + a.a22 * d_y
-        plus = self.kind == "pucci_plus"
         lo, hi = eigenvalues2(d_x, cross_term(rows[2], rows[3]), d_y)
-        if corners is not None:
-            if plus:
-                np.greater_equal(lo, 0.0, out=corners)
-            else:
-                np.less_equal(hi, 0.0, out=corners)
-        return _corner_sum((lo, hi), self.bracket, plus)
+        g_lo, g_hi = self._slope(lo), self._slope(hi)
+        if slope_sum is not None:
+            np.add(g_lo, g_hi, out=slope_sum)
+        lo *= g_lo  # F = g'(e_lo) e_lo + g'(e_hi) e_hi, in the fresh eigenvalue arrays
+        hi *= g_hi
+        lo += hi
+        return lo
+
+    def linearize(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """F at the (k, n) direction rows of hessian_rows, as apply_batch, and
+        its exact slopes dF/dD_k, (k, n).  The linear kinds' slopes are their
+        coefficients, (1, 1) for the sub-Laplacian and (a11, a22[, a12 / 2,
+        -a12 / 2]) for trace_linear, whose h_xy weighs D_{X+-Y} by +-1/4.
+        Pucci's gradient in H, sum g'(e) v v^T over its eigenpairs, is
+        g'(e_lo) I + q (H - e_lo I) with q = (g'(e_hi) - g'(e_lo)) /
+        (e_hi - e_lo), and q = 0 where the two slopes agree, as at
+        e_lo = e_hi; at a kink, e = 0, it takes _slope's side.  The D_X and
+        D_Y slopes sum to apply_batch's slope sum up to rounding."""
+        rows = np.asarray(rows, dtype=float)
+        out = self.apply_batch(rows)
+        if self.kind in ("sublaplacian", "trace_linear"):
+            a = self.coeff or Sym2(1.0, 0.0, 1.0)  # the sub-Laplacian is a = I
+            coeffs = np.array((a.a11, a.a22, 0.5 * a.a12, -0.5 * a.a12)[: len(rows)])
+            return out, np.broadcast_to(coeffs[:, None], rows.shape)
+        h_xy = cross_term(rows[2], rows[3])
+        lo, hi = eigenvalues2(rows[0], h_xy, rows[1])
+        g_lo, g_hi = self._slope(lo), self._slope(hi)
+        jump = g_hi - g_lo
+        q = np.divide(jump, hi - lo, out=np.zeros_like(jump), where=jump != 0)
+        half = 0.5 * q * h_xy
+        return out, np.stack((g_lo + q * (rows[0] - lo), g_lo + q * (rows[1] - lo), half, -half))
 
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":

@@ -45,12 +45,12 @@ The basic iteration is the Jacobi-style pseudo-time step
     v_i = u_i + tau_i * (F(stencil) - c u - f)_i
 with tau_i = 0.8 rho^2 / (2 S_i + c_max rho^2), the damped-Jacobi weight 4/5
 on node i's own Jacobian diagonal (cfl_tau), S_i the sum of F's slopes at
-the iterate moved (OperatorSpec.slope_sums): one number for the linear kinds
-(2 for the sub-Laplacian, whose step is the scalar cfl_tau(rho, 1, c_max)),
-and for Pucci 2 Lam where both eigenvalues sit on the Lam corner and
-lam + Lam elsewhere.  Each evaluation of T leaves F's Lam-corner mask on its
-level, and a sweep steps with the mask of the evaluation whose residual it
-uses, the level's last.  Alone the step needs O(1/(tau * lambda_min))
+the iterate moved: one number for the linear kinds (2 for the sub-Laplacian,
+whose step is the scalar cfl_tau(rho, 1, c_max)), and for Pucci
+g'(e_lo) + g'(e_hi), floored at lam + Lam, which OperatorSpec.apply_batch
+writes per node.  Each evaluation of T leaves those sums on its level, and
+a sweep steps with the sums of the evaluation whose residual it uses, the
+level's last.  Alone the step needs O(1/(tau * lambda_min))
 sweeps, far too many on fine grids, so solve() runs FAS-style V-cycles over
 the grid's coarsenings (Grid3.coarsen, one rule for every grid) with linear
 transfers per axis (_transfers), smoothing with the same step rule on every
@@ -91,12 +91,11 @@ The coarsest level is solved directly.  The stencil is affine in the
 interior node values, so probing it once with the interior unit vectors
 gives one dense map per row that F reads, D_k = M_k u + b_k; the equation
 F(M u + b) - c u = rhs is then solved by Newton's method with the Jacobian
-sum_k diag(dF/dD_k) M_k - diag(c), the slopes dF/dD_k taken by central
-differences of OperatorSpec.apply_batch over 2k + 1 probes for k rows, so
-every operator kind shares one derivative path.  Every coarsest level has
-at most 7 nodes per axis, 125 interior nodes.  On a grid with no axis of 8
-nodes a V-cycle is this solve alone and runs no sweep:
-SolveResult.iterations is 0.
+sum_k diag(dF/dD_k) M_k - diag(c), F's exact slopes from one
+OperatorSpec.linearize call, so a linear kind's solve takes one step.
+Every coarsest level has at most 7 nodes per axis, 125 interior nodes.  On
+a grid with no axis of 8 nodes a V-cycle is this solve alone and runs no
+sweep: SolveResult.iterations is 0.
 """
 
 from __future__ import annotations
@@ -230,14 +229,15 @@ def sample_step(grid: Grid3) -> float:
 def cfl_tau(rho: float, slope: float, c_max: float) -> float:
     """Pseudo-time step tau = omega / D of a node: the damped-Jacobi weight
     omega = 4/5 on D = (2 S + c_max rho^2) / rho^2, S = 2 slope the sum of
-    F's slopes over the direction rows at the node (OperatorSpec.slope_sums).
+    F's slopes over the direction rows at the node, a number or an array of
+    one per node (Pucci's g'(e_lo) + g'(e_hi), from OperatorSpec.apply_batch).
     The Jacobian J of T(u) = F(stencil) - c u has J_ii = -2 S / rho^2 - c_i:
     each row's centre weight is -2 / rho^2, and the slopes of D_{X+Y} and
     D_{X-Y} cancel.  So D is |J_ii| where c_i = c_max and S is F's slope sum
     at the iterate, which is exact for the linear kinds (slope 1 for the
-    sub-Laplacian, (a11 + a22) / 2 for trace_linear) and at Pucci nodes with
-    both eigenvalues on one corner or one on each.  Where both sit on
-    Pucci's lam corner, S = 2 lam is floored to lam + Lam, the saddle's:
+    sub-Laplacian, (a11 + a22) / 2 for trace_linear) and at Pucci nodes
+    with both eigenvalues on the Lam corner or one on each.  Where both sit
+    on Pucci's lam corner, S = 2 lam is floored to lam + Lam, the saddle's:
     with the unfloored step the Pucci+ (1, 16) solve of x1^2 - x2^2 +
     0.5 x1 x3 (c = 1) at 9^3 and at 17^3 did not converge in 500 V-cycles,
     its residual stalling near 1e3, where the floored one takes 11 and 13.
@@ -250,7 +250,9 @@ def cfl_tau(rho: float, slope: float, c_max: float) -> float:
     a12 = 0); undamped Jacobi (omega = 1) leaves the checkerboard mode
     undamped.
     """
-    return 0.8 * rho * rho / (4.0 * slope + c_max * rho * rho)
+    den = 4.0 * slope  # a fresh array when slope is one, so the add is in place
+    den += c_max * rho * rho
+    return 0.8 * rho * rho / den
 
 
 def _check_step(rho, key: str) -> None:
@@ -527,14 +529,15 @@ class Discretization:
         inner = _interior(pts, counts + (3,)).reshape(-1, 3)
         self.f_int = prob.f.value_batch(inner)
         _check_finite(self.f_int, "f", shape, offset=1)
-        # the steps on the Lam corner (the only one of the linear kinds) and
-        # at a Pucci saddle, and the mask of nodes on the Lam corner at the
-        # iterate that this level last evaluated, which each evaluation writes
-        s_corner, s_saddle = prob.op.slope_sums
-        c_max = float(c.max())
-        self.tau = cfl_tau(self.rho, 0.5 * s_corner, c_max)
-        self.tau_saddle = None if s_saddle is None else cfl_tau(self.rho, 0.5 * s_saddle, c_max)
-        self.corners = None if s_saddle is None else np.ones(self.c_int.size, dtype=bool)
+        # tau is the step at F's slope sum at the zero Hessian: the linear
+        # kinds' only one, and Pucci's largest, 2 Lam on the Lam corner; each
+        # Pucci evaluation writes every node's own sum into slope_sum
+        self.c_max = float(c.max())
+        _, slopes = self.op.linearize(np.zeros((len(self.op.hessian_rows), 1)))
+        s_zero = float(slopes[0, 0] + slopes[1, 0])
+        self.tau = cfl_tau(self.rho, 0.5 * s_zero, self.c_max)
+        pucci = self.op.kind in ("pucci_plus", "pucci_minus")
+        self.slope_sum = np.full(self.c_int.size, s_zero) if pucci else None
         mask = self.grid.interior_mask().ravel()
         self.boundary_flat = np.flatnonzero(~mask)
         self.boundary_vals = prob.boundary.value_batch(pts[~mask])
@@ -550,11 +553,11 @@ class Discretization:
 
     def apply_nonlinearity(self, flat: np.ndarray) -> np.ndarray:
         """T(u) = F(stencil rows) - c u at interior nodes, computing only the
-        direction rows that F reads; for Pucci, F's Lam-corner mask at u is
-        left in `corners`."""
+        direction rows that F reads; for Pucci, F's slope sum at u is left
+        in `slope_sum`."""
         self.evals += 1
         rows = self.stencil.hessian_components(flat, self.op.hessian_rows)
-        out = self.op.apply_batch(rows, self.corners)
+        out = self.op.apply_batch(rows, self.slope_sum)
         out -= self.c_int * _interior(flat, self.grid.counts).ravel()
         return out
 
@@ -565,11 +568,14 @@ class Discretization:
 
     def step(self):
         """The Jacobi step at the iterate this level last evaluated: tau for
-        the linear kinds, and for Pucci one per interior node, shaped as the
-        interior, tau on the Lam corner and tau_saddle elsewhere."""
-        if self.corners is None:
+        the linear kinds, and for Pucci cfl_tau on each interior node's slope
+        sum, shaped as the interior.  The sum is floored at lam + Lam, which
+        only the lam corner's 2 lam falls below (see cfl_tau)."""
+        if self.slope_sum is None:
             return self.tau
-        return np.where(self.corners, self.tau, self.tau_saddle).reshape(self.stencil.shape)
+        s = np.maximum(self.slope_sum, self.op.bracket.lam + self.op.bracket.Lam)
+        s *= 0.5
+        return cfl_tau(self.rho, s, self.c_max).reshape(self.stencil.shape)
 
     def advance(self, flat: np.ndarray, res: np.ndarray, tau) -> None:
         """u += tau * res at the interior nodes of `flat`, in place, with tau
@@ -703,21 +709,6 @@ def _probe(disc: Discretization) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
-def _values_and_slopes(op: OperatorSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """F at the (k, n) direction rows h and its slopes dF/dh_k, (k, n), by
-    central differences with steps 1e-7 max(1, |h_k|), from one apply_batch
-    call on the centre and the 2k shifted copies of h: one path for every
-    operator kind."""
-    k, n = h.shape
-    steps = 1e-7 * np.maximum(1.0, np.abs(h))
-    up, down = h + steps, h - steps
-    probes = np.repeat(h[:, None, :], 2 * k + 1, axis=1)  # centre, then (up, down) per row
-    j = np.arange(k)
-    probes[j, 1 + 2 * j], probes[j, 2 + 2 * j] = up, down
-    vals = op.apply_batch(probes.reshape(k, -1)).reshape(2 * k + 1, n)
-    return vals[0], (vals[1::2] - vals[2::2]) / (up - down)
-
-
 def _gauss_jordan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a^-1 b by Gauss-Jordan elimination with partial pivoting, in
     elementwise numpy operations: OpenBLAS factors LAPACK's LU on threads
@@ -765,7 +756,7 @@ class _Multilevel:
         offset = disc.stencil.hessian_components(edge, disc.op.hessian_rows)
         for _ in range(self.NEWTON_MAX):
             u = _interior(flat, disc.grid.counts).ravel()
-            vals, slopes = _values_and_slopes(disc.op, self.dense @ u + offset)
+            vals, slopes = disc.op.linearize(self.dense @ u + offset)
             disc.evals += 1
             res = vals - disc.c_int * u - rhs
             if np.abs(res).max() < tol:

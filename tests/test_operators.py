@@ -389,3 +389,60 @@ def test_pucci_corner_is_the_select_bitwise(kind, bracket):
     nan = np.isnan(want)
     assert nan.any() and np.isnan(got[nan]).all()
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def central_slopes(spec, h):
+    """F's slopes dF/dh_k at the (k, n) direction rows h by central
+    differences with steps 1e-7 max(1, |h_k|), from one apply_batch call on
+    h and its 2k shifted copies: the oracle for linearize."""
+    k, n = h.shape
+    steps = 1e-7 * np.maximum(1.0, np.abs(h))
+    up, down = h + steps, h - steps
+    probes = np.repeat(h[:, None, :], 2 * k, axis=1)  # (up, down) per row
+    j = np.arange(k)
+    probes[j, 2 * j], probes[j, 2 * j + 1] = up, down
+    vals = spec.apply_batch(probes.reshape(k, -1)).reshape(2 * k, n)
+    return (vals[0::2] - vals[1::2]) / (up - down)
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+def test_linearize_matches_central_differences(kind):
+    # away from F's kinks, an eigenvalue at 0, the exact slopes agree with
+    # the central differences to their truncation and rounding error; F is
+    # apply_batch's, bitwise
+    spec = ROW_KINDS[kind]
+    g = SplitMix64(15, "linearize")
+    mats = g.symmetric(4000, 2, scale=2.0)
+    rows = direction_rows(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1], spec.hessian_rows)
+    lo, hi = np.linalg.eigvalsh(mats).T
+    away = np.minimum(np.abs(lo), np.abs(hi)) > 1e-3
+    assert away.sum() > 3500
+    rows = rows[:, away]
+    values, slopes = spec.linearize(rows)
+    assert values.tobytes() == spec.apply_batch(rows).tobytes()
+    assert slopes.shape == rows.shape
+    oracle = central_slopes(spec, rows)
+    assert np.abs(slopes - oracle).max() <= 1e-6 * spec.bracket.Lam
+
+
+@pytest.mark.parametrize("kind", ["pucci_plus", "pucci_minus"])
+def test_slopes_at_kinks_sum_to_the_steps_slope_sum(kind):
+    # at an eigenvalue 0 (diag(1, 0), diag(0, -1), [[1, 1], [1, 1]], the zero
+    # matrix) and at e_lo = e_hi (2 I, -3 I) the slopes are finite, no 0/0 is
+    # taken, and the D_X and D_Y slopes sum to the slope sum apply_batch
+    # writes, which the Jacobi step reads; the slopes of D_{X+-Y} cancel
+    spec = ROW_KINDS[kind]
+    mats = [((1, 0), (0, 0)), ((0, 0), (0, -1)), ((1, 1), (1, 1)), ((0, 0), (0, 0))]
+    mats = np.array(mats + [((2, 0), (0, 2)), ((-3, 0), (0, -3))], dtype=float)
+    rows = direction_rows(mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1], DIRECTIONS)
+    slope_sum = np.empty(len(mats))
+    with np.errstate(all="raise"):
+        values, slopes = spec.linearize(rows)
+        assert values.tobytes() == spec.apply_batch(rows, slope_sum).tobytes()
+    assert np.isfinite(slopes).all()
+    assert (slopes[2] == -slopes[3]).all()
+    assert slopes[0] + slopes[1] == pytest.approx(slope_sum, rel=1e-15)
+    # g'(e) is Lam = 4 at e = 0, the side of the Lam corner, and lam = 1 on
+    # the other side of 0
+    want = (8, 5, 8, 8, 8, 2) if kind == "pucci_plus" else (5, 8, 5, 8, 2, 8)
+    assert slope_sum.tolist() == list(want)
