@@ -149,7 +149,7 @@ def run_pipeline(cfg: dict, emit_plot_data: bool = False, timings: dict | None =
     with _stage(timings, "coarse_solve_s"):
         coarse = solve(spec.problem)
     with _stage(timings, "refined_solve_s"):
-        # the refined problem and its discretization are freed with this solve
+        # the refined problem and its levels are freed with this solve
         fine = solve(refine_problem(spec.problem))
     artifacts = {
         "solution.csv": coarse.u,

@@ -21,9 +21,11 @@ _Stencil): the directions that share one horizontal weight table, a family,
 share one horizontal interpolation of u, and each direction then takes one
 x3 window of it per column.  Those rows are unpadded: each holds a column's
 n3 values and one zero, in one flat buffer with slack only at its two ends.
-The evaluation makes no BLAS call.  A problem's finest discretization is
-built once and kept by the ProblemSpec itself; no module-level cache holds
-one.
+The evaluation makes no BLAS call.  A problem's levels are built once and
+kept by the ProblemSpec itself, the finest (ProblemSpec.discretization) and
+the whole V-cycle hierarchy over it (ProblemSpec.multilevel), which a solve
+reuses with its counts reset; no module-level cache holds one.  Only a
+problem solved more than once gains from that.
 
 Each level's set-up (Discretization) evaluates every data field once: c on
 all nodes, whose interior slice is c_int and whose max sets tau; f on the
@@ -46,7 +48,7 @@ The basic iteration is the Jacobi-style pseudo-time step
 with tau_i = 0.8 rho^2 / (2 S_i + c_max rho^2), the damped-Jacobi weight 4/5
 on node i's own Jacobian diagonal (cfl_tau), S_i the sum of F's slopes at
 the iterate moved: one number for the linear kinds (2 for the sub-Laplacian,
-whose step is the scalar cfl_tau(rho, 1, c_max)), and for Pucci
+whose step is the scalar cfl_tau(rho, 2, c_max)), and for Pucci
 g'(e_lo) + g'(e_hi), floored at lam + Lam, which OperatorSpec.apply_batch
 writes per node.  Each evaluation of T leaves those sums on its level, and
 a sweep steps with the sums of the evaluation whose residual it uses, the
@@ -149,6 +151,13 @@ class ProblemSpec:
         with the problem."""
         return Discretization(self)
 
+    @cached_property
+    def multilevel(self) -> "_Multilevel":
+        """The V-cycle hierarchy of this problem over its finest level: the
+        coarse levels, the transfers and the coarsest dense probe, built on
+        the first solve, kept for the next and freed with the problem."""
+        return _Multilevel(self, self.discretization)
+
     @staticmethod
     def from_config(cfg: dict) -> "ProblemSpec":
         config_section(
@@ -226,16 +235,17 @@ def sample_step(grid: Grid3) -> float:
     return max(1.5, np.floor(ratio) + 0.5) * h
 
 
-def cfl_tau(rho: float, slope: float, c_max: float) -> float:
+def cfl_tau(rho: float, slope_sum, c_max: float):
     """Pseudo-time step tau = omega / D of a node: the damped-Jacobi weight
-    omega = 4/5 on D = (2 S + c_max rho^2) / rho^2, S = 2 slope the sum of
+    omega = 4/5 on D = (2 S + c_max rho^2) / rho^2, S = slope_sum the sum of
     F's slopes over the direction rows at the node, a number or an array of
-    one per node (Pucci's g'(e_lo) + g'(e_hi), from OperatorSpec.apply_batch).
+    one per node (Pucci's g'(e_lo) + g'(e_hi), from OperatorSpec.apply_batch),
+    which is overwritten with the steps and returned.
     The Jacobian J of T(u) = F(stencil) - c u has J_ii = -2 S / rho^2 - c_i:
     each row's centre weight is -2 / rho^2, and the slopes of D_{X+Y} and
     D_{X-Y} cancel.  So D is |J_ii| where c_i = c_max and S is F's slope sum
-    at the iterate, which is exact for the linear kinds (slope 1 for the
-    sub-Laplacian, (a11 + a22) / 2 for trace_linear) and at Pucci nodes
+    at the iterate, which is exact for the linear kinds (S = 2 for the
+    sub-Laplacian, a11 + a22 for trace_linear) and at Pucci nodes
     with both eigenvalues on the Lam corner or one on each.  Where both sit
     on Pucci's lam corner, S = 2 lam is floored to lam + Lam, the saddle's:
     with the unfloored step the Pucci+ (1, 16) solve of x1^2 - x2^2 +
@@ -250,9 +260,12 @@ def cfl_tau(rho: float, slope: float, c_max: float) -> float:
     a12 = 0); undamped Jacobi (omega = 1) leaves the checkerboard mode
     undamped.
     """
-    den = 4.0 * slope  # a fresh array when slope is one, so the add is in place
+    if np.ndim(slope_sum) == 0:
+        return 0.8 * rho * rho / (2.0 * slope_sum + c_max * rho * rho)
+    den = slope_sum
+    den *= 2.0
     den += c_max * rho * rho
-    return 0.8 * rho * rho / den
+    return np.divide(0.8 * rho * rho, den, out=den)
 
 
 def _check_step(rho, key: str) -> None:
@@ -535,7 +548,7 @@ class Discretization:
         self.c_max = float(c.max())
         _, slopes = self.op.linearize(np.zeros((len(self.op.hessian_rows), 1)))
         s_zero = float(slopes[0, 0] + slopes[1, 0])
-        self.tau = cfl_tau(self.rho, 0.5 * s_zero, self.c_max)
+        self.tau = cfl_tau(self.rho, s_zero, self.c_max)
         pucci = self.op.kind in ("pucci_plus", "pucci_minus")
         self.slope_sum = np.full(self.c_int.size, s_zero) if pucci else None
         mask = self.grid.interior_mask().ravel()
@@ -574,7 +587,6 @@ class Discretization:
         if self.slope_sum is None:
             return self.tau
         s = np.maximum(self.slope_sum, self.op.bracket.lam + self.op.bracket.Lam)
-        s *= 0.5
         return cfl_tau(self.rho, s, self.c_max).reshape(self.stencil.shape)
 
     def advance(self, flat: np.ndarray, res: np.ndarray, tau) -> None:
@@ -877,9 +889,11 @@ def solve(prob: ProblemSpec) -> SolveResult:
     _Multilevel.MAX_CYCLES cycles; non-convergence returns the last iterate
     flagged, never raises.
     """
-    disc = prob.discretization
-    disc.evals = disc.sweeps = 0  # the problem keeps its finest level between solves
-    ml = _Multilevel(prob, disc)
+    ml = prob.multilevel  # the problem keeps its levels between solves
+    for level in ml.levels:
+        level.evals = level.sweeps = 0
+    ml.newton_steps = 0
+    disc = ml.levels[0]
     flat = ml.fmg_initial()
     inner = _interior(flat, prob.grid.counts)
     held = [disc.residual_interior(flat, disc.f_int)]  # handed to each cycle

@@ -364,9 +364,15 @@ def test_apply_stack_rows_match_the_component_formula(kind):
 def selected_pucci(spec, hxx, hxy, hyy):
     """The Pucci corner as a select, kept as a reference: Lam e (Pucci+) or
     lam e (Pucci-) where the eigenvalue e is positive, the other product
-    elsewhere."""
+    elsewhere.  The eigenvalues are mean -+ r with the shipped radius rule:
+    r = sqrt(d^2 + hxy^2), d = (hxx - hyy) / 2, and hypot(d, hxy) where that
+    sum of squares is not a finite normal number."""
     mean = 0.5 * (hxx + hyy)
-    r = np.hypot(0.5 * (hxx - hyy), hxy)
+    d = 0.5 * (hxx - hyy)
+    with np.errstate(over="ignore", under="ignore"):
+        squares = d * d + hxy * hxy
+    normal = (squares >= np.finfo(float).tiny) & (squares < np.inf)
+    r = np.where(normal, np.sqrt(squares), np.hypot(d, hxy))
     lo, hi = mean - r, mean + r
     lam, Lam = spec.bracket.lam, spec.bracket.Lam
     big, small = (Lam, lam) if spec.kind == "pucci_plus" else (lam, Lam)

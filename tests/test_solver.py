@@ -1,5 +1,6 @@
 import json
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -117,8 +118,13 @@ def test_sample_step_rule():
     g33 = box(33)
     ratio = sample_step(g33) / 0.0625
     assert ratio == 2.5
-    assert cfl_tau(0.1, 1.0, 0.0) == pytest.approx(0.8 * 0.01 / 4.0)
-    assert cfl_tau(0.1, 0.25, 1000.0) == pytest.approx(0.8 * 0.01 / (4.0 * 0.25 + 10.0))
+    assert cfl_tau(0.1, 2.0, 0.0) == pytest.approx(0.8 * 0.01 / 4.0)
+    assert cfl_tau(0.1, 0.5, 1000.0) == pytest.approx(0.8 * 0.01 / (2.0 * 0.5 + 10.0))
+    # an array of slope sums is overwritten with the steps, bitwise the scalar's
+    sums = np.array([2.0, 0.5, 5.0])
+    steps = cfl_tau(0.1, sums, 1000.0)
+    assert steps is sums
+    assert steps.tolist() == [cfl_tau(0.1, s, 1000.0) for s in (2.0, 0.5, 5.0)]
 
 
 def test_stencil_hessian_quadratic_exact_at_spacing_step():
@@ -281,7 +287,7 @@ def test_interior_c_is_the_interior_evaluation_bitwise(counts, c):
     disc = ProblemSpec(SUB, field, ZERO, ZERO, grid).discretization
     inner = _interior(grid.points(), counts + (3,)).reshape(-1, 3)
     assert disc.c_int.tobytes() == field.value_batch(inner).tobytes()
-    assert disc.tau == cfl_tau(disc.rho, 1.0, float(field.value_batch(grid.points()).max()))
+    assert disc.tau == cfl_tau(disc.rho, 2.0, float(field.value_batch(grid.points()).max()))
 
 
 def _bad_at(point, value=np.nan, elsewhere=1.0):
@@ -668,17 +674,52 @@ def test_pucci_coarsest_level_evaluated_once_per_visit(monkeypatch):
     assert res.level_evals[-1] == calls.count((5, 5, 5)) + newton_evals
 
 
+def pipeline_problem(n):
+    """The problem of configs/pipeline.json (the sub-Laplacian) on n^3 nodes."""
+    path = Path(__file__).resolve().parents[1] / "configs" / "pipeline.json"
+    cfg = json.loads(path.read_text())["problem"]
+    cfg["grid"]["counts"] = [n, n, n]
+    return ProblemSpec.from_config(cfg)
+
+
 @pytest.mark.parametrize("n", [17, 33])
 def test_linear_coarse_solve_takes_one_newton_step(n):
     # Newton's Jacobian from F's exact slopes is exact for a linear kind, so
     # each coarsest-level solve of the pipeline problem (one per V-cycle,
     # len(levels) - 1 in the nested iteration) stops after one step
-    path = Path(__file__).resolve().parents[1] / "configs" / "pipeline.json"
-    cfg = json.loads(path.read_text())["problem"]
-    cfg["grid"]["counts"] = [n, n, n]
-    res = solve(ProblemSpec.from_config(cfg))
+    res = solve(pipeline_problem(n))
     assert res.converged and res.levels[-1] == (5, 5, 5)
     assert res.coarse_newton_steps == res.cycles + len(res.levels) - 1
+
+
+@pytest.mark.parametrize("which", ["pucci-plus-17", "pipeline-17"])
+def test_repeat_solve_reuses_the_hierarchy_bitwise(which, monkeypatch):
+    # the problem keeps its V-cycle hierarchy (ProblemSpec.multilevel): a
+    # second solve builds no Discretization, where a fresh, equal problem
+    # builds one per level, and both give bitwise the first solve's u and
+    # diagnostics, the per-level counts included
+    prob = pucci_problem(17) if which == "pucci-plus-17" else pipeline_problem(17)
+    first = solve(prob)
+    builds = []
+    build = Discretization.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Discretization, "__init__", counted)
+    fresh_prob = replace(prob)
+    assert fresh_prob == prob and fresh_prob is not prob
+    fresh = solve(fresh_prob)
+    assert len(builds) == len(first.levels)
+    builds.clear()
+    again = solve(prob)
+    assert builds == []
+    assert prob.multilevel.levels[0] is prob.discretization
+    for other in (again, fresh):
+        assert other.u.values.tobytes() == first.u.values.tobytes()
+        assert other.to_dict() == first.to_dict()
+    assert first.converged and first.cycles > 1 and first.coarse_newton_steps > 0
 
 
 def min_off_diagonal(disc, dirs):
@@ -803,7 +844,7 @@ def test_each_nodes_step_is_four_fifths_of_its_own_diagonal(kind):
     if op.kind.startswith("pucci"):
         assert lam_corner > 0 and saddles > 0
     if op.kind == "sublaplacian":
-        assert disc.step() == cfl_tau(disc.rho, 1.0, 1.0)
+        assert disc.step() == cfl_tau(disc.rho, 2.0, 1.0)
 
 
 def test_smooth_moves_each_node_by_the_step_of_its_residual():
@@ -821,7 +862,7 @@ def test_smooth_moves_each_node_by_the_step_of_its_residual():
     assert np.abs(sums - np.rint(sums)).max() < 1e-14
     assert 0 < np.count_nonzero(np.rint(sums) == 8.0) < sums.size
     want = start.copy()
-    step = cfl_tau(disc.rho, 0.5 * np.maximum(np.rint(sums), 5.0), disc.c_max)
+    step = cfl_tau(disc.rho, np.maximum(np.rint(sums), 5.0), disc.c_max)
     _interior(want, prob.grid.counts)[...] += (step * res).reshape(disc.stencil.shape)
     for held in ([res], []):
         flat = start.copy()
