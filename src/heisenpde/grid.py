@@ -8,6 +8,7 @@ round-trip doubles exactly.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,9 +198,14 @@ class GridFunction:
 
     @staticmethod
     def from_csv(path) -> "GridFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        if data.ndim != 2 or data.shape[1] != 4:
+        with warnings.catch_warnings():  # an empty file is named by its row count below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        rows = len(data)
+        if rows and data.shape[1] != 4:
             raise ValueError("grid CSV needs columns x1,x2,x3,u")
+        if rows < 27:
+            raise ValueError(f"grid CSV has too few data rows ({rows}); 3 nodes per axis need 27")
         bad = np.flatnonzero(~np.isfinite(data[:, 3]))
         if bad.size:
             row = data[bad[0]]

@@ -58,29 +58,30 @@ the grid's coarsenings (Grid3.coarsen, one rule for every grid) with linear
 transfers per axis (_transfers), smoothing with the same step rule on every
 level but the coarsest; the stencil, step rule, stopping test (fine-grid
 residual below tol), and hence the fixed point are those of the plain step.
-Discretization.smooth is the only relaxation loop; it hands on the residual
-of its final iterate, which the V-cycle passes on rather than evaluating
-the operator twice on one iterate (on the levels below the finest no caller
-reads post-smoothing's final residual, so it is not computed).
+Discretization.smooth is the only relaxation loop.  A residual is only
+handed down, never back up: a sweep takes the residual its caller hands in
+or evaluates its own, and none is evaluated after the last sweep.  A
+V-cycle evaluates the residual it restricts after pre-smoothing and none
+of its result: 7 evaluations per visit to a level above the coarsest.
 
 The V-cycle is a fixed-point map G on the fine interior values, and solve()
 Anderson-mixes it (Anderson 1965; Walker and Ni 2011) with the fixed depth
 _Multilevel.DEPTH = 4, chosen by measured fine evaluations over depths 3, 4
-and 5: every cycle after the first is mixed.  Such a cycle's last
-post-smoothing sweep does not evaluate its residual; the iterate
+and 5: every cycle after the first is mixed, to the iterate
 G(x) - dG gamma, gamma the least-squares fit of G(x) - x by the last four
-differences of G(x) - x, is evaluated instead, and its residual is the
-cycle's and starts the next one.  The mix is kept if its residual is
+differences of G(x) - x.  solve() evaluates the residual of the iterate it
+keeps, and hands it to the next cycle.  The mix is kept if its residual is
 strictly smaller than that of the cycle's input x.  Otherwise, or without
 evaluating the mix if its fit raises LinAlgError or its iterate is not
-finite, G(x) is restored and its residual evaluated.  So a mixed cycle costs
-the 7 fine evaluations of a plain one and a rejected mix 1 more: a solve
-makes 7 per cycle, 1 for its first residual and 1 per rejected mix that was
-evaluated.  The buffers hold 2 DEPTH + 2 fine interior vectors (about 20 MB
-at 65^3).  To pay for them, the residual is handed from call to call rather
-than kept by a caller, so no fine evaluation holds an earlier residual; and
-the stencil adds each sample into its row as it is taken, rather than
-storing all eight, and forms the centre term in a sample's buffer.
+finite, G(x) is restored and its residual evaluated; the first cycle's G(x)
+is evaluated too.  So a mixed cycle costs the 7 fine evaluations of a plain
+one and a rejected mix 1 more: a solve makes 7 per cycle, 1 for its first
+residual and 1 per rejected mix that was evaluated.  The buffers hold
+2 DEPTH + 2 fine interior vectors (about 20 MB at 65^3).  To pay for them,
+the residual is handed from call to call rather than kept by a caller, so
+no fine evaluation holds an earlier residual; and the stencil adds each
+sample into its row as it is taken, rather than storing all eight, and
+forms the centre term in a sample's buffer.
 
 T computes only the direction rows that F reads (OperatorSpec.hessian_rows),
 and the stencil takes no sample of a line that F does not read.  The
@@ -124,7 +125,9 @@ _COMBOS = tuple((s * cx, s * cy) for cx, cy in DIRECTIONS for s in (1, -1))
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A full PDE instance: operator, data fields, grid, and stopping rule."""
+    """A full PDE instance: operator, data fields, grid, and stopping rule.
+    sample_width, if given, is a floor on the sample step, not a fixed step:
+    every level takes rho = max(min(h1, h2), sample_width)."""
 
     op: OperatorSpec
     c: ScalarField
@@ -301,7 +304,7 @@ class _Direction(NamedTuple):
 
     weights: np.ndarray  # (A, B) horizontal corner weights, the same in every column
     window: np.ndarray  # (n1-2, n2-2) flat buffer index of each column's x3 window
-    wz: np.ndarray  # (2, n1-2 or 1, n2-2 or 1, 1) x3 weights 1 - f, f of each column's fraction f
+    wz: np.ndarray  # (2, n1-2, n2-2, 1) x3 weights 1 - f, f of each column's fraction f
     out_rows: np.ndarray  # interior-node indices of the samples off the box
     out_vals: np.ndarray  # their frozen Dirichlet values
 
@@ -397,12 +400,7 @@ class _Stencil:
             base2 = np.clip(np.arange(1, n2 - 1) + corner[1], -1, n2 - 1) + 1
             shift = np.clip(1 + cell[:, 2], -slack, slack + 1).reshape(n1 - 2, n2 - 2)
             window = slack + (base1[:, None] * (n2 + 2) + base2) * row + shift
-            # f is kept once along an axis where it does not change: x1 for X+-,
-            # x2 for Y+-, whose products then run over whole x2 rows of windows
             fz = frac[:, 2].reshape(n1 - 2, n2 - 2)
-            for axis in (0, 1):
-                if np.all(fz == fz.take([0], axis=axis)):
-                    fz = fz.take([0], axis=axis)
             self.directions.append(
                 _Direction(
                     np.outer(wx, wy),
@@ -605,27 +603,22 @@ class Discretization:
             raise ArithmeticError(f"non-finite update at node {tuple(int(v) for v in bad)}")
         inner[...] = upd
 
-    def smooth(self, flat: np.ndarray, rhs: np.ndarray, sweeps: int, held: list, final=True):
+    def smooth(self, flat: np.ndarray, rhs: np.ndarray, sweeps: int, held: list):
         """`sweeps` Jacobi steps toward T(u) = rhs in place, each with the
         residual T(u) - rhs of the iterate it moves and the step of that
         evaluation (step()).
 
-        `held` hands that residual over: a list holding the residual of
-        flat, this level's last evaluation, or empty, in which case the
-        first is evaluated here.  It is taken out of the list, and each
-        residual is freed once its step is taken, so no frame keeps one
-        alive while the next is evaluated.  On return `held` holds the
-        residual of the final iterate if `final`, and is empty otherwise:
-        the last sweep then does not evaluate it."""
-        res = held.pop() if held else self.residual_interior(flat, rhs)
-        for i in range(sweeps):
+        `held` hands the first sweep's residual down: a list holding the
+        residual of flat, this level's last evaluation, or empty, in which
+        case it is evaluated here.  The first sweep takes it out of the
+        list; each later sweep evaluates its own, and none is evaluated
+        after the last.  Each residual is freed once its step is taken, so
+        no frame keeps one alive while the next is evaluated."""
+        for _ in range(sweeps):
+            res = held.pop() if held else self.residual_interior(flat, rhs)
             self.advance(flat, res, self.step())
             self.sweeps += 1
             del res
-            if final or i + 1 < sweeps:
-                res = self.residual_interior(flat, rhs)
-        if final:
-            held.append(res)
 
     def enforce_boundary(self, flat: np.ndarray) -> None:
         flat[self.boundary_flat] = self.boundary_vals
@@ -777,26 +770,24 @@ class _Multilevel:
             disc.advance(flat, -_gauss_jordan(jac, res), 1.0)
             self.newton_steps += 1
 
-    def vcycle(self, l: int, flat: np.ndarray, rhs: np.ndarray, held: list, final=True) -> None:
+    def vcycle(self, l: int, flat: np.ndarray, rhs: np.ndarray, held: list) -> None:
         """One V-cycle on level l in place; on the coarsest level it is the
-        coarse solve.  `held` hands the residual res = T(u) - rhs over as in
-        Discretization.smooth: it holds res if the caller has it, and the
-        cycle empties it.  On the finest level (l = 0) the cycle then leaves
-        the residual of its result in it if `final`; the callers on the
-        other levels have no use for it."""
-        disc = self.levels[l]
+        coarse solve.  `held` hands the residual T(u) - rhs down as in
+        Discretization.smooth: it holds it if the caller has it, and the
+        cycle empties it.  The cycle evaluates no residual of its result."""
         if l == len(self.levels) - 1:
             held.clear()  # Newton starts from its own residual
             self.coarse_solve(flat, rhs)
-            if final and l == 0:
-                held.append(disc.residual_interior(flat, rhs))
             return
+        disc = self.levels[l]
         disc.smooth(flat, rhs, self.SWEEPS, held)
         fine = disc.grid.counts
         coarse = self.levels[l + 1]
         counts = coarse.grid.counts
         prolong, inject, restrict = self.transfers[l]
-        rc = _along_axes(restrict, -held.pop().reshape(disc.stencil.shape)).ravel()
+        res = disc.residual_interior(flat, rhs).reshape(disc.stencil.shape)
+        rc = _along_axes(restrict, -res).ravel()
+        del res  # freed before post-smoothing evaluates this level again
         uc_flat = _along_axes(inject, flat.reshape(fine)).ravel()
         held_c = [coarse.apply_nonlinearity(uc_flat)]
         rhs_c = held_c[0] + rc
@@ -805,7 +796,7 @@ class _Multilevel:
         self.vcycle(l + 1, v_flat, rhs_c, held_c)
         corr = _interior(v_flat, counts) - _interior(uc_flat, counts)
         _interior(flat, fine)[...] += _along_axes([p[1:-1, 1:-1] for p in prolong], corr)
-        disc.smooth(flat, rhs, self.SWEEPS, held, final=final and l == 0)
+        disc.smooth(flat, rhs, self.SWEEPS, held)
 
     def fmg_initial(self) -> np.ndarray:
         """Nested iteration: solve the coarsest level, then prolong upward
@@ -882,10 +873,11 @@ def solve(prob: ProblemSpec) -> SolveResult:
     it only if its residual is strictly smaller than that of the cycle's
     input.  A mix that raises LinAlgError or is not finite is rejected
     unevaluated; a rejected mix gives way to the cycle's result G(x), whose
-    residual is then evaluated.  The stopping test reads the residual of
-    the iterate kept.  The fixed point and stopping rule are those of the
-    plain Jacobi step of Discretization (advance with tau on the residual
-    of residual_interior).  The solve stops unconverged after
+    residual is then evaluated, as is the first cycle's.  The stopping test
+    reads the residual of the iterate kept, which the next cycle takes.
+    The fixed point and stopping rule are those of the plain Jacobi step
+    of Discretization (advance with tau on the residual of
+    residual_interior).  The solve stops unconverged after
     _Multilevel.MAX_CYCLES cycles; non-convergence returns the last iterate
     flagged, never raises.
     """
@@ -902,11 +894,10 @@ def solve(prob: ProblemSpec) -> SolveResult:
     history = []  # the fine residual after each cycle
     accepted = rejected = 0
     while rn >= prob.tol and len(history) < ml.MAX_CYCLES:
-        mixing = aa.pairs > 0  # every cycle after the first
         aa.start(inner)
-        ml.vcycle(0, flat, disc.f_int, held, final=not mixing)
+        ml.vcycle(0, flat, disc.f_int, held)
         aa.record(inner)
-        if mixing:
+        if aa.pairs > 1:  # every cycle after the first is mixed
             mn = np.inf  # a mix that fails or is not finite is rejected
             try:
                 inner[...] = aa.mix()
@@ -921,8 +912,9 @@ def solve(prob: ProblemSpec) -> SolveResult:
             else:
                 held.clear()  # freed before G(x)'s residual is evaluated
                 inner[...] = aa.g
-                held.append(disc.residual_interior(flat, disc.f_int))
                 rejected += 1
+        if not held:  # G(x), on the first cycle or after a rejected mix
+            held.append(disc.residual_interior(flat, disc.f_int))
         rn = float(np.abs(held[0]).max())
         history.append(rn)
     u = GridFunction(prob.grid, flat.reshape(prob.grid.counts))

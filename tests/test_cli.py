@@ -414,6 +414,29 @@ def test_holder_rejects_bad_values_before_reading_the_grid(tmp_path, capsys, ove
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text,words",
+    [
+        ("", ("too few data rows (0)",)),
+        ("x1,x2,x3,u\n", ("too few data rows (0)",)),
+        ("x1,x2,x3,u\n0,0,0,1\n", ("too few data rows (1)",)),
+        ("x1,x2,x3,u\n0,0,0\n", ("columns x1,x2,x3,u",)),
+    ],
+    ids=["empty", "header-only", "one-row", "three-columns"],
+)
+def test_holder_names_the_row_count_of_a_short_grid_csv(tmp_path, capsys, text, words):
+    grid_csv = tmp_path / "u.csv"
+    grid_csv.write_text(text)
+    hcfg = write_json(tmp_path / "holder.json", {key: PIPELINE_CONFIG[key] for key in ("holder", "bracket")})
+    out = tmp_path / "o.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" must not escape
+        assert main(["holder", "--grid", str(grid_csv), "--config", hcfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+    assert not out.exists()
+
+
 def test_problem_stencil_scale_is_unknown(tmp_path, capsys):
     cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, stencil_scale=0.5))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1
@@ -432,6 +455,7 @@ def test_every_shipped_config_loads_through_its_reader():
         "solve_pucci.json": ProblemSpec.from_config,
         "holder.json": holder_config,
         "pipeline.json": PipelineConfig.from_config,
+        "pipeline_pucci.json": PipelineConfig.from_config,
     }
     assert sorted(p.name for p in CONFIGS.iterdir()) == sorted(readers)
     for name, reader in readers.items():

@@ -68,6 +68,7 @@ def pure_iteration(prob: ProblemSpec, u: GridFunction, max_sweeps: int) -> GridF
         if np.abs(held[0]).max() < prob.tol:
             break
         disc.smooth(flat, disc.f_int, 1, held)
+        held.append(disc.residual_interior(flat, disc.f_int))
     return GridFunction(u.grid, flat.reshape(u.grid.counts))
 
 
@@ -241,9 +242,8 @@ def test_step_fixed_point_and_validation():
     # zero data: the zero function is a fixed point of the Jacobi step
     disc = ProblemSpec(SUB, ONE, ZERO, ZERO, box(9), tol=1e-8).discretization
     flat = np.zeros(disc.grid.n_nodes)
-    held = []
-    disc.smooth(flat, disc.f_int, 1, held)
-    (res,) = held
+    disc.smooth(flat, disc.f_int, 1, [])
+    res = disc.residual_interior(flat, disc.f_int)
     assert not flat.any() and not res.any()
 
 
@@ -436,9 +436,8 @@ def test_residual_monotone_after_warmup():
     disc.enforce_boundary(flat)
     history = []
     for _ in range(300):
-        held = []
-        disc.smooth(flat, disc.f_int, 1, held)
-        history.append(np.abs(held.pop()).max())
+        disc.smooth(flat, disc.f_int, 1, [])
+        history.append(np.abs(disc.residual_interior(flat, disc.f_int)).max())
     tail = np.array(history[10:])
     assert (np.diff(tail) <= 1e-12 * max(1.0, tail[0])).all()
 
@@ -573,14 +572,14 @@ def test_solve_reports_work_per_level():
         first.coarse_newton_steps,
     )
     # residuals are passed on, not recomputed: per V-cycle 3 pre-smoothing
-    # sweeps from the stopping test's residual, then 1 + 3 for post-smoothing,
-    # whose last residual a mixed cycle leaves to the mix, plus 1 per
-    # rejected mix for the residual of the cycle's own result
+    # sweeps from the stopping test's residual, 1 to restrict and 3 for
+    # post-smoothing, then 1 for the residual of the iterate solve keeps,
+    # plus 1 per rejected mix for the residual of the cycle's own result
     assert first.level_evals[0] == 7 * first.cycles + 1 + first.anderson_rejected
     assert first.iterations == 2 * _Multilevel.SWEEPS * first.cycles
     # an intermediate level is visited once per V-cycle and once by the nested
-    # iteration, each time for 1 + 3 + 3 evaluations: post-smoothing's final
-    # residual, which no caller reads, is not computed
+    # iteration, each time for 3 + 1 + 3 evaluations: the V-cycle evaluates
+    # no residual of its result
     assert first.level_evals[1] == 7 * (first.cycles + 1)
     assert first.level_sweeps == [
         2 * _Multilevel.SWEEPS * first.cycles,
@@ -866,7 +865,7 @@ def test_smooth_moves_each_node_by_the_step_of_its_residual():
     _interior(want, prob.grid.counts)[...] += (step * res).reshape(disc.stencil.shape)
     for held in ([res], []):
         flat = start.copy()
-        disc.smooth(flat, disc.f_int, 1, held, final=False)
+        disc.smooth(flat, disc.f_int, 1, held)
         assert flat.tobytes() == want.tobytes()
 
 
@@ -1020,6 +1019,7 @@ def plain_v_cycles(prob: ProblemSpec) -> tuple[np.ndarray, list]:
     history = []
     while np.abs(held[0]).max() >= prob.tol:
         ml.vcycle(0, flat, disc.f_int, held)
+        held.append(disc.residual_interior(flat, disc.f_int))
         history.append(float(np.abs(held[0]).max()))
     return flat, history
 
@@ -1458,3 +1458,54 @@ def test_gauss_jordan_pivots_and_solves():
     assert np.abs(a @ x - b).max() <= 1e-12
     perm = np.eye(3)[[2, 0, 1]]
     assert np.array_equal(_gauss_jordan(perm, np.array([1.0, 2.0, 3.0])), perm.T @ [1.0, 2.0, 3.0])
+
+
+# two automorphisms of H^1 that map the 9^3 grid on [-1, 1]^3 onto itself,
+# as (the map's inverse on points, the solution u o map^-1 from u's grid
+# values, the coefficient (a11, a12, a22) of trace_linear after the map)
+AUTOMORPHISMS = {
+    # R(x) = (-x2, x1, x3) carries X to Y and Y to -X
+    "R": (
+        lambda p: np.column_stack((p[:, 1], -p[:, 0], p[:, 2])),
+        lambda u: u[:, ::-1, :].transpose(1, 0, 2),
+        lambda a: Sym2(a.a22, -a.a12, a.a11),
+    ),
+    # S(x) = (x1, -x2, -x3) carries X to X and Y to -Y
+    "S": (
+        lambda p: np.column_stack((p[:, 0], -p[:, 1], -p[:, 2])),
+        lambda u: u[:, ::-1, ::-1],
+        lambda a: Sym2(a.a11, -a.a12, a.a22),
+    ),
+}
+SYMMETRY_BRACKET = EllipticityBracket(0.5, 3.0)
+SYMMETRY_A = Sym2(1.0, 0.4, 2.0)
+
+
+@pytest.mark.parametrize("kind", ["sublaplacian", "trace_linear", "pucci_plus", "pucci_minus"])
+def test_solve_commutes_with_the_grid_automorphisms(kind):
+    # solving with the data carried by an automorphism gives the solution
+    # carried by it, to rounding: the stencil, transfers, smoother, mixing
+    # and coarse Newton all commute with R and S
+    def problem(inverse=None, a=SYMMETRY_A):
+        def carried(poly):
+            field = parse_polynomial(poly)
+            if inverse is None:
+                return field
+            return NumericField(lambda p: field.value_batch(inverse(p)))
+
+        if kind == "sublaplacian":
+            op = SUB
+        else:
+            op = OperatorSpec(kind, SYMMETRY_BRACKET, coeff=a if kind == "trace_linear" else None)
+        f = carried("x1 + 0.3 x2^2 + 0.2 x1 x3 - 1")
+        boundary = carried("0.1 x1 x2 + 0.05 x2 x3")
+        return ProblemSpec(op, ONE, f, boundary, box(9), tol=1e-10)
+
+    base = solve(problem())
+    assert base.converged
+    u = base.u.values
+    for name, (inverse, carry_u, carry_a) in AUTOMORPHISMS.items():
+        res = solve(problem(inverse, carry_a(SYMMETRY_A)))
+        assert res.converged, name
+        err = np.abs(res.u.values - carry_u(u)).max()
+        assert err <= 1e-13 * np.abs(u).max(), (name, err)
