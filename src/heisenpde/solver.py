@@ -44,21 +44,25 @@ giving a first-order scheme; on coarse grids it reduces to the
 plain spacing step.
 
 The basic iteration is the Jacobi-style pseudo-time step
-    v_i = u_i + tau_i * (F(stencil) - c u - f)_i
-with tau_i = 0.8 rho^2 / (2 S_i + c_max rho^2), the damped-Jacobi weight 4/5
-on node i's own Jacobian diagonal (cfl_tau), S_i the sum of F's slopes at
-the iterate moved: one number for the linear kinds (2 for the sub-Laplacian,
-whose step is the scalar cfl_tau(rho, 2, c_max)), and for Pucci
+    v_i = u_i + omega tau_i * (F(stencil) - c u - f)_i
+with tau_i = rho^2 / (2 S_i + c_max rho^2) the inverse of node i's own
+Jacobian diagonal (cfl_tau), S_i the sum of F's slopes at the iterate
+moved: one number for the linear kinds (2 for the sub-Laplacian, whose
+step is the scalar cfl_tau(rho, 2, c_max, omega)), and for Pucci
 g'(e_lo) + g'(e_hi), floored at lam + Lam, which OperatorSpec.apply_batch
 writes per node.  Each evaluation of T leaves those sums on its level, and
 a sweep steps with the sums of the evaluation whose residual it uses, the
-level's last.  Alone the step needs O(1/(tau * lambda_min))
-sweeps, far too many on fine grids, so solve() runs FAS-style V-cycles over
-the grid's coarsenings (Grid3.coarsen, one rule for every grid) with linear
-transfers per axis (_transfers), smoothing with the same step rule on every
-level but the coarsest; the stencil, step rule, stopping test (fine-grid
-residual below tol), and hence the fixed point are those of the plain step.
-Discretization.smooth is the only relaxation loop.  A residual is only
+level's last.  The weights omega of a level's sweeps are the Chebyshev
+schedule (chebyshev_weights) on the interval [a, b] that the level's
+Gershgorin bound puts around the spectrum of diag(J)^-1 J, cut at
+b / _Multilevel.ALPHA (smoothing_interval).  Alone the step needs
+O(1/(tau * lambda_min)) sweeps, far too many on fine grids, so solve()
+runs FAS-style V-cycles over the grid's coarsenings (Grid3.coarsen, one
+rule for every grid) with linear transfers per axis (_transfers),
+smoothing with the same step rule on every level but the coarsest; the
+stencil, stopping test (fine-grid residual below tol), and hence the
+fixed point are those of the plain step: the weights move the
+iteration's path only.  Discretization.smooth is the only relaxation loop.  A residual is only
 handed down, never back up: a sweep takes the residual its caller hands in
 or evaluates its own, and none is evaluated after the last sweep.  A
 V-cycle evaluates the residual it restricts after pre-smoothing and none
@@ -103,6 +107,7 @@ sweep: SolveResult.iterations is 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -212,6 +217,8 @@ class SolveResult:
     level_sweeps: list = field(default_factory=list)  # smoothing sweeps per level, finest first
     anderson_accepted: int = 0  # mixed iterates kept, the last cycle's included
     anderson_rejected: int = 0  # mixed iterates dropped for the V-cycle's own result
+    smoothing_intervals: list = field(default_factory=list)  # (a, b) per level above the coarsest
+    smoothing_weights: list = field(default_factory=list)  # its SWEEPS weights, ascending
 
     def to_dict(self) -> dict:
         """Every field but the solution u, plus rho_over_h: the diagnostics."""
@@ -238,12 +245,14 @@ def sample_step(grid: Grid3) -> float:
     return max(1.5, np.floor(ratio) + 0.5) * h
 
 
-def cfl_tau(rho: float, slope_sum, c_max: float):
-    """Pseudo-time step tau = omega / D of a node: the damped-Jacobi weight
-    omega = 4/5 on D = (2 S + c_max rho^2) / rho^2, S = slope_sum the sum of
-    F's slopes over the direction rows at the node, a number or an array of
-    one per node (Pucci's g'(e_lo) + g'(e_hi), from OperatorSpec.apply_batch),
-    which is overwritten with the steps and returned.
+def cfl_tau(rho: float, slope_sum, c_max: float, omega: float = 1.0):
+    """Pseudo-time step tau = omega / D of a node: the sweep weight omega on
+    D = (2 S + c_max rho^2) / rho^2, S = slope_sum the sum of F's slopes
+    over the direction rows at the node, a number or an array of one per
+    node (Pucci's g'(e_lo) + g'(e_hi), from OperatorSpec.apply_batch), which
+    is overwritten with the steps and returned.  omega = 1, the default, is
+    the plain Jacobi step, a level's tau; a sweep takes the weight that
+    chebyshev_weights gives it.
     The Jacobian J of T(u) = F(stencil) - c u has J_ii = -2 S / rho^2 - c_i:
     each row's centre weight is -2 / rho^2, and the slopes of D_{X+Y} and
     D_{X-Y} cancel.  So D is |J_ii| where c_i = c_max and S is F's slope sum
@@ -255,20 +264,48 @@ def cfl_tau(rho: float, slope_sum, c_max: float):
     0.5 x1 x3 (c = 1) at 9^3 and at 17^3 did not converge in 500 V-cycles,
     its residual stalling near 1e3, where the floored one takes 11 and 13.
 
-    4/5 is the textbook weight for the 5-point (X, Y) operator (Trottenberg,
-    Oosterlee and Schueller, Multigrid, 2001, 2.1): it damps high
-    frequencies by 3/5 per sweep, where a weight of 0.4 damps them by 4/5.
-    Below 1 it keeps tau |J_ii| <= 4/5, so the plain step u + tau T(u) is
+    With omega <= 1 the step keeps tau |J_ii| <= 1, so u + tau T(u) is
     monotone wherever the scheme is (the sub-Laplacian, trace_linear with
-    a12 = 0); undamped Jacobi (omega = 1) leaves the checkerboard mode
-    undamped.
+    a12 = 0).  A step of Chebyshev weight above 1 is not a monotone map;
+    the scheme, and so the fixed point, are the same whatever the weights.
     """
     if np.ndim(slope_sum) == 0:
-        return 0.8 * rho * rho / (2.0 * slope_sum + c_max * rho * rho)
+        return omega * rho * rho / (2.0 * slope_sum + c_max * rho * rho)
     den = slope_sum
     den *= 2.0
     den += c_max * rho * rho
-    return np.divide(0.8 * rho * rho, den, out=den)
+    return np.divide(omega * rho * rho, den, out=den)
+
+
+def smoothing_interval(rho: float, slope_sum: float, c_max: float, alpha: float):
+    """The interval (a, b) of diag(J)^-1 J's spectrum that a level's sweeps
+    damp, S = slope_sum its largest slope sum (2 for the sub-Laplacian,
+    a11 + a22 for trace_linear, 2 Lam for Pucci).  A monotone row i has
+    off-diagonal weights summing to 2 S_i / rho^2, so Gershgorin puts the
+    spectrum of diag(J)^-1 J, with the diagonal of cfl_tau at c_max, in
+    [1 - r, 1 + r], r = 2 S / (2 S + c_max rho^2).  b = 1 + r, and a is
+    b / alpha unless 1 - r is larger: the modes below b / alpha are the
+    smooth ones that the coarse levels correct, and a large c_max rho^2
+    shrinks the interval, which the smoother then damps whole."""
+    r = 2.0 * slope_sum / (2.0 * slope_sum + c_max * rho * rho)
+    b = 1.0 + r
+    return max(1.0 - r, b / alpha), b
+
+
+def chebyshev_weights(interval, sweeps: int) -> tuple:
+    """The weights omega_k = 1 / ((b + a) / 2 + (b - a) / 2 cos((2k - 1) pi /
+    (2 m))), k = 1 .. m = sweeps, of the Chebyshev smoother on [a, b]
+    (Adams, Brezina, Hu and Tuminaro, J. Comput. Phys. 188, 2003), in
+    ascending order: the reciprocals of the roots of T_m on [a, b], so the
+    sweeps' error polynomial prod (1 - omega_k lambda) is the scaled T_m
+    whose max over [a, b] is 1 / T_m((b + a) / (b - a)).  One sweep takes
+    the single weight 2 / (a + b)."""
+    a, b = interval
+    mid, half = 0.5 * (b + a), 0.5 * (b - a)
+    return tuple(
+        1.0 / (mid + half * math.cos((2 * k - 1) * math.pi / (2 * sweeps)))
+        for k in range(1, sweeps + 1)
+    )
 
 
 def _check_step(rho, key: str) -> None:
@@ -540,15 +577,17 @@ class Discretization:
         inner = _interior(pts, counts + (3,)).reshape(-1, 3)
         self.f_int = prob.f.value_batch(inner)
         _check_finite(self.f_int, "f", shape, offset=1)
-        # tau is the step at F's slope sum at the zero Hessian: the linear
-        # kinds' only one, and Pucci's largest, 2 Lam on the Lam corner; each
+        # s_max is F's slope sum at the zero Hessian: the linear kinds' only
+        # one, and Pucci's largest, 2 Lam on the Lam corner; tau is the plain
+        # Jacobi step there, and the smoothing interval is sized by it.  Each
         # Pucci evaluation writes every node's own sum into slope_sum
         self.c_max = float(c.max())
         _, slopes = self.op.linearize(np.zeros((len(self.op.hessian_rows), 1)))
-        s_zero = float(slopes[0, 0] + slopes[1, 0])
-        self.tau = cfl_tau(self.rho, s_zero, self.c_max)
+        self.s_max = float(slopes[0, 0] + slopes[1, 0])
+        self.tau = cfl_tau(self.rho, self.s_max, self.c_max)
+        self.interval = smoothing_interval(self.rho, self.s_max, self.c_max, _Multilevel.ALPHA)
         pucci = self.op.kind in ("pucci_plus", "pucci_minus")
-        self.slope_sum = np.full(self.c_int.size, s_zero) if pucci else None
+        self.slope_sum = np.full(self.c_int.size, self.s_max) if pucci else None
         mask = self.grid.interior_mask().ravel()
         self.boundary_flat = np.flatnonzero(~mask)
         self.boundary_vals = prob.boundary.value_batch(pts[~mask])
@@ -577,15 +616,17 @@ class Discretization:
         out -= rhs
         return out
 
-    def step(self):
-        """The Jacobi step at the iterate this level last evaluated: tau for
-        the linear kinds, and for Pucci cfl_tau on each interior node's slope
-        sum, shaped as the interior.  The sum is floored at lam + Lam, which
-        only the lam corner's 2 lam falls below (see cfl_tau)."""
+    def step(self, omega: float):
+        """The Jacobi step of weight omega at the iterate this level last
+        evaluated, omega over each interior node's own diagonal: cfl_tau on
+        the linear kinds' one slope sum, a number, and for Pucci on each
+        node's slope sum, shaped as the interior.  The sum is floored at
+        lam + Lam, which only the lam corner's 2 lam falls below (see
+        cfl_tau)."""
         if self.slope_sum is None:
-            return self.tau
+            return cfl_tau(self.rho, self.s_max, self.c_max, omega)
         s = np.maximum(self.slope_sum, self.op.bracket.lam + self.op.bracket.Lam)
-        return cfl_tau(self.rho, s, self.c_max).reshape(self.stencil.shape)
+        return cfl_tau(self.rho, s, self.c_max, omega).reshape(self.stencil.shape)
 
     def advance(self, flat: np.ndarray, res: np.ndarray, tau) -> None:
         """u += tau * res at the interior nodes of `flat`, in place, with tau
@@ -606,7 +647,8 @@ class Discretization:
     def smooth(self, flat: np.ndarray, rhs: np.ndarray, sweeps: int, held: list):
         """`sweeps` Jacobi steps toward T(u) = rhs in place, each with the
         residual T(u) - rhs of the iterate it moves and the step of that
-        evaluation (step()).
+        evaluation (step()), weighted in turn by the Chebyshev weights of
+        `sweeps` sweeps on this level's interval (chebyshev_weights).
 
         `held` hands the first sweep's residual down: a list holding the
         residual of flat, this level's last evaluation, or empty, in which
@@ -614,9 +656,9 @@ class Discretization:
         list; each later sweep evaluates its own, and none is evaluated
         after the last.  Each residual is freed once its step is taken, so
         no frame keeps one alive while the next is evaluated."""
-        for _ in range(sweeps):
+        for omega in chebyshev_weights(self.interval, sweeps):
             res = held.pop() if held else self.residual_interior(flat, rhs)
-            self.advance(flat, res, self.step())
+            self.advance(flat, res, self.step(omega))
             self.sweeps += 1
             del res
 
@@ -730,11 +772,14 @@ def _gauss_jordan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Multilevel:
-    """FAS V-cycles over the grid's coarsenings, with the Jacobi step as
-    smoother and a direct solve on the coarsest level, which has at most 7
-    nodes per axis and is the only level of a grid with no axis of 8."""
+    """FAS V-cycles over the grid's coarsenings, with Chebyshev-weighted
+    Jacobi sweeps as smoother and a direct solve on the coarsest level,
+    which has at most 7 nodes per axis and is the only level of a grid
+    with no axis of 8.  ALPHA was chosen by measured fine evaluations over
+    4, 5, 6, 7, 8 and 10: the largest at which no study problem rose."""
 
     SWEEPS = 3  # smoothing sweeps before and after the coarse-grid correction
+    ALPHA = 6.0  # the smoothing interval's b / a where Gershgorin does not cut it shorter
     DEPTH = 4  # (x, G(x)) differences mixed by Anderson acceleration of the V-cycle
     NEWTON_MAX = 20  # Newton steps per coarsest-level solve
     MAX_CYCLES = 500  # cycles per solve before it stops unconverged
@@ -876,10 +921,11 @@ def solve(prob: ProblemSpec) -> SolveResult:
     residual is then evaluated, as is the first cycle's.  The stopping test
     reads the residual of the iterate kept, which the next cycle takes.
     The fixed point and stopping rule are those of the plain Jacobi step
-    of Discretization (advance with tau on the residual of
-    residual_interior).  The solve stops unconverged after
-    _Multilevel.MAX_CYCLES cycles; non-convergence returns the last iterate
-    flagged, never raises.
+    of Discretization (advance with step(1) on the residual of
+    residual_interior): the Chebyshev weights of the sweeps move the
+    iterates, not the point they converge to.  The solve stops unconverged
+    after _Multilevel.MAX_CYCLES cycles; non-convergence returns the last
+    iterate flagged, never raises.
     """
     ml = prob.multilevel  # the problem keeps its levels between solves
     for level in ml.levels:
@@ -925,6 +971,10 @@ def solve(prob: ProblemSpec) -> SolveResult:
         coarse_newton_steps=ml.newton_steps, outside_fraction=disc.stencil.outside_fraction,
         cycle_residuals=history, level_sweeps=[level.sweeps for level in ml.levels],
         anderson_accepted=accepted, anderson_rejected=rejected,
+        smoothing_intervals=[list(level.interval) for level in ml.levels[:-1]],
+        smoothing_weights=[
+            list(chebyshev_weights(level.interval, ml.SWEEPS)) for level in ml.levels[:-1]
+        ],
     )
 
 
