@@ -55,7 +55,7 @@ def _report(lemma_id: str, trials: int, worst: float, passed: bool, **extra) -> 
 def _random_polynomial(g: SplitMix64, degree: int = 6) -> PolynomialField:
     """n_terms = 8 monomials of total degree <= degree (x3 counted twice) with
     uniform(-1, 1) coefficients; term k takes raw words 3k, 3k+1, 3k+2 after
-    the coefficients, reduced modulo its sequential bounds as in integers()."""
+    the coefficients, each reduced modulo its sequential bound."""
     n_terms = 8
     coeffs = g.uniform(n_terms, -1.0, 1.0)
     w = g.take(3 * n_terms).reshape(n_terms, 3)

@@ -254,7 +254,8 @@ def parse_polynomial(text: str) -> PolynomialField:
     """Parse the text form ``c * x1^a x2^b x3^d + ...`` into a field.
 
     The coefficient and the ``*`` are optional, factors may be separated by
-    spaces, and exponents are nonnegative integers.
+    spaces, and exponents are nonnegative integers in digits; a ValueError
+    names the polynomial and the cause.
     """
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -293,6 +294,8 @@ def parse_polynomial(text: str) -> PolynomialField:
                 i += 1
                 continue
             if kind == "num":
+                if not math.isfinite(float(val)):
+                    raise ValueError(f"coefficient {val} is not finite in polynomial {text!r}")
                 coeff *= Fraction(float(val))
                 i += 1
             else:
@@ -301,7 +304,12 @@ def parse_polynomial(text: str) -> PolynomialField:
                 if i + 1 < n and tokens[i + 1][0] == "pow":
                     if i + 2 >= n or tokens[i + 2][0] != "num":
                         raise ValueError(f"missing exponent in polynomial {text!r}")
-                    power = int(tokens[i + 2][1])
+                    power = tokens[i + 2][1]
+                    if not power.isdigit():
+                        raise ValueError(
+                            f"exponent {power} is not a nonnegative integer in polynomial {text!r}"
+                        )
+                    power = int(power)
                     i += 2
                 expo[axis] += power
                 i += 1
@@ -338,8 +346,15 @@ def field_from_config(cfg: dict, name: str = "field") -> ScalarField:
         if fn is None:
             raise ValueError(f"unknown builtin field {builtin!r} in {name} config")
         config_section(cfg, name, ("builtin",), tuple(inspect.signature(fn).parameters))
-        return fn(**{k: config_number(cfg, name, k) for k in cfg if k != "builtin"})
+        kwargs = {k: config_number(cfg, name, k) for k in cfg if k != "builtin"}
+        try:
+            return fn(**kwargs)
+        except ValueError as err:
+            raise ValueError(f"{name} config: {err}") from None
     config_section(cfg, name, ("poly",))
     if not isinstance(cfg["poly"], str):
         raise ValueError(f"{name} config 'poly' must be a string, got {cfg['poly']!r}")
-    return parse_polynomial(cfg["poly"])
+    try:
+        return parse_polynomial(cfg["poly"])
+    except ValueError as err:
+        raise ValueError(f"{name} config 'poly': {err}") from None

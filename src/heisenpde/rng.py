@@ -88,10 +88,6 @@ class SplitMix64:
         z = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)])
         return z[:n].reshape(shape)
 
-    def integers(self, n: int, lo: int, hi: int) -> np.ndarray:
-        """n ints uniform in [lo, hi); modulo bias negligible for hi-lo << 2^64."""
-        return (self.take(n) % np.uint64(hi - lo)).astype(np.int64) + lo
-
     def unit_vectors(self, n: int, dim: int = 3) -> np.ndarray:
         v = self.normal((n, dim))
         norms = np.linalg.norm(v, axis=1, keepdims=True)

@@ -21,11 +21,11 @@ _Stencil): the directions that share one horizontal weight table, a family,
 share one horizontal interpolation of u, and each direction then takes one
 x3 window of it per column.  Those rows are unpadded: each holds a column's
 n3 values and one zero, in one flat buffer with slack only at its two ends.
-The evaluation makes no BLAS call.  A problem's levels are built once and
-kept by the ProblemSpec itself, the finest (ProblemSpec.discretization) and
-the whole V-cycle hierarchy over it (ProblemSpec.multilevel), which a solve
-reuses with its counts reset; no module-level cache holds one.  Only a
-problem solved more than once gains from that.
+The evaluation makes no BLAS call.  A problem's solver, every level from
+the finest down with the transfers between them (ProblemSpec.multilevel),
+is built once and kept by the ProblemSpec itself, and a solve reuses it
+with its counts reset; no module-level cache holds one.  Only a problem
+solved more than once gains from that.
 
 Each level's set-up (Discretization) evaluates every data field once: c on
 all nodes, whose interior slice is c_int and whose max sets tau; f on the
@@ -154,17 +154,11 @@ class ProblemSpec:
             raise ValueError(f"c must be nonnegative on the grid (min {cvals.min()})")
 
     @cached_property
-    def discretization(self) -> "Discretization":
-        """The finest level of this problem, built on first use and freed
-        with the problem."""
-        return Discretization(self)
-
-    @cached_property
     def multilevel(self) -> "_Multilevel":
-        """The V-cycle hierarchy of this problem over its finest level: the
-        coarse levels, the transfers and the coarsest dense probe, built on
-        the first solve, kept for the next and freed with the problem."""
-        return _Multilevel(self, self.discretization)
+        """This problem's solver: every level, the finest first, the
+        transfers and the coarsest dense probe, built on the first solve,
+        kept for the next and freed with the problem."""
+        return _Multilevel(self)
 
     @staticmethod
     def from_config(cfg: dict) -> "ProblemSpec":
@@ -469,11 +463,6 @@ class _Stencil:
         self.copy = np.zeros((n1 + 2) * (n2 + 2) * row + 2 * slack)
         self._copy_runs = _runs(self.copy, n3 - 1)
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes held by the stored arrays."""
-        return self.copy.nbytes + sum(a.nbytes for d in self.directions for a in d)
-
     def _body(self, buffer: np.ndarray) -> np.ndarray:
         """The buffer between its slack: the x3 rows of the grid and of the
         layer around it, flat."""
@@ -482,63 +471,56 @@ class _Stencil:
     def hessian_components(self, flat: np.ndarray, dirs=DIRECTIONS) -> np.ndarray:
         """The rows D_v = (u(p + rho v) + u(p - rho v) - 2 u(p)) / rho^2 at
         the interior nodes, one per direction v of `dirs` (a tuple drawn from
-        DIRECTIONS), as a (len(dirs), n) array.  Each row is s+ w, then
-        += s- w, then += c, with w = 1 / rho^2 and the centre term
-        c = u (-2 w) formed per row in the buffer of s-, once that is added,
-        so no array of the interior is held for it; a direction not in
-        `dirs` takes no sample.  Calls on one stencil must not overlap: they
-        share its copy of u."""
-        rows = np.empty((len(dirs), int(np.prod(self.shape))))
-        w = self.weight
-        u = _interior(flat, self.grid.counts)
-        samples = self._samples(flat, dirs)
-        # non-finite inputs propagate and are reported by the caller's check
-        with np.errstate(invalid="ignore"):
-            for row in rows:
-                np.multiply(next(samples), w, out=row)
-                other = next(samples)
-                row += np.multiply(other, w, out=other)
-                row += np.multiply(u, -2.0 * w, out=other.reshape(self.shape)).ravel()
-        return rows
-
-    def _samples(self, flat: np.ndarray, dirs):
-        """The samples at p + rho v and then p - rho v per direction v of
-        `dirs`, each flat over the interior nodes, all in one buffer that
-        the caller may overwrite.  A direction whose table is [1] reads its
-        windows from the copy of u, any other from the blend, formed from
-        the copy by _blend with its family's terms unless the blend holds
-        that family's already.  A family of directions with one horizontal
-        weight table (X+-, Y+- and the diagonals at the default rho) shares
-        one blend, and only one family's blend is held at a time, in a
-        buffer laid out as the copy and zeroed once per call that blends."""
+        DIRECTIONS), as a (len(dirs), n) array.  One loop takes the samples
+        s+ at p + rho v and then s- at p - rho v of each direction of `dirs`,
+        and of no other, into one buffer: it gathers a sample's x3 windows
+        from the copy of u if its table is [1] and from its family's blend
+        otherwise, interpolates them along x3, writes its frozen off-box
+        values and adds it into its row.  Each row is s+ w, then += s- w,
+        then += c, with w = 1 / rho^2 and the centre term c = u (-2 w)
+        formed per row in the buffer of s-, so no array of the interior is
+        held for it.  A family's blend is formed from the copy by _blend
+        unless the blend holds it already: one family at a time, in a buffer
+        allocated once per call that blends.  Calls on one stencil must not
+        overlap: they share its copy of u."""
         n1, n2, n3 = self.grid.counts
-        u = flat.reshape(self.grid.counts)
         copy = self._body(self.copy).reshape(n1 + 2, n2 + 2, n3 + 1)
-        copy[1:-1, 1:-1, :-1] = u
+        copy[1:-1, 1:-1, :-1] = flat.reshape(self.grid.counts)
         copy[0], copy[-1] = copy[1], copy[-2]
         copy[:, 0], copy[:, -1] = copy[:, 1], copy[:, -2]
-        out = np.empty(int(np.prod(self.shape)))
-        s = out.reshape(self.shape)
+        rows = np.empty((len(dirs), int(np.prod(self.shape))))
+        sample = np.empty(rows.shape[1])
+        s = sample.reshape(self.shape)
+        w = self.weight
+        u = _interior(flat, self.grid.counts)
         blend = held = None
-        for v in dirs:
-            first = 2 * DIRECTIONS.index(v)
-            for d, terms in zip(self.directions[first : first + 2], self.terms[first : first + 2]):
-                runs = self._copy_runs  # runs[j]: the n3 - 1 values from flat index j on
-                if terms is not None:
-                    if blend is None:
-                        blend = np.zeros(self.copy.size)
-                        blend_runs = _runs(blend, n3 - 1)
-                    if terms is not held:
-                        _blend(self._body(self.copy), terms, self._body(blend))
-                        held = terms
-                    runs = blend_runs
-                windows = runs[d.window]  # (n1-2, n2-2, n3-1)
-                np.multiply(windows[..., :-1], d.wz[0], out=s)
-                np.multiply(windows, d.wz[1], out=windows)
-                s += windows[..., 1:]
-                del windows  # freed before the next direction gathers its windows
-                out[d.out_rows] = d.out_vals
-                yield out
+        # non-finite inputs propagate and are reported by the caller's check
+        with np.errstate(invalid="ignore"):
+            for row, v in zip(rows, dirs):
+                first = 2 * DIRECTIONS.index(v)
+                for k in (first, first + 1):
+                    d, terms = self.directions[k], self.terms[k]
+                    runs = self._copy_runs  # runs[j]: the n3 - 1 values from flat index j on
+                    if terms is not None:
+                        if blend is None:
+                            blend = np.zeros(self.copy.size)
+                            blend_runs = _runs(blend, n3 - 1)
+                        if terms is not held:
+                            _blend(self._body(self.copy), terms, self._body(blend))
+                            held = terms
+                        runs = blend_runs
+                    windows = runs[d.window]  # (n1-2, n2-2, n3-1)
+                    np.multiply(windows[..., :-1], d.wz[0], out=s)
+                    np.multiply(windows, d.wz[1], out=windows)
+                    s += windows[..., 1:]
+                    del windows  # freed before the next sample gathers its windows
+                    sample[d.out_rows] = d.out_vals
+                    if k == first:
+                        np.multiply(sample, w, out=row)
+                    else:
+                        row += np.multiply(sample, w, out=sample)
+                row += np.multiply(u, -2.0 * w, out=s).ravel()
+        return rows
 
 
 class Discretization:
@@ -784,8 +766,8 @@ class _Multilevel:
     NEWTON_MAX = 20  # Newton steps per coarsest-level solve
     MAX_CYCLES = 500  # cycles per solve before it stops unconverged
 
-    def __init__(self, prob: ProblemSpec, finest: Discretization):
-        self.levels: list[Discretization] = [finest]
+    def __init__(self, prob: ProblemSpec):
+        self.levels: list[Discretization] = [Discretization(prob)]
         self.transfers = []  # _transfers between levels l and l + 1
         grid = prob.grid
         while (coarse := grid.coarsen()).counts != grid.counts:

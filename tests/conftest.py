@@ -6,14 +6,19 @@ from heisenpde.fields import PolynomialField
 from heisenpde.rng import SplitMix64
 
 
+def integers(g: SplitMix64, n: int, lo: int, hi: int) -> np.ndarray:
+    """The next n ints of g uniform in [lo, hi); modulo bias negligible for hi-lo << 2^64."""
+    return (g.take(n) % np.uint64(hi - lo)).astype(np.int64) + lo
+
+
 def random_polynomial(g: SplitMix64, degree: int = 6, n_terms: int = 8) -> PolynomialField:
     """Random polynomial with uniform(-1,1) coefficients and total degree <= degree."""
     terms = {}
     coeffs = g.uniform(n_terms, -1.0, 1.0)
     for k in range(n_terms):
-        a = int(g.integers(1, 0, degree + 1)[0])
-        b = int(g.integers(1, 0, degree + 1 - a)[0])
-        d = int(g.integers(1, 0, max(1, (degree - a - b) // 2 + 1))[0])
+        a = int(integers(g, 1, 0, degree + 1)[0])
+        b = int(integers(g, 1, 0, degree + 1 - a)[0])
+        d = int(integers(g, 1, 0, max(1, (degree - a - b) // 2 + 1))[0])
         key = (a, b, d)
         terms[key] = terms.get(key, Fraction(0)) + Fraction(float(coeffs[k]))
     return PolynomialField(terms)

@@ -211,6 +211,24 @@ def test_solve_wrong_typed_number_exit_1(tmp_path, capsys, override, words):
 
 
 @pytest.mark.parametrize(
+    "field,message",
+    [
+        ({"poly": "x1^2.5"}, "f config 'poly': exponent 2.5 is not a nonnegative integer"),
+        ({"poly": "x1^2."}, "f config 'poly': exponent 2. is not a nonnegative integer"),
+        ({"poly": "x1^1e2"}, "f config 'poly': exponent 1e2 is not a nonnegative integer"),
+        ({"poly": "1e400 x1"}, "f config 'poly': coefficient 1e400 is not finite"),
+        ({"builtin": "smooth_abs", "eps": -1}, "f config: eps must be positive"),
+    ],
+    ids=["exponent-fraction", "exponent-trailing-dot", "exponent-scientific", "coefficient-inf",
+         "builtin-eps-negative"],
+)
+def test_solve_bad_field_names_its_section_exit_1(tmp_path, capsys, field, message):
+    cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, f=field))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "u.csv")]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "override,words",
     [
         ({"bracket": {"lambda": None, "Lambda": 1.0}}, ("bracket config", "'lambda'")),

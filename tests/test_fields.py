@@ -20,6 +20,11 @@ def test_parse_basic_forms():
     assert p.terms == parse_polynomial("-x1 + 2x1^2x2 + 3.5 x3").terms
     assert p.value(Point(1.0, 1.0, 0.0)) == 2.0 - 1.0
     assert p.value(Point(0.0, 0.0, 2.0)) == 7.0
+    # loose forms: adjacent coefficients multiply, signs compose, exponents may lead with 0
+    assert parse_polynomial("2 3 x1").terms == {(1, 0, 0): Fraction(6)}
+    assert parse_polynomial("x1x2").terms == {(1, 1, 0): Fraction(1)}
+    assert parse_polynomial("--x1").terms == {(1, 0, 0): Fraction(1)}
+    assert parse_polynomial("x1^02").terms == {(2, 0, 0): Fraction(1)}
 
 
 def test_parse_scientific_and_constants():
@@ -32,6 +37,21 @@ def test_parse_rejects_garbage():
     for bad in ("", "x4", "2 **", "x1^", "+", "x1^x2", "* x1", "x1 *"):
         with pytest.raises(ValueError):
             parse_polynomial(bad)
+
+
+@pytest.mark.parametrize(
+    "text,words",
+    [
+        ("x1^2.5", ("exponent 2.5", "nonnegative integer", "'x1^2.5'")),
+        ("x1^2.", ("exponent 2.", "nonnegative integer", "'x1^2.'")),
+        ("x1^1e2", ("exponent 1e2", "nonnegative integer", "'x1^1e2'")),
+        ("1e400 x1", ("coefficient 1e400", "not finite", "'1e400 x1'")),
+    ],
+)
+def test_parse_names_a_bad_exponent_or_coefficient(text, words):
+    with pytest.raises(ValueError) as err:
+        parse_polynomial(text)
+    assert all(w in str(err.value) for w in words), err.value
 
 
 def test_polynomial_partials_are_exact():
@@ -213,3 +233,7 @@ def test_field_from_config():
         field_from_config({"builtin": "nope"})
     with pytest.raises(ValueError):
         field_from_config({"other": 1})
+    with pytest.raises(ValueError, match=r"^f config 'poly': exponent 2\.5 "):
+        field_from_config({"poly": "x1^2.5"}, "f")
+    with pytest.raises(ValueError, match="^f config: eps must be positive$"):
+        field_from_config({"builtin": "smooth_abs", "eps": -1}, "f")

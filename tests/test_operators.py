@@ -20,7 +20,7 @@ from heisenpde.operators import (
     validate_operator,
 )
 from heisenpde.rng import SplitMix64
-from heisenpde.solver import ProblemSpec, manufacture
+from heisenpde.solver import Discretization, ProblemSpec, manufacture
 from heisenpde.symmetric import Sym2, Sym3
 
 
@@ -299,7 +299,7 @@ def test_residual_manufactured_and_errors():
     assert (np.abs(rebuilt - f.value_batch(pts)) <= 1e-12 * scale).all()
     zero = PolynomialField.constant(0)
     grid = Grid3.box((-1, -1, -1), (1, 1, 1), (5, 5, 5))
-    disc = ProblemSpec(sub, zero, zero, zero, grid).discretization
+    disc = Discretization(ProblemSpec(sub, zero, zero, zero, grid))
     assert not disc.residual_interior(np.zeros(grid.n_nodes), disc.f_int).any()
     with pytest.raises(ValueError):
         ProblemSpec(sub, PolynomialField.constant(-1), zero, zero, grid)

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import integers
 
 from heisenpde.rng import SplitMix64, derive, mix64
 
@@ -33,7 +34,7 @@ def test_take_is_the_raw_stream():
     assert np.array_equal(g.take(3), g.words(5, 3))
     # integers() reduces the same words modulo its range
     h = SplitMix64(9, "raw")
-    assert np.array_equal(h.integers(5, 2, 9), (first % np.uint64(7)).astype(np.int64) + 2)
+    assert np.array_equal(integers(h, 5, 2, 9), (first % np.uint64(7)).astype(np.int64) + 2)
 
 
 def test_uniform_range_and_moments():

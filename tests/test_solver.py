@@ -54,14 +54,14 @@ def box(n):
 
 def residual_norm(u: GridFunction, prob: ProblemSpec) -> float:
     """max over interior nodes of |F(stencil) - c u - f|, the solver's stopping statistic."""
-    disc = prob.discretization
+    disc = Discretization(prob)
     return float(np.abs(disc.residual_interior(u.values.ravel(), disc.f_int)).max())
 
 
 def pure_iteration(prob: ProblemSpec, u: GridFunction, max_sweeps: int) -> GridFunction:
     """Plain Jacobi sweeps of the problem's finest level from u, with its
     boundary data reset, until the residual falls below tol."""
-    disc = prob.discretization
+    disc = Discretization(prob)
     flat = u.values.ravel().copy()
     disc.enforce_boundary(flat)
     held = [disc.residual_interior(flat, disc.f_int)]
@@ -185,7 +185,7 @@ def test_stencil_hessian_is_the_solver_stencil_column():
     g = box(9)
     values = SplitMix64(58, "stencil-column").uniform(9**3, -1.0, 1.0).reshape(g.counts)
     u = GridFunction(g, values)
-    columns = ProblemSpec(SUB, ONE, ZERO, u, g).discretization.stencil.hessian_components(
+    columns = Discretization(ProblemSpec(SUB, ONE, ZERO, u, g)).stencil.hessian_components(
         values.ravel()
     )
     d_x, d_y, d_plus, d_minus = columns
@@ -242,7 +242,7 @@ def test_pucci_equal_brackets_match_sublaplacian():
 
 def test_step_fixed_point_and_validation():
     # zero data: the zero function is a fixed point of the Jacobi step
-    disc = ProblemSpec(SUB, ONE, ZERO, ZERO, box(9), tol=1e-8).discretization
+    disc = Discretization(ProblemSpec(SUB, ONE, ZERO, ZERO, box(9), tol=1e-8))
     flat = np.zeros(disc.grid.n_nodes)
     disc.smooth(flat, disc.f_int, 1, [])
     res = disc.residual_interior(flat, disc.f_int)
@@ -251,7 +251,7 @@ def test_step_fixed_point_and_validation():
 
 def test_step_resets_boundary_and_reports_nan():
     u_star, prob = manufactured_problem(9)
-    disc = prob.discretization
+    disc = Discretization(prob)
     flat = np.ones(prob.grid.n_nodes)
     disc.enforce_boundary(flat)
     bmask = ~prob.grid.interior_mask().ravel()
@@ -266,7 +266,7 @@ def test_step_resets_boundary_and_reports_nan():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_advance_names_the_first_non_finite_update(bad):
     _, prob = manufactured_problem(9)
-    disc = prob.discretization
+    disc = Discretization(prob)
     flat = np.zeros(prob.grid.n_nodes)
     res = np.ones(disc.stencil.shape)
     res[2, 5, 1] = res[6, 0, 3] = bad
@@ -286,7 +286,7 @@ def test_interior_c_is_the_interior_evaluation_bitwise(counts, c):
     # evaluation on the interior nodes alone gives
     grid = Grid3.box((-1.0, -0.7, -1.3), (0.9, 1.1, 1.2), counts)
     field = parse_polynomial(c)
-    disc = ProblemSpec(SUB, field, ZERO, ZERO, grid).discretization
+    disc = Discretization(ProblemSpec(SUB, field, ZERO, ZERO, grid))
     inner = _interior(grid.points(), counts + (3,)).reshape(-1, 3)
     assert disc.c_int.tobytes() == field.value_batch(inner).tobytes()
     assert disc.tau == cfl_tau(disc.rho, 2.0, float(field.value_batch(grid.points()).max()))
@@ -326,7 +326,7 @@ def test_level_set_up_rejects_non_finite_data(c, f, boundary, grid, words):
     with np.errstate(over="ignore"):
         prob = ProblemSpec(SUB, c, f, boundary, grid)
         with pytest.raises(ValueError) as err:
-            prob.discretization
+            Discretization(prob)
     assert words in str(err.value), err.value
 
 
@@ -538,16 +538,17 @@ def test_stencil_matches_per_sample_oracle(grid, boundary, width):
 
 def test_stencil_storage_below_5_bytes_per_sample():
     stencil = Discretization(ProblemSpec(SUB, ONE, ZERO, ZERO, box(33))).stencil
-    assert stencil.nbytes < 5 * (8 * 31**3)
+    nbytes = stencil.copy.nbytes + sum(a.nbytes for d in stencil.directions for a in d)
+    assert nbytes < 5 * (8 * 31**3)
 
 
 def test_discretization_belongs_to_its_problem():
     prob = ProblemSpec(SUB, ONE, ZERO, ZERO, box(9), tol=1e-8)
     res = solve(prob)
-    disc = prob.discretization
+    disc = prob.multilevel.levels[0]
     residual_norm(res.u, prob)
     pure_iteration(prob, res.u, 1)
-    assert prob.discretization is disc
+    assert prob.multilevel.levels[0] is disc
     ref = weakref.ref(disc)
     del disc, prob
     assert ref() is None
@@ -614,7 +615,7 @@ POLY_BOUNDARY = parse_polynomial("x1^2 x3 - x2 + 0.5 x3^2")
 @pytest.mark.parametrize("n,coarsest", [(17, 5), (11, 6)])
 def test_probed_coarse_map_matches_stencil(n, coarsest):
     prob = ProblemSpec(SUB, ONE, ZERO, POLY_BOUNDARY, box(n))
-    ml = _Multilevel(prob, prob.discretization)
+    ml = _Multilevel(prob)
     disc = ml.levels[-1]
     assert disc.grid.counts == (coarsest,) * 3
     assert disc.stencil.outside_fraction > 0
@@ -644,7 +645,7 @@ PUCCI_PLUS = COARSE_KINDS["pucci_plus"]
 def test_coarse_solve_meets_its_test(kind):
     # rhs = T(target) for a random interior: coarse_solve must find target
     prob = ProblemSpec(COARSE_KINDS[kind], ONE, ONE, POLY_BOUNDARY, box(9))
-    ml = _Multilevel(prob, prob.discretization)
+    ml = _Multilevel(prob)
     disc = ml.levels[-1]
     target = disc.initial_values()
     disc.enforce_boundary(target)
@@ -709,6 +710,7 @@ def test_repeat_solve_reuses_the_hierarchy_bitwise(which, monkeypatch):
     # diagnostics, the per-level counts included
     prob = pucci_problem(17) if which == "pucci-plus-17" else pipeline_problem(17)
     first = solve(prob)
+    finest = prob.multilevel.levels[0]
     builds = []
     build = Discretization.__init__
 
@@ -724,7 +726,7 @@ def test_repeat_solve_reuses_the_hierarchy_bitwise(which, monkeypatch):
     builds.clear()
     again = solve(prob)
     assert builds == []
-    assert prob.multilevel.levels[0] is prob.discretization
+    assert prob.multilevel.levels[0] is finest
     for other in (again, fresh):
         assert other.u.values.tobytes() == first.u.values.tobytes()
         assert other.to_dict() == first.to_dict()
@@ -756,7 +758,7 @@ def test_direction_rows_are_monotone(n, width):
     # default rho is 1.5 h.  Every kind reads a subset of these rows.
     grid = box(n)
     sample_width = None if width is None else width * grid.horizontal_spacing
-    disc = ProblemSpec(PUCCI_PLUS, ONE, ZERO, ZERO, grid, sample_width=sample_width).discretization
+    disc = Discretization(ProblemSpec(PUCCI_PLUS, ONE, ZERO, ZERO, grid, sample_width=sample_width))
     assert disc.stencil.outside_fraction > 0
     assert disc.rho == (1.5 if width or n == 17 else 1.0) * grid.horizontal_spacing
     assert PUCCI_PLUS.hessian_rows == DIRECTIONS
@@ -778,7 +780,7 @@ def test_scheme_is_monotone_when_f_ignores_hxy(kind):
     # slopes, has no negative off-diagonal entry; kinds whose F depends on
     # h_xy do not have this
     op = MONOTONE_KINDS[kind]
-    disc = ProblemSpec(op, ONE, ZERO, ZERO, box(9)).discretization
+    disc = Discretization(ProblemSpec(op, ONE, ZERO, ZERO, box(9)))
     m = _probe(disc)
     g = SplitMix64(0, "monotone")
     for _ in range(3):
@@ -812,7 +814,7 @@ def test_plain_step_is_monotone_at_the_shipped_tau(kind, width):
     # it iterates is.  At rho = h (9^3) and at 1.5 h every horizontal
     # interpolation weight is 1 or 1/2.
     op, c = MONOTONE_STEPS[kind]
-    disc = ProblemSpec(op, c, ZERO, ZERO, box(9), sample_width=width).discretization
+    disc = Discretization(ProblemSpec(op, c, ZERO, ZERO, box(9), sample_width=width))
     assert disc.rho == (width or 0.25)
     # F is linear for these kinds: its exact slopes are its coefficients
     rows = disc.stencil.hessian_components(np.zeros(9**3), op.hessian_rows)
@@ -842,7 +844,7 @@ def test_each_nodes_step_is_four_fifths_of_its_own_diagonal(kind):
     # weights checked are 4/5, the plain damped sweep's, and the level's
     # Chebyshev weights.
     op = STEP_KINDS[kind]
-    disc = ProblemSpec(op, ONE, ZERO, ZERO, box(9)).discretization
+    disc = Discretization(ProblemSpec(op, ONE, ZERO, ZERO, box(9)))
     centre = np.einsum("kii->ki", _probe(disc))
     g = SplitMix64(0, f"step-{kind}")
     lam_corner = saddles = 0
@@ -876,7 +878,7 @@ def test_smooth_moves_each_node_by_the_step_of_its_residual():
     # the residual is handed in or evaluated.  For the bracket (1, 4) each
     # sum is one of the integers 2, 5 and 8 up to rounding.
     prob = pucci_problem(9)
-    disc = prob.discretization
+    disc = Discretization(prob)
     start = disc.initial_values() + SplitMix64(3, "smooth-step").uniform(9**3, -0.5, 0.5)
     disc.enforce_boundary(start)
     res = disc.residual_interior(start, disc.f_int)
@@ -1113,8 +1115,8 @@ def test_every_mix_is_accepted_or_rejected(monkeypatch, prob):
 def plain_v_cycles(prob: ProblemSpec) -> tuple[np.ndarray, list]:
     """The unmixed V-cycle iteration of solve, from the same nested
     iteration to the same stopping test: its iterate and its residuals."""
-    disc = prob.discretization
-    ml = _Multilevel(prob, disc)
+    ml = _Multilevel(prob)
+    disc = ml.levels[0]
     flat = ml.fmg_initial()
     held = [disc.residual_interior(flat, disc.f_int)]
     history = []
@@ -1269,15 +1271,14 @@ def test_restricted_rows_are_the_full_evaluation(kind, width, n):
         assert part.tobytes() == full[[DIRECTIONS.index(v) for v in dirs]].tobytes()
 
 
-def gathered_hessian(stencil, flat, rho, dirs=DIRECTIONS, ordered=False):
-    """The stencil as each direction evaluated it before directions shared
-    a horizontal blend, kept as a reference: per direction, the windows of
-    all its A x B horizontal corners are gathered from the zero-padded u
-    (corner indices clipped onto the grid) and reduced with np.tensordot,
-    or if `ordered` by adding the weighted corners in row-major order as
-    the stencil's blend does, then interpolated along x3; the row of each
-    line in `dirs` adds its two samples and the centre term in the
-    stencil's order.  The x3 padding is the smallest that holds every
+def gathered_samples(stencil, flat, rho, ordered=False):
+    """The samples along solver._COMBOS as each direction took them before
+    directions shared a horizontal blend, kept as a reference: per
+    direction, the windows of all its A x B horizontal corners are gathered
+    from the zero-padded u (corner indices clipped onto the grid) and
+    reduced with np.tensordot, or if `ordered` by adding the weighted
+    corners in row-major order as the stencil's blend does, then
+    interpolated along x3.  The x3 padding is the smallest that holds every
     window of a column with a sample in the box."""
     grid = stencil.grid
     n1, n2, n3 = grid.counts
@@ -1314,8 +1315,15 @@ def gathered_hessian(stencil, flat, rho, dirs=DIRECTIONS, ordered=False):
         sample = (blended[..., :-1] * (1 - fz) + blended[..., 1:] * fz).ravel()
         sample[d.out_rows] = d.out_vals
         samples.append(sample)
+    return samples
+
+
+def gathered_hessian(stencil, flat, rho, dirs=DIRECTIONS, ordered=False):
+    """The rows of gathered_samples: the row of each line in `dirs` adds its
+    two samples and the centre term in the stencil's order."""
+    samples = gathered_samples(stencil, flat, rho, ordered)
     w = 1.0 / (rho * rho)
-    centre = _interior(u, grid.counts).ravel() * (-2.0 * w)
+    centre = _interior(flat, stencil.grid.counts).ravel() * (-2.0 * w)
     first = [2 * DIRECTIONS.index(v) for v in dirs]
     return np.array([samples[j] * w + samples[j + 1] * w + centre for j in first])
 
@@ -1399,17 +1407,18 @@ def test_unpadded_rows_are_the_zero_padded_gather(name, width):
         assert (got.tobytes() == want.tobytes()) or not exact
 
 
-def centre_once(stencil: _Stencil, flat: np.ndarray, dirs=DIRECTIONS) -> np.ndarray:
-    """The stencil's rows with the centre term u (-2 w) formed once into an
-    interior array of its own and added to every row."""
+def centre_once(stencil: _Stencil, flat: np.ndarray, rho: float, dirs=DIRECTIONS) -> np.ndarray:
+    """The rows of the stencil of step rho on the samples of the ordered
+    zero-padded gather (gathered_samples), with the centre term u (-2 w)
+    formed once into an interior array of its own and added to every row."""
     rows, centre = np.empty((len(dirs), int(np.prod(stencil.shape)))), np.empty(stencil.shape)
     w = stencil.weight
     np.multiply(_interior(flat, stencil.grid.counts), -2.0 * w, out=centre)
-    samples = stencil._samples(flat, dirs)
-    for row in rows:
-        np.multiply(next(samples), w, out=row)
-        other = next(samples)
-        row += np.multiply(other, w, out=other)
+    samples = gathered_samples(stencil, flat, rho, ordered=True)
+    for row, v in zip(rows, dirs):
+        first = 2 * DIRECTIONS.index(v)
+        np.multiply(samples[first], w, out=row)
+        row += samples[first + 1] * w
         row += centre.ravel()
     return rows
 
@@ -1423,7 +1432,7 @@ def test_centre_term_formed_per_row_is_bitwise_the_stored_one(name, dirs):
     g = np.random.default_rng(len(name))
     for flat in (g.standard_normal(stencil.grid.n_nodes), g.uniform(1e3, 1e4, stencil.grid.n_nodes)):
         got = stencil.hessian_components(flat, dirs)
-        assert got.tobytes() == centre_once(stencil, flat, dirs).tobytes()
+        assert got.tobytes() == centre_once(stencil, flat, 0.137, dirs).tobytes()
 
 
 def test_solve_is_bitwise_the_stored_centre_solve(monkeypatch):
@@ -1431,7 +1440,12 @@ def test_solve_is_bitwise_the_stored_centre_solve(monkeypatch):
     # whole solve bitwise as it was
     prob = pucci_problem(17)
     res = solve(prob)
-    monkeypatch.setattr(_Stencil, "hessian_components", centre_once)
+    # every level of this problem takes the default step of its grid
+    monkeypatch.setattr(
+        _Stencil,
+        "hessian_components",
+        lambda self, flat, dirs=DIRECTIONS: centre_once(self, flat, sample_step(self.grid), dirs),
+    )
     ref = solve(pucci_problem(17))
     assert res.u.values.tobytes() == ref.u.values.tobytes()
     assert (res.cycle_residuals, res.level_evals) == (ref.cycle_residuals, ref.level_evals)
@@ -1442,7 +1456,7 @@ def test_no_fine_evaluation_keeps_an_earlier_residual(monkeypatch, case):
     # the residual is handed over, not kept by a caller: when the finest level
     # evaluates a residual, every residual it evaluated before has been freed
     prob = FINE_EVAL_CASES[case]()
-    finest = prob.discretization
+    finest = prob.multilevel.levels[0]
     evaluate = Discretization.residual_interior
     earlier, alive = [], []
 

@@ -1,5 +1,6 @@
-"""No dead surface: every module-level function of the package is called
-from the package itself or exported in heisenpde.__all__."""
+"""No dead surface: every module-level function of the package, and every
+method of a class that heisenpde.__all__ does not export, is called from
+the package itself or exported in heisenpde.__all__."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,26 @@ def test_every_module_function_is_used_or_exported():
         if name not in used and name not in heisenpde.__all__
     ]
     assert not dead, f"no caller in src/ and not in heisenpde.__all__: {dead}"
+
+
+def test_every_method_of_an_unexported_class_is_used():
+    # a method is used if its name is read anywhere in src/ outside its own
+    # body; special methods are called by the language
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                used |= _used_names(node)
+                continue
+            for item in node.body:
+                names = _used_names(item)
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if not item.name.startswith("__") and node.name not in heisenpde.__all__:
+                        defined.append((path.name, node.name, item.name))
+                    names.discard(item.name)  # recursion is not a caller
+                used |= names
+    dead = [f"{module}:{cls}.{name}" for module, cls, name in defined if name not in used]
+    assert not dead, f"no caller in src/: {dead}"
 
 
 def test_every_exported_name_resolves():
