@@ -17,7 +17,7 @@ from .doubling import (
 )
 from .fields import NumericField, PolynomialField, ScalarField, parse_polynomial
 from .grid import Grid3, GridFunction
-from .group import ORIGIN, Point
+from .group import Point
 from .operators import (
     EllipticityBracket,
     HolderData,
@@ -38,14 +38,12 @@ from .solver import (
     SolveResult,
     manufacture,
     solve,
-    stencil_hessian,
 )
 from .symmetric import Sym2, Sym3
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ORIGIN",
     "EllipticityBracket",
     "Grid3",
     "GridFunction",
@@ -73,7 +71,6 @@ __all__ = [
     "parse_polynomial",
     "run_pipeline",
     "solve",
-    "stencil_hessian",
     "theorem_bound",
     "validate_operator",
     "vertical_obstruction_check",

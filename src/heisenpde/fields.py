@@ -19,6 +19,7 @@ from __future__ import annotations
 import inspect
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,20 +35,15 @@ def _accumulate(terms: dict, expo: tuple[int, int, int], coeff: Fraction) -> Non
 
 
 class ScalarField:
-    """Evaluation plus second partial derivatives at a point."""
-
-    def value(self, p: Point) -> float:
-        raise NotImplementedError
+    """Values at an (n, 3) array of points, and second partial derivatives
+    at a point; one point is a one-row array."""
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
-        return np.array([self.value(Point(*row)) for row in np.asarray(pts, dtype=float)])
-
-    def second_partial(self, p: Point, i: int, j: int) -> float:
         raise NotImplementedError
 
     def second_partials(self, p: Point, pairs) -> list[float]:
-        """second_partial(p, i, j) for each (i, j) in pairs."""
-        return [self.second_partial(p, i, j) for i, j in pairs]
+        """d^2u/dx_i dx_j at p for each (i, j) in pairs."""
+        raise NotImplementedError
 
 
 class PolynomialField(ScalarField):
@@ -122,9 +118,6 @@ class PolynomialField(ScalarField):
             new[i] -= 1
             _accumulate(out, tuple(new), c * expo[i])
         return PolynomialField._exact(out)
-
-    def second_partial(self, p: Point, i: int, j: int) -> float:
-        return self.second_partials(p, ((i, j),))[0]
 
     def second_partials(self, p: Point, pairs) -> list[float]:
         """d^2u/dx_i dx_j at p for each (i, j) in pairs, in one pass over the
@@ -217,18 +210,17 @@ class NumericField(ScalarField):
         self.fn = fn
         self.h_fd = h_fd
 
-    def value(self, p: Point) -> float:
-        out = float(np.asarray(self.fn(np.array([[p.x1, p.x2, p.x3]])))[0])
-        if not math.isfinite(out):
-            raise ValueError(f"field evaluation returned {out} at {p}")
-        return out
-
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
 
-    def second_partial(self, p: Point, i: int, j: int) -> float:
+    def second_partials(self, p: Point, pairs) -> list[float]:
+        """The centred quotient of step h_fd for each (i, j) in pairs: along
+        the axis e_i when i == j, else along e_i and e_j."""
         e = np.eye(3)
-        return second_difference(self, p, self.h_fd, e[i], None if i == j else e[j])
+        return [
+            second_difference(self, p, self.h_fd, e[i], None if i == j else e[j])
+            for i, j in pairs
+        ]
 
 
 def second_difference(u: ScalarField, p: Point, h: float, v: np.ndarray, w=None) -> float:
@@ -254,8 +246,9 @@ def parse_polynomial(text: str) -> PolynomialField:
     """Parse the text form ``c * x1^a x2^b x3^d + ...`` into a field.
 
     The coefficient and the ``*`` are optional, factors may be separated by
-    spaces, and exponents are nonnegative integers in digits; a ValueError
-    names the polynomial and the cause.
+    spaces, and exponents are nonnegative integers in digits.  Each
+    coefficient, its like terms summed, must lie in the float range.  A
+    ValueError names the polynomial and the cause.
     """
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -319,6 +312,14 @@ def parse_polynomial(text: str) -> PolynomialField:
             raise ValueError(f"empty term in polynomial {text!r}")
         key = tuple(expo)
         terms[key] = terms.get(key, Fraction(0)) + coeff
+    for expo, coeff in terms.items():
+        try:
+            float(coeff)  # as the float view of the term will, at the first evaluation
+        except OverflowError:
+            raise ValueError(
+                f"the coefficient of x1^{expo[0]} x2^{expo[1]} x3^{expo[2]} lies beyond the "
+                f"float range (magnitude at most {sys.float_info.max:.6g}) in polynomial {text!r}"
+            ) from None
     return PolynomialField(terms)
 
 

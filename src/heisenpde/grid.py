@@ -68,17 +68,11 @@ class Grid3:
     def axis_coordinates(self, axis: int) -> np.ndarray:
         return self.lower[axis] + self.spacings[axis] * np.arange(self.counts[axis])
 
-    def coordinate(self, idx: tuple[int, int, int]) -> np.ndarray:
-        return np.array([self.lower[i] + idx[i] * self.spacings[i] for i in range(3)])
-
     def points(self) -> np.ndarray:
         """(n_nodes, 3) node coordinates in storage (x3-fastest) order."""
         axes = [self.axis_coordinates(i) for i in range(3)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def is_interior(self, idx: tuple[int, int, int]) -> bool:
-        return all(0 < idx[i] < self.counts[i] - 1 for i in range(3))
 
     def interior_mask(self) -> np.ndarray:
         mask = np.zeros(self.counts, dtype=bool)

@@ -35,9 +35,6 @@ class Point:
         return np.array([self.x1, self.x2, self.x3])
 
 
-ORIGIN = Point(0.0, 0.0, 0.0)
-
-
 def group_mul_batch(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row-wise products p . q of two (n, 3) arrays of points."""
     out = p + q

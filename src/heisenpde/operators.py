@@ -54,7 +54,8 @@ DIRECTIONS = (X, Y, X_PLUS_Y, X_MINUS_Y)
 
 @dataclass(frozen=True)
 class EllipticityBracket:
-    """Ellipticity constants 0 < lam <= Lam."""
+    """Ellipticity constants 0 < lam <= Lam, stored as floats: Pucci's
+    slopes are arrays of them, and so must hold float quotients."""
 
     lam: float
     Lam: float
@@ -62,6 +63,8 @@ class EllipticityBracket:
     def __post_init__(self):
         if not (0.0 < self.lam <= self.Lam):
             raise ValueError(f"need 0 < lam <= Lam, got ({self.lam}, {self.Lam})")
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "Lam", float(self.Lam))
 
     @staticmethod
     def from_config(cfg: dict) -> "EllipticityBracket":

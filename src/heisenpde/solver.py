@@ -11,15 +11,13 @@ reduction is a nondecreasing function of the rows: the sub-Laplacian
 D_X + D_Y and trace_linear with a12 = 0.  Pucci and trace_linear with
 a12 != 0 rebuild h_xy = (D_{X+Y} - D_{X-Y}) / 4, which weighs the X - Y
 samples by -1/(4 rho^2), so they are not.  Samples that leave the box are
-evaluated with the Dirichlet data (the boundary field extends u);
-stencil_hessian runs the same stencil on a bare grid function, which is its
-own off-box field and so clamps those samples onto the box.  Because the
-frame's horizontal step
-is the same at every node and its vertical step depends only on the node's
-column, the operator is evaluated from shifted x3 rows of u per column (see
-_Stencil): the directions that share one horizontal weight table, a family,
-share one horizontal interpolation of u, and each direction then takes one
-x3 window of it per column.  Those rows are unpadded: each holds a column's
+evaluated with the Dirichlet data (the boundary field extends u).
+Because the frame's horizontal step is the same at every node and its
+vertical step depends only on the node's column, the operator is
+evaluated from shifted x3 rows of u per column (see _Stencil): the
+directions that share one horizontal weight table, a family, share one
+horizontal interpolation of u, and each direction then takes one x3
+window of it per column.  Those rows are unpadded: each holds a column's
 n3 values and one zero, in one flat buffer with slack only at its two ends.
 The evaluation makes no BLAS call.  A problem's solver, every level from
 the finest down with the transfers between them (ProblemSpec.multilevel),
@@ -91,8 +89,8 @@ T computes only the direction rows that F reads (OperatorSpec.hessian_rows),
 and the stencil takes no sample of a line that F does not read.  The
 sub-Laplacian and trace_linear with a12 = 0 read D_X and D_Y only, so their
 T skips the two diagonal lines and their four-corner blend; the rows it
-does compute are bitwise those of the full call.  stencil_hessian computes
-all four rows.
+does compute are bitwise those of the full call, which computes all four
+rows (hessian_components with its default dirs).
 
 The coarsest level is solved directly.  The stencil is affine in the
 interior node values, so probing it once with the interior unit vectors
@@ -120,8 +118,7 @@ from .config import config_number, config_section
 from .fields import NumericField, PolynomialField, ScalarField, field_from_config
 from .grid import Grid3, GridFunction, cells
 from .group import frame_batch
-from .operators import DIRECTIONS, INTRINSIC, OperatorSpec, cross_term
-from .symmetric import Sym2
+from .operators import DIRECTIONS, INTRINSIC, OperatorSpec
 
 # the samples p + rho v and p - rho v of each direction v, as coefficient
 # pairs on the frame (X, Y)
@@ -646,25 +643,6 @@ class Discretization:
 
     def enforce_boundary(self, flat: np.ndarray) -> None:
         flat[self.boundary_flat] = self.boundary_vals
-
-
-def stencil_hessian(
-    u: GridFunction, idx: tuple[int, int, int], step: float | None = None
-) -> Sym2:
-    """The solver's frame-aligned second differences at one interior node of
-    a bare grid function, which also serves as its own off-box field and so
-    clamps those samples onto the box: (D_X, h_xy, D_Y), with h_xy formed
-    from D_{X+Y} and D_{X-Y} by operators.cross_term.  Boundary indices are
-    rejected, and so is a step, given or the default sample_step, that is
-    not positive or whose square or inverse square is not finite."""
-    if not u.grid.is_interior(idx):
-        raise ValueError(f"index {idx} is not interior")
-    step = sample_step(u.grid) if step is None else step
-    _check_step(step, "step")
-    stencil = _Stencil(u.grid, u, step)
-    column = np.ravel_multi_index(tuple(i - 1 for i in idx), stencil.shape)
-    d_x, d_y, d_plus, d_minus = stencil.hessian_components(u.values.ravel())[:, column]
-    return Sym2(float(d_x), float(cross_term(d_plus, d_minus)), float(d_y))
 
 
 def manufacture(u_star: ScalarField, op: OperatorSpec, c: ScalarField) -> ScalarField:

@@ -217,10 +217,15 @@ def test_solve_wrong_typed_number_exit_1(tmp_path, capsys, override, words):
         ({"poly": "x1^2."}, "f config 'poly': exponent 2. is not a nonnegative integer"),
         ({"poly": "x1^1e2"}, "f config 'poly': exponent 1e2 is not a nonnegative integer"),
         ({"poly": "1e400 x1"}, "f config 'poly': coefficient 1e400 is not finite"),
+        (
+            {"poly": "1e300 1e300 x1"},
+            "f config 'poly': the coefficient of x1^1 x2^0 x3^0 lies beyond the float range "
+            "(magnitude at most 1.79769e+308) in polynomial '1e300 1e300 x1'",
+        ),
         ({"builtin": "smooth_abs", "eps": -1}, "f config: eps must be positive"),
     ],
     ids=["exponent-fraction", "exponent-trailing-dot", "exponent-scientific", "coefficient-inf",
-         "builtin-eps-negative"],
+         "coefficient-product-overflow", "builtin-eps-negative"],
 )
 def test_solve_bad_field_names_its_section_exit_1(tmp_path, capsys, field, message):
     cfg = write_json(tmp_path / "prob.json", dict(SOLVE_CONFIG, f=field))

@@ -40,16 +40,16 @@ def test_index_coordinate_roundtrip():
     def index(p):
         return tuple(int(round((p[i] - g.lower[i]) / g.spacings[i])) for i in range(3))
 
-    for idx in [(0, 0, 0), (8, 10, 4), (3, 7, 2)]:
-        assert index(g.coordinate(idx)) == idx
     # every node, exactly, and in the storage order of points()
     pts = g.points()
     for i1 in range(9):
         for i2 in range(11):
             for i3 in range(5):
-                p = g.coordinate((i1, i2, i3))
+                p = pts[(i1 * 11 + i2) * 5 + i3]
                 assert index(p) == (i1, i2, i3)
-                assert np.array_equal(p, pts[(i1 * 11 + i2) * 5 + i3])
+                assert np.array_equal(
+                    p, [g.lower[i] + idx * g.spacings[i] for i, idx in enumerate((i1, i2, i3))]
+                )
 
 
 def test_points_order_is_x3_fastest():

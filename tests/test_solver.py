@@ -40,7 +40,6 @@ from heisenpde.solver import (
     manufacture,
     sample_step,
     solve,
-    stencil_hessian,
 )
 
 SUB = OperatorSpec.sublaplacian()
@@ -130,44 +129,43 @@ def test_sample_step_rule():
     assert steps.tolist() == [cfl_tau(0.1, s, 1000.0, 1.7) for s in (2.0, 0.5, 5.0)]
 
 
+def stencil_matrix(u, grid: Grid3, idx, sample_width=None) -> np.ndarray:
+    """The solver's frame-aligned second differences of the field u at the
+    interior node idx of grid, with u as the boundary: [[D_X, h_xy],
+    [h_xy, D_Y]], h_xy formed from D_{X+Y} and D_{X-Y} by cross_term."""
+    disc = Discretization(ProblemSpec(SUB, ONE, ZERO, u, grid, sample_width=sample_width))
+    rows = disc.stencil.hessian_components(u.value_batch(grid.points()))
+    column = np.ravel_multi_index(tuple(i - 1 for i in idx), disc.stencil.shape)
+    d_x, d_y, d_plus, d_minus = rows[:, column]
+    return Sym2(d_x, cross_term(d_plus, d_minus), d_y).mat
+
+
 def test_stencil_hessian_quadratic_exact_at_spacing_step():
     g = box(17)
-    u = GridFunction.from_field(g, parse_polynomial("x1^2 + x2^2"))
     h = min(g.spacings[0], g.spacings[1])
-    m = stencil_hessian(u, (8, 8, 8), step=h)
-    assert np.allclose(m.mat, np.diag([2.0, 2.0]), atol=1e-10)
+    m = stencil_matrix(parse_polynomial("x1^2 + x2^2"), g, (8, 8, 8), sample_width=h)
+    assert np.allclose(m, np.diag([2.0, 2.0]), atol=1e-10)
 
 
 def test_stencil_hessian_linear_and_vertical():
     g = box(17)
-    lin = GridFunction.from_field(g, parse_polynomial("2 x1 - x2 + 3 x3"))
-    m = stencil_hessian(lin, (8, 8, 8))
-    assert np.abs(m.mat).max() <= 1e-10
-    x3 = GridFunction.from_field(g, PolynomialField.coordinate(2))
-    m3 = stencil_hessian(x3, (5, 11, 8))
-    assert np.abs(m3.mat).max() <= 1e-10
-    with pytest.raises(ValueError):
-        stencil_hessian(lin, (0, 8, 8))
-
-
-@pytest.mark.parametrize("bad", [0.0, 1e-300, -0.25, 1e300, float("nan"), float("inf")])
-def test_stencil_hessian_rejects_bad_steps(bad):
-    # a step whose square or inverse square is not a positive finite number
-    # would return a non-finite Sym2
-    u = GridFunction.from_field(box(9), parse_polynomial("x1^2 + x2^2"))
-    with pytest.raises(ValueError, match="step"):
-        stencil_hessian(u, (4, 4, 4), step=bad)
+    m = stencil_matrix(parse_polynomial("2 x1 - x2 + 3 x3"), g, (8, 8, 8))
+    assert np.abs(m).max() <= 1e-10
+    m3 = stencil_matrix(PolynomialField.coordinate(2), g, (5, 11, 8))
+    assert np.abs(m3).max() <= 1e-10
 
 
 def test_stencil_hessian_rejects_a_default_step_with_infinite_square():
     # h = 2.5e159: the default step is h, and its square overflows
     grid = Grid3.box((-1e160, -1e160, -1), (1e160, 1e160, 1), (9, 9, 9))
     with pytest.raises(ValueError, match="step must be positive with finite square"):
-        stencil_hessian(GridFunction.zeros(grid), (4, 4, 4))
+        Discretization(ProblemSpec(SUB, ONE, ZERO, ZERO, grid))
 
 
-@pytest.mark.parametrize("bad", [1e300, 1e-300, 0.0, -0.25])
+@pytest.mark.parametrize("bad", [1e300, 1e-300, 0.0, -0.25, float("nan"), float("inf")])
 def test_problem_rejects_bad_sample_width(bad):
+    # a width whose square or inverse square is not a positive finite number
+    # would give non-finite second differences
     cfg = {
         "operator": {"kind": "sublaplacian", "lambda": 1.0, "Lambda": 1.0},
         "c": {"poly": "1"},
@@ -178,20 +176,8 @@ def test_problem_rejects_bad_sample_width(bad):
     }
     with pytest.raises(ValueError, match="sample_width"):
         ProblemSpec.from_config(cfg)
-
-
-def test_stencil_hessian_is_the_solver_stencil_column():
-    # the solver's stencil of a problem whose Dirichlet data is u itself
-    g = box(9)
-    values = SplitMix64(58, "stencil-column").uniform(9**3, -1.0, 1.0).reshape(g.counts)
-    u = GridFunction(g, values)
-    columns = Discretization(ProblemSpec(SUB, ONE, ZERO, u, g)).stencil.hessian_components(
-        values.ravel()
-    )
-    d_x, d_y, d_plus, d_minus = columns
-    for k, idx in enumerate(np.ndindex(7, 7, 7)):
-        m = stencil_hessian(u, tuple(i + 1 for i in idx))
-        assert [m.a11, m.a12, m.a22] == [d_x[k], cross_term(d_plus[k], d_minus[k]), d_y[k]], idx
+    with pytest.raises(ValueError, match="sample_width must be positive with finite square"):
+        ProblemSpec(SUB, ONE, ZERO, ZERO, box(9), sample_width=bad)
 
 
 def test_stencil_hessian_consistency_under_refinement():
@@ -201,15 +187,28 @@ def test_stencil_hessian_consistency_under_refinement():
     errs = []
     for n in (17, 33, 65):
         g = box(n)
-        gf = GridFunction.from_field(g, u)
         idx = tuple((c - 1) // 2 + 1 for c in g.counts)
-        p = Point(*g.coordinate(idx))
+        p = Point(*g.points()[np.ravel_multi_index(idx, g.counts)])
         exact = h_hessian(u, p).mat
-        approx = stencil_hessian(gf, idx).mat
-        errs.append(np.abs(approx - exact).max())
+        errs.append(np.abs(stencil_matrix(u, g, idx) - exact).max())
     order = np.log2(errs[0] / errs[2]) / 2
     assert errs[2] < errs[0]
     assert order >= 0.8
+
+
+def test_integer_bracket_solves_as_its_float_bracket_bitwise():
+    # an int bracket made Pucci's slopes int arrays, which could not hold
+    # the float quotients of linearize in the coarse solve
+    bracket = EllipticityBracket(1, 4)
+    assert (type(bracket.lam), type(bracket.Lam)) == (float, float)
+    u_star = parse_polynomial("x1^2 - x2^2")
+    results = []
+    for b in (bracket, EllipticityBracket(1.0, 4.0)):
+        op = OperatorSpec("pucci_plus", b)
+        results.append(solve(ProblemSpec(op, ONE, manufacture(u_star, op, ONE), u_star, box(9))))
+    ints, floats = results
+    assert ints.converged
+    assert ints.u.values.tobytes() == floats.u.values.tobytes()
 
 
 def test_solve_manufactured_quadratic():

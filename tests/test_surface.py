@@ -1,13 +1,16 @@
 """No dead surface: every module-level function of the package, and every
 method of a class that heisenpde.__all__ does not export, is called from
-the package itself or exported in heisenpde.__all__."""
+the package itself or exported in heisenpde.__all__; every exported
+function or constant is read by the package or by the benchmark."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import heisenpde
 
 SRC = Path(heisenpde.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _used_names(node: ast.AST) -> set[str]:
@@ -62,3 +65,18 @@ def test_every_exported_name_resolves():
     # a stale name in __all__ breaks `from heisenpde import *`
     missing = [name for name in heisenpde.__all__ if not hasattr(heisenpde, name)]
     assert not missing, f"in heisenpde.__all__ but not on the package: {missing}"
+
+
+def test_every_exported_function_or_constant_has_a_caller():
+    # an exported class is a type a caller builds; any other exported name
+    # must be read in src/ outside __init__.py, or by the benchmark
+    used = set()
+    for path in [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))]:
+        if path != SRC / "__init__.py":
+            used |= _used_names(ast.parse(path.read_text()))
+    unread = [
+        name
+        for name in heisenpde.__all__
+        if not inspect.isclass(getattr(heisenpde, name)) and name not in used
+    ]
+    assert not unread, f"exported but read nowhere in src/ or bench/: {unread}"
