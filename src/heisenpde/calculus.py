@@ -31,7 +31,10 @@ def h_second_fields(u: PolynomialField) -> tuple[PolynomialField, ...]:
 def h_hessian(u: ScalarField, p: Point) -> Sym2:
     """Symmetrized horizontal Hessian [[X^2u, (XY+YX)u/2], [., Y^2u]] at p."""
     if isinstance(u, PolynomialField):
-        xx, xy, yx, yy = (w.value(p) for w in h_second_fields(u))
+        try:
+            xx, xy, yx, yy = (w.value(p) for w in h_second_fields(u))
+        except ValueError as err:
+            raise ValueError(f"{err} in a horizontal second derivative") from None
         return Sym2(xx, 0.5 * (xy + yx), yy)
     (x,), (y,) = frame_batch(p.as_array()[None])
     h = u.h_fd if hasattr(u, "h_fd") else 1e-4

@@ -10,6 +10,7 @@ operator path, closed-form cross-checks).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,7 @@ from .group import (
     sqrt_p_batch,
 )
 from .operators import EllipticityBracket, OperatorSpec, validate_operator
-from .rng import SplitMix64
+from .rng import SplitMix64, uniform_words
 from .symmetric import Sym2
 
 
@@ -52,22 +53,43 @@ def _report(lemma_id: str, trials: int, worst: float, passed: bool, **extra) -> 
     return out
 
 
-def _random_polynomial(g: SplitMix64, degree: int = 6) -> PolynomialField:
-    """n_terms = 8 monomials of total degree <= degree (x3 counted twice) with
-    uniform(-1, 1) coefficients; term k takes raw words 3k, 3k+1, 3k+2 after
-    the coefficients, each reduced modulo its sequential bound."""
-    n_terms = 8
-    coeffs = g.uniform(n_terms, -1.0, 1.0)
-    w = g.take(3 * n_terms).reshape(n_terms, 3)
+# A trial of a calculus check decodes one row of raw words: 8 coefficient
+# words and 24 exponent words for its polynomial, then its own uniform draws.
+# The rows are consecutive blocks of one take, in the order that one call
+# per draw would read the stream (SplitMix64 is index-addressable).
+_POLY_TERMS = 8
+_POLY_WORDS = 4 * _POLY_TERMS
+
+
+def _random_polynomials(words: np.ndarray, degree: int) -> Iterator[PolynomialField]:
+    """One polynomial per row of words (n, 32): 8 monomials of total degree
+    <= degree (x3 counted twice) with uniform(-1, 1) coefficients from words
+    0-7; term k takes words 8+3k, 9+3k, 10+3k, each reduced modulo its
+    sequential bound.  Each is built as the caller reaches it, so a check
+    holds one trial's field at a time, not a thousand."""
+    coeffs = uniform_words(words[:, :_POLY_TERMS], -1.0, 1.0)
+    w = words[:, _POLY_TERMS:_POLY_WORDS].reshape(-1, _POLY_TERMS, 3)
     one = np.uint64(1)
-    a = w[:, 0] % np.uint64(degree + 1)
-    b = w[:, 1] % (np.uint64(degree + 1) - a)
-    d = w[:, 2] % np.maximum(one, (np.uint64(degree) - a - b) // np.uint64(2) + one)
-    terms: dict[tuple[int, int, int], Fraction] = {}
-    for k in range(n_terms):
-        key = (int(a[k]), int(b[k]), int(d[k]))
-        terms[key] = terms.get(key, Fraction(0)) + Fraction(float(coeffs[k]))
-    return PolynomialField(terms)
+    a = w[..., 0] % np.uint64(degree + 1)
+    b = w[..., 1] % (np.uint64(degree + 1) - a)
+    d = w[..., 2] % np.maximum(one, (np.uint64(degree) - a - b) // np.uint64(2) + one)
+    keys = np.stack([a, b, d], axis=-1)
+    for key_row, coeff_row in zip(keys, coeffs):
+        terms: dict[tuple[int, int, int], float | Fraction] = {}
+        for key, c in zip(map(tuple, key_row.tolist()), coeff_row.tolist()):
+            # like terms are summed exactly
+            terms[key] = Fraction(terms[key]) + Fraction(c) if key in terms else c
+        yield PolynomialField(terms)
+
+
+def _calculus_trials(
+    seed: int, label: str, trials: int, degree: int, extra: int, lo: float = -2.0, hi: float = 2.0
+) -> tuple[Iterator[PolynomialField], np.ndarray]:
+    """Each trial's polynomial and its (trials, extra) uniform(lo, hi) draws,
+    from one take of trials rows of 32 + extra words on the labelled stream."""
+    width = _POLY_WORDS + extra
+    words = SplitMix64(seed, label).take(width * trials).reshape(trials, width)
+    return _random_polynomials(words, degree), uniform_words(words[:, _POLY_WORDS:], lo, hi)
 
 
 def check_group_algebra(seed: int = 0, trials: int = 2000) -> dict:
@@ -144,10 +166,9 @@ def check_sigma_factorization(seed: int = 0, trials: int = 5000) -> dict:
 
 def check_commutator(seed: int = 0, trials: int = 100) -> dict:
     """[X, Y]u = -4 du/dx3 exactly for random polynomials (rational path)."""
-    g = SplitMix64(seed, "commutator")
+    polys, _ = _calculus_trials(seed, "commutator", trials, degree=6, extra=0)
     failures = 0
-    for _ in range(trials):
-        u = _random_polynomial(g, degree=6)
+    for u in polys:
         lhs = u.apply_y().apply_x() - u.apply_x().apply_y()
         if lhs != u.partial_field(2) * -4:
             failures += 1
@@ -156,18 +177,17 @@ def check_commutator(seed: int = 0, trials: int = 100) -> dict:
 
 def check_quadratic_form(seed: int = 0, trials: int = 1000) -> dict:
     """<D^2u (aX+bY), (aX+bY)> = <D^{2,*}u (a,b), (a,b)> to 1e-12 relative."""
-    g = SplitMix64(seed, "quadratic-form")
+    polys, draws = _calculus_trials(seed, "quadratic-form", trials, degree=6, extra=5)
+    pts, ab = draws[:, :3], draws[:, 3:]
+    x, y = frame_batch(pts)
+    vs = ab[:, :1] * x + ab[:, 1:] * y
     worst = 0.0
-    for _ in range(trials):
-        u = _random_polynomial(g, degree=6)
-        p = Point(*g.uniform(3, -2.0, 2.0))
-        a, b = g.uniform(2, -2.0, 2.0)
-        (x,), (y,) = frame_batch(p.as_array()[None])
-        v = a * x + b * y
+    for u, row, w, v in zip(polys, pts, ab, vs):
+        p = Point(*row)
         d2 = full_hessian(u, p).mat
         lhs = float(v @ d2 @ v)
         h = h_hessian(u, p).mat
-        rhs = float(np.array([a, b]) @ h @ np.array([a, b]))
+        rhs = float(w @ h @ w)
         scale = max(1.0, abs(lhs), abs(rhs), np.abs(d2).max() * float(v @ v))
         worst = max(worst, abs(lhs - rhs) / scale)
     return _report("calculus.quadratic_form", trials, worst, worst <= 1e-12)
@@ -175,15 +195,14 @@ def check_quadratic_form(seed: int = 0, trials: int = 1000) -> dict:
 
 def check_trace_identity(seed: int = 0, trials: int = 200) -> dict:
     """tr(lift D^2u) = tr(P D^2u) = X^2u + Y^2u."""
-    g = SplitMix64(seed, "trace-identity")
+    polys, pts = _calculus_trials(seed, "trace-identity", trials, degree=5, extra=3)
     worst = 0.0
-    for _ in range(trials):
-        u = _random_polynomial(g, degree=5)
-        p = Point(*g.uniform(3, -2.0, 2.0))
+    for u, row in zip(polys, pts):
+        p = Point(*row)
         s1 = h_hessian(u, p).trace()
         d2 = full_hessian(u, p).mat
-        s2 = float(np.trace(lift_batch(d2[None], p.as_array()[None])[0]))
-        pm = p_matrix_batch(p.as_array()[None])[0]
+        s2 = float(np.trace(lift_batch(d2[None], row[None])[0]))
+        pm = p_matrix_batch(row[None])[0]
         s3 = float(np.trace(pm @ d2))
         scale = max(1.0, abs(s1))
         worst = max(worst, abs(s1 - s2) / scale, abs(s1 - s3) / scale)
@@ -192,11 +211,9 @@ def check_trace_identity(seed: int = 0, trials: int = 200) -> dict:
 
 def check_dilation(seed: int = 0, trials: int = 100) -> dict:
     """X(u o dil) = lam (Xu) o dil and the lam^2 sub-Laplacian scaling, exact."""
-    g = SplitMix64(seed, "dilation")
+    polys, lams = _calculus_trials(seed, "dilation", trials, degree=5, extra=1, lo=0.25, hi=4.0)
     failures = 0
-    for _ in range(trials):
-        u = _random_polynomial(g, degree=5)
-        lam = float(g.uniform(1, 0.25, 4.0)[0])
+    for u, lam in zip(polys, lams[:, 0].tolist()):
         if u.dilate(lam).apply_x() != u.apply_x().dilate(lam) * lam:
             failures += 1
         if u.dilate(lam).apply_y() != u.apply_y().dilate(lam) * lam:

@@ -1,8 +1,15 @@
 """Scalar fields on R^3 with two derivative providers.
 
-PolynomialField keeps coefficients as exact Fractions, so repeated
-applications of the horizontal fields (and hence every commutator and lift
-identity) are exact; floats only appear at evaluation time.  NumericField
+PolynomialField keeps its coefficients exactly, as Python-int numerators
+over one common int denominator D (not necessarily in lowest terms): the
+horizontal fields and the partials multiply numerators by ints, a dilation
+or a product rescales onto a new denominator, and a sum onto the lcm of
+two.  So repeated applications of the horizontal fields (and hence every
+commutator and lift identity) are exact; floats only appear at evaluation
+time.  Each float coefficient is the int true division n / D, rounded
+once; Python rounds int / int correctly, so it is bitwise
+float(Fraction(n, D)), the float of the reduced Fraction in `terms`, the
+exact view built on demand.  NumericField
 wraps an arbitrary vectorized callable and differentiates it with centered
 finite differences of step h_fd (order 2 on smooth inputs).  Every lemma test
 can therefore cross-check the exact route against the finite-difference one.
@@ -29,9 +36,24 @@ from .config import config_number, config_section
 from .group import Point
 
 
-def _accumulate(terms: dict, expo: tuple[int, int, int], coeff: Fraction) -> None:
-    """terms[expo] += coeff, with no Fraction(0) start for a new key."""
-    terms[expo] = terms[expo] + coeff if expo in terms else coeff
+def _ratio(coeff) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an exact number: a float is a dyadic
+    rational, and anything else goes through Fraction."""
+    if not isinstance(coeff, (int, float, Fraction)):
+        coeff = Fraction(coeff)
+    return coeff.as_integer_ratio()
+
+
+def _coefficient_float(num: int, den: int, expo) -> float:
+    """num / den rounded once, the float view of the coefficient of x^expo.
+    A ValueError names the monomial when it lies beyond the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        raise ValueError(
+            f"the coefficient of x1^{expo[0]} x2^{expo[1]} x3^{expo[2]} lies beyond the "
+            f"float range (magnitude at most {sys.float_info.max:.6g})"
+        ) from None
 
 
 class ScalarField:
@@ -49,31 +71,41 @@ class ScalarField:
 class PolynomialField(ScalarField):
     """Polynomial in (x1, x2, x3) with exact rational coefficients.
 
-    terms maps exponent triples (a, b, d) to Fraction coefficients; float
-    inputs are converted exactly (every double is a dyadic rational).
+    _num maps exponent triples (a, b, d) to nonzero int numerators over the
+    one int denominator _den > 0, not necessarily in lowest terms; terms is
+    the exact view, a reduced Fraction per monomial.  Inputs are converted
+    exactly (every double is a dyadic rational).
     """
 
     def __init__(self, terms: dict[tuple[int, int, int], Fraction | float | int]):
-        clean: dict[tuple[int, int, int], Fraction] = {}
-        for expo, coeff in terms.items():
-            frac = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-            if frac != 0:
-                _accumulate(clean, tuple(int(e) for e in expo), frac)
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+        ratios = [(tuple(int(e) for e in expo), *_ratio(c)) for expo, c in terms.items()]
+        den = math.lcm(*(d for _, _, d in ratios))
+        num: dict[tuple[int, int, int], int] = {}
+        for key, n, d in ratios:
+            num[key] = num.get(key, 0) + n * (den // d)
+        self._num = {e: n for e, n in num.items() if n}
+        self._den = den
 
     @classmethod
-    def _exact(cls, terms: dict[tuple[int, int, int], Fraction]) -> "PolynomialField":
-        """Field from int exponent triples and Fraction sums, dropping zero sums."""
+    def _exact(cls, num: dict[tuple[int, int, int], int], den: int) -> "PolynomialField":
+        """Field from int exponent triples and int numerators over den,
+        dropping zero numerators."""
         field = cls.__new__(cls)
-        field.terms = {e: c for e, c in terms.items() if c != 0}
+        field._num = {e: n for e, n in num.items() if n}
+        field._den = den
         return field
+
+    @cached_property
+    def terms(self) -> dict[tuple[int, int, int], Fraction]:
+        """The exact coefficients, a reduced Fraction per monomial."""
+        return {e: Fraction(n, self._den) for e, n in self._num.items()}
 
     # Float views for evaluation, built on first use: most exact
     # intermediates (those of the quadratic-form check, say) are never evaluated.
     @cached_property
     def _float_terms(self) -> list[tuple[tuple[int, int, int], float]]:
         """(exponents, float coefficient) in sorted exponent order."""
-        return [(e, float(self.terms[e])) for e in sorted(self.terms)]
+        return [(e, _coefficient_float(self._num[e], self._den, e)) for e in sorted(self._num)]
 
     @cached_property
     def _expos(self) -> np.ndarray:
@@ -110,81 +142,100 @@ class PolynomialField(ScalarField):
         return monomials @ self._coeffs
 
     def partial_field(self, i: int) -> "PolynomialField":
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for expo, c in self.terms.items():
-            if expo[i] == 0:
-                continue
-            new = list(expo)
-            new[i] -= 1
-            _accumulate(out, tuple(new), c * expo[i])
-        return PolynomialField._exact(out)
+        """d/dx_i; differentiating by one coordinate never merges two monomials."""
+        out: dict[tuple[int, int, int], int] = {}
+        for expo, n in self._num.items():
+            if expo[i]:
+                new = list(expo)
+                new[i] -= 1
+                out[tuple(new)] = n * expo[i]
+        return PolynomialField._exact(out, self._den)
 
     def second_partials(self, p: Point, pairs) -> list[float]:
         """d^2u/dx_i dx_j at p for each (i, j) in pairs, in one pass over the
         terms and with no intermediate field.
 
-        The term c x^e contributes c k x^(e - e_i - e_j) with the integer
-        k = e_i (e_j - [i == j]).  Differentiating by one coordinate never
-        merges two monomials and keeps their sorted order, so this is
+        The term (n / D) x^e contributes (n k / D) x^(e - e_i - e_j) with the
+        integer k = e_i (e_j - [i == j]).  Differentiating by one coordinate
+        never merges two monomials and keeps their sorted order, so this is
         partial_field(i).partial_field(j).value(p) bitwise: the coefficient
-        is rounded once, as float(c * k) (int / int divides correctly
-        rounded), and the monomials are summed in the same order.
+        is rounded once, as (n k) / D, and the monomials are summed in the
+        same order.
         """
         x = (float(p.x1), float(p.x2), float(p.x3))
         totals = [0.0] * len(pairs)
-        for e, c in sorted(self.terms.items()):
-            for n, (i, j) in enumerate(pairs):
+        for e, n in sorted(self._num.items()):
+            for m, (i, j) in enumerate(pairs):
                 k = e[i] * (e[j] - (i == j))
                 if k:
                     f = list(e)
                     f[i] -= 1
                     f[j] -= 1
-                    coeff = (c.numerator * k) / c.denominator
-                    totals[n] += coeff * x[0] ** f[0] * x[1] ** f[1] * x[2] ** f[2]
+                    try:
+                        coeff = _coefficient_float(n * k, self._den, f)
+                    except ValueError as err:
+                        raise ValueError(f"{err} in d^2u/dx{i + 1}dx{j + 1}") from None
+                    totals[m] += coeff * x[0] ** f[0] * x[1] ** f[1] * x[2] ** f[2]
         return totals
 
     def shift_monomial(self, expo: tuple[int, int, int], factor) -> "PolynomialField":
         """Multiply by factor * x1^a x2^b x3^d."""
-        frac = factor if isinstance(factor, Fraction) else Fraction(factor)
+        top, bottom = _ratio(factor)
         return PolynomialField._exact(
             {
-                (e[0] + expo[0], e[1] + expo[1], e[2] + expo[2]): c * frac
-                for e, c in self.terms.items()
-            }
+                (e[0] + expo[0], e[1] + expo[1], e[2] + expo[2]): n * top
+                for e, n in self._num.items()
+            },
+            self._den * bottom,
         )
 
     def apply_x(self) -> "PolynomialField":
         """The field X = d/dx1 + 2*x2*d/dx3, in one exact pass over the terms."""
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (a, b, d), c in self.terms.items():
+        out: dict[tuple[int, int, int], int] = {}
+        for (a, b, d), n in self._num.items():
             if a:
-                _accumulate(out, (a - 1, b, d), c * a)
+                key = (a - 1, b, d)
+                out[key] = out.get(key, 0) + n * a
             if d:
-                _accumulate(out, (a, b + 1, d - 1), c * (2 * d))
-        return PolynomialField._exact(out)
+                key = (a, b + 1, d - 1)
+                out[key] = out.get(key, 0) + n * (2 * d)
+        return PolynomialField._exact(out, self._den)
 
     def apply_y(self) -> "PolynomialField":
         """The field Y = d/dx2 - 2*x1*d/dx3, in one exact pass over the terms."""
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (a, b, d), c in self.terms.items():
+        out: dict[tuple[int, int, int], int] = {}
+        for (a, b, d), n in self._num.items():
             if b:
-                _accumulate(out, (a, b - 1, d), c * b)
+                key = (a, b - 1, d)
+                out[key] = out.get(key, 0) + n * b
             if d:
-                _accumulate(out, (a + 1, b, d - 1), c * (-2 * d))
-        return PolynomialField._exact(out)
+                key = (a + 1, b, d - 1)
+                out[key] = out.get(key, 0) + n * (-2 * d)
+        return PolynomialField._exact(out, self._den)
 
     def dilate(self, lam: float) -> "PolynomialField":
-        """Compose with the dilation (lam*x1, lam*x2, lam^2*x3), exactly."""
-        frac = Fraction(lam)
+        """Compose with the dilation (lam*x1, lam*x2, lam^2*x3), exactly: for
+        lam = p/q the term of weight k = a + b + 2d takes p^k q^(K - k) over
+        the denominator D q^K, K the largest weight."""
+        p, q = _ratio(lam)
+        weights = {e: e[0] + e[1] + 2 * e[2] for e in self._num}
+        top = max(weights.values(), default=0)
+        p_pow, q_pow = [1], [1]
+        for _ in range(top):
+            p_pow.append(p_pow[-1] * p)
+            q_pow.append(q_pow[-1] * q)
         return PolynomialField._exact(
-            {e: c * frac ** (e[0] + e[1] + 2 * e[2]) for e, c in self.terms.items()}
+            {e: n * p_pow[weights[e]] * q_pow[top - weights[e]] for e, n in self._num.items()},
+            self._den * q_pow[top],
         )
 
     def __add__(self, other: "PolynomialField") -> "PolynomialField":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _accumulate(out, e, c)
-        return PolynomialField._exact(out)
+        den = math.lcm(self._den, other._den)
+        mine, theirs = den // self._den, den // other._den
+        out = {e: n * mine for e, n in self._num.items()}
+        for e, n in other._num.items():
+            out[e] = out.get(e, 0) + n * theirs
+        return PolynomialField._exact(out, den)
 
     def __sub__(self, other: "PolynomialField") -> "PolynomialField":
         return self + (other * -1)
@@ -195,7 +246,11 @@ class PolynomialField(ScalarField):
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PolynomialField) and self.terms == other.terms
+        """n1 D2 = n2 D1 on every monomial, over equal sets of monomials."""
+        if not isinstance(other, PolynomialField) or self._num.keys() != other._num.keys():
+            return False
+        d1, d2 = self._den, other._den
+        return all(n * d2 == other._num[e] * d1 for e, n in self._num.items())
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -312,15 +367,12 @@ def parse_polynomial(text: str) -> PolynomialField:
             raise ValueError(f"empty term in polynomial {text!r}")
         key = tuple(expo)
         terms[key] = terms.get(key, Fraction(0)) + coeff
-    for expo, coeff in terms.items():
-        try:
-            float(coeff)  # as the float view of the term will, at the first evaluation
-        except OverflowError:
-            raise ValueError(
-                f"the coefficient of x1^{expo[0]} x2^{expo[1]} x3^{expo[2]} lies beyond the "
-                f"float range (magnitude at most {sys.float_info.max:.6g}) in polynomial {text!r}"
-            ) from None
-    return PolynomialField(terms)
+    field = PolynomialField(terms)
+    try:
+        field._float_terms  # the float view that the first evaluation reads
+    except ValueError as err:
+        raise ValueError(f"{err} in polynomial {text!r}") from None
+    return field
 
 
 def smooth_abs_field(eps: float = 0.1, scale: float = 1.0, offset: float = 0.0) -> NumericField:

@@ -45,6 +45,13 @@ def derive(seed: int, label: str) -> int:
     return int(mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ h))
 
 
+def uniform_words(words: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+    """Doubles in [lo, hi), one per raw 64-bit word; 53-bit resolution.
+    Elementwise, so a block of words converts as each word alone would."""
+    u = (words >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    return lo + (hi - lo) * u
+
+
 class SplitMix64:
     """Counter-based SplitMix64 stream over a fixed seed.
 
@@ -71,9 +78,8 @@ class SplitMix64:
         return out
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """n doubles in [lo, hi); 53-bit resolution."""
-        u = (self.take(n) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-        return lo + (hi - lo) * u
+        """n doubles in [lo, hi): uniform_words of the next n words."""
+        return uniform_words(self.take(n), lo, hi)
 
     def log_uniform(self, n: int, lo: float, hi: float) -> np.ndarray:
         return np.exp(self.uniform(n, np.log(lo), np.log(hi)))

@@ -146,9 +146,6 @@ class ProblemSpec:
             raise ValueError("tol must be positive")
         if self.sample_width is not None:
             _check_step(self.sample_width, "sample_width")
-        cvals = self.c.value_batch(self.grid.points())
-        if cvals.min() < 0:
-            raise ValueError(f"c must be nonnegative on the grid (min {cvals.min()})")
 
     @cached_property
     def multilevel(self) -> "_Multilevel":
@@ -527,9 +524,9 @@ class Discretization:
     an evaluation on the interior nodes alone, and its max is tau's c_max.
     c, f_int, the boundary node values and the stencil's frozen off-box
     values are checked finite as they are built, and c nonnegative, on
-    every level: ProblemSpec checks c on the finest nodes only, and a
-    coarse level can hold nodes that the finest does not.  A ValueError
-    names the field and a node."""
+    every level, the finest included: a coarse level can hold nodes that
+    the finest does not.  A ValueError names the field, a node and the
+    level."""
 
     def __init__(self, prob: ProblemSpec, grid: Grid3 | None = None):
         self.op = prob.op
@@ -545,7 +542,7 @@ class Discretization:
         pts = self.grid.points()
         c = prob.c.value_batch(pts)
         _check_finite(c, "c", counts)
-        if c.min() < 0:  # a coarse level holds nodes that the finest does not
+        if c.min() < 0:
             k = int(np.flatnonzero(c < 0)[0])
             node = tuple(int(i) for i in np.unravel_index(k, counts))
             raise ValueError(
@@ -648,13 +645,20 @@ class Discretization:
 def manufacture(u_star: ScalarField, op: OperatorSpec, c: ScalarField) -> ScalarField:
     """Right-hand side f with u_star as exact solution: f = F(D^{2,*}u*) - c u*.
 
-    u_star must be polynomial so the horizontal Hessian is exact.
+    u_star must be polynomial so the horizontal Hessian is exact.  The
+    coefficients of X^2u*, XYu*, YXu* and Y^2u* are rounded here, so one
+    beyond the float range raises a ValueError at this call.
     """
     if not isinstance(u_star, PolynomialField):
         raise ValueError("manufacture needs a polynomial exact solution")
     if op.form != INTRINSIC:
         raise ValueError("manufacture targets the intrinsic form")
     xx, xy, yx, yy = h_second_fields(u_star)
+    for name, w in zip(("X^2u", "XYu", "YXu", "Y^2u"), (xx, xy, yx, yy)):
+        try:
+            w.value_batch(np.empty((0, 3)))
+        except ValueError as err:
+            raise ValueError(f"{err} in {name} of the exact solution") from None
 
     def fn(pts: np.ndarray) -> np.ndarray:
         hessians = np.empty((len(pts), 2, 2))

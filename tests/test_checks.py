@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from conftest import random_polynomial
@@ -175,10 +177,73 @@ def test_random_polynomial_matches_per_draw_oracle(seed):
     # conftest's random_polynomial takes one integers() word per exponent
     for degree in (5, 6):
         g, h = SplitMix64(seed, "poly"), SplitMix64(seed, "poly")
-        for _ in range(25):
-            assert checks._random_polynomial(g, degree=degree) == random_polynomial(h, degree)
+        polys = checks._random_polynomials(g.take(32 * 25).reshape(25, 32), degree)
+        assert list(polys) == [random_polynomial(h, degree) for _ in range(25)]
         # both leave the stream at the same position
         assert np.array_equal(g.uniform(4), h.uniform(4))
+
+
+def _per_call_polynomial(g: SplitMix64, degree: int) -> PolynomialField:
+    """A calculus trial's polynomial drawn with one call per draw: the 8
+    coefficients, then the 24 exponent words."""
+    coeffs = g.uniform(8, -1.0, 1.0)
+    w = g.take(24).reshape(8, 3)
+    one = np.uint64(1)
+    a = w[:, 0] % np.uint64(degree + 1)
+    b = w[:, 1] % (np.uint64(degree + 1) - a)
+    d = w[:, 2] % np.maximum(one, (np.uint64(degree) - a - b) // np.uint64(2) + one)
+    terms = {}
+    for k in range(8):
+        key = (int(a[k]), int(b[k]), int(d[k]))
+        terms[key] = terms.get(key, Fraction(0)) + Fraction(float(coeffs[k]))
+    return PolynomialField(terms)
+
+
+# per check: its stream label and one trial's draws, one call per draw, in
+# the order the checks drew them trial by trial: the polynomial, then the
+# point, (a, b) or lambda
+PER_CALL_TRIALS = {
+    "check_commutator": ("commutator", lambda g: (_per_call_polynomial(g, 6), [])),
+    "check_quadratic_form": (
+        "quadratic-form",
+        lambda g: (
+            _per_call_polynomial(g, 6),
+            [*g.uniform(3, -2.0, 2.0), *g.uniform(2, -2.0, 2.0)],
+        ),
+    ),
+    "check_trace_identity": (
+        "trace-identity",
+        lambda g: (_per_call_polynomial(g, 5), list(g.uniform(3, -2.0, 2.0))),
+    ),
+    "check_dilation": (
+        "dilation",
+        lambda g: (_per_call_polynomial(g, 5), [float(g.uniform(1, 0.25, 4.0)[0])]),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(PER_CALL_TRIALS))
+def test_batched_calculus_draws_are_the_per_call_draws(monkeypatch, name, seed):
+    decoded = []
+
+    def recording(*args, **kwargs):
+        polys, draws = real(*args, **kwargs)
+        decoded.append((list(polys), draws))
+        return decoded[-1]
+
+    real = checks._calculus_trials
+    monkeypatch.setattr(checks, "_calculus_trials", recording)
+    trials = 6
+    report = getattr(checks, name)(seed=seed, trials=trials)
+    assert report["trials"] == trials
+    ((polys, draws),) = decoded
+    label, per_call = PER_CALL_TRIALS[name]
+    g = SplitMix64(seed, label)
+    for t in range(trials):
+        u, rest = per_call(g)
+        assert polys[t] == u
+        assert draws[t].tolist() == [float(r) for r in rest]
 
 
 def test_flipped_vertical_term_in_x_is_detected(monkeypatch):

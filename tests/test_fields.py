@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -105,8 +106,11 @@ def test_constant_value_batch_is_the_monomial_formula_bitwise(c):
 def test_one_pass_frame_fields_match_partial_route():
     # the composed route X = d1 + 2 x2 d3, Y = d2 - 2 x1 d3 as an exact oracle
     g = SplitMix64(17, "frame-oracle")
+    non_dyadic = PolynomialField({(1, 0, 3): Fraction(1, 3), (0, 2, 1): Fraction(-7, 5)})
     for k in range(240):
         u = random_polynomial(g, degree=3 + k % 5, n_terms=1 + k % 12)
+        if k % 3 == 2:
+            u = u + non_dyadic
         ux = u.partial_field(0) + u.partial_field(2).shift_monomial((0, 1, 0), 2)
         uy = u.partial_field(1) + u.partial_field(2).shift_monomial((1, 0, 0), -2)
         for fast, oracle in ((u.apply_x(), ux), (u.apply_y(), uy)):
@@ -169,6 +173,141 @@ def test_float_views_follow_the_exact_terms():
     assert np.array_equal(ux._expos, [[0, 1, 0], [1, 0, 0]])
     assert np.array_equal(ux._coeffs, [2.0, 1.5])
     assert (u - u).value_batch(np.zeros((3, 3))).tolist() == [0.0, 0.0, 0.0]
+
+
+# A plain reference for the exact operations: a dict of Fractions per
+# field, with no common denominator, zero sums dropped.
+def _ref_clean(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c != 0}
+
+
+def _ref_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return _ref_clean(out)
+
+
+def _ref_shift(p: dict, expo, factor) -> dict:
+    return _ref_clean(
+        {tuple(a + b for a, b in zip(e, expo)): c * Fraction(factor) for e, c in p.items()}
+    )
+
+
+def _ref_partial(p: dict, i: int) -> dict:
+    out = {}
+    for e, c in p.items():
+        if e[i]:
+            f = list(e)
+            f[i] -= 1
+            out = _ref_add(out, {tuple(f): c * e[i]})
+    return out
+
+
+def _ref_apply_x(p: dict) -> dict:
+    return _ref_add(_ref_partial(p, 0), _ref_shift(_ref_partial(p, 2), (0, 1, 0), 2))
+
+
+def _ref_apply_y(p: dict) -> dict:
+    return _ref_add(_ref_partial(p, 1), _ref_shift(_ref_partial(p, 2), (1, 0, 0), -2))
+
+
+def _ref_dilate(p: dict, lam) -> dict:
+    return _ref_clean({e: c * Fraction(lam) ** (e[0] + e[1] + 2 * e[2]) for e, c in p.items()})
+
+
+def _ref_value(p: dict, x) -> float:
+    """sum of float(c) x^e in sorted exponent order."""
+    total = 0.0
+    for e in sorted(p):
+        total += float(p[e]) * x[0] ** e[0] * x[1] ** e[1] * x[2] ** e[2]
+    return total
+
+
+def _ref_fields(g: SplitMix64, count: int):
+    """(reference dict, field) pairs: dyadic and non-dyadic coefficients,
+    integers, and like terms that cancel exactly."""
+    pool = [Fraction(1, 3), Fraction(-7, 5), Fraction(3), Fraction(10, 3)]
+    for k in range(count):
+        n = 1 + k % 9
+        expos = (g.take(3 * n) % np.uint64(5)).astype(int).reshape(n, 3).tolist()
+        floats = g.uniform(n, -2.0, 2.0).tolist()
+        ref = {}
+        for j, (expo, c) in enumerate(zip(map(tuple, expos), floats)):
+            coeff = pool[(k + j) % len(pool)] if (k + j) % 3 == 0 else Fraction(c)
+            ref = _ref_add(ref, {expo: coeff})
+        if k % 4 == 3 and ref:  # cancel one monomial exactly
+            e = sorted(ref)[0]
+            ref = _ref_add(ref, {e: -ref[e]})
+        yield ref, PolynomialField({e: c for e, c in ref.items()})
+
+
+def test_integer_numerators_follow_a_fraction_reference():
+    g = SplitMix64(23, "fraction-reference")
+    fields = list(_ref_fields(g, 80))
+    for k, (ref, u) in enumerate(fields):
+        other_ref, other = fields[(k * 7 + 3) % len(fields)]
+        assert u.terms == ref
+        assert all(type(c) is Fraction for c in u.terms.values())
+        lam = [3.0, 0.375, Fraction(2, 3), -1.25][k % 4]
+        factor = [Fraction(-7, 5), 0.5, 3, Fraction(1, 3)][k % 4]
+        shift = (k % 2, 1, k % 3)
+        commutator = _ref_shift(_ref_partial(ref, 2), (0, 0, 0), -4)
+        pairs = [
+            (u.apply_x(), _ref_apply_x(ref)),
+            (u.apply_y(), _ref_apply_y(ref)),
+            (u.partial_field(k % 3), _ref_partial(ref, k % 3)),
+            (u.dilate(lam), _ref_dilate(ref, lam)),
+            (u.shift_monomial(shift, factor), _ref_shift(ref, shift, factor)),
+            (u + other, _ref_add(ref, other_ref)),
+            (u - other, _ref_add(ref, _ref_shift(other_ref, (0, 0, 0), -1))),
+            (u - u, {}),
+            (u.apply_y().apply_x() - u.apply_x().apply_y(), commutator),
+            # a detour through other denominators and back
+            (u.dilate(lam).dilate(1 / Fraction(lam)), ref),
+            (u * factor * (1 / Fraction(factor)), ref),
+        ]
+        pts = g.uniform(6, -2.0, 2.0).reshape(2, 3)
+        x = [float(v) for v in pts[0]]
+        pairs_ij = [(i, j) for i in range(3) for j in range(i, 3)]
+        for got, want in pairs:
+            assert got.terms == want
+            # == and hash see the value, not the denominator
+            same = PolynomialField(want)
+            assert got == same and hash(got) == hash(same)
+            assert (got == u) == (want == ref)
+            assert got.value(Point(*x)) == _ref_value(want, x)
+            # the monomial table of the sorted exponents times float(c)
+            expos = np.array(sorted(want), dtype=np.int64).reshape(-1, 3)
+            floats = np.array([float(want[e]) for e in sorted(want)])
+            table = np.prod(pts[:, None, :] ** expos[None], axis=2)
+            assert got.value_batch(pts).tobytes() == (table @ floats).tobytes()
+            assert got.second_partials(Point(*x), pairs_ij) == [
+                _ref_value(_ref_partial(_ref_partial(want, i), j), x) for i, j in pairs_ij
+            ]
+    third, sixth = Fraction(1, 3), Fraction(1, 6)
+    assert PolynomialField({(1, 0, 0): third}) != PolynomialField({(1, 0, 0): sixth})
+    assert PolynomialField({(1, 0, 0): 1}) != PolynomialField({(1, 0, 0): 1, (0, 1, 0): 1})
+
+
+def test_derived_coefficients_beyond_the_float_range_are_named():
+    from heisenpde.calculus import h_hessian
+    from heisenpde.operators import OperatorSpec
+    from heisenpde.solver import manufacture
+
+    # parses, but X^2u and d^2u/dx1^2 have the coefficient 2e308
+    u = parse_polynomial("1e308 x1^2")
+    words = ("x1^0 x2^0 x3^0", "beyond the float range", f"{sys.float_info.max:.6g}")
+    calls = [
+        (lambda: u.second_partials(Point(0.5, 0.0, 0.0), ((0, 1), (0, 0))), "d^2u/dx1dx1"),
+        (lambda: h_hessian(u, Point(0.5, 0.0, 0.0)), "horizontal second derivative"),
+        (lambda: manufacture(u, OperatorSpec.sublaplacian(), PolynomialField.constant(0)),
+         "X^2u of the exact solution"),
+    ]
+    for call, where in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert all(w in str(err.value) for w in (*words, where)), err.value
 
 
 def test_apply_x_on_coordinates():

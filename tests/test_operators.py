@@ -301,8 +301,9 @@ def test_residual_manufactured_and_errors():
     grid = Grid3.box((-1, -1, -1), (1, 1, 1), (5, 5, 5))
     disc = Discretization(ProblemSpec(sub, zero, zero, zero, grid))
     assert not disc.residual_interior(np.zeros(grid.n_nodes), disc.f_int).any()
-    with pytest.raises(ValueError):
-        ProblemSpec(sub, PolynomialField.constant(-1), zero, zero, grid)
+    # a negative c fails the level's set-up, which checks every node
+    with pytest.raises(ValueError, match="^c must be nonnegative on every level, got -1.0 at node"):
+        Discretization(ProblemSpec(sub, PolynomialField.constant(-1), zero, zero, grid))
 
 
 ROW_KINDS = {

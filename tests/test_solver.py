@@ -81,8 +81,9 @@ def manufactured_problem(n=17, tol=1e-7, **kw):
 
 def test_problem_spec_validation():
     u_star, prob = manufactured_problem(9)
-    with pytest.raises(ValueError):
-        ProblemSpec(SUB, PolynomialField.constant(-1), ZERO, ZERO, box(9))
+    # c is checked where it is evaluated, by the solve's level set-up
+    with pytest.raises(ValueError, match="^c must be nonnegative on every level, got -1.0 at node"):
+        solve(ProblemSpec(SUB, PolynomialField.constant(-1), ZERO, ZERO, box(9)))
     with pytest.raises(ValueError):
         ProblemSpec(SUB, ONE, ZERO, ZERO, box(9), tol=0.0)
     with pytest.raises(ValueError):
@@ -342,6 +343,21 @@ def test_negative_c_on_a_coarse_level_is_rejected():
         solve(prob)
     assert str(err.value).startswith("c must be nonnegative on every level, got -0.000999")
     assert str(err.value).endswith("at node (4, 0, 0) of the (7, 7, 7) level")
+
+
+def test_negative_c_on_a_finest_node_fails_the_solve_once():
+    # the finest level's own check rejects it; building the problem reads no c
+    calls = []
+    negative = _bad_at([0.25, -0.75, 0.5], -1.0, 1.0)
+    c = NumericField(lambda pts: calls.append(len(pts)) or negative.value_batch(pts))
+    prob = ProblemSpec(SUB, c, ZERO, ZERO, box(9))
+    assert calls == []
+    with pytest.raises(ValueError) as err:
+        solve(prob)
+    assert str(err.value) == (
+        "c must be nonnegative on every level, got -1.0 at node (5, 1, 6) of the (9, 9, 9) level"
+    )
+    assert calls == [9**3]
 
 
 def test_residual_norm_zero_and_discretization_scale():
