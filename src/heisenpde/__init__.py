@@ -4,9 +4,10 @@ differences (monotone when F is nondecreasing in them), and
 Holder-regularity measurement, with a seeded verification suite.
 
 Each formula has one entry point: an array kernel (the *_batch functions of
-group and doubling, OperatorSpec.apply_stack and apply_batch), h_hessian and
-full_hessian for a field at a point, or the solver's Discretization; one
-point or matrix is a one-row stack."""
+group and doubling, OperatorSpec.apply_stack and apply_batch, h_hessian and
+full_hessian for a field at an (n, 3) array of points), or the solver's
+Discretization; one point or matrix is a one-row stack, and every symmetric
+matrix but trace_linear's coefficient Sym2 is a numpy array."""
 
 from .calculus import full_hessian, h_hessian
 from .doubling import (
@@ -39,7 +40,7 @@ from .solver import (
     manufacture,
     solve,
 )
-from .symmetric import Sym2, Sym3
+from .symmetric import Sym2
 
 __version__ = "0.1.0"
 
@@ -59,7 +60,6 @@ __all__ = [
     "ScalarField",
     "SolveResult",
     "Sym2",
-    "Sym3",
     "check_theorem",
     "doubling_certificate",
     "fit_alpha",

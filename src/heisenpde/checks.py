@@ -33,7 +33,6 @@ from .doubling import (
 )
 from .fields import PolynomialField
 from .group import (
-    Point,
     dilate_batch,
     frame_batch,
     group_inv_batch,
@@ -183,10 +182,9 @@ def check_quadratic_form(seed: int = 0, trials: int = 1000) -> dict:
     vs = ab[:, :1] * x + ab[:, 1:] * y
     worst = 0.0
     for u, row, w, v in zip(polys, pts, ab, vs):
-        p = Point(*row)
-        d2 = full_hessian(u, p).mat
+        d2 = full_hessian(u, row[None])[0]
         lhs = float(v @ d2 @ v)
-        h = h_hessian(u, p).mat
+        h = h_hessian(u, row[None])[0]
         rhs = float(w @ h @ w)
         scale = max(1.0, abs(lhs), abs(rhs), np.abs(d2).max() * float(v @ v))
         worst = max(worst, abs(lhs - rhs) / scale)
@@ -198,9 +196,9 @@ def check_trace_identity(seed: int = 0, trials: int = 200) -> dict:
     polys, pts = _calculus_trials(seed, "trace-identity", trials, degree=5, extra=3)
     worst = 0.0
     for u, row in zip(polys, pts):
-        p = Point(*row)
-        s1 = h_hessian(u, p).trace()
-        d2 = full_hessian(u, p).mat
+        h = h_hessian(u, row[None])[0]
+        s1 = float(h[0, 0] + h[1, 1])
+        d2 = full_hessian(u, row[None])[0]
         s2 = float(np.trace(lift_batch(d2[None], row[None])[0]))
         pm = p_matrix_batch(row[None])[0]
         s3 = float(np.trace(pm @ d2))
@@ -244,7 +242,7 @@ def pucci_bruteforce(
     """
     if n < 1:
         raise ValueError(f"pucci_bruteforce needs n >= 1 angles, got n={n}")
-    EllipticityBracket(lam, Lam)  # raises unless 0 < lam <= Lam
+    EllipticityBracket(lam, Lam)  # raises unless 0 < lam <= Lam, both finite
     g = SplitMix64(seed, "pucci-bruteforce")
     plus, minus = -np.inf, np.inf
     for start in range(0, n, _ANGLE_BLOCK):

@@ -9,16 +9,18 @@ commutator and lift identity) are exact; floats only appear at evaluation
 time.  Each float coefficient is the int true division n / D, rounded
 once; Python rounds int / int correctly, so it is bitwise
 float(Fraction(n, D)), the float of the reduced Fraction in `terms`, the
-exact view built on demand.  NumericField
-wraps an arbitrary vectorized callable and differentiates it with centered
-finite differences of step h_fd (order 2 on smooth inputs).  Every lemma test
+exact view built on demand.  NumericField wraps an arbitrary vectorized
+callable and differentiates it with centered finite differences of step
+h_fd (order 2 on smooth inputs), over all rows at once.  Every lemma test
 can therefore cross-check the exact route against the finite-difference one.
 
-PolynomialField.value_batch forms the (n, T) table of the T monomials at the
-n points and multiplies it by the coefficients.  A constant field, every
-exponent zero, skips the table: it returns np.full(n, c), which is that
-product bitwise, since x^0 = 1 at every point (NaN and infinity included)
-and 1 * c = c.  The solver's c is such a field in every shipped config.
+Every evaluation takes an (n, 3) array of points, one point being a
+one-row array.  PolynomialField.value_batch multiplies the (n, T) table of
+the T monomials at the n points by the coefficients.  A constant field,
+every exponent zero, skips the table: it returns np.full(n, c), which is
+that product bitwise, since x^0 = 1 at every point (NaN and infinity
+included) and 1 * c = c.  The solver's c is such a field in every shipped
+config.  Exact second derivatives are summed per row by row_sums.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from functools import cached_property
 import numpy as np
 
 from .config import config_number, config_section
-from .group import Point
 
 
 def _ratio(coeff) -> tuple[int, int]:
@@ -56,15 +57,51 @@ def _coefficient_float(num: int, den: int, expo) -> float:
         ) from None
 
 
+def _monomial(expo, coeff) -> tuple[tuple[int, int, int], int, int]:
+    """(exponents, numerator, denominator) of one term of a field.  A
+    ValueError names the monomial unless its exponents are three
+    nonnegative integers and its coefficient is a finite number."""
+    try:
+        key = tuple(map(int, expo))
+        if len(key) != 3 or key != tuple(expo) or min(key) < 0:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"the monomial {expo!r} needs three nonnegative integer exponents"
+        ) from None
+    try:
+        return (key, *_ratio(coeff))
+    except (OverflowError, ValueError):  # an infinity, a NaN or not a number
+        raise ValueError(
+            f"the coefficient {coeff!r} of x1^{key[0]} x2^{key[1]} x3^{key[2]} "
+            "is not a finite number"
+        ) from None
+
+
+def row_sums(term_lists, pts: np.ndarray) -> np.ndarray:
+    """(n, k): column m sums c x1^a x2^b x3^d over the terms [((a, b, d), c)]
+    of term_lists[m] at each row of the (n, 3) points, in Python floats and
+    in the order of the terms.  This is the one per-row loop of the exact
+    fields, and the worst gaps of `verify` depend on its order of summation."""
+    out = np.empty((len(pts), len(term_lists)))
+    for r, (x1, x2, x3) in enumerate(np.asarray(pts, dtype=float).tolist()):
+        for m, terms in enumerate(term_lists):
+            total = 0.0
+            for (a, b, d), c in terms:
+                total += c * x1**a * x2**b * x3**d
+            out[r, m] = total
+    return out
+
+
 class ScalarField:
-    """Values at an (n, 3) array of points, and second partial derivatives
-    at a point; one point is a one-row array."""
+    """Values and classical second partials at the rows of an (n, 3) array
+    of points; one point is a one-row array."""
 
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def second_partials(self, p: Point, pairs) -> list[float]:
-        """d^2u/dx_i dx_j at p for each (i, j) in pairs."""
+    def second_partials(self, pts: np.ndarray, pairs) -> np.ndarray:
+        """(n, len(pairs)): d^2u/dx_i dx_j at each point, for each (i, j) in pairs."""
         raise NotImplementedError
 
 
@@ -74,11 +111,13 @@ class PolynomialField(ScalarField):
     _num maps exponent triples (a, b, d) to nonzero int numerators over the
     one int denominator _den > 0, not necessarily in lowest terms; terms is
     the exact view, a reduced Fraction per monomial.  Inputs are converted
-    exactly (every double is a dyadic rational).
+    exactly (every double is a dyadic rational); an exponent that is not a
+    nonnegative integer, or a coefficient that is not finite, is a
+    ValueError that names the monomial.
     """
 
     def __init__(self, terms: dict[tuple[int, int, int], Fraction | float | int]):
-        ratios = [(tuple(int(e) for e in expo), *_ratio(c)) for expo, c in terms.items()]
+        ratios = [_monomial(expo, c) for expo, c in terms.items()]
         den = math.lcm(*(d for _, _, d in ratios))
         num: dict[tuple[int, int, int], int] = {}
         for key, n, d in ratios:
@@ -125,13 +164,6 @@ class PolynomialField(ScalarField):
         expo[i] = 1
         return PolynomialField({tuple(expo): 1})
 
-    def value(self, p: Point) -> float:
-        x1, x2, x3 = float(p.x1), float(p.x2), float(p.x3)
-        total = 0.0
-        for (a, b, d), c in self._float_terms:
-            total += c * x1**a * x2**b * x3**d
-        return total
-
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
         if len(self._coeffs) == 0:
@@ -151,32 +183,34 @@ class PolynomialField(ScalarField):
                 out[tuple(new)] = n * expo[i]
         return PolynomialField._exact(out, self._den)
 
-    def second_partials(self, p: Point, pairs) -> list[float]:
-        """d^2u/dx_i dx_j at p for each (i, j) in pairs, in one pass over the
-        terms and with no intermediate field.
+    def second_partials(self, pts: np.ndarray, pairs) -> np.ndarray:
+        """(n, len(pairs)): d^2u/dx_i dx_j at each point for each (i, j) in
+        pairs, with no intermediate field.
 
         The term (n / D) x^e contributes (n k / D) x^(e - e_i - e_j) with the
         integer k = e_i (e_j - [i == j]).  Differentiating by one coordinate
         never merges two monomials and keeps their sorted order, so this is
-        partial_field(i).partial_field(j).value(p) bitwise: the coefficient
-        is rounded once, as (n k) / D, and the monomials are summed in the
-        same order.
+        partial_field(i).partial_field(j) evaluated by row_sums, bitwise:
+        the coefficient is rounded once, as (n k) / D, and the monomials are
+        summed in the same order.  Each pair's coefficients are formed once
+        per call.
         """
-        x = (float(p.x1), float(p.x2), float(p.x3))
-        totals = [0.0] * len(pairs)
-        for e, n in sorted(self._num.items()):
-            for m, (i, j) in enumerate(pairs):
+        items = sorted(self._num.items())
+        term_lists = []
+        for i, j in pairs:
+            terms = []
+            for e, n in items:
                 k = e[i] * (e[j] - (i == j))
                 if k:
                     f = list(e)
                     f[i] -= 1
                     f[j] -= 1
                     try:
-                        coeff = _coefficient_float(n * k, self._den, f)
+                        terms.append((f, _coefficient_float(n * k, self._den, f)))
                     except ValueError as err:
                         raise ValueError(f"{err} in d^2u/dx{i + 1}dx{j + 1}") from None
-                    totals[m] += coeff * x[0] ** f[0] * x[1] ** f[1] * x[2] ** f[2]
-        return totals
+            term_lists.append(terms)
+        return row_sums(term_lists, pts)
 
     def shift_monomial(self, expo: tuple[int, int, int], factor) -> "PolynomialField":
         """Multiply by factor * x1^a x2^b x3^d."""
@@ -268,27 +302,30 @@ class NumericField(ScalarField):
     def value_batch(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
 
-    def second_partials(self, p: Point, pairs) -> list[float]:
-        """The centred quotient of step h_fd for each (i, j) in pairs: along
-        the axis e_i when i == j, else along e_i and e_j."""
+    def second_partials(self, pts: np.ndarray, pairs) -> np.ndarray:
+        """(n, len(pairs)): the centred quotient of step h_fd for each (i, j)
+        in pairs, along the axis e_i when i == j, else along e_i and e_j."""
         e = np.eye(3)
-        return [
-            second_difference(self, p, self.h_fd, e[i], None if i == j else e[j])
-            for i, j in pairs
-        ]
+        out = np.empty((len(pts), len(pairs)))
+        for m, (i, j) in enumerate(pairs):
+            out[:, m] = second_difference(self, pts, self.h_fd, e[i], None if i == j else e[j])
+        return out
 
 
-def second_difference(u: ScalarField, p: Point, h: float, v: np.ndarray, w=None) -> float:
-    """Centred quotient with step h for the second derivative of u at p along
-    v and w: three samples on the line when w is None (w = v), else four on
-    the diagonals."""
-    x = np.array([p.x1, p.x2, p.x3])
+def second_difference(u: ScalarField, pts: np.ndarray, h: float, v, w=None) -> np.ndarray:
+    """Centred quotients with step h for the second derivative of u along v
+    and w at each row of the (n, 3) points, from one value_batch call: three
+    samples on the line when w is None (w = v), else four on the diagonals.
+    A direction is one (3,) vector or an (n, 3) array of one per row."""
+    pts = np.asarray(pts, dtype=float)
     if w is None:
-        vals = u.value_batch(np.array([x + h * v, x, x - h * v]))
-        return float((vals[0] - 2 * vals[1] + vals[2]) / (h * h))
-    pts = [x + h * (v + w), x + h * (v - w), x - h * (v - w), x - h * (v + w)]
-    vals = u.value_batch(np.array(pts))
-    return float((vals[0] - vals[1] - vals[2] + vals[3]) / (4 * h * h))
+        step = h * v
+        a, b, c = u.value_batch(np.concatenate([pts + step, pts, pts - step])).reshape(3, len(pts))
+        return (a - 2 * b + c) / (h * h)
+    plus, minus = h * (v + w), h * (v - w)
+    samples = np.concatenate([pts + plus, pts + minus, pts - minus, pts - plus])
+    a, b, c, d = u.value_batch(samples).reshape(4, len(pts))
+    return (a - b - c + d) / (4 * h * h)
 
 
 _TOKEN = re.compile(

@@ -24,7 +24,8 @@ def _check_counts(counts) -> None:
 
 @dataclass(frozen=True)
 class Grid3:
-    """Uniform grid: lower corner, per-axis counts (>= 3), per-axis spacings."""
+    """Uniform grid: lower corner, per-axis counts (integers >= 3, stored as
+    ints), per-axis spacings."""
 
     lower: tuple[float, float, float]
     counts: tuple[int, int, int]
@@ -34,6 +35,7 @@ class Grid3:
         if len(self.lower) != 3 or len(self.counts) != 3 or len(self.spacings) != 3:
             raise ValueError("grid needs 3 lower coords, 3 counts, 3 spacings")
         _check_counts(self.counts)
+        object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
         if any(not h > 0 for h in self.spacings):
             raise ValueError(f"spacings must be positive, got {self.spacings}")
 

@@ -2,13 +2,14 @@
 
 An OperatorSpec names a monotone map F on small symmetric matrices, one of
 the kinds sublaplacian (the trace), pucci_plus, pucci_minus and trace_linear
-(trace(a H) with a fixed coefficient a), together with its ellipticity
-bracket (lam, Lam) and the form it acts in: "intrinsic" applies F to the
-symmetrized horizontal Hessian (2x2), "lifted" applies it to
-sqrt(P) D^2u sqrt(P) (3x3).  Pucci extremal operators are defined as the
-max/min of trace(a H) over matrices a with spectrum in [lam, Lam] and computed
-by the eigenvalue formula Lam*sum(e>0) + lam*sum(e<0) (resp. swapped), which
-is the sign convention the max/min definition forces.
+(trace(a H) with a fixed 2x2 coefficient a, a Sym2), together with its
+ellipticity bracket (lam, Lam) and the form it acts in: "intrinsic"
+applies F to the symmetrized horizontal Hessian (2x2), "lifted" applies it
+to sqrt(P) D^2u sqrt(P) (3x3); trace_linear acts in intrinsic form only.
+Pucci extremal operators are defined as the max/min of trace(a H) over
+matrices a with spectrum in [lam, Lam] and computed by the eigenvalue
+formula Lam*sum(e>0) + lam*sum(e<0) (resp. swapped), which is the sign
+convention the max/min definition forces.
 
 The intrinsic form reads H through directional second differences, one row
 per line v = cx X + cy Y of DIRECTIONS: D_v = v^T H v, which the solver's
@@ -20,9 +21,9 @@ in cross_term, the one place that formula lives.  A stack of matrices, one
 matrix being a one-matrix stack, is evaluated by apply_stack: a 2x2 stack is
 mapped to its rows (h11, h22, h11 + h22 +- 2 h12) and goes through
 apply_batch, the solver's kernel, with the closed 2x2 eigenvalue formula for
-Pucci; a 3x3 lifted stack takes numpy.linalg.eigvalsh.  The residual
-F - c u - f of a field is the solver's (Discretization.residual_interior),
-on the stencil's rows.
+Pucci; a 3x3 lifted stack takes its trace for the sub-Laplacian and
+numpy.linalg.eigvalsh for Pucci.  The residual F - c u - f of a field is
+the solver's (Discretization.residual_interior), on the stencil's rows.
 
 F's derivative has one source, Pucci's slope g'(e) per eigenvalue (_slope):
 Pucci's F is the sum of g'(e) e in both forms, apply_batch writes each
@@ -39,7 +40,7 @@ import numpy as np
 
 from .config import config_number, config_section
 from .rng import SplitMix64
-from .symmetric import Sym2, Sym3, eigenvalues2
+from .symmetric import Sym2, eigenvalues2
 
 INTRINSIC = "intrinsic"
 LIFTED = "lifted"
@@ -54,15 +55,15 @@ DIRECTIONS = (X, Y, X_PLUS_Y, X_MINUS_Y)
 
 @dataclass(frozen=True)
 class EllipticityBracket:
-    """Ellipticity constants 0 < lam <= Lam, stored as floats: Pucci's
-    slopes are arrays of them, and so must hold float quotients."""
+    """Finite ellipticity constants 0 < lam <= Lam, stored as floats:
+    Pucci's slopes are arrays of them, and so must hold float quotients."""
 
     lam: float
     Lam: float
 
     def __post_init__(self):
-        if not (0.0 < self.lam <= self.Lam):
-            raise ValueError(f"need 0 < lam <= Lam, got ({self.lam}, {self.Lam})")
+        if not (0.0 < self.lam <= self.Lam < np.inf):
+            raise ValueError(f"need finite 0 < lam <= Lam, got ({self.lam}, {self.Lam})")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "Lam", float(self.Lam))
 
@@ -109,14 +110,14 @@ class OperatorSpec:
     """A monotone operator kind with its bracket and acting form.
 
     kind: one of sublaplacian, pucci_plus, pucci_minus, trace_linear.
-    coeff: the fixed coefficient matrix of trace_linear (Sym2 for intrinsic
-    form, Sym3 for lifted); its spectrum must lie inside the bracket.
+    coeff: the fixed coefficient of trace_linear, a Sym2 (trace_linear acts
+    in intrinsic form only); its spectrum must lie inside the bracket.
     """
 
     kind: str
     bracket: EllipticityBracket
     form: str = INTRINSIC
-    coeff: Sym2 | Sym3 | None = None
+    coeff: Sym2 | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -126,11 +127,11 @@ class OperatorSpec:
         if self.kind == "sublaplacian" and (self.bracket.lam != 1.0 or self.bracket.Lam != 1.0):
             raise ValueError("the sub-Laplacian has bracket (1, 1); use trace_linear to rescale")
         if self.kind == "trace_linear":
-            want = Sym2 if self.form == INTRINSIC else Sym3
-            if not isinstance(self.coeff, want):
-                raise ValueError(f"trace_linear in {self.form} form needs a {want.__name__} coeff")
-            evs = np.asarray(self.coeff.eigenvalues(), dtype=float)
-            if evs.min() < self.bracket.lam - 1e-12 or evs.max() > self.bracket.Lam + 1e-12:
+            if self.form != INTRINSIC or not isinstance(self.coeff, Sym2):
+                raise ValueError("trace_linear acts in intrinsic form only, with a Sym2 coeff")
+            a = self.coeff
+            lo, hi = eigenvalues2(*(np.array([v], dtype=float) for v in (a.a11, a.a12, a.a22)))
+            if lo[0] < self.bracket.lam - 1e-12 or hi[0] > self.bracket.Lam + 1e-12:
                 raise ValueError("trace_linear coefficient spectrum escapes the bracket")
 
     @staticmethod
@@ -163,8 +164,6 @@ class OperatorSpec:
             raise ValueError(f"the {self.form} form cannot act on a stack of shape {mats.shape}")
         if self.kind == "sublaplacian":
             return mats[:, 0, 0] + mats[:, 1, 1] + mats[:, 2, 2]
-        if self.kind == "trace_linear":
-            return np.einsum("ij,nij->n", self.coeff.mat, mats)
         e = np.linalg.eigvalsh(mats)[:, :: 1 if self.kind == "pucci_plus" else -1]
         e = np.take_along_axis(e, np.argsort(np.abs(e), axis=1, kind="stable"), axis=1)
         terms = [self._slope(v) * v for v in e.T]

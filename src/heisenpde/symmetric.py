@@ -1,11 +1,12 @@
-"""Small symmetric matrices stored as upper triangles, plus the 2x2 eigenvalues.
+"""trace_linear's 2x2 symmetric coefficient, and the 2x2 eigenvalues.
 
-Symmetry is structural: Sym2/Sym3 hold only the independent entries, so no
-runtime symmetry checks are ever needed.  Eigenvalues of 2x2 matrices, one
-matrix or a stack of components, use the closed quadratic formula
-`eigenvalues2`, the one the solver's Pucci kernel runs; every larger matrix
-(Sym3, the lifted Pucci argument, the 6x6 block gaps of the doubling lab)
-takes numpy.linalg.eigvalsh.  eigenvalues2 takes its radius
+Sym2 holds the independent entries (a11, a12, a22) of the coefficient a
+of trace(a H), so its symmetry is structural.  Every other symmetric
+matrix is a numpy array, one matrix being a one-matrix stack.
+Eigenvalues of 2x2 matrices, given as arrays of components, use the closed
+quadratic formula `eigenvalues2`, the one the solver's Pucci kernel runs;
+every larger matrix (the lifted Pucci argument, the 6x6 block gaps of the
+doubling lab) takes numpy.linalg.eigvalsh.  eigenvalues2 takes its radius
 sqrt(d^2 + a12^2), d = (a11 - a22) / 2, from the squares, within 1 ulp of
 np.hypot(d, a12), and calls np.hypot only at the elements where the sum of
 squares is not a finite normal number: there a square overflowed or
@@ -23,7 +24,7 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 
 @dataclass(frozen=True)
 class Sym2:
-    """2x2 symmetric matrix [[a11, a12], [a12, a22]]."""
+    """2x2 symmetric matrix [[a11, a12], [a12, a22]], trace_linear's coefficient."""
 
     a11: float
     a12: float
@@ -33,60 +34,6 @@ class Sym2:
     def from_matrix(m) -> "Sym2":
         m = np.asarray(m, dtype=float)
         return Sym2(m[0, 0], 0.5 * (m[0, 1] + m[1, 0]), m[1, 1])
-
-    @property
-    def mat(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
-
-    def trace(self) -> float:
-        return self.a11 + self.a22
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Ascending eigenvalues by the closed quadratic formula, eigenvalues2
-        on a one-matrix stack."""
-        lo, hi = eigenvalues2(*(np.array([v], dtype=float) for v in (self.a11, self.a12, self.a22)))
-        return float(lo[0]), float(hi[0])
-
-
-@dataclass(frozen=True)
-class Sym3:
-    """3x3 symmetric matrix, upper triangle (a11, a12, a13, a22, a23, a33)."""
-
-    a11: float
-    a12: float
-    a13: float
-    a22: float
-    a23: float
-    a33: float
-
-    @staticmethod
-    def from_matrix(m) -> "Sym3":
-        m = np.asarray(m, dtype=float)
-        return Sym3(
-            m[0, 0],
-            0.5 * (m[0, 1] + m[1, 0]),
-            0.5 * (m[0, 2] + m[2, 0]),
-            m[1, 1],
-            0.5 * (m[1, 2] + m[2, 1]),
-            m[2, 2],
-        )
-
-    @property
-    def mat(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.a11, self.a12, self.a13],
-                [self.a12, self.a22, self.a23],
-                [self.a13, self.a23, self.a33],
-            ]
-        )
-
-    def trace(self) -> float:
-        return self.a11 + self.a22 + self.a33
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, from numpy.linalg.eigvalsh."""
-        return np.linalg.eigvalsh(self.mat)
 
 
 def eigenvalues2(a11, a12, a22):

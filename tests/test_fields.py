@@ -10,17 +10,16 @@ from heisenpde.fields import (
     PolynomialField,
     field_from_config,
     parse_polynomial,
+    row_sums,
     smooth_abs_field,
 )
-from heisenpde.group import Point
 from heisenpde.rng import SplitMix64
 
 
 def test_parse_basic_forms():
     p = parse_polynomial("2 * x1^2 x2 + 3.5*x3 - x1")
     assert p.terms == parse_polynomial("-x1 + 2x1^2x2 + 3.5 x3").terms
-    assert p.value(Point(1.0, 1.0, 0.0)) == 2.0 - 1.0
-    assert p.value(Point(0.0, 0.0, 2.0)) == 7.0
+    assert p.value_batch(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])).tolist() == [1.0, 7.0]
     # loose forms: adjacent coefficients multiply, signs compose, exponents may lead with 0
     assert parse_polynomial("2 3 x1").terms == {(1, 0, 0): Fraction(6)}
     assert parse_polynomial("x1x2").terms == {(1, 1, 0): Fraction(1)}
@@ -33,8 +32,8 @@ def test_parse_basic_forms():
 
 def test_parse_scientific_and_constants():
     p = parse_polynomial("1e-2 * x1 + 4")
-    assert p.value(Point(100.0, 0.0, 0.0)) == 5.0
-    assert parse_polynomial("1").value(Point(3, 4, 5)) == 1.0
+    assert p.value_batch(np.array([[100.0, 0.0, 0.0]])).tolist() == [5.0]
+    assert parse_polynomial("1").value_batch(np.array([[3.0, 4.0, 5.0]])).tolist() == [1.0]
 
 
 def test_parse_rejects_garbage():
@@ -64,10 +63,10 @@ def test_parse_names_a_bad_exponent_or_coefficient(text, words):
 
 def test_polynomial_partials_are_exact():
     u = parse_polynomial("x1^2 x3 - 2 x2 x3^2")
-    p = Point(1.5, -0.5, 2.0)
-    assert u.partial_field(0).value(p) == 2 * 1.5 * 2.0
-    assert u.partial_field(2).value(p) == 1.5**2 - 2 * 2 * (-0.5) * 2.0
-    assert u.second_partials(p, ((0, 2), (2, 2))) == [2 * 1.5, -4 * (-0.5)]
+    p = np.array([[1.5, -0.5, 2.0]])
+    assert u.partial_field(0).value_batch(p).tolist() == [2 * 1.5 * 2.0]
+    assert u.partial_field(2).value_batch(p).tolist() == [1.5**2 - 2 * 2 * (-0.5) * 2.0]
+    assert u.second_partials(p, ((0, 2), (2, 2))).tolist() == [[2 * 1.5, -4 * (-0.5)]]
 
 
 def test_value_batch_matches_scalar():
@@ -76,7 +75,7 @@ def test_value_batch_matches_scalar():
     pts = random_points(g, 50)
     batch = u.value_batch(pts)
     for k, row in enumerate(pts):
-        assert np.isclose(batch[k], u.value(Point(*row)), rtol=1e-13, atol=1e-13)
+        assert np.isclose(batch[k], _ref_value(u.terms, row), rtol=1e-13, atol=1e-13)
 
 
 def _monomial_formula(u: PolynomialField, pts: np.ndarray) -> np.ndarray:
@@ -121,9 +120,10 @@ def test_one_pass_frame_fields_match_partial_route():
     assert parse_polynomial("x1 x2 - 0.5 x3").apply_x().terms == {}
 
 
-def _composed_value(u: PolynomialField, p: Point) -> float:
-    """u(p) summed over the float views with numpy scalar powers."""
-    x = (np.float64(p.x1), np.float64(p.x2), np.float64(p.x3))
+def _composed_value(u: PolynomialField, p: np.ndarray) -> float:
+    """u at the one-row point p, summed over the float views with numpy
+    scalar powers."""
+    x = tuple(p[0])
     total = 0.0
     for (a, b, d), c in zip(u._expos, u._coeffs):
         total += c * x[0] ** a * x[1] ** b * x[2] ** d
@@ -143,21 +143,22 @@ def test_one_pass_hessian_is_the_composed_fields_bitwise():
         u = random_polynomial(g, degree=6)
         if trial % 2:
             u = u + extra
-        p = Point(*g.uniform(3, -2.0, 2.0))
+        p = g.uniform(3, -2.0, 2.0).reshape(1, 3)
         composed = {
-            (i, j): u.partial_field(i).partial_field(j).value(p) for i, j in pairs
+            (i, j): row_sums([u.partial_field(i).partial_field(j)._float_terms], p)[0, 0]
+            for i, j in pairs
         }
-        assert u.second_partials(p, pairs) == [composed[i, j] for i, j in pairs]
+        assert u.second_partials(p, pairs).tolist() == [[composed[i, j] for i, j in pairs]]
         for i, j in pairs:
-            # the plain float loop of value() sums as the numpy scalar loop did
+            # the plain float loop of row_sums sums as the numpy scalar loop did
             w = u.partial_field(i).partial_field(j)
-            assert w.value(p) == _composed_value(w, p)
-        h = full_hessian(u, p).mat
+            assert row_sums([w._float_terms], p)[0, 0] == _composed_value(w, p)
+        h = full_hessian(u, p)[0]
         assert all(h[i, j] == composed[i, j] for i, j in pairs)
-        assert u.value(p) == _composed_value(u, p)
+        assert row_sums([u._float_terms], p)[0, 0] == _composed_value(u, p)
     # d^2/dx3^2 of x1 x3^3 / 3 is 2 x1 x3: the coefficient 3 * 2 / 3 rounds once
     third = PolynomialField({(1, 0, 3): Fraction(1, 3)})
-    assert third.second_partials(Point(0.5, 0.0, 7.0), ((2, 2),)) == [7.0]
+    assert third.second_partials(np.array([[0.5, 0.0, 7.0]]), ((2, 2),)).tolist() == [[7.0]]
 
 
 def test_float_views_follow_the_exact_terms():
@@ -168,7 +169,7 @@ def test_float_views_follow_the_exact_terms():
     assert all(type(e) is int for expo in u.terms for e in expo)
     ux = u.apply_x()  # 1.5 x1 + 2 x2, built without float views
     assert "_expos" not in vars(ux)
-    assert ux.value(Point(2.0, 1.0, 3.0)) == 1.5 * 2 + 2 * 1
+    assert ux.value_batch(np.array([[2.0, 1.0, 3.0]])).tolist() == [1.5 * 2 + 2 * 1]
     # evaluation sums the monomials in sorted exponent order
     assert np.array_equal(ux._expos, [[0, 1, 0], [1, 0, 0]])
     assert np.array_equal(ux._coeffs, [2.0, 1.5])
@@ -268,7 +269,6 @@ def test_integer_numerators_follow_a_fraction_reference():
             (u * factor * (1 / Fraction(factor)), ref),
         ]
         pts = g.uniform(6, -2.0, 2.0).reshape(2, 3)
-        x = [float(v) for v in pts[0]]
         pairs_ij = [(i, j) for i in range(3) for j in range(i, 3)]
         for got, want in pairs:
             assert got.terms == want
@@ -276,14 +276,17 @@ def test_integer_numerators_follow_a_fraction_reference():
             same = PolynomialField(want)
             assert got == same and hash(got) == hash(same)
             assert (got == u) == (want == ref)
-            assert got.value(Point(*x)) == _ref_value(want, x)
+            xs = pts.tolist()
+            want_values = [_ref_value(want, x) for x in xs]
+            assert row_sums([got._float_terms], pts)[:, 0].tolist() == want_values
             # the monomial table of the sorted exponents times float(c)
             expos = np.array(sorted(want), dtype=np.int64).reshape(-1, 3)
             floats = np.array([float(want[e]) for e in sorted(want)])
             table = np.prod(pts[:, None, :] ** expos[None], axis=2)
             assert got.value_batch(pts).tobytes() == (table @ floats).tobytes()
-            assert got.second_partials(Point(*x), pairs_ij) == [
-                _ref_value(_ref_partial(_ref_partial(want, i), j), x) for i, j in pairs_ij
+            assert got.second_partials(pts, pairs_ij).tolist() == [
+                [_ref_value(_ref_partial(_ref_partial(want, i), j), x) for i, j in pairs_ij]
+                for x in xs
             ]
     third, sixth = Fraction(1, 3), Fraction(1, 6)
     assert PolynomialField({(1, 0, 0): third}) != PolynomialField({(1, 0, 0): sixth})
@@ -299,8 +302,8 @@ def test_derived_coefficients_beyond_the_float_range_are_named():
     u = parse_polynomial("1e308 x1^2")
     words = ("x1^0 x2^0 x3^0", "beyond the float range", f"{sys.float_info.max:.6g}")
     calls = [
-        (lambda: u.second_partials(Point(0.5, 0.0, 0.0), ((0, 1), (0, 0))), "d^2u/dx1dx1"),
-        (lambda: h_hessian(u, Point(0.5, 0.0, 0.0)), "horizontal second derivative"),
+        (lambda: u.second_partials(np.array([[0.5, 0.0, 0.0]]), ((0, 1), (0, 0))), "d^2u/dx1dx1"),
+        (lambda: h_hessian(u, np.array([[0.5, 0.0, 0.0]])), "horizontal second derivative"),
         (lambda: manufacture(u, OperatorSpec.sublaplacian(), PolynomialField.constant(0)),
          "X^2u of the exact solution"),
     ]
@@ -308,6 +311,25 @@ def test_derived_coefficients_beyond_the_float_range_are_named():
         with pytest.raises(ValueError) as err:
             call()
         assert all(w in str(err.value) for w in (*words, where)), err.value
+
+
+@pytest.mark.parametrize(
+    "terms, words",
+    [
+        # int(0.5) once made this the constant 1
+        ({(0.5, 0, 0): 1}, ("(0.5, 0, 0)", "nonnegative integer exponents")),
+        # once kept, and dilate(2) returned x1^-1 unchanged
+        ({(-1, 0, 0): 1}, ("(-1, 0, 0)", "nonnegative integer exponents")),
+        # once kept, and dilate(2) raised IndexError
+        ({(1, 0, 0): 1, (-1, 0, 0): 1}, ("(-1, 0, 0)", "nonnegative integer exponents")),
+        # once a bare OverflowError
+        ({(1, 0, 0): float("inf")}, ("coefficient inf", "x1^1 x2^0 x3^0", "not a finite number")),
+    ],
+)
+def test_constructor_rejects_a_monomial_it_cannot_hold(terms, words):
+    with pytest.raises(ValueError) as err:
+        PolynomialField(terms).dilate(2)
+    assert all(w in str(err.value) for w in words), err.value
 
 
 def test_apply_x_on_coordinates():
@@ -329,8 +351,8 @@ def test_dilate_composition_is_exact():
 def test_numeric_field_second_partials():
     fn = lambda pts: np.sin(pts[:, 0]) * pts[:, 2] + pts[:, 1] ** 3
     u = NumericField(fn)
-    p = Point(0.3, 0.7, -1.2)
-    d00, d02, d11 = u.second_partials(p, ((0, 0), (0, 2), (1, 1)))
+    p = np.array([[0.3, 0.7, -1.2]])
+    ((d00, d02, d11),) = u.second_partials(p, ((0, 0), (0, 2), (1, 1)))
     assert np.isclose(d00, -np.sin(0.3) * -1.2, atol=1e-6)
     assert np.isclose(d02, np.cos(0.3), atol=1e-6)
     assert np.isclose(d11, 6 * 0.7, atol=1e-5)
@@ -338,12 +360,12 @@ def test_numeric_field_second_partials():
 
 def test_numeric_field_fd_order_two():
     fn = lambda pts: np.exp(pts[:, 0] + 0.5 * pts[:, 1])
-    p = Point(0.1, 0.2, 0.0)
+    p = np.array([[0.1, 0.2, 0.0]])
     exact = np.exp(0.1 + 0.5 * 0.2)
     errs = []
     for h in (1e-2, 5e-3, 2.5e-3):
         u = NumericField(fn, h_fd=h)
-        errs.append(abs(u.second_partials(p, ((0, 0),))[0] - exact))
+        errs.append(abs(u.second_partials(p, ((0, 0),))[0, 0] - exact))
     order = np.log(errs[0] / errs[2]) / np.log(4.0)
     assert order > 1.9
 
@@ -368,7 +390,7 @@ def test_smooth_abs_field_shape():
 
 def test_field_from_config():
     f = field_from_config({"poly": "x1 + 1"})
-    assert f.value(Point(2, 0, 0)) == 3.0
+    assert f.value_batch(np.array([[2.0, 0.0, 0.0]])).tolist() == [3.0]
     g = field_from_config({"builtin": "smooth_abs", "eps": 0.2, "scale": 2.0})
     assert g.value_batch(np.zeros((1, 3))).tolist() == [0.0]
     with pytest.raises(ValueError):

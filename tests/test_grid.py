@@ -13,6 +13,16 @@ def test_grid_validation():
         Grid3((0, 0, 0), (3, 3, 3), (0.1, -0.1, 0.1))
 
 
+def test_grid_stores_integral_counts_as_ints():
+    # a float count once passed the count rule and broke every array built
+    # from the counts, e.g. interior_mask and GridFunction.zeros
+    g = Grid3((-1.0,) * 3, (9.0, 9, np.int64(9)), (0.25,) * 3)
+    assert g.counts == (9, 9, 9) and all(type(n) is int for n in g.counts)
+    assert g == Grid3.box((-1, -1, -1), (1, 1, 1), (9, 9, 9))
+    assert g.interior_mask().sum() == 7**3
+    assert GridFunction.zeros(g).values.shape == (9, 9, 9)
+
+
 def test_grid_box_and_upper():
     g = Grid3.box((-1, -1, -1), (1, 1, 1), (17, 17, 17))
     assert g.spacings == (0.125, 0.125, 0.125)

@@ -6,7 +6,7 @@ from heisenpde.calculus import full_hessian, h_hessian, lift_batch
 from heisenpde.checks import pucci_bruteforce
 from heisenpde.fields import PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3
-from heisenpde.group import Point, sqrt_p_batch
+from heisenpde.group import sqrt_p_batch
 from heisenpde.operators import (
     DIRECTIONS,
     X,
@@ -21,7 +21,7 @@ from heisenpde.operators import (
 )
 from heisenpde.rng import SplitMix64
 from heisenpde.solver import Discretization, ProblemSpec, manufacture
-from heisenpde.symmetric import Sym2, Sym3
+from heisenpde.symmetric import Sym2
 
 
 def test_bracket_and_holder_data_validation():
@@ -35,6 +35,13 @@ def test_bracket_and_holder_data_validation():
         HolderData(c0=1.0, beta=1.5, beta_prime=1.0, L_c=0.0, L_f=1.0)
     with pytest.raises(ValueError):
         HolderData(c0=1.0, beta=1.0, beta_prime=1.0, L_c=-1.0, L_f=1.0)
+
+
+@pytest.mark.parametrize("lam, Lam", [(1.0, np.inf), (np.inf, np.inf), (1.0, np.nan)])
+def test_bracket_rejects_a_constant_that_is_not_finite(lam, Lam):
+    # an infinite Lam once passed and only broke the solve, at an interior node
+    with pytest.raises(ValueError, match="^need finite 0 < lam <= Lam, got"):
+        EllipticityBracket(lam, Lam)
 
 
 def pucci(kind: str, b: EllipticityBracket, mats: np.ndarray) -> np.ndarray:
@@ -63,9 +70,9 @@ def test_pucci_matches_bruteforce():
 
 def test_pucci_positive_definite_is_Lam_trace():
     b = EllipticityBracket(0.5, 3.0)
-    h = Sym2(2.0, 0.3, 1.0)
-    assert min(h.eigenvalues()) > 0
-    assert np.isclose(pucci("pucci_plus", b, h.mat[None])[0], 3.0 * h.trace(), rtol=1e-14)
+    h = np.array([[2.0, 0.3], [0.3, 1.0]])
+    assert np.linalg.eigvalsh(h).min() > 0
+    assert np.isclose(pucci("pucci_plus", b, h[None])[0], 3.0 * np.trace(h), rtol=1e-14)
 
 
 def test_pucci_duality_exact():
@@ -132,7 +139,6 @@ def test_apply_stack_is_apply_per_matrix_bitwise():
         OperatorSpec.sublaplacian(form="lifted"),
         OperatorSpec("pucci_plus", b, form="lifted"),
         OperatorSpec("pucci_minus", b, form="lifted"),
-        OperatorSpec("trace_linear", b, form="lifted", coeff=Sym3(1.5, 0.2, 0.1, 1.2, -0.1, 1.4)),
     ):
         single = [spec.apply_stack(m[None])[0] for m in mats]
         assert np.array_equal(spec.apply_stack(mats), single), spec.kind
@@ -142,7 +148,7 @@ def test_apply_stack_is_apply_per_matrix_bitwise():
 
 def test_pucci_one_homogeneity():
     b = EllipticityBracket(1.0, 2.0)
-    h = Sym2(1.3, -0.4, -2.1).mat
+    h = np.array([[1.3, -0.4], [-0.4, -2.1]])
     plus = pucci("pucci_plus", b, h[None])[0]
     for t in (0.5, 2.0, 4.0):
         assert pucci("pucci_plus", b, t * h[None])[0] == t * plus
@@ -164,12 +170,6 @@ def test_validate_operator_clean_kinds():
         OperatorSpec.sublaplacian(form="lifted"),
         OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0), form="lifted"),
         OperatorSpec("pucci_minus", EllipticityBracket(0.5, 1.5), form="lifted"),
-        OperatorSpec(
-            "trace_linear",
-            EllipticityBracket(1.0, 2.0),
-            form="lifted",
-            coeff=Sym3(1.5, 0.2, 0.1, 1.2, -0.1, 1.4),
-        ),
     ):
         report = validate_operator(spec, samples=300, seed=1)
         assert report["violations"] == 0, report
@@ -211,7 +211,7 @@ def test_apply_on_sym2_is_apply_batch_bitwise():
         OperatorSpec("trace_linear", EllipticityBracket(1.0, 2.0), coeff=Sym2(1.5, 0.2, 1.2)),
     ):
         batch = spec.apply_batch(direction_rows(hxx, hxy, hyy, spec.hessian_rows))
-        single = [spec.apply_stack(Sym2(*row).mat[None])[0] for row in zip(hxx, hxy, hyy)]
+        single = [spec.apply_stack(m[None])[0] for m in mats]
         assert np.array_equal(batch, single), spec.kind
 
 
@@ -227,6 +227,13 @@ def test_operator_spec_validation():
         OperatorSpec(
             "trace_linear", EllipticityBracket(1.0, 2.0), coeff=Sym2(0.5, 0.0, 2.5)
         )
+    # trace_linear is intrinsic only, and its coefficient is a Sym2
+    with pytest.raises(ValueError, match="^trace_linear acts in intrinsic form only, with a Sym2"):
+        OperatorSpec(
+            "trace_linear", EllipticityBracket(1.0, 2.0), form="lifted", coeff=Sym2(1.5, 0.2, 1.2)
+        )
+    with pytest.raises(ValueError, match="^trace_linear acts in intrinsic form only, with a Sym2"):
+        OperatorSpec("trace_linear", EllipticityBracket(1.0, 2.0), coeff=np.eye(2))
 
 
 def test_operator_spec_config_roundtrip():
@@ -242,13 +249,13 @@ def test_operator_spec_config_roundtrip():
         OperatorSpec.from_config({"kind": "sublaplacian", "lambda": 1})
 
 
-def intrinsic(spec: OperatorSpec, u, p: Point) -> float:
-    """F of the symmetrized horizontal Hessian of u at p."""
-    return spec.apply_stack(h_hessian(u, p).mat[None])[0]
+def intrinsic(spec: OperatorSpec, u, p: np.ndarray) -> float:
+    """F of the symmetrized horizontal Hessian of u at the point p, (3,)."""
+    return spec.apply_stack(h_hessian(u, p[None]))[0]
 
 
 def test_eval_intrinsic_examples():
-    p = Point(0.4, -0.2, 1.0)
+    p = np.array([0.4, -0.2, 1.0])
     sub = OperatorSpec.sublaplacian()
     assert np.isclose(intrinsic(sub, parse_polynomial("x1^2 + x2^2"), p), 4.0, rtol=1e-13)
     lin = parse_polynomial("2 x1 - x2 + 3 x3")
@@ -256,15 +263,15 @@ def test_eval_intrinsic_examples():
         assert intrinsic(spec, lin, p) == 0.0
     saddle = parse_polynomial("x1^2 - x2^2")
     pp = OperatorSpec("pucci_plus", EllipticityBracket(1.0, 2.0))
-    assert np.isclose(intrinsic(pp, saddle, Point(0, 0, 0)), 2 * 2 + 1 * (-2), rtol=1e-14)
+    assert np.isclose(intrinsic(pp, saddle, np.zeros(3)), 2 * 2 + 1 * (-2), rtol=1e-14)
     with pytest.raises(ValueError):
         intrinsic(OperatorSpec.sublaplacian(form="lifted"), saddle, p)
 
 
-def lifted(spec: OperatorSpec, u, p: Point) -> float:
-    """G of sqrt(P) D^2u sqrt(P) at p."""
-    r = sqrt_p_batch(p.as_array()[None])
-    return spec.apply_stack(r @ full_hessian(u, p).mat @ r)[0]
+def lifted(spec: OperatorSpec, u, p: np.ndarray) -> float:
+    """G of sqrt(P) D^2u sqrt(P) at the point p, (3,)."""
+    r = sqrt_p_batch(p[None])
+    return spec.apply_stack(r @ full_hessian(u, p[None]) @ r)[0]
 
 
 def test_eval_lifted_trace_equals_sublaplacian():
@@ -272,15 +279,15 @@ def test_eval_lifted_trace_equals_sublaplacian():
     spec = OperatorSpec.sublaplacian(form="lifted")
     for _ in range(20):
         u = random_polynomial(g, degree=5)
-        p = Point(*random_points(g, 1)[0])
+        p = random_points(g, 1)[0]
         lifted_val = lifted(spec, u, p)
-        intrinsic_val = h_hessian(u, p).trace()
+        intrinsic_val = float(np.trace(h_hessian(u, p[None])[0]))
         scale = max(1.0, abs(intrinsic_val))
         assert abs(lifted_val - intrinsic_val) <= 1e-9 * scale
     lin = parse_polynomial("x1 + x2 + x3")
-    assert abs(lifted(spec, lin, Point(1, 2, 3))) < 1e-14
+    assert abs(lifted(spec, lin, np.array([1.0, 2.0, 3.0]))) < 1e-14
     with pytest.raises(ValueError):
-        lifted(OperatorSpec.sublaplacian(), lin, Point(0, 0, 0))
+        lifted(OperatorSpec.sublaplacian(), lin, np.zeros(3))
 
 
 def test_residual_manufactured_and_errors():
@@ -291,7 +298,7 @@ def test_residual_manufactured_and_errors():
     c = PolynomialField.constant(1)
     f = parse_polynomial("4 - x1^2 - x2^2")
     pts = random_points(SplitMix64(55, "resid"), 20)
-    hessians = np.array([h_hessian(u, Point(*row)).mat for row in pts])
+    hessians = h_hessian(u, pts)
     res = sub.apply_stack(hessians) - c.value_batch(pts) * u.value_batch(pts) - f.value_batch(pts)
     scale = np.maximum(1.0, np.abs(f.value_batch(pts)))
     assert (np.abs(res) <= 1e-12 * scale).all()

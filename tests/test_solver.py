@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from heisenpde.calculus import h_hessian
 from heisenpde.fields import NumericField, PolynomialField, parse_polynomial
 from heisenpde.grid import Grid3, GridFunction, cells
-from heisenpde.group import Point, frame_batch
+from heisenpde.group import frame_batch
 from heisenpde.operators import (
     DIRECTIONS,
     X,
@@ -138,7 +138,8 @@ def stencil_matrix(u, grid: Grid3, idx, sample_width=None) -> np.ndarray:
     rows = disc.stencil.hessian_components(u.value_batch(grid.points()))
     column = np.ravel_multi_index(tuple(i - 1 for i in idx), disc.stencil.shape)
     d_x, d_y, d_plus, d_minus = rows[:, column]
-    return Sym2(d_x, cross_term(d_plus, d_minus), d_y).mat
+    h_xy = cross_term(d_plus, d_minus)
+    return np.array([[d_x, h_xy], [h_xy, d_y]])
 
 
 def test_stencil_hessian_quadratic_exact_at_spacing_step():
@@ -189,8 +190,8 @@ def test_stencil_hessian_consistency_under_refinement():
     for n in (17, 33, 65):
         g = box(n)
         idx = tuple((c - 1) // 2 + 1 for c in g.counts)
-        p = Point(*g.points()[np.ravel_multi_index(idx, g.counts)])
-        exact = h_hessian(u, p).mat
+        p = g.points()[np.ravel_multi_index(idx, g.counts)]
+        exact = h_hessian(u, p[None])[0]
         errs.append(np.abs(stencil_matrix(u, g, idx) - exact).max())
     order = np.log2(errs[0] / errs[2]) / 2
     assert errs[2] < errs[0]
