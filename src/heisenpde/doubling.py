@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import lift_batch
+from .grid import tensor_points
 from .group import Point, p_matrix_batch, sqrt_p_batch
 from .rng import SplitMix64
 
@@ -238,12 +239,6 @@ def _tensor_axes(lower: np.ndarray, upper: np.ndarray, per_axis: int) -> list[np
     return [np.linspace(lower[i], upper[i], per_axis) for i in range(3)]
 
 
-def _tensor_points(axes: list[np.ndarray]) -> np.ndarray:
-    """The (m^3, 3) tensor product of three axes in x3-fastest order."""
-    grid = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grid], axis=1)
-
-
 def _refined_axes(
     lower: np.ndarray, upper: np.ndarray, center: np.ndarray, per_axis: int
 ) -> list[np.ndarray]:
@@ -290,7 +285,7 @@ def _psi_max(
     is bitwise the direct evaluation.  A pencil replaces the best only
     when strictly larger, with its first maximal pair in (ix, iy) order, so
     ties go to the first pair in (ix, iy) order."""
-    pts_x, pts_y = _tensor_points(axes_x), _tensor_points(axes_y)
+    pts_x, pts_y = tensor_points(axes_x), tensor_points(axes_y)
     ux = np.asarray(u.value_batch(pts_x), dtype=float)
     uy = np.asarray(u.value_batch(pts_y), dtype=float)
     if not (np.all(np.isfinite(ux)) and np.all(np.isfinite(uy))):
@@ -368,7 +363,7 @@ def doubling_certificate(
     ):
         raise ValueError("domain must be a nondegenerate box (lower, upper)")
     axes = _tensor_axes(lower, upper, per_axis)
-    pts = _tensor_points(axes)
+    pts = tensor_points(axes)
     theta, ix, iy = _psi_max(u, axes, axes, pp)
 
     # one refinement pass around each incumbent point
@@ -378,7 +373,7 @@ def doubling_certificate(
     theta_f, jx, jy = _psi_max(u, fine_x, fine_y, pp)
     if theta_f > theta:
         theta = theta_f
-        best_pair = (_tensor_points(fine_x)[jx], _tensor_points(fine_y)[jy])
+        best_pair = (tensor_points(fine_x)[jx], tensor_points(fine_y)[jy])
 
     x_hat = Point(*best_pair[0])
     y_hat = Point(*best_pair[1])

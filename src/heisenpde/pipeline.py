@@ -19,7 +19,7 @@ from .grid import GridFunction
 from .operators import EllipticityBracket, HolderData
 from .regularity import DEFAULT_MARGIN, HolderReport, alpha_target
 from .regularity import check_theorem, modulus, radius_span
-from .solver import ProblemSpec, refine_problem, solve
+from .solver import ProblemSpec, solve
 
 # every file name that run_pipeline may return, in the order it adds them
 ARTIFACTS = (
@@ -150,7 +150,7 @@ def run_pipeline(cfg: dict, emit_plot_data: bool = False, timings: dict | None =
         coarse = solve(spec.problem)
     with _stage(timings, "refined_solve_s"):
         # the refined problem and its levels are freed with this solve
-        fine = solve(refine_problem(spec.problem))
+        fine = solve(replace(spec.problem, grid=spec.problem.grid.refine()))
     artifacts = {
         "solution.csv": coarse.u,
         "solution.diag.json": coarse.to_dict(),

@@ -106,7 +106,7 @@ sweep: SolveResult.iterations is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -142,8 +142,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.op.form != INTRINSIC:
             raise ValueError("the grid solver discretizes the intrinsic form")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.sample_width is not None:
             _check_step(self.sample_width, "sample_width")
 
@@ -167,7 +167,7 @@ class ProblemSpec:
             c=field_from_config(cfg["c"], "c"),
             f=field_from_config(cfg["f"], "f"),
             boundary=field_from_config(cfg["boundary"], "boundary"),
-            grid=_grid_from_config(cfg["grid"]),
+            grid=Grid3.from_config(cfg["grid"]),
             tol=config_number(cfg, "problem", "tol", default=1e-6),
             sample_width=(
                 config_number(cfg, "problem", "sample_width")
@@ -175,17 +175,6 @@ class ProblemSpec:
                 else None
             ),
         )
-
-
-def _grid_from_config(cfg: dict) -> Grid3:
-    config_section(cfg, "grid", ("lower", "counts"), ("upper", "spacings"))
-    if ("upper" in cfg) == ("spacings" in cfg):
-        raise ValueError("grid config needs exactly one of 'upper' or 'spacings'")
-    lower = config_number(cfg, "grid", "lower", length=3)
-    counts = config_number(cfg, "grid", "counts", int, length=3)
-    if "upper" in cfg:
-        return Grid3.box(lower, config_number(cfg, "grid", "upper", length=3), counts)
-    return Grid3(lower, counts, config_number(cfg, "grid", "spacings", length=3))
 
 
 @dataclass
@@ -396,7 +385,7 @@ class _Stencil:
         for cx, cy in _COMBOS:
             offset = step * (cx * x_dir + cy * y_dir)
             sample = cols + offset
-            cell, frac = cells(grid, sample, clamp=False)
+            cell, frac = cells(grid, sample)
             s3 = x3 + offset[:, 2:]  # (columns, n3 - 2) sample heights
             xy = sample[:, :2]
             column_in = np.all((xy >= lower[:2] - eps) & (xy <= upper[:2] + eps), axis=1)
@@ -940,8 +929,3 @@ def solve(prob: ProblemSpec) -> SolveResult:
             list(chebyshev_weights(level.interval, ml.SWEEPS)) for level in ml.levels[:-1]
         ],
     )
-
-
-def refine_problem(prob: ProblemSpec) -> ProblemSpec:
-    """The same problem on the once-refined grid."""
-    return replace(prob, grid=prob.grid.refine())

@@ -642,6 +642,21 @@ def test_solve_rejects_a_sample_step_with_infinite_square(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_rejects_a_grid_whose_spacing_overflows(tmp_path, capsys):
+    # every number is finite, but the spacing 2e308 / 8 is not; the solve
+    # used to exit with numpy's "Maximum allowed dimension exceeded"
+    grid = {"lower": [-1e308, -1, -1], "upper": [1e308, 1, 1], "counts": [9, 9, 9]}
+    shipped = json.loads((CONFIGS / "solve_manufactured.json").read_text())
+    cfg = write_json(tmp_path / "prob.json", dict(shipped, grid=grid))
+    out = tmp_path / "u.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "grid spacings must be positive and finite, got (inf, 0.25, 0.25)" in err, err
+    assert not out.exists()
+
+
 def test_solve_rejects_c_that_overflows_on_the_grid(tmp_path, capsys):
     # x3^2 overflows to inf at the top and bottom of the box, which passes
     # the check min c >= 0
@@ -675,21 +690,22 @@ def test_run_pipeline_returns_what_the_cli_writes(tmp_path):
 def test_run_pipeline_frees_the_refined_problem_before_the_certificate(monkeypatch):
     from heisenpde import pipeline
 
-    refine, certificate = pipeline.refine_problem, pipeline.doubling_certificate
-    refined, alive = [], []
+    solve, certificate = pipeline.solve, pipeline.doubling_certificate
+    solved, grids, alive = [], [], []
 
-    def tracked_refine(prob):
-        out = refine(prob)
-        refined.append(weakref.ref(out))
-        return out
+    def tracked_solve(prob):
+        solved.append(weakref.ref(prob))
+        grids.append(prob.grid)
+        return solve(prob)
 
     def tracked_certificate(*args, **kwargs):
-        alive.append(refined[0]() is not None)
+        alive.append(solved[1]() is not None)
         return certificate(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "refine_problem", tracked_refine)
+    monkeypatch.setattr(pipeline, "solve", tracked_solve)
     monkeypatch.setattr(pipeline, "doubling_certificate", tracked_certificate)
     run_pipeline(PIPELINE_CONFIG)
+    assert len(grids) == 2 and grids[1] == grids[0].refine()
     assert alive == [False]
 
 

@@ -22,9 +22,9 @@ from heisenpde.doubling import (
     trace_gap_batch,
     vertical_obstruction_check,
 )
-from heisenpde.doubling import _psi_max, _refined_axes, _tensor_axes, _tensor_points
+from heisenpde.doubling import _psi_max, _refined_axes, _tensor_axes
 from heisenpde.fields import NumericField, PolynomialField, parse_polynomial
-from heisenpde.grid import Grid3, GridFunction
+from heisenpde.grid import Grid3, GridFunction, tensor_points
 from heisenpde.group import sqrt_p_batch
 from heisenpde.rng import SplitMix64
 
@@ -449,9 +449,9 @@ def chunked_psi_max(u, axes_x, axes_y, pp):
     distinct value of q3, and gathered to every pair.  The chunks are the
     pencils, in x order; a chunk replaces the best only when strictly
     larger, with its first maximal pair in (ix, iy) order."""
-    pts_x, pts_y = _tensor_points(axes_x), _tensor_points(axes_y)
+    pts_x, pts_y = tensor_points(axes_x), tensor_points(axes_y)
     m = len(axes_x[0])
-    # the tables index the samples as _tensor_points lays them out
+    # the tables index the samples as tensor_points lays them out
     for axes, pts in ((axes_x, pts_x), (axes_y, pts_y)):
         index = np.unravel_index(np.arange(m**3), (m, m, m))
         assert np.array_equal(pts, np.column_stack([a[j] for a, j in zip(axes, index)]))
@@ -519,7 +519,7 @@ def psi_case(name, m):
         return u, axes, axes, PenaltyParams(0.3, 0.6, 1e-6, 1e-6)
     if name == "spike":
         # a dip at one sample point: once it is found only its column survives
-        dip = _tensor_points(axes)[spike_index(m)]
+        dip = tensor_points(axes)[spike_index(m)]
         u = NumericField(lambda pts: -np.exp(-np.sum((pts - dip) ** 2, axis=1) / 1e-4))
         return u, axes, axes, PenaltyParams(0.5, 0.5, 1e-6, 1e-6)
     if name == "cone":

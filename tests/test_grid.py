@@ -185,3 +185,91 @@ def test_value_batch_rejects_non_finite_points(bad):
     with pytest.raises(ValueError, match="non-finite point"):
         gf.value_batch(np.array([[bad, 0.0, 0.0]]))
     assert gf.value_batch(pts[:1]).tolist() == [0.5]
+
+
+@pytest.mark.parametrize(
+    "lower, spacings, words",
+    [
+        ((float("nan"), 0, 0), (0.25,) * 3, "lower corner must be finite"),
+        ((0, -float("inf"), 0), (0.25,) * 3, "lower corner must be finite"),
+        ((0, 0, 0), (float("inf"), 0.25, 0.25), "spacings must be positive and finite"),
+        ((0, 0, 0), (0.25, float("nan"), 0.25), "spacings must be positive and finite"),
+        ((1e308, 0, 0), (1e308, 0.25, 0.25), "upper corner must be finite"),
+    ],
+)
+def test_grid_rejects_corners_and_spacings_that_are_not_finite(lower, spacings, words):
+    with pytest.raises(ValueError, match=words):
+        Grid3(lower, (9, 9, 9), spacings)
+
+
+def test_grid_from_config_reads_a_box_or_a_lattice():
+    box = Grid3.from_config({"lower": [-1, -1, -1], "upper": [1, 1, 1], "counts": [9, 9, 17]})
+    assert box == Grid3.box((-1, -1, -1), (1, 1, 1), (9, 9, 17))
+    lattice = Grid3.from_config(
+        {"lower": [-1, -1, -1], "counts": [9, 9, 17], "spacings": [0.25, 0.25, 0.125]}
+    )
+    assert lattice == Grid3((-1.0, -1.0, -1.0), (9, 9, 17), (0.25, 0.25, 0.125))
+    assert lattice.spacings == (0.25, 0.25, 0.125) and lattice.upper == (1.0, 1.0, 1.0)
+    both = {"lower": [0, 0, 0], "upper": [1, 1, 1], "counts": [5, 5, 5], "spacings": [0.25] * 3}
+    neither = {"lower": [0, 0, 0], "counts": [5, 5, 5]}
+    for cfg in (both, neither):
+        with pytest.raises(ValueError, match="^grid config needs exactly one of 'upper' or 'spacings'$"):
+            Grid3.from_config(cfg)
+
+
+def parent_value_batch(gf, pts):
+    """Clamped cell lookup and trilinear gather as two helpers, kept
+    verbatim as the reference for GridFunction.value_batch."""
+    grid = gf.grid
+
+    def locate(pts):
+        _, n2, n3 = grid.counts
+        t = (np.asarray(pts, dtype=float) - grid.lower) / grid.spacings
+        top = np.array(grid.counts) - 2
+        np.clip(t, 0.0, top + 1.0, out=t)
+        cell = np.minimum(t.astype(np.int64), top)
+        return (cell[:, 0] * n2 + cell[:, 1]) * n3 + cell[:, 2], t - cell
+
+    def trilinear(flat, counts, base, frac):
+        _, n2, n3 = counts
+        s1 = n2 * n3
+        fz = frac[:, 2]
+        g00 = flat[base] * (1 - fz) + flat[base + 1] * fz
+        g01 = flat[base + n3] * (1 - fz) + flat[base + n3 + 1] * fz
+        g10 = flat[base + s1] * (1 - fz) + flat[base + s1 + 1] * fz
+        g11 = flat[base + s1 + n3] * (1 - fz) + flat[base + s1 + n3 + 1] * fz
+        fy = frac[:, 1]
+        h0 = g00 * (1 - fy) + g01 * fy
+        h1 = g10 * (1 - fy) + g11 * fy
+        return h0 * (1 - frac[:, 0]) + h1 * frac[:, 0]
+
+    base, frac = locate(pts)
+    return trilinear(gf.values.ravel(), grid.counts, base, frac)
+
+
+def test_value_batch_matches_the_clamped_gather_bitwise():
+    # a non-dyadic grid with unequal spacings, so no cell position is exact
+    grid = Grid3((-0.7, 0.3, -1.1), (7, 10, 13), (0.3, 0.17, 1 / 7))
+    rng = SplitMix64(11)
+    gf = GridFunction(grid, rng.uniform(grid.n_nodes, -1.0, 1.0))
+    lo, hi = np.array(grid.lower), np.array(grid.upper)
+    inside = lo + (hi - lo) * rng.uniform(1500).reshape(500, 3)
+    faces, outside = [], []
+    for axis in range(3):
+        on_face = inside[:40].copy()
+        on_face[:, axis] = hi[axis]
+        beyond = on_face.copy()
+        beyond[:, axis] = np.nextafter(hi[axis], np.inf)
+        faces += [on_face, beyond]
+        for side, sign in ((lo, -1.0), (hi, 1.0)):
+            out = inside[40:80].copy()
+            out[:, axis] = side[axis] + sign * rng.uniform(40, 1e-9, 2.0)
+            outside.append(out)
+    corners = np.array([[a, b, c] for a in (-9.0, 9.0) for b in (-9.0, 9.0) for c in (-9.0, 9.0)])
+    for pts in (inside, np.vstack(faces), np.vstack(outside), corners):
+        got, want = gf.value_batch(pts), parent_value_batch(gf, pts)
+        assert got.tobytes() == want.tobytes()
+    # clamped, a point outside reads the value at its projection onto the box
+    np.testing.assert_allclose(
+        gf.value_batch(corners), gf.value_batch(np.clip(corners, lo, hi)), rtol=0, atol=1e-12
+    )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -225,14 +227,14 @@ def test_theorem_bound_examples():
 def test_check_theorem_end_to_end_small():
     from heisenpde.fields import smooth_abs_field
     from heisenpde.operators import OperatorSpec
-    from heisenpde.solver import ProblemSpec, refine_problem, solve
+    from heisenpde.solver import ProblemSpec, solve
 
     op = OperatorSpec.sublaplacian()
     one = PolynomialField.constant(1)
     f = smooth_abs_field(eps=0.1, scale=1.0, offset=-1.0)
     prob = ProblemSpec(op, one, f, PolynomialField.constant(0), grid_box(17), tol=1e-6)
     coarse = solve(prob)
-    fine = solve(refine_problem(prob))
+    fine = solve(replace(prob, grid=prob.grid.refine()))
     assert coarse.converged and fine.converged
     hd = HolderData(c0=1.0, beta=1.0, beta_prime=1.0, L_c=0.0, L_f=1.0)
     b = EllipticityBracket(1.0, 1.0)
@@ -248,14 +250,14 @@ def test_check_theorem_end_to_end_small():
 def test_check_theorem_constant_solution():
     # c = 1, f = -k, boundary = k: u = k solves trace(D^{2,*}u) - u = -k
     from heisenpde.operators import OperatorSpec
-    from heisenpde.solver import ProblemSpec, refine_problem, solve
+    from heisenpde.solver import ProblemSpec, solve
 
     op = OperatorSpec.sublaplacian()
     one = PolynomialField.constant(1)
     k = PolynomialField.constant(2.0)
     prob = ProblemSpec(op, one, PolynomialField.constant(-2.0), k, grid_box(9), tol=1e-8)
     coarse = solve(prob)
-    fine = solve(refine_problem(prob))
+    fine = solve(replace(prob, grid=prob.grid.refine()))
     hd = HolderData(c0=1.0, beta=1.0, beta_prime=1.0, L_c=0.0, L_f=1.0)
     report = check_theorem(coarse.u, fine.u, hd, EllipticityBracket(1.0, 1.0))
     assert report.seminorm_at_target <= 1e-6

@@ -90,6 +90,14 @@ def test_problem_spec_validation():
         ProblemSpec(OperatorSpec.sublaplacian(form="lifted"), ONE, ZERO, ZERO, box(9))
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+def test_problem_spec_rejects_a_tol_that_is_not_finite(tol):
+    # with tol = inf the solve stopped before its first cycle and reported
+    # convergence at residual 1.38
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        ProblemSpec(SUB, ONE, ONE, ZERO, box(9), tol=tol)
+
+
 def test_problem_spec_from_config_strict():
     cfg = {
         "operator": {"kind": "sublaplacian", "lambda": 1.0, "Lambda": 1.0},
@@ -1302,9 +1310,7 @@ def gathered_samples(stencil, flat, rho, ordered=False):
     cols = np.stack(np.broadcast_arrays(x1[:, None], x2[None, :], grid.lower[2]), axis=-1)
     cols = cols.reshape(-1, 3)
     x_dir, y_dir = frame_batch(cols)
-    located = [
-        cells(grid, cols + rho * (cx * x_dir + cy * y_dir), clamp=False) for cx, cy in _COMBOS
-    ]
+    located = [cells(grid, cols + rho * (cx * x_dir + cy * y_dir)) for cx, cy in _COMBOS]
     pad = min(max(int(np.abs(cell[:, 2]).max()) for cell, _ in located), n3 - 2) + 1
     u = flat.reshape(grid.counts)
     padded = np.zeros((n1, n2, n3 + 2 * pad))
