@@ -10,7 +10,7 @@ operator path, closed-form cross-checks).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +227,21 @@ def check_dilation(seed: int = 0, trials: int = 100) -> dict:
 # block stay in cache, where one array of all the angles would not.
 _ANGLE_BLOCK = 8192
 
+# Trials per evaluation block of the checks that build a matrix stack per
+# trial: one block's (2048, 6, 6) stack is 576 KiB, so an evaluation's
+# temporaries stay below the memory of the draws.  Those checks still draw
+# every trial up front, and each trial's arithmetic is the same in any
+# block, so their reports do not depend on this size.
+_TRIAL_BLOCK = 2048
+
+
+def _max_over_blocks(trials: int, block_max: Callable[[slice], float]) -> float:
+    """The max of block_max(rows) over row slices of _TRIAL_BLOCK trials
+    covering range(trials): the max of the whole, since a max is exact (and
+    np.max keeps a nan, as the whole array's max would)."""
+    starts = range(0, trials, _TRIAL_BLOCK)
+    return float(np.max([block_max(slice(s, s + _TRIAL_BLOCK)) for s in starts]))
+
 
 def pucci_bruteforce(
     h: np.ndarray, lam: float, Lam: float, n: int, seed: int
@@ -359,11 +374,15 @@ def check_block_square_factor(seed: int = 0, trials: int = 10_000) -> dict:
     """[[M,-M],[-M,M]]^2 = 2 [[M^2,-M^2],[-M^2,M^2]] entrywise to 1e-10."""
     g = SplitMix64(seed, "block-square")
     alphas, ls, mus, x, y = _random_penalty(g, trials)
-    big = block_matrix(penalty_hessian_batch(x, y, ls, alphas))
-    bigsq = block_matrix(penalty_hessian_sq_batch(x, y, ls, alphas))
-    prod = np.einsum("nij,njk->nik", big, big)
-    scale = np.maximum(1.0, np.abs(bigsq).max(axis=(1, 2)))
-    worst = float((np.abs(prod - 2.0 * bigsq).max(axis=(1, 2)) / scale).max())
+
+    def gap(rows: slice) -> float:
+        big = block_matrix(penalty_hessian_batch(x[rows], y[rows], ls[rows], alphas[rows]))
+        bigsq = block_matrix(penalty_hessian_sq_batch(x[rows], y[rows], ls[rows], alphas[rows]))
+        prod = np.einsum("nij,njk->nik", big, big)
+        scale = np.maximum(1.0, np.abs(bigsq).max(axis=(1, 2)))
+        return (np.abs(prod - 2.0 * bigsq).max(axis=(1, 2)) / scale).max()
+
+    worst = _max_over_blocks(trials, gap)
     return _report("sums.block_square_factor", trials, worst, worst <= 1e-10)
 
 
@@ -390,10 +409,14 @@ def check_admissible_block(seed: int = 0, trials: int = 10_000) -> dict:
     """Generated pairs satisfy the 6x6 block inequality (min eig >= -1e-10)."""
     g = SplitMix64(seed, "admissible-block")
     _, _, _, _, _, ns, a, b = _admissible_suite(g, trials)
-    w = block_gap_matrix(a, b, ns)
-    evs = np.linalg.eigvalsh(w)
-    scale = np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
-    worst = float(-(evs[:, 0] / scale).min())
+
+    def gap(rows: slice) -> float:
+        w = block_gap_matrix(a[rows], b[rows], ns[rows])
+        evs = np.linalg.eigvalsh(w)
+        scale = np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
+        return -(evs[:, 0] / scale).min()
+
+    worst = _max_over_blocks(trials, gap)
     return _report("sums.admissible_block", trials, worst, worst <= 1e-10)
 
 
@@ -461,7 +484,9 @@ def check_sqrtp_lipschitz(seed: int = 0, trials: int = 100_000) -> dict:
     xy = g.uniform(2 * trials, -1000.0, 1000.0).reshape(trials, 2)
     d = g.unit_vectors(trials, 2)
     dist = g.uniform(trials, 0.1, 10.0)
-    c2 = float(sqrtp_ratio_batch(xy, xy + dist[:, None] * d).max())
+    c2 = _max_over_blocks(
+        trials, lambda rows: sqrtp_ratio_batch(xy[rows], xy[rows] + dist[rows, None] * d[rows]).max()
+    )
     return _report("sums.sqrtp_lipschitz", trials, c2, np.isfinite(c2) and c2 <= 8.0, c2=c2)
 
 

@@ -233,13 +233,21 @@ class GridFunction:
             if len(a) < 3:
                 raise ValueError("grid CSV needs at least 3 nodes per axis")
             steps = np.diff(a)
-            if not np.allclose(steps, steps[0], rtol=1e-9):
+            # relative only: an absolute floor would pass any steps of a
+            # grid spaced below it
+            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
                 raise ValueError("grid CSV spacing is not uniform")
             spacings.append(float(steps[0]))
         grid = Grid3(
             tuple(float(a[0]) for a in axes), counts, tuple(spacings)
         )
-        expected = grid.points()
-        if not np.allclose(expected, data[:, :3], rtol=0, atol=1e-12):
-            raise ValueError("grid CSV rows are not in x3-fastest tensor order")
+        # Each column, read as a (n1, n2, n3) view, against its axis.  With
+        # every step within 1e-9 h of h, an axis of up to 1000 steps stays
+        # within 1e-6 h of lower + k h, while a row out of order is off by
+        # a whole step on some axis.
+        for i in range(3):
+            lattice = grid.axis_coordinates(i).reshape([-1 if j == i else 1 for j in range(3)])
+            off = np.abs(data[:, i].reshape(counts) - lattice).max()
+            if not off <= 1e-6 * grid.spacings[i]:
+                raise ValueError("grid CSV rows are not in x3-fastest tensor order")
         return GridFunction(grid, data[:, 3].reshape(counts))

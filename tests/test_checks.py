@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +160,44 @@ def test_blocked_bruteforce_is_the_single_array_formula_bitwise(n):
         for lam, Lam in ((1.0, 2.0), (0.5, 2.5), (1.0, 1.0)):
             got = checks.pucci_bruteforce(h, lam, Lam, n, seed=k)
             assert got == _single_array_bruteforce(h, lam, Lam, n, k)
+
+
+# Each blocked check's tracemalloc high-water mark at seed 0 is bounded by
+# its blocked mark plus about 25%, in MiB.  The whole stacks read 22.9, 14.5
+# and 8.3; the blocks 6.9, 3.5 and 6.2.  sqrtp_lipschitz's and
+# admissible_block's marks are their draws, which stay whole.
+BLOCKED_CHECK_BOUNDS_MIB = {
+    "sums.sqrtp_lipschitz": 8.6,
+    "sums.block_square_factor": 4.4,
+    "sums.admissible_block": 7.75,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(BLOCKED_CHECK_BOUNDS_MIB))
+def test_blocked_checks_report_the_whole_stack_bitwise(monkeypatch, name, seed):
+    fn = dict(checks.ALL_CHECKS)[name]
+    shipped = json.dumps(fn(seed=seed), sort_keys=True)
+    # one block of all the trials is the whole-stack evaluation
+    monkeypatch.setattr(checks, "_TRIAL_BLOCK", json.loads(shipped)["trials"])
+    assert json.dumps(fn(seed=seed), sort_keys=True) == shipped
+
+
+@pytest.mark.parametrize("name,bound_mib", sorted(BLOCKED_CHECK_BOUNDS_MIB.items()))
+def test_blocked_checks_stay_under_their_memory_bound(name, bound_mib):
+    fn = dict(checks.ALL_CHECKS)[name]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("n", [0, -3])

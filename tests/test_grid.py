@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,71 @@ def test_csv_rejects_malformed(tmp_path):
     path.write_text("x1,x2,x3,u\n0,0,0,1\n1,0,0,2\n")
     with pytest.raises(ValueError):
         GridFunction.from_csv(path)
+
+
+def _write_csv(path, axes, rows=None) -> None:
+    """A CSV of the tensor grid of axes, u the row's index; rows, if given,
+    reorders the x3-fastest rows.  repr round-trips each coordinate."""
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    lines = [",".join(map(repr, (*p, float(k)))) for k, p in enumerate(pts.tolist())]
+    order = range(len(lines)) if rows is None else rows
+    path.write_text("x1,x2,x3,u\n" + "".join(lines[k] + "\n" for k in order))
+
+
+UNIT_AXES = [[0.0, 1.0, 2.0]] * 3
+X1_FASTEST = [9 * i3 + 3 * i2 + i1 for i1 in range(3) for i2 in range(3) for i3 in range(3)]
+
+
+@pytest.mark.parametrize(
+    "axes,rows,words",
+    [
+        (UNIT_AXES, range(26), "too few data rows (26); 3 nodes per axis need 27"),
+        (UNIT_AXES[:2] + [[0.0, 1.0, 2.0, 3.0]], range(27), "not a full tensor grid"),
+        ([[0.0, 1.0]] + [[0.0, 1.0, 2.0, 3.0]] * 2, None, "at least 3 nodes per axis"),
+        ([[0.0, 1.0, 3.0]] + UNIT_AXES[1:], None, "spacing is not uniform"),
+        # 1e-9 times that grid: an absolute tolerance of 1e-8 would pass any steps this small
+        ([[0.0, 1e-9, 3e-9]] + UNIT_AXES[1:], None, "spacing is not uniform"),
+        (UNIT_AXES, [1, 0, *range(2, 27)], "rows are not in x3-fastest tensor order"),
+        # x1 fastest: every axis is uniform, and only the order is wrong
+        (UNIT_AXES, X1_FASTEST, "rows are not in x3-fastest tensor order"),
+    ],
+    ids=["short", "missing-rows", "two-nodes", "non-uniform", "non-uniform-tiny", "swapped", "x1-fastest"],
+)
+def test_csv_names_what_is_wrong_with_a_file(tmp_path, axes, rows, words):
+    path = tmp_path / "u.csv"
+    _write_csv(path, axes, rows)
+    with pytest.raises(ValueError, match=re.escape(words)):
+        GridFunction.from_csv(path)
+
+
+def test_csv_names_the_line_of_a_value_that_is_not_finite(tmp_path):
+    path = tmp_path / "u.csv"
+    _write_csv(path, UNIT_AXES)
+    lines = path.read_text().splitlines()
+    lines[5] = "0.0,1.0,1.0,nan"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape("line 6: u = nan at (0, 1, 1) is not finite")):
+        GridFunction.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [[0.0, 1e-9, 2e-9]] * 3,
+        # lower + k h misses 100000.1 and 100000.2 by up to 1.75e-11
+        [[100000.0, 100000.1, 100000.2], [-3.0, -2.5, -2.0, -1.5], [0.0, 0.3, 0.6, 0.9, 1.2]],
+    ],
+    ids=["tiny-spacing", "far-from-origin"],
+)
+def test_csv_reads_a_uniform_grid_at_any_scale_or_offset(tmp_path, axes):
+    path = tmp_path / "u.csv"
+    _write_csv(path, axes)
+    gf = GridFunction.from_csv(path)
+    assert gf.grid.counts == tuple(len(a) for a in axes)
+    assert gf.grid.lower == tuple(a[0] for a in axes)
+    assert gf.values.ravel().tolist() == list(range(gf.grid.n_nodes))
+    for i, a in enumerate(axes):
+        np.testing.assert_allclose(gf.grid.axis_coordinates(i), a, rtol=1e-12, atol=0)
 
 
 def test_csv_is_deterministic(tmp_path):
