@@ -10,6 +10,7 @@ operator path, closed-form cross-checks).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 
@@ -227,6 +228,12 @@ def check_dilation(seed: int = 0, trials: int = 100) -> dict:
 # block stay in cache, where one array of all the angles would not.
 _ANGLE_BLOCK = 8192
 
+# Equal buckets of [0, pi) that the brute-force Pucci oracle bounds its sums
+# over.  A power of two, so that an angle's bucket is the top bits of the
+# word it is drawn from.
+_ANGLE_BUCKETS = 2048
+_BUCKET_SHIFT = np.uint64(65 - _ANGLE_BUCKETS.bit_length())
+
 # Trials per evaluation block of the checks that build a matrix stack per
 # trial: one block's (2048, 6, 6) stack is 576 KiB, so an evaluation's
 # temporaries stay below the memory of the draws.  Those checks still draw
@@ -243,6 +250,34 @@ def _max_over_blocks(trials: int, block_max: Callable[[slice], float]) -> float:
     return float(np.max([block_max(slice(s, s + _TRIAL_BLOCK)) for s in starts]))
 
 
+def _corner_sums(t: np.ndarray, h: np.ndarray, lam: float, Lam: float):
+    """G+ and G- at the angles t: h's diagonal (q1, q2) after a rotation by
+    t, each entry taken at its larger or its smaller corner of lam and Lam,
+    and summed."""
+    c, s = np.cos(t), np.sin(t)
+    cc, ss, cs2 = c * c, s * s, 2 * c * s
+    q1 = cc * h[0, 0] + cs2 * h[0, 1] + ss * h[1, 1]
+    q2 = ss * h[0, 0] - cs2 * h[0, 1] + cc * h[1, 1]
+    lq1, lq2, Lq1, Lq2 = lam * q1, lam * q2, Lam * q1, Lam * q2
+    return np.maximum(Lq1, lq1) + np.maximum(Lq2, lq2), np.minimum(Lq1, lq1) + np.minimum(Lq2, lq2)
+
+
+def _angle_bucket_bounds(h: np.ndarray, lam: float, Lam: float):
+    """(lo+, hi+, lo-, hi-): per bucket of angles, bounds on the float G+ and
+    G- of every angle in it (see pucci_bruteforce); None unless
+    4 Lam (|h11| + 2|h12| + |h22|) is finite, which a nan or inf entry, or
+    an h large enough for G to overflow, is not."""
+    h11, h12, h22 = float(h[0, 0]), float(h[0, 1]), float(h[1, 1])
+    scale = Lam * (abs(h11) + 2 * abs(h12) + abs(h22))
+    if not math.isfinite(4 * scale):
+        return None
+    centres = np.pi * ((np.arange(_ANGLE_BUCKETS) + 0.5) / _ANGLE_BUCKETS)
+    plus, minus = _corner_sums(centres, h, lam, Lam)
+    lipschitz = 2 * (Lam - lam) * (0.5 * abs(h11 - h22) + abs(h12))
+    radius = lipschitz * (0.5 * np.pi / _ANGLE_BUCKETS) + 2.0**-40 * scale + 2.0**-1060
+    return plus - radius, plus + radius, minus - radius, minus + radius
+
+
 def pucci_bruteforce(
     h: np.ndarray, lam: float, Lam: float, n: int, seed: int
 ) -> tuple[float, float]:
@@ -250,25 +285,69 @@ def pucci_bruteforce(
     sign-optimal eigenvalue corners): brute-force Pucci+ and Pucci-, both
     from one draw of the angles.
 
-    The angles are drawn from one stream in blocks of _ANGLE_BLOCK, with a
-    running max and min across the blocks.  It needs 0 < lam <= Lam, for
-    which the corner max(Lam q, lam q) is Lam q for q > 0 and lam q
-    otherwise, bitwise, as rounding is monotone.
+    Angle t = pi u, u uniform, turns h's diagonal into q1(t) = c^2 h11 +
+    2cs h12 + s^2 h22 and q2(t) = s^2 h11 - 2cs h12 + c^2 h22, and trace(a h)
+    at the best corners is G+(t) = max(Lam q1, lam q1) + max(Lam q2, lam q2);
+    G- takes the mins.  It needs 0 < lam <= Lam, for which the corner
+    max(Lam q, lam q) is Lam q for q > 0 and lam q otherwise, bitwise, as
+    rounding is monotone.  The angles are drawn from one stream in blocks
+    of _ANGLE_BLOCK, with a running max and min across the blocks.
+
+    Both are an exact branch and bound over _ANGLE_BUCKETS equal buckets of
+    [0, pi); an angle's bucket is the top bits of its word.  As q1 + q2 =
+    tr h at every t,
+
+        G+ = lam tr h + (Lam - lam) f(q1),  G- = Lam tr h - (Lam - lam) f(q1),
+        f(q) = max(q, 0) + max(tr h - q, 0),
+
+    f has slopes -1, 0 and 1 only, and q1 = (h11 + h22)/2 + d cos 2t +
+    h12 sin 2t with d = (h11 - h22)/2 has |q1'| <= 2(|d| + |h12|).  So G+
+    and G- move by at most 2(Lam - lam)(|d| + |h12|) |t - t_k| from their
+    values at bucket k's centre t_k, and |t - t_k| <= pi / (2 _ANGLE_BUCKETS).
+    The float G at an angle or a centre is within a few 2^-53 Lam A of the
+    exact G there, A = |h11| + 2|h12| + |h22| (each term of a q is at most
+    its entry of h, and cos and sin are within a few ulps), plus a few
+    2^-1074 from subnormals; the slack 2^-40 Lam A + 2^-1060 covers both
+    ends, and the rounding of t, t_k and the radius, with room.  So every
+    angle's float G+ in bucket k lies in [lo+_k, hi+_k], the centre's G+
+    -/+ that radius (_angle_bucket_bounds), and G- likewise.
+
+    Each block first raises a floor under the max M+ of all n angles: the
+    largest lo+ of the buckets drawn so far and the largest G+ evaluated so
+    far (a drawn bucket holds an angle at or above its lo+).  An angle whose
+    bucket has hi+ below the floor is below M+, so the argmax is among the
+    angles of buckets with hi+ >= floor; the same with a ceiling over the
+    min.  A block converts and evaluates, with the operations of evaluating
+    every angle, only the angles of buckets that can still reach either.
+    The max of floats is exact, so both results are bitwise those of every
+    angle.  Where the bounds rule out no bucket (h definite, so G is flat,
+    or lam = Lam), or 4 Lam A is not finite (a nan or inf entry), every
+    angle is evaluated.
     """
     if n < 1:
         raise ValueError(f"pucci_bruteforce needs n >= 1 angles, got n={n}")
     EllipticityBracket(lam, Lam)  # raises unless 0 < lam <= Lam, both finite
     g = SplitMix64(seed, "pucci-bruteforce")
+    bounds = _angle_bucket_bounds(h, lam, Lam)
+    if bounds is not None:
+        lo_p, hi_p, lo_m, hi_m = bounds
+        if hi_p.min() >= lo_p.max() or lo_m.max() <= hi_m.min():
+            bounds = None  # a bucket is skipped only when both sides rule it out
     plus, minus = -np.inf, np.inf
+    floor, ceiling = -np.inf, np.inf
     for start in range(0, n, _ANGLE_BLOCK):
-        t = g.uniform(min(_ANGLE_BLOCK, n - start), 0.0, np.pi)
-        c, s = np.cos(t), np.sin(t)
-        cc, ss, cs2 = c * c, s * s, 2 * c * s
-        q1 = cc * h[0, 0] + cs2 * h[0, 1] + ss * h[1, 1]
-        q2 = ss * h[0, 0] - cs2 * h[0, 1] + cc * h[1, 1]
-        lq1, lq2, Lq1, Lq2 = lam * q1, lam * q2, Lam * q1, Lam * q2
-        plus = np.maximum(plus, (np.maximum(Lq1, lq1) + np.maximum(Lq2, lq2)).max())
-        minus = np.minimum(minus, (np.minimum(Lq1, lq1) + np.minimum(Lq2, lq2)).min())
+        words = g.take(min(_ANGLE_BLOCK, n - start))
+        if bounds is not None:
+            buckets = (words >> _BUCKET_SHIFT).view(np.int64)
+            drawn = np.bincount(buckets, minlength=_ANGLE_BUCKETS) > 0
+            floor = max(floor, plus, lo_p[drawn].max())
+            ceiling = min(ceiling, minus, hi_m[drawn].min())
+            words = words[((hi_p >= floor) | (lo_m <= ceiling))[buckets]]
+            if not words.size:
+                continue
+        block_plus, block_minus = _corner_sums(uniform_words(words, 0.0, np.pi), h, lam, Lam)
+        plus = np.maximum(plus, block_plus.max())
+        minus = np.minimum(minus, block_minus.min())
     return float(plus), float(minus)
 
 

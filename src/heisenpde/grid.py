@@ -228,26 +228,29 @@ class GridFunction:
         counts = tuple(len(a) for a in axes)
         if int(np.prod(counts)) != data.shape[0]:
             raise ValueError("grid CSV is not a full tensor grid")
-        spacings = []
+        spacings, ulps = [], []
         for a in axes:
             if len(a) < 3:
                 raise ValueError("grid CSV needs at least 3 nodes per axis")
             steps = np.diff(a)
-            # relative only: an absolute floor would pass any steps of a
-            # grid spaced below it
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            # relative, plus the few ulps of the axis's largest coordinate
+            # by which written coordinates move a step (100000.00199999999
+            # for 1e5 + 2e-3); a floor independent of the axis would pass
+            # any steps of a grid spaced below it
+            ulps.append(4 * np.spacing(np.abs(a).max()))
+            if not np.allclose(steps, steps[0], rtol=1e-9, atol=ulps[-1]):
                 raise ValueError("grid CSV spacing is not uniform")
             spacings.append(float(steps[0]))
         grid = Grid3(
             tuple(float(a[0]) for a in axes), counts, tuple(spacings)
         )
         # Each column, read as a (n1, n2, n3) view, against its axis.  With
-        # every step within 1e-9 h of h, an axis of up to 1000 steps stays
-        # within 1e-6 h of lower + k h, while a row out of order is off by
-        # a whole step on some axis.
+        # every step within 1e-9 h + u of h, u those ulps, an axis of up to
+        # 1000 steps stays within 1e-6 h + k u of lower + k h, while a row
+        # out of order is off by a whole step on some axis.
         for i in range(3):
             lattice = grid.axis_coordinates(i).reshape([-1 if j == i else 1 for j in range(3)])
             off = np.abs(data[:, i].reshape(counts) - lattice).max()
-            if not off <= 1e-6 * grid.spacings[i]:
+            if not off <= 1e-6 * grid.spacings[i] + (counts[i] - 1) * ulps[i]:
                 raise ValueError("grid CSV rows are not in x3-fastest tensor order")
         return GridFunction(grid, data[:, 3].reshape(counts))

@@ -47,9 +47,20 @@ def derive(seed: int, label: str) -> int:
 
 def uniform_words(words: np.ndarray, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
     """Doubles in [lo, hi), one per raw 64-bit word; 53-bit resolution.
-    Elementwise, so a block of words converts as each word alone would."""
-    u = (words >> np.uint64(11)).astype(np.float64) * (2.0**-53)
-    return lo + (hi - lo) * u
+    Elementwise, so a block of words converts as each word alone would.
+    It never writes into words, which may be a slice of the caller's."""
+    return _scaled_top_bits(words >> np.uint64(11), lo, hi)
+
+
+def _scaled_top_bits(top: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """lo + (hi - lo) * (top * 2^-53) for the 53-bit integers top, in one new
+    float array: each step is the same rounding as the expression's, done in
+    place."""
+    u = top.astype(np.float64)
+    u *= 2.0**-53
+    u *= hi - lo
+    u += lo
+    return u
 
 
 class SplitMix64:
@@ -78,8 +89,11 @@ class SplitMix64:
         return out
 
     def uniform(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """n doubles in [lo, hi): uniform_words of the next n words."""
-        return uniform_words(self.take(n), lo, hi)
+        """n doubles in [lo, hi): uniform_words of the next n words, which
+        are shifted in place, so the draw holds two arrays of n at most."""
+        words = self.take(n)
+        words >>= np.uint64(11)
+        return _scaled_top_bits(words, lo, hi)
 
     def log_uniform(self, n: int, lo: float, hi: float) -> np.ndarray:
         return np.exp(self.uniform(n, np.log(lo), np.log(hi)))
@@ -88,10 +102,22 @@ class SplitMix64:
         """Standard normals via Box-Muller on consecutive draws."""
         n = int(np.prod(shape))
         m = (n + 1) // 2
-        u1 = np.maximum(self.uniform(m), 2.0**-53)
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        z = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)])
+        # z = [r cos(2 pi u2), r sin(2 pi u2)] with r = sqrt(-2 log(max(u1,
+        # 2^-53))): r and the angle are computed in place in their own draws
+        # and the products written into z's halves, so the peak is z and
+        # the two draws
+        r = self.uniform(m)
+        np.maximum(r, 2.0**-53, out=r)
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle = self.uniform(m)
+        angle *= 2 * np.pi
+        z = np.empty(2 * m)
+        np.cos(angle, out=z[:m])
+        np.sin(angle, out=z[m:])
+        z[:m] *= r
+        z[m:] *= r
         return z[:n].reshape(shape)
 
     def unit_vectors(self, n: int, dim: int = 3) -> np.ndarray:

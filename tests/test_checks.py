@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import random_polynomial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heisenpde.checks as checks
 from heisenpde.fields import PolynomialField
@@ -160,6 +162,87 @@ def test_blocked_bruteforce_is_the_single_array_formula_bitwise(n):
         for lam, Lam in ((1.0, 2.0), (0.5, 2.5), (1.0, 1.0)):
             got = checks.pucci_bruteforce(h, lam, Lam, n, seed=k)
             assert got == _single_array_bruteforce(h, lam, Lam, n, k)
+
+
+INDEFINITE = np.array([[1.0, 0.7], [0.7, -2.0]])
+
+# (h, lam, Lam) at the edges of the branch and bound: flat G (zero, c I,
+# semidefinite h, lam = Lam) keeps every bucket; the scales try its slack;
+# a nan or inf entry evaluates every angle
+ORACLE_EDGE_CASES = {
+    "zero": (np.zeros((2, 2)), 1.0, 2.0),
+    "c-identity": (-1.5 * np.eye(2), 1.0, 2.0),
+    "psd": (np.array([[2.0, 0.5], [0.5, 1.0]]), 1.0, 2.0),
+    "psd-singular": (np.array([[1.0, 1.0], [1.0, 1.0]]), 1.0, 2.0),
+    "nsd": (np.array([[-1.0, 0.3], [0.3, -0.5]]), 0.5, 2.5),
+    "lam-is-Lam": (INDEFINITE, 1.5, 1.5),
+    "scale-1e150": (1e150 * INDEFINITE, 1.0, 2.0),
+    "scale-1e-150": (1e-150 * INDEFINITE, 1.0, 2.0),
+    "scale-1e-300": (1e-300 * INDEFINITE, 1.0, 2.0),
+    "nan": (np.array([[np.nan, 0.3], [0.3, -1.0]]), 1.0, 2.0),
+    "inf": (np.array([[np.inf, 0.0], [0.0, -1.0]]), 1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("n", [5, 8193, 100_000])
+@pytest.mark.parametrize("name", sorted(ORACLE_EDGE_CASES))
+def test_bruteforce_on_edge_inputs_is_the_single_array_formula(name, n):
+    h, lam, Lam = ORACLE_EDGE_CASES[name]
+    got = checks.pucci_bruteforce(h, lam, Lam, n, seed=n)
+    want = _single_array_bruteforce(h, lam, Lam, n, n)
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    assert np.isnan(got).all() == (name == "nan")
+
+
+def _psd_nsd_or_indefinite(kind: str, a: float, b: float, phi: float, scale: float) -> np.ndarray:
+    signs = {"psd": (1, 1), "nsd": (-1, -1), "indefinite": (1, -1)}[kind]
+    c, s = np.cos(phi), np.sin(phi)
+    rot = np.array([[c, -s], [s, c]])
+    h = scale * (rot @ np.diag([signs[0] * a, signs[1] * b]) @ rot.T)
+    return 0.5 * (h + h.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["psd", "nsd", "indefinite"]),
+    a=st.floats(0.0, 1.0),
+    b=st.floats(0.0, 1.0),
+    phi=st.floats(0.0, np.pi),
+    log_scale=st.floats(-3.0, 3.0),
+    bracket=st.sampled_from([(1.0, 1.0), (1.0, 2.0), (0.5, 2.5), (1.0, 4.0), (0.1, 10.0)]),
+    seed=st.integers(0, 2**32),
+)
+def test_bucket_bounds_hold_at_every_angle_of_the_bucket(kind, a, b, phi, log_scale, bracket, seed):
+    h = _psd_nsd_or_indefinite(kind, a, b, phi, 10.0**log_scale)
+    lam, Lam = bracket
+    lo_p, hi_p, lo_m, hi_m = checks._angle_bucket_bounds(h, lam, Lam)
+    buckets = checks._ANGLE_BUCKETS
+    # random angles as the oracle draws them, in the bucket of u; then every
+    # bucket edge, in the buckets on either side of it
+    u = SplitMix64(seed, "bucket-bounds").uniform(4096)
+    edges = np.pi * (np.arange(buckets + 1) / buckets)
+    t = np.concatenate([np.pi * u, edges[1:], edges[:-1]])
+    k = np.concatenate([(u * buckets).astype(int), np.arange(buckets), np.arange(buckets)])
+    plus, minus = checks._corner_sums(t, h, lam, Lam)
+    assert np.all((lo_p[k] <= plus) & (plus <= hi_p[k]))
+    assert np.all((lo_m[k] <= minus) & (minus <= hi_m[k]))
+
+
+def test_bruteforce_check_memory_stays_in_blocks():
+    # a draw of all 100 000 angles at once peaks at about 2.7 MiB; blocks
+    # of angles and buckets read 1.26 MiB
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        checks.check_pucci_bruteforce(seed=0, trials=10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak / 2**20
 
 
 # Each blocked check's tracemalloc high-water mark at seed 0 is bounded by

@@ -218,6 +218,20 @@ def test_csv_reads_a_uniform_grid_at_any_scale_or_offset(tmp_path, axes):
         np.testing.assert_allclose(gf.grid.axis_coordinates(i), a, rtol=1e-12, atol=0)
 
 
+def test_csv_round_trips_a_grid_far_from_the_origin(tmp_path):
+    # to_csv writes 1e5 + 2e-3 as 100000.00199999999: steps move by ulps of
+    # 1e5, more than 1e-9 of the 1e-3 step
+    g = Grid3((1e5, 0.0, 0.0), (5, 5, 5), (1e-3, 0.25, 0.25))
+    gf = GridFunction(g, np.random.default_rng(5).normal(size=g.counts))
+    path = tmp_path / "u.csv"
+    gf.to_csv(path)
+    back = GridFunction.from_csv(path)
+    assert (back.grid.lower, back.grid.counts) == (g.lower, g.counts)
+    assert back.values.tobytes() == gf.values.tobytes()
+    ulps = [4 * np.spacing(abs(a).max()) for a in (g.axis_coordinates(i) for i in range(3))]
+    assert np.all(np.abs(np.subtract(back.grid.spacings, g.spacings)) <= ulps)
+
+
 def test_csv_is_deterministic(tmp_path):
     g = Grid3.box((0, 0, 0), (1, 1, 1), (4, 4, 4))
     u = parse_polynomial("0.1 x1 + 0.2 x2^2")

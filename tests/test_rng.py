@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import integers
 
-from heisenpde.rng import SplitMix64, derive, mix64
+from heisenpde.rng import SplitMix64, derive, mix64, uniform_words
 
 
 def test_words_are_index_addressable():
@@ -115,3 +116,59 @@ def test_mix64_mixes_an_array_in_place():
     mixed = mix64(z)
     assert mixed is z
     assert [int(w) for w in z] == [int(mix64(np.uint64(k))) for k in range(5)]
+
+
+def _expression_uniform(g: SplitMix64, n: int, lo: float, hi: float) -> np.ndarray:
+    """uniform as one expression, a new array per step."""
+    u = (g.take(n) >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    return lo + (hi - lo) * u
+
+
+def _expression_normal(g: SplitMix64, shape) -> np.ndarray:
+    """normal as one expression, a new array per step."""
+    n = int(np.prod(shape))
+    m = (n + 1) // 2
+    u1 = np.maximum(_expression_uniform(g, m, 0.0, 1.0), 2.0**-53)
+    u2 = _expression_uniform(g, m, 0.0, 1.0)
+    r = np.sqrt(-2.0 * np.log(u1))
+    z = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)])
+    return z[:n].reshape(shape)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_in_place_draws_are_the_expressions_bitwise(seed):
+    for n in (1, 2, 3, 15, 16, 17, 1001, 100_001):
+        for lo, hi in ((0.0, 1.0), (-2.0, 2.0), (0.0, np.pi), (np.log(0.1), np.log(10.0))):
+            got = SplitMix64(seed, "in-place").uniform(n, lo, hi)
+            assert got.tobytes() == _expression_uniform(SplitMix64(seed, "in-place"), n, lo, hi).tobytes()
+        for shape in ((n,), (n, 2), (n, 3)):
+            got = SplitMix64(seed, "in-place").normal(shape)
+            assert got.tobytes() == _expression_normal(SplitMix64(seed, "in-place"), shape).tobytes()
+
+
+def test_uniform_words_leaves_the_callers_words_alone():
+    words = SplitMix64(4).take(64)
+    kept = words.copy()
+    uniform_words(words[8:40], -1.0, 1.0)
+    assert np.array_equal(words, kept)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda g: g.uniform(200_000), lambda g: g.normal((100_000, 2)), lambda g: g.normal(200_001)],
+    ids=["uniform", "normal", "normal-odd"],
+)
+def test_draws_peak_at_twice_their_result(draw):
+    # one new array per step peaked at 3x (uniform) and 3.5x (normal)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = draw(SplitMix64(1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2.1 * result.nbytes, peak / result.nbytes
