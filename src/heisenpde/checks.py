@@ -44,7 +44,7 @@ from .group import (
 )
 from .operators import EllipticityBracket, OperatorSpec, validate_operator
 from .rng import SplitMix64, uniform_words
-from .symmetric import Sym2
+from .symmetric import Sym2, triple_product
 
 
 def _report(lemma_id: str, trials: int, worst: float, passed: bool, **extra) -> dict:
@@ -262,20 +262,53 @@ def _corner_sums(t: np.ndarray, h: np.ndarray, lam: float, Lam: float):
     return np.maximum(Lq1, lq1) + np.maximum(Lq2, lq2), np.minimum(Lq1, lq1) + np.minimum(Lq2, lq2)
 
 
+def _rounding_slack(h: np.ndarray, Lam: float) -> float | None:
+    """2^-40 Lam A + 2^-1060, A = |h11| + 2|h12| + |h22|: the float G+ or G-
+    at an angle lies within half of it of the exact G there (see
+    pucci_bruteforce).  None unless 4 Lam A is finite, which a nan or inf
+    entry, or an h large enough for G to overflow, is not."""
+    scale = Lam * (abs(float(h[0, 0])) + 2 * abs(float(h[0, 1])) + abs(float(h[1, 1])))
+    if not math.isfinite(4 * scale):
+        return None
+    return 2.0**-40 * scale + 2.0**-1060
+
+
 def _angle_bucket_bounds(h: np.ndarray, lam: float, Lam: float):
     """(lo+, hi+, lo-, hi-): per bucket of angles, bounds on the float G+ and
-    G- of every angle in it (see pucci_bruteforce); None unless
-    4 Lam (|h11| + 2|h12| + |h22|) is finite, which a nan or inf entry, or
-    an h large enough for G to overflow, is not."""
-    h11, h12, h22 = float(h[0, 0]), float(h[0, 1]), float(h[1, 1])
-    scale = Lam * (abs(h11) + 2 * abs(h12) + abs(h22))
-    if not math.isfinite(4 * scale):
+    G- of every angle in it (see pucci_bruteforce); None where
+    _rounding_slack is."""
+    slack = _rounding_slack(h, Lam)
+    if slack is None:
         return None
     centres = np.pi * ((np.arange(_ANGLE_BUCKETS) + 0.5) / _ANGLE_BUCKETS)
     plus, minus = _corner_sums(centres, h, lam, Lam)
+    h11, h12, h22 = float(h[0, 0]), float(h[0, 1]), float(h[1, 1])
     lipschitz = 2 * (Lam - lam) * (0.5 * abs(h11 - h22) + abs(h12))
-    radius = lipschitz * (0.5 * np.pi / _ANGLE_BUCKETS) + 2.0**-40 * scale + 2.0**-1060
+    radius = lipschitz * (0.5 * np.pi / _ANGLE_BUCKETS) + slack
     return plus - radius, plus + radius, minus - radius, minus + radius
+
+
+def _semidefinite_sums(h: np.ndarray, lam: float, Lam: float) -> tuple[float, float, float] | None:
+    """(C+, C-, slack) for a semidefinite h with finite entries and
+    0 < lam < Lam, else None: C+ and C- are the float G+ and G- at t = 0,
+    and every float G+ and G- that pucci_bruteforce samples lies within
+    slack of them.
+
+    Both diagonal entries of every rotation of a semidefinite h have h's
+    sign, so in exact arithmetic G+ and G- are constants: Lam tr h and
+    lam tr h, the other way round for a negative semidefinite h.  The float
+    G at any angle, t = 0 included, lies within half of _rounding_slack of
+    them.  h is semidefinite when h11 h22 >= h12^2, decided exactly on the
+    float entries (the oracle reads h12 from h[0, 1]).
+    """
+    slack = _rounding_slack(h, Lam)
+    if slack is None or not lam < Lam:
+        return None
+    h11, h12, h22 = (Fraction(float(h[i, j])) for i, j in ((0, 0), (0, 1), (1, 1)))
+    if h11 * h22 < h12 * h12:
+        return None
+    plus, minus = _corner_sums(np.zeros(1), h, lam, Lam)
+    return float(plus[0]), float(minus[0]), slack
 
 
 def pucci_bruteforce(
@@ -322,7 +355,8 @@ def pucci_bruteforce(
     The max of floats is exact, so both results are bitwise those of every
     angle.  Where the bounds rule out no bucket (h definite, so G is flat,
     or lam = Lam), or 4 Lam A is not finite (a nan or inf entry), every
-    angle is evaluated.
+    angle is evaluated; check_pucci_bruteforce calls the oracle on a
+    semidefinite h only where _semidefinite_sums cannot settle its gap.
     """
     if n < 1:
         raise ValueError(f"pucci_bruteforce needs n >= 1 angles, got n={n}")
@@ -352,14 +386,28 @@ def pucci_bruteforce(
 
 
 def check_pucci_bruteforce(seed: int = 0, trials: int = 100, samples: int = 100_000) -> dict:
-    """Eigenvalue formula vs brute-force extremization within 1e-6."""
+    """Eigenvalue formula vs brute-force extremization within 1e-6.
+
+    The worst gap is a max over the matrices, taken over the indefinite
+    ones first.  A semidefinite h's gap |F - oracle| is then at most
+    |F - C| + slack (_semidefinite_sums), with a factor 1 + 2^-40 on
+    |F - C| for the rounding of both gaps.  The oracle runs on h only where
+    that bound exceeds the worst gap so far, so the max is the same float
+    as that of every gap."""
     g = SplitMix64(seed, "pucci-check")
-    b = EllipticityBracket(1.0, 2.0)
+    lam, Lam = 1.0, 2.0
+    b = EllipticityBracket(lam, Lam)
     mats = g.symmetric(trials, 2, scale=1.5)
     plus, minus = (OperatorSpec(k, b).apply_stack(mats) for k in ("pucci_plus", "pucci_minus"))
+    flat = [_semidefinite_sums(h, lam, Lam) for h in mats]
     worst = 0.0
-    for k in range(trials):
-        bf_plus, bf_minus = pucci_bruteforce(mats[k], 1.0, 2.0, samples, seed + k)
+    for k in sorted(range(trials), key=lambda k: flat[k] is not None):
+        if flat[k] is not None:
+            c_plus, c_minus, slack = flat[k]
+            gaps = (abs(plus[k] - c_plus), abs(minus[k] - c_minus))
+            if all(gap * (1 + 2.0**-40) + slack <= worst for gap in gaps):
+                continue
+        bf_plus, bf_minus = pucci_bruteforce(mats[k], lam, Lam, samples, seed + k)
         worst = max(worst, abs(plus[k] - bf_plus), abs(minus[k] - bf_minus))
     return _report("operators.pucci_bruteforce", trials, worst, worst <= 1e-6)
 
@@ -499,6 +547,11 @@ def check_admissible_block(seed: int = 0, trials: int = 10_000) -> dict:
     return _report("sums.admissible_block", trials, worst, worst <= 1e-10)
 
 
+def _quadratic_form(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """<m_k v_k, v_k> per row k of the (n, 3) v and the (n, 3, 3) stack m."""
+    return triple_product(v[:, None, :], m, v[:, :, None])[:, 0, 0]
+
+
 def check_block_scalar(seed: int = 0, trials: int = 10_000) -> dict:
     """<A xi, xi> - <B eta, eta> <= <N(xi-eta), xi-eta> on 4 pairs (xi, eta) per trial."""
     g = SplitMix64(seed, "block-scalar")
@@ -507,9 +560,8 @@ def check_block_scalar(seed: int = 0, trials: int = 10_000) -> dict:
     for _ in range(4):
         xi = g.normal((trials, 3))
         eta = g.normal((trials, 3))
-        lhs = np.einsum("ni,nij,nj->n", xi, a, xi) - np.einsum("ni,nij,nj->n", eta, b, eta)
-        d = xi - eta
-        rhs = np.einsum("ni,nij,nj->n", d, ns, d)
+        lhs = _quadratic_form(xi, a) - _quadratic_form(eta, b)
+        rhs = _quadratic_form(xi - eta, ns)
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         worst = max(worst, float(((lhs - rhs) / scale).max()))
     return _report("sums.block_scalar", trials * 4, worst, worst <= 1e-9)

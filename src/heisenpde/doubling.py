@@ -27,6 +27,7 @@ from .calculus import lift_batch
 from .grid import tensor_points
 from .group import Point, p_matrix_batch, sqrt_p_batch
 from .rng import SplitMix64
+from .symmetric import triple_product
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,7 @@ def make_admissible_batch(ns: np.ndarray, seed: int = 0) -> tuple[np.ndarray, np
     slack_b[sharp_b] = 0.0
     uinv = np.linalg.inv(u)
     uinv = 0.5 * (uinv + np.swapaxes(uinv, -1, -2))
-    nun = np.einsum("kij,kjl,klm->kim", ns, uinv, ns)
+    nun = triple_product(ns, uinv, ns)
     nun = 0.5 * (nun + np.swapaxes(nun, -1, -2))
     a = ns - u - slack_a
     b = nun + slack_b - ns
@@ -214,7 +215,7 @@ def sandwich_batch(p: np.ndarray, gap: np.ndarray) -> np.ndarray:
     """The symmetrized P (S2 - S1) P for (k, 3, 3) stacks P and S2 - S1: it
     is positive semidefinite, P S1 P <= P S2 P, whenever P >= 0 and
     S1 <= S2."""
-    d = np.einsum("nij,njk,nkl->nil", p, gap, p)
+    d = triple_product(p, gap, p)
     return 0.5 * (d + np.swapaxes(d, -1, -2))
 
 

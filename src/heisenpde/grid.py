@@ -240,7 +240,9 @@ class GridFunction:
             ulps.append(4 * np.spacing(np.abs(a).max()))
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=ulps[-1]):
                 raise ValueError("grid CSV spacing is not uniform")
-            spacings.append(float(steps[0]))
+            # the span over its steps, as Grid3.box forms h: one step carries
+            # the rounding of two written coordinates
+            spacings.append(float((a[-1] - a[0]) / (len(a) - 1)))
         grid = Grid3(
             tuple(float(a[0]) for a in axes), counts, tuple(spacings)
         )

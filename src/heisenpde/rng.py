@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .symmetric import triple_product
+
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -157,7 +159,8 @@ class SplitMix64:
         return 0.5 * (a + np.swapaxes(a, -1, -2))
 
     def spd(self, n: int, dim: int, eig_lo: float = 1e-3, eig_hi: float = 1e2) -> np.ndarray:
-        """(n, dim, dim) SPD matrices with log-uniform eigenvalues."""
+        """(n, dim, dim) SPD matrices q diag(d) q^T with log-uniform
+        eigenvalues d, the product taken by triple_product."""
         q = self.rotations_3d(n) if dim == 3 else self.rotations_2d(n)
         d = self.log_uniform(n * dim, eig_lo, eig_hi).reshape(n, dim)
-        return np.einsum("nij,nj,nkj->nik", q, d, q)
+        return triple_product(q, d[:, :, None] * np.eye(dim), np.swapaxes(q, -1, -2))

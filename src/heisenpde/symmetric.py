@@ -10,7 +10,8 @@ doubling lab) takes numpy.linalg.eigvalsh.  eigenvalues2 takes its radius
 sqrt(d^2 + a12^2), d = (a11 - a22) / 2, from the squares, within 1 ulp of
 np.hypot(d, a12), and calls np.hypot only at the elements where the sum of
 squares is not a finite normal number: there a square overflowed or
-underflowed, or an entry is not finite.
+underflowed, or an entry is not finite.  triple_product is the one product
+of three matrix stacks, in the fixed order of numpy's three-operand einsum.
 """
 
 from __future__ import annotations
@@ -62,3 +63,26 @@ def eigenvalues2(a11, a12, a22):
     np.subtract(hi, r, out=lo)
     hi += r
     return lo, hi
+
+
+def triple_product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The (n, i, m) stack of products a b c for stacks a (n, i, j),
+    b (n, j, l) and c (n, l, m): each entry is the sum of the terms
+    (a_ij b_jl) c_lm in order from zero, j-major, the sum that
+    np.einsum("nij,njl,nlm->nim") makes, bitwise.  The terms are formed on
+    the (n,) columns of the stacks, one (j, l) at a time, in buffers reused
+    across terms; the last one holds the result.  Elementwise numpy only, so
+    it makes no BLAS call and its sums do not depend on the BLAS thread
+    count."""
+    a, b, c = (np.moveaxis(x, 0, -1) for x in (a, b, c))  # (..., n) views
+    out = np.zeros((a.shape[0], c.shape[1], a.shape[2]))
+    term = np.empty_like(out)
+    ab = np.empty((a.shape[0], a.shape[2]))
+    for j in range(a.shape[1]):
+        for l in range(c.shape[0]):
+            np.multiply(a[:, j], b[j, l], out=ab)
+            np.multiply(ab[:, None], c[l], out=term)
+            out += term
+    result = term.reshape(out.shape[-1:] + out.shape[:-1])
+    result[...] = np.moveaxis(out, -1, 0)
+    return result

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import heisenpde.checks as checks
 from heisenpde.fields import PolynomialField
+from heisenpde.operators import EllipticityBracket, OperatorSpec
 from heisenpde.rng import SplitMix64
 
 
@@ -195,6 +196,12 @@ def test_bruteforce_on_edge_inputs_is_the_single_array_formula(name, n):
 
 
 def _psd_nsd_or_indefinite(kind: str, a: float, b: float, phi: float, scale: float) -> np.ndarray:
+    if kind in ("rank-one", "near-singular"):
+        # exactly semidefinite: v has 24-bit entries, so v v^T is exact, and
+        # a power of two scales it exactly; raising the diagonal keeps it so
+        v = np.array([np.cos(phi), np.sin(phi)], dtype=np.float32).astype(float)
+        h = np.outer(v, v) + (2.0**-20 * b if kind == "near-singular" else 0.0) * np.eye(2)
+        return 2.0 ** round(np.log2(scale)) * h
     signs = {"psd": (1, 1), "nsd": (-1, -1), "indefinite": (1, -1)}[kind]
     c, s = np.cos(phi), np.sin(phi)
     rot = np.array([[c, -s], [s, c]])
@@ -204,7 +211,8 @@ def _psd_nsd_or_indefinite(kind: str, a: float, b: float, phi: float, scale: flo
 
 @settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from(["psd", "nsd", "indefinite"]),
+    kind=st.sampled_from(["psd", "nsd", "indefinite", "rank-one", "near-singular"]),
+    sign=st.sampled_from([1.0, -1.0]),
     a=st.floats(0.0, 1.0),
     b=st.floats(0.0, 1.0),
     phi=st.floats(0.0, np.pi),
@@ -212,8 +220,8 @@ def _psd_nsd_or_indefinite(kind: str, a: float, b: float, phi: float, scale: flo
     bracket=st.sampled_from([(1.0, 1.0), (1.0, 2.0), (0.5, 2.5), (1.0, 4.0), (0.1, 10.0)]),
     seed=st.integers(0, 2**32),
 )
-def test_bucket_bounds_hold_at_every_angle_of_the_bucket(kind, a, b, phi, log_scale, bracket, seed):
-    h = _psd_nsd_or_indefinite(kind, a, b, phi, 10.0**log_scale)
+def test_bucket_bounds_hold_at_every_angle_of_the_bucket(kind, sign, a, b, phi, log_scale, bracket, seed):
+    h = sign * _psd_nsd_or_indefinite(kind, a, b, phi, 10.0**log_scale)
     lam, Lam = bracket
     lo_p, hi_p, lo_m, hi_m = checks._angle_bucket_bounds(h, lam, Lam)
     buckets = checks._ANGLE_BUCKETS
@@ -226,6 +234,82 @@ def test_bucket_bounds_hold_at_every_angle_of_the_bucket(kind, a, b, phi, log_sc
     plus, minus = checks._corner_sums(t, h, lam, Lam)
     assert np.all((lo_p[k] <= plus) & (plus <= hi_p[k]))
     assert np.all((lo_m[k] <= minus) & (minus <= hi_m[k]))
+    # a semidefinite h's G+ and G- lie within the slack of the check's skip
+    flat = checks._semidefinite_sums(h, lam, Lam)
+    if kind in ("rank-one", "near-singular"):
+        assert (flat is not None) == (lam < Lam)
+    if flat is not None:
+        c_plus, c_minus, slack = flat
+        assert np.all(np.abs(plus - c_plus) <= slack) and np.all(np.abs(minus - c_minus) <= slack)
+
+
+def _every_matrix_worst_gap(mats: np.ndarray, seed: int, samples: int) -> float:
+    """check_pucci_bruteforce's worst gap with the oracle run on every matrix."""
+    bracket = EllipticityBracket(1.0, 2.0)
+    plus, minus = (OperatorSpec(kind, bracket).apply_stack(mats) for kind in ("pucci_plus", "pucci_minus"))
+    worst = 0.0
+    for k in range(len(mats)):
+        bf_plus, bf_minus = checks.pucci_bruteforce(mats[k], 1.0, 2.0, samples, seed + k)
+        worst = max(worst, abs(plus[k] - bf_plus), abs(minus[k] - bf_minus))
+    return worst
+
+
+SEMIDEFINITE = np.array(
+    [
+        [[2.0, 0.5], [0.5, 1.0]],
+        [[-1.0, 0.3], [0.3, -0.5]],
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[4.0, -2.0], [-2.0, 1.0]],
+        1e-300 * np.eye(2),
+        [[-3e150, 1e150], [1e150, -1e150]],
+    ]
+)
+
+
+@pytest.mark.parametrize("stack", ["drawn", "semidefinite", "nan"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_skipped_semidefinite_matrices_leave_the_worst_gap_bitwise(monkeypatch, stack, seed):
+    trials, samples = 30, 4000
+    mats = SplitMix64(seed, "pucci-check").symmetric(trials, 2, scale=1.5)
+    if stack == "semidefinite":
+        mats = SEMIDEFINITE
+    elif stack == "nan":
+        mats[3, 0, 0] = np.nan
+    monkeypatch.setattr(SplitMix64, "symmetric", lambda self, n, dim, scale=1.0: mats.copy())
+    evaluated = []
+    oracle = checks.pucci_bruteforce
+
+    def counted(h, *args):
+        evaluated.append(h.tobytes())
+        return oracle(h, *args)
+
+    monkeypatch.setattr(checks, "pucci_bruteforce", counted)
+    report = checks.check_pucci_bruteforce(seed=seed, trials=len(mats), samples=samples)
+    monkeypatch.setattr(checks, "pucci_bruteforce", oracle)
+    want = _every_matrix_worst_gap(mats, seed, samples)
+    assert np.float64(report["worst_gap"]).tobytes() == np.float64(want).tobytes()
+    settled = [h.tobytes() for h in mats if checks._semidefinite_sums(h, 1.0, 2.0) is not None]
+    if stack == "semidefinite":
+        assert len(settled) == len(mats) and mats[0].tobytes() in evaluated
+    else:
+        # every indefinite or non-finite matrix runs, and some semidefinite one is skipped
+        assert {h.tobytes() for h in mats} - set(settled) <= set(evaluated)
+        assert len(evaluated) < len(mats)
+
+
+def test_a_fault_on_semidefinite_matrices_is_detected(monkeypatch):
+    kwargs = {"seed": 0, "trials": 20, "samples": 100_000}
+    assert checks.check_pucci_bruteforce(**kwargs)["pass"]
+    apply_stack = OperatorSpec.apply_stack
+
+    def corrupted(self, mats):
+        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        return apply_stack(self, mats) + np.where(det > 0, 1e-3, 0.0)
+
+    monkeypatch.setattr(OperatorSpec, "apply_stack", corrupted)
+    report = checks.check_pucci_bruteforce(**kwargs)
+    assert not report["pass"] and report["worst_gap"] >= 1e-3 * (1 - 1e-9), report
 
 
 def test_bruteforce_check_memory_stays_in_blocks():

@@ -232,6 +232,17 @@ def test_csv_round_trips_a_grid_far_from_the_origin(tmp_path):
     assert np.all(np.abs(np.subtract(back.grid.spacings, g.spacings)) <= ulps)
 
 
+def test_csv_reads_back_the_spacing_it_wrote(tmp_path):
+    # h = 2/11: the first written step reads 0.18181818181818188
+    g = Grid3.box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), (12, 12, 12))
+    gf = GridFunction(g, np.random.default_rng(12).normal(size=g.counts))
+    path = tmp_path / "u.csv"
+    gf.to_csv(path)
+    back = GridFunction.from_csv(path)
+    assert (back.grid.lower, back.grid.counts, back.grid.spacings) == (g.lower, g.counts, g.spacings)
+    assert back.values.tobytes() == gf.values.tobytes()
+
+
 def test_csv_is_deterministic(tmp_path):
     g = Grid3.box((0, 0, 0), (1, 1, 1), (4, 4, 4))
     u = parse_polynomial("0.1 x1 + 0.2 x2^2")

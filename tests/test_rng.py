@@ -71,29 +71,36 @@ def test_mix64_is_deterministic_scalar():
     assert int(mix64(np.uint64(1))) != int(mix64(np.uint64(2)))
 
 
-# sha256 of words(start, n), then of uniform(n) and normal(n), the first
-# draws of a fresh stream; normal is hashed as float32, because numpy's
-# SIMD log differs from libm's in the last bit on some CPUs
+# sha256 of words(start, n), then of uniform(n), normal(n) and spd(m, 3),
+# the first draws of a fresh stream.  normal is hashed as float32, because
+# numpy's SIMD log differs from libm's in the last bit on some CPUs.  spd
+# is hashed whole, to pin the order of its triple product; each case's m
+# is one whose every exp, log, cos and sin rounds alike in numpy's AVX-512
+# loops and in glibc's libm, so the digest holds with and without AVX-512.
 STREAM_DIGESTS = [
-    ((0, None, 0, 1), (
+    ((0, None, 0, 1, 2), (
         "ce31a0874129872dc43ee51174eb9042517a915fae0065f2789bdb9e82c229ca",
         "956ba110d95de57ed57bb5ba716a0a77fcc44fd63053a65850baafae44c002fc",
         "314c41ec9f67125e2c46001d31c59884652068ce44cd39de755952bd0fd05aaa",
+        "e20605760dc19b044189f45e54b914533afcc190996d81a97e03929484b08c08",
     )),
-    ((3, "operators", 0, 8), (
+    ((3, "operators", 0, 8, 2), (
         "e2858ea5ac4209719da84636841794e94d2c21edfb4f890199849a36823152d0",
         "b79cdcc5c6a3092ead6b9cd00bcfca165b7ea920979ee4c1b8151a3fe8a868b2",
         "ae2212f07bd44ddc4a3b89fad41130c6dc21596ec327a8c9029db57bd8a442b3",
+        "556932e6f0335bcf46b9065b438a4ad0626cb4747767fb7e04cd25408c3a7720",
     )),
-    ((12345, "doubling", 1000, 257), (
+    ((12345, "doubling", 1000, 257, 4), (
         "509f80a69cc27102c8943659e3abeaa937212239f4b46707232d3bd5813f7a50",
         "6bcb71f0a7885a97f2f9b5c1176ea90fd69982860193e04370a271c203b6376e",
         "9896d193d231b97416cc2b402a8801f7a3f5646f8e0cbd7f024512715700f11b",
+        "b98485162d9fa29473b4d9bd19dcd763bf22d71c0fd9defb5adf2d43694ded00",
     )),
-    ((2**64 - 1, "sums", 2**40, 64), (
+    ((2**64 - 1, "sums", 2**40, 64, 1), (
         "0ba08172840da666ac2d90727e08423a1d787ab3a7b646d3b415ae5e3328067b",
         "ef9c9f53480bbb44cbe6a7a9c79506d7624610c94bf4b7b067b5f382933abb0a",
         "0a060e654ea46247f2be44c894c2f30b9f604474f91d09c5668b5ad163fbaddf",
+        "7b7b867ed35abd39a3313f9e92dee4cea95b67df965277c14c84dfe0cfa4fa80",
     )),
 ]
 
@@ -105,9 +112,9 @@ STREAM_DIGESTS = [
 def test_stream_digests_are_pinned(case, digests):
     # the words wrap mod 2^64 without a warning; the last case wraps the
     # seed, the label hash and the index products
-    seed, label, start, n = case
+    seed, label, start, n, m = case
     g = SplitMix64(seed, label)
-    drawn = (g.words(start, n), g.uniform(n), g.normal(n).astype(np.float32))
+    drawn = (g.words(start, n), g.uniform(n), g.normal(n).astype(np.float32), g.spd(m, 3))
     assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in drawn) == digests
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from heisenpde.rng import SplitMix64
-from heisenpde.symmetric import Sym2, eigenvalues2
+from heisenpde.symmetric import Sym2, eigenvalues2, triple_product
 
 
 def one_row_eigenvalues2(a: Sym2) -> tuple[float, float]:
@@ -120,3 +120,31 @@ def test_from_matrix_symmetrizes():
     m = np.array([[1.0, 2.0], [0.0, 3.0]])
     s = Sym2.from_matrix(m)
     assert s.a12 == 1.0
+
+
+def _signed_stack(g: SplitMix64, shape) -> np.ndarray:
+    """Normal draws with a fifth of the entries set to +0.0 or -0.0."""
+    x = g.normal(shape)
+    zero = g.uniform(x.size).reshape(shape) < 0.2
+    x[zero] = np.where(g.uniform(x.size).reshape(shape) < 0.5, 0.0, -0.0)[zero]
+    return x
+
+
+@pytest.mark.parametrize("n,seed", [(1, 0), (7, 1), (4096, 2)])
+def test_triple_product_is_each_einsum_it_replaces_bitwise(n, seed):
+    g = SplitMix64(seed, "triple-product")
+    a, b, c = (_signed_stack(g, (n, 3, 3)) for _ in range(3))
+    d, v = _signed_stack(g, (n, 3)), _signed_stack(g, (n, 3))
+    cases = [
+        # doubling.make_admissible_batch and doubling.sandwich_batch
+        (np.einsum("kij,kjl,klm->kim", a, b, c), triple_product(a, b, c)),
+        (np.einsum("nij,njk,nkl->nil", a, b, a), triple_product(a, b, a)),
+        # checks.check_block_scalar's quadratic forms
+        (np.einsum("ni,nij,nj->n", v, b, v), triple_product(v[:, None, :], b, v[:, :, None])[:, 0, 0]),
+    ]
+    # rng.spd, its diagonal passed as a full matrix, for dim 3 and 2
+    for q, e in ((a, d), (a[:, :2, :2], d[:, :2])):
+        diagonal = e[:, :, None] * np.eye(e.shape[1])
+        cases.append((np.einsum("nij,nj,nkj->nik", q, e, q), triple_product(q, diagonal, np.swapaxes(q, 1, 2))))
+    for want, got in cases:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
