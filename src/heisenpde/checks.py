@@ -47,6 +47,11 @@ from .rng import SplitMix64, uniform_words
 from .symmetric import Sym2, triple_product
 
 
+def _worst(*gaps: float) -> float:
+    """The max of the gaps, NaN if one is: max(a, nan) would drop it."""
+    return math.nan if any(math.isnan(gap) for gap in gaps) else max(gaps)
+
+
 def _report(lemma_id: str, trials: int, worst: float, passed: bool, **extra) -> dict:
     out = {"lemma_id": lemma_id, "trials": int(trials), "worst_gap": float(worst), "pass": bool(passed)}
     out.update(extra)
@@ -117,7 +122,7 @@ def check_group_algebra(seed: int = 0, trials: int = 2000) -> dict:
         group_mul_batch(a, e2) - a - y_dir,
     ]
     scale = np.maximum(1.0, np.abs(pts).max(axis=(1, 2)) ** 2)
-    worst = float(max((np.abs(g).max(axis=1) / scale).max() for g in gaps))
+    worst = float(_worst(*((np.abs(g).max(axis=1) / scale).max() for g in gaps)))
     return _report("group.algebra", trials, worst, worst <= 1e-12)
 
 
@@ -146,7 +151,7 @@ def check_p_kernel(seed: int = 0, trials: int = 10_000) -> dict:
     rows = [
         (p[:, i, 0] * v[:, 0] + p[:, i, 1] * v[:, 1]) + p[:, i, 2] * v[:, 2] for i in range(3)
     ]
-    worst = float(max(np.abs(r).max() for r in rows))
+    worst = float(_worst(*(np.abs(r).max() for r in rows)))
     return _report("group.p_kernel", trials, worst, worst == 0.0)
 
 
@@ -160,7 +165,7 @@ def check_sigma_factorization(seed: int = 0, trials: int = 5000) -> dict:
     for i in range(3):
         for j in range(3):
             sts = x[:, i] * x[:, j] + y[:, i] * y[:, j]
-            worst = max(worst, float(np.abs(p[:, i, j] - sts).max()))
+            worst = _worst(worst, float(np.abs(p[:, i, j] - sts).max()))
     return _report("group.sigma_factorization", trials, worst, worst == 0.0)
 
 
@@ -188,7 +193,7 @@ def check_quadratic_form(seed: int = 0, trials: int = 1000) -> dict:
         h = h_hessian(u, row[None])[0]
         rhs = float(w @ h @ w)
         scale = max(1.0, abs(lhs), abs(rhs), np.abs(d2).max() * float(v @ v))
-        worst = max(worst, abs(lhs - rhs) / scale)
+        worst = _worst(worst, abs(lhs - rhs) / scale)
     return _report("calculus.quadratic_form", trials, worst, worst <= 1e-12)
 
 
@@ -204,7 +209,7 @@ def check_trace_identity(seed: int = 0, trials: int = 200) -> dict:
         pm = p_matrix_batch(row[None])[0]
         s3 = float(np.trace(pm @ d2))
         scale = max(1.0, abs(s1))
-        worst = max(worst, abs(s1 - s2) / scale, abs(s1 - s3) / scale)
+        worst = _worst(worst, abs(s1 - s2) / scale, abs(s1 - s3) / scale)
     return _report("calculus.trace_identity", trials, worst, worst <= 1e-12)
 
 
@@ -392,8 +397,8 @@ def check_pucci_bruteforce(seed: int = 0, trials: int = 100, samples: int = 100_
     ones first.  A semidefinite h's gap |F - oracle| is then at most
     |F - C| + slack (_semidefinite_sums), with a factor 1 + 2^-40 on
     |F - C| for the rounding of both gaps.  The oracle runs on h only where
-    that bound exceeds the worst gap so far, so the max is the same float
-    as that of every gap."""
+    that bound exceeds the worst gap so far, and not once a gap is NaN,
+    which the max keeps, so the max is the same float as that of every gap."""
     g = SplitMix64(seed, "pucci-check")
     lam, Lam = 1.0, 2.0
     b = EllipticityBracket(lam, Lam)
@@ -405,10 +410,10 @@ def check_pucci_bruteforce(seed: int = 0, trials: int = 100, samples: int = 100_
         if flat[k] is not None:
             c_plus, c_minus, slack = flat[k]
             gaps = (abs(plus[k] - c_plus), abs(minus[k] - c_minus))
-            if all(gap * (1 + 2.0**-40) + slack <= worst for gap in gaps):
+            if math.isnan(worst) or all(gap * (1 + 2.0**-40) + slack <= worst for gap in gaps):
                 continue
         bf_plus, bf_minus = pucci_bruteforce(mats[k], lam, Lam, samples, seed + k)
-        worst = max(worst, abs(plus[k] - bf_plus), abs(minus[k] - bf_minus))
+        worst = _worst(worst, abs(plus[k] - bf_plus), abs(minus[k] - bf_minus))
     return _report("operators.pucci_bruteforce", trials, worst, worst <= 1e-6)
 
 
@@ -436,7 +441,7 @@ def check_operator_brackets(seed: int = 0, trials: int = 1000) -> dict:
     violations = 0
     for spec in specs:
         rep = validate_operator(spec, samples=trials, seed=seed)
-        worst = max(worst, rep["worst_gap"])
+        worst = _worst(worst, rep["worst_gap"])
         violations += rep["violations"]
     return _report("operators.bracket", trials * len(specs), worst, violations == 0)
 
@@ -563,7 +568,7 @@ def check_block_scalar(seed: int = 0, trials: int = 10_000) -> dict:
         lhs = _quadratic_form(xi, a) - _quadratic_form(eta, b)
         rhs = _quadratic_form(xi - eta, ns)
         scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        worst = max(worst, float(((lhs - rhs) / scale).max()))
+        worst = _worst(worst, float(((lhs - rhs) / scale).max()))
     return _report("sums.block_scalar", trials * 4, worst, worst <= 1e-9)
 
 
@@ -593,7 +598,7 @@ def check_lifted_trace_gap(seed: int = 0, trials: int = 10_000) -> dict:
     worst_pen = float(((lhs - rhs_pen) / scale_pen).max())
     passed = worst <= 1e-9 and worst_pen <= 1e-9
     return _report(
-        "sums.lifted_trace_gap", trials, max(worst, worst_pen), passed, c2=c2, worst_gap_penalty=worst_pen
+        "sums.lifted_trace_gap", trials, _worst(worst, worst_pen), passed, c2=c2, worst_gap_penalty=worst_pen
     )
 
 

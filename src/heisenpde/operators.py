@@ -139,6 +139,11 @@ class OperatorSpec:
         return OperatorSpec("sublaplacian", EllipticityBracket(1.0, 1.0), form)
 
     @property
+    def linear(self) -> bool:
+        """Whether F is linear in the rows: the sub-Laplacian, trace_linear."""
+        return self.kind in ("sublaplacian", "trace_linear")
+
+    @property
     def hessian_rows(self) -> tuple:
         """The directions of DIRECTIONS whose rows F reads, in the order
         apply_batch takes them: X and Y for the kinds that ignore h_xy (the
@@ -193,14 +198,26 @@ class OperatorSpec:
             a = self.coeff
             mixed = 2.0 * a.a12 * cross_term(rows[2], rows[3]) if a.a12 else 0.0
             return a.a11 * d_x + mixed + a.a22 * d_y
-        lo, hi = eigenvalues2(d_x, cross_term(rows[2], rows[3]), d_y)
+        return self._pucci(rows, slope_sum)[0]
+
+    def _pucci(self, rows, slope_sum=None, gradient: bool = False):
+        """Pucci's F at the four rows and its slopes (linearize's) if
+        `gradient`, else None, from one eigenvalue pass and its _slope calls."""
+        h_xy = cross_term(rows[2], rows[3])
+        lo, hi = eigenvalues2(rows[0], h_xy, rows[1])
         g_lo, g_hi = self._slope(lo), self._slope(hi)
         if slope_sum is not None:
             np.add(g_lo, g_hi, out=slope_sum)
+        slopes = None
+        if gradient:
+            jump = g_hi - g_lo
+            q = np.divide(jump, hi - lo, out=np.zeros_like(jump), where=jump != 0)
+            half = 0.5 * q * h_xy
+            slopes = np.stack((g_lo + q * (rows[0] - lo), g_lo + q * (rows[1] - lo), half, -half))
         lo *= g_lo  # F = g'(e_lo) e_lo + g'(e_hi) e_hi, in the fresh eigenvalue arrays
         hi *= g_hi
         lo += hi
-        return lo
+        return lo, slopes
 
     def linearize(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """F at the (k, n) direction rows of hessian_rows, as apply_batch, and
@@ -213,18 +230,13 @@ class OperatorSpec:
         e_lo = e_hi; at a kink, e = 0, it takes _slope's side.  The D_X and
         D_Y slopes sum to apply_batch's slope sum up to rounding."""
         rows = np.asarray(rows, dtype=float)
-        out = self.apply_batch(rows)
-        if self.kind in ("sublaplacian", "trace_linear"):
+        if self.linear:
             a = self.coeff or Sym2(1.0, 0.0, 1.0)  # the sub-Laplacian is a = I
             coeffs = np.array((a.a11, a.a22, 0.5 * a.a12, -0.5 * a.a12)[: len(rows)])
-            return out, np.broadcast_to(coeffs[:, None], rows.shape)
-        h_xy = cross_term(rows[2], rows[3])
-        lo, hi = eigenvalues2(rows[0], h_xy, rows[1])
-        g_lo, g_hi = self._slope(lo), self._slope(hi)
-        jump = g_hi - g_lo
-        q = np.divide(jump, hi - lo, out=np.zeros_like(jump), where=jump != 0)
-        half = 0.5 * q * h_xy
-        return out, np.stack((g_lo + q * (rows[0] - lo), g_lo + q * (rows[1] - lo), half, -half))
+            return self.apply_batch(rows), np.broadcast_to(coeffs[:, None], rows.shape)
+        if self.form != INTRINSIC:
+            raise ValueError("linearize evaluates the intrinsic form")
+        return self._pucci(rows, gradient=True)
 
     @staticmethod
     def from_config(cfg: dict) -> "OperatorSpec":
@@ -259,7 +271,7 @@ def validate_operator(spec: OperatorSpec, samples: int = 1000, seed: int = 0) ->
     Each side of the pairs is one apply_stack call.  Gaps are drawn with
     log-uniform eigenvalues in [1e-3, 1e2] so both well- and ill-conditioned
     orderings are exercised.  Violations beyond 1e-9 * scale are reported,
-    never raised.
+    never raised; a NaN margin is a violation, and the worst gap keeps it.
     """
     dim = 2 if spec.form == INTRINSIC else 3
     g = SplitMix64(seed, f"validate-{spec.kind}-{spec.form}")
@@ -270,8 +282,8 @@ def validate_operator(spec: OperatorSpec, samples: int = 1000, seed: int = 0) ->
     lam, Lam = spec.bracket.lam, spec.bracket.Lam
     scale = np.maximum(np.maximum(1.0, np.abs(diff)), Lam * tr)
     margin = np.maximum((lam * tr - diff) / scale, (diff - Lam * tr) / scale)
-    worst = max(0.0, float(margin.max()))
-    violations = int(np.count_nonzero(margin > 1e-9))
+    worst = float(np.max(margin, initial=0.0))
+    violations = int(np.count_nonzero(~(margin <= 1e-9)))
     return {
         "kind": spec.kind,
         "form": spec.form,

@@ -3,15 +3,17 @@
 The stencil is frame-aligned (semi-Lagrangian): it returns one row per line
 through the node, the directional second difference
     D_v = (u(p + rho v) + u(p - rho v) - 2 u(p)) / rho^2
-for v in operators.DIRECTIONS (X, Y, X + Y and X - Y at the frame of p),
-with off-node values obtained by trilinear interpolation, so every row has
-nonnegative off-centre weights.  Each operator kind is a reduction of the
-rows it reads (OperatorSpec.apply_batch).  The scheme is monotone when that
-reduction is a nondecreasing function of the rows: the sub-Laplacian
-D_X + D_Y and trace_linear with a12 = 0.  Pucci and trace_linear with
-a12 != 0 rebuild h_xy = (D_{X+Y} - D_{X-Y}) / 4, which weighs the X - Y
-samples by -1/(4 rho^2), so they are not.  Samples that leave the box are
-evaluated with the Dirichlet data (the boundary field extends u).
+for each line v that F reads (OperatorSpec.hessian_rows: X, Y, X + Y or
+X - Y at the frame of p) and no other, with off-node values obtained by
+trilinear interpolation, so every row has nonnegative off-centre weights.
+Each operator kind is a reduction of the rows it reads
+(OperatorSpec.apply_batch).  The scheme is monotone when that reduction is
+a nondecreasing function of the rows: the sub-Laplacian D_X + D_Y and
+trace_linear with a12 = 0, which read no diagonal line.  Pucci and
+trace_linear with a12 != 0 rebuild h_xy = (D_{X+Y} - D_{X-Y}) / 4, which
+weighs the X - Y samples by -1/(4 rho^2), so they are not.  Samples that
+leave the box are evaluated with the Dirichlet data (the boundary field
+extends u).
 Because the frame's horizontal step is the same at every node and its
 vertical step depends only on the node's column, the operator is
 evaluated from shifted x3 rows of u per column (see _Stencil): the
@@ -82,15 +84,8 @@ residual and 1 per rejected mix that was evaluated.  The buffers hold
 2 DEPTH + 2 fine interior vectors (about 20 MB at 65^3).  To pay for them,
 the residual is handed from call to call rather than kept by a caller, so
 no fine evaluation holds an earlier residual; and the stencil adds each
-sample into its row as it is taken, rather than storing all eight, and
+sample into its row as it is taken, rather than storing them all, and
 forms the centre term in a sample's buffer.
-
-T computes only the direction rows that F reads (OperatorSpec.hessian_rows),
-and the stencil takes no sample of a line that F does not read.  The
-sub-Laplacian and trace_linear with a12 = 0 read D_X and D_Y only, so their
-T skips the two diagonal lines and their four-corner blend; the rows it
-does compute are bitwise those of the full call, which computes all four
-rows (hessian_components with its default dirs).
 
 The coarsest level is solved directly.  The stencil is affine in the
 interior node values, so probing it once with the interior unit vectors
@@ -118,11 +113,7 @@ from .config import config_number, config_section
 from .fields import NumericField, PolynomialField, ScalarField, field_from_config
 from .grid import Grid3, GridFunction, cells
 from .group import frame_batch
-from .operators import DIRECTIONS, INTRINSIC, OperatorSpec
-
-# the samples p + rho v and p - rho v of each direction v, as coefficient
-# pairs on the frame (X, Y)
-_COMBOS = tuple((s * cx, s * cy) for cx, cy in DIRECTIONS for s in (1, -1))
+from .operators import INTRINSIC, OperatorSpec
 
 
 @dataclass(frozen=True)
@@ -341,11 +332,15 @@ def _runs(buffer: np.ndarray, length: int) -> np.ndarray:
 
 
 class _Stencil:
-    """Frame-aligned sampling of one grid, stored per interior column.
+    """Frame-aligned sampling of one grid along `lines`, stored per interior
+    column.
 
-    The direction cx X + cy Y moves a node by the horizontal step
-    rho (cx, cy), the same for every node, and by the vertical step
-    2 rho (cx x2 - cy x1), which depends only on the node's column (i1, i2).
+    Each line v = cx X + cy Y has the arms p + rho v and p - rho v, which
+    are (cx, cy) and (-cx, -cy) in `arms` and a _Direction each in
+    `directions`.  The direction cx X + cy Y moves a node by the
+    horizontal step rho (cx, cy), the same for every node, and by the
+    vertical step 2 rho (cx x2 - cy x1), which depends only on the node's
+    column (i1, i2).
     So per direction the horizontal corners and their weights are
     constants, and each column keeps one x3 cell shift and one x3 fraction,
     taken with grid.cells from the sample of the column's bottom node.  A
@@ -369,8 +364,9 @@ class _Stencil:
     that blends allocates the blend.
     """
 
-    def __init__(self, grid: Grid3, boundary: ScalarField, step: float):
+    def __init__(self, grid: Grid3, boundary: ScalarField, step: float, lines):
         n1, n2, n3 = grid.counts
+        self.arms = tuple((s * cx, s * cy) for cx, cy in lines for s in (1, -1))
         self.grid = grid
         self.shape = (n1 - 2, n2 - 2, n3 - 2)
         lower = np.asarray(grid.lower)
@@ -382,7 +378,7 @@ class _Stencil:
         x_dir, y_dir = frame_batch(cols)
 
         found = []
-        for cx, cy in _COMBOS:
+        for cx, cy in self.arms:
             offset = step * (cx * x_dir + cy * y_dir)
             sample = cols + offset
             cell, frac = cells(grid, sample)
@@ -394,6 +390,8 @@ class _Stencil:
             col = out_rows // (n3 - 2)
             off_box = np.column_stack((sample[col, 0], sample[col, 1], s3.ravel()[out_rows]))
             out_vals = boundary.value_batch(off_box) if out_rows.size else np.zeros(0)
+            name = f"boundary off the box along {cx} X + {cy} Y"
+            _check_finite(out_vals, name, self.shape, out_rows, offset=1)
             found.append((cell, frac, out_rows, out_vals))
 
         # slack wide enough for every column with a sample in the box; a
@@ -415,15 +413,8 @@ class _Stencil:
             shift = np.clip(1 + cell[:, 2], -slack, slack + 1).reshape(n1 - 2, n2 - 2)
             window = slack + (base1[:, None] * (n2 + 2) + base2) * row + shift
             fz = frac[:, 2].reshape(n1 - 2, n2 - 2)
-            self.directions.append(
-                _Direction(
-                    np.outer(wx, wy),
-                    window,
-                    np.stack((1 - fz, fz))[..., None],
-                    out_rows,
-                    out_vals,
-                )
-            )
+            wz = np.stack((1 - fz, fz))[..., None]
+            self.directions.append(_Direction(np.outer(wx, wy), window, wz, out_rows, out_vals))
         # per sample, the (offset, weight) terms that blend its horizontal
         # table from the copy, one list per family (None for the table [1]);
         # corner (a, b) lies a (n2 + 2) + b rows of n3 + 1 values on
@@ -437,7 +428,7 @@ class _Stencil:
                 ]
             self.terms.append(families.get(key))
         self.weight = 1.0 / (step * step)  # the off-centre weight of every difference
-        n_samples = len(_COMBOS) * (n1 - 2) * (n2 - 2) * (n3 - 2)
+        n_samples = len(self.arms) * (n1 - 2) * (n2 - 2) * (n3 - 2)
         self.outside_fraction = sum(d.out_rows.size for d in self.directions) / n_samples
         # the copy of u, zeroed here only: each call writes u and one layer
         # around x1 and x2 that repeats the grid's edge, and no call writes
@@ -451,27 +442,26 @@ class _Stencil:
         layer around it, flat."""
         return buffer[self.slack : buffer.size - self.slack]
 
-    def hessian_components(self, flat: np.ndarray, dirs=DIRECTIONS) -> np.ndarray:
+    def hessian_components(self, flat: np.ndarray) -> np.ndarray:
         """The rows D_v = (u(p + rho v) + u(p - rho v) - 2 u(p)) / rho^2 at
-        the interior nodes, one per direction v of `dirs` (a tuple drawn from
-        DIRECTIONS), as a (len(dirs), n) array.  One loop takes the samples
-        s+ at p + rho v and then s- at p - rho v of each direction of `dirs`,
-        and of no other, into one buffer: it gathers a sample's x3 windows
-        from the copy of u if its table is [1] and from its family's blend
-        otherwise, interpolates them along x3, writes its frozen off-box
-        values and adds it into its row.  Each row is s+ w, then += s- w,
-        then += c, with w = 1 / rho^2 and the centre term c = u (-2 w)
-        formed per row in the buffer of s-, so no array of the interior is
-        held for it.  A family's blend is formed from the copy by _blend
-        unless the blend holds it already: one family at a time, in a buffer
-        allocated once per call that blends.  Calls on one stencil must not
-        overlap: they share its copy of u."""
+        the interior nodes, one per line v of the stencil, in its order, as
+        a (lines, n) array.  One loop takes the samples s+ at p + rho v and
+        then s- at p - rho v of each line into one buffer: it gathers a
+        sample's x3 windows from the copy of u if its table is [1] and from
+        its family's blend otherwise, interpolates them along x3, writes its
+        frozen off-box values and adds it into its row.  Each row is s+ w,
+        then += s- w, then += c, with w = 1 / rho^2 and the centre term
+        c = u (-2 w) formed per row in the buffer of s-, so no array of the
+        interior is held for it.  A family's blend is formed from the copy
+        by _blend unless the blend holds it already: one family at a time,
+        in a buffer allocated once per call that blends.  Calls on one
+        stencil must not overlap: they share its copy of u."""
         n1, n2, n3 = self.grid.counts
         copy = self._body(self.copy).reshape(n1 + 2, n2 + 2, n3 + 1)
         copy[1:-1, 1:-1, :-1] = flat.reshape(self.grid.counts)
         copy[0], copy[-1] = copy[1], copy[-2]
         copy[:, 0], copy[:, -1] = copy[:, 1], copy[:, -2]
-        rows = np.empty((len(dirs), int(np.prod(self.shape))))
+        rows = np.empty((len(self.arms) // 2, int(np.prod(self.shape))))
         sample = np.empty(rows.shape[1])
         s = sample.reshape(self.shape)
         w = self.weight
@@ -479,30 +469,28 @@ class _Stencil:
         blend = held = None
         # non-finite inputs propagate and are reported by the caller's check
         with np.errstate(invalid="ignore"):
-            for row, v in zip(rows, dirs):
-                first = 2 * DIRECTIONS.index(v)
-                for k in (first, first + 1):
-                    d, terms = self.directions[k], self.terms[k]
-                    runs = self._copy_runs  # runs[j]: the n3 - 1 values from flat index j on
-                    if terms is not None:
-                        if blend is None:
-                            blend = np.zeros(self.copy.size)
-                            blend_runs = _runs(blend, n3 - 1)
-                        if terms is not held:
-                            _blend(self._body(self.copy), terms, self._body(blend))
-                            held = terms
-                        runs = blend_runs
-                    windows = runs[d.window]  # (n1-2, n2-2, n3-1)
-                    np.multiply(windows[..., :-1], d.wz[0], out=s)
-                    np.multiply(windows, d.wz[1], out=windows)
-                    s += windows[..., 1:]
-                    del windows  # freed before the next sample gathers its windows
-                    sample[d.out_rows] = d.out_vals
-                    if k == first:
-                        np.multiply(sample, w, out=row)
-                    else:
-                        row += np.multiply(sample, w, out=sample)
-                row += np.multiply(u, -2.0 * w, out=s).ravel()
+            for k, (d, terms) in enumerate(zip(self.directions, self.terms)):
+                row = rows[k // 2]  # the row of line j takes arms 2 j and 2 j + 1
+                runs = self._copy_runs  # runs[j]: the n3 - 1 values from flat index j on
+                if terms is not None:
+                    if blend is None:
+                        blend = np.zeros(self.copy.size)
+                        blend_runs = _runs(blend, n3 - 1)
+                    if terms is not held:
+                        _blend(self._body(self.copy), terms, self._body(blend))
+                        held = terms
+                    runs = blend_runs
+                windows = runs[d.window]  # (n1-2, n2-2, n3-1)
+                np.multiply(windows[..., :-1], d.wz[0], out=s)
+                np.multiply(windows, d.wz[1], out=windows)
+                s += windows[..., 1:]
+                del windows  # freed before the next sample gathers its windows
+                sample[d.out_rows] = d.out_vals
+                if k % 2 == 0:
+                    np.multiply(sample, w, out=row)
+                else:
+                    row += np.multiply(sample, w, out=sample)
+                    row += np.multiply(u, -2.0 * w, out=s).ravel()
         return rows
 
 
@@ -511,7 +499,7 @@ class Discretization:
 
     c is evaluated once, on all nodes: c_int is its interior slice, bitwise
     an evaluation on the interior nodes alone, and its max is tau's c_max.
-    c, f_int, the boundary node values and the stencil's frozen off-box
+    The stencil's frozen off-box values, c, f_int and the boundary node
     values are checked finite as they are built, and c nonnegative, on
     every level, the finest included: a coarse level can hold nodes that
     the finest does not.  A ValueError names the field, a node and the
@@ -526,7 +514,7 @@ class Discretization:
         else:
             self.rho = sample_step(self.grid)
         _check_step(self.rho, "sample step")
-        self.stencil = _Stencil(self.grid, prob.boundary, self.rho)
+        self.stencil = _Stencil(self.grid, prob.boundary, self.rho, self.op.hessian_rows)
         counts, shape = self.grid.counts, self.stencil.shape
         pts = self.grid.points()
         c = prob.c.value_batch(pts)
@@ -551,15 +539,11 @@ class Discretization:
         self.s_max = float(slopes[0, 0] + slopes[1, 0])
         self.tau = cfl_tau(self.rho, self.s_max, self.c_max)
         self.interval = smoothing_interval(self.rho, self.s_max, self.c_max, _Multilevel.ALPHA)
-        pucci = self.op.kind in ("pucci_plus", "pucci_minus")
-        self.slope_sum = np.full(self.c_int.size, self.s_max) if pucci else None
+        self.slope_sum = None if self.op.linear else np.full(self.c_int.size, self.s_max)
         mask = self.grid.interior_mask().ravel()
         self.boundary_flat = np.flatnonzero(~mask)
         self.boundary_vals = prob.boundary.value_batch(pts[~mask])
         _check_finite(self.boundary_vals, "boundary", counts, self.boundary_flat)
-        for (cx, cy), d in zip(_COMBOS, self.stencil.directions):
-            name = f"boundary off the box along {cx} X + {cy} Y"
-            _check_finite(d.out_vals, name, shape, d.out_rows, offset=1)
         self.evals = 0  # evaluations of T on this level
         self.sweeps = 0  # smoothing sweeps on this level
 
@@ -567,11 +551,10 @@ class Discretization:
         return self.boundary.value_batch(self.grid.points())
 
     def apply_nonlinearity(self, flat: np.ndarray) -> np.ndarray:
-        """T(u) = F(stencil rows) - c u at interior nodes, computing only the
-        direction rows that F reads; for Pucci, F's slope sum at u is left
-        in `slope_sum`."""
+        """T(u) = F(stencil rows) - c u at interior nodes; for Pucci, F's
+        slope sum at u is left in `slope_sum`."""
         self.evals += 1
-        rows = self.stencil.hessian_components(flat, self.op.hessian_rows)
+        rows = self.stencil.hessian_components(flat)
         out = self.op.apply_batch(rows, self.slope_sum)
         out -= self.c_int * _interior(flat, self.grid.counts).ravel()
         return out
@@ -697,14 +680,13 @@ def _probe(disc: Discretization) -> np.ndarray:
     hessian_components(u with a zero interior), read off one interior unit
     vector at a time."""
     counts = disc.grid.counts
-    dirs = disc.op.hessian_rows
     flat = np.zeros(int(np.prod(counts)))
     inner = _interior(flat, counts)
-    base = disc.stencil.hessian_components(flat, dirs)
+    base = disc.stencil.hessian_components(flat)
     columns = []
     for idx in np.ndindex(inner.shape):
         inner[idx] = 1.0
-        columns.append(disc.stencil.hessian_components(flat, dirs) - base)
+        columns.append(disc.stencil.hessian_components(flat) - base)
         inner[idx] = 0.0
     return np.stack(columns, axis=-1)
 
@@ -756,7 +738,7 @@ class _Multilevel:
         tol = 1e-14 * max(1.0, np.abs(rhs).max())
         edge = flat.copy()
         _interior(edge, disc.grid.counts)[...] = 0.0
-        offset = disc.stencil.hessian_components(edge, disc.op.hessian_rows)
+        offset = disc.stencil.hessian_components(edge)
         for _ in range(self.NEWTON_MAX):
             u = _interior(flat, disc.grid.counts).ravel()
             vals, slopes = disc.op.linearize(self.dense @ u + offset)

@@ -137,6 +137,48 @@ def test_corrupted_shipped_formula_is_detected(monkeypatch, name, corrupt, check
     assert not report["pass"], report
 
 
+def _nan_in_row(fn, row, call=None):
+    """fn with NaN in row `row` of its output, on every call or only on
+    call number `call` (from 0): one trial of a check made NaN."""
+    calls = []
+
+    def wrapped(*args):
+        out = np.array(fn(*args), dtype=float)
+        if call is None or len(calls) == call:
+            out[row] = np.nan
+        calls.append(None)
+        return out
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "owner,name,corrupt,check,kwargs",
+    [
+        (checks, "dilate_batch", lambda f: _nan_in_row(f, 3), "check_group_algebra", {"trials": 200}),
+        # h_hessian takes one trial's point per call
+        (checks, "h_hessian", lambda f: _nan_in_row(f, 0, call=2), "check_quadratic_form", {"trials": 20}),
+        (
+            OperatorSpec,
+            "apply_stack",
+            lambda f: _nan_in_row(f, 1),
+            "check_pucci_bruteforce",
+            {"trials": 5, "samples": 20_000},
+        ),
+        (OperatorSpec, "apply_stack", lambda f: _nan_in_row(f, 1), "check_operator_brackets", {"trials": 150}),
+        (checks, "triple_product", lambda f: _nan_in_row(f, 2), "check_block_scalar", {"trials": 200}),
+    ],
+    ids=["group", "calculus", "operators", "operators-bracket", "sums"],
+)
+def test_a_nan_gap_fails_its_check(monkeypatch, owner, name, corrupt, check, kwargs):
+    # Python's max(worst, gap) keeps worst when gap is NaN: each check must
+    # keep the NaN, report it as its worst gap and fail
+    assert getattr(checks, check)(seed=0, **kwargs)["pass"]
+    monkeypatch.setattr(owner, name, corrupt(getattr(owner, name)))
+    report = getattr(checks, check)(seed=0, **kwargs)
+    assert report["pass"] is False and np.isnan(report["worst_gap"]), report
+
+
 def test_bruteforce_oracle_close_on_known_case():
     h = np.array([[2.0, 0.0], [0.0, -3.0]])
     val_plus, val_minus = checks.pucci_bruteforce(h, 1.0, 2.0, 100_000, seed=0)
@@ -244,14 +286,15 @@ def test_bucket_bounds_hold_at_every_angle_of_the_bucket(kind, sign, a, b, phi, 
 
 
 def _every_matrix_worst_gap(mats: np.ndarray, seed: int, samples: int) -> float:
-    """check_pucci_bruteforce's worst gap with the oracle run on every matrix."""
+    """check_pucci_bruteforce's worst gap with the oracle run on every
+    matrix: the max of every gap, NaN if one is."""
     bracket = EllipticityBracket(1.0, 2.0)
     plus, minus = (OperatorSpec(kind, bracket).apply_stack(mats) for kind in ("pucci_plus", "pucci_minus"))
-    worst = 0.0
+    gaps = [0.0]
     for k in range(len(mats)):
         bf_plus, bf_minus = checks.pucci_bruteforce(mats[k], 1.0, 2.0, samples, seed + k)
-        worst = max(worst, abs(plus[k] - bf_plus), abs(minus[k] - bf_minus))
-    return worst
+        gaps += [abs(plus[k] - bf_plus), abs(minus[k] - bf_minus)]
+    return float(np.max(gaps))
 
 
 SEMIDEFINITE = np.array(

@@ -24,7 +24,6 @@ from heisenpde.operators import (
 from heisenpde.rng import SplitMix64
 from heisenpde.symmetric import Sym2, eigenvalues2
 from heisenpde.solver import (
-    _COMBOS,
     Discretization,
     ProblemSpec,
     _along_axes,
@@ -49,6 +48,12 @@ ZERO = PolynomialField.constant(0)
 
 def box(n):
     return Grid3.box((-1, -1, -1), (1, 1, 1), (n, n, n))
+
+
+def four_line_disc(grid: Grid3, boundary, sample_width=None) -> Discretization:
+    """A level whose stencil samples all four lines X, Y, X + Y and X - Y:
+    Pucci+ reads them all, and the sample step does not depend on the kind."""
+    return Discretization(ProblemSpec(PUCCI_PLUS, ONE, ZERO, boundary, grid, sample_width=sample_width))
 
 
 def residual_norm(u: GridFunction, prob: ProblemSpec) -> float:
@@ -142,7 +147,7 @@ def stencil_matrix(u, grid: Grid3, idx, sample_width=None) -> np.ndarray:
     """The solver's frame-aligned second differences of the field u at the
     interior node idx of grid, with u as the boundary: [[D_X, h_xy],
     [h_xy, D_Y]], h_xy formed from D_{X+Y} and D_{X-Y} by cross_term."""
-    disc = Discretization(ProblemSpec(SUB, ONE, ZERO, u, grid, sample_width=sample_width))
+    disc = four_line_disc(grid, u, sample_width)
     rows = disc.stencil.hessian_components(u.value_batch(grid.points()))
     column = np.ravel_multi_index(tuple(i - 1 for i in idx), disc.stencil.shape)
     d_x, d_y, d_plus, d_minus = rows[:, column]
@@ -510,7 +515,7 @@ def test_manufacture_examples_and_validation():
 
 
 def oracle_samples(grid, boundary, flat, rho):
-    """The samples along solver._COMBOS, then the centre values: each sample
+    """The samples along the four lines' arms, then the centre values: each sample
     p + rho (cx X + cy Y) located on its own, trilinear in u inside the box,
     the boundary field outside."""
     pts = grid.points().reshape(grid.counts + (3,))[1:-1, 1:-1, 1:-1].reshape(-1, 3)
@@ -548,8 +553,7 @@ def oracle_hessian(grid, boundary, flat, rho):
     ids=["cube17", "off-centre-4-corners", "coarse-rho-h", "poly-boundary"],
 )
 def test_stencil_matches_per_sample_oracle(grid, boundary, width):
-    prob = ProblemSpec(SUB, ONE, ZERO, boundary, grid, sample_width=width)
-    disc = Discretization(prob)
+    disc = four_line_disc(grid, boundary, width)
     if width is not None:
         assert disc.stencil.directions[4].weights.shape == (2, 2)
     if grid.counts == (5, 5, 5):
@@ -561,9 +565,15 @@ def test_stencil_matches_per_sample_oracle(grid, boundary, width):
 
 
 def test_stencil_storage_below_5_bytes_per_sample():
-    stencil = Discretization(ProblemSpec(SUB, ONE, ZERO, ZERO, box(33))).stencil
-    nbytes = stencil.copy.nbytes + sum(a.nbytes for d in stencil.directions for a in d)
-    assert nbytes < 5 * (8 * 31**3)
+    # the four lines' 8 samples per node; the sub-Laplacian's stencil stores
+    # the arrays of its 4 samples only
+    nbytes = {}
+    for op in (PUCCI_PLUS, SUB):
+        stencil = Discretization(ProblemSpec(op, ONE, ZERO, ZERO, box(33))).stencil
+        nbytes[op.kind] = stencil.copy.nbytes + sum(a.nbytes for d in stencil.directions for a in d)
+        assert len(stencil.arms) == 2 * len(op.hessian_rows)
+    assert nbytes["pucci_plus"] < 5 * (8 * 31**3)
+    assert nbytes["sublaplacian"] < nbytes["pucci_plus"]
 
 
 def test_discretization_belongs_to_its_problem():
@@ -638,7 +648,9 @@ POLY_BOUNDARY = parse_polynomial("x1^2 x3 - x2 + 0.5 x3^2")
 
 @pytest.mark.parametrize("n,coarsest", [(17, 5), (11, 6)])
 def test_probed_coarse_map_matches_stencil(n, coarsest):
-    prob = ProblemSpec(SUB, ONE, ZERO, POLY_BOUNDARY, box(n))
+    # Pucci+ reads all four lines; the X and Y samples of the 5^3 level stay
+    # in the box, and diagonal ones leave it
+    prob = ProblemSpec(PUCCI_PLUS, ONE, ZERO, POLY_BOUNDARY, box(n))
     ml = _Multilevel(prob)
     disc = ml.levels[-1]
     assert disc.grid.counts == (coarsest,) * 3
@@ -649,8 +661,8 @@ def test_probed_coarse_map_matches_stencil(n, coarsest):
         edge = flat.copy()
         _interior(edge, disc.grid.counts)[...] = 0.0
         probed = ml.dense @ _interior(flat, disc.grid.counts).ravel()
-        probed += disc.stencil.hessian_components(edge, SUB.hessian_rows)
-        want = disc.stencil.hessian_components(flat, SUB.hessian_rows)
+        probed += disc.stencil.hessian_components(edge)
+        want = disc.stencil.hessian_components(flat)
         assert np.abs(probed - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -757,18 +769,18 @@ def test_repeat_solve_reuses_the_hierarchy_bitwise(which, monkeypatch):
     assert first.converged and first.cycles > 1 and first.coarse_newton_steps > 0
 
 
-def min_off_diagonal(disc, dirs):
-    """Per direction of dirs, the least off-diagonal entry of its row's
+def min_off_diagonal(disc):
+    """Per line of disc's stencil, the least off-diagonal entry of its row's
     matrix over the interior nodes, probed one interior unit vector at a
     time; the boundary data must be zero, so that the probe is the column."""
     counts = disc.grid.counts
     flat = np.zeros(disc.grid.n_nodes)
     inner = _interior(flat, counts)
-    assert not disc.stencil.hessian_components(flat, dirs).any()
-    least = np.full(len(dirs), np.inf)
+    assert not disc.stencil.hessian_components(flat).any()
+    least = np.full(len(disc.stencil.arms) // 2, np.inf)
     for k, idx in enumerate(np.ndindex(inner.shape)):
         inner[idx] = 1.0
-        column = disc.stencil.hessian_components(flat, dirs)
+        column = disc.stencil.hessian_components(flat)
         inner[idx] = 0.0
         column[:, k] = np.inf
         least = np.minimum(least, column.min(axis=1))
@@ -787,7 +799,7 @@ def test_direction_rows_are_monotone(n, width):
     assert disc.rho == (1.5 if width or n == 17 else 1.0) * grid.horizontal_spacing
     assert PUCCI_PLUS.hessian_rows == DIRECTIONS
     assert all(set(op.hessian_rows) <= set(DIRECTIONS) for op in COARSE_KINDS.values())
-    assert min_off_diagonal(disc, DIRECTIONS).min() >= 0.0
+    assert min_off_diagonal(disc).min() >= 0.0
 
 
 MONOTONE_KINDS = {
@@ -809,7 +821,7 @@ def test_scheme_is_monotone_when_f_ignores_hxy(kind):
     g = SplitMix64(0, "monotone")
     for _ in range(3):
         flat = g.uniform(disc.grid.n_nodes, -1.0, 1.0)
-        _, slopes = op.linearize(disc.stencil.hessian_components(flat, op.hessian_rows))
+        _, slopes = op.linearize(disc.stencil.hessian_components(flat))
         jac = np.einsum("kn,knm->nm", slopes, m)
         np.fill_diagonal(jac, 0.0)
         assert jac.min() >= 0.0
@@ -841,7 +853,7 @@ def test_plain_step_is_monotone_at_the_shipped_tau(kind, width):
     disc = Discretization(ProblemSpec(op, c, ZERO, ZERO, box(9), sample_width=width))
     assert disc.rho == (width or 0.25)
     # F is linear for these kinds: its exact slopes are its coefficients
-    rows = disc.stencil.hessian_components(np.zeros(9**3), op.hessian_rows)
+    rows = disc.stencil.hessian_components(np.zeros(9**3))
     _, slopes = op.linearize(rows)
     jac = np.einsum("kn,knm->nm", slopes, _probe(disc)) - np.diag(disc.c_int)
     assert disc.tau * np.abs(np.diag(jac)).max() <= 1 + 1e-12
@@ -875,7 +887,7 @@ def test_each_nodes_step_is_four_fifths_of_its_own_diagonal(kind):
     weights = (0.8, *chebyshev_weights(disc.interval, _Multilevel.SWEEPS))
     for _ in range(3):
         flat = g.uniform(disc.grid.n_nodes, -1.0, 1.0)
-        rows = disc.stencil.hessian_components(flat, op.hessian_rows)
+        rows = disc.stencil.hessian_components(flat)
         _, slopes = op.linearize(rows)
         jii = np.einsum("kn,kn->n", slopes, centre) - disc.c_int
         disc.apply_nonlinearity(flat)
@@ -906,7 +918,7 @@ def test_smooth_moves_each_node_by_the_step_of_its_residual():
     start = disc.initial_values() + SplitMix64(3, "smooth-step").uniform(9**3, -0.5, 0.5)
     disc.enforce_boundary(start)
     res = disc.residual_interior(start, disc.f_int)
-    _, slopes = prob.op.linearize(disc.stencil.hessian_components(start, DIRECTIONS))
+    _, slopes = prob.op.linearize(disc.stencil.hessian_components(start))
     sums = slopes[0] + slopes[1]
     assert np.abs(sums - np.rint(sums)).max() < 1e-14
     assert 0 < np.count_nonzero(np.rint(sums) == 8.0) < sums.size
@@ -971,7 +983,7 @@ def dense_newton(prob: ProblemSpec) -> np.ndarray:
     inner = _interior(flat, prob.grid.counts)
     u = inner.flatten()
     inner[...] = 0.0
-    offset = disc.stencil.hessian_components(flat, prob.op.hessian_rows)
+    offset = disc.stencil.hessian_components(flat)
     for _ in range(50):
         vals, slopes = prob.op.linearize(m @ u + offset)
         res = vals - disc.c_int * u - disc.f_int
@@ -1258,9 +1270,10 @@ def test_anderson_mix_solves_a_linear_map_exactly():
     ids=["cube17", "off-centre-4-corners"],
 )
 def test_streamed_stencil_is_the_4x9_map_of_the_samples(grid, width):
-    # row j weighs the samples 2j and 2j + 1 along _COMBOS by 1 / rho^2 and
-    # the centre by -2 / rho^2: every off-centre weight is nonnegative
-    disc = Discretization(ProblemSpec(SUB, ONE, ZERO, POLY_BOUNDARY, grid, sample_width=width))
+    # row j weighs the samples 2j and 2j + 1, the arms of line j, by
+    # 1 / rho^2 and the centre by -2 / rho^2: every off-centre weight is
+    # nonnegative
+    disc = four_line_disc(grid, POLY_BOUNDARY, width)
     assert disc.stencil.outside_fraction > 0
     flat = np.random.default_rng(8).standard_normal(grid.n_nodes)
     got = disc.stencil.hessian_components(flat)
@@ -1281,22 +1294,70 @@ def test_restricted_rows_are_the_full_evaluation(kind, width, n):
     sample_width = grid.horizontal_spacing if width == "rho-h" else None
     prob = ProblemSpec(op, ONE, ZERO, POLY_BOUNDARY, grid, sample_width=sample_width)
     disc = Discretization(prob)
+    full_stencil = _Stencil(grid, POLY_BOUNDARY, disc.rho, DIRECTIONS)
     assert disc.stencil.outside_fraction > 0
     if width == "rho-h":
-        assert all(d.weights.shape == (1, 1) for d in disc.stencil.directions)
+        assert all(d.weights.shape == (1, 1) for d in full_stencil.directions)
     flat = np.random.default_rng(21).standard_normal(grid.n_nodes)
-    full = disc.stencil.hessian_components(flat)
+    full = full_stencil.hessian_components(flat)
     read = full[[DIRECTIONS.index(v) for v in op.hessian_rows]]
+    assert disc.stencil.hessian_components(flat).tobytes() == read.tobytes()
     want = op.apply_batch(read) - disc.c_int * _interior(flat, grid.counts).ravel()
     assert disc.apply_nonlinearity(flat).tobytes() == want.tobytes()
-    # any subset of the directions, in any order, is bitwise those rows of the full call
-    for dirs in ((X, Y), (X_MINUS_Y, Y)):
-        part = disc.stencil.hessian_components(flat, dirs)
-        assert part.tobytes() == full[[DIRECTIONS.index(v) for v in dirs]].tobytes()
+    # a stencil of any subset of the lines, in any order, gives bitwise those rows of all four
+    for lines in ((X, Y), (X_MINUS_Y, Y)):
+        part = _Stencil(grid, POLY_BOUNDARY, disc.rho, lines).hessian_components(flat)
+        assert part.tobytes() == full[[DIRECTIONS.index(v) for v in lines]].tobytes()
+
+
+@pytest.mark.parametrize("width", [None, 0.137], ids=["default", "width-0.137"])
+@pytest.mark.parametrize("kind", sorted({**COARSE_KINDS, **MONOTONE_KINDS}))
+def test_stencil_samples_only_the_lines_f_reads(kind, width):
+    # two samples per line of hessian_rows, in its order, and outside_fraction
+    # the share of exactly those samples that a per-sample recount puts off the box
+    op = {**COARSE_KINDS, **MONOTONE_KINDS}[kind]
+    grid = Grid3.box((0.3, -0.7, 0.1), (1.4, 0.2, 0.9), (21, 17, 19))
+    disc = Discretization(ProblemSpec(op, ONE, ZERO, POLY_BOUNDARY, grid, sample_width=width))
+    stencil = disc.stencil
+    assert len(stencil.directions) == 2 * len(op.hessian_rows)
+    flat = np.random.default_rng(5).standard_normal(grid.n_nodes)
+    assert stencil.hessian_components(flat).shape == (len(op.hessian_rows), disc.c_int.size)
+    pts = _interior(grid.points(), grid.counts + (3,)).reshape(-1, 3)
+    x_dir, y_dir = frame_batch(pts)
+    lower, upper = np.array(grid.lower), np.array(grid.upper)
+    eps = 1e-12 * max(upper - lower)
+    arms = [(s * cx, s * cy) for cx, cy in op.hessian_rows for s in (1, -1)]
+    off = 0
+    for (cx, cy), d in zip(arms, stencil.directions, strict=True):
+        q = pts + disc.rho * (cx * x_dir + cy * y_dir)
+        outside = np.flatnonzero(~np.all((q >= lower - eps) & (q <= upper + eps), axis=1))
+        assert d.out_rows.tolist() == outside.tolist()
+        off += outside.size
+    assert off > 0
+    assert stencil.outside_fraction == off / (len(arms) * len(pts))
+
+
+def _nan_above_the_x_y_arms(pts):
+    """POLY_BOUNDARY, but NaN at heights |x3| > 1.3.  A sample along X or Y
+    moves an interior node vertically by 2 rho |x2| or 2 rho |x1|, and one
+    along X +- Y by 2 rho |x2 -+ x1|, up to twice as far: on the 17^3 box
+    and its 9^3 and 5^3 levels the X and Y samples reach heights 1.203,
+    1.125 and 1, and the diagonal ones 1.531, 1.5 and 1.5."""
+    return np.where(np.abs(pts[:, 2]) > 1.3, np.nan, POLY_BOUNDARY.value_batch(pts))
+
+
+def test_boundary_read_only_off_the_diagonal_arms():
+    # the sub-Laplacian never samples the diagonal lines, so their NaN
+    # boundary values do not stop its solve; Pucci+ reads them and is refused
+    boundary = NumericField(_nan_above_the_x_y_arms)
+    res = solve(ProblemSpec(SUB, ONE, ZERO, boundary, box(17), tol=1e-8))
+    assert res.converged and res.rho == 0.1875 and res.outside_fraction > 0
+    with pytest.raises(ValueError, match=r"boundary off the box along 1 X \+ 1 Y must be finite"):
+        Discretization(ProblemSpec(PUCCI_PLUS, ONE, ZERO, boundary, box(17)))
 
 
 def gathered_samples(stencil, flat, rho, ordered=False):
-    """The samples along solver._COMBOS as each direction took them before
+    """The samples along the stencil's arms as each direction took them before
     directions shared a horizontal blend, kept as a reference: per
     direction, the windows of all its A x B horizontal corners are gathered
     from the zero-padded u (corner indices clipped onto the grid) and
@@ -1310,7 +1371,7 @@ def gathered_samples(stencil, flat, rho, ordered=False):
     cols = np.stack(np.broadcast_arrays(x1[:, None], x2[None, :], grid.lower[2]), axis=-1)
     cols = cols.reshape(-1, 3)
     x_dir, y_dir = frame_batch(cols)
-    located = [cells(grid, cols + rho * (cx * x_dir + cy * y_dir)) for cx, cy in _COMBOS]
+    located = [cells(grid, cols + rho * (cx * x_dir + cy * y_dir)) for cx, cy in stencil.arms]
     pad = min(max(int(np.abs(cell[:, 2]).max()) for cell, _ in located), n3 - 2) + 1
     u = flat.reshape(grid.counts)
     padded = np.zeros((n1, n2, n3 + 2 * pad))
@@ -1340,14 +1401,14 @@ def gathered_samples(stencil, flat, rho, ordered=False):
     return samples
 
 
-def gathered_hessian(stencil, flat, rho, dirs=DIRECTIONS, ordered=False):
-    """The rows of gathered_samples: the row of each line in `dirs` adds its
-    two samples and the centre term in the stencil's order."""
+def gathered_hessian(stencil, flat, rho, ordered=False):
+    """The rows of gathered_samples: the row of each line of the stencil
+    adds its two samples and the centre term in the stencil's order."""
     samples = gathered_samples(stencil, flat, rho, ordered)
     w = 1.0 / (rho * rho)
     centre = _interior(flat, stencil.grid.counts).ravel() * (-2.0 * w)
-    first = [2 * DIRECTIONS.index(v) for v in dirs]
-    return np.array([samples[j] * w + samples[j + 1] * w + centre for j in first])
+    pairs = range(0, len(samples), 2)
+    return np.array([samples[j] * w + samples[j + 1] * w + centre for j in pairs])
 
 
 @pytest.mark.parametrize("n", [9, 17, 33])
@@ -1359,8 +1420,8 @@ def test_family_blend_is_the_per_direction_gather_bitwise(kind, n):
     disc = Discretization(ProblemSpec(op, ONE, ZERO, POLY_BOUNDARY, box(n)))
     assert disc.stencil.outside_fraction > 0
     flat = np.random.default_rng(n).standard_normal(disc.grid.n_nodes)
-    got = disc.stencil.hessian_components(flat, op.hessian_rows)
-    want = gathered_hessian(disc.stencil, flat, disc.rho, op.hessian_rows)
+    got = disc.stencil.hessian_components(flat)
+    want = gathered_hessian(disc.stencil, flat, disc.rho)
     assert got.tobytes() == want.tobytes()
 
 
@@ -1369,7 +1430,7 @@ def test_corners_past_the_grid_read_the_edge(n):
     # on these grids the horizontal fractions are rounding residues, so a
     # sample on the box face has a second corner one past the grid, with a
     # weight near 1e-16, which reads the edge node as a clipped index did
-    disc = Discretization(ProblemSpec(SUB, ONE, ZERO, POLY_BOUNDARY, box(n)))
+    disc = four_line_disc(box(n), POLY_BOUNDARY)
     assert any(0 < d.weights.min() < 1e-15 for d in disc.stencil.directions)
     flat = np.random.default_rng(n).standard_normal(disc.grid.n_nodes)
     got = disc.stencil.hessian_components(flat)
@@ -1381,7 +1442,7 @@ def test_family_blend_off_centre_width_matches_the_gather():
     # at width 0.137 the X+ and X- tables differ and no weight is a power of
     # two: the blend rounds like the gather up to the order of fused steps
     grid = Grid3.box((0.3, -0.7, 0.1), (1.4, 0.2, 0.9), (21, 17, 19))
-    disc = Discretization(ProblemSpec(SUB, ONE, ZERO, POLY_BOUNDARY, grid, sample_width=0.137))
+    disc = four_line_disc(grid, POLY_BOUNDARY, 0.137)
     tables = {(d.weights.shape, d.weights.tobytes()) for d in disc.stencil.directions}
     assert len(tables) > 3
     flat = np.random.default_rng(4).standard_normal(grid.n_nodes)
@@ -1429,32 +1490,32 @@ def test_unpadded_rows_are_the_zero_padded_gather(name, width):
         assert (got.tobytes() == want.tobytes()) or not exact
 
 
-def centre_once(stencil: _Stencil, flat: np.ndarray, rho: float, dirs=DIRECTIONS) -> np.ndarray:
+def centre_once(stencil: _Stencil, flat: np.ndarray, rho: float) -> np.ndarray:
     """The rows of the stencil of step rho on the samples of the ordered
     zero-padded gather (gathered_samples), with the centre term u (-2 w)
     formed once into an interior array of its own and added to every row."""
-    rows, centre = np.empty((len(dirs), int(np.prod(stencil.shape)))), np.empty(stencil.shape)
+    rows = np.empty((len(stencil.arms) // 2, int(np.prod(stencil.shape))))
+    centre = np.empty(stencil.shape)
     w = stencil.weight
     np.multiply(_interior(flat, stencil.grid.counts), -2.0 * w, out=centre)
     samples = gathered_samples(stencil, flat, rho, ordered=True)
-    for row, v in zip(rows, dirs):
-        first = 2 * DIRECTIONS.index(v)
-        np.multiply(samples[first], w, out=row)
-        row += samples[first + 1] * w
+    for j, row in enumerate(rows):
+        np.multiply(samples[2 * j], w, out=row)
+        row += samples[2 * j + 1] * w
         row += centre.ravel()
     return rows
 
 
-@pytest.mark.parametrize("dirs", [DIRECTIONS, (X, Y)], ids=["four-rows", "x-y-rows"])
+@pytest.mark.parametrize("lines", [DIRECTIONS, (X, Y)], ids=["four-rows", "x-y-rows"])
 @pytest.mark.parametrize("name", list(ROW_GRIDS))
-def test_centre_term_formed_per_row_is_bitwise_the_stored_one(name, dirs):
+def test_centre_term_formed_per_row_is_bitwise_the_stored_one(name, lines):
     # each row adds the centre term formed in the buffer of its second sample:
     # the same products, added in the same order, as one stored centre array
-    stencil = _Stencil(ROW_GRIDS[name], POLY_BOUNDARY, 0.137)
+    stencil = _Stencil(ROW_GRIDS[name], POLY_BOUNDARY, 0.137, lines)
     g = np.random.default_rng(len(name))
     for flat in (g.standard_normal(stencil.grid.n_nodes), g.uniform(1e3, 1e4, stencil.grid.n_nodes)):
-        got = stencil.hessian_components(flat, dirs)
-        assert got.tobytes() == centre_once(stencil, flat, 0.137, dirs).tobytes()
+        got = stencil.hessian_components(flat)
+        assert got.tobytes() == centre_once(stencil, flat, 0.137).tobytes()
 
 
 def test_solve_is_bitwise_the_stored_centre_solve(monkeypatch):
@@ -1466,7 +1527,7 @@ def test_solve_is_bitwise_the_stored_centre_solve(monkeypatch):
     monkeypatch.setattr(
         _Stencil,
         "hessian_components",
-        lambda self, flat, dirs=DIRECTIONS: centre_once(self, flat, sample_step(self.grid), dirs),
+        lambda self, flat: centre_once(self, flat, sample_step(self.grid)),
     )
     ref = solve(pucci_problem(17))
     assert res.u.values.tobytes() == ref.u.values.tobytes()
